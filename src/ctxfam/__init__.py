@@ -80,6 +80,7 @@ from .realisability import (
     classify_chordless_cycle,
     decompose_cycles,
     family_from_weights,
+    find_realisation,
     find_simple_cycle_through,
     lift_uniform,
     realisable_chordless,
@@ -137,6 +138,7 @@ __all__ = [
     "derivation_closure",
     "derives",
     "family_from_weights",
+    "find_realisation",
     "find_simple_cycle_through",
     "find_violation",
     "format_trace",

@@ -46,8 +46,8 @@ from .realisability import (
     build_opg,
     classify_chordless_cycle,
     decompose_cycles,
-    family_from_weights,
-    realisable_lp,
+    find_realisation,
+    realisable_lp,  # not called here; perfbench/spans.py wraps it in this module
     realise,
 )
 
@@ -159,23 +159,13 @@ def _cmd_opg(args: argparse.Namespace) -> int:
 def _cmd_realisable(args: argparse.Namespace) -> int:
     family = _load_family(args.family)
     kind = _parse_kind(args.monoid, "N|Q")
-    support = family.support()
     try:
-        classify_chordless_cycle(support.contexts)
-        graph = build_opg(support)
-        uncovered = graph.uncovered_edges()
-        if uncovered:
-            print("not realisable")
-            for edge in uncovered:
-                print(f"uncovered edge: {edge.describe()}")
-            return 1
-        witness = realise(support, kind)
-    except NotChordlessCycleError:
-        weights = realisable_lp(support, kind)
-        if weights is None:
-            print("not realisable")
-            return 1
-        witness = family_from_weights(support.contexts, weights, kind)
+        witness = find_realisation(family.support(), kind)
+    except NotRealisableError as exc:
+        print("not realisable")
+        for edge in exc.uncovered:
+            print(f"uncovered edge: {edge.describe()}")
+        return 1
     print("realisable")
     sys.stdout.write(serialize_family(witness))
     return 0

@@ -27,7 +27,7 @@ Parsing reports errors with line numbers; serialisation is canonical
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Set, Tuple
 
 from .family import ContextualFamily
 from .fdlogic import FD
@@ -70,6 +70,7 @@ def parse_relations(text: str) -> List[KRelation]:
 
     blocks: List[Tuple[int, Tuple[str, ...]]] = []
     rows: List[List[Tuple[int, Assignment, MonoidValue]]] = []
+    seen: Set[Assignment] = set()  # rows of the current block
     for number, line in lines[1:]:
         tokens = line.split()
         if tokens[0] == "monoid":
@@ -84,6 +85,7 @@ def parse_relations(text: str) -> List[KRelation]:
                 raise FormatError(number, "duplicate context")
             blocks.append((number, variables))
             rows.append([])
+            seen = set()
             continue
         if not blocks:
             raise FormatError(number, "row appears before any context line")
@@ -108,8 +110,9 @@ def parse_relations(text: str) -> List[KRelation]:
         if weight.is_zero:
             raise FormatError(number, "zero annotation: omit the row instead")
         assignment = Assignment(zip(variables, values))
-        if any(assignment == prior for _, prior, _ in rows[-1]):
+        if assignment in seen:
             raise FormatError(number, f"duplicate row {assignment}")
+        seen.add(assignment)
         rows[-1].append((number, assignment, weight))
 
     if not blocks:

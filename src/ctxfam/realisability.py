@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .family import ContextSet, ContextualFamily
 from .feasibility import find_rational_solution
-from .monoid import MonoidKind, MonoidValue, subtract
+from .monoid import MonoidKind, MonoidValue
 from .relation import Assignment, KRelation, scalar_fill
 
 
@@ -145,7 +145,7 @@ class OverlapProjectionGraph:
     n-partite: every edge advances the layer by one, modulo n.
     """
 
-    __slots__ = ("ordering", "vertices", "edges", "_out", "_in")
+    __slots__ = ("ordering", "vertices", "edges", "_out", "_in", "_index", "_succ")
 
     def __init__(self, ordering: CycleOrdering, edges: Iterable[OpgEdge]):
         self.ordering = ordering
@@ -159,6 +159,14 @@ class OverlapProjectionGraph:
             inc[e.target].append(e)
         self._out = out
         self._in = inc
+        # The same out-adjacency on integers: vertex i is vertices[i], and
+        # _succ[i] lists (edge index, target index) in sorted edge order.
+        index = {v: i for i, v in enumerate(self.vertices)}
+        succ: List[List[Tuple[int, int]]] = [[] for _ in self.vertices]
+        for k, e in enumerate(self.edges):
+            succ[index[e.source]].append((k, index[e.target]))
+        self._index = index
+        self._succ = succ
 
     def out_edges(self, v: OpgVertex) -> List[OpgEdge]:
         return self._out[v]
@@ -255,6 +263,41 @@ def build_opg(
     return OverlapProjectionGraph(ordering, edges)
 
 
+def _shortest_path(
+    succ: List[List[Tuple[int, int]]], start: int, goal: int
+) -> Optional[List[int]]:
+    """Edge indices of a shortest path from ``start`` to ``goal``.
+
+    Breadth-first search over integer out-adjacency lists, expanding each
+    vertex's successors in list order and stopping at the first edge that
+    reaches the goal, so equal-length paths are broken deterministically.
+    None when the goal is unreachable.
+    """
+    if start == goal:
+        return []
+    parent: Dict[int, Tuple[int, int]] = {}
+    queue = [start]
+    seen = {start}
+    while queue:
+        fresh: List[int] = []
+        for node in queue:
+            for k, nxt in succ[node]:
+                if nxt == goal:
+                    path = [k]
+                    walk = node
+                    while walk != start:
+                        k, walk = parent[walk]
+                        path.append(k)
+                    path.reverse()
+                    return path
+                if nxt not in seen:
+                    seen.add(nxt)
+                    parent[nxt] = (k, node)
+                    fresh.append(nxt)
+        queue = fresh
+    return None
+
+
 def find_simple_cycle_through(
     graph: OverlapProjectionGraph, edge: OpgEdge
 ) -> List[OpgEdge]:
@@ -264,47 +307,14 @@ def find_simple_cycle_through(
     neighbours expanded in sorted order, so the result is deterministic.
     Raises :class:`NotRealisableError` when the edge lies on no cycle.
     """
-    start = edge.target
-    goal = edge.source
-    if start == goal:
-        return [edge]
-    parent: Dict[OpgVertex, OpgEdge] = {}
-    queue = [start]
-    seen = {start}
-    while queue:
-        fresh: List[OpgVertex] = []
-        for node in queue:
-            for e in graph.out_edges(node):
-                if e.target == goal:
-                    path = [e]
-                    walk = node
-                    while walk != start:
-                        back = parent[walk]
-                        path.append(back)
-                        walk = back.source
-                    path.reverse()
-                    return [edge] + path
-                if e.target not in seen:
-                    seen.add(e.target)
-                    parent[e.target] = e
-                    fresh.append(e.target)
-        queue = fresh
-    raise NotRealisableError(
-        f"edge {edge.describe()} lies on no cycle", uncovered=(edge,)
+    path = _shortest_path(
+        graph._succ, graph._index[edge.target], graph._index[edge.source]
     )
-
-
-def _family_from_labels(
-    contexts: ContextSet, labels: Iterable[Assignment]
-) -> ContextualFamily:
-    """Group cycle labels by their context and form the B-family."""
-    grouped: Dict[FrozenSet[str], List[Assignment]] = {c: [] for c in contexts}
-    for label in labels:
-        grouped[label.variables].append(label)
-    relations = [
-        KRelation.boolean(c, rows) for c, rows in grouped.items()
-    ]
-    return ContextualFamily(relations)
+    if path is None:
+        raise NotRealisableError(
+            f"edge {edge.describe()} lies on no cycle", uncovered=(edge,)
+        )
+    return [edge] + [graph.edges[k] for k in path]
 
 
 def lift_uniform(sub: ContextualFamily, weight: MonoidValue) -> ContextualFamily:
@@ -359,9 +369,14 @@ def realise(
 ) -> ContextualFamily:
     """A family of the requested kind with exactly the given support.
 
-    Sums one uniform cycle lift per supported row; a row crossed by k of
-    the chosen cycles ends up annotated k times the base weight, which is
-    fine since only the support is prescribed.  Raises
+    The witness is the sum of one uniform lift of ``weight`` per supported
+    row, along the cycle :func:`find_simple_cycle_through` picks for that
+    row; only how many of those cycles cross each row matters.  So this
+    builds the overlap projection graph and its components once, runs one
+    breadth-first search per edge, counts the chosen cycles through every
+    row, and annotates each row ``count x weight`` (just ``weight`` in B).
+    The witness is built and validated once, then its support is checked
+    against the input.  Raises
     :class:`NotRealisableError`, carrying the uncovered edges, when no
     realisation exists.
     """
@@ -378,18 +393,15 @@ def realise(
     if uncovered:
         listing = "; ".join(e.describe() for e in uncovered)
         raise NotRealisableError(f"support is not realisable: {listing}", uncovered)
-    if not graph.edges:
-        empty = [
-            KRelation(rel.variables, kind, {}) for rel in family.maximal_relations()
-        ]
-        return ContextualFamily(empty)
-    total: Optional[ContextualFamily] = None
+    counts: Dict[Assignment, int] = {}
     for edge in graph.edges:
-        cycle = find_simple_cycle_through(graph, edge)
-        sub = _family_from_labels(family.contexts, (e.label for e in cycle))
-        part = lift_uniform(sub, weight)
-        total = part if total is None else total + part
-    assert total is not None
+        for e in find_simple_cycle_through(graph, edge):
+            counts[e.label] = counts.get(e.label, 0) + 1
+    weights = {
+        label: weight if kind is MonoidKind.B else MonoidValue(kind, weight.payload * count)
+        for label, count in counts.items()
+    }
+    total = family_from_weights(family.contexts, weights, kind)
     if total.support() != family.support():
         raise AssertionError("realisation changed the support; internal bug")
     return total
@@ -400,67 +412,53 @@ def decompose_cycles(
 ) -> List[Tuple[MonoidValue, ContextualFamily]]:
     """Peel a weighted family into uniform simple cycles.
 
-    Repeatedly picks the deterministic simple cycle through the least
-    vertex of the current support's graph, subtracts the least annotation
-    along it, and recurses; cancellativity keeps every remainder a valid
-    family.  The parts reconstruct the input exactly:
+    Repeatedly takes the least vertex of the overlap projection graph
+    that still has a live edge, picks the shortest cycle over its
+    out-edges (the first in sorted edge order among equals), and
+    subtracts the least annotation along it; an edge dies when its
+    residual reaches zero.  The graph is built once: residual weights
+    and live out-adjacency are kept on integer indices, and each peel
+    costs one breadth-first search over live edges per out-edge of its
+    start vertex.  Local consistency makes the weights a circulation on
+    the graph, and subtracting a cycle keeps it one, so a vertex with a
+    live in-edge still has a live out-edge and the start vertex only
+    moves forward.  The parts reconstruct the input exactly:
     sum of ``lift_uniform(part, weight)`` equals the family.
     """
     if not family.kind.is_cancellative:
         raise ValueError("decomposition needs a cancellative kind")
+    graph = build_opg(family)
+    edges = graph.edges
+    relations = [family.relation_at(c) for c in graph.ordering.contexts]
+    residual = [relations[e.context_index].annotation(e.label).payload for e in edges]
+    succ = [list(out) for out in graph._succ]
+    ends = [(graph._index[e.source], graph._index[e.target]) for e in edges]
+    live = len(edges)
+    start = 0
+    one = MonoidValue.one(MonoidKind.B)
     parts: List[Tuple[MonoidValue, ContextualFamily]] = []
-    current = family
-    while any(len(rel) for rel in current.maximal_relations()):
-        graph = build_opg(current.support())
-        start = graph.vertices[0]
-        cycle = _shortest_cycle_at(graph, start)
-        labels = [e.label for e in cycle]
-        sub = _family_from_labels(current.contexts, labels)
-        least = min(
-            (current.relation_at(lab.variables).annotation(lab) for lab in labels),
-            key=lambda v: v.payload,
+    while live:
+        while not succ[start]:
+            start += 1
+        cycles = []
+        for k, nxt in succ[start]:
+            path = _shortest_path(succ, nxt, start)
+            if path is None:
+                raise AssertionError("residual is not a circulation; internal bug")
+            cycles.append([k] + path)
+        best = min(cycles, key=len)
+        least = min(residual[k] for k in best)
+        sub = family_from_weights(
+            family.contexts, {edges[k].label: one for k in best}, MonoidKind.B
         )
-        parts.append((least, sub))
-        current = _subtract_uniform(current, labels, least)
+        parts.append((MonoidValue(family.kind, least), sub))
+        for k in best:
+            residual[k] -= least
+            if not residual[k]:
+                source, target = ends[k]
+                succ[source].remove((k, target))
+                live -= 1
     return parts
-
-
-def _shortest_cycle_at(
-    graph: OverlapProjectionGraph, start: OpgVertex
-) -> List[OpgEdge]:
-    """Shortest cycle through a vertex, ties broken by sorted edge order."""
-    best: Optional[List[OpgEdge]] = None
-    for first in graph.out_edges(start):
-        closing = find_simple_cycle_through(graph, first)
-        if best is None or len(closing) < len(best):
-            best = closing
-    if best is None:
-        raise NotRealisableError(f"vertex {start} has no outgoing edge")
-    return best
-
-
-def _subtract_uniform(
-    family: ContextualFamily, labels: List[Assignment], amount: MonoidValue
-) -> ContextualFamily:
-    """Remove a uniform amount along the given rows, dropping zeros.
-
-    Subtracting a simple cycle lowers both marginals at every visited
-    boundary value equally, so the remainder stays locally consistent.
-    """
-    chosen: Dict[FrozenSet[str], List[Assignment]] = {}
-    for lab in labels:
-        chosen.setdefault(lab.variables, []).append(lab)
-    updated: List[KRelation] = []
-    for rel in family.maximal_relations():
-        rows = {row: value for row, value in rel.rows()}
-        for lab in chosen.get(rel.variables, []):
-            remaining = subtract(rows[lab], amount)
-            if remaining.is_zero:
-                del rows[lab]
-            else:
-                rows[lab] = remaining
-        updated.append(KRelation(rel.variables, rel.kind, rows))
-    return ContextualFamily(updated)
 
 
 def realisable_lp(
@@ -542,3 +540,23 @@ def family_from_weights(
     return ContextualFamily(
         [KRelation(c, kind, rows) for c, rows in grouped.items()]
     )
+
+
+def find_realisation(family: ContextualFamily, kind: MonoidKind) -> ContextualFamily:
+    """A family of kind N or Q with exactly the given support, over any
+    context set.
+
+    Chordless cycles are decided by the graph test and realised by
+    :func:`realise`, which builds the overlap projection graph once; other
+    context sets go to :func:`realisable_lp`.  Raises
+    :class:`NotRealisableError` when the support is not realisable; its
+    ``uncovered`` edges are those of the graph test, and empty when the
+    LP refused.
+    """
+    try:
+        return realise(family, kind)
+    except NotChordlessCycleError:
+        weights = realisable_lp(family, kind)
+        if weights is None:
+            raise NotRealisableError("support is not realisable") from None
+        return family_from_weights(family.contexts, weights, kind)

@@ -170,9 +170,6 @@ class KRelation:
             grouped[short] = value if prior is None else prior + value
         return KRelation(target, self.kind, grouped)
 
-    def scale_kind(self) -> MonoidKind:
-        return self.kind
-
     def satisfies(self, fd: "FD") -> bool:
         """Whether the support satisfies a functional dependency.
 

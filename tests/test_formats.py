@@ -89,6 +89,16 @@ class TestParseDiagnostics:
             parse_relations(text)
         assert excinfo.value.line == 7
 
+    def test_duplicate_deep_in_a_large_block(self):
+        rows = [f"a{i} b{i} : 1" for i in range(5000)]
+        text = "\n".join(
+            ["monoid N", "context x y", *rows, "a3210 b3210 : 2", "context z", "c"]
+        )
+        with pytest.raises(FormatError) as excinfo:
+            parse_relations(text)
+        assert excinfo.value.line == 5003
+        assert excinfo.value.message == "duplicate row x=a3210,y=b3210"
+
     def test_parse_family_validates_consistency(self):
         text = (
             "monoid N\n"

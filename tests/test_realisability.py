@@ -7,7 +7,8 @@ import pytest
 
 from ctxfam.family import ContextSet, ContextualFamily
 from ctxfam.fdlogic import FD, random_family_satisfying
-from ctxfam.monoid import MonoidKind, MonoidValue
+from ctxfam.monoid import MonoidKind, MonoidValue, subtract
+from ctxfam.relation import Assignment, KRelation
 from ctxfam.realisability import (
     NotChordlessCycleError,
     NotRealisableError,
@@ -16,6 +17,7 @@ from ctxfam.realisability import (
     classify_chordless_cycle,
     decompose_cycles,
     family_from_weights,
+    find_realisation,
     find_simple_cycle_through,
     lift_uniform,
     realisable_chordless,
@@ -313,6 +315,33 @@ class TestDecompose:
         assert total == family
 
 
+class TestFindRealisation:
+    def test_chordless_cycle_uses_the_graph_witness(self, extended_family):
+        assert find_realisation(extended_family, MonoidKind.N) == realise(
+            extended_family, MonoidKind.N
+        )
+
+    def test_chordless_refusal_carries_the_uncovered_edges(self, teaching_family):
+        with pytest.raises(NotRealisableError) as err:
+            find_realisation(teaching_family, MonoidKind.Q)
+        assert [e.label for e in err.value.uncovered] == [row(CS, ("CS", "Alice"))]
+
+    def test_other_context_sets_use_the_lp(self):
+        family = ContextualFamily(
+            [brel(("a", "b"), [("0", "0"), ("1", "1")]),
+             brel(("b", "c"), [("0", "0"), ("1", "0")])]
+        )
+        weights = realisable_lp(family, MonoidKind.N)
+        assert find_realisation(family, MonoidKind.N) == family_from_weights(
+            family.contexts, weights, MonoidKind.N
+        )
+
+    def test_lp_refusal_has_no_uncovered_edges(self, five_context_family):
+        with pytest.raises(NotRealisableError) as err:
+            find_realisation(five_context_family, MonoidKind.Q)
+        assert err.value.uncovered == ()
+
+
 class TestRealisableLp:
     def test_teaching_family_infeasible(self, teaching_family):
         assert realisable_lp(teaching_family, MonoidKind.Q) is None
@@ -381,3 +410,274 @@ class TestDot:
         first = build_opg(teaching_family).to_dot()
         second = build_opg(teaching_family).to_dot()
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# The sum-of-lifts realisation and the rebuild-and-peel decomposition that
+# realise and decompose_cycles replaced, kept as references: they rebuild
+# a family per cycle, so they are only fit for small inputs.
+
+
+def reference_cycle_through(graph, edge):
+    start, goal = edge.target, edge.source
+    if start == goal:
+        return [edge]
+    parent, queue, seen = {}, [start], {start}
+    while queue:
+        fresh = []
+        for node in queue:
+            for e in graph.out_edges(node):
+                if e.target == goal:
+                    path, walk = [e], node
+                    while walk != start:
+                        back = parent[walk]
+                        path.append(back)
+                        walk = back.source
+                    return [edge] + path[::-1]
+                if e.target not in seen:
+                    seen.add(e.target)
+                    parent[e.target] = e
+                    fresh.append(e.target)
+        queue = fresh
+    raise NotRealisableError(f"edge {edge.describe()} lies on no cycle", (edge,))
+
+
+def _reference_b_family(contexts, labels):
+    grouped = {c: [] for c in contexts}
+    for label in labels:
+        grouped[label.variables].append(label)
+    return ContextualFamily([KRelation.boolean(c, rs) for c, rs in grouped.items()])
+
+
+def reference_realise(family, kind, weight=None):
+    if weight is None:
+        weight = MonoidValue.one(kind)
+    graph = build_opg(family)
+    uncovered = graph.uncovered_edges()
+    if uncovered:
+        listing = "; ".join(e.describe() for e in uncovered)
+        raise NotRealisableError(f"support is not realisable: {listing}", uncovered)
+    if not graph.edges:
+        return ContextualFamily(
+            [KRelation(r.variables, kind, {}) for r in family.maximal_relations()]
+        )
+    total = None
+    for edge in graph.edges:
+        cycle = reference_cycle_through(graph, edge)
+        part = lift_uniform(
+            _reference_b_family(family.contexts, (e.label for e in cycle)), weight
+        )
+        total = part if total is None else total + part
+    return total
+
+
+def reference_decompose(family):
+    parts = []
+    current = family
+    while any(len(r) for r in current.maximal_relations()):
+        graph = build_opg(current.support())
+        start = graph.vertices[0]
+        cycle = None
+        for first in graph.out_edges(start):
+            closing = reference_cycle_through(graph, first)
+            if cycle is None or len(closing) < len(cycle):
+                cycle = closing
+        labels = [e.label for e in cycle]
+        least = min(
+            (current.relation_at(lab.variables).annotation(lab) for lab in labels),
+            key=lambda v: v.payload,
+        )
+        parts.append((least, _reference_b_family(current.contexts, labels)))
+        updated = []
+        for rel in current.maximal_relations():
+            rows = dict(rel.rows())
+            for lab in labels:
+                if lab in rows:
+                    remaining = subtract(rows[lab], least)
+                    if remaining.is_zero:
+                        del rows[lab]
+                    else:
+                        rows[lab] = remaining
+            updated.append(KRelation(rel.variables, rel.kind, rows))
+        current = ContextualFamily(updated)
+    return parts
+
+
+def walk_family(rng, kind, weights, contexts_count=None, components=None,
+                walks=(1, 3), domain=(2, 3)):
+    """A locally consistent family over a chordless cycle of binary and
+    ternary contexts: the sum of closed walks around the cycle, each
+    carrying one weight, in value-disjoint components.
+
+    Context i binds x_i and x_{i+1} (and a private m_i when ternary).  A
+    walk of winding w picks n*w values a_s and at step s adds a row
+    x_i = a_s, x_{i+1} = a_{s+1} to context i = s mod n, so every
+    boundary value is entered and left equally often."""
+    n = contexts_count or rng.randint(3, 6)
+    contexts = []
+    for i in range(n):
+        pair = [f"x{i}", f"x{(i + 1) % n}"]
+        contexts.append(tuple(pair + [f"m{i}"]) if rng.random() < 0.5 else tuple(pair))
+    total = [{} for _ in range(n)]
+    for comp in range(components or rng.randint(1, 3)):
+        size = rng.randint(*domain)
+        for _ in range(rng.randint(*walks)):
+            length = n * rng.randint(1, 2)
+            values = [f"c{comp}v{rng.randrange(size)}" for _ in range(length)]
+            w = rng.choice(weights)
+            for step in range(length):
+                i = step % n
+                key = (values[step], values[(step + 1) % length])
+                if len(contexts[i]) == 3:
+                    key += (f"p{rng.randrange(2)}",)
+                total[i][key] = total[i].get(key, 0) + w
+    return ContextualFamily(
+        [
+            KRelation(
+                frozenset(vs),
+                kind,
+                {
+                    Assignment(dict(zip(vs, key))): MonoidValue.of(kind, w)
+                    for key, w in rel.items()
+                },
+            )
+            for vs, rel in zip(contexts, total)
+        ]
+    )
+
+
+def with_cross_row(rng, family):
+    """The support plus one row from one component into another at a
+    random context: its edge lies on no cycle."""
+    rels = list(family.maximal_relations())
+    at = rng.randrange(len(rels))
+    rows = sorted(rels[at].support, key=lambda a: a.sort_key)
+    ordering = classify_chordless_cycle(family.contexts)
+    i = ordering.contexts.index(rels[at].variables)
+    out_var = next(iter(ordering.boundary(i)))
+    left = rows[0]
+    component = left[out_var].split("v")[0]
+    right = next(r for r in rows if not r[out_var].startswith(component + "v"))
+    cross = Assignment(
+        {v: (right[v] if v == out_var else left[v]) for v in rels[at].variables}
+    )
+    rels[at] = KRelation.boolean(rels[at].variables, rows + [cross])
+    return ContextualFamily(rels)
+
+
+KINDS_AND_WEIGHTS = [
+    (MonoidKind.N, 1),
+    (MonoidKind.Q, 1),
+    (MonoidKind.Q, Fraction(1, 2)),
+]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("kind, base", KINDS_AND_WEIGHTS)
+    def test_realise_matches_the_sum_of_lifts(self, kind, base):
+        rng = random.Random(f"realise/{kind}/{base}")
+        weight = MonoidValue.of(kind, base)
+        sizes, several = set(), 0
+        for _ in range(25):
+            support = walk_family(rng, MonoidKind.B, [1])
+            sizes.add(len(support.contexts))
+            several += len(build_opg(support).strongly_connected_components()) > 1
+            assert realise(support, kind, weight) == reference_realise(
+                support, kind, weight
+            )
+        assert sizes == {3, 4, 5, 6} and several
+
+    def test_cycle_search_matches_the_reference(self):
+        rng = random.Random(2)
+        for _ in range(25):
+            graph = build_opg(walk_family(rng, MonoidKind.B, [1]))
+            for edge in graph.edges:
+                assert find_simple_cycle_through(graph, edge) == (
+                    reference_cycle_through(graph, edge)
+                )
+
+    def test_refusals_match_the_reference(self):
+        rng = random.Random(5)
+        refused = 0
+        for _ in range(30):
+            support = walk_family(rng, MonoidKind.B, [1], components=2)
+            try:
+                support = with_cross_row(rng, support)
+            except ValueError:
+                continue  # the cross row broke local consistency
+            with pytest.raises(NotRealisableError) as new:
+                realise(support, MonoidKind.N)
+            with pytest.raises(NotRealisableError) as old:
+                reference_realise(support, MonoidKind.N)
+            assert new.value.uncovered == old.value.uncovered
+            assert str(new.value) == str(old.value)
+            refused += 1
+        assert refused >= 20
+
+    @pytest.mark.parametrize(
+        "kind, weights",
+        [
+            (MonoidKind.N, [1]),
+            (MonoidKind.N, [1, 2, 3]),
+            (MonoidKind.Q, [Fraction(1, 2)]),
+            (MonoidKind.Q, [Fraction(1, 2), 1, Fraction(5, 3)]),
+        ],
+    )
+    def test_decompose_matches_rebuild_and_peel(self, kind, weights):
+        rng = random.Random(f"decompose/{kind}/{weights}")
+        for _ in range(30):
+            family = walk_family(rng, kind, weights)
+            parts = decompose_cycles(family)
+            assert parts == reference_decompose(family)
+            total = None
+            for weight, sub in parts:
+                lifted = lift_uniform(sub, weight)
+                total = lifted if total is None else total + lifted
+            assert total == family
+
+    def test_decompose_matches_on_realisations(self):
+        rng = random.Random(11)
+        for kind, base in KINDS_AND_WEIGHTS:
+            for _ in range(10):
+                support = walk_family(rng, MonoidKind.B, [1])
+                family = realise(support, kind, MonoidValue.of(kind, base))
+                assert decompose_cycles(family) == reference_decompose(family)
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts ContextualFamily constructions from here on."""
+    calls = []
+    original = ContextualFamily.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ContextualFamily, "__init__", counting)
+    return calls
+
+
+class TestNoPerCycleRebuilds:
+    @pytest.fixture(scope="class")
+    def large(self):
+        family = walk_family(
+            random.Random(3), MonoidKind.N, [1, 2, 3], contexts_count=4,
+            components=1, walks=(60, 60), domain=(40, 40),
+        )
+        assert sum(len(r) for r in family.maximal_relations()) >= 350
+        return family
+
+    @pytest.fixture(scope="class")
+    def large_support(self, large):
+        return large.support()
+
+    def test_realise_validates_a_constant_number_of_families(
+        self, large_support, constructions
+    ):
+        realise(large_support, MonoidKind.N)
+        assert len(constructions) <= 3
+
+    def test_decompose_validates_one_family_per_part(self, large, constructions):
+        parts = decompose_cycles(large)
+        assert len(constructions) <= len(parts) + 1
