@@ -204,8 +204,17 @@ class ContextualFamily:
 
     def support(self) -> "ContextualFamily":
         """The same supports annotated in B.  Always valid: marginals of
-        equal relations have equal supports."""
-        return ContextualFamily([r.support_relation() for r in self.maximal_relations()])
+        equal relations have equal supports, so the pairwise check is not
+        run again."""
+        family = object.__new__(ContextualFamily)
+        object.__setattr__(family, "contexts", self.contexts)
+        object.__setattr__(family, "kind", MonoidKind.B)
+        object.__setattr__(
+            family,
+            "_relations",
+            {c: self._relations[c].support_relation() for c in self.contexts},
+        )
+        return family
 
     def scale(self, value: MonoidValue) -> "ContextualFamily":
         """Annotate every supported row with one constant value.
@@ -424,10 +433,14 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
     """A single relation over all variables marginalising to every context
     relation, or None when no such relation exists.
 
-    For B this is decided by the natural join of the supports; for Q by
-    exact rational feasibility of the marginal equations over join rows;
-    for N by rational feasibility followed by a complete bounded search
-    for integer weights.
+    For B this is decided by the natural join of the supports.  For Q and
+    N the unknowns are the weights of the join rows, at least 0 each, and
+    the equations say that they marginalise to every context relation.
+    For Q the witness is the exact simplex solution of
+    :func:`~ctxfam.feasibility.find_rational_solution`: the
+    lexicographically least weights, in join-row order, among those the
+    Gaussian elimination leaves free.  For N a rational solution must
+    exist first, and then a complete bounded search finds integer weights.
     """
     if family.kind is MonoidKind.B:
         return _global_boolean(family)

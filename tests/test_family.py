@@ -232,6 +232,36 @@ class TestSupportAndSums:
     def test_boolean_support_is_identity(self, teaching_family):
         assert teaching_family.support() == teaching_family
 
+    def test_support_matches_the_validated_construction(self):
+        rng = random.Random(21)
+        vars_ = ("w", "x", "y", "z")
+        shapes = [
+            [{"x", "y"}, {"y", "z"}],
+            [{"w", "x"}, {"x", "y"}, {"y", "z"}, {"w", "z"}],
+            [{"w", "x", "y"}, {"y", "z"}, {"w", "z"}],
+        ]
+        for n in range(60):
+            kind, pool = [
+                (MonoidKind.B, [1]),
+                (MonoidKind.N, [1, 2, 3]),
+                (MonoidKind.Q, [Fraction(1, 2), 1, 2]),
+            ][n % 3]
+            rows = {
+                row(vars_, tuple(rng.choice("012") for _ in vars_)): MonoidValue.of(
+                    kind, rng.choice(pool)
+                )
+                for _ in range(rng.randint(0, 6))
+            }
+            glob = KRelation(frozenset(vars_), kind, rows)
+            family = ContextualFamily([glob.marginalise(c) for c in shapes[n // 3 % 3]])
+            validated = ContextualFamily(
+                [r.support_relation() for r in family.maximal_relations()]
+            )
+            support = family.support()
+            assert support == validated
+            assert hash(support) == hash(validated)
+            assert list(support.maximal_relations()) == list(validated.maximal_relations())
+
     def test_addition_is_contextwise(self):
         same = [("0", "0"), ("1", "1")]
         f = ContextualFamily(

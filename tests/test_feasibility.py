@@ -1,11 +1,27 @@
 """Exact rational feasibility: equalities with per-variable lower bounds."""
 
+import random
+import signal
 from fractions import Fraction
+from itertools import count, islice
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxfam.feasibility import find_rational_solution
+from ctxfam import family as family_module
+from ctxfam import realisability
+from ctxfam.family import (
+    ContextualFamily,
+    _projects_onto,
+    _support_join,
+    check_global_consistency,
+)
+from ctxfam.fdlogic import FD, random_family_satisfying
+from ctxfam.feasibility import _eliminate_equalities, find_rational_solution
+from ctxfam.monoid import MonoidKind, MonoidValue
+from ctxfam.realisability import realisable_lp
+from ctxfam.relation import Assignment, KRelation
 
 
 def check(equalities, lower_bounds, variables):
@@ -129,3 +145,300 @@ class TestRandomSystems:
         solution = check([], bounds, ["x", "y", "z"])
         for v in ["x", "y", "z"]:
             assert solution[v] == bounds.get(v, Fraction(0))
+
+
+class TestInputErrors:
+    def test_unknown_bound_variable_is_named(self):
+        with pytest.raises(ValueError, match="'y'"):
+            find_rational_solution([], {"y": Fraction(0)}, ["x"])
+
+    def test_unknown_equality_variable_is_named(self):
+        with pytest.raises(ValueError, match="'y'"):
+            find_rational_solution(
+                [({"x": Fraction(1), "y": Fraction(1)}, Fraction(1))], {}, ["x"]
+            )
+
+
+# ---------------------------------------------------------------------------
+# Reference: the Fourier-Motzkin solver the simplex replaced.  It projects
+# the free unknowns out one at a time, from the last to the first, and
+# reads the witness back in ascending order, each unknown at its least
+# value, else its greatest, else 0.  Test-only; kept to check that the
+# simplex returns the same witness.
+
+
+def _fm_key(coeffs, rhs):
+    if not coeffs:
+        return ((), rhs > 0)
+    scale = abs(coeffs[min(coeffs)])
+    return (tuple((j, coeffs[j] / scale) for j in sorted(coeffs)), rhs / scale)
+
+
+def _fm_project(inequalities, order):
+    record = []
+    current = inequalities
+    for z in order:
+        lowers, uppers, fresh = [], [], {}
+        for coeffs, rhs in current:
+            cz = coeffs.get(z, 0)
+            if cz == 0:
+                if not coeffs:
+                    if rhs > 0:
+                        return None
+                    continue
+                fresh.setdefault(_fm_key(coeffs, rhs), (coeffs, rhs))
+                continue
+            bound = (rhs / cz, {j: -c / cz for j, c in coeffs.items() if j != z})
+            (lowers if cz > 0 else uppers).append(bound)
+        for lconst, lexpr in lowers:
+            for uconst, uexpr in uppers:
+                coeffs = dict(uexpr)
+                for j, c in lexpr.items():
+                    coeffs[j] = coeffs.get(j, Fraction(0)) - c
+                coeffs = {j: c for j, c in coeffs.items() if c != 0}
+                rhs = lconst - uconst
+                if not coeffs:
+                    if rhs > 0:
+                        return None
+                    continue
+                fresh.setdefault(_fm_key(coeffs, rhs), (coeffs, rhs))
+        record.append((z, lowers, uppers))
+        current = [fresh[k] for k in sorted(fresh, key=repr)]
+    if any(not coeffs and rhs > 0 for coeffs, rhs in current):
+        return None
+    return record
+
+
+def _fm_evaluate(affine, values):
+    const, expr = affine
+    return const + sum((c * values[j] for j, c in expr.items()), Fraction(0))
+
+
+def fm_solution(equalities, lower_bounds, variables):
+    index = {v: i for i, v in enumerate(variables)}
+    eqs = [
+        ({index[v]: Fraction(c) for v, c in coeffs.items() if c != 0}, Fraction(rhs))
+        for coeffs, rhs in equalities
+    ]
+    pivots = _eliminate_equalities(eqs)
+    if pivots is None:
+        return None
+    inequalities = []
+    for v, b in sorted(lower_bounds.items(), key=lambda kv: index[kv[0]]):
+        i = index[v]
+        if i in pivots:
+            const, expr = pivots[i]
+            if not expr:
+                if const < b:
+                    return None
+                continue
+            inequalities.append((dict(expr), Fraction(b) - const))
+        else:
+            inequalities.append(({i: Fraction(1)}, Fraction(b)))
+    free = sorted(set(index.values()) - set(pivots), reverse=True)
+    record = _fm_project(inequalities, free)
+    if record is None:
+        return None
+    values = {}
+    for z, lowers, uppers in reversed(record):
+        lo = max((_fm_evaluate(a, values) for a in lowers), default=None)
+        hi = min((_fm_evaluate(a, values) for a in uppers), default=None)
+        values[z] = lo if lo is not None else hi if hi is not None else Fraction(0)
+    for p in sorted(pivots):
+        values[p] = _fm_evaluate(pivots[p], values)
+    return {v: values[index[v]] for v in variables}
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def systems(draw):
+    """Small systems with mixed-sign coefficients, bounds that are
+    negative, positive or missing, and rows that repeat, scale, vanish or
+    contradict earlier ones."""
+    variables = [f"x{i}" for i in range(draw(st.integers(1, 6)))]
+    equalities = []
+    for _ in range(draw(st.integers(0, 5))):
+        form = draw(st.sampled_from(["fresh", "fresh", "fresh", "copy", "empty"]))
+        if form == "copy" and equalities:
+            # a multiple of an earlier row: redundant, or shifted and infeasible
+            coeffs, rhs = equalities[draw(st.integers(0, len(equalities) - 1))]
+            factor = draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3)]))
+            coeffs = {v: c * factor for v, c in coeffs.items()}
+            rhs = rhs * factor + draw(st.sampled_from([Fraction(0), Fraction(1)]))
+        elif form == "empty":
+            coeffs, rhs = {}, draw(st.sampled_from([Fraction(0), Fraction(1)]))
+        else:
+            # a zero right-hand side makes degenerate vertices
+            coeffs = {v: c for v in variables if (c := draw(FRACTIONS))}
+            rhs = draw(st.sampled_from([Fraction(0), draw(FRACTIONS) * 2]))
+        equalities.append((coeffs, rhs))
+    bounds = {
+        v: b
+        for v in variables
+        if (b := draw(st.one_of(st.none(), FRACTIONS))) is not None
+    }
+    return equalities, bounds, variables
+
+
+class TestSameWitnessAsFourierMotzkin:
+    @settings(max_examples=400, deadline=None)
+    @given(systems())
+    def test_random_systems(self, system):
+        equalities, bounds, variables = system
+        assert find_rational_solution(equalities, bounds, variables) == fm_solution(
+            equalities, bounds, variables
+        )
+
+
+# ---------------------------------------------------------------------------
+# Systems from families: the marginal equations of global consistency and
+# the agreement equations of realisability.
+
+SHAPES = {
+    "path": [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")],
+    "star": [("h", "a"), ("h", "b"), ("h", "c"), ("h", "d")],
+    "grid": [("g00", "g01"), ("g01", "g02"), ("g10", "g11"), ("g11", "g12"),
+             ("g00", "g10"), ("g01", "g11"), ("g02", "g12")],
+    "chorded": [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("a", "c")],
+    "acyclic": [("a", "b", "c"), ("b", "c", "d"), ("c", "d", "e"), ("c", "e", "f")],
+}
+
+
+def marginal_family(shape, kind, rows, domain, seed):
+    """The marginals, over one shape, of a seeded random global relation
+    with ``rows`` weighted rows (repeats add up)."""
+    rng = random.Random(f"{shape}/{kind.name}/{rows}/{domain}/{seed}")
+    variables = sorted({v for c in SHAPES[shape] for v in c})
+    pool = [1, 2, 3] if kind is MonoidKind.N else [Fraction(1, 2), 1, Fraction(3, 2), 2]
+    weights = {}
+    for _ in range(rows):
+        row = Assignment({v: f"v{rng.randrange(domain)}" for v in variables})
+        weights[row] = weights.get(row, 0) + rng.choice(pool)
+    glob = KRelation(
+        frozenset(variables), kind, {r: MonoidValue.of(kind, w) for r, w in weights.items()}
+    )
+    return ContextualFamily([glob.marginalise(frozenset(c)) for c in SHAPES[shape]])
+
+
+def twisted_family(shape, kind, domain, seed):
+    """Bijections on every binary context but one, which is shifted by
+    one value: locally consistent, with no global relation."""
+    rng = random.Random(f"twisted/{shape}/{kind.name}/{domain}/{seed}")
+    contexts = SHAPES[shape]
+    perm = {v: rng.sample(range(domain), domain) for c in contexts for v in c}
+    shifted = rng.randrange(len(contexts))
+    weight = MonoidValue.of(kind, rng.choice([1, 2]))
+    relations = []
+    for n, (u, v) in enumerate(contexts):
+        step = 1 if n == shifted else 0
+        relations.append(KRelation(frozenset((u, v)), kind, {
+            Assignment({u: f"v{perm[u][a]}", v: f"v{perm[v][(a + step) % domain]}"}): weight
+            for a in range(domain)
+        }))
+    return ContextualFamily(relations)
+
+
+# Join rows the reference handles in well under a second; past this its
+# elimination runs for seconds to hours.
+FM_REACH = 16
+
+
+def small_families(shape):
+    """Seeded N and Q marginal families over ``shape`` with 2-4 global
+    rows, keeping those whose support join the reference can handle."""
+    for seed in count():
+        rows = 2 + seed % 3
+        for kind in (MonoidKind.N, MonoidKind.Q):
+            family = marginal_family(shape, kind, rows, 2 + seed % 2, seed)
+            if len(_support_join(family)) <= FM_REACH:
+                yield family
+
+
+@pytest.fixture
+def against_fm(monkeypatch):
+    """Route ``module.find_rational_solution`` through a check that the
+    witness equals the reference's; returns the list of witnesses."""
+
+    def route(module):
+        witnesses = []
+
+        def both(equalities, lower_bounds, variables):
+            witness = find_rational_solution(equalities, lower_bounds, variables)
+            assert witness == fm_solution(equalities, lower_bounds, variables)
+            witnesses.append(witness)
+            return witness
+
+        monkeypatch.setattr(module, "find_rational_solution", both)
+        return witnesses
+
+    return route
+
+
+class TestSameWitnessOnFamilies:
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_global_consistency(self, shape, against_fm):
+        witnesses = against_fm(family_module)
+        for family in islice(small_families(shape), 16):
+            witness = check_global_consistency(family)
+            assert witness is not None and _projects_onto(witness, family)
+        assert len(witnesses) == 16
+
+    def test_sums_with_a_twisted_family(self, against_fm):
+        # the twisted rows can outweigh what the global rows can carry
+        witnesses = against_fm(family_module)
+        for seed in range(12):
+            for kind in (MonoidKind.N, MonoidKind.Q):
+                family = marginal_family("chorded", kind, 3, 2, seed)
+                check_global_consistency(family + twisted_family("chorded", kind, 2, seed))
+        assert None in witnesses
+        assert any(w is not None for w in witnesses)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_realisable_lp(self, shape, against_fm):
+        witnesses = against_fm(realisability)
+        rng = random.Random(shape)
+        premises = [FD.cd(c) for c in SHAPES[shape]]
+        for seed in range(8):
+            supports = [marginal_family(shape, MonoidKind.Q, 2 + seed % 3, 2, seed).support()]
+            drawn = random_family_satisfying(premises, rng, domain_size=2, max_rows=4)
+            if drawn is not None:
+                supports.append(drawn)
+            for support in supports:
+                realisable_lp(support, MonoidKind.Q)
+        # on the shapes with cycles some drawn supports are not realisable
+        assert (None in witnesses) == (shape in ("chorded", "grid"))
+        assert len(witnesses) == 16
+
+
+class TestLargeGlobalFamilies:
+    """Twelve global rows and at least 150 join rows.  Fourier-Motzkin
+    elimination ran for more than 15 s on each of these."""
+
+    @pytest.mark.parametrize(
+        "shape, kind, seed",
+        [
+            ("path", MonoidKind.N, 176),
+            ("path", MonoidKind.Q, 131),
+            ("star", MonoidKind.N, 67),
+            ("star", MonoidKind.Q, 8),
+            ("grid", MonoidKind.N, 1),
+            ("grid", MonoidKind.Q, 0),
+        ],
+    )
+    def test_witness_projects_onto_the_family(self, shape, kind, seed):
+        family = marginal_family(shape, kind, 12, 3, seed)
+        assert len(_support_join(family)) >= 150
+
+        def expire(_signum, _frame):
+            raise TimeoutError("global consistency took more than 20 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(20)
+        try:
+            witness = check_global_consistency(family)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert witness is not None and _projects_onto(witness, family)
