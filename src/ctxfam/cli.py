@@ -67,8 +67,6 @@ def _read(path: str) -> str:
 def _load_family(path: str) -> ContextualFamily:
     try:
         return parse_family(_read(path))
-    except FormatError as exc:
-        raise InputError(f"{path}: {exc}") from None
     except (LocalConsistencyError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from None
 

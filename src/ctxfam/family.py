@@ -174,6 +174,17 @@ class ContextualFamily:
             self, "_relations", {r.variables: r for r in rels}
         )
 
+    @classmethod
+    def _unchecked(
+        cls, contexts: ContextSet, kind: MonoidKind, relations: Iterable[KRelation]
+    ) -> "ContextualFamily":
+        """A family the caller knows to be consistent: no pairwise check."""
+        family = object.__new__(cls)
+        object.__setattr__(family, "contexts", contexts)
+        object.__setattr__(family, "kind", kind)
+        object.__setattr__(family, "_relations", {r.variables: r for r in relations})
+        return family
+
     def relation_at(self, context: Iterable[str]) -> KRelation:
         """The relation at any context, maximal or derived.
 
@@ -206,15 +217,8 @@ class ContextualFamily:
         """The same supports annotated in B.  Always valid: marginals of
         equal relations have equal supports, so the pairwise check is not
         run again."""
-        family = object.__new__(ContextualFamily)
-        object.__setattr__(family, "contexts", self.contexts)
-        object.__setattr__(family, "kind", MonoidKind.B)
-        object.__setattr__(
-            family,
-            "_relations",
-            {c: self._relations[c].support_relation() for c in self.contexts},
-        )
-        return family
+        supports = (r.support_relation() for r in self.maximal_relations())
+        return ContextualFamily._unchecked(self.contexts, MonoidKind.B, supports)
 
     def scale(self, value: MonoidValue) -> "ContextualFamily":
         """Annotate every supported row with one constant value.
@@ -278,7 +282,9 @@ def check_local_consistency(relations: Iterable[KRelation]) -> ContextualFamily:
 
 def _support_join(family: ContextualFamily) -> List[Assignment]:
     """All assignments over the union of variables whose restriction to
-    every maximal context lies in that context's support."""
+    every maximal context lies in that context's support.  Distinct pairs
+    of a partial row and a context row merge into distinct rows, so no
+    row repeats."""
     rows: List[Dict[str, object]] = [dict()]
     for c in family.contexts:
         supp = sorted(family.relation_at(c).support, key=lambda a: a.sort_key)
@@ -294,12 +300,8 @@ def _support_join(family: ContextualFamily) -> List[Assignment]:
                     merged[var] = val
                 if ok:
                     extended.append(merged)
-        # Joining on shared variables can produce the same total row twice
-        # only via different context orders; dedupe as we go.
-        dedup = {tuple(sorted(m.items())): m for m in extended}
-        rows = [dedup[k] for k in sorted(dedup)]
-    out = {Assignment(m) for m in rows}
-    return sorted(out, key=lambda a: a.sort_key)
+        rows = extended
+    return sorted((Assignment(m) for m in rows), key=lambda a: a.sort_key)
 
 
 def _projects_onto(candidate: KRelation, family: ContextualFamily) -> bool:

@@ -23,6 +23,11 @@ is complete for unary dependencies with at most binary CDs; ``FULL``
 (CR + the chain rule); and ``CLASSICAL``/``NRA``, the Armstrong-style
 systems that apply when a single CD covers all variables, the latter
 replacing transitivity with its context-guarded form.
+
+CR and FULL share one closure engine (``_ClosureEngine``) and one copy
+of each search in it: ``_reach`` for the cycle rule and the
+counterexamples, ``_chain_states`` and ``_chain_instance`` for the chain
+rule, and ``_chain_requirements`` for writing and replaying chain steps.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import enum
 import itertools
 from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .family import ContextSet, ContextualFamily
 from .monoid import MonoidKind, MonoidValue
@@ -241,19 +246,30 @@ def _check_chain_step(
         return False
     if conclusion != FD.unary(xs[0], xs[-1]):
         return False
-    target = xs[-1]
-    needed_fds = [FD.unary(xs[i], xs[i + 1]) for i in range(n - 1)]
-    needed_fds += [FD.unary(c, target) for c in cs]
-    needed_cds = [frozenset({xs[0], cs[0], target})]
-    needed_cds += [frozenset({xs[i], cs[i], xs[i + 1]}) for i in range(n - 1)]
-    needed_cds += [frozenset({cs[i], xs[i + 1], cs[i + 1]}) for i in range(n - 2)]
-    needed_cds += [frozenset({cs[i], cs[i + 1], target}) for i in range(n - 2)]
-    if any(f not in have for f in needed_fds):
+    needed_edges, needed_sets = _chain_requirements(xs, cs)
+    if any(FD.unary(*e) not in have for e in needed_edges):
         return False
-    for s in needed_cds:
+    for s in needed_sets:
         if FD(s, s) not in have or not _available(s, context_sets):
             return False
     return True
+
+
+def _chain_requirements(
+    xs: Sequence[str], cs: Sequence[str]
+) -> Tuple[List[Tuple[str, str]], List[FrozenSet[str]]]:
+    """What the chain-rule instance x1 -> ... -> xn with certificates
+    c1 .. c(n-1) needs: the unary edges (the chain, then each c_i -> xn)
+    and the three-variable context sets, in trace antecedent order."""
+    n = len(xs)
+    target = xs[-1]
+    edges = [(xs[i], xs[i + 1]) for i in range(n - 1)]
+    edges += [(c, target) for c in cs]
+    sets = [frozenset({xs[0], cs[0], target})]
+    sets += [frozenset({xs[i], cs[i], xs[i + 1]}) for i in range(n - 1)]
+    sets += [frozenset({cs[i], xs[i + 1], cs[i + 1]}) for i in range(n - 2)]
+    sets += [frozenset({cs[i], cs[i + 1], target}) for i in range(n - 2)]
+    return edges, sets
 
 
 def reflexivity_expand(sigma: Iterable[FD]) -> FrozenSet[FD]:
@@ -264,14 +280,11 @@ def reflexivity_expand(sigma: Iterable[FD]) -> FrozenSet[FD]:
     left side (projections such as ``xy -> x``).  Meant for the bounded
     fragment where premise variable sets are small.
     """
-    out: Set[FD] = set()
-    for fd in sigma:
-        out.add(fd)
+    premises = list(sigma)
+    out: Set[FD] = set(premises)
+    out.update(FD(atom, atom) for atom in _context_atoms(fd.variables for fd in premises))
+    for fd in premises:
         vs = sorted(fd.variables)
-        for size in (1, 2, 3):
-            if size <= len(vs):
-                for combo in itertools.combinations(vs, size):
-                    out.add(FD.cd(combo))
         for lsize in range(1, len(vs) + 1):
             for lhs in itertools.combinations(vs, lsize):
                 for rsize in range(1, lsize + 1):
@@ -378,6 +391,54 @@ def _chain_states(
     return succ, witnesses
 
 
+def _reach(out_adj: Dict[str, List[str]], x: str) -> Tuple[Dict[str, str], List[str]]:
+    """Vertices reachable from x along at least one edge, in breadth-first
+    order (each level sorted), with the predecessor map of the tree."""
+    parent: Dict[str, str] = {}
+    frontier = []
+    for b in out_adj[x]:
+        if b not in parent:
+            parent[b] = x
+            frontier.append(b)
+    order = list(frontier)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in out_adj[a]:
+                if b not in parent:
+                    parent[b] = a
+                    fresh.append(b)
+        fresh.sort()
+        order.extend(fresh)
+        frontier = fresh
+    return parent, order
+
+
+def _chain_instance(
+    x: str,
+    y: str,
+    succ: Dict[Tuple[str, str], Optional[Tuple[str, str]]],
+    witnesses: Sequence[str],
+    atoms: FrozenSet[FrozenSet[str]],
+) -> Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]]:
+    """The chain x = x1 -> ... -> xn = y and its certificates c1 ..
+    c(n-1), read off the chain-rule states of target y from the first
+    witness that starts one; None when no instance concludes x -> y."""
+    for c1 in witnesses:
+        if (x, c1) not in succ or frozenset({x, c1, y}) not in atoms:
+            continue
+        xs = [x]
+        cs = [c1]
+        state = succ[(x, c1)]
+        while state is not None:
+            xs.append(state[0])
+            cs.append(state[1])
+            state = succ[state]
+        xs.append(y)
+        return tuple(xs), tuple(cs)
+    return None
+
+
 class _ClosureEngine:
     """Fixpoint of the unary rules, with justifications for tracing.
 
@@ -385,19 +446,22 @@ class _ClosureEngine:
     cycle-rule application (and, under FULL, one chain-rule application)
     against the current derived set; newly derived dependencies take
     effect on the next pass, and the loop stops on an unchanged pass.
+    The extra variable sets (a goal's, in particular) count as contexts
+    without adding premises.
     """
 
     def __init__(
         self,
-        variables: Iterable[str],
-        premise_edges: Iterable[Tuple[str, str]],
-        context_sets: Iterable[FrozenSet[str]],
-        use_chain: bool,
+        sigma: Sequence[FD],
+        rules: RuleSet,
+        extra_context_sets: Iterable[FrozenSet[str]],
     ):
-        self.variables: Tuple[str, ...] = tuple(sorted(set(variables)))
-        self.atoms = _context_atoms(context_sets)
+        premise_edges, contexts, variables = _split_premises(sigma)
+        extra = [frozenset(s) for s in extra_context_sets]
+        self.variables: Tuple[str, ...] = tuple(sorted(set(variables).union(*extra)))
+        self.atoms = _context_atoms(contexts + extra)
         self.thirds = _third_elements(self.atoms)
-        self.use_chain = use_chain
+        self.use_chain = rules is RuleSet.FULL
         self.edges: Dict[Tuple[str, str], Tuple] = {}
         self.out_adj: Dict[str, List[str]] = {v: [] for v in self.variables}
         self.in_adj: Dict[str, List[str]] = {v: [] for v in self.variables}
@@ -415,39 +479,14 @@ class _ClosureEngine:
         insort(self.out_adj[edge[0]], edge[1])
         insort(self.in_adj[edge[1]], edge[0])
 
-    def _reach(self, x: str) -> Tuple[Dict[str, Optional[str]], List[str]]:
-        """Vertices reachable from x along at least one edge, with the
-        predecessor map of the breadth-first tree."""
-        parent: Dict[str, Optional[str]] = {}
-        frontier = []
-        for b in self.out_adj[x]:
-            if b not in parent:
-                parent[b] = x
-                frontier.append(b)
-        order = list(frontier)
-        while frontier:
-            fresh = []
-            for a in frontier:
-                for b in self.out_adj[a]:
-                    if b not in parent:
-                        parent[b] = a
-                        fresh.append(b)
-            fresh.sort()
-            order.extend(fresh)
-            frontier = fresh
-        return parent, order
-
     def _path_edges(
-        self, x: str, y: str, parent: Dict[str, Optional[str]]
+        self, x: str, y: str, parent: Dict[str, str]
     ) -> Tuple[Tuple[str, str], ...]:
         path = []
         walk = y
         while walk != x:
-            prev = parent[walk]
-            path.append((prev, walk))
-            if prev == x:
-                break
-            walk = prev
+            path.append((parent[walk], walk))
+            walk = parent[walk]
         path.reverse()
         return tuple(path)
 
@@ -455,7 +494,7 @@ class _ClosureEngine:
         while True:
             additions: Dict[Tuple[str, str], Tuple] = {}
             for x in self.variables:
-                parent, order = self._reach(x)
+                parent, order = _reach(self.out_adj, x)
                 for y in order:
                     if y == x or (x, y) in self.edges or (x, y) in additions:
                         continue
@@ -473,35 +512,13 @@ class _ClosureEngine:
                     for x in self.variables:
                         if x == y or (x, y) in self.edges or (x, y) in additions:
                             continue
-                        for c1 in witnesses:
-                            if (x, c1) not in succ:
-                                continue
-                            if frozenset({x, c1, y}) not in self.atoms:
-                                continue
-                            xs, cs = self._instantiation(x, c1, succ, y)
-                            additions[(x, y)] = ("chain", tuple(xs), tuple(cs))
-                            break
+                        instance = _chain_instance(x, y, succ, witnesses, self.atoms)
+                        if instance is not None:
+                            additions[(x, y)] = ("chain",) + instance
             if not additions:
                 return
             for edge in sorted(additions):
                 self._add(edge, additions[edge])
-
-    @staticmethod
-    def _instantiation(
-        x: str,
-        c1: str,
-        succ: Dict[Tuple[str, str], Optional[Tuple[str, str]]],
-        target: str,
-    ) -> Tuple[List[str], List[str]]:
-        xs = [x]
-        cs = [c1]
-        state = (x, c1)
-        while succ[state] is not None:
-            state = succ[state]
-            xs.append(state[0])
-            cs.append(state[1])
-        xs.append(target)
-        return xs, cs
 
 
 def _split_premises(sigma: Sequence[FD]) -> Tuple[List[Tuple[str, str]], List[FrozenSet[str]], List[str]]:
@@ -532,23 +549,11 @@ def cycle_rule_derives(sigma: Iterable[FD], x: str, y: str) -> bool:
     edges, _, variables = _split_premises(list(sigma))
     if (y, x) not in set(edges):
         return False
-    adj: Dict[str, List[str]] = {v: [] for v in variables}
+    out_adj: Dict[str, List[str]] = {v: [] for v in variables}
     for u, v in sorted(set(edges)):
-        adj[u].append(v)
-    if x not in adj or y not in adj:
-        return False
-    seen: Set[str] = set()
-    frontier = list(adj[x])
-    seen.update(frontier)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in adj[a]:
-                if b not in seen:
-                    seen.add(b)
-                    fresh.append(b)
-        frontier = fresh
-    return y in seen
+        out_adj[u].append(v)
+    parent, _ = _reach(out_adj, x)
+    return y in parent
 
 
 def chain_rule_derives(sigma: Iterable[FD], x: str, y: str) -> bool:
@@ -559,10 +564,7 @@ def chain_rule_derives(sigma: Iterable[FD], x: str, y: str) -> bool:
     the required three-variable contexts (drawn from the premises'
     variable sets) are available.
     """
-    premises = list(sigma)
-    edges, contexts, variables = _split_premises(premises)
-    if x not in variables or y not in variables:
-        return False
+    edges, contexts, variables = _split_premises(list(sigma))
     atoms = _context_atoms(contexts)
     thirds = _third_elements(atoms)
     edge_set = set(edges)
@@ -570,10 +572,7 @@ def chain_rule_derives(sigma: Iterable[FD], x: str, y: str) -> bool:
     for u, v in sorted(edge_set):
         in_adj[v].append(u)
     succ, witnesses = _chain_states(variables, edge_set, in_adj, atoms, thirds, y)
-    for c1 in witnesses:
-        if (x, c1) in succ and frozenset({x, c1, y}) in atoms:
-            return True
-    return False
+    return _chain_instance(x, y, succ, witnesses, atoms) is not None
 
 
 def derivation_closure(
@@ -590,14 +589,7 @@ def derivation_closure(
     """
     if rules not in (RuleSet.CR, RuleSet.FULL):
         raise ValueError("closure is defined for the CR and FULL rule sets")
-    premises = list(sigma)
-    edges, contexts, variables = _split_premises(premises)
-    extra = [frozenset(s) for s in extra_context_sets]
-    for s in extra:
-        variables = sorted(set(variables) | s)
-    engine = _ClosureEngine(
-        variables, edges, contexts + extra, use_chain=(rules is RuleSet.FULL)
-    )
+    engine = _ClosureEngine(list(sigma), rules, extra_context_sets)
     return frozenset(FD.unary(u, v) for (u, v) in engine.edges)
 
 
@@ -630,19 +622,9 @@ def _trace_from_engine(
             steps.append(TraceStep(FD.unary(*edge), "cycle", tuple(ants)))
         else:
             _, xs, cs = just
-            target = xs[-1]
-            n = len(xs)
-            ants: List[int] = []
-            for i in range(n - 1):
-                ants.append(emit_fd((xs[i], xs[i + 1])))
-            for c in cs:
-                ants.append(emit_fd((c, target)))
-            cd_sets = [frozenset({xs[0], cs[0], target})]
-            cd_sets += [frozenset({xs[i], cs[i], xs[i + 1]}) for i in range(n - 1)]
-            cd_sets += [frozenset({cs[i], xs[i + 1], cs[i + 1]}) for i in range(n - 2)]
-            cd_sets += [frozenset({cs[i], cs[i + 1], target}) for i in range(n - 2)]
-            for s in cd_sets:
-                ants.append(emit_cd(s))
+            needed_edges, needed_sets = _chain_requirements(xs, cs)
+            ants = [emit_fd(e) for e in needed_edges]
+            ants += [emit_cd(s) for s in needed_sets]
             deduped = tuple(dict.fromkeys(ants))
             steps.append(
                 TraceStep(FD.unary(*edge), "chain", deduped, ("unary", xs, cs))
@@ -657,22 +639,16 @@ def _trace_from_engine(
 def _derives_unary(
     sigma: Sequence[FD], phi: FD, rules: RuleSet
 ) -> Tuple[bool, Optional[DerivationTrace]]:
-    edges, contexts, variables = _split_premises(sigma)
     if phi.rhs <= phi.lhs:
+        _split_premises(sigma)  # premises outside the fragment are refused all the same
         return True, DerivationTrace((TraceStep(phi, "reflexivity"),))
+    engine = _ClosureEngine(sigma, rules, [phi.variables])
     if not phi.is_unary:
         raise UnsupportedDependencyError(
             f"goal {phi.display()} is neither unary nor a CD; use CLASSICAL or NRA"
         )
     (x,) = phi.lhs
     (y,) = phi.rhs
-    variables = sorted(set(variables) | phi.variables)
-    engine = _ClosureEngine(
-        variables,
-        edges,
-        contexts + [phi.variables],
-        use_chain=(rules is RuleSet.FULL),
-    )
     if (x, y) not in engine.edges:
         return False, None
     return True, _trace_from_engine(engine, sigma, (x, y))
@@ -693,9 +669,6 @@ def _derives_covering(
             "CLASSICAL and NRA need a premise CD containing every variable "
             f"({' '.join(sorted(allvars))})"
         )
-    if not phi.rhs <= classical_closure(sigma, phi.lhs):
-        return False, None
-
     steps: List[TraceStep] = []
 
     def push(step: TraceStep) -> int:
@@ -748,7 +721,7 @@ def _derives_covering(
                 known = grown
                 progress = True
     if not phi.rhs <= known:
-        raise AssertionError("closure said derivable but saturation stalled")
+        return False, None
     if steps[current].fd.rhs != phi.rhs:
         j = push(TraceStep(FD(frozenset(known), phi.rhs), "reflexivity"))
         current = compose(current, j)
@@ -804,45 +777,24 @@ def build_counterexample(
     (y,) = phi.rhs
     if x == y:
         raise ValueError(f"{phi.display()} is reflexive, hence always derivable")
-    closure = derivation_closure(premises, RuleSet.CR, [phi.variables])
-    if phi in closure:
+    engine = _ClosureEngine(premises, RuleSet.CR, [phi.variables])
+    if (x, y) in engine.edges:
         raise ValueError(f"{phi.display()} is derivable; no counterexample exists")
 
     contexts = ContextSet.from_sets(
         [fd.variables for fd in premises] + [phi.variables]
     )
     variables = sorted(contexts.variables)
-    adjacency: Dict[str, Set[str]] = {v: set() for v in variables}
-    for fd in premises:
-        if fd.is_unary:
-            (u,) = fd.lhs
-            (v,) = fd.rhs
-            adjacency[u].add(v)
-    reached: Set[str] = set()
-    frontier = sorted(adjacency[x])
-    reached.update(frontier)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in sorted(adjacency[a]):
-                if b not in reached:
-                    reached.add(b)
-                    fresh.append(b)
-        frontier = fresh
-
+    # Cycle-rule edges only join vertices that already reach each other,
+    # so this is reachability along premise edges, plus x by reflexivity.
+    reached, _ = _reach(engine.out_adj, x)
+    one = MonoidValue.one(kind)
     if y not in reached:
-        closed = {x} | reached
         row_zero = Assignment({v: "0" for v in variables})
-        row_split = Assignment({v: "0" if v in closed else "1" for v in variables})
-        if kind is MonoidKind.B:
-            total = KRelation.boolean(variables, [row_zero, row_split])
-        else:
-            one = MonoidValue.one(kind)
-            total = KRelation(variables, kind, {row_zero: one, row_split: one})
+        row_split = Assignment({v: "0" if v in reached else "1" for v in variables})
+        total = KRelation(variables, kind, {row_zero: one, row_split: one})
         family = ContextualFamily([total.marginalise(c) for c in contexts])
     else:
-        small = MonoidValue.one(kind)
-        big = small + small if kind is not MonoidKind.B else small
         relations = []
         for c in contexts:
             if c == phi.variables:
@@ -851,17 +803,14 @@ def build_counterexample(
                     for a in ("0", "1")
                     for b in ("0", "1")
                 ]
-                value = small
+                value = one
             else:
                 rows = [
                     Assignment({v: "0" for v in c}),
                     Assignment({v: "1" for v in c}),
                 ]
-                value = big
-            if kind is MonoidKind.B:
-                relations.append(KRelation.boolean(c, rows))
-            else:
-                relations.append(KRelation(c, kind, {r: value for r in rows}))
+                value = one + one
+            relations.append(KRelation(c, kind, {r: value for r in rows}))
         family = ContextualFamily(relations)
 
     for fd in premises:
@@ -901,6 +850,24 @@ def _rows_satisfy(
     return True
 
 
+def _admissible(
+    context: FrozenSet[str], sigma: Sequence[FD], phi: Optional[FD]
+) -> Callable[[Iterable[Tuple[str, ...]]], bool]:
+    """The test of a support for one context (rows list values in sorted
+    variable order): it satisfies every premise that fits the context, and
+    violates the goal when the goal is given and fits."""
+    positions = {v: i for i, v in enumerate(sorted(context))}
+    relevant = [fd for fd in sigma if fd.variables <= context]
+    goal = phi if phi is not None and phi.variables <= context else None
+
+    def admissible(rows: Iterable[Tuple[str, ...]]) -> bool:
+        if any(not _rows_satisfy(rows, positions, fd) for fd in relevant):
+            return False
+        return goal is None or not _rows_satisfy(rows, positions, goal)
+
+    return admissible
+
+
 def _context_candidates(
     context: FrozenSet[str],
     sigma: Sequence[FD],
@@ -912,18 +879,13 @@ def _context_candidates(
     budget, satisfying the premises that fit the context, and violating
     the goal when the goal fits."""
     vs = tuple(sorted(context))
-    positions = {v: i for i, v in enumerate(vs)}
     all_rows = sorted(itertools.product(domain, repeat=len(vs)))
-    relevant = [fd for fd in sigma if fd.variables <= context]
-    check_phi = phi is not None and phi.variables <= context
+    admissible = _admissible(context, sigma, phi)
     out: List[FrozenSet[Tuple[str, ...]]] = []
     for size in range(1, min(max_rows, len(all_rows)) + 1):
         for combo in itertools.combinations(all_rows, size):
-            if any(not _rows_satisfy(combo, positions, fd) for fd in relevant):
-                continue
-            if check_phi and _rows_satisfy(combo, positions, phi):
-                continue
-            out.append(frozenset(combo))
+            if admissible(combo):
+                out.append(frozenset(combo))
     return vs, out
 
 
@@ -1022,20 +984,13 @@ def _profile_family(
     tables = []
     for c in contexts:
         vs = tuple(sorted(c))
-        positions = {v: i for i, v in enumerate(vs)}
-        relevant = [fd for fd in sigma if fd.variables <= c]
-        need_violation = c == cover[0]
+        admissible = _admissible(c, sigma, phi)
         table: Dict[Tuple[int, ...], FrozenSet[Tuple[str, ...]]] = {}
         if len(vs) == 1:
             for pi, profile in enumerate(profiles):
                 rows = frozenset((val,) for val in profile)
-                if len(rows) > max_rows:
-                    continue
-                if any(not _rows_satisfy(rows, positions, fd) for fd in relevant):
-                    continue
-                if need_violation and _rows_satisfy(rows, positions, phi):
-                    continue
-                table[(pi,)] = rows
+                if len(rows) <= max_rows and admissible(rows):
+                    table[(pi,)] = rows
         else:
             for pu, mu in enumerate(profiles):
                 for pv, mv in enumerate(profiles):
@@ -1049,15 +1004,9 @@ def _profile_family(
                             if frozenset(r[1] for r in combo) != frozenset(mv):
                                 continue
                             rows = frozenset(combo)
-                            if any(
-                                not _rows_satisfy(rows, positions, fd)
-                                for fd in relevant
-                            ):
-                                continue
-                            if need_violation and _rows_satisfy(rows, positions, phi):
-                                continue
-                            best = rows
-                            break
+                            if admissible(rows):
+                                best = rows
+                                break
                         if best is not None:
                             break
                     if best is not None:
@@ -1133,9 +1082,12 @@ def random_family_satisfying(
 ) -> Optional[ContextualFamily]:
     """A pseudo-random locally consistent B-family over the premises'
     contexts (plus any extra sets) satisfying every premise, or None when
-    even the bounded search space holds no such family."""
+    even the bounded search space holds no such family, or there are no
+    contexts to build one over."""
     premises = sorted(set(sigma), key=lambda f: f.sort_key)
     sets = [fd.variables for fd in premises] + [frozenset(s) for s in extra_context_sets]
     contexts = list(ContextSet.from_sets(sets))
+    if not contexts:
+        return None
     domain = [str(i) for i in range(domain_size)]
     return _backtrack_family(contexts, premises, None, domain, max_rows, rng=rng)

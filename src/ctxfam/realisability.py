@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .family import ContextSet, ContextualFamily
@@ -145,83 +146,79 @@ class OverlapProjectionGraph:
     n-partite: every edge advances the layer by one, modulo n.
     """
 
-    __slots__ = ("ordering", "vertices", "edges", "_out", "_in", "_index", "_succ")
+    __slots__ = ("ordering", "vertices", "edges", "_index", "_succ", "_pred")
 
     def __init__(self, ordering: CycleOrdering, edges: Iterable[OpgEdge]):
         self.ordering = ordering
         self.edges = tuple(sorted(edges, key=lambda e: e.sort_key))
         verts = {e.source for e in self.edges} | {e.target for e in self.edges}
         self.vertices = tuple(sorted(verts, key=lambda v: v.sort_key))
-        out: Dict[OpgVertex, List[OpgEdge]] = {v: [] for v in self.vertices}
-        inc: Dict[OpgVertex, List[OpgEdge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            out[e.source].append(e)
-            inc[e.target].append(e)
-        self._out = out
-        self._in = inc
-        # The same out-adjacency on integers: vertex i is vertices[i], and
-        # _succ[i] lists (edge index, target index) in sorted edge order.
-        index = {v: i for i, v in enumerate(self.vertices)}
-        succ: List[List[Tuple[int, int]]] = [[] for _ in self.vertices]
+        # Vertex i is vertices[i]; _succ[i] and _pred[i] list (edge index,
+        # target or source index) in sorted edge order.
+        self._index = {v: i for i, v in enumerate(self.vertices)}
+        self._succ: List[List[Tuple[int, int]]] = [[] for _ in self.vertices]
+        self._pred: List[List[Tuple[int, int]]] = [[] for _ in self.vertices]
         for k, e in enumerate(self.edges):
-            succ[index[e.source]].append((k, index[e.target]))
-        self._index = index
-        self._succ = succ
+            source, target = self._index[e.source], self._index[e.target]
+            self._succ[source].append((k, target))
+            self._pred[target].append((k, source))
 
     def out_edges(self, v: OpgVertex) -> List[OpgEdge]:
-        return self._out[v]
+        return [self.edges[k] for k, _ in self._succ[self._index[v]]]
 
     def in_edges(self, v: OpgVertex) -> List[OpgEdge]:
-        return self._in[v]
+        return [self.edges[k] for k, _ in self._pred[self._index[v]]]
 
-    def strongly_connected_components(self) -> List[FrozenSet[OpgVertex]]:
-        """Kosaraju's two-pass sweep, in deterministic vertex order."""
-        finish: List[OpgVertex] = []
-        seen = set()
-        for root in self.vertices:
-            if root in seen:
+    def _component_labels(self) -> List[int]:
+        """Kosaraju's two-pass sweep: the component of every vertex index."""
+        finish: List[int] = []
+        seen = [False] * len(self.vertices)
+        for root in range(len(self.vertices)):
+            if seen[root]:
                 continue
-            stack: List[Tuple[OpgVertex, int]] = [(root, 0)]
-            seen.add(root)
+            stack: List[Tuple[int, int]] = [(root, 0)]
+            seen[root] = True
             while stack:
                 node, i = stack.pop()
-                succs = self._out[node]
+                succs = self._succ[node]
                 if i < len(succs):
                     stack.append((node, i + 1))
-                    nxt = succs[i].target
-                    if nxt not in seen:
-                        seen.add(nxt)
+                    nxt = succs[i][1]
+                    if not seen[nxt]:
+                        seen[nxt] = True
                         stack.append((nxt, 0))
                 else:
                     finish.append(node)
-        component: Dict[OpgVertex, int] = {}
+        component = [-1] * len(self.vertices)
         labels = 0
         for root in reversed(finish):
-            if root in component:
+            if component[root] >= 0:
                 continue
             stack2 = [root]
             component[root] = labels
             while stack2:
                 node = stack2.pop()
-                for e in self._in[node]:
-                    if e.source not in component:
-                        component[e.source] = labels
-                        stack2.append(e.source)
+                for _, prev in self._pred[node]:
+                    if component[prev] < 0:
+                        component[prev] = labels
+                        stack2.append(prev)
             labels += 1
+        return component
+
+    def strongly_connected_components(self) -> List[FrozenSet[OpgVertex]]:
+        """The components, ordered by their least vertex (vertices come
+        sorted, so that is the order in which groups first appear)."""
         groups: Dict[int, List[OpgVertex]] = {}
-        for v, c in component.items():
+        for v, c in zip(self.vertices, self._component_labels()):
             groups.setdefault(c, []).append(v)
-        comps = [frozenset(g) for g in groups.values()]
-        return sorted(comps, key=lambda c: min(v.sort_key for v in c))
+        return [frozenset(g) for g in groups.values()]
 
     def uncovered_edges(self) -> Tuple[OpgEdge, ...]:
         """Edges lying on no cycle: endpoints in different components."""
-        component: Dict[OpgVertex, int] = {}
-        for i, comp in enumerate(self.strongly_connected_components()):
-            for v in comp:
-                component[v] = i
+        component = self._component_labels()
+        index = self._index
         return tuple(
-            e for e in self.edges if component[e.source] != component[e.target]
+            e for e in self.edges if component[index[e.source]] != component[index[e.target]]
         )
 
     @property
@@ -422,7 +419,9 @@ def decompose_cycles(
     start vertex.  Local consistency makes the weights a circulation on
     the graph, and subtracting a cycle keeps it one, so a vertex with a
     live in-edge still has a live out-edge and the start vertex only
-    moves forward.  The parts reconstruct the input exactly:
+    moves forward.  A part is a simple cycle, consistent by construction,
+    so it is assembled without the pairwise check.  The parts reconstruct
+    the input exactly:
     sum of ``lift_uniform(part, weight)`` equals the family.
     """
     if not family.kind.is_cancellative:
@@ -448,8 +447,11 @@ def decompose_cycles(
             cycles.append([k] + path)
         best = min(cycles, key=len)
         least = min(residual[k] for k in best)
-        sub = family_from_weights(
-            family.contexts, {edges[k].label: one for k in best}, MonoidKind.B
+        on_cycle = {edges[k].label: one for k in best}
+        sub = ContextualFamily._unchecked(
+            family.contexts,
+            MonoidKind.B,
+            _relations_from_weights(family.contexts, on_cycle, MonoidKind.B),
         )
         parts.append((MonoidValue(family.kind, least), sub))
         for k in best:
@@ -503,19 +505,11 @@ def realisable_lp(
         return None
     if kind is MonoidKind.Q:
         return {row: MonoidValue.of(MonoidKind.Q, w) for row, w in solution.items()}
-    scale = 1
-    for w in solution.values():
-        scale = scale * w.denominator // _gcd(scale, w.denominator)
+    scale = lcm(*(w.denominator for w in solution.values()))
     return {
         row: MonoidValue.of(MonoidKind.N, int(w * scale))
         for row, w in solution.items()
     }
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def family_from_weights(
@@ -531,15 +525,19 @@ def family_from_weights(
         kinds.add(kind)
     if len(kinds) != 1:
         raise ValueError("weights must share one kind" if kinds else "empty weights need an explicit kind")
-    kind = kinds.pop()
+    return ContextualFamily(_relations_from_weights(contexts, weights, kinds.pop()))
+
+
+def _relations_from_weights(
+    contexts: ContextSet, weights: Dict[Assignment, MonoidValue], kind: MonoidKind
+) -> List[KRelation]:
+    """One relation per context, holding the weighted rows over its variables."""
     grouped: Dict[FrozenSet[str], Dict[Assignment, MonoidValue]] = {
         c: {} for c in contexts
     }
     for row, value in weights.items():
         grouped[row.variables][row] = value
-    return ContextualFamily(
-        [KRelation(c, kind, rows) for c, rows in grouped.items()]
-    )
+    return [KRelation(c, kind, rows) for c, rows in grouped.items()]
 
 
 def find_realisation(family: ContextualFamily, kind: MonoidKind) -> ContextualFamily:

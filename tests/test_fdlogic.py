@@ -1,14 +1,26 @@
 """Dependency derivation, traces, counterexamples, and the semantic oracle."""
 
+import itertools
 import random
+from bisect import insort
 
 import pytest
 
+from ctxfam.family import ContextSet, ContextualFamily
 from ctxfam.fdlogic import (
     FD,
+    DerivationTrace,
     MissingCoveringContextError,
     RuleSet,
+    TraceStep,
     UnsupportedDependencyError,
+    _ClosureEngine,
+    _chain_states,
+    _context_atoms,
+    _context_candidates,
+    _rows_satisfy,
+    _split_premises,
+    _third_elements,
     build_counterexample,
     chain_rule_derives,
     classical_closure,
@@ -21,7 +33,8 @@ from ctxfam.fdlogic import (
     semantic_entails_oracle,
     verify_trace,
 )
-from ctxfam.monoid import MonoidKind
+from ctxfam.monoid import MonoidKind, MonoidValue
+from ctxfam.relation import Assignment, KRelation
 
 from conftest import chain_brute_force
 
@@ -355,3 +368,424 @@ class TestAgreementProperties:
             verdict = semantic_entails_oracle(sigma, u(x, y))
             assert verdict.conclusive
             assert ok == verdict.holds
+
+
+# ---------------------------------------------------------------------------
+# The engine, its traces, the single-rule checks and the counterexample
+# construction as they were before each search and rule instance got one
+# implementation, kept as references: each had its own breadth-first
+# search, chain-instance reader or chain-requirement list.
+
+
+class ReferenceEngine:
+    def __init__(self, variables, premise_edges, context_sets, use_chain):
+        self.variables = tuple(sorted(set(variables)))
+        self.atoms = _context_atoms(context_sets)
+        self.thirds = _third_elements(self.atoms)
+        self.use_chain = use_chain
+        self.edges = {}
+        self.out_adj = {v: [] for v in self.variables}
+        self.in_adj = {v: [] for v in self.variables}
+        for u_, v in sorted(set(premise_edges)):
+            self._add((u_, v), ("premise",))
+        for v in self.variables:
+            if (v, v) not in self.edges:
+                self._add((v, v), ("reflexivity",))
+        self._run()
+
+    def _add(self, edge, justification):
+        if edge in self.edges:
+            return
+        self.edges[edge] = justification
+        insort(self.out_adj[edge[0]], edge[1])
+        insort(self.in_adj[edge[1]], edge[0])
+
+    def _reach(self, x):
+        parent = {}
+        frontier = []
+        for b in self.out_adj[x]:
+            if b not in parent:
+                parent[b] = x
+                frontier.append(b)
+        order = list(frontier)
+        while frontier:
+            fresh = []
+            for a in frontier:
+                for b in self.out_adj[a]:
+                    if b not in parent:
+                        parent[b] = a
+                        fresh.append(b)
+            fresh.sort()
+            order.extend(fresh)
+            frontier = fresh
+        return parent, order
+
+    def _path_edges(self, x, y, parent):
+        path = []
+        walk = y
+        while walk != x:
+            prev = parent[walk]
+            path.append((prev, walk))
+            if prev == x:
+                break
+            walk = prev
+        path.reverse()
+        return tuple(path)
+
+    def _run(self):
+        while True:
+            additions = {}
+            for x in self.variables:
+                parent, order = self._reach(x)
+                for y in order:
+                    if y == x or (x, y) in self.edges or (x, y) in additions:
+                        continue
+                    if (y, x) in self.edges:
+                        path = self._path_edges(x, y, parent)
+                        additions[(x, y)] = ("cycle", path, (y, x))
+            if self.use_chain:
+                edge_set = set(self.edges)
+                for y in self.variables:
+                    succ, witnesses = _chain_states(
+                        self.variables, edge_set, self.in_adj, self.atoms, self.thirds, y
+                    )
+                    if not succ:
+                        continue
+                    for x in self.variables:
+                        if x == y or (x, y) in self.edges or (x, y) in additions:
+                            continue
+                        for c1 in witnesses:
+                            if (x, c1) not in succ:
+                                continue
+                            if frozenset({x, c1, y}) not in self.atoms:
+                                continue
+                            xs, cs = self._instantiation(x, c1, succ, y)
+                            additions[(x, y)] = ("chain", tuple(xs), tuple(cs))
+                            break
+            if not additions:
+                return
+            for edge in sorted(additions):
+                self._add(edge, additions[edge])
+
+    @staticmethod
+    def _instantiation(x, c1, succ, target):
+        xs = [x]
+        cs = [c1]
+        state = (x, c1)
+        while succ[state] is not None:
+            state = succ[state]
+            xs.append(state[0])
+            cs.append(state[1])
+        xs.append(target)
+        return xs, cs
+
+
+def reference_engine(sigma, rules, extra_context_sets):
+    edges, contexts, variables = _split_premises(list(sigma))
+    extra = [frozenset(s) for s in extra_context_sets]
+    for s in extra:
+        variables = sorted(set(variables) | s)
+    return ReferenceEngine(variables, edges, contexts + extra, rules is RuleSet.FULL)
+
+
+def reference_trace(engine, sigma, goal):
+    premise_cds = {fd.lhs for fd in sigma if fd.is_cd}
+    steps = []
+    index = {}
+
+    def emit_cd(vs):
+        key = ("cd", vs)
+        if key in index:
+            return index[key]
+        rule = "premise" if vs in premise_cds else "reflexivity"
+        steps.append(TraceStep(FD(vs, vs), rule))
+        index[key] = len(steps) - 1
+        return index[key]
+
+    def emit_fd(edge):
+        key = ("fd", edge)
+        if key in index:
+            return index[key]
+        just = engine.edges[edge]
+        if just[0] in ("premise", "reflexivity"):
+            steps.append(TraceStep(FD.unary(*edge), just[0]))
+        elif just[0] == "cycle":
+            _, path, closing = just
+            ants = [emit_fd(e) for e in path] + [emit_fd(closing)]
+            steps.append(TraceStep(FD.unary(*edge), "cycle", tuple(ants)))
+        else:
+            _, xs, cs = just
+            target = xs[-1]
+            n = len(xs)
+            ants = []
+            for i in range(n - 1):
+                ants.append(emit_fd((xs[i], xs[i + 1])))
+            for c in cs:
+                ants.append(emit_fd((c, target)))
+            cd_sets = [frozenset({xs[0], cs[0], target})]
+            cd_sets += [frozenset({xs[i], cs[i], xs[i + 1]}) for i in range(n - 1)]
+            cd_sets += [frozenset({cs[i], xs[i + 1], cs[i + 1]}) for i in range(n - 2)]
+            cd_sets += [frozenset({cs[i], cs[i + 1], target}) for i in range(n - 2)]
+            for s in cd_sets:
+                ants.append(emit_cd(s))
+            deduped = tuple(dict.fromkeys(ants))
+            steps.append(TraceStep(FD.unary(*edge), "chain", deduped, ("unary", xs, cs)))
+        index[key] = len(steps) - 1
+        return index[key]
+
+    emit_fd(goal)
+    return DerivationTrace(tuple(steps))
+
+
+def reference_derives(sigma, phi, rules):
+    _split_premises(sigma)
+    if phi.rhs <= phi.lhs:
+        return True, DerivationTrace((TraceStep(phi, "reflexivity"),))
+    (x,) = phi.lhs
+    (y,) = phi.rhs
+    engine = reference_engine(sigma, rules, [phi.variables])
+    if (x, y) not in engine.edges:
+        return False, None
+    return True, reference_trace(engine, sigma, (x, y))
+
+
+def reference_cycle_rule_derives(sigma, x, y):
+    edges, _, variables = _split_premises(list(sigma))
+    if (y, x) not in set(edges):
+        return False
+    adj = {v: [] for v in variables}
+    for a, b in sorted(set(edges)):
+        adj[a].append(b)
+    if x not in adj or y not in adj:
+        return False
+    seen = set()
+    frontier = list(adj[x])
+    seen.update(frontier)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in adj[a]:
+                if b not in seen:
+                    seen.add(b)
+                    fresh.append(b)
+        frontier = fresh
+    return y in seen
+
+
+def reference_chain_rule_derives(sigma, x, y):
+    edges, contexts, variables = _split_premises(list(sigma))
+    if x not in variables or y not in variables:
+        return False
+    atoms = _context_atoms(contexts)
+    thirds = _third_elements(atoms)
+    edge_set = set(edges)
+    in_adj = {v: [] for v in variables}
+    for a, b in sorted(edge_set):
+        in_adj[b].append(a)
+    succ, witnesses = _chain_states(variables, edge_set, in_adj, atoms, thirds, y)
+    return any((x, c1) in succ and frozenset({x, c1, y}) in atoms for c1 in witnesses)
+
+
+def reference_counterexample(sigma, phi, kind):
+    premises = list(sigma)
+    for fd in premises:
+        if not fd.is_unary and not (fd.is_cd and len(fd.lhs) <= 2):
+            raise UnsupportedDependencyError(
+                f"counterexample construction covers unary premises and "
+                f"binary CDs; got {fd.display()}"
+            )
+    (x,) = phi.lhs
+    (y,) = phi.rhs
+    if x == y:
+        raise ValueError(f"{phi.display()} is reflexive, hence always derivable")
+    if (x, y) in reference_engine(premises, RuleSet.CR, [phi.variables]).edges:
+        raise ValueError(f"{phi.display()} is derivable; no counterexample exists")
+    contexts = ContextSet.from_sets([fd.variables for fd in premises] + [phi.variables])
+    variables = sorted(contexts.variables)
+    adjacency = {v: set() for v in variables}
+    for fd in premises:
+        if fd.is_unary:
+            (a,) = fd.lhs
+            (b,) = fd.rhs
+            adjacency[a].add(b)
+    reached = set()
+    frontier = sorted(adjacency[x])
+    reached.update(frontier)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in sorted(adjacency[a]):
+                if b not in reached:
+                    reached.add(b)
+                    fresh.append(b)
+        frontier = fresh
+    if y not in reached:
+        closed = {x} | reached
+        row_zero = Assignment({v: "0" for v in variables})
+        row_split = Assignment({v: "0" if v in closed else "1" for v in variables})
+        if kind is MonoidKind.B:
+            total = KRelation.boolean(variables, [row_zero, row_split])
+        else:
+            one = MonoidValue.one(kind)
+            total = KRelation(variables, kind, {row_zero: one, row_split: one})
+        return ContextualFamily([total.marginalise(c) for c in contexts])
+    small = MonoidValue.one(kind)
+    big = small + small if kind is not MonoidKind.B else small
+    relations = []
+    for c in contexts:
+        if c == phi.variables:
+            rows = [Assignment({x: a, y: b}) for a in ("0", "1") for b in ("0", "1")]
+            value = small
+        else:
+            rows = [Assignment({v: "0" for v in c}), Assignment({v: "1" for v in c})]
+            value = big
+        if kind is MonoidKind.B:
+            relations.append(KRelation.boolean(c, rows))
+        else:
+            relations.append(KRelation(c, kind, {r: value for r in rows}))
+    return ContextualFamily(relations)
+
+
+def reference_context_candidates(context, sigma, phi, domain, max_rows):
+    vs = tuple(sorted(context))
+    positions = {v: i for i, v in enumerate(vs)}
+    all_rows = sorted(itertools.product(domain, repeat=len(vs)))
+    relevant = [fd for fd in sigma if fd.variables <= context]
+    check_phi = phi is not None and phi.variables <= context
+    out = []
+    for size in range(1, min(max_rows, len(all_rows)) + 1):
+        for combo in itertools.combinations(all_rows, size):
+            if any(not _rows_satisfy(combo, positions, fd) for fd in relevant):
+                continue
+            if check_phi and _rows_satisfy(combo, positions, phi):
+                continue
+            out.append(frozenset(combo))
+    return vs, out
+
+
+def outcome(function, *args):
+    """The value, or the type and message of the exception raised."""
+    try:
+        return ("value", function(*args))
+    except ValueError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def small_corpus(seed, count):
+    """Unary premises with binary and ternary CDs over 3-10 variables,
+    some with reflexive self-loops, each with queries including x -> x."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nv = rng.randint(3, 10)
+        vs = [f"v{i}" for i in range(nv)]
+        sigma = set()
+        for _ in range(rng.randint(1, 3 * nv)):
+            sigma.add(u(*rng.sample(vs, 2)))
+        for _ in range(rng.randint(0, 2)):
+            v = rng.choice(vs)
+            sigma.add(u(v, v))
+        for _ in range(rng.randint(0, 2 * nv)):
+            sigma.add(cd(rng.sample(vs, rng.choice([2, 3]))))
+        sigma = sorted(sigma, key=lambda f: f.sort_key)
+        v = rng.choice(vs)
+        yield sigma, [tuple(rng.sample(vs, 2)) for _ in range(3)] + [(v, v)]
+
+
+def large_corpus(seed):
+    """The shape of the large derivations of the fd-entail benchmark: n
+    variables, 8n edges that never lead from the second half back into the
+    first, and 2n binary or ternary CDs, with a planted 4-cycle."""
+    rng = random.Random(seed)
+    for nv in (20, 30, 40, 50):
+        vs = [f"v{n}" for n in range(nv)]
+        half = nv // 2
+        edges = set()
+        while len(edges) < 8 * nv:
+            a, b = rng.sample(vs, 2)
+            if vs.index(a) < half or vs.index(b) >= half:
+                edges.add((a, b))
+        sigma = {u(a, b) for a, b in edges}
+        sigma |= {cd(rng.sample(vs, rng.choice([2, 3]))) for _ in range(2 * nv)}
+        loop = rng.sample(vs[half:], 4)
+        sigma |= {u(a, b) for a, b in zip(loop, loop[1:] + loop[:1])}
+        sigma = sorted(sigma, key=lambda f: f.sort_key)
+        yield sigma, [(loop[0], loop[-1]), (rng.choice(vs[half:]), rng.choice(vs[:half]))]
+
+
+class TestAgainstReference:
+    def check(self, sigma, queries, counterexamples=True):
+        for rules in (RuleSet.CR, RuleSet.FULL):
+            extra = [u(*queries[0]).variables]
+            engine = _ClosureEngine(sigma, rules, extra)
+            old = reference_engine(sigma, rules, extra)
+            assert list(engine.edges.items()) == list(old.edges.items())
+            assert derivation_closure(sigma, rules, extra) == frozenset(
+                u(a, b) for a, b in old.edges
+            )
+            for x, y in queries:
+                assert derives(sigma, u(x, y), rules) == reference_derives(sigma, u(x, y), rules)
+        for x, y in queries:
+            assert cycle_rule_derives(sigma, x, y) == reference_cycle_rule_derives(sigma, x, y)
+            assert chain_rule_derives(sigma, x, y) == reference_chain_rule_derives(sigma, x, y)
+        if not counterexamples:
+            return
+        # The construction covers binary CDs only; the full premise set
+        # checks the refusal, the binary part the two shapes.
+        binary = [fd for fd in sigma if len(fd.variables) <= 2]
+        kinds = (MonoidKind.B, MonoidKind.N, MonoidKind.Q)
+        cases = [(sigma, u(*queries[0]), MonoidKind.B)]
+        cases += [(binary, u(x, y), kinds[i % 3]) for i, (x, y) in enumerate(queries)]
+        for case in cases:
+            assert outcome(build_counterexample, *case) == outcome(reference_counterexample, *case)
+
+    def test_small_premise_sets(self):
+        derivable = refuted = 0
+        for sigma, queries in small_corpus(8, 150):
+            self.check(sigma, queries)
+            for x, y in queries:
+                ok, _ = derives(sigma, u(x, y), RuleSet.FULL)
+                derivable += ok and x != y
+                refuted += not ok
+        assert derivable > 100 and refuted > 100
+
+    def test_large_derivations(self):
+        for sigma, queries in large_corpus(9):
+            self.check(sigma, queries, counterexamples=False)
+
+    def test_context_candidates(self):
+        for sigma, queries in small_corpus(11, 60):
+            contexts = ContextSet.from_sets(fd.variables for fd in sigma)
+            for context in contexts:
+                if len(context) > 2:
+                    continue
+                for phi in [None] + [u(x, y) for x, y in queries]:
+                    args = (context, sigma, phi, ["0", "1"], 4)
+                    assert _context_candidates(*args) == reference_context_candidates(*args)
+
+    def test_reflexivity_expansion(self):
+        for sigma, _ in small_corpus(12, 60):
+            old = set()
+            for fd in sigma:
+                old.add(fd)
+                vs = sorted(fd.variables)
+                for size in (1, 2, 3):
+                    for combo in itertools.combinations(vs, size):
+                        old.add(cd(combo))
+                for lsize in range(1, len(vs) + 1):
+                    for lhs in itertools.combinations(vs, lsize):
+                        for rsize in range(1, lsize + 1):
+                            for rhs in itertools.combinations(lhs, rsize):
+                                old.add(FD(frozenset(lhs), frozenset(rhs)))
+            assert reflexivity_expand(sigma) == frozenset(old)
+
+
+class TestSamplerEdges:
+    def test_no_contexts_gives_no_family(self):
+        assert random_family_satisfying([], random.Random(0)) is None
+
+    def test_extra_contexts_alone_give_a_family(self):
+        family = random_family_satisfying(
+            [], random.Random(0), extra_context_sets=[frozenset({"a", "b"})]
+        )
+        assert family is not None
+        assert list(family.contexts) == [frozenset({"a", "b"})]

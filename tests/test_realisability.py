@@ -565,6 +565,52 @@ def with_cross_row(rng, family):
     return ContextualFamily(rels)
 
 
+def reference_components(graph):
+    """Kosaraju's sweep over object adjacency, as the graph ran it before
+    it kept one integer adjacency: the components and the uncovered edges."""
+    out = {v: [] for v in graph.vertices}
+    inc = {v: [] for v in graph.vertices}
+    for e in graph.edges:
+        out[e.source].append(e)
+        inc[e.target].append(e)
+    finish, seen = [], set()
+    for root in graph.vertices:
+        if root in seen:
+            continue
+        stack = [(root, 0)]
+        seen.add(root)
+        while stack:
+            node, i = stack.pop()
+            if i < len(out[node]):
+                stack.append((node, i + 1))
+                nxt = out[node][i].target
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((nxt, 0))
+            else:
+                finish.append(node)
+    component, labels = {}, 0
+    for root in reversed(finish):
+        if root in component:
+            continue
+        stack = [root]
+        component[root] = labels
+        while stack:
+            node = stack.pop()
+            for e in inc[node]:
+                if e.source not in component:
+                    component[e.source] = labels
+                    stack.append(e.source)
+        labels += 1
+    groups = {}
+    for v, c in component.items():
+        groups.setdefault(c, []).append(v)
+    comps = sorted((frozenset(g) for g in groups.values()),
+                   key=lambda c: min(v.sort_key for v in c))
+    uncovered = tuple(e for e in graph.edges if component[e.source] != component[e.target])
+    return comps, uncovered, out, inc
+
+
 KINDS_AND_WEIGHTS = [
     (MonoidKind.N, 1),
     (MonoidKind.Q, 1),
@@ -595,6 +641,29 @@ class TestAgainstReference:
                 assert find_simple_cycle_through(graph, edge) == (
                     reference_cycle_through(graph, edge)
                 )
+
+    def test_components_match_object_adjacency(self):
+        rng = random.Random(2)
+        several = uncovered = 0
+        for i in range(60):
+            if i % 2 == 0:
+                family = walk_family(rng, MonoidKind.B, [1])
+            else:
+                family = walk_family(rng, MonoidKind.B, [1], components=2)
+                try:
+                    family = with_cross_row(rng, family)
+                except ValueError:
+                    pass  # the cross row broke local consistency
+            graph = build_opg(family)
+            comps, cut, out, inc = reference_components(graph)
+            assert graph.strongly_connected_components() == comps
+            assert graph.uncovered_edges() == cut
+            for v in graph.vertices:
+                assert graph.out_edges(v) == out[v]
+                assert graph.in_edges(v) == inc[v]
+            several += len(comps) > 1
+            uncovered += bool(cut)
+        assert several > 20 and uncovered > 10
 
     def test_refusals_match_the_reference(self):
         rng = random.Random(5)
@@ -631,6 +700,8 @@ class TestAgainstReference:
             assert parts == reference_decompose(family)
             total = None
             for weight, sub in parts:
+                # Parts skip the pairwise check; the constructor accepts them.
+                assert ContextualFamily(list(sub.maximal_relations())) == sub
                 lifted = lift_uniform(sub, weight)
                 total = lifted if total is None else total + lifted
             assert total == family
@@ -681,3 +752,7 @@ class TestNoPerCycleRebuilds:
     def test_decompose_validates_one_family_per_part(self, large, constructions):
         parts = decompose_cycles(large)
         assert len(constructions) <= len(parts) + 1
+
+    def test_decompose_validates_no_part(self, large, constructions):
+        parts = decompose_cycles(large)
+        assert len(parts) > 10 and not constructions
