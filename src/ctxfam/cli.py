@@ -202,10 +202,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if family.kind is MonoidKind.B:
         raise InputError("decomposition needs an N or Q family")
     try:
-        classify_chordless_cycle(family.contexts)
+        parts = decompose_cycles(family)
     except NotChordlessCycleError as exc:
         raise InputError(str(exc)) from None
-    parts = decompose_cycles(family)
     print(f"decomposition: {len(parts)} cycles")
     sys.stdout.write(serialize_decomposition(parts))
     return 0

@@ -28,15 +28,19 @@ CR and FULL share one closure engine (``_ClosureEngine``) and one copy
 of each search in it: ``_reach`` for the cycle rule and the
 counterexamples, ``_chain_states`` and ``_chain_instance`` for the chain
 rule, and ``_chain_requirements`` for writing and replaying chain steps.
+The semantic side has one search too: ``_backtrack_family`` finds the
+first locally consistent B-family, in a fixed candidate order, that
+meets the premises (and violates the goal); the bounded oracle calls it
+as it is, and the random sampler with shuffled candidates.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .family import ContextSet, ContextualFamily
 from .monoid import MonoidKind, MonoidValue
@@ -850,24 +854,6 @@ def _rows_satisfy(
     return True
 
 
-def _admissible(
-    context: FrozenSet[str], sigma: Sequence[FD], phi: Optional[FD]
-) -> Callable[[Iterable[Tuple[str, ...]]], bool]:
-    """The test of a support for one context (rows list values in sorted
-    variable order): it satisfies every premise that fits the context, and
-    violates the goal when the goal is given and fits."""
-    positions = {v: i for i, v in enumerate(sorted(context))}
-    relevant = [fd for fd in sigma if fd.variables <= context]
-    goal = phi if phi is not None and phi.variables <= context else None
-
-    def admissible(rows: Iterable[Tuple[str, ...]]) -> bool:
-        if any(not _rows_satisfy(rows, positions, fd) for fd in relevant):
-            return False
-        return goal is None or not _rows_satisfy(rows, positions, goal)
-
-    return admissible
-
-
 def _context_candidates(
     context: FrozenSet[str],
     sigma: Sequence[FD],
@@ -877,28 +863,21 @@ def _context_candidates(
 ) -> Tuple[Tuple[str, ...], List[FrozenSet[Tuple[str, ...]]]]:
     """All admissible supports for one context: nonempty, within the row
     budget, satisfying the premises that fit the context, and violating
-    the goal when the goal fits."""
+    the goal when the goal fits.  Rows list values in sorted variable
+    order; supports come by size, then in lexicographic order."""
     vs = tuple(sorted(context))
+    positions = {v: i for i, v in enumerate(vs)}
+    relevant = [fd for fd in sigma if fd.variables <= context]
+    goal = phi if phi is not None and phi.variables <= context else None
     all_rows = sorted(itertools.product(domain, repeat=len(vs)))
-    admissible = _admissible(context, sigma, phi)
     out: List[FrozenSet[Tuple[str, ...]]] = []
     for size in range(1, min(max_rows, len(all_rows)) + 1):
         for combo in itertools.combinations(all_rows, size):
-            if admissible(combo):
+            if any(not _rows_satisfy(combo, positions, fd) for fd in relevant):
+                continue
+            if goal is None or not _rows_satisfy(combo, positions, goal):
                 out.append(frozenset(combo))
     return vs, out
-
-
-def _family_from_choice(
-    contexts: Sequence[FrozenSet[str]],
-    vs_list: Sequence[Tuple[str, ...]],
-    chosen: Sequence[FrozenSet[Tuple[str, ...]]],
-) -> ContextualFamily:
-    relations = []
-    for context, vs, rows in zip(contexts, vs_list, chosen):
-        assignments = [Assignment(zip(vs, row)) for row in sorted(rows)]
-        relations.append(KRelation.boolean(context, assignments))
-    return ContextualFamily(relations)
 
 
 def _backtrack_family(
@@ -909,10 +888,23 @@ def _backtrack_family(
     max_rows: int,
     rng=None,
 ) -> Optional[ContextualFamily]:
-    """Depth-first search over per-context supports with pairwise
-    agreement pruning.  ``phi`` (when given) must be violated wherever
-    its variables fit.  A supplied random generator shuffles candidate
-    order, turning the search into a sampler."""
+    """The first locally consistent B-family whose supports satisfy the
+    premises and, when ``phi`` is given, violate it wherever its
+    variables fit; None when the bounds admit none.
+
+    The search is depth-first over one support per context: contexts in
+    order, each context's candidates in :func:`_context_candidates` order,
+    or shuffled by the supplied random generator, which turns the search
+    into a sampler.  Two devices make it fast without changing which
+    family comes first.  Each context's candidates are bucketed by their
+    projections onto its overlaps with earlier contexts, so a depth walks
+    only the bucket that agrees with the choices above it.  And whether a
+    depth can be completed depends only on its view: the earlier choices'
+    projections onto their overlaps with this and later contexts.  A
+    view whose subtree failed is recorded and skipped when it comes back
+    (nogood recording).  Projections are interned as small ints, and the
+    walk keeps an explicit stack instead of recursing.
+    """
     vs_list: List[Tuple[str, ...]] = []
     candidate_lists: List[List[FrozenSet[Tuple[str, ...]]]] = []
     for c in contexts:
@@ -920,115 +912,77 @@ def _backtrack_family(
         if not cands:
             return None
         if rng is not None:
-            cands = list(cands)
             rng.shuffle(cands)
         vs_list.append(vs)
         candidate_lists.append(cands)
 
-    overlaps: List[List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]]] = []
-    for i, ci in enumerate(contexts):
-        cell = []
-        for j in range(i):
-            shared = sorted(ci & contexts[j])
-            mine = tuple(vs_list[i].index(v) for v in shared)
-            theirs = tuple(vs_list[j].index(v) for v in shared)
-            cell.append((j, mine, theirs))
-        overlaps.append(cell)
-
-    def restrict(rows: FrozenSet[Tuple[str, ...]], idx: Tuple[int, ...]) -> FrozenSet:
-        return frozenset(tuple(row[i] for i in idx) for row in rows)
-
-    chosen: List[FrozenSet[Tuple[str, ...]]] = []
-
-    def walk(depth: int) -> bool:
-        if depth == len(contexts):
-            return True
-        for cand in candidate_lists[depth]:
-            ok = True
-            for j, mine, theirs in overlaps[depth]:
-                if restrict(cand, mine) != restrict(chosen[j], theirs):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(cand)
-                if walk(depth + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not walk(0):
-        return None
-    return _family_from_choice(contexts, vs_list, chosen)
-
-
-def _profile_family(
-    contexts: Sequence[FrozenSet[str]],
-    sigma: Sequence[FD],
-    phi: FD,
-    domain: Sequence[str],
-    max_rows: int,
-) -> Optional[ContextualFamily]:
-    """Counterexample search specialised to contexts of at most two
-    variables.  There, pairwise agreement only constrains each variable's
-    unary marginal, so fixing a per-variable value-set profile decouples
-    the contexts entirely and the search is a product scan."""
-    variables = sorted({v for c in contexts for v in c})
-    profiles = [
-        tuple(combo)
-        for size in range(1, len(domain) + 1)
-        for combo in itertools.combinations(domain, size)
+    n = len(contexts)
+    # later[d] lists the later depths whose contexts overlap depth d's;
+    # out_ids[d][i] holds candidate i's projection ids onto those overlaps,
+    # and buckets[d] groups candidate indices by their ids onto earlier ones.
+    later: List[List[int]] = [[] for _ in range(n)]
+    buckets: List[Dict[Tuple[int, ...], List[int]]] = []
+    out_ids: List[List[Tuple[int, ...]]] = []
+    ids: Dict[FrozenSet[Tuple[str, ...]], int] = {}
+    for d, c in enumerate(contexts):
+        positions = []
+        for k in range(n):
+            shared = sorted(c & contexts[k])
+            if k != d and shared:
+                positions.append(tuple(vs_list[d].index(v) for v in shared))
+                if k > d:
+                    later[d].append(k)
+        split = len(positions) - len(later[d])
+        bucket: Dict[Tuple[int, ...], List[int]] = {}
+        outs = []
+        for i, cand in enumerate(candidate_lists[d]):
+            proj = [
+                ids.setdefault(frozenset(tuple(row[p] for p in idx) for row in cand), len(ids))
+                for idx in positions
+            ]
+            bucket.setdefault(tuple(proj[:split]), []).append(i)
+            outs.append(tuple(proj[split:]))
+        buckets.append(bucket)
+        out_ids.append(outs)
+    # Depth t reads its bucket key from entry incoming[t] of the chosen
+    # candidates' out_ids, and its view from entry pending[t] onward.
+    incoming = [[(j, later[j].index(t)) for j in range(t) if t in later[j]] for t in range(n)]
+    pending = [
+        [(j, bisect_left(later[j], t)) for j in range(t) if later[j] and later[j][-1] >= t]
+        for t in range(n)
     ]
-    cover = [c for c in contexts if phi.variables <= c]
-    assert len(cover) == 1
 
-    tables = []
-    for c in contexts:
-        vs = tuple(sorted(c))
-        admissible = _admissible(c, sigma, phi)
-        table: Dict[Tuple[int, ...], FrozenSet[Tuple[str, ...]]] = {}
-        if len(vs) == 1:
-            for pi, profile in enumerate(profiles):
-                rows = frozenset((val,) for val in profile)
-                if len(rows) <= max_rows and admissible(rows):
-                    table[(pi,)] = rows
-        else:
-            for pu, mu in enumerate(profiles):
-                for pv, mv in enumerate(profiles):
-                    best = None
-                    for size in range(1, max_rows + 1):
-                        for combo in itertools.combinations(
-                            sorted(itertools.product(mu, mv)), size
-                        ):
-                            if frozenset(r[0] for r in combo) != frozenset(mu):
-                                continue
-                            if frozenset(r[1] for r in combo) != frozenset(mv):
-                                continue
-                            rows = frozenset(combo)
-                            if admissible(rows):
-                                best = rows
-                                break
-                        if best is not None:
-                            break
-                    if best is not None:
-                        table[(pu, pv)] = best
-        tables.append((vs, table))
+    chosen: List[int] = []
+    stack = [iter(buckets[0].get((), ()))]
+    views: List[Tuple] = [()]
+    failed: List[Set[Tuple]] = [set() for _ in range(n)]
+    while stack:
+        i = next(stack[-1], None)
+        if i is None:
+            stack.pop()
+            failed[len(stack)].add(views.pop())
+            if chosen:
+                chosen.pop()
+            continue
+        chosen.append(i)
+        t = len(chosen)
+        if t == n:
+            break
+        view = tuple(out_ids[j][chosen[j]][s:] for j, s in pending[t])
+        if view in failed[t]:
+            chosen.pop()
+            continue
+        key = tuple(out_ids[j][chosen[j]][p] for j, p in incoming[t])
+        stack.append(iter(buckets[t].get(key, ())))
+        views.append(view)
+    else:
+        return None
 
-    index_of = {v: i for i, v in enumerate(variables)}
-    keys = []
-    for c, (vs, _) in zip(contexts, tables):
-        keys.append(tuple(index_of[v] for v in vs))
-    for assignment in itertools.product(range(len(profiles)), repeat=len(variables)):
-        chosen = []
-        ok = True
-        for (vs, table), key in zip(tables, keys):
-            cell = table.get(tuple(assignment[i] for i in key))
-            if cell is None:
-                ok = False
-                break
-            chosen.append(cell)
-        if ok:
-            return _family_from_choice(contexts, [t[0] for t in tables], chosen)
-    return None
+    relations = []
+    for context, vs, cands, i in zip(contexts, vs_list, candidate_lists, chosen):
+        assignments = [Assignment(zip(vs, row)) for row in sorted(cands[i])]
+        relations.append(KRelation.boolean(context, assignments))
+    return ContextualFamily(relations)
 
 
 def semantic_entails_oracle(
@@ -1042,9 +996,10 @@ def semantic_entails_oracle(
 
     Enumerates locally consistent B-families over the contexts named by
     the premises and the goal, with the given domain size and per-context
-    row budget.  In the unary/binary fragment the default bounds are
-    sufficient, so "no counterexample" is conclusive there; elsewhere the
-    verdict is flagged bounded-only.
+    row budget, through the one search of :func:`_backtrack_family`; the
+    counterexample is the first family it finds.  In the unary/binary
+    fragment the default bounds are sufficient, so "no counterexample" is
+    conclusive there; elsewhere the verdict is flagged bounded-only.
     """
     if kind is not MonoidKind.B:
         raise ValueError("the oracle enumerates B-families")
@@ -1061,13 +1016,7 @@ def semantic_entails_oracle(
         ContextSet.from_sets([fd.variables for fd in premises] + [phi.variables])
     )
     domain = [str(i) for i in range(domain_size)]
-    variables = {v for c in contexts for v in c}
-    binary = all(len(c) <= 2 for c in contexts)
-    profile_space = (2 ** domain_size - 1) ** len(variables)
-    if binary and profile_space <= 300_000:
-        counterexample = _profile_family(contexts, premises, phi, domain, max_rows)
-    else:
-        counterexample = _backtrack_family(contexts, premises, phi, domain, max_rows)
+    counterexample = _backtrack_family(contexts, premises, phi, domain, max_rows)
     if counterexample is not None:
         return EntailmentVerdict(False, counterexample, True)
     return EntailmentVerdict(True, None, conclusive)

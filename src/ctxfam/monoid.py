@@ -163,6 +163,12 @@ def subtract(a: MonoidValue, b: MonoidValue) -> MonoidValue:
     return MonoidValue(a.kind, a.payload - b.payload)
 
 
+def _decimal(text: str) -> bool:
+    """Nonempty and ASCII digits only; ``str.isdigit`` also accepts the
+    digits of other scripts and superscripts."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_value(kind: MonoidKind, text: str) -> MonoidValue:
     """Parse an annotation in the textual family format.
 
@@ -175,15 +181,15 @@ def parse_value(kind: MonoidKind, text: str) -> MonoidValue:
             raise ValueError(f"B annotation must be 0 or 1, got {text!r}")
         return MonoidValue(kind, int(text))
     if kind is MonoidKind.N:
-        if not text.isdigit():
+        if not _decimal(text):
             raise ValueError(f"N annotation must be decimal digits, got {text!r}")
         return MonoidValue(kind, int(text))
     if "/" in text:
         num, _, den = text.partition("/")
-        if not (num.isdigit() and den.isdigit()) or int(den) == 0:
+        if not (_decimal(num) and _decimal(den)) or int(den) == 0:
             raise ValueError(f"Q annotation must be digits or p/q, got {text!r}")
         return MonoidValue(kind, Fraction(int(num), int(den)))
-    if not text.isdigit():
+    if not _decimal(text):
         raise ValueError(f"Q annotation must be digits or p/q, got {text!r}")
     return MonoidValue(kind, Fraction(int(text)))
 

@@ -39,7 +39,13 @@ class Assignment:
 
     def __init__(self, bindings: Union[Mapping[str, Value], Iterable[Tuple[str, Value]]]):
         items = bindings.items() if isinstance(bindings, Mapping) else bindings
-        pairs = tuple(sorted(((str(var), val) for var, val in items)))
+        listed = [(str(var), val) for var, val in items]
+        try:
+            pairs = tuple(sorted(listed))
+        except TypeError:
+            # Values are compared only between pairs with equal variables.
+            seen = sorted(var for var, _ in listed)
+            raise ValueError(f"duplicate variable in assignment: {seen}") from None
         seen = [var for var, _ in pairs]
         if len(set(seen)) != len(seen):
             raise ValueError(f"duplicate variable in assignment: {seen}")

@@ -79,6 +79,24 @@ def five_context_family() -> ContextualFamily:
     )
 
 
+def chain_premises(n: int):
+    """The length-n chain-rule premise set of acceptance criterion 09 and
+    its conclusion."""
+    u, cd = FD.unary, FD.cd
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    cs = [f"c{i}" for i in range(1, n)]
+    sigma = [u(xs[i], xs[i + 1]) for i in range(n - 1)]
+    sigma += [u(c, xs[-1]) for c in cs]
+    sigma.append(cd([xs[0], cs[0], xs[-1]]))
+    for i in range(n - 2):
+        sigma.append(cd([xs[i], cs[i], xs[i + 1]]))
+        sigma.append(cd([cs[i], xs[i + 1], cs[i + 1]]))
+    sigma.append(cd([xs[n - 2], cs[n - 2], xs[-1]]))
+    for i in range(n - 2):
+        sigma.append(cd([cs[i], cs[i + 1], xs[-1]]))
+    return sigma, u(xs[0], xs[-1])
+
+
 def cycle_contexts(length: int) -> List[frozenset]:
     """Binary contexts x0x1, x1x2, ..., wrapping around: a chordless cycle."""
     vs = [f"x{i}" for i in range(length)]

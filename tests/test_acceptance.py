@@ -42,6 +42,7 @@ from ctxfam.realisability import (
 
 from conftest import (
     chain_brute_force,
+    chain_premises,
     cycle_contexts,
     random_weighted_family,
 )
@@ -55,22 +56,6 @@ KINDS = (MonoidKind.B, MonoidKind.N, MonoidKind.Q)
 def report(capsys, number: int, text: str) -> None:
     with capsys.disabled():
         print(f"criterion {number:02d}: PASS — {text}")
-
-
-def chain_premises(n: int):
-    """The length-n chain-rule premise set and its conclusion."""
-    xs = [f"x{i}" for i in range(1, n + 1)]
-    cs = [f"c{i}" for i in range(1, n)]
-    sigma = [u(xs[i], xs[i + 1]) for i in range(n - 1)]
-    sigma += [u(c, xs[-1]) for c in cs]
-    sigma.append(cd([xs[0], cs[0], xs[-1]]))
-    for i in range(n - 2):
-        sigma.append(cd([xs[i], cs[i], xs[i + 1]]))
-        sigma.append(cd([cs[i], xs[i + 1], cs[i + 1]]))
-    sigma.append(cd([xs[n - 2], cs[n - 2], xs[-1]]))
-    for i in range(n - 2):
-        sigma.append(cd([cs[i], cs[i + 1], xs[-1]]))
-    return sigma, u(xs[0], xs[-1])
 
 
 def random_cycle_support(rng):

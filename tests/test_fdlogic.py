@@ -1,5 +1,6 @@
 """Dependency derivation, traces, counterexamples, and the semantic oracle."""
 
+import gc
 import itertools
 import random
 from bisect import insort
@@ -36,7 +37,7 @@ from ctxfam.fdlogic import (
 from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.relation import Assignment, KRelation
 
-from conftest import chain_brute_force
+from conftest import chain_brute_force, chain_premises
 
 u = FD.unary
 cd = FD.cd
@@ -789,3 +790,238 @@ class TestSamplerEdges:
         )
         assert family is not None
         assert list(family.contexts) == [frozenset({"a", "b"})]
+
+
+# The two searches the one search replaced: the recursive backtrack that
+# re-projected every candidate against every earlier choice, and the
+# profile scan for all-binary contexts, with the oracle's size dispatch.
+
+
+def reference_admissible(context, sigma, phi):
+    positions = {v: i for i, v in enumerate(sorted(context))}
+    relevant = [fd for fd in sigma if fd.variables <= context]
+    goal = phi if phi is not None and phi.variables <= context else None
+
+    def admissible(rows):
+        if any(not _rows_satisfy(rows, positions, fd) for fd in relevant):
+            return False
+        return goal is None or not _rows_satisfy(rows, positions, goal)
+
+    return admissible
+
+
+def reference_family_from_choice(contexts, vs_list, chosen):
+    relations = []
+    for context, vs, rows in zip(contexts, vs_list, chosen):
+        assignments = [Assignment(zip(vs, row)) for row in sorted(rows)]
+        relations.append(KRelation.boolean(context, assignments))
+    return ContextualFamily(relations)
+
+
+def reference_backtrack_family(contexts, sigma, phi, domain, max_rows, rng=None):
+    vs_list = []
+    candidate_lists = []
+    for c in contexts:
+        vs, cands = reference_context_candidates(c, sigma, phi, domain, max_rows)
+        if not cands:
+            return None
+        if rng is not None:
+            cands = list(cands)
+            rng.shuffle(cands)
+        vs_list.append(vs)
+        candidate_lists.append(cands)
+
+    overlaps = []
+    for i, ci in enumerate(contexts):
+        cell = []
+        for j in range(i):
+            shared = sorted(ci & contexts[j])
+            mine = tuple(vs_list[i].index(v) for v in shared)
+            theirs = tuple(vs_list[j].index(v) for v in shared)
+            cell.append((j, mine, theirs))
+        overlaps.append(cell)
+
+    def restrict(rows, idx):
+        return frozenset(tuple(row[i] for i in idx) for row in rows)
+
+    chosen = []
+
+    def walk(depth):
+        if depth == len(contexts):
+            return True
+        for cand in candidate_lists[depth]:
+            ok = True
+            for j, mine, theirs in overlaps[depth]:
+                if restrict(cand, mine) != restrict(chosen[j], theirs):
+                    ok = False
+                    break
+            if ok:
+                chosen.append(cand)
+                if walk(depth + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not walk(0):
+        return None
+    return reference_family_from_choice(contexts, vs_list, chosen)
+
+
+def reference_profile_family(contexts, sigma, phi, domain, max_rows):
+    variables = sorted({v for c in contexts for v in c})
+    profiles = [
+        tuple(combo)
+        for size in range(1, len(domain) + 1)
+        for combo in itertools.combinations(domain, size)
+    ]
+    tables = []
+    for c in contexts:
+        vs = tuple(sorted(c))
+        admissible = reference_admissible(c, sigma, phi)
+        table = {}
+        if len(vs) == 1:
+            for pi, profile in enumerate(profiles):
+                rows = frozenset((val,) for val in profile)
+                if len(rows) <= max_rows and admissible(rows):
+                    table[(pi,)] = rows
+        else:
+            for pu, mu in enumerate(profiles):
+                for pv, mv in enumerate(profiles):
+                    best = None
+                    for size in range(1, max_rows + 1):
+                        for combo in itertools.combinations(
+                            sorted(itertools.product(mu, mv)), size
+                        ):
+                            if frozenset(r[0] for r in combo) != frozenset(mu):
+                                continue
+                            if frozenset(r[1] for r in combo) != frozenset(mv):
+                                continue
+                            rows = frozenset(combo)
+                            if admissible(rows):
+                                best = rows
+                                break
+                        if best is not None:
+                            break
+                    if best is not None:
+                        table[(pu, pv)] = best
+        tables.append((vs, table))
+
+    index_of = {v: i for i, v in enumerate(variables)}
+    keys = [tuple(index_of[v] for v in vs) for vs, _ in tables]
+    for assignment in itertools.product(range(len(profiles)), repeat=len(variables)):
+        chosen = []
+        for (vs, table), key in zip(tables, keys):
+            cell = table.get(tuple(assignment[i] for i in key))
+            if cell is None:
+                break
+            chosen.append(cell)
+        else:
+            return reference_family_from_choice(contexts, [t[0] for t in tables], chosen)
+    return None
+
+
+def oracle_contexts(sigma, phi):
+    premises = sorted(set(sigma), key=lambda f: f.sort_key)
+    contexts = list(ContextSet.from_sets([fd.variables for fd in premises] + [phi.variables]))
+    return premises, contexts
+
+
+def reference_oracle_family(sigma, phi, domain_size, max_rows):
+    """The counterexample of the size dispatch: the profile scan on small
+    all-binary context sets, the backtrack everywhere else."""
+    premises, contexts = oracle_contexts(sigma, phi)
+    domain = [str(i) for i in range(domain_size)]
+    variables = {v for c in contexts for v in c}
+    binary = all(len(c) <= 2 for c in contexts)
+    if binary and (2 ** domain_size - 1) ** len(variables) <= 300_000:
+        return reference_profile_family(contexts, premises, phi, domain, max_rows)
+    return reference_backtrack_family(contexts, premises, phi, domain, max_rows)
+
+
+def criterion_10_corpus(instances):
+    """The premise sets and queries of acceptance criterion 10: 2-5
+    variables, unary premises and binary CDs."""
+    rng = random.Random(1001)
+    for _ in range(instances):
+        vs = [f"v{i}" for i in range(rng.randint(2, 5))]
+        sigma = set()
+        for _ in range(rng.randint(1, 6)):
+            sigma.add(u(*rng.sample(vs, 2)))
+        for _ in range(rng.randint(0, 4)):
+            sigma.add(cd(rng.sample(vs, 2)))
+        sigma = sorted(sigma, key=lambda f: f.sort_key)
+        for x, y in itertools.permutations(vs, 2):
+            yield sigma, u(x, y)
+
+
+def entail_shape_corpus(seed, count):
+    """The shape of the fd-entail benchmark's entail queries: 5-8
+    variables, 2-8 edges and 0-5 binary CDs."""
+    rng = random.Random(seed)
+    for j in range(count):
+        vs = [f"v{n}" for n in range(5 + j % 4)]
+        sigma = {u(*rng.sample(vs, 2)) for _ in range(rng.randint(2, 8))}
+        sigma |= {cd(rng.sample(vs, 2)) for _ in range(rng.randint(0, 5))}
+        yield sorted(sigma, key=lambda f: f.sort_key), u(*rng.sample(vs, 2))
+
+
+class TestOneSearch:
+    def check(self, sigma, phi, domain_size=2, max_rows=4):
+        verdict = semantic_entails_oracle(sigma, phi, domain_size=domain_size, max_rows=max_rows)
+        expected = reference_oracle_family(sigma, phi, domain_size, max_rows)
+        assert verdict.counterexample == expected
+        if domain_size < 3:
+            # Without the recorded failures, the plain backtrack takes
+            # seconds per query at domain 3.
+            premises, contexts = oracle_contexts(sigma, phi)
+            domain = [str(i) for i in range(domain_size)]
+            assert verdict.counterexample == reference_backtrack_family(
+                contexts, premises, phi, domain, max_rows
+            )
+        return verdict.counterexample is not None
+
+    def test_criterion_10_corpus(self):
+        refuted = sum(self.check(sigma, phi) for sigma, phi in criterion_10_corpus(120))
+        assert refuted > 500
+
+    def test_entail_shape(self):
+        refuted = sum(self.check(sigma, phi) for sigma, phi in entail_shape_corpus(5, 120))
+        assert refuted > 60
+
+    def test_domain_and_row_variants(self):
+        variants = [(3, 4), (1, 4), (2, 2), (2, 3), (3, 3)]
+        refuted = 0
+        for i, (sigma, phi) in enumerate(criterion_10_corpus(30)):
+            refuted += self.check(sigma, phi, *variants[i % len(variants)])
+        assert refuted > 80
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            [u(f"x{i}", f"x{(i + 1) % k}") for i in range(k)]
+            + [cd([f"x{i}", f"x{(i + 1) % k}"]) for i in range(k)]
+            for k in range(2, 7)
+        ]
+        + [chain_premises(n)[0] for n in (3, 4, 5)],
+    )
+    def test_sampler_draws(self, sigma):
+        premises = sorted(set(sigma), key=lambda f: f.sort_key)
+        contexts = list(ContextSet.from_sets(fd.variables for fd in premises))
+        for seed in range(6):
+            drawn = random_family_satisfying(sigma, random.Random(seed))
+            expected = reference_backtrack_family(
+                contexts, premises, None, ["0", "1"], 4, rng=random.Random(seed)
+            )
+            assert drawn == expected
+
+    def test_sampler_leaves_no_cyclic_garbage(self):
+        sigma, _ = chain_premises(4)
+        gc.collect()
+        gc.disable()
+        try:
+            family = random_family_satisfying(sigma, random.Random(0))
+            assert family is not None
+            del family
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

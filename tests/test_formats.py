@@ -74,6 +74,8 @@ class TestParseDiagnostics:
             ("monoid B\ncontext x y\n0 1\n0 1\n", 4, "duplicate row"),
             ("monoid B\n", 1, "document declares no context"),
             ("monoid N\ncontext x\n0 : 1/2\n", 3, "decimal digits"),
+            ("monoid N\ncontext x y\n0 0 : 1\n0 1 : \u0661\n", 4, "decimal digits"),
+            ("monoid Q\ncontext x\n0 : \u00b2\n", 3, "digits or p/q"),
             ("context x\n0\n", 1, "expected 'monoid B|N|Q' on the first line"),
         ],
     )

@@ -202,6 +202,21 @@ class TestText:
         with pytest.raises(ValueError):
             parse_value(kind, text)
 
+    @pytest.mark.parametrize(
+        "kind,text,message",
+        [
+            (MonoidKind.N, "\u0661", "must be decimal digits"),
+            (MonoidKind.N, "\u00b2", "must be decimal digits"),
+            (MonoidKind.N, "1\uff12", "must be decimal digits"),
+            (MonoidKind.Q, "\u0661", "digits or p/q"),
+            (MonoidKind.Q, "\u00b2/3", "digits or p/q"),
+            (MonoidKind.Q, "1/\u0663", "digits or p/q"),
+        ],
+    )
+    def test_parse_rejects_non_ascii_digits(self, kind, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_value(kind, text)
+
     @given(st.one_of(booleans, naturals, rationals))
     def test_round_trip(self, value):
         assert parse_value(value.kind, format_value(value)) == value

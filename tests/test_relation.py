@@ -33,6 +33,12 @@ class TestAssignment:
         with pytest.raises(ValueError):
             Assignment([("x", "0"), ("x", "1")])
 
+    def test_duplicate_variable_with_incomparable_values(self):
+        with pytest.raises(ValueError, match=r"duplicate variable in assignment: \['x', 'x'\]"):
+            Assignment([("x", 1), ("x", "a")])
+        with pytest.raises(ValueError, match="duplicate variable"):
+            Assignment(zip(["y", "x", "y"], ["a", "0", 1]))
+
     def test_ordering_is_by_variable_then_value(self):
         s = Assignment({"b": "1", "a": "0"})
         assert str(s) == "a=0,b=1"
