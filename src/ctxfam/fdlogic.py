@@ -28,6 +28,12 @@ CR and FULL share one closure engine (``_ClosureEngine``) and one copy
 of each search in it: ``_reach`` for the cycle rule and the
 counterexamples, ``_chain_states`` and ``_chain_instance`` for the chain
 rule, and ``_chain_requirements`` for writing and replaying chain steps.
+The chain-rule search runs on interned variables (indices in sorted
+name order) and integer bitmasks: one table holds the context atoms
+(bit k of entry [i][j] when {v_i, v_j, v_k} is an atom) and one mask
+per variable its in-neighbours, so it visits states in the same order
+as a search over names and derives the same edges with the same
+justifications.
 The semantic side has one search too: ``_backtrack_family`` finds the
 first locally consistent B-family, in a fixed candidate order, that
 meets the premises (and violates the goal); the bounded oracle calls it
@@ -328,71 +334,91 @@ def _context_atoms(context_sets: Iterable[FrozenSet[str]]) -> FrozenSet[FrozenSe
     return frozenset(atoms)
 
 
-def _third_elements(atoms: FrozenSet[FrozenSet[str]]) -> Dict[FrozenSet[str], Tuple[str, ...]]:
-    """For each pair {u, v} (or singleton {u}), the sorted ws such that
-    the collapsed set {u, v, w} is an available atom."""
-    table: Dict[FrozenSet[str], Set[str]] = {}
-    for atom in atoms:
-        vs = sorted(atom)
-        if len(vs) == 1:
-            (a,) = vs
-            table.setdefault(frozenset({a}), set()).add(a)
-        elif len(vs) == 2:
-            a, b = vs
-            table.setdefault(frozenset({a, b}), set()).update((a, b))
-            table.setdefault(frozenset({a}), set()).add(b)
-            table.setdefault(frozenset({b}), set()).add(a)
-        else:
-            a, b, c = vs
-            table.setdefault(frozenset({a, b}), set()).add(c)
-            table.setdefault(frozenset({a, c}), set()).add(b)
-            table.setdefault(frozenset({b, c}), set()).add(a)
-    return {k: tuple(sorted(v)) for k, v in table.items()}
+def _atom_table(index: Dict[str, int], context_sets: Iterable[FrozenSet[str]]) -> List[List[int]]:
+    """The context atoms as bitmasks over interned variables: bit k of
+    ``table[i][j]`` is set when the collapsed set {v_i, v_j, v_k} lies
+    inside some stated set, that is, is one of ``_context_atoms``."""
+    n = len(index)
+    table = [[0] * n for _ in range(n)]
+    for c in set(context_sets):
+        members = [index[v] for v in c]
+        mask = 0
+        for i in members:
+            mask |= 1 << i
+        for i in members:
+            row = table[i]
+            for j in members:
+                row[j] |= mask
+    return table
 
 
-def _chain_states(
-    variables: Sequence[str],
-    edges: Set[Tuple[str, str]],
-    in_adj: Dict[str, List[str]],
-    atoms: FrozenSet[FrozenSet[str]],
-    thirds: Dict[FrozenSet[str], Tuple[str, ...]],
-    target: str,
-) -> Tuple[Dict[Tuple[str, str], Optional[Tuple[str, str]]], Tuple[str, ...]]:
-    """Backward reachability in the chain-rule state graph for one target.
+def _bits(mask: int) -> Iterable[int]:
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+_ChainStates = Tuple[Dict[Tuple[int, int], Optional[Tuple[int, int]]], List[int], int]
+
+
+def _chain_states(table: List[List[int]], in_mask: List[int], target: int) -> _ChainStates:
+    """Backward reachability in the chain-rule state graph for one target,
+    on interned variables: ``table`` is the ``_atom_table`` and bit a of
+    ``in_mask[b]`` marks the edge a -> b.
 
     A state (a, c) stands for "the chain currently ends at a with
-    certificate c -> target in force".  The returned map sends each state
+    certificate c -> target in force".  Returns the map sending each state
     that can reach acceptance to its successor state (None marks a state
-    that accepts immediately because a -> target is an edge).
+    that accepts immediately because a -> target is an edge), the reached
+    states as masks (bit a of ``reached[c]`` for state (a, c)), and the
+    mask of witnesses: the certificates c with c -> target an edge and
+    {c, target} an atom.  States are expanded level by level in sorted
+    order, so the first state to reach another is its recorded successor.
     """
-    witnesses = tuple(
-        c
-        for c in variables
-        if (c, target) in edges and frozenset({c, target}) in atoms
-    )
-    witness_set = set(witnesses)
-    succ: Dict[Tuple[str, str], Optional[Tuple[str, str]]] = {}
-    frontier: List[Tuple[str, str]] = []
-    for a in in_adj.get(target, []):
-        for c in thirds.get(frozenset({a, target}), ()):
-            if c in witness_set and (a, c) not in succ:
-                succ[(a, c)] = None
-                frontier.append((a, c))
+    witnesses = in_mask[target] & table[target][target]
+    # The certificates c1 that may follow c2: witnesses with {c2, c1,
+    # target} an atom.
+    limits = [row[target] & witnesses for row in table]
+    succ: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
+    reached = [0] * len(table)
+    frontier: List[Tuple[int, int]] = []
+    for a in _bits(in_mask[target]):
+        for c in _bits(table[a][target] & witnesses):
+            succ[(a, c)] = None
+            reached[c] |= 1 << a
+            frontier.append((a, c))
     frontier.sort()
     while frontier:
-        fresh: List[Tuple[str, str]] = []
+        fresh: List[Tuple[int, int]] = []
+        last_b = -1
         for b, c2 in frontier:
-            limit = thirds.get(frozenset({c2, target}), ())
-            for c1 in thirds.get(frozenset({b, c2}), ()):
-                if c1 not in witness_set or c1 not in limit:
-                    continue
-                for a in thirds.get(frozenset({c1, b}), ()):
-                    if (a, b) in edges and (a, c1) not in succ:
-                        succ[(a, c1)] = (b, c2)
+            if b != last_b:
+                # Once c1 has been tried from b, every state (a, c1) with
+                # a -> b is reached, so later states (b, c2) skip c1.
+                last_b, row_b, into_b, tried = b, table[b], in_mask[b], 0
+            candidates = row_b[c2] & limits[c2] & ~tried
+            tried |= candidates
+            # The bits are walked inline, lowest first: a ``_bits``
+            # generator here makes a FULL derivation a third slower.
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                c1 = low.bit_length() - 1
+                new = row_b[c1] & into_b & ~reached[c1]
+                if new:
+                    reached[c1] |= new
+                    state = (b, c2)
+                    while new:
+                        low = new & -new
+                        new ^= low
+                        a = low.bit_length() - 1
+                        succ[(a, c1)] = state
                         fresh.append((a, c1))
         fresh.sort()
         frontier = fresh
-    return succ, witnesses
+    return succ, reached, witnesses
 
 
 def _reach(out_adj: Dict[str, List[str]], x: str) -> Tuple[Dict[str, str], List[str]]:
@@ -419,17 +445,19 @@ def _reach(out_adj: Dict[str, List[str]], x: str) -> Tuple[Dict[str, str], List[
 
 
 def _chain_instance(
-    x: str,
-    y: str,
-    succ: Dict[Tuple[str, str], Optional[Tuple[str, str]]],
-    witnesses: Sequence[str],
-    atoms: FrozenSet[FrozenSet[str]],
+    variables: Sequence[str],
+    table: List[List[int]],
+    states: _ChainStates,
+    x: int,
+    y: int,
 ) -> Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]]:
     """The chain x = x1 -> ... -> xn = y and its certificates c1 ..
-    c(n-1), read off the chain-rule states of target y from the first
-    witness that starts one; None when no instance concludes x -> y."""
-    for c1 in witnesses:
-        if (x, c1) not in succ or frozenset({x, c1, y}) not in atoms:
+    c(n-1), named by ``variables``, read off the chain-rule states of
+    target y from the first witness that starts one; None when no
+    instance concludes x -> y."""
+    succ, reached, witnesses = states
+    for c1 in _bits(witnesses & table[x][y]):
+        if not reached[c1] >> x & 1:
             continue
         xs = [x]
         cs = [c1]
@@ -439,7 +467,7 @@ def _chain_instance(
             cs.append(state[1])
             state = succ[state]
         xs.append(y)
-        return tuple(xs), tuple(cs)
+        return tuple(variables[i] for i in xs), tuple(variables[i] for i in cs)
     return None
 
 
@@ -452,6 +480,12 @@ class _ClosureEngine:
     effect on the next pass, and the loop stops on an unchanged pass.
     The extra variable sets (a goal's, in particular) count as contexts
     without adding premises.
+
+    The chain rule works on interned variables (indices into the sorted
+    ``variables``): the context atoms are one ``_atom_table`` of bitmasks,
+    built once, and ``in_mask[b]`` has bit a set for each edge a -> b.
+    The cycle rule, the justifications and the ``edges`` map stay keyed
+    by variable names.
     """
 
     def __init__(
@@ -463,12 +497,13 @@ class _ClosureEngine:
         premise_edges, contexts, variables = _split_premises(sigma)
         extra = [frozenset(s) for s in extra_context_sets]
         self.variables: Tuple[str, ...] = tuple(sorted(set(variables).union(*extra)))
-        self.atoms = _context_atoms(contexts + extra)
-        self.thirds = _third_elements(self.atoms)
+        self.index = {v: i for i, v in enumerate(self.variables)}
         self.use_chain = rules is RuleSet.FULL
+        if self.use_chain:
+            self.atom_table = _atom_table(self.index, contexts + extra)
         self.edges: Dict[Tuple[str, str], Tuple] = {}
         self.out_adj: Dict[str, List[str]] = {v: [] for v in self.variables}
-        self.in_adj: Dict[str, List[str]] = {v: [] for v in self.variables}
+        self.in_mask = [0] * len(self.variables)
         for u, v in sorted(set(premise_edges)):
             self._add((u, v), ("premise",))
         for v in self.variables:
@@ -481,7 +516,7 @@ class _ClosureEngine:
             return
         self.edges[edge] = justification
         insort(self.out_adj[edge[0]], edge[1])
-        insort(self.in_adj[edge[1]], edge[0])
+        self.in_mask[self.index[edge[1]]] |= 1 << self.index[edge[0]]
 
     def _path_edges(
         self, x: str, y: str, parent: Dict[str, str]
@@ -506,19 +541,20 @@ class _ClosureEngine:
                         path = self._path_edges(x, y, parent)
                         additions[(x, y)] = ("cycle", path, (y, x))
             if self.use_chain:
-                edge_set = set(self.edges)
-                for y in self.variables:
-                    succ, witnesses = _chain_states(
-                        self.variables, edge_set, self.in_adj, self.atoms, self.thirds, y
-                    )
-                    if not succ:
-                        continue
-                    for x in self.variables:
-                        if x == y or (x, y) in self.edges or (x, y) in additions:
+                names = self.variables
+                for y in range(len(names)):
+                    states = _chain_states(self.atom_table, self.in_mask, y)
+                    # Only a variable that starts a reached state can start
+                    # an instance; an edge x -> y (x = y included) needs none.
+                    starts = 0
+                    for mask in states[1]:
+                        starts |= mask
+                    for x in _bits(starts & ~self.in_mask[y]):
+                        if (names[x], names[y]) in additions:
                             continue
-                        instance = _chain_instance(x, y, succ, witnesses, self.atoms)
+                        instance = _chain_instance(names, self.atom_table, states, x, y)
                         if instance is not None:
-                            additions[(x, y)] = ("chain",) + instance
+                            additions[(names[x], names[y])] = ("chain",) + instance
             if not additions:
                 return
             for edge in sorted(additions):
@@ -569,14 +605,15 @@ def chain_rule_derives(sigma: Iterable[FD], x: str, y: str) -> bool:
     variable sets) are available.
     """
     edges, contexts, variables = _split_premises(list(sigma))
-    atoms = _context_atoms(contexts)
-    thirds = _third_elements(atoms)
-    edge_set = set(edges)
-    in_adj: Dict[str, List[str]] = {v: [] for v in variables}
-    for u, v in sorted(edge_set):
-        in_adj[v].append(u)
-    succ, witnesses = _chain_states(variables, edge_set, in_adj, atoms, thirds, y)
-    return _chain_instance(x, y, succ, witnesses, atoms) is not None
+    index = {v: i for i, v in enumerate(variables)}
+    if x not in index or y not in index:
+        return False
+    table = _atom_table(index, contexts)
+    in_mask = [0] * len(variables)
+    for a, b in edges:
+        in_mask[index[b]] |= 1 << index[a]
+    states = _chain_states(table, in_mask, index[y])
+    return _chain_instance(variables, table, states, index[x], index[y]) is not None
 
 
 def derivation_closure(
@@ -597,60 +634,72 @@ def derivation_closure(
     return frozenset(FD.unary(u, v) for (u, v) in engine.edges)
 
 
+def _trace_node(
+    engine: _ClosureEngine, premise_cds: Set[FrozenSet[str]], node: Tuple
+) -> Tuple[List[Tuple], FD, str, Tuple]:
+    """A trace node, ("fd", edge) or ("cd", set): its antecedent nodes in
+    trace order (a cycle's path and closing edge, or a chain's required
+    edges and then its context sets), its dependency, rule and detail."""
+    kind, item = node
+    if kind == "cd":
+        return [], FD(item, item), "premise" if item in premise_cds else "reflexivity", ()
+    just = engine.edges[item]
+    if just[0] == "cycle":
+        _, path, closing = just
+        return [("fd", e) for e in path + (closing,)], FD.unary(*item), "cycle", ()
+    if just[0] == "chain":
+        _, xs, cs = just
+        needed_edges, needed_sets = _chain_requirements(xs, cs)
+        needed = [("fd", e) for e in needed_edges] + [("cd", s) for s in needed_sets]
+        return needed, FD.unary(*item), "chain", ("unary", xs, cs)
+    return [], FD.unary(*item), just[0], ()
+
+
 def _trace_from_engine(
     engine: _ClosureEngine, sigma: Sequence[FD], goal: Tuple[str, str]
 ) -> DerivationTrace:
+    """The goal's derivation from the engine's justifications: each node
+    after its antecedents, depth first, and each node once.  The walk
+    keeps its own stack, so it leaves no cyclic garbage."""
     premise_cds = {fd.lhs for fd in sigma if fd.is_cd}
     steps: List[TraceStep] = []
     index: Dict[Tuple, int] = {}
-
-    def emit_cd(vs: FrozenSet[str]) -> int:
-        key = ("cd", vs)
-        if key in index:
-            return index[key]
-        rule = "premise" if vs in premise_cds else "reflexivity"
-        steps.append(TraceStep(FD(vs, vs), rule))
-        index[key] = len(steps) - 1
-        return index[key]
-
-    def emit_fd(edge: Tuple[str, str]) -> int:
-        key = ("fd", edge)
-        if key in index:
-            return index[key]
-        just = engine.edges[edge]
-        if just[0] in ("premise", "reflexivity"):
-            steps.append(TraceStep(FD.unary(*edge), just[0]))
-        elif just[0] == "cycle":
-            _, path, closing = just
-            ants = [emit_fd(e) for e in path] + [emit_fd(closing)]
-            steps.append(TraceStep(FD.unary(*edge), "cycle", tuple(ants)))
-        else:
-            _, xs, cs = just
-            needed_edges, needed_sets = _chain_requirements(xs, cs)
-            ants = [emit_fd(e) for e in needed_edges]
-            ants += [emit_cd(s) for s in needed_sets]
-            deduped = tuple(dict.fromkeys(ants))
-            steps.append(
-                TraceStep(FD.unary(*edge), "chain", deduped, ("unary", xs, cs))
-            )
-        index[key] = len(steps) - 1
-        return index[key]
-
-    emit_fd(goal)
+    # Each frame: a node, what ``_trace_node`` says of it, and the step
+    # indices of the antecedents emitted so far.
+    root = ("fd", goal)
+    stack = [(root, _trace_node(engine, premise_cds, root), [])]
+    while stack:
+        node, (needed, fd, rule, detail), ants = stack[-1]
+        if len(ants) < len(needed):
+            child = needed[len(ants)]
+            if child in index:
+                ants.append(index[child])
+            else:
+                stack.append((child, _trace_node(engine, premise_cds, child), []))
+            continue
+        stack.pop()
+        # A chain instance may need one dependency twice (a certificate on
+        # the chain, say); a cycle's antecedents are distinct anyway.
+        steps.append(TraceStep(fd, rule, tuple(dict.fromkeys(ants)), detail))
+        index[node] = len(steps) - 1
+        if stack:
+            stack[-1][2].append(index[node])
     return DerivationTrace(tuple(steps))
 
 
 def _derives_unary(
     sigma: Sequence[FD], phi: FD, rules: RuleSet
 ) -> Tuple[bool, Optional[DerivationTrace]]:
-    if phi.rhs <= phi.lhs:
-        _split_premises(sigma)  # premises outside the fragment are refused all the same
-        return True, DerivationTrace((TraceStep(phi, "reflexivity"),))
-    engine = _ClosureEngine(sigma, rules, [phi.variables])
-    if not phi.is_unary:
+    if phi.rhs <= phi.lhs or not phi.is_unary:
+        # Decided without the closure; premises outside the fragment are
+        # still refused first.
+        _split_premises(sigma)
+        if phi.rhs <= phi.lhs:
+            return True, DerivationTrace((TraceStep(phi, "reflexivity"),))
         raise UnsupportedDependencyError(
             f"goal {phi.display()} is neither unary nor a CD; use CLASSICAL or NRA"
         )
+    engine = _ClosureEngine(sigma, rules, [phi.variables])
     (x,) = phi.lhs
     (y,) = phi.rhs
     if (x, y) not in engine.edges:

@@ -8,6 +8,7 @@ from bisect import insort
 import pytest
 
 from ctxfam.family import ContextSet, ContextualFamily
+from ctxfam import fdlogic
 from ctxfam.fdlogic import (
     FD,
     DerivationTrace,
@@ -16,12 +17,10 @@ from ctxfam.fdlogic import (
     TraceStep,
     UnsupportedDependencyError,
     _ClosureEngine,
-    _chain_states,
     _context_atoms,
     _context_candidates,
     _rows_satisfy,
     _split_premises,
-    _third_elements,
     build_counterexample,
     chain_rule_derives,
     classical_closure,
@@ -267,6 +266,47 @@ class TestDerives:
                     replayed += 1
         assert replayed > 20
 
+    @pytest.mark.parametrize("rules", [RuleSet.CR, RuleSet.FULL])
+    def test_traces_leave_no_cyclic_garbage(self, rules):
+        cases = [
+            ([u("x", "y"), u("y", "x")], u("y", "x")),
+            ([u("x", "y"), u("y", "z"), u("z", "x")], u("x", "z")),
+        ]
+        if rules is RuleSet.FULL:
+            cases.append(([u("x", "y"), u("y", "z"), cd(["x", "y", "z"])], u("x", "z")))
+        gc.collect()
+        gc.disable()
+        try:
+            for sigma, goal in cases:
+                ok, trace = derives(sigma, goal, rules)
+                assert ok
+                del trace
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_non_unary_goal_is_refused_before_the_closure(self, monkeypatch):
+        built = []
+
+        class CountingEngine(_ClosureEngine):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(fdlogic, "_ClosureEngine", CountingEngine)
+        sigma = [u(f"v{i}", f"v{i + 1}") for i in range(49)] + [cd(["v0", "v1", "v2"])]
+        goal = FD(frozenset({"v0", "v1"}), frozenset({"v2"}))
+        for rules in (RuleSet.CR, RuleSet.FULL):
+            with pytest.raises(UnsupportedDependencyError, match="goal v0 v1 -> v2"):
+                derives(sigma, goal, rules)
+        assert built == []
+        # A premise outside the fragment is still reported ahead of the goal.
+        wide = FD(frozenset({"v0", "v1"}), frozenset({"v3"}))
+        with pytest.raises(UnsupportedDependencyError, match="v0 v1 -> v3 is neither"):
+            derives(sigma + [wide], goal, RuleSet.FULL)
+        assert derives(sigma, u("v0", "v1"), RuleSet.FULL)[0]
+        assert len(built) == 1
+
 
 class TestCounterexamples:
     def test_broken_transitivity(self):
@@ -375,14 +415,85 @@ class TestAgreementProperties:
 # The engine, its traces, the single-rule checks and the counterexample
 # construction as they were before each search and rule instance got one
 # implementation, kept as references: each had its own breadth-first
-# search, chain-instance reader or chain-requirement list.
+# search, chain-instance reader or chain-requirement list.  The chain-rule
+# search is the one that ran on variable names and frozenset atoms before
+# the library's moved to interned variables and bitmasks.
+
+
+def reference_third_elements(atoms):
+    """For each pair {u, v} (or singleton {u}), the sorted ws such that
+    the collapsed set {u, v, w} is an available atom."""
+    table = {}
+    for atom in atoms:
+        vs = sorted(atom)
+        if len(vs) == 1:
+            (a,) = vs
+            table.setdefault(frozenset({a}), set()).add(a)
+        elif len(vs) == 2:
+            a, b = vs
+            table.setdefault(frozenset({a, b}), set()).update((a, b))
+            table.setdefault(frozenset({a}), set()).add(b)
+            table.setdefault(frozenset({b}), set()).add(a)
+        else:
+            a, b, c = vs
+            table.setdefault(frozenset({a, b}), set()).add(c)
+            table.setdefault(frozenset({a, c}), set()).add(b)
+            table.setdefault(frozenset({b, c}), set()).add(a)
+    return {k: tuple(sorted(v)) for k, v in table.items()}
+
+
+def reference_chain_states(variables, edges, in_adj, atoms, thirds, target):
+    witnesses = tuple(
+        c
+        for c in variables
+        if (c, target) in edges and frozenset({c, target}) in atoms
+    )
+    witness_set = set(witnesses)
+    succ = {}
+    frontier = []
+    for a in in_adj.get(target, []):
+        for c in thirds.get(frozenset({a, target}), ()):
+            if c in witness_set and (a, c) not in succ:
+                succ[(a, c)] = None
+                frontier.append((a, c))
+    frontier.sort()
+    while frontier:
+        fresh = []
+        for b, c2 in frontier:
+            limit = thirds.get(frozenset({c2, target}), ())
+            for c1 in thirds.get(frozenset({b, c2}), ()):
+                if c1 not in witness_set or c1 not in limit:
+                    continue
+                for a in thirds.get(frozenset({c1, b}), ()):
+                    if (a, b) in edges and (a, c1) not in succ:
+                        succ[(a, c1)] = (b, c2)
+                        fresh.append((a, c1))
+        fresh.sort()
+        frontier = fresh
+    return succ, witnesses
+
+
+def reference_chain_instance(x, y, succ, witnesses, atoms):
+    for c1 in witnesses:
+        if (x, c1) not in succ or frozenset({x, c1, y}) not in atoms:
+            continue
+        xs = [x]
+        cs = [c1]
+        state = succ[(x, c1)]
+        while state is not None:
+            xs.append(state[0])
+            cs.append(state[1])
+            state = succ[state]
+        xs.append(y)
+        return tuple(xs), tuple(cs)
+    return None
 
 
 class ReferenceEngine:
     def __init__(self, variables, premise_edges, context_sets, use_chain):
         self.variables = tuple(sorted(set(variables)))
         self.atoms = _context_atoms(context_sets)
-        self.thirds = _third_elements(self.atoms)
+        self.thirds = reference_third_elements(self.atoms)
         self.use_chain = use_chain
         self.edges = {}
         self.out_adj = {v: [] for v in self.variables}
@@ -447,7 +558,7 @@ class ReferenceEngine:
             if self.use_chain:
                 edge_set = set(self.edges)
                 for y in self.variables:
-                    succ, witnesses = _chain_states(
+                    succ, witnesses = reference_chain_states(
                         self.variables, edge_set, self.in_adj, self.atoms, self.thirds, y
                     )
                     if not succ:
@@ -455,30 +566,13 @@ class ReferenceEngine:
                     for x in self.variables:
                         if x == y or (x, y) in self.edges or (x, y) in additions:
                             continue
-                        for c1 in witnesses:
-                            if (x, c1) not in succ:
-                                continue
-                            if frozenset({x, c1, y}) not in self.atoms:
-                                continue
-                            xs, cs = self._instantiation(x, c1, succ, y)
-                            additions[(x, y)] = ("chain", tuple(xs), tuple(cs))
-                            break
+                        instance = reference_chain_instance(x, y, succ, witnesses, self.atoms)
+                        if instance is not None:
+                            additions[(x, y)] = ("chain",) + instance
             if not additions:
                 return
             for edge in sorted(additions):
                 self._add(edge, additions[edge])
-
-    @staticmethod
-    def _instantiation(x, c1, succ, target):
-        xs = [x]
-        cs = [c1]
-        state = (x, c1)
-        while succ[state] is not None:
-            state = succ[state]
-            xs.append(state[0])
-            cs.append(state[1])
-        xs.append(target)
-        return xs, cs
 
 
 def reference_engine(sigma, rules, extra_context_sets):
@@ -578,13 +672,13 @@ def reference_chain_rule_derives(sigma, x, y):
     if x not in variables or y not in variables:
         return False
     atoms = _context_atoms(contexts)
-    thirds = _third_elements(atoms)
+    thirds = reference_third_elements(atoms)
     edge_set = set(edges)
     in_adj = {v: [] for v in variables}
     for a, b in sorted(edge_set):
         in_adj[b].append(a)
-    succ, witnesses = _chain_states(variables, edge_set, in_adj, atoms, thirds, y)
-    return any((x, c1) in succ and frozenset({x, c1, y}) in atoms for c1 in witnesses)
+    succ, witnesses = reference_chain_states(variables, edge_set, in_adj, atoms, thirds, y)
+    return reference_chain_instance(x, y, succ, witnesses, atoms) is not None
 
 
 def reference_counterexample(sigma, phi, kind):
@@ -713,6 +807,29 @@ def large_corpus(seed):
         yield sigma, [(loop[0], loop[-1]), (rng.choice(vs[half:]), rng.choice(vs[:half]))]
 
 
+def edge_corpus(seed, count):
+    """Premise sets at the edges of the chain search's atoms: self-loops
+    (one-variable CDs, ``cd x`` being ``x -> x``), CDs over four to six
+    variables, and queries naming variables outside the premises, one of
+    which sorts before every premise variable."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nv = rng.randint(3, 8)
+        vs = [f"v{i}" for i in range(nv)]
+        sigma = set()
+        for _ in range(rng.randint(1, 3 * nv)):
+            sigma.add(u(*rng.sample(vs, 2)))
+        for _ in range(rng.randint(1, 3)):
+            sigma.add(cd([rng.choice(vs)]))
+        for _ in range(rng.randint(0, nv)):
+            sigma.add(cd(rng.sample(vs, rng.randint(2, min(nv, 6)))))
+        sigma = sorted(sigma, key=lambda f: f.sort_key)
+        names = vs + ["a", "zz"]
+        yield sigma, [tuple(rng.sample(vs, 2)) for _ in range(3)] + [
+            tuple(rng.sample(names, 2)) for _ in range(3)
+        ]
+
+
 class TestAgainstReference:
     def check(self, sigma, queries, counterexamples=True):
         for rules in (RuleSet.CR, RuleSet.FULL):
@@ -724,7 +841,11 @@ class TestAgainstReference:
                 u(a, b) for a, b in old.edges
             )
             for x, y in queries:
-                assert derives(sigma, u(x, y), rules) == reference_derives(sigma, u(x, y), rules)
+                ours = derives(sigma, u(x, y), rules)
+                theirs = reference_derives(sigma, u(x, y), rules)
+                assert ours == theirs
+                if ours[1] is not None:
+                    assert format_trace(ours[1]) == format_trace(theirs[1])
         for x, y in queries:
             assert cycle_rule_derives(sigma, x, y) == reference_cycle_rule_derives(sigma, x, y)
             assert chain_rule_derives(sigma, x, y) == reference_chain_rule_derives(sigma, x, y)
@@ -752,6 +873,27 @@ class TestAgainstReference:
     def test_large_derivations(self):
         for sigma, queries in large_corpus(9):
             self.check(sigma, queries, counterexamples=False)
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_large_derivations_at_more_seeds(self, seed):
+        for sigma, queries in large_corpus(seed):
+            self.check(sigma, queries, counterexamples=False)
+
+    def test_edge_case_atoms(self):
+        chains = outside = 0
+        for sigma, queries in edge_corpus(13, 120):
+            self.check(sigma, queries)
+            engine = _ClosureEngine(sigma, RuleSet.FULL, [])
+            chains += sum(len(j[1]) > 2 for j in engine.edges.values() if j[0] == "chain")
+            premise_vars = {v for fd in sigma for v in fd.variables}
+            outside += sum(not {x, y} <= premise_vars for x, y in queries)
+        assert chains > 50 and outside > 50
+
+    def test_chain_rule_with_absent_variables(self):
+        sigma = [u("x", "y"), u("y", "z"), cd(["x", "y", "z"])]
+        assert chain_rule_derives(sigma, "x", "z")
+        for x, y in [("x", "w"), ("w", "z"), ("w", "w"), ("a", "z")]:
+            assert chain_rule_derives(sigma, x, y) is False
 
     def test_context_candidates(self):
         for sigma, queries in small_corpus(11, 60):
