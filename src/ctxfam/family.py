@@ -280,170 +280,132 @@ def check_local_consistency(relations: Iterable[KRelation]) -> ContextualFamily:
     return ContextualFamily(relations)
 
 
-def _support_join(family: ContextualFamily) -> List[Assignment]:
+def _support_join(family: ContextualFamily) -> Tuple[List[Assignment], List[List[int]]]:
     """All assignments over the union of variables whose restriction to
-    every maximal context lies in that context's support.  Distinct pairs
-    of a partial row and a context row merge into distinct rows, so no
-    row repeats."""
-    rows: List[Dict[str, object]] = [dict()]
-    for c in family.contexts:
-        supp = sorted(family.relation_at(c).support, key=lambda a: a.sort_key)
-        extended: List[Dict[str, object]] = []
-        for partial in rows:
-            for s in supp:
+    every maximal context lies in that context's support, in ``sort_key``
+    order, with the cell table of those rows.
+
+    A cell is one context row; cells are numbered context by context, in
+    stored row order.  ``cells[i]`` lists, one per context, the cells the
+    i-th row restricts to.  Extending a partial row by a context row fixes
+    that restriction, so no row is restricted afterwards.  Distinct pairs
+    of a partial row and a context row merge into distinct rows, so no row
+    repeats."""
+    rows: List[Tuple[Dict[str, object], List[int]]] = [({}, [])]
+    first = 0
+    for rel in family.maximal_relations():
+        supp = [row.items() for row, _ in rel.rows()]
+        extended: List[Tuple[Dict[str, object], List[int]]] = []
+        for partial, cells in rows:
+            for n, s in enumerate(supp):
                 merged = dict(partial)
                 ok = True
-                for var, val in s.items():
+                for var, val in s:
                     if var in merged and merged[var] != val:
                         ok = False
                         break
                     merged[var] = val
                 if ok:
-                    extended.append(merged)
+                    extended.append((merged, cells + [first + n]))
         rows = extended
-    return sorted((Assignment(m) for m in rows), key=lambda a: a.sort_key)
+        first += len(supp)
+    joined = sorted(((Assignment(m), cells) for m, cells in rows), key=lambda p: p[0].sort_key)
+    return [t for t, _ in joined], [cells for _, cells in joined]
 
 
-def _projects_onto(candidate: KRelation, family: ContextualFamily) -> bool:
-    return all(
-        candidate.marginalise(c) == family.relation_at(c) for c in family.contexts
-    )
-
-
-def _global_boolean(family: ContextualFamily) -> Optional[KRelation]:
-    join = _support_join(family)
-    if not join and any(len(r) for r in family.maximal_relations()):
-        return None
-    candidate = KRelation.boolean(family.contexts.variables, join)
-    return candidate if _projects_onto(candidate, family) else None
-
-
-def _marginal_constraints(
-    family: ContextualFamily, join: List[Assignment]
-) -> Optional[List[Tuple[Dict[Assignment, Fraction], Fraction]]]:
-    """Equalities stating that the join-row weights reproduce every
-    context relation.  None when some context row is not covered at all."""
-    constraints: List[Tuple[Dict[Assignment, Fraction], Fraction]] = []
-    for c in family.contexts:
-        rel = family.relation_at(c)
-        covered: Dict[Assignment, List[Assignment]] = {row: [] for row, _ in rel.rows()}
-        for t in join:
-            covered[t.restrict(c)].append(t)
-        for row, value in rel.rows():
-            terms = covered[row]
-            if not terms:
-                return None
-            coeffs = {t: Fraction(1) for t in terms}
-            constraints.append((coeffs, Fraction(value.payload)))
-    return constraints
-
-
-def _global_weighted(family: ContextualFamily) -> Optional[KRelation]:
-    join = _support_join(family)
-    if not join:
-        if any(len(r) for r in family.maximal_relations()):
-            return None
-        return KRelation(family.contexts.variables, family.kind, {})
-    constraints = _marginal_constraints(family, join)
-    if constraints is None:
-        return None
-    lower = {t: Fraction(0) for t in join}
-    solution = find_rational_solution(constraints, lower, join)
-    if solution is None:
-        return None
-    if family.kind is MonoidKind.N:
-        integral = _integer_weights(family, join)
-        if integral is None:
-            return None
-        rows = {
-            t: MonoidValue.of(MonoidKind.N, w) for t, w in integral.items() if w
-        }
-        return KRelation(family.contexts.variables, MonoidKind.N, rows)
-    rows = {
-        t: MonoidValue.of(MonoidKind.Q, w) for t, w in solution.items() if w
-    }
-    return KRelation(family.contexts.variables, MonoidKind.Q, rows)
-
-
-def _integer_weights(
-    family: ContextualFamily, join: List[Assignment]
-) -> Optional[Dict[Assignment, int]]:
-    """Complete search for natural join-row weights meeting every marginal.
+def _integer_weights(demands: List[int], cells: List[List[int]]) -> Optional[List[int]]:
+    """Complete search for natural weights of the rows of a cell table,
+    one per row, whose sums over every cell meet that cell's demand.
 
     A rational solution does not guarantee an integral one, so after the
-    rational feasibility check this walks the (small) space directly.
-    Each weight is bounded by the least marginal mass its row contributes
-    to, which keeps the search finite and the method complete.
+    rational feasibility check this walks the (small) space directly,
+    depth first on an explicit stack: rows in table order, each weight
+    from the largest down, first solution wins.  Each weight is bounded
+    by the least demand its row still leaves open, which keeps the search
+    finite and the method complete.  A node is dropped when some cell
+    needs more than the rows after it can carry, each row at most the
+    least demand among its cells.
     """
-    demands: Dict[Tuple[FrozenSet[str], Assignment], int] = {}
-    for c in family.contexts:
-        for row, value in family.relation_at(c).rows():
-            demands[(c, row)] = int(value.payload)
-    touched: Dict[Assignment, List[Tuple[FrozenSet[str], Assignment]]] = {}
-    for t in join:
-        touched[t] = [(c, t.restrict(c)) for c in family.contexts]
-    # Remaining capacity per demand cell: how much the still-unassigned
-    # rows could contribute.  Used to prune unmeetable demands early.
-    capacity: Dict[Tuple[FrozenSet[str], Assignment], int] = {k: 0 for k in demands}
-
-    def bound(t: Assignment, remaining: Dict[Tuple[FrozenSet[str], Assignment], int]) -> int:
-        return min(remaining[cell] for cell in touched[t])
-
-    order = sorted(join, key=lambda a: a.sort_key)
-    for t in order:
-        b = min(demands[cell] for cell in touched[t])
-        for cell in touched[t]:
-            capacity[cell] += b
-
-    def search(
-        idx: int,
-        remaining: Dict[Tuple[FrozenSet[str], Assignment], int],
-        caps: Dict[Tuple[FrozenSet[str], Assignment], int],
-        picked: Dict[Assignment, int],
-    ) -> Optional[Dict[Assignment, int]]:
-        if idx == len(order):
-            if all(v == 0 for v in remaining.values()):
-                return dict(picked)
-            return None
-        t = order[idx]
-        own_cap = min(demands[cell] for cell in touched[t])
-        for cell in touched[t]:
-            caps[cell] -= own_cap
-        top = bound(t, remaining)
-        for w in range(top, -1, -1):
-            ok = True
-            for cell in touched[t]:
-                remaining[cell] -= w
-                if remaining[cell] > caps[cell]:
-                    ok = False
-            if ok:
-                picked[t] = w
-                found = search(idx + 1, remaining, caps, picked)
-                if found is not None:
-                    return found
-                del picked[t]
-            for cell in touched[t]:
-                remaining[cell] += w
-        for cell in touched[t]:
-            caps[cell] += own_cap
-        return None
-
-    return search(0, dict(demands), capacity, {})
+    own = [min(demands[k] for k in row) for row in cells]
+    caps = [0] * len(demands)
+    for row, b in zip(cells, own):
+        for k in row:
+            caps[k] += b
+    remaining = list(demands)
+    weights: List[int] = []
+    opening = True
+    while True:
+        i = len(weights)
+        if opening:
+            opening = False
+            if i == len(cells):
+                if not any(remaining):
+                    return weights
+                w = -1
+            else:
+                for k in cells[i]:
+                    caps[k] -= own[i]
+                w = min(remaining[k] for k in cells[i])
+        if w < 0:
+            if i < len(cells):
+                for k in cells[i]:
+                    caps[k] += own[i]
+            if not weights:
+                return None
+            w = weights.pop()
+            for k in cells[i - 1]:
+                remaining[k] += w
+            w -= 1
+            continue
+        for k in cells[i]:
+            remaining[k] -= w
+        if all(remaining[k] <= caps[k] for k in cells[i]):
+            weights.append(w)
+            opening = True
+        else:
+            for k in cells[i]:
+                remaining[k] += w
+            w -= 1
 
 
 def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
     """A single relation over all variables marginalising to every context
     relation, or None when no such relation exists.
 
-    For B this is decided by the natural join of the supports.  For Q and
-    N the unknowns are the weights of the join rows, at least 0 each, and
-    the equations say that they marginalise to every context relation.
-    For Q the witness is the exact simplex solution of
+    The support join gives the candidate rows and the cell table: the
+    context row (cell) each candidate restricts to in every context.  No
+    relation exists when some cell has no candidate over it.  Otherwise,
+    for B, the join itself is the witness.  For Q and N the unknowns are
+    the weights of the join rows, at least 0 each, with one equation per
+    cell, in cell order: the weights over the cell sum to its value.  For
+    Q the witness is the exact simplex solution of
     :func:`~ctxfam.feasibility.find_rational_solution`: the
     lexicographically least weights, in join-row order, among those the
     Gaussian elimination leaves free.  For N a rational solution must
-    exist first, and then a complete bounded search finds integer weights.
+    exist first, and then a complete bounded search over the cell table
+    finds integer weights.
     """
+    join, cells = _support_join(family)
+    demands = [value.payload for rel in family.maximal_relations() for _, value in rel.rows()]
+    over: List[List[int]] = [[] for _ in demands]
+    for i, row in enumerate(cells):
+        for k in row:
+            over[k].append(i)
+    if not all(over):
+        return None
+    variables = family.contexts.variables
     if family.kind is MonoidKind.B:
-        return _global_boolean(family)
-    return _global_weighted(family)
+        return KRelation.boolean(variables, join)
+    equalities = [({i: Fraction(1) for i in ts}, Fraction(d)) for ts, d in zip(over, demands)]
+    unknowns = range(len(join))
+    solution = find_rational_solution(equalities, {i: Fraction(0) for i in unknowns}, unknowns)
+    if solution is None:
+        return None
+    if family.kind is MonoidKind.N:
+        weights = _integer_weights(demands, cells)
+        if weights is None:
+            return None
+    else:
+        weights = [solution[i] for i in unknowns]
+    rows = {t: MonoidValue.of(family.kind, w) for t, w in zip(join, weights) if w}
+    return KRelation(variables, family.kind, rows)

@@ -282,27 +282,6 @@ def _chain_requirements(
     return edges, sets
 
 
-def reflexivity_expand(sigma: Iterable[FD]) -> FrozenSet[FD]:
-    """All reflexivity instances the premises make available.
-
-    For each premise variable set: CDs on its subsets of up to three
-    variables, and every dependency whose right side is contained in its
-    left side (projections such as ``xy -> x``).  Meant for the bounded
-    fragment where premise variable sets are small.
-    """
-    premises = list(sigma)
-    out: Set[FD] = set(premises)
-    out.update(FD(atom, atom) for atom in _context_atoms(fd.variables for fd in premises))
-    for fd in premises:
-        vs = sorted(fd.variables)
-        for lsize in range(1, len(vs) + 1):
-            for lhs in itertools.combinations(vs, lsize):
-                for rsize in range(1, lsize + 1):
-                    for rhs in itertools.combinations(lhs, rsize):
-                        out.add(FD(frozenset(lhs), frozenset(rhs)))
-    return frozenset(out)
-
-
 def classical_closure(sigma: Iterable[FD], attributes: Iterable[str]) -> FrozenSet[str]:
     """Attribute closure under all premises, context-blind."""
     closure = set(str(a) for a in attributes)
@@ -321,23 +300,12 @@ def classical_closure(sigma: Iterable[FD], attributes: Iterable[str]) -> FrozenS
 # The unary closure engine (CR and FULL)
 
 
-def _context_atoms(context_sets: Iterable[FrozenSet[str]]) -> FrozenSet[FrozenSet[str]]:
-    """Every variable set of size one to three inside some stated set.
-    Chain-rule side conditions only ever ask about such sets."""
-    atoms: Set[FrozenSet[str]] = set()
-    for c in context_sets:
-        vs = sorted(c)
-        for size in (1, 2, 3):
-            if size <= len(vs):
-                for combo in itertools.combinations(vs, size):
-                    atoms.add(frozenset(combo))
-    return frozenset(atoms)
-
-
 def _atom_table(index: Dict[str, int], context_sets: Iterable[FrozenSet[str]]) -> List[List[int]]:
-    """The context atoms as bitmasks over interned variables: bit k of
+    """The context atoms, the variable sets of size one to three inside
+    some stated set, as bitmasks over interned variables: bit k of
     ``table[i][j]`` is set when the collapsed set {v_i, v_j, v_k} lies
-    inside some stated set, that is, is one of ``_context_atoms``."""
+    inside some stated set.  Chain-rule side conditions only ever ask
+    about such sets."""
     n = len(index)
     table = [[0] * n for _ in range(n)]
     for c in set(context_sets):

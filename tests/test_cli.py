@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, verdict lines, and file outputs."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -308,12 +310,17 @@ class TestCounterexample:
         assert len(family.contexts) == 3
 
 
+# ``python -m`` runs the checkout's sources, installed or not.
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+
 class TestEntrypoint:
     def test_module_invocation_round_trip(self, tmp_path):
         path = tmp_path / "teaching.fam"
         path.write_text(TEACHING)
         proc = subprocess.run(
             [sys.executable, "-m", "ctxfam.cli", "check", str(path)],
+            env=SRC_ENV,
             capture_output=True,
             text=True,
         )
@@ -331,7 +338,7 @@ class TestEntrypoint:
 
     def test_no_arguments_shows_usage(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "ctxfam.cli"], capture_output=True, text=True
+            [sys.executable, "-m", "ctxfam.cli"], env=SRC_ENV, capture_output=True, text=True
         )
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()

@@ -17,7 +17,6 @@ from ctxfam.fdlogic import (
     TraceStep,
     UnsupportedDependencyError,
     _ClosureEngine,
-    _context_atoms,
     _context_candidates,
     _rows_satisfy,
     _split_premises,
@@ -29,7 +28,6 @@ from ctxfam.fdlogic import (
     derives,
     format_trace,
     random_family_satisfying,
-    reflexivity_expand,
     semantic_entails_oracle,
     verify_trace,
 )
@@ -132,25 +130,6 @@ class TestChainRule:
             sigma = sorted(sigma, key=lambda f: f.sort_key)
             x, y = rng.sample(vs, 2)
             assert chain_rule_derives(sigma, x, y) == chain_brute_force(sigma, x, y)
-
-
-class TestReflexivityExpand:
-    def test_large_context_spawns_all_small_contexts(self):
-        expanded = reflexivity_expand([cd(["w", "x", "y", "z"])])
-        triples = {
-            "".join(sorted(f.lhs)) for f in expanded if f.is_cd and len(f.lhs) == 3
-        }
-        assert triples == {"wxy", "wxz", "wyz", "xyz"}
-
-    def test_empty_input(self):
-        assert reflexivity_expand([]) == frozenset()
-
-    def test_binary_context_spawns_projections(self):
-        expanded = reflexivity_expand([cd(["x", "y"])])
-        assert u("x", "x") in expanded
-        assert u("y", "y") in expanded
-        assert FD(frozenset({"x", "y"}), frozenset({"x"})) in expanded
-        assert FD(frozenset({"x", "y"}), frozenset({"y"})) in expanded
 
 
 class TestDerivationClosure:
@@ -418,6 +397,19 @@ class TestAgreementProperties:
 # search, chain-instance reader or chain-requirement list.  The chain-rule
 # search is the one that ran on variable names and frozenset atoms before
 # the library's moved to interned variables and bitmasks.
+
+
+def _context_atoms(context_sets):
+    """Every variable set of size one to three inside some stated set.
+    Chain-rule side conditions only ever ask about such sets."""
+    atoms = set()
+    for c in context_sets:
+        vs = sorted(c)
+        for size in (1, 2, 3):
+            if size <= len(vs):
+                for combo in itertools.combinations(vs, size):
+                    atoms.add(frozenset(combo))
+    return frozenset(atoms)
 
 
 def reference_third_elements(atoms):
@@ -904,22 +896,6 @@ class TestAgainstReference:
                 for phi in [None] + [u(x, y) for x, y in queries]:
                     args = (context, sigma, phi, ["0", "1"], 4)
                     assert _context_candidates(*args) == reference_context_candidates(*args)
-
-    def test_reflexivity_expansion(self):
-        for sigma, _ in small_corpus(12, 60):
-            old = set()
-            for fd in sigma:
-                old.add(fd)
-                vs = sorted(fd.variables)
-                for size in (1, 2, 3):
-                    for combo in itertools.combinations(vs, size):
-                        old.add(cd(combo))
-                for lsize in range(1, len(vs) + 1):
-                    for lhs in itertools.combinations(vs, lsize):
-                        for rsize in range(1, lsize + 1):
-                            for rhs in itertools.combinations(lhs, rsize):
-                                old.add(FD(frozenset(lhs), frozenset(rhs)))
-            assert reflexivity_expand(sigma) == frozenset(old)
 
 
 class TestSamplerEdges:
