@@ -12,6 +12,7 @@ format, so it can be fed back to ``check``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional
 
@@ -273,7 +274,10 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     return 1
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and each call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="ctxfam",
         description=(

@@ -27,7 +27,7 @@ Parsing reports errors with line numbers; serialisation is canonical
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from .family import ContextualFamily
 from .fdlogic import FD
@@ -68,9 +68,13 @@ def parse_relations(text: str) -> List[KRelation]:
     except ValueError:
         raise FormatError(number, f"unknown monoid {parts[1]!r}") from None
 
+    # Each context's rows are kept as value tuples in sorted variable order
+    # (``order`` picks them from a line), which is the order of an
+    # Assignment's pairs; the duplicate test runs on those tuples.
     blocks: List[Tuple[int, Tuple[str, ...]]] = []
-    rows: List[List[Tuple[int, Assignment, MonoidValue]]] = []
-    seen: Set[Assignment] = set()  # rows of the current block
+    rows: List[Dict[Tuple[str, ...], MonoidValue]] = []
+    one = MonoidValue.one(kind)
+    weights: Dict[str, MonoidValue] = {}  # parsed annotations by token
     for number, line in lines[1:]:
         tokens = line.split()
         if tokens[0] == "monoid":
@@ -84,46 +88,53 @@ def parse_relations(text: str) -> List[KRelation]:
             if any(frozenset(variables) == frozenset(b) for _, b in blocks):
                 raise FormatError(number, "duplicate context")
             blocks.append((number, variables))
-            rows.append([])
-            seen = set()
+            order = sorted(range(len(variables)), key=variables.__getitem__)
+            block = {}
+            rows.append(block)
             continue
         if not blocks:
             raise FormatError(number, "row appears before any context line")
-        variables = blocks[-1][1]
         if ":" in tokens:
             cut = tokens.index(":")
             values, weight_tokens = tokens[:cut], tokens[cut + 1 :]
             if len(weight_tokens) != 1:
                 raise FormatError(number, "expected a single annotation after ':'")
-            try:
-                weight = parse_value(kind, weight_tokens[0])
-            except ValueError as exc:
-                raise FormatError(number, str(exc)) from None
+            weight = weights.get(weight_tokens[0])
+            if weight is None:
+                try:
+                    weight = parse_value(kind, weight_tokens[0])
+                except ValueError as exc:
+                    raise FormatError(number, str(exc)) from None
+                weights[weight_tokens[0]] = weight
         else:
             values = tokens
-            weight = MonoidValue.one(kind)
-        if len(values) != len(variables):
+            weight = one
+        if len(values) != len(order):
             raise FormatError(
                 number,
-                f"row has {len(values)} values for context of arity {len(variables)}",
+                f"row has {len(values)} values for context of arity {len(order)}",
             )
         if weight.is_zero:
             raise FormatError(number, "zero annotation: omit the row instead")
-        assignment = Assignment(zip(variables, values))
-        if assignment in seen:
-            raise FormatError(number, f"duplicate row {assignment}")
-        seen.add(assignment)
-        rows[-1].append((number, assignment, weight))
+        key = tuple([values[i] for i in order])
+        if key in block:
+            names = sorted(blocks[-1][1])
+            raise FormatError(number, f"duplicate row {Assignment._sorted(tuple(zip(names, key)))}")
+        block[key] = weight
 
     if not blocks:
         raise FormatError(lines[-1][0], "document declares no context")
     relations = []
-    for (number, variables), block_rows in zip(blocks, rows):
+    for (_, variables), block_rows in zip(blocks, rows):
+        names = sorted(variables)
         relations.append(
             KRelation(
                 variables,
                 kind,
-                {assignment: weight for _, assignment, weight in block_rows},
+                {
+                    Assignment._sorted(tuple(zip(names, key))): weight
+                    for key, weight in block_rows.items()
+                },
             )
         )
     return relations

@@ -27,7 +27,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from .family import ContextSet, ContextualFamily
 from .feasibility import find_rational_solution
 from .monoid import MonoidKind, MonoidValue
-from .relation import Assignment, KRelation, scalar_fill
+from .relation import Assignment, KRelation, Pairs, _projection, scalar_fill, values_key
 
 
 class NotChordlessCycleError(ValueError):
@@ -248,14 +248,22 @@ def build_opg(
         ordering = classify_chordless_cycle(family.contexts)
     n = len(ordering)
     edges: List[OpgEdge] = []
+    vertices: Dict[Tuple[int, Pairs], OpgVertex] = {}
+
+    def vertex(layer: int, pairs: Pairs) -> OpgVertex:
+        v = vertices.get((layer, pairs))
+        if v is None:
+            v = vertices[layer, pairs] = OpgVertex(layer, Assignment._sorted(pairs))
+        return v
+
     for i in range(n):
         context = ordering.contexts[i]
-        before = ordering.boundary(i - 1)
-        after = ordering.boundary(i)
-        rel = family.relation_at(context)
-        for row, _ in rel.rows():
-            source = OpgVertex((i - 1) % n, row.restrict(before))
-            target = OpgVertex(i, row.restrict(after))
+        before = _projection(context, ordering.boundary(i - 1))
+        after = _projection(context, ordering.boundary(i))
+        for row, _ in family.relation_at(context).rows():
+            pairs = row.items()
+            source = vertex((i - 1) % n, before(pairs))
+            target = vertex(i, after(pairs))
             edges.append(OpgEdge(source, target, row, i))
     return OverlapProjectionGraph(ordering, edges)
 
@@ -491,13 +499,15 @@ def realisable_lp(
     for i, ci in enumerate(contexts):
         for cj in contexts[i + 1 :]:
             shared = ci & cj
-            groups: Dict[Assignment, Dict[Assignment, Fraction]] = {}
+            groups: Dict[Pairs, Dict[Assignment, Fraction]] = {}
+            project = _projection(ci, shared)
             for row in by_context[ci]:
-                groups.setdefault(row.restrict(shared), {})[row] = Fraction(1)
+                groups.setdefault(project(row.items()), {})[row] = Fraction(1)
+            project = _projection(cj, shared)
             for row in by_context[cj]:
-                cell = groups.setdefault(row.restrict(shared), {})
+                cell = groups.setdefault(project(row.items()), {})
                 cell[row] = cell.get(row, Fraction(0)) - Fraction(1)
-            for key in sorted(groups, key=lambda a: a.sort_key):
+            for key in sorted(groups, key=values_key):
                 equalities.append((groups[key], Fraction(0)))
     lower = {row: Fraction(1) for row in labels}
     solution = find_rational_solution(equalities, lower, labels)

@@ -13,7 +13,9 @@ string tokens throughout so that serialised output round-trips.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple, Union
+from collections.abc import Mapping
+from operator import add, itemgetter, or_
+from typing import TYPE_CHECKING, AbstractSet, Callable, Dict, FrozenSet, Iterable, Iterator, Tuple, Union
 
 from .monoid import MonoidKind, MonoidValue, msum
 
@@ -21,6 +23,7 @@ if TYPE_CHECKING:
     from .fdlogic import FD
 
 Value = Union[str, int]
+Pairs = Tuple[Tuple[str, Value], ...]
 
 
 class DomainError(ValueError):
@@ -30,6 +33,28 @@ class DomainError(ValueError):
 def value_key(value: Value) -> Tuple[str, str]:
     """Deterministic sort key for values of mixed token types."""
     return (str(value), type(value).__name__)
+
+
+def values_key(pairs: Pairs) -> Tuple[Tuple[str, str], ...]:
+    """The ``value_key`` of each value, in variable order.  Among rows over
+    the same variables this orders exactly as ``Assignment.sort_key``."""
+    return tuple([value_key(val) for _, val in pairs])
+
+
+def _projection(variables: AbstractSet[str], target: AbstractSet[str]) -> Callable[[Pairs], Pairs]:
+    """Restriction by positions: the function taking the pairs of a row
+    over ``variables`` to the pairs of its restriction to ``target``.
+
+    The positions are worked out once, and the result is again sorted by
+    variable, so :meth:`Assignment._sorted` takes it as it is.
+    """
+    positions = [i for i, var in enumerate(sorted(variables)) if var in target]
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (i,) = positions
+        return lambda pairs: (pairs[i],)
+    return lambda pairs: ()
 
 
 class Assignment:
@@ -49,8 +74,17 @@ class Assignment:
         seen = [var for var, _ in pairs]
         if len(set(seen)) != len(seen):
             raise ValueError(f"duplicate variable in assignment: {seen}")
-        object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "_hash", hash(pairs))
+        self._pairs = pairs
+        self._hash = hash(pairs)
+
+    @classmethod
+    def _sorted(cls, pairs: Pairs) -> "Assignment":
+        """A row from pairs already sorted by variable, with no variable
+        repeated; nothing is checked."""
+        row = object.__new__(cls)
+        row._pairs = pairs
+        row._hash = hash(pairs)
+        return row
 
     @property
     def variables(self) -> FrozenSet[str]:
@@ -75,7 +109,7 @@ class Assignment:
         missing = wanted - self.variables
         if missing:
             raise DomainError(f"assignment does not bind {sorted(missing)}")
-        return Assignment((v, val) for v, val in self._pairs if v in wanted)
+        return Assignment._sorted(tuple([pair for pair in self._pairs if pair[0] in wanted]))
 
     @property
     def sort_key(self) -> Tuple:
@@ -115,8 +149,9 @@ class KRelation:
         rows: Mapping[Assignment, MonoidValue],
     ):
         vars_ = frozenset(str(v) for v in variables)
+        names = tuple(sorted(vars_))
         for row, value in rows.items():
-            if row.variables != vars_:
+            if tuple([var for var, _ in row._pairs]) != names:
                 raise DomainError(
                     f"row {row} does not bind exactly {sorted(vars_)}"
                 )
@@ -126,10 +161,11 @@ class KRelation:
                 raise ValueError(f"zero annotation stored for row {row}")
         object.__setattr__(self, "variables", vars_)
         object.__setattr__(self, "kind", kind)
+        # Every row binds ``names``, so the value keys order as sort_key.
         object.__setattr__(
             self,
             "_rows",
-            dict(sorted(rows.items(), key=lambda kv: kv[0].sort_key)),
+            dict(sorted(rows.items(), key=lambda kv: values_key(kv[0]._pairs))),
         )
 
     @classmethod
@@ -169,12 +205,19 @@ class KRelation:
         extra = target - self.variables
         if extra:
             raise DomainError(f"cannot marginalise onto unknown variables {sorted(extra)}")
-        grouped: Dict[Assignment, MonoidValue] = {}
+        kind = self.kind
+        project = _projection(self.variables, target)
+        plus = or_ if kind is MonoidKind.B else add
+        sums: Dict[Pairs, object] = {}
         for row, value in self._rows.items():
-            short = row.restrict(target)
-            prior = grouped.get(short)
-            grouped[short] = value if prior is None else prior + value
-        return KRelation(target, self.kind, grouped)
+            short = project(row._pairs)
+            prior = sums.get(short)
+            sums[short] = value.payload if prior is None else plus(prior, value.payload)
+        return KRelation(
+            target,
+            kind,
+            {Assignment._sorted(short): MonoidValue(kind, total) for short, total in sums.items()},
+        )
 
     def satisfies(self, fd: "FD") -> bool:
         """Whether the support satisfies a functional dependency.
@@ -187,14 +230,13 @@ class KRelation:
         extra = needed - self.variables
         if extra:
             raise DomainError(f"dependency mentions unknown variables {sorted(extra)}")
-        seen: Dict[Assignment, Assignment] = {}
+        left = _projection(self.variables, fd.lhs)
+        right = _projection(self.variables, fd.rhs)
+        seen: Dict[Pairs, Pairs] = {}
         for row in self._rows:
-            left = row.restrict(fd.lhs)
-            right = row.restrict(fd.rhs)
-            prior = seen.get(left)
-            if prior is None:
-                seen[left] = right
-            elif prior != right:
+            pairs = row._pairs
+            image = right(pairs)
+            if seen.setdefault(left(pairs), image) != image:
                 return False
         return True
 

@@ -37,3 +37,29 @@ def test_install_wraps_and_uninstall_restores():
         now = vars(owner)
         assert now.keys() == saved.keys()
         assert all(now[name] is saved[name] for name in saved), owner
+
+
+def test_every_relation_built_passes_the_counted_constructor(tmp_path, capsys):
+    """``relation.krelations_built`` counts ``KRelation.__init__``: checking a
+    three-context family builds the three parsed relations and one
+    marginal per side of each of the three pairs, and nothing else."""
+    doc = tmp_path / "family.fam"
+    doc.write_text(
+        "monoid N\n"
+        "context x y\n0 0 : 1\n0 1 : 1\n1 1 : 2\n"
+        "context y z\n0 0 : 1\n1 0 : 2\n1 1 : 1\n"
+        "context x z\n0 0 : 2\n1 0 : 1\n1 1 : 1\n"
+    )
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["check", str(doc)]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == "locally consistent\n"
+    _total, _own, calls = tracer.times()
+    marginals = calls["relation.marginalise"]
+    assert marginals == 6
+    assert tracer.counts["relation.krelations_built"] == 3 + marginals
+    # Rows stored: three per parsed relation, two per marginal.
+    assert tracer.counts["relation.krelations_built.amount"] == 3 * 3 + 6 * 2

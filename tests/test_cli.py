@@ -336,6 +336,46 @@ class TestEntrypoint:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "locally consistent"
 
+    def test_repeated_calls_match_fresh_processes(self, capsys, monkeypatch, tmp_path):
+        """main reuses one parser; each call still prints what a fresh
+        process prints, usage errors and help included."""
+        monkeypatch.setenv("COLUMNS", "80")
+        family = tmp_path / "teaching.fam"
+        family.write_text(TEACHING)
+        fds = tmp_path / "chain.fds"
+        fds.write_text(CHAIN)
+        calls = [
+            ["check", str(family)],
+            ["global", str(family)],
+            ["derive", str(fds), "--query", "x -> z", "--rules", "full"],
+            ["realisable", str(family)],
+            ["opg", "--help"],
+            ["--help"],
+            ["check", str(tmp_path / "nope.fam")],
+        ]
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "ctxfam.cli", *argv],
+                env=dict(SRC_ENV, COLUMNS="80"),
+                capture_output=True,
+                text=True,
+            )
+            for argv in calls
+        ]
+        assert [proc.returncode for proc in fresh] == [0, 1, 0, 2, 0, 0, 2]
+        for _ in range(2):
+            for argv, proc in zip(calls, fresh):
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                assert (code, captured.out, captured.err) == (
+                    proc.returncode,
+                    proc.stdout,
+                    proc.stderr,
+                ), argv
+
     def test_no_arguments_shows_usage(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ctxfam.cli"], env=SRC_ENV, capture_output=True, text=True

@@ -1,11 +1,16 @@
 """Text format round-trips and positioned diagnostics."""
 
+from typing import List, Set, Tuple
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctxfam.family import ContextualFamily, LocalConsistencyError
 from ctxfam.fdlogic import FD
 from ctxfam.formats import (
     FormatError,
+    _significant_lines,
     parse_family,
     parse_fd,
     parse_fds,
@@ -16,8 +21,9 @@ from ctxfam.formats import (
     serialize_fds,
     serialize_relation,
 )
-from ctxfam.monoid import MonoidKind
+from ctxfam.monoid import MonoidKind, MonoidValue, parse_value
 from ctxfam.realisability import decompose_cycles, realise
+from ctxfam.relation import Assignment
 
 from conftest import CS_EXT_ROWS, ST_ROWS, TC_ROWS, brel, wrel
 
@@ -231,3 +237,128 @@ class TestDecompositionOutput:
         assert len(blocks) == len(parts)
         for index, (weight, _) in enumerate(parts, start=1):
             assert f"cycle {index} weight" in blocks[index - 1]
+
+
+def reference_parse(text: str):
+    """The parser before rows by position, kept as the reference: one
+    Assignment per row, rows listed in ``sort_key`` order.  Returns the
+    variables, kind and row list of each context."""
+    lines = _significant_lines(text)
+    if not lines:
+        raise FormatError(1, "empty document; expected a monoid line")
+    number, first = lines[0]
+    parts = first.split()
+    if parts[0] != "monoid" or len(parts) != 2:
+        raise FormatError(number, "expected 'monoid B|N|Q' on the first line")
+    try:
+        kind = MonoidKind(parts[1])
+    except ValueError:
+        raise FormatError(number, f"unknown monoid {parts[1]!r}") from None
+    blocks: List[Tuple[int, Tuple[str, ...]]] = []
+    rows: List[list] = []
+    seen: Set[Assignment] = set()
+    for number, line in lines[1:]:
+        tokens = line.split()
+        if tokens[0] == "monoid":
+            raise FormatError(number, "duplicate monoid line")
+        if tokens[0] == "context":
+            variables = tuple(tokens[1:])
+            if not variables:
+                raise FormatError(number, "context needs at least one variable")
+            if len(set(variables)) != len(variables):
+                raise FormatError(number, "context repeats a variable")
+            if any(frozenset(variables) == frozenset(b) for _, b in blocks):
+                raise FormatError(number, "duplicate context")
+            blocks.append((number, variables))
+            rows.append([])
+            seen = set()
+            continue
+        if not blocks:
+            raise FormatError(number, "row appears before any context line")
+        variables = blocks[-1][1]
+        if ":" in tokens:
+            cut = tokens.index(":")
+            values, weight_tokens = tokens[:cut], tokens[cut + 1 :]
+            if len(weight_tokens) != 1:
+                raise FormatError(number, "expected a single annotation after ':'")
+            try:
+                weight = parse_value(kind, weight_tokens[0])
+            except ValueError as exc:
+                raise FormatError(number, str(exc)) from None
+        else:
+            values = tokens
+            weight = MonoidValue.one(kind)
+        if len(values) != len(variables):
+            raise FormatError(
+                number,
+                f"row has {len(values)} values for context of arity {len(variables)}",
+            )
+        if weight.is_zero:
+            raise FormatError(number, "zero annotation: omit the row instead")
+        assignment = Assignment(zip(variables, values))
+        if assignment in seen:
+            raise FormatError(number, f"duplicate row {assignment}")
+        seen.add(assignment)
+        rows[-1].append((assignment, weight))
+    if not blocks:
+        raise FormatError(lines[-1][0], "document declares no context")
+    return [
+        (frozenset(variables), kind, sorted(block, key=lambda kv: kv[0].sort_key))
+        for (_, variables), block in zip(blocks, rows)
+    ]
+
+
+TOKENS = st.sampled_from(["0", "1", "10", "2", "9", "01", "a", "B", "b", "c"])
+GOOD_WEIGHTS = {"B": [None, "1"], "N": [None, "1", "2", "3"], "Q": [None, "1", "3/2", "2"]}
+BAD_WEIGHTS = ["0", "1/0", "2/3x", "1 2", ""]
+
+
+@st.composite
+def documents(draw):
+    """Family documents of every kind, mostly well formed; contexts may be
+    empty, declared out of sorted order, or repeated, and about one row in
+    twenty has the wrong arity or a bad annotation."""
+    kind = draw(st.sampled_from("BNQ"))
+    lines = ["monoid " + kind]
+    for _ in range(draw(st.integers(1, 3))):
+        variables = draw(
+            st.lists(st.sampled_from(["y", "x", "z10", "z2"]), min_size=1, max_size=3, unique=True)
+        )
+        lines.append("context " + " ".join(variables))
+        for _ in range(draw(st.integers(0, 6))):
+            arity = len(variables) + draw(st.sampled_from([0] * 38 + [-1, 1]))
+            values = draw(st.lists(TOKENS, min_size=arity, max_size=arity))
+            pool = GOOD_WEIGHTS[kind] if draw(st.integers(0, 39)) else BAD_WEIGHTS
+            weight = draw(st.sampled_from(pool))
+            lines.append(" ".join(values) + ("" if weight is None else " : " + weight))
+    return "\n".join(lines) + "\n"
+
+
+class TestAgreesWithPerRowReference:
+    @given(documents())
+    def test_parse_relations(self, text):
+        try:
+            expected = reference_parse(text)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as new:
+                parse_relations(text)
+            assert (new.value.line, new.value.message) == (exc.line, exc.message)
+            return
+        relations = parse_relations(text)
+        assert [(r.variables, r.kind, list(r.rows())) for r in relations] == expected
+
+    def test_duplicate_row_names_the_row_in_variable_order(self):
+        text = "monoid N\ncontext z2 x y\n1 0 a\n2 0 a : 3\n1 0 a : 2\n"
+        with pytest.raises(FormatError) as new:
+            parse_relations(text)
+        with pytest.raises(FormatError) as old:
+            reference_parse(text)
+        assert (new.value.line, new.value.message) == (old.value.line, old.value.message)
+        assert new.value.message == "duplicate row x=0,y=a,z2=1"
+
+    def test_empty_context_is_an_empty_relation(self):
+        relations = parse_relations("monoid Q\ncontext y x\ncontext z\n4 : 1/2\n")
+        assert len(relations[0]) == 0
+        assert [(r.variables, r.kind, list(r.rows())) for r in relations] == reference_parse(
+            "monoid Q\ncontext y x\ncontext z\n4 : 1/2\n"
+        )

@@ -250,3 +250,151 @@ class TestSatisfies:
     def test_variables_must_be_present(self):
         with pytest.raises(DomainError):
             brel(ST, ST_ROWS).satisfies(FD.unary("Student", "Course"))
+
+
+# The row code before restriction by positions, kept as the reference:
+# one Assignment per row, marginals by restrict-and-sum, rows in sort_key
+# order.
+
+
+def reference_restrict(row: Assignment, variables) -> Assignment:
+    wanted = frozenset(variables)
+    missing = wanted - row.variables
+    if missing:
+        raise DomainError(f"assignment does not bind {sorted(missing)}")
+    return Assignment((v, val) for v, val in row.items() if v in wanted)
+
+
+def reference_marginal(r: KRelation, variables):
+    """The marginal's rows, listed in the order the reference stores them."""
+    target = frozenset(str(v) for v in variables)
+    extra = target - r.variables
+    if extra:
+        raise DomainError(f"cannot marginalise onto unknown variables {sorted(extra)}")
+    grouped = {}
+    for row, value in r.rows():
+        short = reference_restrict(row, target)
+        prior = grouped.get(short)
+        grouped[short] = value if prior is None else prior + value
+    return sorted(grouped.items(), key=lambda kv: kv[0].sort_key)
+
+
+def reference_satisfies(r: KRelation, fd: FD) -> bool:
+    extra = (fd.lhs | fd.rhs) - r.variables
+    if extra:
+        raise DomainError(f"dependency mentions unknown variables {sorted(extra)}")
+    seen = {}
+    for row, _ in r.rows():
+        left = reference_restrict(row, fd.lhs)
+        right = reference_restrict(row, fd.rhs)
+        if seen.setdefault(left, right) != right:
+            return False
+    return True
+
+
+NAMES = ["b", "a", "x10", "x2", "x1"]
+MIXED = st.sampled_from(["0", "1", "10", "2", 0, 1, 10, 2])
+WEIGHTS = {
+    MonoidKind.B: st.just(1),
+    MonoidKind.N: st.integers(min_value=1, max_value=5),
+    MonoidKind.Q: st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4),
+}
+
+
+@st.composite
+def mixed_relations(draw):
+    """A relation of any kind over 0-4 variables (declared out of sorted
+    order) with str and int values, possibly empty."""
+    kind = draw(st.sampled_from(list(MonoidKind)))
+    variables = draw(st.lists(st.sampled_from(NAMES), max_size=4, unique=True))
+    weighted = draw(
+        st.dictionaries(st.tuples(*[MIXED] * len(variables)), WEIGHTS[kind], max_size=8)
+    )
+    rows = {
+        Assignment(zip(variables, values)): MonoidValue.of(kind, w)
+        for values, w in weighted.items()
+    }
+    return KRelation(variables, kind, rows), rows
+
+
+def subsets(variables, min_size=0):
+    if not variables:
+        return st.just(set())
+    return st.sets(st.sampled_from(sorted(variables)), min_size=min_size)
+
+
+class TestAgreesWithPerRowReference:
+    @given(mixed_relations())
+    def test_rows_are_stored_in_sort_key_order(self, drawn):
+        r, rows = drawn
+        assert list(r.rows()) == sorted(rows.items(), key=lambda kv: kv[0].sort_key)
+
+    @given(mixed_relations(), st.data())
+    def test_restrict(self, drawn, data):
+        r, _ = drawn
+        target = data.draw(subsets(r.variables))
+        for row, _ in r.rows():
+            short = row.restrict(target)
+            assert short == reference_restrict(row, target)
+            assert short.items() == reference_restrict(row, target).items()
+            assert hash(short) == hash(reference_restrict(row, target))
+
+    @given(mixed_relations(), st.data())
+    def test_marginalise(self, drawn, data):
+        r, _ = drawn
+        target = data.draw(subsets(r.variables))
+        expected = reference_marginal(r, target)
+        marginal = r.marginalise(target)
+        assert list(marginal.rows()) == expected
+        assert marginal == KRelation(target, r.kind, dict(expected))
+
+    @given(mixed_relations(), st.data())
+    def test_satisfies(self, drawn, data):
+        r, _ = drawn
+        if not r.variables:
+            return
+        lhs = data.draw(subsets(r.variables, 1))
+        rhs = data.draw(subsets(r.variables, 1))
+        fd = FD(frozenset(lhs), frozenset(rhs))
+        assert r.satisfies(fd) == reference_satisfies(r, fd)
+
+    @given(mixed_relations(), st.data())
+    def test_unknown_variables_raise_the_same_error(self, drawn, data):
+        r, _ = drawn
+        target = data.draw(subsets(r.variables)) | {"zz"}
+        with pytest.raises(DomainError) as new:
+            r.marginalise(target)
+        with pytest.raises(DomainError) as old:
+            reference_marginal(r, target)
+        assert str(new.value) == str(old.value)
+        fd = FD(frozenset(target), frozenset({"zz"}))
+        with pytest.raises(DomainError) as new:
+            r.satisfies(fd)
+        with pytest.raises(DomainError) as old:
+            reference_satisfies(r, fd)
+        assert str(new.value) == str(old.value)
+        for row, _ in r.rows():
+            with pytest.raises(DomainError) as new:
+                row.restrict(target)
+            with pytest.raises(DomainError) as old:
+                reference_restrict(row, target)
+            assert str(new.value) == str(old.value)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"a": "0"},
+            {"a": "0", "b": 1, "c": "2"},
+            {"a": "0", "c": "1"},
+            {"a0": "0", "b": "1"},
+            {},
+        ],
+    )
+    def test_rows_over_other_variables_are_rejected(self, bad):
+        good = Assignment({"a": "0", "b": "1"})
+        one = MonoidValue.one(MonoidKind.N)
+        wrong = Assignment(bad)
+        for rows in ({wrong: one}, {good: one, wrong: one}):
+            with pytest.raises(DomainError) as exc:
+                KRelation(["b", "a"], MonoidKind.N, rows)
+            assert str(exc.value) == f"row {wrong} does not bind exactly ['a', 'b']"
