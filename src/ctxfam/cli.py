@@ -134,17 +134,16 @@ def _cmd_global(args: argparse.Namespace) -> int:
 def _cmd_opg(args: argparse.Namespace) -> int:
     family = _load_family(args.family)
     try:
-        ordering = classify_chordless_cycle(family.contexts)
+        graph = build_opg(family)
     except NotChordlessCycleError as exc:
         raise InputError(str(exc)) from None
-    graph = build_opg(family, ordering)
     print(
         f"overlap projection graph: {len(graph.vertices)} vertices, "
         f"{len(graph.edges)} edges"
     )
     print(
         "cycle order: "
-        + " | ".join(" ".join(sorted(c)) for c in ordering.contexts)
+        + " | ".join(" ".join(sorted(c)) for c in graph.ordering.contexts)
     )
     for vertex in graph.vertices:
         print(f"vertex {vertex}")

@@ -378,12 +378,12 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
     for B, the join itself is the witness.  For Q and N the unknowns are
     the weights of the join rows, at least 0 each, with one equation per
     cell, in cell order: the weights over the cell sum to its value.  For
-    Q the witness is the exact simplex solution of
-    :func:`~ctxfam.feasibility.find_rational_solution`: the
-    lexicographically least weights, in join-row order, among those the
-    Gaussian elimination leaves free.  For N a rational solution must
-    exist first, and then a complete bounded search over the cell table
-    finds integer weights.
+    Q the witness is the exact solution of
+    :func:`~ctxfam.feasibility.find_rational_solution` on its one integer
+    tableau: the lexicographically least weights, in join-row order,
+    among those the Gauss-Jordan elimination leaves free.  For N a
+    rational solution must exist first, and then a complete bounded
+    search over the cell table finds integer weights.
     """
     join, cells = _support_join(family)
     demands = [value.payload for rel in family.maximal_relations() for _, value in rel.rows()]

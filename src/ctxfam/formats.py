@@ -148,10 +148,9 @@ def parse_family(text: str) -> ContextualFamily:
 
 
 def serialize_relation_rows(relation: KRelation, with_weights: bool) -> List[str]:
-    variables = sorted(relation.variables)
-    lines = [f"context {' '.join(variables)}"]
+    lines = [f"context {' '.join(sorted(relation.variables))}"]
     for row, value in relation.rows():
-        cells = " ".join(str(row[v]) for v in variables)
+        cells = " ".join(str(cell) for _, cell in row.items())
         if with_weights:
             lines.append(f"{cells} : {format_value(value)}")
         else:

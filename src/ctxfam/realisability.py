@@ -236,16 +236,13 @@ class OverlapProjectionGraph:
         return "\n".join(lines) + "\n"
 
 
-def build_opg(
-    family: ContextualFamily, ordering: Optional[CycleOrdering] = None
-) -> OverlapProjectionGraph:
+def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
     """The overlap projection graph of a family's support.
 
     The family's context set must classify as a chordless cycle.  Only
     the support matters, so any kind is accepted.
     """
-    if ordering is None:
-        ordering = classify_chordless_cycle(family.contexts)
+    ordering = classify_chordless_cycle(family.contexts)
     n = len(ordering)
     edges: List[OpgEdge] = []
     vertices: Dict[Tuple[int, Pairs], OpgVertex] = {}
@@ -476,9 +473,11 @@ def realisable_lp(
 ) -> Optional[Dict[Assignment, MonoidValue]]:
     """Realisability of an arbitrary support by exact rational feasibility.
 
-    One unknown per supported row, each at least one, with the pairwise
-    marginal-agreement equations (the empty overlap contributes equality
-    of total masses).  The constraints are homogeneous, so scaling a
+    One unknown per supported row, each with the lower bound one, and the
+    pairwise marginal-agreement equations (the empty overlap contributes
+    equality of total masses), solved on the one integer tableau of
+    :func:`~ctxfam.feasibility.find_rational_solution`, where each row
+    weight is a column.  The constraints are homogeneous, so scaling a
     rational witness by the least common denominator yields a natural
     witness: feasibility does not depend on the cancellative kind chosen.
     Returns the witness weights, or None when the support is not

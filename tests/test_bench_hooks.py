@@ -63,3 +63,26 @@ def test_every_relation_built_passes_the_counted_constructor(tmp_path, capsys):
     assert tracer.counts["relation.krelations_built"] == 3 + marginals
     # Rows stored: three per parsed relation, two per marginal.
     assert tracer.counts["relation.krelations_built.amount"] == 3 * 3 + 6 * 2
+
+
+def test_global_lp_records_the_solver_span(tmp_path, capsys):
+    """A Q family's global check solves one system with one unknown per
+    support-join row, and the traced run sees that call and its size."""
+    text = (
+        "monoid Q\n"
+        "context x y\n0 0 : 1\n1 0 : 2\n1 1 : 1\n"
+        "context y z\n0 0 : 2\n0 1 : 1\n1 1 : 1\n"
+    )
+    doc = tmp_path / "family.fam"
+    doc.write_text(text)
+    join, _cells = family._support_join(formats.parse_family(text))
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["global", str(doc)]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out.startswith("globally consistent\n")
+    _total, _own, calls = tracer.times()
+    assert calls["feasibility.solve"] == 1
+    assert tracer.counts["feasibility.unknowns_max"] == len(join) == 5
