@@ -4,9 +4,12 @@ Every subcommand prints its verdict on the first line of stdout and uses
 the exit code to report it: 0 when the property holds (consistent,
 realisable, derivable, entailed), 1 when it is refuted (with a witness
 or counterexample following the verdict where one exists), and 2 for
-input errors.  Families and dependency lists are read in the formats of
-:mod:`ctxfam.formats`, and every witness is emitted in the same family
-format, so it can be fed back to ``check``.
+input errors.  :func:`main` is the one place where an input error, or a
+``ValueError`` the library raises on its input, becomes exit 2; a
+handler catches an error itself only to prefix it with its source or to
+report it as a verdict.  Families and dependency lists are read in the
+formats of :mod:`ctxfam.formats`, and every witness is emitted in the
+same family format, so it can be fed back to ``check``.
 """
 
 from __future__ import annotations
@@ -42,10 +45,8 @@ from .formats import (
 )
 from .monoid import MonoidKind, parse_value
 from .realisability import (
-    NotChordlessCycleError,
     NotRealisableError,
     build_opg,
-    classify_chordless_cycle,
     decompose_cycles,
     find_realisation,
     realisable_lp,  # not called here; perfbench/spans.py wraps it in this module
@@ -68,7 +69,7 @@ def _read(path: str) -> str:
 def _load_family(path: str) -> ContextualFamily:
     try:
         return parse_family(_read(path))
-    except (LocalConsistencyError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
@@ -132,11 +133,7 @@ def _cmd_global(args: argparse.Namespace) -> int:
 
 
 def _cmd_opg(args: argparse.Namespace) -> int:
-    family = _load_family(args.family)
-    try:
-        graph = build_opg(family)
-    except NotChordlessCycleError as exc:
-        raise InputError(str(exc)) from None
+    graph = build_opg(_load_family(args.family))
     print(
         f"overlap projection graph: {len(graph.vertices)} vertices, "
         f"{len(graph.edges)} edges"
@@ -172,26 +169,14 @@ def _cmd_realisable(args: argparse.Namespace) -> int:
 def _cmd_realise(args: argparse.Namespace) -> int:
     family = _load_family(args.family)
     kind = _parse_kind(args.monoid, "N|Q")
-    weight = None
-    if args.weight is not None:
-        try:
-            weight = parse_value(kind, args.weight)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-    support = family.support()
+    weight = None if args.weight is None else parse_value(kind, args.weight)
     try:
-        classify_chordless_cycle(support.contexts)
-    except NotChordlessCycleError as exc:
-        raise InputError(str(exc)) from None
-    try:
-        witness = realise(support, kind, weight)
+        witness = realise(family.support(), kind, weight)
     except NotRealisableError as exc:
         print("not realisable")
         for edge in exc.uncovered:
             print(f"uncovered edge: {edge.describe()}")
         return 1
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
     print("realisable")
     _emit(serialize_family(witness), args.output)
     return 0
@@ -201,10 +186,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     family = _load_family(args.family)
     if family.kind is MonoidKind.B:
         raise InputError("decomposition needs an N or Q family")
-    try:
-        parts = decompose_cycles(family)
-    except NotChordlessCycleError as exc:
-        raise InputError(str(exc)) from None
+    parts = decompose_cycles(family)
     print(f"decomposition: {len(parts)} cycles")
     sys.stdout.write(serialize_decomposition(parts))
     return 0
@@ -213,14 +195,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_derive(args: argparse.Namespace) -> int:
     sigma = _load_fds(args.fds)
     phi = _parse_query(args.query)
-    try:
-        rules = RuleSet.from_string(args.rules)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    try:
-        ok, trace = derives(sigma, phi, rules)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    ok, trace = derives(sigma, phi, RuleSet.from_string(args.rules))
     if not ok:
         print("not derivable")
         return 1
@@ -233,12 +208,9 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 def _cmd_entail(args: argparse.Namespace) -> int:
     sigma = _load_fds(args.fds)
     phi = _parse_query(args.query)
-    try:
-        verdict = semantic_entails_oracle(
-            sigma, phi, domain_size=args.domain, max_rows=args.max_rows
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    verdict = semantic_entails_oracle(
+        sigma, phi, domain_size=args.domain, max_rows=args.max_rows
+    )
     if verdict.holds:
         print("entailment holds")
         if not verdict.conclusive:
@@ -257,17 +229,11 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     sigma = _load_fds(args.fds)
     phi = _parse_query(args.query)
     kind = _parse_kind(args.monoid, "B|N|Q")
-    try:
-        closure = derivation_closure(sigma, RuleSet.CR, [phi.variables])
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    closure = derivation_closure(sigma, RuleSet.CR, [phi.variables])
     if phi.rhs <= phi.lhs or phi in closure:
         print("derivable; no counterexample")
         return 0
-    try:
-        family = build_counterexample(sigma, phi, kind)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    family = build_counterexample(sigma, phi, kind)
     print("counterexample found")
     _emit(serialize_family(family), args.output)
     return 1
@@ -352,7 +318,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Opt
 
 from .feasibility import find_rational_solution
 from .monoid import MonoidKind, MonoidValue
-from .relation import Assignment, KRelation, scalar_fill
+from .relation import Assignment, KRelation
 
 if TYPE_CHECKING:
     from .fdlogic import FD
@@ -219,20 +219,6 @@ class ContextualFamily:
         run again."""
         supports = (r.support_relation() for r in self.maximal_relations())
         return ContextualFamily._unchecked(self.contexts, MonoidKind.B, supports)
-
-    def scale(self, value: MonoidValue) -> "ContextualFamily":
-        """Annotate every supported row with one constant value.
-
-        The result can fail local consistency even though this family is
-        consistent (overlap masses scale with differing support counts);
-        in that case the constructor raises with the violating pair.
-        """
-        if value.is_zero:
-            raise ValueError("scaling needs a nonzero annotation")
-        scaled = [
-            scalar_fill(value, r.variables, r.support) for r in self.maximal_relations()
-        ]
-        return ContextualFamily(scaled)
 
     def satisfies(self, fd: "FD") -> bool:
         """Whether the dependency holds at the context of its variables.

@@ -129,10 +129,6 @@ class OpgEdge:
     label: Assignment
     context_index: int
 
-    @property
-    def sort_key(self) -> Tuple:
-        return (self.context_index, self.label.sort_key)
-
     def describe(self) -> str:
         return f"{self.source} -> {self.target}  {self.label}"
 
@@ -148,11 +144,18 @@ class OverlapProjectionGraph:
 
     __slots__ = ("ordering", "vertices", "edges", "_index", "_succ", "_pred")
 
-    def __init__(self, ordering: CycleOrdering, edges: Iterable[OpgEdge]):
+    def __init__(
+        self,
+        ordering: CycleOrdering,
+        vertices: Iterable[OpgVertex],
+        edges: Iterable[OpgEdge],
+    ):
+        """Takes the endpoints of the edges, each once, and the edges
+        already sorted by context index and then label, as
+        :func:`build_opg` emits them; only the vertices are sorted here."""
         self.ordering = ordering
-        self.edges = tuple(sorted(edges, key=lambda e: e.sort_key))
-        verts = {e.source for e in self.edges} | {e.target for e in self.edges}
-        self.vertices = tuple(sorted(verts, key=lambda v: v.sort_key))
+        self.edges = tuple(edges)
+        self.vertices = tuple(sorted(vertices, key=lambda v: v.sort_key))
         # Vertex i is vertices[i]; _succ[i] and _pred[i] list (edge index,
         # target or source index) in sorted edge order.
         self._index = {v: i for i, v in enumerate(self.vertices)}
@@ -262,7 +265,7 @@ def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
             source = vertex((i - 1) % n, before(pairs))
             target = vertex(i, after(pairs))
             edges.append(OpgEdge(source, target, row, i))
-    return OverlapProjectionGraph(ordering, edges)
+    return OverlapProjectionGraph(ordering, vertices.values(), edges)
 
 
 def _shortest_path(
@@ -378,19 +381,21 @@ def realise(
     breadth-first search per edge, counts the chosen cycles through every
     row, and annotates each row ``count x weight`` (just ``weight`` in B).
     The witness is built and validated once, then its support is checked
-    against the input.  Raises
+    against the input.  The context set is classified before the weight
+    is checked, so a context set that is no chordless cycle raises
+    :class:`NotChordlessCycleError` whatever the weight.  Raises
     :class:`NotRealisableError`, carrying the uncovered edges, when no
     realisation exists.
     """
     if family.kind is not MonoidKind.B:
         raise ValueError("realise expects a B-family support")
+    graph = build_opg(family)
     if weight is None:
         weight = MonoidValue.one(kind)
     if weight.kind is not kind:
         raise ValueError(f"weight {weight} is not of kind {kind}")
     if weight.is_zero:
         raise ValueError("realisation weight must be nonzero")
-    graph = build_opg(family)
     uncovered = graph.uncovered_edges()
     if uncovered:
         listing = "; ".join(e.describe() for e in uncovered)
@@ -555,7 +560,9 @@ def find_realisation(family: ContextualFamily, kind: MonoidKind) -> ContextualFa
 
     Chordless cycles are decided by the graph test and realised by
     :func:`realise`, which builds the overlap projection graph once; other
-    context sets go to :func:`realisable_lp`.  Raises
+    context sets go to :func:`realisable_lp`, whose weights meet every
+    agreement equation (the solver checks its witness against each), so
+    they are assembled without the pairwise check.  Raises
     :class:`NotRealisableError` when the support is not realisable; its
     ``uncovered`` edges are those of the graph test, and empty when the
     LP refused.
@@ -566,4 +573,5 @@ def find_realisation(family: ContextualFamily, kind: MonoidKind) -> ContextualFa
         weights = realisable_lp(family, kind)
         if weights is None:
             raise NotRealisableError("support is not realisable") from None
-        return family_from_weights(family.contexts, weights, kind)
+        relations = _relations_from_weights(family.contexts, weights, kind)
+        return ContextualFamily._unchecked(family.contexts, kind, relations)

@@ -310,6 +310,42 @@ class TestCounterexample:
         assert len(family.contexts) == 3
 
 
+TWO_CONTEXTS = "monoid N\ncontext x y\n0 0 : 1\ncontext y z\n0 0 : 1\n"
+CYCLE_ERROR = "error: a chordless cycle needs at least 3 contexts, got 2\n"
+GENERAL = "error: x y -> z is neither unary nor a CD; only CLASSICAL and NRA accept general dependencies\n"
+
+
+class TestErrorCorpus:
+    """Library errors reach the user as one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "document, argv, err",
+        [
+            (TWO_CONTEXTS, ["opg"], CYCLE_ERROR),
+            (TWO_CONTEXTS, ["decompose"], CYCLE_ERROR),
+            (EXTENDED, ["realise", "--monoid", "N", "--weight", "x"],
+             "error: N annotation must be decimal digits, got 'x'\n"),
+            (TWO_CONTEXTS, ["realise", "--monoid", "N", "--weight", "0"], CYCLE_ERROR),
+            (TRANSITIVITY, ["derive", "--query", "x -> z", "--rules", "bogus"],
+             "error: unknown rule set 'bogus'\n"),
+            ("x y -> z\n", ["derive", "--query", "x -> z"], GENERAL),
+            ("x y -> z\n", ["counterexample", "--query", "x -> z"], GENERAL),
+            (TRANSITIVITY, ["entail", "--query", "x -> z", "--domain", "0"],
+             "error: domain size and row budget must be positive\n"),
+            (CHAIN, ["counterexample", "--query", "x -> z"],
+             "error: counterexample construction covers unary premises and "
+             "binary CDs; got cd x y z\n"),
+        ],
+        ids=["opg", "decompose", "realise-weight", "realise-cycle", "derive-rules",
+             "derive-general", "counterexample-general", "entail-domain",
+             "counterexample-cd"],
+    )
+    def test_error_line_and_exit_2(self, capsys, tmp_path, document, argv, err):
+        path = tmp_path / "input.txt"
+        path.write_text(document)
+        assert run(capsys, argv[0], str(path), *argv[1:]) == (2, "", err)
+
+
 # ``python -m`` runs the checkout's sources, installed or not.
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 

@@ -16,7 +16,7 @@ from ctxfam.family import (
 )
 from ctxfam.fdlogic import FD
 from ctxfam.monoid import MonoidKind, MonoidValue
-from ctxfam.relation import Assignment, KRelation
+from ctxfam.relation import Assignment, KRelation, scalar_fill
 
 from conftest import (
     CS,
@@ -28,6 +28,13 @@ from conftest import (
     row,
     wrel,
 )
+
+
+def uniform(family, value):
+    """Every supported row annotated with one value, validated as a family."""
+    return ContextualFamily(
+        [scalar_fill(value, r.variables, r.support) for r in family.maximal_relations()]
+    )
 
 
 class TestContextSet:
@@ -76,7 +83,7 @@ class TestLocalConsistency:
 
     def test_uniform_weights_break_the_course_marginal(self, teaching_family):
         with pytest.raises(LocalConsistencyError) as err:
-            teaching_family.scale(MonoidValue.of(MonoidKind.N, 1))
+            uniform(teaching_family, MonoidValue.of(MonoidKind.N, 1))
         violation = err.value.violation
         assert violation.overlap_row == row(("Course",), ("CS",))
         assert {violation.value_a.payload, violation.value_b.payload} == {2, 1}
@@ -227,7 +234,7 @@ class TestSupportAndSums:
 
     def test_uniform_scaling_fails_when_row_counts_differ(self, extended_family):
         with pytest.raises(LocalConsistencyError):
-            extended_family.scale(MonoidValue.of(MonoidKind.Q, Fraction(1, 2)))
+            uniform(extended_family, MonoidValue.of(MonoidKind.Q, Fraction(1, 2)))
 
     def test_boolean_support_is_identity(self, teaching_family):
         assert teaching_family.support() == teaching_family
@@ -315,7 +322,7 @@ class TestSupportAndSums:
                 ) + g.relation_at(context)
 
     def test_scaling_boolean_by_one_is_identity(self, teaching_family):
-        assert teaching_family.scale(MonoidValue.one(MonoidKind.B)) == teaching_family
+        assert uniform(teaching_family, MonoidValue.one(MonoidKind.B)) == teaching_family
 
     def test_scaling_a_single_cycle_family_validates(self):
         triangle = ContextualFamily(
@@ -325,7 +332,7 @@ class TestSupportAndSums:
                 brel(("z", "x"), [("0", "0")]),
             ]
         )
-        scaled = triangle.scale(MonoidValue.of(MonoidKind.N, 1))
+        scaled = uniform(triangle, MonoidValue.of(MonoidKind.N, 1))
         assert scaled.kind is MonoidKind.N
 
 

@@ -125,7 +125,7 @@ class TestBuildOpg:
             assert edge.source.layer == (edge.context_index - 1) % size
 
     def test_weights_do_not_change_the_graph(self, unit_triangle):
-        weighted = unit_triangle.scale(MonoidValue.of(MonoidKind.N, 2))
+        weighted = lift_uniform(unit_triangle, MonoidValue.of(MonoidKind.N, 2))
         assert build_opg(weighted).edges == build_opg(unit_triangle).edges
 
 
@@ -282,7 +282,7 @@ class TestDecompose:
         assert decompose_cycles(family) == []
 
     def test_uniform_triangle_is_one_cycle(self, unit_triangle):
-        weighted = unit_triangle.scale(MonoidValue.of(MonoidKind.Q, 1))
+        weighted = lift_uniform(unit_triangle, MonoidValue.of(MonoidKind.Q, 1))
         parts = decompose_cycles(weighted)
         assert len(parts) == 1
         weight, sub = parts[0]
@@ -340,6 +340,29 @@ class TestFindRealisation:
         with pytest.raises(NotRealisableError) as err:
             find_realisation(five_context_family, MonoidKind.Q)
         assert err.value.uncovered == ()
+
+    @pytest.mark.parametrize("kind", [MonoidKind.N, MonoidKind.Q])
+    @pytest.mark.parametrize(
+        "contexts, rows",
+        [
+            # A path: a b | b c.
+            ([("a", "b"), ("b", "c")],
+             [[("0", "0"), ("1", "1")], [("0", "0"), ("1", "0")]]),
+            # A star around a: a b | a c | a d | a e.
+            ([("a", "b"), ("a", "c"), ("a", "d"), ("a", "e")],
+             [[("0", "0"), ("0", "1"), ("1", "1")],
+              [("0", "0"), ("1", "0"), ("1", "1")],
+              [("0", "1"), ("1", "0")],
+              [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]]),
+        ],
+    )
+    def test_lp_witness_is_not_validated_again(self, kind, contexts, rows, constructions):
+        family = ContextualFamily([brel(c, r) for c, r in zip(contexts, rows)])
+        constructions.clear()
+        result = find_realisation(family, kind)
+        assert not constructions
+        assert result.support() == family
+        assert result == ContextualFamily(list(result.maximal_relations()))
 
 
 class TestRealisableLp:
@@ -632,6 +655,18 @@ class TestAgainstReference:
                 support, kind, weight
             )
         assert sizes == {3, 4, 5, 6} and several
+
+    def test_edges_come_in_context_then_label_order(self):
+        """The graph keeps build_opg's edge order without sorting it."""
+        rng = random.Random(4)
+        for kind, weights in [(MonoidKind.B, [1]), (MonoidKind.N, [1, 2, 3])]:
+            for _ in range(25):
+                graph = build_opg(walk_family(rng, kind, weights))
+                keys = [(e.context_index, e.label.sort_key) for e in graph.edges]
+                assert keys == sorted(keys)
+                ends = {e.source for e in graph.edges} | {e.target for e in graph.edges}
+                assert set(graph.vertices) == ends
+                assert len(graph.vertices) == len(ends)
 
     def test_cycle_search_matches_the_reference(self):
         rng = random.Random(2)
