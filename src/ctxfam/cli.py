@@ -134,18 +134,13 @@ def _cmd_global(args: argparse.Namespace) -> int:
 
 def _cmd_opg(args: argparse.Namespace) -> int:
     graph = build_opg(_load_family(args.family))
-    print(
-        f"overlap projection graph: {len(graph.vertices)} vertices, "
-        f"{len(graph.edges)} edges"
-    )
-    print(
-        "cycle order: "
-        + " | ".join(" ".join(sorted(c)) for c in graph.ordering.contexts)
-    )
-    for vertex in graph.vertices:
-        print(f"vertex {vertex}")
-    for edge in graph.edges:
-        print(f"edge {edge.describe()}")
+    lines = [
+        f"overlap projection graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges",
+        "cycle order: " + " | ".join(" ".join(sorted(c)) for c in graph.ordering.contexts),
+    ]
+    lines += [f"vertex {vertex}" for vertex in graph.vertices]
+    lines += [f"edge {edge.describe()}" for edge in graph.edges]
+    sys.stdout.write("\n".join(lines) + "\n")
     if args.dot is not None:
         _emit(graph.to_dot(), args.dot)
     return 0

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Opt
 
 from .feasibility import find_rational_solution
 from .monoid import MonoidKind, MonoidValue
-from .relation import Assignment, KRelation
+from .relation import Assignment, KRelation, _agreement, _cells, _totals
 
 if TYPE_CHECKING:
     from .fdlogic import FD
@@ -125,20 +125,19 @@ class ContextSet:
 
 
 def find_violation(relations: Iterable[KRelation]) -> Optional[ConsistencyViolation]:
-    """The first pairwise marginal disagreement, scanning in sorted order."""
+    """The first pairwise marginal disagreement: pairs in sorted order, then
+    the first agreement cell whose two annotation sums differ (any cell, if
+    the kinds differ).  Only that cell becomes an ``Assignment`` and values."""
     rels = sorted(relations, key=lambda r: tuple(sorted(r.variables)))
-    for i, r in enumerate(rels):
-        for s in rels[i + 1 :]:
-            shared = r.variables & s.variables
-            mr = r.marginalise(shared)
-            ms = s.marginalise(shared)
-            if mr == ms:
-                continue
-            for row in sorted(mr.support | ms.support, key=lambda a: a.sort_key):
-                va = mr.annotation(row)
-                vb = ms.annotation(row)
-                if va != vb:
-                    return ConsistencyViolation(r.variables, s.variables, row, va, vb)
+    for r, s, left, right in _agreement(rels):
+        sums_r, sums_s = _totals(r, left), _totals(s, right)
+        if r.kind is s.kind and sums_r == sums_s:
+            continue
+        for short, a, b in _cells(sums_r, sums_s):
+            if r.kind is not s.kind or a != b:
+                va = MonoidValue.zero(r.kind) if a is None else MonoidValue(r.kind, a)
+                vb = MonoidValue.zero(s.kind) if b is None else MonoidValue(s.kind, b)
+                return ConsistencyViolation(r.variables, s.variables, Assignment._sorted(short), va, vb)
     return None
 
 

@@ -898,7 +898,7 @@ def _context_candidates(
 
 
 def _backtrack_family(
-    contexts: Sequence[FrozenSet[str]],
+    context_set: ContextSet,
     sigma: Sequence[FD],
     phi: Optional[FD],
     domain: Sequence[str],
@@ -920,8 +920,10 @@ def _backtrack_family(
     projections onto their overlaps with this and later contexts.  A
     view whose subtree failed is recorded and skipped when it comes back
     (nogood recording).  Projections are interned as small ints, and the
-    walk keeps an explicit stack instead of recursing.
+    walk keeps an explicit stack instead of recursing.  Overlapping supports
+    agree and none is empty, so the family is assembled unchecked.
     """
+    contexts = context_set.maximal
     vs_list: List[Tuple[str, ...]] = []
     candidate_lists: List[List[FrozenSet[Tuple[str, ...]]]] = []
     for c in contexts:
@@ -999,7 +1001,7 @@ def _backtrack_family(
     for context, vs, cands, i in zip(contexts, vs_list, candidate_lists, chosen):
         assignments = [Assignment(zip(vs, row)) for row in sorted(cands[i])]
         relations.append(KRelation.boolean(context, assignments))
-    return ContextualFamily(relations)
+    return ContextualFamily._unchecked(context_set, MonoidKind.B, relations)
 
 
 def semantic_entails_oracle(
@@ -1029,9 +1031,7 @@ def semantic_entails_oracle(
     conclusive = fragment and domain_size >= 2 and max_rows >= 4
     if phi.rhs <= phi.lhs:
         return EntailmentVerdict(True, None, True)
-    contexts = list(
-        ContextSet.from_sets([fd.variables for fd in premises] + [phi.variables])
-    )
+    contexts = ContextSet.from_sets([fd.variables for fd in premises] + [phi.variables])
     domain = [str(i) for i in range(domain_size)]
     counterexample = _backtrack_family(contexts, premises, phi, domain, max_rows)
     if counterexample is not None:
@@ -1052,7 +1052,7 @@ def random_family_satisfying(
     contexts to build one over."""
     premises = sorted(set(sigma), key=lambda f: f.sort_key)
     sets = [fd.variables for fd in premises] + [frozenset(s) for s in extra_context_sets]
-    contexts = list(ContextSet.from_sets(sets))
+    contexts = ContextSet.from_sets(sets)
     if not contexts:
         return None
     domain = [str(i) for i in range(domain_size)]

@@ -27,7 +27,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from .family import ContextSet, ContextualFamily
 from .feasibility import find_rational_solution
 from .monoid import MonoidKind, MonoidValue
-from .relation import Assignment, KRelation, Pairs, _projection, scalar_fill, values_key
+from .relation import Assignment, KRelation, Pairs, _agreement, _cells, _projection, scalar_fill
 
 
 class NotChordlessCycleError(ValueError):
@@ -478,9 +478,9 @@ def realisable_lp(
 ) -> Optional[Dict[Assignment, MonoidValue]]:
     """Realisability of an arbitrary support by exact rational feasibility.
 
-    One unknown per supported row, each with the lower bound one, and the
-    pairwise marginal-agreement equations (the empty overlap contributes
-    equality of total masses), solved on the one integer tableau of
+    One unknown per supported row, at least one each, and one equation per
+    agreement cell (the empty overlap is one cell): the cell's rows of one
+    context at +1 and of the other at -1 sum to 0, solved on the tableau of
     :func:`~ctxfam.feasibility.find_rational_solution`, where each row
     weight is a column.  The constraints are homogeneous, so scaling a
     rational witness by the least common denominator yields a natural
@@ -496,23 +496,11 @@ def realisable_lp(
     if not labels:
         return {}
     equalities: List[Tuple[Dict[Assignment, Fraction], Fraction]] = []
-    contexts = list(family.contexts)
-    by_context: Dict[FrozenSet[str], List[Assignment]] = {
-        c: [row for row, _ in family.relation_at(c).rows()] for c in contexts
-    }
-    for i, ci in enumerate(contexts):
-        for cj in contexts[i + 1 :]:
-            shared = ci & cj
-            groups: Dict[Pairs, Dict[Assignment, Fraction]] = {}
-            project = _projection(ci, shared)
-            for row in by_context[ci]:
-                groups.setdefault(project(row.items()), {})[row] = Fraction(1)
-            project = _projection(cj, shared)
-            for row in by_context[cj]:
-                cell = groups.setdefault(project(row.items()), {})
-                cell[row] = cell.get(row, Fraction(0)) - Fraction(1)
-            for key in sorted(groups, key=values_key):
-                equalities.append((groups[key], Fraction(0)))
+    for _, _, left, right in _agreement(list(family.maximal_relations())):
+        for _, a, b in _cells(left, right):
+            cell = {row: Fraction(1) for row in a or ()}
+            cell.update((row, Fraction(-1)) for row in b or ())
+            equalities.append((cell, Fraction(0)))
     lower = {row: Fraction(1) for row in labels}
     solution = find_rational_solution(equalities, lower, labels)
     if solution is None:

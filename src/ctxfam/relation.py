@@ -13,9 +13,11 @@ string tokens throughout so that serialised output round-trips.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Mapping
+from functools import partial, reduce
 from operator import add, itemgetter, or_
-from typing import TYPE_CHECKING, AbstractSet, Callable, Dict, FrozenSet, Iterable, Iterator, Tuple, Union
+from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .monoid import MonoidKind, MonoidValue, msum
 
@@ -24,6 +26,7 @@ if TYPE_CHECKING:
 
 Value = Union[str, int]
 Pairs = Tuple[Tuple[str, Value], ...]
+Groups = Dict[Pairs, List["Assignment"]]
 
 
 class DomainError(ValueError):
@@ -205,19 +208,8 @@ class KRelation:
         extra = target - self.variables
         if extra:
             raise DomainError(f"cannot marginalise onto unknown variables {sorted(extra)}")
-        kind = self.kind
-        project = _projection(self.variables, target)
-        plus = or_ if kind is MonoidKind.B else add
-        sums: Dict[Pairs, object] = {}
-        for row, value in self._rows.items():
-            short = project(row._pairs)
-            prior = sums.get(short)
-            sums[short] = value.payload if prior is None else plus(prior, value.payload)
-        return KRelation(
-            target,
-            kind,
-            {Assignment._sorted(short): MonoidValue(kind, total) for short, total in sums.items()},
-        )
+        sums = _totals(self, _groups(self, target))
+        return KRelation(target, self.kind, {Assignment._sorted(k): MonoidValue(self.kind, t) for k, t in sums.items()})
 
     def satisfies(self, fd: "FD") -> bool:
         """Whether the support satisfies a functional dependency.
@@ -230,15 +222,8 @@ class KRelation:
         extra = needed - self.variables
         if extra:
             raise DomainError(f"dependency mentions unknown variables {sorted(extra)}")
-        left = _projection(self.variables, fd.lhs)
         right = _projection(self.variables, fd.rhs)
-        seen: Dict[Pairs, Pairs] = {}
-        for row in self._rows:
-            pairs = row._pairs
-            image = right(pairs)
-            if seen.setdefault(left(pairs), image) != image:
-                return False
-        return True
+        return all(len({right(row._pairs) for row in g}) == 1 for g in _groups(self, fd.lhs).values())
 
     def __add__(self, other: "KRelation") -> "KRelation":
         """Pointwise sum of two relations over the same variables."""
@@ -290,4 +275,37 @@ def consistent(r: KRelation, s: KRelation) -> bool:
     if r.kind is not s.kind:
         raise ValueError("cannot compare relations of different kinds")
     shared = r.variables & s.variables
-    return r.marginalise(shared) == s.marginalise(shared)
+    return _totals(r, _groups(r, shared)) == _totals(s, _groups(s, shared))
+
+
+def _groups(relation: KRelation, target: AbstractSet[str]) -> Groups:
+    """The stored rows grouped by their restriction to ``target``, in stored order."""
+    project = _projection(relation.variables, target)
+    groups: Groups = defaultdict(list)
+    for row in relation._rows:
+        groups[project(row._pairs)].append(row)
+    return groups
+
+
+def _totals(relation: KRelation, groups: Groups) -> Dict[Pairs, Any]:
+    """Each group's annotation sum, a raw payload added in stored order; never zero."""
+    fold = partial(reduce, or_ if relation.kind is MonoidKind.B else add)
+    rows = relation._rows
+    return {short: fold([rows[row].payload for row in group]) for short, group in groups.items()}
+
+
+def _agreement(relations: Sequence[KRelation]) -> Iterator[Tuple[KRelation, KRelation, Groups, Groups]]:
+    """The agreement system of pairwise consistency: every pair of the
+    given relations, in the given order, with both sides grouped on their
+    shared variables.  Each key of either grouping is one cell; the empty
+    overlap is the one cell holding every row."""
+    for i, r in enumerate(relations):
+        for s in relations[i + 1 :]:
+            shared = r.variables & s.variables
+            yield r, s, _groups(r, shared), _groups(s, shared)
+
+
+def _cells(left: Mapping[Pairs, Any], right: Mapping[Pairs, Any]) -> Iterator[Tuple[Pairs, Any, Any]]:
+    """The cells of one pair in ``values_key`` order, with each side's entry (or None)."""
+    for short in sorted(left.keys() | right.keys(), key=values_key):
+        yield short, left.get(short), right.get(short)

@@ -41,8 +41,9 @@ def test_install_wraps_and_uninstall_restores():
 
 def test_every_relation_built_passes_the_counted_constructor(tmp_path, capsys):
     """``relation.krelations_built`` counts ``KRelation.__init__``: checking a
-    three-context family builds the three parsed relations and one
-    marginal per side of each of the three pairs, and nothing else."""
+    three-context family builds the three parsed relations and nothing
+    else.  The pairwise check compares annotation sums on the rows it
+    groups, so it builds no marginal relation."""
     doc = tmp_path / "family.fam"
     doc.write_text(
         "monoid N\n"
@@ -58,11 +59,10 @@ def test_every_relation_built_passes_the_counted_constructor(tmp_path, capsys):
         tracer.uninstall()
     assert capsys.readouterr().out == "locally consistent\n"
     _total, _own, calls = tracer.times()
-    marginals = calls["relation.marginalise"]
-    assert marginals == 6
-    assert tracer.counts["relation.krelations_built"] == 3 + marginals
-    # Rows stored: three per parsed relation, two per marginal.
-    assert tracer.counts["relation.krelations_built.amount"] == 3 * 3 + 6 * 2
+    assert calls["relation.marginalise"] == 0
+    assert tracer.counts["relation.krelations_built"] == 3
+    # Rows stored: three per parsed relation.
+    assert tracer.counts["relation.krelations_built.amount"] == 3 * 3
 
 
 def test_global_lp_records_the_solver_span(tmp_path, capsys):

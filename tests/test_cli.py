@@ -119,6 +119,27 @@ class TestOpg:
         assert sum(1 for l in lines if l.startswith("edge ")) == 7
         assert "edge 2:Alice -> 0:CS  Course=CS,Student=Alice" in lines
 
+    def test_full_output(self, capsys, teaching):
+        code, out, err = run(capsys, "opg", teaching)
+        assert (code, err) == (0, "")
+        assert out == (
+            "overlap projection graph: 6 vertices, 7 edges\n"
+            "cycle order: Course Student | Course Teacher | Student Teacher\n"
+            "vertex 0:CS\n"
+            "vertex 0:Math\n"
+            "vertex 1:Charlie\n"
+            "vertex 1:David\n"
+            "vertex 2:Alice\n"
+            "vertex 2:Bob\n"
+            "edge 2:Alice -> 0:CS  Course=CS,Student=Alice\n"
+            "edge 2:Bob -> 0:CS  Course=CS,Student=Bob\n"
+            "edge 2:Alice -> 0:Math  Course=Math,Student=Alice\n"
+            "edge 0:CS -> 1:David  Course=CS,Teacher=David\n"
+            "edge 0:Math -> 1:Charlie  Course=Math,Teacher=Charlie\n"
+            "edge 1:Charlie -> 2:Alice  Student=Alice,Teacher=Charlie\n"
+            "edge 1:David -> 2:Bob  Student=Bob,Teacher=David\n"
+        )
+
     def test_output_is_deterministic(self, capsys, teaching):
         first = run(capsys, "opg", teaching)
         second = run(capsys, "opg", teaching)

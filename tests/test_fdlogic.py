@@ -1083,6 +1083,13 @@ def entail_shape_corpus(seed, count):
         yield sorted(sigma, key=lambda f: f.sort_key), u(*rng.sample(vs, 2))
 
 
+SAMPLER_PREMISES = [
+    [u(f"x{i}", f"x{(i + 1) % k}") for i in range(k)]
+    + [cd([f"x{i}", f"x{(i + 1) % k}"]) for i in range(k)]
+    for k in range(2, 7)
+] + [chain_premises(n)[0] for n in (3, 4, 5)]
+
+
 class TestOneSearch:
     def check(self, sigma, phi, domain_size=2, max_rows=4):
         verdict = semantic_entails_oracle(sigma, phi, domain_size=domain_size, max_rows=max_rows)
@@ -1113,15 +1120,7 @@ class TestOneSearch:
             refuted += self.check(sigma, phi, *variants[i % len(variants)])
         assert refuted > 80
 
-    @pytest.mark.parametrize(
-        "sigma",
-        [
-            [u(f"x{i}", f"x{(i + 1) % k}") for i in range(k)]
-            + [cd([f"x{i}", f"x{(i + 1) % k}"]) for i in range(k)]
-            for k in range(2, 7)
-        ]
-        + [chain_premises(n)[0] for n in (3, 4, 5)],
-    )
+    @pytest.mark.parametrize("sigma", SAMPLER_PREMISES)
     def test_sampler_draws(self, sigma):
         premises = sorted(set(sigma), key=lambda f: f.sort_key)
         contexts = list(ContextSet.from_sets(fd.variables for fd in premises))
@@ -1131,6 +1130,21 @@ class TestOneSearch:
                 contexts, premises, None, ["0", "1"], 4, rng=random.Random(seed)
             )
             assert drawn == expected
+
+    def test_families_pass_the_pairwise_check(self):
+        """The search assembles its family without the pairwise check;
+        validating the same relations gives an equal family."""
+        queries = itertools.chain(criterion_10_corpus(40), entail_shape_corpus(5, 40))
+        families = [semantic_entails_oracle(sigma, phi).counterexample for sigma, phi in queries]
+        families += [
+            random_family_satisfying(sigma, random.Random(seed))
+            for sigma in SAMPLER_PREMISES
+            for seed in range(6)
+        ]
+        families = [f for f in families if f is not None]
+        assert len(families) > 200
+        for f in families:
+            assert f == ContextualFamily(list(f.maximal_relations()))
 
     def test_sampler_leaves_no_cyclic_garbage(self):
         sigma, _ = chain_premises(4)
