@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Opt
 
 from .feasibility import find_rational_solution
 from .monoid import MonoidKind, MonoidValue
-from .relation import Assignment, KRelation, _agreement, _cells, _totals
+from .relation import Assignment, KRelation, _agreement, _cells, _row_order, _totals
 
 if TYPE_CHECKING:
     from .fdlogic import FD
@@ -213,9 +213,12 @@ class ContextualFamily:
         return [row for _, row, _ in self.assignments()]
 
     def support(self) -> "ContextualFamily":
-        """The same supports annotated in B.  Always valid: marginals of
-        equal relations have equal supports, so the pairwise check is not
-        run again."""
+        """The same supports annotated in B: the family itself when it is
+        already a B-family, since families are immutable.  Always valid:
+        marginals of equal relations have equal supports, so the pairwise
+        check is not run again."""
+        if self.kind is MonoidKind.B:
+            return self
         supports = (r.support_relation() for r in self.maximal_relations())
         return ContextualFamily._unchecked(self.contexts, MonoidKind.B, supports)
 
@@ -294,8 +297,9 @@ def _support_join(family: ContextualFamily) -> Tuple[List[Assignment], List[List
                     extended.append((merged, cells + [first + n]))
         rows = extended
         first += len(supp)
-    joined = sorted(((Assignment(m), cells) for m, cells in rows), key=lambda p: p[0].sort_key)
-    return [t for t, _ in joined], [cells for _, cells in joined]
+    joined = [Assignment(m) for m, _ in rows]
+    order = _row_order([t.items() for t in joined])
+    return [joined[i] for i in order], [rows[i][1] for i in order]
 
 
 def _integer_weights(demands: List[int], cells: List[List[int]]) -> Optional[List[int]]:

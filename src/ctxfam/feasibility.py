@@ -197,11 +197,32 @@ def find_rational_solution(
     for v in variables:
         x = level.get(index[v], _ZERO)
         witness[v] = x + shift[index[v]] if index[v] in shift else x
+    _check_witness(equalities, lower_bounds, witness)
+    return witness
+
+
+def _check_witness(
+    equalities: Sequence[Tuple[Mapping[Hashable, Fraction], Fraction]],
+    lower_bounds: Mapping[Hashable, Fraction],
+    witness: Mapping[Hashable, Fraction],
+) -> None:
+    """Raise :class:`AssertionError` unless ``witness`` meets every given
+    equality and lower bound, checked in integer arithmetic.
+
+    Each value is ``n_v / d`` over the witness's common denominator ``d``.
+    An equality whose coefficients and right-hand side have the common
+    denominator ``e`` holds when ``sum (e * c_v) * n_v == (e * r) * d``, and
+    a bound ``b`` holds when ``n_v * den(b) >= num(b) * d``.  These are the
+    caller's own equalities, not the tableau's rows, so a fault in building
+    or pivoting the tableau shows here.
+    """
+    d = lcm(*(x.denominator for x in witness.values()))
+    n = {v: x.numerator * (d // x.denominator) for v, x in witness.items()}
     for coeffs, rhs in equalities:
-        total = sum((Fraction(c) * witness[v] for v, c in coeffs.items()), _ZERO)
-        if total != Fraction(rhs):
+        e = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+        total = sum(c.numerator * (e // c.denominator) * n[v] for v, c in coeffs.items())
+        if total != rhs.numerator * (e // rhs.denominator) * d:
             raise AssertionError("witness fails an equality; solver bug")
     for v, b in lower_bounds.items():
-        if witness[v] < Fraction(b):
+        if n[v] * b.denominator < b.numerator * d:
             raise AssertionError("witness fails a lower bound; solver bug")
-    return witness

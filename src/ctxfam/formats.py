@@ -27,6 +27,7 @@ Parsing reports errors with line numbers; serialisation is canonical
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from .family import ContextualFamily
@@ -89,6 +90,7 @@ def parse_relations(text: str) -> List[KRelation]:
                 raise FormatError(number, "duplicate context")
             blocks.append((number, variables))
             order = sorted(range(len(variables)), key=variables.__getitem__)
+            pick = tuple if order == list(range(len(order))) else itemgetter(*order)
             block = {}
             rows.append(block)
             continue
@@ -116,7 +118,7 @@ def parse_relations(text: str) -> List[KRelation]:
             )
         if weight.is_zero:
             raise FormatError(number, "zero annotation: omit the row instead")
-        key = tuple([values[i] for i in order])
+        key = pick(values)
         if key in block:
             names = sorted(blocks[-1][1])
             raise FormatError(number, f"duplicate row {Assignment._sorted(tuple(zip(names, key)))}")
@@ -124,6 +126,8 @@ def parse_relations(text: str) -> List[KRelation]:
 
     if not blocks:
         raise FormatError(lines[-1][0], "document declares no context")
+    # Sorted value tuples are the constructor's row order for str tokens,
+    # so its own sort is one linear pass.
     relations = []
     for (_, variables), block_rows in zip(blocks, rows):
         names = sorted(variables)
@@ -132,8 +136,8 @@ def parse_relations(text: str) -> List[KRelation]:
                 variables,
                 kind,
                 {
-                    Assignment._sorted(tuple(zip(names, key))): weight
-                    for key, weight in block_rows.items()
+                    Assignment._sorted(tuple(zip(names, key))): block_rows[key]
+                    for key in sorted(block_rows)
                 },
             )
         )

@@ -27,7 +27,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from .family import ContextSet, ContextualFamily
 from .feasibility import find_rational_solution
 from .monoid import MonoidKind, MonoidValue
-from .relation import Assignment, KRelation, Pairs, _agreement, _cells, _projection, scalar_fill
+from .relation import Assignment, KRelation, Pairs, _agreement, _cells, _projection, _row_order, scalar_fill
 
 
 class NotChordlessCycleError(ValueError):
@@ -152,10 +152,18 @@ class OverlapProjectionGraph:
     ):
         """Takes the endpoints of the edges, each once, and the edges
         already sorted by context index and then label, as
-        :func:`build_opg` emits them; only the vertices are sorted here."""
+        :func:`build_opg` emits them; only the vertices are sorted here,
+        by layer and then in row order."""
         self.ordering = ordering
         self.edges = tuple(edges)
-        self.vertices = tuple(sorted(vertices, key=lambda v: v.sort_key))
+        layers: Dict[int, List[OpgVertex]] = {}
+        for v in vertices:
+            layers.setdefault(v.layer, []).append(v)
+        self.vertices = tuple(
+            group[i]
+            for _, group in sorted(layers.items())
+            for i in _row_order([v.boundary.items() for v in group])
+        )
         # Vertex i is vertices[i]; _succ[i] and _pred[i] list (edge index,
         # target or source index) in sorted edge order.
         self._index = {v: i for i, v in enumerate(self.vertices)}

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping
 from functools import partial, reduce
+from itertools import chain
 from operator import add, itemgetter, or_
 from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple, Union
 
@@ -27,6 +28,7 @@ if TYPE_CHECKING:
 Value = Union[str, int]
 Pairs = Tuple[Tuple[str, Value], ...]
 Groups = Dict[Pairs, List["Assignment"]]
+_first = itemgetter(0)
 
 
 class DomainError(ValueError):
@@ -40,8 +42,28 @@ def value_key(value: Value) -> Tuple[str, str]:
 
 def values_key(pairs: Pairs) -> Tuple[Tuple[str, str], ...]:
     """The ``value_key`` of each value, in variable order.  Among rows over
-    the same variables this orders exactly as ``Assignment.sort_key``."""
+    the same variables this orders exactly as ``Assignment.sort_key``; it
+    is the row order of :func:`_row_order`, which uses it only for rows
+    holding a token that is not a plain ``str``."""
     return tuple([value_key(val) for _, val in pairs])
+
+
+def _row_order(rows: Sequence[Pairs]) -> List[int]:
+    """The positions of ``rows``, the pairs of distinct rows over one
+    variable set, in row order: the ``values_key`` order, which is the
+    ``Assignment.sort_key`` order of such rows.
+
+    When every variable and value is a plain ``str``, that is the order of
+    the pairs themselves, which the sort compares in C.  ``int``, mixed and
+    ``str``-subclass tokens are ordered by ``values_key``, the only key
+    that orders them correctly.  The sort is stable and takes linear time
+    on rows already in order.
+    """
+    if set(map(type, chain.from_iterable(chain.from_iterable(rows)))) <= {str}:
+        keys = rows
+    else:
+        keys = [values_key(pairs) for pairs in rows]
+    return sorted(range(len(rows)), key=keys.__getitem__)
 
 
 def _projection(variables: AbstractSet[str], target: AbstractSet[str]) -> Callable[[Pairs], Pairs]:
@@ -151,10 +173,19 @@ class KRelation:
         kind: MonoidKind,
         rows: Mapping[Assignment, MonoidValue],
     ):
+        """Validate every row and store the rows in row order.
+
+        Every row must bind exactly ``variables`` and carry a nonzero
+        annotation of ``kind``.  The rows are stored in ``values_key``
+        order (see :func:`_row_order`): when every token is a plain
+        ``str`` the sort compares the rows' pairs directly, and rows
+        handed over already in that order cost one linear pass.
+        """
         vars_ = frozenset(str(v) for v in variables)
         names = tuple(sorted(vars_))
-        for row, value in rows.items():
-            if tuple([var for var, _ in row._pairs]) != names:
+        items = list(rows.items())
+        for row, value in items:
+            if tuple(map(_first, row._pairs)) != names:
                 raise DomainError(
                     f"row {row} does not bind exactly {sorted(vars_)}"
                 )
@@ -164,12 +195,8 @@ class KRelation:
                 raise ValueError(f"zero annotation stored for row {row}")
         object.__setattr__(self, "variables", vars_)
         object.__setattr__(self, "kind", kind)
-        # Every row binds ``names``, so the value keys order as sort_key.
-        object.__setattr__(
-            self,
-            "_rows",
-            dict(sorted(rows.items(), key=lambda kv: values_key(kv[0]._pairs))),
-        )
+        order = _row_order([row._pairs for row, _ in items])
+        object.__setattr__(self, "_rows", dict(map(items.__getitem__, order)))
 
     @classmethod
     def boolean(cls, variables: Iterable[str], support: Iterable[Assignment]) -> "KRelation":
@@ -190,7 +217,10 @@ class KRelation:
         return frozenset(self._rows)
 
     def support_relation(self) -> "KRelation":
-        """The same rows annotated 1 in B."""
+        """The same rows annotated 1 in B: the relation itself when it is
+        already a B-relation, since relations are immutable."""
+        if self.kind is MonoidKind.B:
+            return self
         return KRelation.boolean(self.variables, self._rows)
 
     def total(self) -> MonoidValue:
@@ -306,6 +336,8 @@ def _agreement(relations: Sequence[KRelation]) -> Iterator[Tuple[KRelation, KRel
 
 
 def _cells(left: Mapping[Pairs, Any], right: Mapping[Pairs, Any]) -> Iterator[Tuple[Pairs, Any, Any]]:
-    """The cells of one pair in ``values_key`` order, with each side's entry (or None)."""
-    for short in sorted(left.keys() | right.keys(), key=values_key):
+    """The cells of one pair in row order, with each side's entry (or None)."""
+    shorts = list(left.keys() | right.keys())
+    for i in _row_order(shorts):
+        short = shorts[i]
         yield short, left.get(short), right.get(short)

@@ -238,6 +238,7 @@ class TestSupportAndSums:
 
     def test_boolean_support_is_identity(self, teaching_family):
         assert teaching_family.support() == teaching_family
+        assert teaching_family.support() is teaching_family
 
     def test_support_matches_the_validated_construction(self):
         rng = random.Random(21)

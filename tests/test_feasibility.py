@@ -20,7 +20,7 @@ from ctxfam.family import (
     check_global_consistency,
 )
 from ctxfam.fdlogic import FD, random_family_satisfying
-from ctxfam.feasibility import find_rational_solution
+from ctxfam.feasibility import _check_witness, find_rational_solution
 from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.realisability import realisable_lp
 from ctxfam.relation import Assignment, KRelation
@@ -139,6 +139,38 @@ class TestRandomSystems:
     )
     def test_bounds_only_solved_at_bounds(self, bounds):
         assert check([], bounds, ["x", "y", "z"]) == bounds
+
+
+class TestWitnessCheck:
+    """The integer witness check rejects a witness with one value moved by
+    ``1/D``, the least step over the witness's common denominator ``D``."""
+
+    EQUALITIES = [
+        ({"a": Fraction(1), "b": Fraction(-1)}, Fraction(0)),
+        ({"b": Fraction(1, 3), "c": Fraction(1)}, Fraction(5, 2)),
+    ]
+    BOUNDS = {"a": Fraction(1, 2), "b": Fraction(0), "c": Fraction(1, 4), "d": Fraction(3, 4)}
+
+    def solved(self):
+        witness = find_rational_solution(self.EQUALITIES, self.BOUNDS, list("abcd"))
+        assert witness is not None
+        _check_witness(self.EQUALITIES, self.BOUNDS, witness)
+        return witness, lcm(*(x.denominator for x in witness.values()))
+
+    @pytest.mark.parametrize("v", ["a", "b", "c"])
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_moved_value_fails_an_equality(self, v, step):
+        witness, d = self.solved()
+        witness[v] += Fraction(step, d)
+        with pytest.raises(AssertionError, match="equality"):
+            _check_witness(self.EQUALITIES, self.BOUNDS, witness)
+
+    def test_value_moved_below_its_bound_fails(self):
+        witness, d = self.solved()
+        assert witness["d"] == self.BOUNDS["d"]
+        witness["d"] -= Fraction(1, d)
+        with pytest.raises(AssertionError, match="lower bound"):
+            _check_witness(self.EQUALITIES, self.BOUNDS, witness)
 
 
 class TestInputErrors:

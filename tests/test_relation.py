@@ -14,6 +14,7 @@ from ctxfam.relation import (
     KRelation,
     consistent,
     scalar_fill,
+    values_key,
 )
 
 from conftest import CS, CS_ROWS, ST, ST_ROWS, TC, TC_ROWS, brel, row, wrel
@@ -160,6 +161,10 @@ class TestSupport:
     def test_support_relation_is_boolean(self):
         r = wrel(MonoidKind.Q, ("x",), [(("a",), Fraction(1, 2))])
         assert r.support_relation() == brel(("x",), [("a",)])
+
+    def test_boolean_support_relation_is_itself(self):
+        r = brel(ST, ST_ROWS)
+        assert r.support_relation() is r
 
 
 class TestScalarFill:
@@ -321,6 +326,49 @@ def subsets(variables, min_size=0):
     if not variables:
         return st.just(set())
     return st.sets(st.sampled_from(sorted(variables)), min_size=min_size)
+
+
+class Padded(str):
+    """A str token that prints with a leading zero, so ``values_key``
+    orders it apart from its plain text."""
+
+    def __str__(self):
+        return "0" + str.__str__(self)
+
+
+TOKEN_POOLS = [
+    ["10", "9", "01", "1"],
+    [10, 9, 1],
+    ["10", "9", "01", 10, 9],
+    ["10", "9", "01", Padded("9"), Padded("2")],
+]
+
+
+@st.composite
+def pooled_rows(draw):
+    """Variables, a kind and rows whose tokens come from one pool: plain
+    str, int, mixed, or str with a str subclass."""
+    kind = draw(st.sampled_from(list(MonoidKind)))
+    pool = draw(st.sampled_from(TOKEN_POOLS))
+    variables = draw(st.lists(st.sampled_from(NAMES), max_size=3, unique=True))
+    weighted = draw(
+        st.dictionaries(
+            st.tuples(*[st.sampled_from(pool)] * len(variables)), WEIGHTS[kind], max_size=10
+        )
+    )
+    rows = {
+        Assignment(zip(variables, values)): MonoidValue.of(kind, w)
+        for values, w in weighted.items()
+    }
+    return variables, kind, rows
+
+
+class TestRowOrder:
+    @given(pooled_rows())
+    def test_rows_are_stored_in_values_key_order(self, drawn):
+        variables, kind, rows = drawn
+        stored = list(KRelation(variables, kind, rows).rows())
+        assert stored == sorted(rows.items(), key=lambda kv: values_key(kv[0].items()))
 
 
 class TestAgreesWithPerRowReference:
