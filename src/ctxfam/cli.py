@@ -27,8 +27,8 @@ from .family import (
 from .fdlogic import (
     FD,
     RuleSet,
+    _decide_unary,
     build_counterexample,
-    derivation_closure,
     derives,
     format_trace,
     semantic_entails_oracle,
@@ -224,8 +224,8 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     sigma = _load_fds(args.fds)
     phi = _parse_query(args.query)
     kind = _parse_kind(args.monoid, "B|N|Q")
-    closure = derivation_closure(sigma, RuleSet.CR, [phi.variables])
-    if phi.rhs <= phi.lhs or phi in closure:
+    derivable, _ = _decide_unary(sigma, phi, RuleSet.CR)
+    if derivable:
         print("derivable; no counterexample")
         return 0
     family = build_counterexample(sigma, phi, kind)

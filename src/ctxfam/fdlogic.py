@@ -33,7 +33,7 @@ name order) and integer bitmasks: one table holds the context atoms
 (bit k of entry [i][j] when {v_i, v_j, v_k} is an atom) and one mask
 per variable its in-neighbours, so it visits states in the same order
 as a search over names and derives the same edges with the same
-justifications.
+justifications.  A query runs the engine only until its goal is decided.
 The semantic side has one search too: ``_backtrack_family`` finds the
 first locally consistent B-family, in a fixed candidate order, that
 meets the premises (and violates the goal); the bounded oracle calls it
@@ -43,6 +43,7 @@ as it is, and the random sampler with shuffled candidates.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -449,6 +450,15 @@ class _ClosureEngine:
     The extra variable sets (a goal's, in particular) count as contexts
     without adding premises.
 
+    With a ``goal`` (x, y) the engine stops once the goal is decided.  An
+    instance concluding a -> b runs along a path a to b, so the closure
+    never leaves premise reachability: an unreachable y ends the run at
+    once.  Otherwise each pass boundary first tests the goal's own cycle,
+    then chain, instance as the full pass would, and stops when one
+    fires.  Justifications are never overwritten and antecedents come
+    from earlier, complete passes, so the goal's trace is the full
+    closure's.  Only goals reachable but not derivable reach the fixpoint.
+
     The chain rule works on interned variables (indices into the sorted
     ``variables``): the context atoms are one ``_atom_table`` of bitmasks,
     built once, and ``in_mask[b]`` has bit a set for each edge a -> b.
@@ -461,6 +471,7 @@ class _ClosureEngine:
         sigma: Sequence[FD],
         rules: RuleSet,
         extra_context_sets: Iterable[FrozenSet[str]],
+        goal: Optional[Tuple[str, str]] = None,
     ):
         premise_edges, contexts, variables = _split_premises(sigma)
         extra = [frozenset(s) for s in extra_context_sets]
@@ -477,6 +488,7 @@ class _ClosureEngine:
         for v in self.variables:
             if (v, v) not in self.edges:
                 self._add((v, v), ("reflexivity",))
+        self.goal = goal
         self._run()
 
     def _add(self, edge: Tuple[str, str], justification: Tuple) -> None:
@@ -498,35 +510,47 @@ class _ClosureEngine:
         return tuple(path)
 
     def _run(self) -> None:
-        while True:
-            additions: Dict[Tuple[str, str], Tuple] = {}
-            for x in self.variables:
-                parent, order = _reach(self.out_adj, x)
-                for y in order:
-                    if y == x or (x, y) in self.edges or (x, y) in additions:
-                        continue
-                    if (y, x) in self.edges:
-                        path = self._path_edges(x, y, parent)
-                        additions[(x, y)] = ("cycle", path, (y, x))
-            if self.use_chain:
-                names = self.variables
-                for y in range(len(names)):
-                    states = _chain_states(self.atom_table, self.in_mask, y)
-                    # Only a variable that starts a reached state can start
-                    # an instance; an edge x -> y (x = y included) needs none.
-                    starts = 0
-                    for mask in states[1]:
-                        starts |= mask
-                    for x in _bits(starts & ~self.in_mask[y]):
-                        if (names[x], names[y]) in additions:
-                            continue
-                        instance = _chain_instance(names, self.atom_table, states, x, y)
-                        if instance is not None:
-                            additions[(names[x], names[y])] = ("chain",) + instance
+        goal = self.goal
+        if goal is not None and goal[1] not in _reach(self.out_adj, goal[0])[0]:
+            return
+        # A goal's own pass comes first; the run ends once it is derived.
+        while goal not in self.edges:
+            additions = goal is not None and self._pass(goal) or self._pass(None)
             if not additions:
                 return
             for edge in sorted(additions):
                 self._add(edge, additions[edge])
+
+    def _pass(self, goal: Optional[Tuple[str, str]]) -> Dict[Tuple[str, str], Tuple]:
+        """What the next pass derives, with justifications; given a goal
+        (x, y) with y reachable from x, only what it derives for that pair."""
+        names = self.variables
+        additions: Dict[Tuple[str, str], Tuple] = {}
+        for x in names if goal is None else goal[:1]:
+            parent, order = _reach(self.out_adj, x)
+            for y in order if goal is None else goal[1:]:
+                if y == x or (x, y) in self.edges or (x, y) in additions:
+                    continue
+                if (y, x) in self.edges:
+                    path = self._path_edges(x, y, parent)
+                    additions[(x, y)] = ("cycle", path, (y, x))
+        if self.use_chain:
+            for y in range(len(names)) if goal is None else [self.index[goal[1]]]:
+                states = _chain_states(self.atom_table, self.in_mask, y)
+                # Only a variable that starts a reached state can start
+                # an instance; an edge x -> y (x = y included) needs none.
+                starts = 0
+                for mask in states[1]:
+                    starts |= mask
+                if goal is not None:
+                    starts &= 1 << self.index[goal[0]]
+                for x in _bits(starts & ~self.in_mask[y]):
+                    if (names[x], names[y]) in additions:
+                        continue
+                    instance = _chain_instance(names, self.atom_table, states, x, y)
+                    if instance is not None:
+                        additions[(names[x], names[y])] = ("chain",) + instance
+        return additions
 
 
 def _split_premises(sigma: Sequence[FD]) -> Tuple[List[Tuple[str, str]], List[FrozenSet[str]], List[str]]:
@@ -623,18 +647,16 @@ def _trace_node(
     return [], FD.unary(*item), just[0], ()
 
 
-def _trace_from_engine(
-    engine: _ClosureEngine, sigma: Sequence[FD], goal: Tuple[str, str]
-) -> DerivationTrace:
-    """The goal's derivation from the engine's justifications: each node
-    after its antecedents, depth first, and each node once.  The walk
+def _trace_from_engine(engine: _ClosureEngine, sigma: Sequence[FD]) -> DerivationTrace:
+    """The derivation of the engine's goal from its justifications: each
+    node after its antecedents, depth first, and each node once.  The walk
     keeps its own stack, so it leaves no cyclic garbage."""
     premise_cds = {fd.lhs for fd in sigma if fd.is_cd}
     steps: List[TraceStep] = []
     index: Dict[Tuple, int] = {}
     # Each frame: a node, what ``_trace_node`` says of it, and the step
     # indices of the antecedents emitted so far.
-    root = ("fd", goal)
+    root = ("fd", engine.goal)
     stack = [(root, _trace_node(engine, premise_cds, root), [])]
     while stack:
         node, (needed, fd, rule, detail), ants = stack[-1]
@@ -655,24 +677,17 @@ def _trace_from_engine(
     return DerivationTrace(tuple(steps))
 
 
-def _derives_unary(
+def _decide_unary(
     sigma: Sequence[FD], phi: FD, rules: RuleSet
-) -> Tuple[bool, Optional[DerivationTrace]]:
+) -> Tuple[bool, Optional[_ClosureEngine]]:
+    """Whether the rules derive phi, and the engine that decided it, after
+    refusing premises outside the fragment.  A reflexive goal is derivable
+    and any other non-unary one is not, both without an engine (None)."""
     if phi.rhs <= phi.lhs or not phi.is_unary:
-        # Decided without the closure; premises outside the fragment are
-        # still refused first.
         _split_premises(sigma)
-        if phi.rhs <= phi.lhs:
-            return True, DerivationTrace((TraceStep(phi, "reflexivity"),))
-        raise UnsupportedDependencyError(
-            f"goal {phi.display()} is neither unary nor a CD; use CLASSICAL or NRA"
-        )
-    engine = _ClosureEngine(sigma, rules, [phi.variables])
-    (x,) = phi.lhs
-    (y,) = phi.rhs
-    if (x, y) not in engine.edges:
-        return False, None
-    return True, _trace_from_engine(engine, sigma, (x, y))
+        return phi.rhs <= phi.lhs, None
+    engine = _ClosureEngine(sigma, rules, [phi.variables], (*phi.lhs, *phi.rhs))
+    return engine.goal in engine.edges, engine
 
 
 def _derives_covering(
@@ -757,13 +772,21 @@ def derives(
 
     CR and FULL work in the unary + CD fragment and respect contexts: a
     derivation may only mention variable sets inside the variables of
-    some premise or of the goal.  CLASSICAL and NRA require a premise CD
-    covering every variable and then answer by attribute closure.
+    some premise or of the goal.  They run the closure engine only until
+    the goal is decided.  CLASSICAL and NRA require a premise CD covering
+    every variable and then answer by attribute closure.
     """
     premises = list(sigma)
     if rules in (RuleSet.CLASSICAL, RuleSet.NRA):
         return _derives_covering(premises, phi, rules)
-    return _derives_unary(premises, phi, rules)
+    derivable, engine = _decide_unary(premises, phi, rules)
+    if engine is not None:
+        return derivable, _trace_from_engine(engine, premises) if derivable else None
+    if not derivable:
+        raise UnsupportedDependencyError(
+            f"goal {phi.display()} is neither unary nor a CD; use CLASSICAL or NRA"
+        )
+    return True, DerivationTrace((TraceStep(phi, "reflexivity"),))
 
 
 # ---------------------------------------------------------------------------
@@ -798,16 +821,17 @@ def build_counterexample(
     (y,) = phi.rhs
     if x == y:
         raise ValueError(f"{phi.display()} is reflexive, hence always derivable")
-    engine = _ClosureEngine(premises, RuleSet.CR, [phi.variables])
-    if (x, y) in engine.edges:
+    derivable, engine = _decide_unary(premises, phi, RuleSet.CR)
+    if derivable:
         raise ValueError(f"{phi.display()} is derivable; no counterexample exists")
 
     contexts = ContextSet.from_sets(
         [fd.variables for fd in premises] + [phi.variables]
     )
     variables = sorted(contexts.variables)
-    # Cycle-rule edges only join vertices that already reach each other,
-    # so this is reachability along premise edges, plus x by reflexivity.
+    # Derived edges only join vertices that already reach each other, so
+    # this is reachability along premise edges, plus x by reflexivity,
+    # however far the goal-directed engine ran.
     reached, _ = _reach(engine.out_adj, x)
     one = MonoidValue.one(kind)
     if y not in reached:
@@ -854,21 +878,17 @@ class EntailmentVerdict:
     conclusive: bool
 
 
-def _rows_satisfy(
-    rows: Iterable[Tuple[str, ...]], positions: Dict[str, int], fd: FD
-) -> bool:
-    lhs = [positions[v] for v in sorted(fd.lhs)]
-    rhs = [positions[v] for v in sorted(fd.rhs)]
-    seen: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
-    for row in rows:
-        left = tuple(row[i] for i in lhs)
-        right = tuple(row[i] for i in rhs)
-        prior = seen.get(left)
-        if prior is None:
-            seen[left] = right
-        elif prior != right:
-            return False
-    return True
+def _pair_breaks(rows: Sequence[Tuple[str, ...]], positions: Dict[str, int], fd: FD) -> List[int]:
+    """Per row, the mask of the rows that break ``fd`` together with it:
+    equal on its left side and different on its right."""
+    sides = [[positions[v] for v in fd.lhs], [positions[v] for v in fd.rhs]]
+    keys = [tuple(tuple(row[i] for i in side) for side in sides) for row in rows]
+    left: Dict[Tuple, int] = {}
+    both: Dict[Tuple, int] = {}
+    for i, key in enumerate(keys):
+        left[key[0]] = left.get(key[0], 0) | 1 << i
+        both[key] = both.get(key, 0) | 1 << i
+    return [left[key[0]] & ~both[key] for key in keys]
 
 
 def _context_candidates(
@@ -877,24 +897,41 @@ def _context_candidates(
     phi: Optional[FD],
     domain: Sequence[str],
     max_rows: int,
-) -> Tuple[Tuple[str, ...], List[FrozenSet[Tuple[str, ...]]]]:
+) -> Tuple[Tuple[str, ...], List[Tuple[str, ...]], List[int]]:
     """All admissible supports for one context: nonempty, within the row
     budget, satisfying the premises that fit the context, and violating
-    the goal when the goal fits.  Rows list values in sorted variable
-    order; supports come by size, then in lexicographic order."""
+    the goal when the goal fits.  Returns the sorted variables, every row
+    over the domain (values in variable order, rows sorted), and each
+    support as a mask over those rows, by size, then in lexicographic order.
+
+    A support satisfies X -> Y exactly when every pair of its rows does,
+    so the supports are cliques of one compatibility mask per row, built
+    level by level: each support is extended by every later row compatible
+    with all its members, in the order of ``itertools.combinations``.
+    Violating the goal is a pair property too, carried as a flag.
+    """
     vs = tuple(sorted(context))
     positions = {v: i for i, v in enumerate(vs)}
-    relevant = [fd for fd in sigma if fd.variables <= context]
-    goal = phi if phi is not None and phi.variables <= context else None
-    all_rows = sorted(itertools.product(domain, repeat=len(vs)))
-    out: List[FrozenSet[Tuple[str, ...]]] = []
-    for size in range(1, min(max_rows, len(all_rows)) + 1):
-        for combo in itertools.combinations(all_rows, size):
-            if any(not _rows_satisfy(combo, positions, fd) for fd in relevant):
-                continue
-            if goal is None or not _rows_satisfy(combo, positions, goal):
-                out.append(frozenset(combo))
-    return vs, out
+    rows = sorted(itertools.product(domain, repeat=len(vs)))
+    compatible = [(1 << len(rows)) - 1] * len(rows)
+    for fd in sigma:
+        if fd.variables <= context:
+            compatible = [c & ~b for c, b in zip(compatible, _pair_breaks(rows, positions, fd))]
+    goal = phi is not None and phi.variables <= context
+    violates = _pair_breaks(rows, positions, phi) if goal else [0] * len(rows)
+    # Each support: the mask of its rows, the mask of the later rows it
+    # may take next, and whether it violates the goal.
+    level = [(1 << i, compatible[i] >> i + 1 << i + 1, False) for i in range(len(rows))]
+    out: List[int] = []
+    for size in range(1, max_rows + 1):
+        out += [mask for mask, _, bad in level if bad or not goal]
+        if size < max_rows:
+            level = [
+                (mask | 1 << j, later >> j + 1 << j + 1 & compatible[j], bad or violates[j] & mask != 0)
+                for mask, later, bad in level
+                for j in _bits(later)
+            ]
+    return vs, rows, out
 
 
 def _backtrack_family(
@@ -915,21 +952,25 @@ def _backtrack_family(
     into a sampler.  Two devices make it fast without changing which
     family comes first.  Each context's candidates are bucketed by their
     projections onto its overlaps with earlier contexts, so a depth walks
-    only the bucket that agrees with the choices above it.  And whether a
-    depth can be completed depends only on its view: the earlier choices'
-    projections onto their overlaps with this and later contexts.  A
-    view whose subtree failed is recorded and skipped when it comes back
-    (nogood recording).  Projections are interned as small ints, and the
-    walk keeps an explicit stack instead of recursing.  Overlapping supports
-    agree and none is empty, so the family is assembled unchecked.
+    only the bucket that agrees with the choices above it.  And a depth
+    whose view (the earlier choices' projections onto their overlaps with
+    this and later contexts) failed before is skipped (nogood recording).
+    A projection is a mask over all restrictions to the overlap, ranked
+    in sorted order, so equal projections are equal ints in any context;
+    each is computed once per search.  The walk keeps an explicit stack.
+    Overlapping supports agree and none is empty, so the family is
+    assembled unchecked.
     """
     contexts = context_set.maximal
     vs_list: List[Tuple[str, ...]] = []
-    candidate_lists: List[List[FrozenSet[Tuple[str, ...]]]] = []
+    candidate_lists: List[List[int]] = []
+    # Contexts of one arity share their rows, and often their candidates.
+    rows_of: Dict[int, List[Tuple[str, ...]]] = {}
     for c in contexts:
-        vs, cands = _context_candidates(c, sigma, phi, domain, max_rows)
+        vs, rows, cands = _context_candidates(c, sigma, phi, domain, max_rows)
         if not cands:
             return None
+        rows_of[len(vs)] = rows
         if rng is not None:
             rng.shuffle(cands)
         vs_list.append(vs)
@@ -937,12 +978,29 @@ def _backtrack_family(
 
     n = len(contexts)
     # later[d] lists the later depths whose contexts overlap depth d's;
-    # out_ids[d][i] holds candidate i's projection ids onto those overlaps,
-    # and buckets[d] groups candidate indices by their ids onto earlier ones.
+    # out_ids[d][i] holds candidate i's projections onto those overlaps,
+    # and buckets[d] groups candidate indices by their projections onto
+    # earlier ones.
     later: List[List[int]] = [[] for _ in range(n)]
     buckets: List[Dict[Tuple[int, ...], List[int]]] = []
     out_ids: List[List[Tuple[int, ...]]] = []
-    ids: Dict[FrozenSet[Tuple[str, ...]], int] = {}
+
+    @functools.lru_cache(maxsize=None)
+    def restriction_bits(arity: int, idx: Tuple[int, ...]) -> List[int]:
+        """Per row, the bit of its restriction to positions idx, ranked
+        among all those restrictions in sorted order."""
+        restricted = [tuple(row[p] for p in idx) for row in rows_of[arity]]
+        rank = {t: 1 << i for i, t in enumerate(sorted(set(restricted)))}
+        return [rank[t] for t in restricted]
+
+    @functools.lru_cache(maxsize=None)
+    def project(arity: int, idx: Tuple[int, ...], cand: int) -> int:
+        bits = restriction_bits(arity, idx)
+        out = 0
+        for j in _bits(cand):
+            out |= bits[j]
+        return out
+
     for d, c in enumerate(contexts):
         positions = []
         for k in range(n):
@@ -955,10 +1013,7 @@ def _backtrack_family(
         bucket: Dict[Tuple[int, ...], List[int]] = {}
         outs = []
         for i, cand in enumerate(candidate_lists[d]):
-            proj = [
-                ids.setdefault(frozenset(tuple(row[p] for p in idx) for row in cand), len(ids))
-                for idx in positions
-            ]
+            proj = [project(len(c), idx, cand) for idx in positions]
             bucket.setdefault(tuple(proj[:split]), []).append(i)
             outs.append(tuple(proj[split:]))
         buckets.append(bucket)
@@ -999,7 +1054,7 @@ def _backtrack_family(
 
     relations = []
     for context, vs, cands, i in zip(contexts, vs_list, candidate_lists, chosen):
-        assignments = [Assignment(zip(vs, row)) for row in sorted(cands[i])]
+        assignments = [Assignment(zip(vs, rows_of[len(vs)][j])) for j in _bits(cands[i])]
         relations.append(KRelation.boolean(context, assignments))
     return ContextualFamily._unchecked(context_set, MonoidKind.B, relations)
 

@@ -334,6 +334,7 @@ class TestCounterexample:
 TWO_CONTEXTS = "monoid N\ncontext x y\n0 0 : 1\ncontext y z\n0 0 : 1\n"
 CYCLE_ERROR = "error: a chordless cycle needs at least 3 contexts, got 2\n"
 GENERAL = "error: x y -> z is neither unary nor a CD; only CLASSICAL and NRA accept general dependencies\n"
+CD_REFUSAL = "error: counterexample construction covers unary premises and binary CDs; got cd x y z\n"
 
 
 class TestErrorCorpus:
@@ -353,9 +354,7 @@ class TestErrorCorpus:
             ("x y -> z\n", ["counterexample", "--query", "x -> z"], GENERAL),
             (TRANSITIVITY, ["entail", "--query", "x -> z", "--domain", "0"],
              "error: domain size and row budget must be positive\n"),
-            (CHAIN, ["counterexample", "--query", "x -> z"],
-             "error: counterexample construction covers unary premises and "
-             "binary CDs; got cd x y z\n"),
+            (CHAIN, ["counterexample", "--query", "x -> z"], CD_REFUSAL),
         ],
         ids=["opg", "decompose", "realise-weight", "realise-cycle", "derive-rules",
              "derive-general", "counterexample-general", "entail-domain",
@@ -365,6 +364,30 @@ class TestErrorCorpus:
         path = tmp_path / "input.txt"
         path.write_text(document)
         assert run(capsys, argv[0], str(path), *argv[1:]) == (2, "", err)
+
+
+    @pytest.mark.parametrize(
+        "document, query, expected",
+        [
+            ("x y -> z\n", "x y -> w", (2, "", GENERAL)),
+            ("x y -> z\n", "x -> x", (2, "", GENERAL)),
+            ("x -> y\ny -> z\nz -> x\ncd x y z\n", "x -> z",
+             (0, "derivable; no counterexample\n", "")),
+            (CHAIN, "z -> x", (2, "", CD_REFUSAL)),
+            (CHAIN, "x y -> z", (2, "", CD_REFUSAL)),
+            (TRANSITIVITY, "x y -> z", (2, "", "error: the goal must be a unary dependency\n")),
+        ],
+        ids=["general-premise-wide-goal", "general-premise-reflexive-goal",
+             "ternary-cd-derivable", "ternary-cd-unreachable", "ternary-cd-wide-goal",
+             "wide-goal"],
+    )
+    def test_counterexample_precedence(self, capsys, tmp_path, document, query, expected):
+        """``counterexample`` refuses premises outside the fragment first,
+        then answers derivable goals, and only then refuses what its
+        construction does not cover."""
+        path = tmp_path / "input.txt"
+        path.write_text(document)
+        assert run(capsys, "counterexample", str(path), "--query", query) == expected
 
 
 # ``python -m`` runs the checkout's sources, installed or not.

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import random
 from bisect import insort
 
@@ -18,7 +19,6 @@ from ctxfam.fdlogic import (
     UnsupportedDependencyError,
     _ClosureEngine,
     _context_candidates,
-    _rows_satisfy,
     _split_premises,
     build_counterexample,
     chain_rule_derives,
@@ -733,6 +733,29 @@ def reference_counterexample(sigma, phi, kind):
     return ContextualFamily(relations)
 
 
+def _rows_satisfy(rows, positions, fd):
+    """Whether a whole set of rows satisfies fd: the check the pairwise
+    masks of ``_context_candidates`` replaced."""
+    lhs = [positions[v] for v in sorted(fd.lhs)]
+    rhs = [positions[v] for v in sorted(fd.rhs)]
+    seen = {}
+    for row in rows:
+        left = tuple(row[i] for i in lhs)
+        right = tuple(row[i] for i in rhs)
+        prior = seen.get(left)
+        if prior is None:
+            seen[left] = right
+        elif prior != right:
+            return False
+    return True
+
+
+def candidate_sets(context, sigma, phi, domain, max_rows):
+    """``_context_candidates`` with each support as its set of rows."""
+    vs, rows, masks = _context_candidates(context, sigma, phi, domain, max_rows)
+    return vs, [frozenset(row for j, row in enumerate(rows) if mask >> j & 1) for mask in masks]
+
+
 def reference_context_candidates(context, sigma, phi, domain, max_rows):
     vs = tuple(sorted(context))
     positions = {v: i for i, v in enumerate(vs)}
@@ -895,7 +918,107 @@ class TestAgainstReference:
                     continue
                 for phi in [None] + [u(x, y) for x, y in queries]:
                     args = (context, sigma, phi, ["0", "1"], 4)
-                    assert _context_candidates(*args) == reference_context_candidates(*args)
+                    assert candidate_sets(*args) == reference_context_candidates(*args)
+        # Ternary and four-variable contexts, domains 1-3 and budgets 1-5,
+        # with unary, general and CD premises and goals inside and outside
+        # the context, wherever the reference enumerates at most 25 000
+        # combinations (once past 5000).
+        rng = random.Random(17)
+        names = ["a", "b", "c", "d", "e"]
+        cases = inside = 0
+        for width, size, max_rows in itertools.product((3, 4), (1, 2, 3), range(1, 6)):
+            combinations = sum(math.comb(size**width, k) for k in range(1, max_rows + 1))
+            if combinations > 25_000:
+                continue
+            for _ in range(3 if combinations <= 5000 else 1):
+                context = frozenset(rng.sample(names, width))
+                inner = sorted(context)
+                sigma = [u(*rng.sample(inner, 2)) for _ in range(rng.randint(0, 2))]
+                sigma.append(FD(frozenset(inner[:2]), frozenset(inner[2:3])))
+                sigma.append(cd(inner))
+                sigma.append(u(*rng.sample(names, 2)))
+                goals = [None, u(*rng.sample(inner, 2)), FD(frozenset(inner[1:3]), frozenset(inner[:1]))]
+                goals.append(u(inner[0], next(v for v in names if v not in context)))
+                for phi in goals:
+                    args = (context, sigma, phi, [str(i) for i in range(size)], max_rows)
+                    assert candidate_sets(*args) == reference_context_candidates(*args)
+                    cases += 1
+                    inside += phi is not None and phi.variables <= context
+        assert cases >= 250 and inside >= 120
+
+
+def trace_pass(trace):
+    """The closure pass that derived a trace's goal: 0 for a premise or
+    reflexivity, else one after the latest of its antecedents."""
+    passes = []
+    for step in trace.steps:
+        passes.append(1 + max(passes[j] for j in step.antecedents) if step.antecedents else 0)
+    return passes[-1]
+
+
+def premise_reach(sigma, x):
+    """The variables reachable from x along at least one premise edge."""
+    edges, _, _ = _split_premises(sigma)
+    seen, frontier = set(), [x]
+    while frontier:
+        a = frontier.pop()
+        for b in [b for a2, b in edges if a2 == a and b not in seen]:
+            seen.add(b)
+            frontier.append(b)
+    return seen
+
+
+class TestGoalDirected:
+    """``derives`` stops at its goal; verdicts and traces stay those of the
+    full closure."""
+
+    def test_late_stuck_and_outside_goals(self):
+        """Goals derived at pass 2 or later, goals reachable along premise
+        edges but not derivable, and goals naming variables outside the
+        premises."""
+        counts = {"late": 0, "stuck": 0, "outside": 0}
+        for number, (sigma, _) in enumerate(small_corpus(31, 60)):
+            rng = random.Random(number)
+            variables = sorted({v for fd in sigma for v in fd.variables})
+            full = reference_engine(sigma, RuleSet.FULL, [])
+            pairs = [
+                e for e, just in full.edges.items()
+                if just[0] in ("cycle", "chain") and trace_pass(reference_trace(full, sigma, e)) >= 2
+            ]
+            pairs += [tuple(rng.sample(variables, 2)) for _ in range(6)]
+            pairs += [(rng.choice(variables), "zz"), ("a", rng.choice(variables))]
+            for x, y in pairs:
+                for rules in (RuleSet.CR, RuleSet.FULL):
+                    ours = derives(sigma, u(x, y), rules)
+                    theirs = reference_derives(sigma, u(x, y), rules)
+                    assert ours == theirs
+                    if ours[0]:
+                        assert format_trace(ours[1]) == format_trace(theirs[1])
+                        counts["late"] += trace_pass(ours[1]) >= 2
+                    counts["stuck"] += not ours[0] and y in premise_reach(sigma, x)
+                    counts["outside"] += not {x, y} <= set(variables)
+        assert counts["late"] >= 20 and counts["stuck"] >= 100 and counts["outside"] >= 200
+
+    @pytest.mark.parametrize("seed", [0, 9, 21])
+    def test_large_queries_run_no_full_closure(self, monkeypatch, seed):
+        """On the benchmark's large shape, a planted-cycle goal computes the
+        chain states of at most one target and an unreachable goal of none;
+        the whole FULL closure computes them for every target, pass by pass."""
+        calls = []
+        chain_states = fdlogic._chain_states
+
+        def counting(*args):
+            calls.append(args[2])
+            return chain_states(*args)
+
+        monkeypatch.setattr(fdlogic, "_chain_states", counting)
+        for sigma, (planted, unreachable) in large_corpus(seed):
+            del calls[:]
+            assert derives(sigma, u(*planted), RuleSet.FULL)[0]
+            assert len(calls) <= 1
+            del calls[:]
+            assert derives(sigma, u(*unreachable), RuleSet.FULL) == (False, None)
+            assert calls == []
 
 
 class TestSamplerEdges:
