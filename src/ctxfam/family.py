@@ -151,7 +151,7 @@ class ContextualFamily:
 
     __slots__ = ("contexts", "kind", "_relations")
 
-    def __init__(self, relations: Iterable[KRelation], contexts: Optional[ContextSet] = None):
+    def __init__(self, relations: Iterable[KRelation]):
         rels = list(relations)
         if not rels:
             raise ValueError("a family needs at least one context relation")
@@ -159,15 +159,10 @@ class ContextualFamily:
         for r in rels:
             if r.kind is not kind:
                 raise ValueError("all context relations must share one kind")
-        declared = ContextSet(r.variables for r in rels)
-        if contexts is not None and contexts != declared:
-            raise ContextError(
-                f"relations cover {declared!r} but the family declares {contexts!r}"
-            )
         violation = find_violation(rels)
         if violation is not None:
             raise LocalConsistencyError(violation)
-        object.__setattr__(self, "contexts", declared)
+        object.__setattr__(self, "contexts", ContextSet(r.variables for r in rels))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(
             self, "_relations", {r.variables: r for r in rels}

@@ -696,11 +696,7 @@ def _derives_covering(
     allvars = phi.variables
     for fd in sigma:
         allvars = allvars | fd.variables
-    covers = sorted(
-        (fd.lhs for fd in sigma if fd.is_cd and allvars <= fd.lhs),
-        key=lambda s: (len(s), tuple(sorted(s))),
-    )
-    if not covers:
+    if not any(fd.is_cd and allvars <= fd.lhs for fd in sigma):
         raise MissingCoveringContextError(
             "CLASSICAL and NRA need a premise CD containing every variable "
             f"({' '.join(sorted(allvars))})"
@@ -1062,7 +1058,6 @@ def _backtrack_family(
 def semantic_entails_oracle(
     sigma: Iterable[FD],
     phi: FD,
-    kind: MonoidKind = MonoidKind.B,
     domain_size: int = 2,
     max_rows: int = 4,
 ) -> EntailmentVerdict:
@@ -1075,8 +1070,6 @@ def semantic_entails_oracle(
     fragment the default bounds are sufficient, so "no counterexample" is
     conclusive there; elsewhere the verdict is flagged bounded-only.
     """
-    if kind is not MonoidKind.B:
-        raise ValueError("the oracle enumerates B-families")
     if domain_size < 1 or max_rows < 1:
         raise ValueError("domain size and row budget must be positive")
     premises = sorted(set(sigma), key=lambda f: f.sort_key)

@@ -140,6 +140,11 @@ class OverlapProjectionGraph:
     i+1; each row of context i contributes one edge from its value on
     boundary i-1 to its value on boundary i.  The graph is cyclically
     n-partite: every edge advances the layer by one, modulo n.
+
+    Vertex i is ``vertices[i]`` and edge k is ``edges[k]``; ``_succ[i]``
+    and ``_pred[i]`` list ``(edge number, target or source number)`` in
+    edge order.  Every graph path reads these integer lists; only the
+    entry points that take a vertex or an edge look it up in ``_index``.
     """
 
     __slots__ = ("ordering", "vertices", "edges", "_index", "_succ", "_pred")
@@ -149,28 +154,18 @@ class OverlapProjectionGraph:
         ordering: CycleOrdering,
         vertices: Iterable[OpgVertex],
         edges: Iterable[OpgEdge],
+        ends: Iterable[Tuple[int, int]],
     ):
-        """Takes the endpoints of the edges, each once, and the edges
-        already sorted by context index and then label, as
-        :func:`build_opg` emits them; only the vertices are sorted here,
-        by layer and then in row order."""
+        """Takes the vertices and edges in the order :func:`build_opg`
+        numbers them, and each edge's source and target numbers; it only
+        fills the adjacency lists."""
         self.ordering = ordering
+        self.vertices = tuple(vertices)
         self.edges = tuple(edges)
-        layers: Dict[int, List[OpgVertex]] = {}
-        for v in vertices:
-            layers.setdefault(v.layer, []).append(v)
-        self.vertices = tuple(
-            group[i]
-            for _, group in sorted(layers.items())
-            for i in _row_order([v.boundary.items() for v in group])
-        )
-        # Vertex i is vertices[i]; _succ[i] and _pred[i] list (edge index,
-        # target or source index) in sorted edge order.
         self._index = {v: i for i, v in enumerate(self.vertices)}
         self._succ: List[List[Tuple[int, int]]] = [[] for _ in self.vertices]
         self._pred: List[List[Tuple[int, int]]] = [[] for _ in self.vertices]
-        for k, e in enumerate(self.edges):
-            source, target = self._index[e.source], self._index[e.target]
+        for k, (source, target) in enumerate(ends):
             self._succ[source].append((k, target))
             self._pred[target].append((k, source))
 
@@ -227,10 +222,9 @@ class OverlapProjectionGraph:
     def uncovered_edges(self) -> Tuple[OpgEdge, ...]:
         """Edges lying on no cycle: endpoints in different components."""
         component = self._component_labels()
-        index = self._index
-        return tuple(
-            e for e in self.edges if component[index[e.source]] != component[index[e.target]]
-        )
+        cut = sorted(k for source, out in enumerate(self._succ) for k, target in out
+                     if component[source] != component[target])
+        return tuple(self.edges[k] for k in cut)
 
     @property
     def has_edge_cycle_cover(self) -> bool:
@@ -251,29 +245,39 @@ def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
     """The overlap projection graph of a family's support.
 
     The family's context set must classify as a chordless cycle.  Only
-    the support matters, so any kind is accepted.
+    the support matters, so any kind is accepted.  The vertices are
+    numbered here, once: by layer, and within a layer in the row order
+    (:func:`_row_order`) of their boundary values.  The edges come by
+    context and then in stored row order, each with the numbers of its
+    ends.
     """
     ordering = classify_chordless_cycle(family.contexts)
-    n = len(ordering)
+    sides = [
+        (family.relation_at(c), _projection(c, ordering.boundary(i - 1)), _projection(c, ordering.boundary(i)))
+        for i, c in enumerate(ordering.contexts)
+    ]
+    numbers: List[Dict[Pairs, int]] = [{} for _ in sides]
+    for i, (relation, before, after) in enumerate(sides):
+        pairs = [row.items() for row, _ in relation.rows()]
+        numbers[i - 1].update(dict.fromkeys(map(before, pairs)))
+        numbers[i].update(dict.fromkeys(map(after, pairs)))
+    vertices: List[OpgVertex] = []
+    for layer, number in enumerate(numbers):
+        values = list(number)
+        for j in _row_order(values):
+            number[values[j]] = len(vertices)
+            vertices.append(OpgVertex(layer, Assignment._sorted(values[j])))
     edges: List[OpgEdge] = []
-    vertices: Dict[Tuple[int, Pairs], OpgVertex] = {}
-
-    def vertex(layer: int, pairs: Pairs) -> OpgVertex:
-        v = vertices.get((layer, pairs))
-        if v is None:
-            v = vertices[layer, pairs] = OpgVertex(layer, Assignment._sorted(pairs))
-        return v
-
-    for i in range(n):
-        context = ordering.contexts[i]
-        before = _projection(context, ordering.boundary(i - 1))
-        after = _projection(context, ordering.boundary(i))
-        for row, _ in family.relation_at(context).rows():
+    sources: List[int] = []
+    targets: List[int] = []
+    for i, (relation, before, after) in enumerate(sides):
+        for row, _ in relation.rows():
             pairs = row.items()
-            source = vertex((i - 1) % n, before(pairs))
-            target = vertex(i, after(pairs))
-            edges.append(OpgEdge(source, target, row, i))
-    return OverlapProjectionGraph(ordering, vertices.values(), edges)
+            source, target = numbers[i - 1][before(pairs)], numbers[i][after(pairs)]
+            edges.append(OpgEdge(vertices[source], vertices[target], row, i))
+            sources.append(source)
+            targets.append(target)
+    return OverlapProjectionGraph(ordering, vertices, edges, zip(sources, targets))
 
 
 def _shortest_path(
@@ -345,13 +349,12 @@ def lift_uniform(sub: ContextualFamily, weight: MonoidValue) -> ContextualFamily
     graph = build_opg(sub)
     if not graph.vertices:
         raise NotSimplyCyclicError("the empty family is not a cycle")
-    for v in graph.vertices:
-        if len(graph.out_edges(v)) != 1 or len(graph.in_edges(v)) != 1:
+    for v, out, into in zip(graph.vertices, graph._succ, graph._pred):
+        if len(out) != 1 or len(into) != 1:
             raise NotSimplyCyclicError(
                 f"vertex {v} has degree other than one in each direction"
             )
-    comps = graph.strongly_connected_components()
-    if len(comps) != 1:
+    if len(set(graph._component_labels())) != 1:
         raise NotSimplyCyclicError("the support splits into several cycles")
     lifted = [
         scalar_fill(weight, rel.variables, rel.support)
@@ -431,10 +434,11 @@ def decompose_cycles(
     that still has a live edge, picks the shortest cycle over its
     out-edges (the first in sorted edge order among equals), and
     subtracts the least annotation along it; an edge dies when its
-    residual reaches zero.  The graph is built once: residual weights
-    and live out-adjacency are kept on integer indices, and each peel
-    costs one breadth-first search over live edges per out-edge of its
-    start vertex.  Local consistency makes the weights a circulation on
+    residual reaches zero.  The graph is built once: residual weights,
+    live out-adjacency and each edge's ends, read back from the graph's
+    adjacency, are kept on vertex and edge numbers, so no vertex is
+    looked up, and each peel costs one breadth-first search over live
+    edges per out-edge of its start vertex.  Local consistency makes the weights a circulation on
     the graph, and subtracting a cycle keeps it one, so a vertex with a
     live in-edge still has a live out-edge and the start vertex only
     moves forward.  A part is a simple cycle, consistent by construction,
@@ -449,7 +453,7 @@ def decompose_cycles(
     relations = [family.relation_at(c) for c in graph.ordering.contexts]
     residual = [relations[e.context_index].annotation(e.label).payload for e in edges]
     succ = [list(out) for out in graph._succ]
-    ends = [(graph._index[e.source], graph._index[e.target]) for e in edges]
+    ends = {k: (source, target) for source, out in enumerate(succ) for k, target in out}
     live = len(edges)
     start = 0
     one = MonoidValue.one(MonoidKind.B)

@@ -13,6 +13,7 @@ from ctxfam.realisability import (
     NotChordlessCycleError,
     NotRealisableError,
     NotSimplyCyclicError,
+    OpgVertex,
     build_opg,
     classify_chordless_cycle,
     decompose_cycles,
@@ -527,7 +528,7 @@ def reference_decompose(family):
 
 
 def walk_family(rng, kind, weights, contexts_count=None, components=None,
-                walks=(1, 3), domain=(2, 3)):
+                walks=(1, 3), domain=(2, 3), ints=False):
     """A locally consistent family over a chordless cycle of binary and
     ternary contexts: the sum of closed walks around the cycle, each
     carrying one weight, in value-disjoint components.
@@ -535,7 +536,11 @@ def walk_family(rng, kind, weights, contexts_count=None, components=None,
     Context i binds x_i and x_{i+1} (and a private m_i when ternary).  A
     walk of winding w picks n*w values a_s and at step s adds a row
     x_i = a_s, x_{i+1} = a_{s+1} to context i = s mod n, so every
-    boundary value is entered and left equally often."""
+    boundary value is entered and left equally often.
+
+    Values are strings ``c<component>v<value>``, or with ``ints`` the
+    ints ``100 * component + 9 + value``: they start at 9, so row order
+    ("10" before "9") differs from numeric order."""
     n = contexts_count or rng.randint(3, 6)
     contexts = []
     for i in range(n):
@@ -546,13 +551,17 @@ def walk_family(rng, kind, weights, contexts_count=None, components=None,
         size = rng.randint(*domain)
         for _ in range(rng.randint(*walks)):
             length = n * rng.randint(1, 2)
-            values = [f"c{comp}v{rng.randrange(size)}" for _ in range(length)]
+            values = [
+                100 * comp + 9 + v if ints else f"c{comp}v{v}"
+                for v in (rng.randrange(size) for _ in range(length))
+            ]
             w = rng.choice(weights)
             for step in range(length):
                 i = step % n
                 key = (values[step], values[(step + 1) % length])
                 if len(contexts[i]) == 3:
-                    key += (f"p{rng.randrange(2)}",)
+                    private = rng.randrange(2)
+                    key += (private if ints else f"p{private}",)
                 total[i][key] = total[i].get(key, 0) + w
     return ContextualFamily(
         [
@@ -579,13 +588,17 @@ def with_cross_row(rng, family):
     i = ordering.contexts.index(rels[at].variables)
     out_var = next(iter(ordering.boundary(i)))
     left = rows[0]
-    component = left[out_var].split("v")[0]
-    right = next(r for r in rows if not r[out_var].startswith(component + "v"))
+    right = next(r for r in rows if component_of(r[out_var]) != component_of(left[out_var]))
     cross = Assignment(
         {v: (right[v] if v == out_var else left[v]) for v in rels[at].variables}
     )
     rels[at] = KRelation.boolean(rels[at].variables, rows + [cross])
     return ContextualFamily(rels)
+
+
+def component_of(value):
+    """The walk_family component a value belongs to."""
+    return (value - 9) // 100 if isinstance(value, int) else value.split("v")[0]
 
 
 def reference_components(graph):
@@ -657,48 +670,60 @@ class TestAgainstReference:
         assert sizes == {3, 4, 5, 6} and several
 
     def test_edges_come_in_context_then_label_order(self):
-        """The graph keeps build_opg's edge order without sorting it."""
+        """The graph keeps build_opg's edge order without sorting it, and
+        its vertices in layer and then row order, also for int tokens,
+        whose row order is not their numeric order."""
         rng = random.Random(4)
-        for kind, weights in [(MonoidKind.B, [1]), (MonoidKind.N, [1, 2, 3])]:
-            for _ in range(25):
-                graph = build_opg(walk_family(rng, kind, weights))
-                keys = [(e.context_index, e.label.sort_key) for e in graph.edges]
-                assert keys == sorted(keys)
-                ends = {e.source for e in graph.edges} | {e.target for e in graph.edges}
-                assert set(graph.vertices) == ends
-                assert len(graph.vertices) == len(ends)
+        unlike_numeric = 0
+        for ints in (False, True):
+            for kind, weights in [(MonoidKind.B, [1]), (MonoidKind.N, [1, 2, 3])]:
+                for _ in range(25):
+                    graph = build_opg(walk_family(rng, kind, weights, ints=ints))
+                    keys = [(e.context_index, e.label.sort_key) for e in graph.edges]
+                    assert keys == sorted(keys)
+                    ends = {e.source for e in graph.edges} | {e.target for e in graph.edges}
+                    assert set(graph.vertices) == ends
+                    assert len(graph.vertices) == len(ends)
+                    order = [v.sort_key for v in graph.vertices]
+                    assert order == sorted(order)
+                    if ints:
+                        numeric = [(v.layer, v.boundary.items()) for v in graph.vertices]
+                        unlike_numeric += numeric != sorted(numeric)
+        assert unlike_numeric > 10
 
     def test_cycle_search_matches_the_reference(self):
         rng = random.Random(2)
-        for _ in range(25):
-            graph = build_opg(walk_family(rng, MonoidKind.B, [1]))
-            for edge in graph.edges:
-                assert find_simple_cycle_through(graph, edge) == (
-                    reference_cycle_through(graph, edge)
-                )
+        for ints in (False, True):
+            for _ in range(25):
+                graph = build_opg(walk_family(rng, MonoidKind.B, [1], ints=ints))
+                for edge in graph.edges:
+                    assert find_simple_cycle_through(graph, edge) == (
+                        reference_cycle_through(graph, edge)
+                    )
 
     def test_components_match_object_adjacency(self):
         rng = random.Random(2)
-        several = uncovered = 0
-        for i in range(60):
-            if i % 2 == 0:
-                family = walk_family(rng, MonoidKind.B, [1])
-            else:
-                family = walk_family(rng, MonoidKind.B, [1], components=2)
-                try:
-                    family = with_cross_row(rng, family)
-                except ValueError:
-                    pass  # the cross row broke local consistency
-            graph = build_opg(family)
-            comps, cut, out, inc = reference_components(graph)
-            assert graph.strongly_connected_components() == comps
-            assert graph.uncovered_edges() == cut
-            for v in graph.vertices:
-                assert graph.out_edges(v) == out[v]
-                assert graph.in_edges(v) == inc[v]
-            several += len(comps) > 1
-            uncovered += bool(cut)
-        assert several > 20 and uncovered > 10
+        for ints in (False, True):
+            several = uncovered = 0
+            for i in range(60):
+                if i % 2 == 0:
+                    family = walk_family(rng, MonoidKind.B, [1], ints=ints)
+                else:
+                    family = walk_family(rng, MonoidKind.B, [1], components=2, ints=ints)
+                    try:
+                        family = with_cross_row(rng, family)
+                    except ValueError:
+                        pass  # the cross row broke local consistency
+                graph = build_opg(family)
+                comps, cut, out, inc = reference_components(graph)
+                assert graph.strongly_connected_components() == comps
+                assert graph.uncovered_edges() == cut
+                for v in graph.vertices:
+                    assert graph.out_edges(v) == out[v]
+                    assert graph.in_edges(v) == inc[v]
+                several += len(comps) > 1
+                uncovered += bool(cut)
+            assert several > 20 and uncovered > 10
 
     def test_refusals_match_the_reference(self):
         rng = random.Random(5)
@@ -791,3 +816,39 @@ class TestNoPerCycleRebuilds:
     def test_decompose_validates_no_part(self, large, constructions):
         parts = decompose_cycles(large)
         assert len(parts) > 10 and not constructions
+
+
+@pytest.fixture
+def vertex_hashes(monkeypatch):
+    """Counts OpgVertex hashes from here on."""
+    calls = []
+    original = OpgVertex.__hash__
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(OpgVertex, "__hash__", counting)
+    return calls
+
+
+class TestNoVertexLookups:
+    """Graph paths read the integer adjacency that build_opg numbers; only
+    the graph's own vertex index hashes each vertex, once."""
+
+    @pytest.fixture(scope="class")
+    def family(self):
+        return walk_family(random.Random(1), MonoidKind.N, [1, 2, 3], contexts_count=5)
+
+    def test_uncovered_edges_hash_no_vertex_per_edge(self, family, vertex_hashes):
+        graph = build_opg(family)
+        assert len(graph.edges) > len(graph.vertices)
+        vertex_hashes.clear()
+        graph.uncovered_edges()
+        assert len(vertex_hashes) <= len(graph.vertices)
+
+    def test_decompose_hashes_no_vertex_per_edge(self, family, vertex_hashes):
+        vertices = len(build_opg(family).vertices)
+        vertex_hashes.clear()
+        decompose_cycles(family)
+        assert len(vertex_hashes) <= vertices
