@@ -23,7 +23,6 @@ from .family import (
     ConsistencyViolation,
     LocalConsistencyError,
     check_global_consistency,
-    check_local_consistency,
     find_violation,
 )
 from .fdlogic import (
@@ -53,8 +52,6 @@ from .formats import (
     parse_relations,
     serialize_decomposition,
     serialize_family,
-    serialize_fd,
-    serialize_fds,
     serialize_relation,
 )
 from .monoid import (
@@ -129,7 +126,6 @@ __all__ = [
     "build_opg",
     "chain_rule_derives",
     "check_global_consistency",
-    "check_local_consistency",
     "classical_closure",
     "classify_chordless_cycle",
     "consistent",
@@ -159,8 +155,6 @@ __all__ = [
     "semantic_entails_oracle",
     "serialize_decomposition",
     "serialize_family",
-    "serialize_fd",
-    "serialize_fds",
     "serialize_relation",
     "subtract",
     "verify_trace",

@@ -257,12 +257,6 @@ class ContextualFamily:
         return f"ContextualFamily[{self.kind}]({len(self.contexts)} contexts)"
 
 
-def check_local_consistency(relations: Iterable[KRelation]) -> ContextualFamily:
-    """Validate pairwise consistency, returning the family or raising
-    :class:`LocalConsistencyError` with the first disagreeing marginal row."""
-    return ContextualFamily(relations)
-
-
 def _support_join(family: ContextualFamily) -> Tuple[List[Assignment], List[List[int]]]:
     """All assignments over the union of variables whose restriction to
     every maximal context lies in that context's support, in ``sort_key``

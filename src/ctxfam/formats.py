@@ -15,11 +15,13 @@ names the variables of one maximal context; the rows that follow list
 one value per variable, in the order the context declared them, with an
 optional `` : weight`` suffix (weights default to 1 and parse in the
 declared kind; Q accepts ``p/q``).  Tokens are whitespace-separated and
-may not contain ``:`` or ``#``.
+may not contain ``:`` or ``#``.  No row value may be ``context`` or
+``monoid``: written back in sorted variable order, it could open a line.
 
 Dependency documents hold one dependency per line: ``x -> y`` (several
 variables allowed on each side) or ``cd x y ...`` for constraint
-dependencies.
+dependencies.  ``->`` names no variable on a ``cd`` line, nor ``cd`` one
+left of ``->``: either would be written back as another dependency.
 
 Parsing reports errors with line numbers; serialisation is canonical
 (sorted contexts, sorted rows) and round-trips.
@@ -27,6 +29,7 @@ Parsing reports errors with line numbers; serialisation is canonical
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 from typing import Dict, List, Tuple
 
@@ -34,6 +37,9 @@ from .family import ContextualFamily
 from .fdlogic import FD
 from .monoid import MonoidKind, MonoidValue, format_value, parse_value
 from .relation import Assignment, KRelation
+
+
+_RESERVED_VALUES = frozenset(("context", "monoid"))
 
 
 class FormatError(ValueError):
@@ -126,10 +132,16 @@ def parse_relations(text: str) -> List[KRelation]:
 
     if not blocks:
         raise FormatError(lines[-1][0], "document declares no context")
+    # A reserved row value counts one word more than the directive lines do.
+    scan = text.count("context") > len(blocks) or text.count("monoid") > 1
     # Sorted value tuples are the constructor's row order for str tokens,
     # so its own sort is one linear pass.
     relations = []
-    for (_, variables), block_rows in zip(blocks, rows):
+    for (start, variables), block_rows in zip(blocks, rows):
+        if scan and not _RESERVED_VALUES.isdisjoint(chain.from_iterable(block_rows)):
+            number, word = next((n, w) for n, line in lines if n > start
+                                for w in line.split() if w in _RESERVED_VALUES)
+            raise FormatError(number, f"row value {word!r} is a reserved word")
         names = sorted(variables)
         relations.append(
             KRelation(
@@ -202,6 +214,8 @@ def parse_fd(text: str, line: int = 1) -> FD:
     if tokens[0] == "cd":
         if len(tokens) < 2:
             raise FormatError(line, "cd needs at least one variable")
+        if "->" in tokens:
+            raise FormatError(line, "'->' is reserved and names no variable on a cd line")
         return FD.cd(tokens[1:])
     if tokens.count("->") != 1:
         raise FormatError(line, "expected exactly one '->'")
@@ -209,6 +223,8 @@ def parse_fd(text: str, line: int = 1) -> FD:
     lhs, rhs = tokens[:cut], tokens[cut + 1 :]
     if not lhs or not rhs:
         raise FormatError(line, "a dependency needs variables on both sides")
+    if "cd" in lhs:
+        raise FormatError(line, "'cd' is reserved and names no variable left of '->'")
     return FD(frozenset(lhs), frozenset(rhs))
 
 
@@ -220,11 +236,3 @@ def parse_fds(text: str) -> List[FD]:
     if not out:
         raise FormatError(1, "empty document; expected dependencies")
     return out
-
-
-def serialize_fd(fd: FD) -> str:
-    return fd.display()
-
-
-def serialize_fds(fds) -> str:
-    return "\n".join(serialize_fd(fd) for fd in fds) + "\n"

@@ -19,6 +19,7 @@ constraints are homogeneous.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -109,10 +110,6 @@ class OpgVertex:
     layer: int
     boundary: Assignment
 
-    @property
-    def sort_key(self) -> Tuple:
-        return (self.layer, self.boundary.sort_key)
-
     def __str__(self) -> str:
         values = ",".join(str(val) for _, val in self.boundary.items())
         return f"{self.layer}:{values}"
@@ -141,13 +138,14 @@ class OverlapProjectionGraph:
     boundary i-1 to its value on boundary i.  The graph is cyclically
     n-partite: every edge advances the layer by one, modulo n.
 
-    Vertex i is ``vertices[i]`` and edge k is ``edges[k]``; ``_succ[i]``
-    and ``_pred[i]`` list ``(edge number, target or source number)`` in
-    edge order.  Every graph path reads these integer lists; only the
-    entry points that take a vertex or an edge look it up in ``_index``.
+    Vertex i is ``vertices[i]`` and edge k is ``edges[k]``, drawn from
+    vertex ``_ends[k][0]`` to vertex ``_ends[k][1]``; ``_succ[i]`` lists
+    ``(edge number, target number)`` for the edges leaving vertex i, in
+    edge order.  Every graph path reads these integer lists, so no vertex
+    is looked up by hash.
     """
 
-    __slots__ = ("ordering", "vertices", "edges", "_index", "_succ", "_pred")
+    __slots__ = ("ordering", "vertices", "edges", "_ends", "_succ")
 
     def __init__(
         self,
@@ -162,21 +160,14 @@ class OverlapProjectionGraph:
         self.ordering = ordering
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
-        self._index = {v: i for i, v in enumerate(self.vertices)}
+        self._ends = tuple(ends)
         self._succ: List[List[Tuple[int, int]]] = [[] for _ in self.vertices]
-        self._pred: List[List[Tuple[int, int]]] = [[] for _ in self.vertices]
-        for k, (source, target) in enumerate(ends):
+        for k, (source, target) in enumerate(self._ends):
             self._succ[source].append((k, target))
-            self._pred[target].append((k, source))
-
-    def out_edges(self, v: OpgVertex) -> List[OpgEdge]:
-        return [self.edges[k] for k, _ in self._succ[self._index[v]]]
-
-    def in_edges(self, v: OpgVertex) -> List[OpgEdge]:
-        return [self.edges[k] for k, _ in self._pred[self._index[v]]]
 
     def _component_labels(self) -> List[int]:
-        """Kosaraju's two-pass sweep: the component of every vertex index."""
+        """Kosaraju's two-pass sweep: the component of every vertex number.
+        The second pass walks edges backwards, from lists built here."""
         finish: List[int] = []
         seen = [False] * len(self.vertices)
         for root in range(len(self.vertices)):
@@ -195,6 +186,9 @@ class OverlapProjectionGraph:
                         stack.append((nxt, 0))
                 else:
                     finish.append(node)
+        pred: List[List[int]] = [[] for _ in self.vertices]
+        for source, target in self._ends:
+            pred[target].append(source)
         component = [-1] * len(self.vertices)
         labels = 0
         for root in reversed(finish):
@@ -204,27 +198,18 @@ class OverlapProjectionGraph:
             component[root] = labels
             while stack2:
                 node = stack2.pop()
-                for _, prev in self._pred[node]:
+                for prev in pred[node]:
                     if component[prev] < 0:
                         component[prev] = labels
                         stack2.append(prev)
             labels += 1
         return component
 
-    def strongly_connected_components(self) -> List[FrozenSet[OpgVertex]]:
-        """The components, ordered by their least vertex (vertices come
-        sorted, so that is the order in which groups first appear)."""
-        groups: Dict[int, List[OpgVertex]] = {}
-        for v, c in zip(self.vertices, self._component_labels()):
-            groups.setdefault(c, []).append(v)
-        return [frozenset(g) for g in groups.values()]
-
     def uncovered_edges(self) -> Tuple[OpgEdge, ...]:
         """Edges lying on no cycle: endpoints in different components."""
         component = self._component_labels()
-        cut = sorted(k for source, out in enumerate(self._succ) for k, target in out
+        return tuple(e for e, (source, target) in zip(self.edges, self._ends)
                      if component[source] != component[target])
-        return tuple(self.edges[k] for k in cut)
 
     @property
     def has_edge_cycle_cover(self) -> bool:
@@ -268,16 +253,14 @@ def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
             number[values[j]] = len(vertices)
             vertices.append(OpgVertex(layer, Assignment._sorted(values[j])))
     edges: List[OpgEdge] = []
-    sources: List[int] = []
-    targets: List[int] = []
+    ends: List[Tuple[int, int]] = []
     for i, (relation, before, after) in enumerate(sides):
         for row, _ in relation.rows():
             pairs = row.items()
             source, target = numbers[i - 1][before(pairs)], numbers[i][after(pairs)]
             edges.append(OpgEdge(vertices[source], vertices[target], row, i))
-            sources.append(source)
-            targets.append(target)
-    return OverlapProjectionGraph(ordering, vertices, edges, zip(sources, targets))
+            ends.append((source, target))
+    return OverlapProjectionGraph(ordering, vertices, edges, ends)
 
 
 def _shortest_path(
@@ -315,23 +298,19 @@ def _shortest_path(
     return None
 
 
-def find_simple_cycle_through(
-    graph: OverlapProjectionGraph, edge: OpgEdge
-) -> List[OpgEdge]:
-    """A shortest simple cycle whose first edge is the given one.
+def find_simple_cycle_through(graph: OverlapProjectionGraph, k: int) -> List[OpgEdge]:
+    """A shortest simple cycle whose first edge is ``graph.edges[k]``.
 
     Breadth-first search from the edge's target back to its source, with
-    neighbours expanded in sorted order, so the result is deterministic.
+    neighbours expanded in edge order, so the result is deterministic.
     Raises :class:`NotRealisableError` when the edge lies on no cycle.
     """
-    path = _shortest_path(
-        graph._succ, graph._index[edge.target], graph._index[edge.source]
-    )
+    source, target = graph._ends[k]
+    path = _shortest_path(graph._succ, target, source)
     if path is None:
-        raise NotRealisableError(
-            f"edge {edge.describe()} lies on no cycle", uncovered=(edge,)
-        )
-    return [edge] + [graph.edges[k] for k in path]
+        edge = graph.edges[k]
+        raise NotRealisableError(f"edge {edge.describe()} lies on no cycle", uncovered=(edge,))
+    return [graph.edges[j] for j in [k] + path]
 
 
 def lift_uniform(sub: ContextualFamily, weight: MonoidValue) -> ContextualFamily:
@@ -349,8 +328,9 @@ def lift_uniform(sub: ContextualFamily, weight: MonoidValue) -> ContextualFamily
     graph = build_opg(sub)
     if not graph.vertices:
         raise NotSimplyCyclicError("the empty family is not a cycle")
-    for v, out, into in zip(graph.vertices, graph._succ, graph._pred):
-        if len(out) != 1 or len(into) != 1:
+    into = Counter(target for _, target in graph._ends)
+    for i, (v, out) in enumerate(zip(graph.vertices, graph._succ)):
+        if len(out) != 1 or into[i] != 1:
             raise NotSimplyCyclicError(
                 f"vertex {v} has degree other than one in each direction"
             )
@@ -411,10 +391,8 @@ def realise(
     if uncovered:
         listing = "; ".join(e.describe() for e in uncovered)
         raise NotRealisableError(f"support is not realisable: {listing}", uncovered)
-    counts: Dict[Assignment, int] = {}
-    for edge in graph.edges:
-        for e in find_simple_cycle_through(graph, edge):
-            counts[e.label] = counts.get(e.label, 0) + 1
+    counts = Counter(e.label for k in range(len(graph.edges))
+                     for e in find_simple_cycle_through(graph, k))
     weights = {
         label: weight if kind is MonoidKind.B else MonoidValue(kind, weight.payload * count)
         for label, count in counts.items()
@@ -434,17 +412,16 @@ def decompose_cycles(
     that still has a live edge, picks the shortest cycle over its
     out-edges (the first in sorted edge order among equals), and
     subtracts the least annotation along it; an edge dies when its
-    residual reaches zero.  The graph is built once: residual weights,
-    live out-adjacency and each edge's ends, read back from the graph's
-    adjacency, are kept on vertex and edge numbers, so no vertex is
-    looked up, and each peel costs one breadth-first search over live
-    edges per out-edge of its start vertex.  Local consistency makes the weights a circulation on
-    the graph, and subtracting a cycle keeps it one, so a vertex with a
-    live in-edge still has a live out-edge and the start vertex only
-    moves forward.  A part is a simple cycle, consistent by construction,
-    so it is assembled without the pairwise check.  The parts reconstruct
-    the input exactly:
-    sum of ``lift_uniform(part, weight)`` equals the family.
+    residual reaches zero.  The graph is built once, and residual weights
+    and live out-adjacency are kept on edge and vertex numbers, so no
+    vertex is looked up and each peel costs one breadth-first search over
+    live edges per out-edge of its start vertex.  Local consistency makes
+    the weights a circulation on the graph, and subtracting a cycle keeps
+    it one, so a vertex with a live in-edge still has a live out-edge and
+    the start vertex only moves forward.  A part is a simple cycle,
+    consistent by construction, so it is assembled without the pairwise
+    check.  The parts reconstruct the input exactly: the sum of
+    ``lift_uniform(part, weight)`` equals the family.
     """
     if not family.kind.is_cancellative:
         raise ValueError("decomposition needs a cancellative kind")
@@ -453,7 +430,6 @@ def decompose_cycles(
     relations = [family.relation_at(c) for c in graph.ordering.contexts]
     residual = [relations[e.context_index].annotation(e.label).payload for e in edges]
     succ = [list(out) for out in graph._succ]
-    ends = {k: (source, target) for source, out in enumerate(succ) for k, target in out}
     live = len(edges)
     start = 0
     one = MonoidValue.one(MonoidKind.B)
@@ -479,7 +455,7 @@ def decompose_cycles(
         for k in best:
             residual[k] -= least
             if not residual[k]:
-                source, target = ends[k]
+                source, target = graph._ends[k]
                 succ[source].remove((k, target))
                 live -= 1
     return parts

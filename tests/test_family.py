@@ -11,7 +11,6 @@ from ctxfam.family import (
     ContextualFamily,
     LocalConsistencyError,
     check_global_consistency,
-    check_local_consistency,
     find_violation,
 )
 from ctxfam.fdlogic import FD
@@ -78,7 +77,7 @@ class TestLocalConsistency:
         assert pair == {("Course", "Student"), ("Student", "Teacher")}
         assert violation.overlap_row == row(("Student",), ("Bob",))
         with pytest.raises(LocalConsistencyError) as err:
-            check_local_consistency(relations)
+            ContextualFamily(relations)
         assert err.value.violation.overlap_row == row(("Student",), ("Bob",))
 
     def test_uniform_weights_break_the_course_marginal(self, teaching_family):
@@ -89,7 +88,7 @@ class TestLocalConsistency:
         assert {violation.value_a.payload, violation.value_b.payload} == {2, 1}
 
     def test_empty_relations_are_consistent(self):
-        family = check_local_consistency(
+        family = ContextualFamily(
             [brel(ST, []), brel(TC, []), brel(CS, [])]
         )
         assert all(len(r) == 0 for r in family.maximal_relations())
@@ -104,11 +103,11 @@ class TestLocalConsistency:
 
     def test_duplicate_contexts_rejected(self):
         with pytest.raises(ValueError):
-            check_local_consistency([brel(ST, ST_ROWS), brel(ST, ST_ROWS)])
+            ContextualFamily([brel(ST, ST_ROWS), brel(ST, ST_ROWS)])
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            check_local_consistency(
+            ContextualFamily(
                 [brel(ST, ST_ROWS), wrel(MonoidKind.N, TC, [(r, 1) for r in TC_ROWS])]
             )
 

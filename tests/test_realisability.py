@@ -114,8 +114,8 @@ class TestBuildOpg:
         graph = build_opg(family)
         assert len(graph.vertices) == 6
         assert len(graph.edges) == 6
-        components = graph.strongly_connected_components()
-        assert sorted(len(c) for c in components) == [3, 3]
+        labels = graph._component_labels()
+        assert sorted(labels.count(c) for c in set(labels)) == [3, 3]
         assert graph.has_edge_cycle_cover
 
     def test_layers_advance_cyclically(self, teaching_family):
@@ -170,10 +170,11 @@ class TestRealisableChordless:
 class TestSimpleCycles:
     def test_short_cycle_beside_the_long_one(self, teaching_family):
         graph = build_opg(teaching_family)
-        (edge,) = [
-            e for e in graph.edges if e.label == row(ST, ("Bob", "David"))
+        (k,) = [
+            k for k, e in enumerate(graph.edges) if e.label == row(ST, ("Bob", "David"))
         ]
-        cycle = find_simple_cycle_through(graph, edge)
+        cycle = find_simple_cycle_through(graph, k)
+        assert cycle[0] is graph.edges[k]
         vertices = {v.boundary for e in cycle for v in (e.source, e.target)}
         assert len(cycle) == 3
         assert vertices == {
@@ -184,20 +185,21 @@ class TestSimpleCycles:
 
     def test_extension_edge_needs_the_full_tour(self, extended_family):
         graph = build_opg(extended_family)
-        (edge,) = [
-            e for e in graph.edges if e.label == row(CS, ("CS", "Alice"))
+        (k,) = [
+            k for k, e in enumerate(graph.edges) if e.label == row(CS, ("CS", "Alice"))
         ]
-        cycle = find_simple_cycle_through(graph, edge)
+        cycle = find_simple_cycle_through(graph, k)
         assert len(cycle) == 6
         assert {v for e in cycle for v in (e.source, e.target)} == set(graph.vertices)
 
     def test_uncovered_edge_has_no_cycle(self, teaching_family):
         graph = build_opg(teaching_family)
-        (edge,) = [
-            e for e in graph.edges if e.label == row(CS, ("CS", "Alice"))
+        (k,) = [
+            k for k, e in enumerate(graph.edges) if e.label == row(CS, ("CS", "Alice"))
         ]
-        with pytest.raises(NotRealisableError):
-            find_simple_cycle_through(graph, edge)
+        with pytest.raises(NotRealisableError) as err:
+            find_simple_cycle_through(graph, k)
+        assert err.value.uncovered == (graph.edges[k],)
 
 
 class TestLiftUniform:
@@ -442,7 +444,19 @@ class TestDot:
 # a family per cycle, so they are only fit for small inputs.
 
 
+def object_adjacency(graph):
+    """Each vertex's out-edges and in-edges, in edge order, keyed by the
+    vertex objects."""
+    out = {v: [] for v in graph.vertices}
+    inc = {v: [] for v in graph.vertices}
+    for e in graph.edges:
+        out[e.source].append(e)
+        inc[e.target].append(e)
+    return out, inc
+
+
 def reference_cycle_through(graph, edge):
+    out, _ = object_adjacency(graph)
     start, goal = edge.target, edge.source
     if start == goal:
         return [edge]
@@ -450,7 +464,7 @@ def reference_cycle_through(graph, edge):
     while queue:
         fresh = []
         for node in queue:
-            for e in graph.out_edges(node):
+            for e in out[node]:
                 if e.target == goal:
                     path, walk = [e], node
                     while walk != start:
@@ -502,7 +516,7 @@ def reference_decompose(family):
         graph = build_opg(current.support())
         start = graph.vertices[0]
         cycle = None
-        for first in graph.out_edges(start):
+        for first in object_adjacency(graph)[0][start]:
             closing = reference_cycle_through(graph, first)
             if cycle is None or len(closing) < len(cycle):
                 cycle = closing
@@ -603,12 +617,10 @@ def component_of(value):
 
 def reference_components(graph):
     """Kosaraju's sweep over object adjacency, as the graph ran it before
-    it kept one integer adjacency: the components and the uncovered edges."""
-    out = {v: [] for v in graph.vertices}
-    inc = {v: [] for v in graph.vertices}
-    for e in graph.edges:
-        out[e.source].append(e)
-        inc[e.target].append(e)
+    it kept one integer adjacency: each vertex's component label, numbered
+    in the order the second pass reaches the components, the uncovered
+    edges, and the object adjacency."""
+    out, inc = object_adjacency(graph)
     finish, seen = [], set()
     for root in graph.vertices:
         if root in seen:
@@ -638,13 +650,8 @@ def reference_components(graph):
                     component[e.source] = labels
                     stack.append(e.source)
         labels += 1
-    groups = {}
-    for v, c in component.items():
-        groups.setdefault(c, []).append(v)
-    comps = sorted((frozenset(g) for g in groups.values()),
-                   key=lambda c: min(v.sort_key for v in c))
     uncovered = tuple(e for e in graph.edges if component[e.source] != component[e.target])
-    return comps, uncovered, out, inc
+    return [component[v] for v in graph.vertices], uncovered, out, inc
 
 
 KINDS_AND_WEIGHTS = [
@@ -663,7 +670,7 @@ class TestAgainstReference:
         for _ in range(25):
             support = walk_family(rng, MonoidKind.B, [1])
             sizes.add(len(support.contexts))
-            several += len(build_opg(support).strongly_connected_components()) > 1
+            several += len(set(build_opg(support)._component_labels())) > 1
             assert realise(support, kind, weight) == reference_realise(
                 support, kind, weight
             )
@@ -684,7 +691,7 @@ class TestAgainstReference:
                     ends = {e.source for e in graph.edges} | {e.target for e in graph.edges}
                     assert set(graph.vertices) == ends
                     assert len(graph.vertices) == len(ends)
-                    order = [v.sort_key for v in graph.vertices]
+                    order = [(v.layer, v.boundary.sort_key) for v in graph.vertices]
                     assert order == sorted(order)
                     if ints:
                         numeric = [(v.layer, v.boundary.items()) for v in graph.vertices]
@@ -696,8 +703,8 @@ class TestAgainstReference:
         for ints in (False, True):
             for _ in range(25):
                 graph = build_opg(walk_family(rng, MonoidKind.B, [1], ints=ints))
-                for edge in graph.edges:
-                    assert find_simple_cycle_through(graph, edge) == (
+                for k, edge in enumerate(graph.edges):
+                    assert find_simple_cycle_through(graph, k) == (
                         reference_cycle_through(graph, edge)
                     )
 
@@ -715,13 +722,17 @@ class TestAgainstReference:
                     except ValueError:
                         pass  # the cross row broke local consistency
                 graph = build_opg(family)
-                comps, cut, out, inc = reference_components(graph)
-                assert graph.strongly_connected_components() == comps
+                labels, cut, out, inc = reference_components(graph)
+                assert graph._component_labels() == labels
                 assert graph.uncovered_edges() == cut
-                for v in graph.vertices:
-                    assert graph.out_edges(v) == out[v]
-                    assert graph.in_edges(v) == inc[v]
-                several += len(comps) > 1
+                for i, v in enumerate(graph.vertices):
+                    assert [graph.edges[k] for k, _ in graph._succ[i]] == out[v]
+                    assert [graph.edges[k] for k, (_, t) in enumerate(graph._ends)
+                            if t == i] == inc[v]
+                assert [(graph.vertices[s], graph.vertices[t]) for s, t in graph._ends] == [
+                    (e.source, e.target) for e in graph.edges
+                ]
+                several += len(set(labels)) > 1
                 uncovered += bool(cut)
             assert several > 20 and uncovered > 10
 
@@ -833,8 +844,8 @@ def vertex_hashes(monkeypatch):
 
 
 class TestNoVertexLookups:
-    """Graph paths read the integer adjacency that build_opg numbers; only
-    the graph's own vertex index hashes each vertex, once."""
+    """Graph paths read the integer adjacency and edge ends that build_opg
+    numbers, so none of them hashes a vertex."""
 
     @pytest.fixture(scope="class")
     def family(self):
@@ -852,3 +863,20 @@ class TestNoVertexLookups:
         vertex_hashes.clear()
         decompose_cycles(family)
         assert len(vertex_hashes) <= vertices
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            build_opg,
+            lambda family: build_opg(family).uncovered_edges(),
+            lambda family: realise(family.support(), MonoidKind.N),
+            decompose_cycles,
+            lambda family: lift_uniform(
+                decompose_cycles(family)[0][1], MonoidValue.of(MonoidKind.N, 2)
+            ),
+        ],
+        ids=["build_opg", "uncovered_edges", "realise", "decompose_cycles", "lift_uniform"],
+    )
+    def test_graph_paths_hash_no_vertex(self, family, vertex_hashes, run):
+        run(family)
+        assert vertex_hashes == []
