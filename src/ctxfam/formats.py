@@ -20,8 +20,9 @@ may not contain ``:`` or ``#``.  No row value may be ``context`` or
 
 Dependency documents hold one dependency per line: ``x -> y`` (several
 variables allowed on each side) or ``cd x y ...`` for constraint
-dependencies.  ``->`` names no variable on a ``cd`` line, nor ``cd`` one
-left of ``->``: either would be written back as another dependency.
+dependencies.  ``->`` names no variable on a ``cd`` line, and ``cd`` may
+not be the least variable left of ``->``: either would be written back
+as another dependency.
 
 Parsing reports errors with line numbers; serialisation is canonical
 (sorted contexts, sorted rows) and round-trips.
@@ -132,13 +133,11 @@ def parse_relations(text: str) -> List[KRelation]:
 
     if not blocks:
         raise FormatError(lines[-1][0], "document declares no context")
-    # A reserved row value counts one word more than the directive lines do.
-    scan = text.count("context") > len(blocks) or text.count("monoid") > 1
     # Sorted value tuples are the constructor's row order for str tokens,
     # so its own sort is one linear pass.
     relations = []
     for (start, variables), block_rows in zip(blocks, rows):
-        if scan and not _RESERVED_VALUES.isdisjoint(chain.from_iterable(block_rows)):
+        if not _RESERVED_VALUES.isdisjoint(chain.from_iterable(block_rows)):
             number, word = next((n, w) for n, line in lines if n > start
                                 for w in line.split() if w in _RESERVED_VALUES)
             raise FormatError(number, f"row value {word!r} is a reserved word")
@@ -223,8 +222,8 @@ def parse_fd(text: str, line: int = 1) -> FD:
     lhs, rhs = tokens[:cut], tokens[cut + 1 :]
     if not lhs or not rhs:
         raise FormatError(line, "a dependency needs variables on both sides")
-    if "cd" in lhs:
-        raise FormatError(line, "'cd' is reserved and names no variable left of '->'")
+    if min(lhs) == "cd":
+        raise FormatError(line, "'cd' is reserved and may not lead the sorted left side of '->'")
     return FD(frozenset(lhs), frozenset(rhs))
 
 

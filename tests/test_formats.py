@@ -217,6 +217,13 @@ class TestDependencyFormats:
         for fd in (FD.unary("x", "y"), FD.cd(["b", "a"]), FD(frozenset({"p", "q"}), frozenset({"r"}))):
             assert parse_fd(fd.display()) == fd
 
+    @pytest.mark.parametrize("text", ["a cd -> y", "A cd -> y", "x -> cd"])
+    def test_cd_after_the_least_variable_is_a_variable(self, text):
+        """``cd`` is refused only where the display would start with it."""
+        fd = parse_fd(text)
+        assert "cd" in fd.lhs | fd.rhs and not fd.is_cd
+        assert parse_fd(fd.display()) == fd
+
     def test_display_of_a_document(self):
         fds = [FD.unary("x", "y"), FD.cd(["x", "y"])]
         assert [fd.display() for fd in fds] == ["x -> y", "cd x y"]
