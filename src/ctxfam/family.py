@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .feasibility import find_rational_solution
 from .monoid import MonoidKind, MonoidValue
-from .relation import Assignment, KRelation, _agreement, _cells, _row_order, _totals
+from .relation import Assignment, Key, KRelation, Value, _agreement, _cells, _projection, _row_order, _totals
 
 if TYPE_CHECKING:
     from .fdlogic import FD
@@ -137,7 +137,8 @@ def find_violation(relations: Iterable[KRelation]) -> Optional[ConsistencyViolat
             if r.kind is not s.kind or a != b:
                 va = MonoidValue.zero(r.kind) if a is None else MonoidValue(r.kind, a)
                 vb = MonoidValue.zero(s.kind) if b is None else MonoidValue(s.kind, b)
-                return ConsistencyViolation(r.variables, s.variables, Assignment._sorted(short), va, vb)
+                row = Assignment._sorted(tuple(zip(sorted(r.variables & s.variables), short)))
+                return ConsistencyViolation(r.variables, s.variables, row, va, vb)
     return None
 
 
@@ -159,10 +160,11 @@ class ContextualFamily:
         for r in rels:
             if r.kind is not kind:
                 raise ValueError("all context relations must share one kind")
+        contexts = ContextSet(r.variables for r in rels)
         violation = find_violation(rels)
         if violation is not None:
             raise LocalConsistencyError(violation)
-        object.__setattr__(self, "contexts", ContextSet(r.variables for r in rels))
+        object.__setattr__(self, "contexts", contexts)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(
             self, "_relations", {r.variables: r for r in rels}
@@ -257,37 +259,39 @@ class ContextualFamily:
         return f"ContextualFamily[{self.kind}]({len(self.contexts)} contexts)"
 
 
-def _support_join(family: ContextualFamily) -> Tuple[List[Assignment], List[List[int]]]:
-    """All assignments over the union of variables whose restriction to
-    every maximal context lies in that context's support, in ``sort_key``
-    order, with the cell table of those rows.
+def _support_join(family: ContextualFamily) -> Tuple[List[Key], List[List[int]]]:
+    """All rows over the sorted union of variables whose restriction to
+    every maximal context lies in that context's support, in row order,
+    with the cell table of those rows.
 
     A cell is one context row; cells are numbered context by context, in
     stored row order.  ``cells[i]`` lists, one per context, the cells the
-    i-th row restricts to.  Extending a partial row by a context row fixes
-    that restriction, so no row is restricted afterwards.  Distinct pairs
-    of a partial row and a context row merge into distinct rows, so no row
-    repeats."""
-    rows: List[Tuple[Dict[str, object], List[int]]] = [({}, [])]
+    i-th row restricts to.  Each partial row is extended by the context
+    rows that agree with it on the variables already bound, looked up by
+    their values there, so no row repeats."""
+    slot = {var: i for i, var in enumerate(sorted(family.contexts.variables))}
+    rows: List[Tuple[List[Value], List[int]]] = [([""] * len(slot), [])]
+    bound: Set[str] = set()
     first = 0
     for rel in family.maximal_relations():
-        supp = [row.items() for row, _ in rel.rows()]
-        extended: List[Tuple[Dict[str, object], List[int]]] = []
+        shared = _projection(rel.names, bound)
+        read = [slot[var] for var in rel.names if var in bound]
+        write = [slot[var] for var in rel.names]
+        matches: Dict[Key, List[Tuple[int, Key]]] = {}
+        for n, key in enumerate(rel._rows, first):
+            matches.setdefault(shared(key), []).append((n, key))
+        extended: List[Tuple[List[Value], List[int]]] = []
         for partial, cells in rows:
-            for n, s in enumerate(supp):
-                merged = dict(partial)
-                ok = True
-                for var, val in s:
-                    if var in merged and merged[var] != val:
-                        ok = False
-                        break
-                    merged[var] = val
-                if ok:
-                    extended.append((merged, cells + [first + n]))
+            for n, values in matches.get(tuple([partial[p] for p in read]), ()):
+                merged = partial.copy()
+                for p, val in zip(write, values):
+                    merged[p] = val
+                extended.append((merged, cells + [n]))
         rows = extended
-        first += len(supp)
-    joined = [Assignment(m) for m, _ in rows]
-    order = _row_order([t.items() for t in joined])
+        bound |= rel.variables
+        first += len(rel)
+    joined = [tuple(merged) for merged, _ in rows]
+    order = _row_order(joined)
     return [joined[i] for i in order], [rows[i][1] for i in order]
 
 
@@ -364,7 +368,7 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
     search over the cell table finds integer weights.
     """
     join, cells = _support_join(family)
-    demands = [value.payload for rel in family.maximal_relations() for _, value in rel.rows()]
+    demands = [p for rel in family.maximal_relations() for p in rel._rows.values()]
     over: List[List[int]] = [[] for _ in demands]
     for i, row in enumerate(cells):
         for k in row:
@@ -373,7 +377,7 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
         return None
     variables = family.contexts.variables
     if family.kind is MonoidKind.B:
-        return KRelation.boolean(variables, join)
+        return KRelation(variables, MonoidKind.B, dict.fromkeys(join, 1))
     equalities = [({i: Fraction(1) for i in ts}, Fraction(d)) for ts, d in zip(over, demands)]
     unknowns = range(len(join))
     solution = find_rational_solution(equalities, {i: Fraction(0) for i in unknowns}, unknowns)
@@ -385,5 +389,4 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
             return None
     else:
         weights = [solution[i] for i in unknowns]
-    rows = {t: MonoidValue.of(family.kind, w) for t, w in zip(join, weights) if w}
-    return KRelation(variables, family.kind, rows)
+    return KRelation(variables, family.kind, {t: w for t, w in zip(join, weights) if w})

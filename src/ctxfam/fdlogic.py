@@ -51,7 +51,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from .family import ContextSet, ContextualFamily
 from .monoid import MonoidKind, MonoidValue
-from .relation import Assignment, KRelation
+from .relation import KRelation
 
 
 class UnsupportedDependencyError(ValueError):
@@ -831,27 +831,18 @@ def build_counterexample(
     reached, _ = _reach(engine.out_adj, x)
     one = MonoidValue.one(kind)
     if y not in reached:
-        row_zero = Assignment({v: "0" for v in variables})
-        row_split = Assignment({v: "0" if v in reached else "1" for v in variables})
-        total = KRelation(variables, kind, {row_zero: one, row_split: one})
+        row_zero = ("0",) * len(variables)
+        row_split = tuple("0" if v in reached else "1" for v in variables)
+        total = KRelation(variables, kind, {row_zero: one.payload, row_split: one.payload})
         family = ContextualFamily([total.marginalise(c) for c in contexts])
     else:
         relations = []
         for c in contexts:
             if c == phi.variables:
-                rows = [
-                    Assignment({x: a, y: b})
-                    for a in ("0", "1")
-                    for b in ("0", "1")
-                ]
-                value = one
+                rows = dict.fromkeys(itertools.product("01", repeat=2), one.payload)
             else:
-                rows = [
-                    Assignment({v: "0" for v in c}),
-                    Assignment({v: "1" for v in c}),
-                ]
-                value = one + one
-            relations.append(KRelation(c, kind, {r: value for r in rows}))
+                rows = dict.fromkeys([("0",) * len(c), ("1",) * len(c)], (one + one).payload)
+            relations.append(KRelation(c, kind, rows))
         family = ContextualFamily(relations)
 
     for fd in premises:
@@ -1050,8 +1041,8 @@ def _backtrack_family(
 
     relations = []
     for context, vs, cands, i in zip(contexts, vs_list, candidate_lists, chosen):
-        assignments = [Assignment(zip(vs, rows_of[len(vs)][j])) for j in _bits(cands[i])]
-        relations.append(KRelation.boolean(context, assignments))
+        rows = rows_of[len(vs)]
+        relations.append(KRelation(context, MonoidKind.B, {rows[j]: 1 for j in _bits(cands[i])}))
     return ContextualFamily._unchecked(context_set, MonoidKind.B, relations)
 
 

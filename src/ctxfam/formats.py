@@ -15,8 +15,10 @@ names the variables of one maximal context; the rows that follow list
 one value per variable, in the order the context declared them, with an
 optional `` : weight`` suffix (weights default to 1 and parse in the
 declared kind; Q accepts ``p/q``).  Tokens are whitespace-separated and
-may not contain ``:`` or ``#``.  No row value may be ``context`` or
-``monoid``: written back in sorted variable order, it could open a line.
+may not contain ``#``.  A ``:`` token on its own starts the weight, so a
+value may contain ``:`` but may not be ``:`` itself.  No row value may be
+``context`` or ``monoid``: written back in sorted variable order, it
+could open a line.
 
 Dependency documents hold one dependency per line: ``x -> y`` (several
 variables allowed on each side) or ``cd x y ...`` for constraint
@@ -37,7 +39,7 @@ from typing import Dict, List, Tuple
 from .family import ContextualFamily
 from .fdlogic import FD
 from .monoid import MonoidKind, MonoidValue, format_value, parse_value
-from .relation import Assignment, KRelation
+from .relation import Assignment, KRelation, Payload
 
 
 _RESERVED_VALUES = frozenset(("context", "monoid"))
@@ -76,13 +78,12 @@ def parse_relations(text: str) -> List[KRelation]:
     except ValueError:
         raise FormatError(number, f"unknown monoid {parts[1]!r}") from None
 
-    # Each context's rows are kept as value tuples in sorted variable order
-    # (``order`` picks them from a line), which is the order of an
-    # Assignment's pairs; the duplicate test runs on those tuples.
+    # Each context's rows are kept as KRelation keys, value tuples in sorted
+    # variable order (``pick`` takes them from a line).
     blocks: List[Tuple[int, Tuple[str, ...]]] = []
-    rows: List[Dict[Tuple[str, ...], MonoidValue]] = []
-    one = MonoidValue.one(kind)
-    weights: Dict[str, MonoidValue] = {}  # parsed annotations by token
+    rows: List[Dict[Tuple[str, ...], Payload]] = []
+    one = MonoidValue.one(kind).payload
+    weights: Dict[str, Payload] = {}  # parsed payloads by token
     for number, line in lines[1:]:
         tokens = line.split()
         if tokens[0] == "monoid":
@@ -111,7 +112,7 @@ def parse_relations(text: str) -> List[KRelation]:
             weight = weights.get(weight_tokens[0])
             if weight is None:
                 try:
-                    weight = parse_value(kind, weight_tokens[0])
+                    weight = parse_value(kind, weight_tokens[0]).payload
                 except ValueError as exc:
                     raise FormatError(number, str(exc)) from None
                 weights[weight_tokens[0]] = weight
@@ -123,7 +124,7 @@ def parse_relations(text: str) -> List[KRelation]:
                 number,
                 f"row has {len(values)} values for context of arity {len(order)}",
             )
-        if weight.is_zero:
+        if not weight:
             raise FormatError(number, "zero annotation: omit the row instead")
         key = pick(values)
         if key in block:
@@ -133,26 +134,12 @@ def parse_relations(text: str) -> List[KRelation]:
 
     if not blocks:
         raise FormatError(lines[-1][0], "document declares no context")
-    # Sorted value tuples are the constructor's row order for str tokens,
-    # so its own sort is one linear pass.
-    relations = []
-    for (start, variables), block_rows in zip(blocks, rows):
-        if not _RESERVED_VALUES.isdisjoint(chain.from_iterable(block_rows)):
+    for (start, _), block in zip(blocks, rows):
+        if not _RESERVED_VALUES.isdisjoint(chain.from_iterable(block)):
             number, word = next((n, w) for n, line in lines if n > start
                                 for w in line.split() if w in _RESERVED_VALUES)
             raise FormatError(number, f"row value {word!r} is a reserved word")
-        names = sorted(variables)
-        relations.append(
-            KRelation(
-                variables,
-                kind,
-                {
-                    Assignment._sorted(tuple(zip(names, key))): block_rows[key]
-                    for key in sorted(block_rows)
-                },
-            )
-        )
-    return relations
+    return [KRelation(variables, kind, block) for (_, variables), block in zip(blocks, rows)]
 
 
 def parse_family(text: str) -> ContextualFamily:
@@ -163,13 +150,10 @@ def parse_family(text: str) -> ContextualFamily:
 
 
 def serialize_relation_rows(relation: KRelation, with_weights: bool) -> List[str]:
-    lines = [f"context {' '.join(sorted(relation.variables))}"]
-    for row, value in relation.rows():
-        cells = " ".join(str(cell) for _, cell in row.items())
-        if with_weights:
-            lines.append(f"{cells} : {format_value(value)}")
-        else:
-            lines.append(cells)
+    lines = [f"context {' '.join(relation.names)}"]
+    for key, payload in relation._rows.items():
+        cells = " ".join(map(str, key))
+        lines.append(f"{cells} : {payload}" if with_weights else cells)
     return lines
 
 
@@ -185,9 +169,7 @@ def serialize_family(family: ContextualFamily) -> str:
 
 def serialize_relation(relation: KRelation) -> str:
     """A single relation, framed as a one-context family document."""
-    with_weights = relation.kind is not MonoidKind.B
-    lines = [f"monoid {relation.kind}"]
-    lines.extend(serialize_relation_rows(relation, with_weights))
+    lines = [f"monoid {relation.kind}"] + serialize_relation_rows(relation, relation.kind is not MonoidKind.B)
     return "\n".join(lines) + "\n"
 
 

@@ -22,13 +22,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import lcm
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .family import ContextSet, ContextualFamily
 from .feasibility import find_rational_solution
 from .monoid import MonoidKind, MonoidValue
-from .relation import Assignment, KRelation, Pairs, _agreement, _cells, _projection, _row_order, scalar_fill
+from .relation import Assignment, Key, KRelation, Payload, _agreement, _cells, _projection, _row_order
+
+
+_DOT_QUOTED = str.maketrans({"\\": "\\\\", '"': '\\"'})  # escapes inside a quoted DOT string
 
 
 class NotChordlessCycleError(ValueError):
@@ -216,12 +220,13 @@ class OverlapProjectionGraph:
         return not self.uncovered_edges()
 
     def to_dot(self) -> str:
-        """Deterministic DOT text: sorted vertices, then sorted edges."""
+        """Deterministic DOT text: the vertices, each named by its number
+        and labelled with its text, then the edges, in numbered order."""
         lines = ["digraph opg {", "  rankdir=LR;"]
-        for v in self.vertices:
-            lines.append(f'  "{v}";')
-        for e in self.edges:
-            lines.append(f'  "{e.source}" -> "{e.target}" [label="{e.label}"];')
+        for i, v in enumerate(self.vertices):
+            lines.append(f'  {i} [label="{str(v).translate(_DOT_QUOTED)}"];')
+        for e, (source, target) in zip(self.edges, self._ends):
+            lines.append(f'  {source} -> {target} [label="{str(e.label).translate(_DOT_QUOTED)}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -237,28 +242,29 @@ def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
     ends.
     """
     ordering = classify_chordless_cycle(family.contexts)
+    relations = [family.relation_at(c) for c in ordering.contexts]
     sides = [
-        (family.relation_at(c), _projection(c, ordering.boundary(i - 1)), _projection(c, ordering.boundary(i)))
-        for i, c in enumerate(ordering.contexts)
+        (r, _projection(r.names, ordering.boundary(i - 1)), _projection(r.names, ordering.boundary(i)))
+        for i, r in enumerate(relations)
     ]
-    numbers: List[Dict[Pairs, int]] = [{} for _ in sides]
+    numbers: List[Dict[Key, int]] = [{} for _ in sides]
     for i, (relation, before, after) in enumerate(sides):
-        pairs = [row.items() for row, _ in relation.rows()]
-        numbers[i - 1].update(dict.fromkeys(map(before, pairs)))
-        numbers[i].update(dict.fromkeys(map(after, pairs)))
+        numbers[i - 1].update(dict.fromkeys(map(before, relation._rows)))
+        numbers[i].update(dict.fromkeys(map(after, relation._rows)))
     vertices: List[OpgVertex] = []
     for layer, number in enumerate(numbers):
+        names = sorted(ordering.boundary(layer))
         values = list(number)
         for j in _row_order(values):
             number[values[j]] = len(vertices)
-            vertices.append(OpgVertex(layer, Assignment._sorted(values[j])))
+            vertices.append(OpgVertex(layer, Assignment._sorted(tuple(zip(names, values[j])))))
     edges: List[OpgEdge] = []
     ends: List[Tuple[int, int]] = []
     for i, (relation, before, after) in enumerate(sides):
-        for row, _ in relation.rows():
-            pairs = row.items()
-            source, target = numbers[i - 1][before(pairs)], numbers[i][after(pairs)]
-            edges.append(OpgEdge(vertices[source], vertices[target], row, i))
+        for key in relation._rows:
+            source, target = numbers[i - 1][before(key)], numbers[i][after(key)]
+            label = Assignment._sorted(tuple(zip(relation.names, key)))
+            edges.append(OpgEdge(vertices[source], vertices[target], label, i))
             ends.append((source, target))
     return OverlapProjectionGraph(ordering, vertices, edges, ends)
 
@@ -337,7 +343,7 @@ def lift_uniform(sub: ContextualFamily, weight: MonoidValue) -> ContextualFamily
     if len(set(graph._component_labels())) != 1:
         raise NotSimplyCyclicError("the support splits into several cycles")
     lifted = [
-        scalar_fill(weight, rel.variables, rel.support)
+        KRelation(rel.variables, weight.kind, dict.fromkeys(rel._rows, weight.payload))
         for rel in sub.maximal_relations()
     ]
     return ContextualFamily(lifted)
@@ -365,18 +371,15 @@ def realise(
 ) -> ContextualFamily:
     """A family of the requested kind with exactly the given support.
 
-    The witness is the sum of one uniform lift of ``weight`` per supported
-    row, along the cycle :func:`find_simple_cycle_through` picks for that
-    row; only how many of those cycles cross each row matters.  So this
-    builds the overlap projection graph and its components once, runs one
-    breadth-first search per edge, counts the chosen cycles through every
-    row, and annotates each row ``count x weight`` (just ``weight`` in B).
-    The witness is built and validated once, then its support is checked
-    against the input.  The context set is classified before the weight
-    is checked, so a context set that is no chordless cycle raises
-    :class:`NotChordlessCycleError` whatever the weight.  Raises
-    :class:`NotRealisableError`, carrying the uncovered edges, when no
-    realisation exists.
+    The witness is the sum of one uniform lift of ``weight`` along the
+    cycle :func:`find_simple_cycle_through` picks for each edge of the
+    overlap projection graph, so each row, edge k, is annotated ``count x
+    weight`` (just ``weight`` in B), where count is the number of those
+    cycles through edge k.  The witness is validated once, then its
+    support is checked against the input.  A context set that is no
+    chordless cycle raises :class:`NotChordlessCycleError` whatever the
+    weight.  Raises :class:`NotRealisableError`, carrying the uncovered
+    edges, when no realisation exists.
     """
     if family.kind is not MonoidKind.B:
         raise ValueError("realise expects a B-family support")
@@ -391,13 +394,13 @@ def realise(
     if uncovered:
         listing = "; ".join(e.describe() for e in uncovered)
         raise NotRealisableError(f"support is not realisable: {listing}", uncovered)
-    counts = Counter(e.label for k in range(len(graph.edges))
-                     for e in find_simple_cycle_through(graph, k))
-    weights = {
-        label: weight if kind is MonoidKind.B else MonoidValue(kind, weight.payload * count)
-        for label, count in counts.items()
-    }
-    total = family_from_weights(family.contexts, weights, kind)
+    # A cycle lists the graph's own edge objects, so identity names an edge.
+    crossings = Counter(id(e) for k in range(len(graph.edges))
+                        for e in find_simple_cycle_through(graph, k))
+    base = weight.payload
+    payloads = [base if kind is MonoidKind.B else base * crossings[id(e)] for e in graph.edges]
+    relations = [family.relation_at(c) for c in graph.ordering.contexts]
+    total = ContextualFamily(_reweighted(relations, payloads, kind))
     if total.support() != family.support():
         raise AssertionError("realisation changed the support; internal bug")
     return total
@@ -412,10 +415,9 @@ def decompose_cycles(
     that still has a live edge, picks the shortest cycle over its
     out-edges (the first in sorted edge order among equals), and
     subtracts the least annotation along it; an edge dies when its
-    residual reaches zero.  The graph is built once, and residual weights
-    and live out-adjacency are kept on edge and vertex numbers, so no
-    vertex is looked up and each peel costs one breadth-first search over
-    live edges per out-edge of its start vertex.  Local consistency makes
+    residual reaches zero.  Residual weights, rows and live out-adjacency
+    are kept by edge and vertex number, so each peel costs one
+    breadth-first search per out-edge of its start vertex.  Local consistency makes
     the weights a circulation on the graph, and subtracting a cycle keeps
     it one, so a vertex with a live in-edge still has a live out-edge and
     the start vertex only moves forward.  A part is a simple cycle,
@@ -426,13 +428,13 @@ def decompose_cycles(
     if not family.kind.is_cancellative:
         raise ValueError("decomposition needs a cancellative kind")
     graph = build_opg(family)
-    edges = graph.edges
     relations = [family.relation_at(c) for c in graph.ordering.contexts]
-    residual = [relations[e.context_index].annotation(e.label).payload for e in edges]
+    # Edge k is the k-th row of these relations, counted in stored order.
+    rows = [(i, key) for i, rel in enumerate(relations) for key in rel._rows]
+    residual = [p for rel in relations for p in rel._rows.values()]
     succ = [list(out) for out in graph._succ]
-    live = len(edges)
+    live = len(rows)
     start = 0
-    one = MonoidValue.one(MonoidKind.B)
     parts: List[Tuple[MonoidValue, ContextualFamily]] = []
     while live:
         while not succ[start]:
@@ -445,12 +447,12 @@ def decompose_cycles(
             cycles.append([k] + path)
         best = min(cycles, key=len)
         least = min(residual[k] for k in best)
-        on_cycle = {edges[k].label: one for k in best}
-        sub = ContextualFamily._unchecked(
-            family.contexts,
-            MonoidKind.B,
-            _relations_from_weights(family.contexts, on_cycle, MonoidKind.B),
-        )
+        on_cycle: List[Dict[Key, Payload]] = [{} for _ in relations]
+        for k in best:
+            i, key = rows[k]
+            on_cycle[i][key] = 1
+        supports = [KRelation(rel.variables, MonoidKind.B, r) for rel, r in zip(relations, on_cycle)]
+        sub = ContextualFamily._unchecked(family.contexts, MonoidKind.B, supports)
         parts.append((MonoidValue(family.kind, least), sub))
         for k in best:
             residual[k] -= least
@@ -470,36 +472,54 @@ def realisable_lp(
     agreement cell (the empty overlap is one cell): the cell's rows of one
     context at +1 and of the other at -1 sum to 0, solved on the tableau of
     :func:`~ctxfam.feasibility.find_rational_solution`, where each row
-    weight is a column.  The constraints are homogeneous, so scaling a
-    rational witness by the least common denominator yields a natural
-    witness: feasibility does not depend on the cancellative kind chosen.
-    Returns the witness weights, or None when the support is not
-    realisable.
+    weight is a column, numbered context by context in stored row order.
+    The constraints are homogeneous, so scaling a rational witness by the
+    least common denominator yields a natural witness: feasibility does
+    not depend on the cancellative kind chosen.  Returns the witness
+    weights, or None when the support is not realisable.
     """
+    weights = _lp_weights(family, kind)
+    if weights is None:
+        return None
+    return {row: MonoidValue(kind, w) for row, w in zip(family.labels(), weights)}
+
+
+def _lp_weights(family: ContextualFamily, kind: MonoidKind) -> Optional[List[Payload]]:
+    """The witness of :func:`realisable_lp` as payloads of ``kind``, one per
+    row, context by context in stored order; None when there is none."""
     if family.kind is not MonoidKind.B:
         raise ValueError("realisable_lp expects a B-family support")
     if not kind.is_cancellative:
         raise ValueError("realisability concerns the kinds N and Q")
-    labels = family.labels()
-    if not labels:
-        return {}
-    equalities: List[Tuple[Dict[Assignment, Fraction], Fraction]] = []
-    for _, _, left, right in _agreement(list(family.maximal_relations())):
+    relations = list(family.maximal_relations())
+    numbers = count()  # zip reads rel._rows first, so no number is skipped
+    number = {rel.variables: dict(zip(rel._rows, numbers)) for rel in relations}
+    unknowns = sum(map(len, relations))
+    if not unknowns:
+        return []
+    equalities: List[Tuple[Dict[int, int], Fraction]] = []
+    for r, s, left, right in _agreement(relations):
+        ours, theirs = number[r.variables], number[s.variables]
         for _, a, b in _cells(left, right):
-            cell = {row: Fraction(1) for row in a or ()}
-            cell.update((row, Fraction(-1)) for row in b or ())
+            cell = {ours[key]: 1 for key in a or ()}
+            cell.update((theirs[key], -1) for key in b or ())
             equalities.append((cell, Fraction(0)))
-    lower = {row: Fraction(1) for row in labels}
-    solution = find_rational_solution(equalities, lower, labels)
+    columns = range(unknowns)
+    solution = find_rational_solution(equalities, dict.fromkeys(columns, Fraction(1)), columns)
     if solution is None:
         return None
+    weights = [solution[n] for n in columns]
     if kind is MonoidKind.Q:
-        return {row: MonoidValue.of(MonoidKind.Q, w) for row, w in solution.items()}
-    scale = lcm(*(w.denominator for w in solution.values()))
-    return {
-        row: MonoidValue.of(MonoidKind.N, int(w * scale))
-        for row, w in solution.items()
-    }
+        return weights
+    scale = lcm(*(w.denominator for w in weights))
+    return [int(w * scale) for w in weights]
+
+
+def _reweighted(relations: List[KRelation], payloads: List[Payload], kind: MonoidKind) -> List[KRelation]:
+    """The rows of ``relations`` in ``kind``, numbered relation by relation
+    in stored order, the n-th annotated ``payloads[n]``."""
+    rest = iter(payloads)  # zip reads rel._rows first, so it stops at the end of each relation
+    return [KRelation(rel.variables, kind, dict(zip(rel._rows, rest))) for rel in relations]
 
 
 def family_from_weights(
@@ -508,26 +528,18 @@ def family_from_weights(
     kind: Optional[MonoidKind] = None,
 ) -> ContextualFamily:
     """Assemble a family from per-row weights (as produced by
-    :func:`realisable_lp`); rows group by their variable sets.  The kind
-    argument is only needed when the weight map is empty."""
+    :func:`realisable_lp`); each row goes to the context of its variables.
+    The kind argument is only needed when the weight map is empty."""
     kinds = {w.kind for w in weights.values()}
     if kind is not None:
         kinds.add(kind)
     if len(kinds) != 1:
         raise ValueError("weights must share one kind" if kinds else "empty weights need an explicit kind")
-    return ContextualFamily(_relations_from_weights(contexts, weights, kinds.pop()))
-
-
-def _relations_from_weights(
-    contexts: ContextSet, weights: Dict[Assignment, MonoidValue], kind: MonoidKind
-) -> List[KRelation]:
-    """One relation per context, holding the weighted rows over its variables."""
-    grouped: Dict[FrozenSet[str], Dict[Assignment, MonoidValue]] = {
-        c: {} for c in contexts
-    }
+    kind = kinds.pop()
+    grouped: Dict[Tuple[str, ...], Dict[Assignment, MonoidValue]] = {tuple(sorted(c)): {} for c in contexts}
     for row, value in weights.items():
-        grouped[row.variables][row] = value
-    return [KRelation(c, kind, rows) for c, rows in grouped.items()]
+        grouped[tuple(var for var, _ in row.items())][row] = value
+    return ContextualFamily([KRelation.from_assignments(names, kind, rows) for names, rows in grouped.items()])
 
 
 def find_realisation(family: ContextualFamily, kind: MonoidKind) -> ContextualFamily:
@@ -536,9 +548,9 @@ def find_realisation(family: ContextualFamily, kind: MonoidKind) -> ContextualFa
 
     Chordless cycles are decided by the graph test and realised by
     :func:`realise`, which builds the overlap projection graph once; other
-    context sets go to :func:`realisable_lp`, whose weights meet every
-    agreement equation (the solver checks its witness against each), so
-    they are assembled without the pairwise check.  Raises
+    context sets go to the LP of :func:`realisable_lp`, whose weights meet
+    every agreement equation (the solver checks its witness against each),
+    so they are assembled without the pairwise check.  Raises
     :class:`NotRealisableError` when the support is not realisable; its
     ``uncovered`` edges are those of the graph test, and empty when the
     LP refused.
@@ -546,8 +558,8 @@ def find_realisation(family: ContextualFamily, kind: MonoidKind) -> ContextualFa
     try:
         return realise(family, kind)
     except NotChordlessCycleError:
-        weights = realisable_lp(family, kind)
+        weights = _lp_weights(family, kind)
         if weights is None:
             raise NotRealisableError("support is not realisable") from None
-        relations = _relations_from_weights(family.contexts, weights, kind)
+        relations = _reweighted(list(family.maximal_relations()), weights, kind)
         return ContextualFamily._unchecked(family.contexts, kind, relations)

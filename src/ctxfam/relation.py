@@ -1,10 +1,17 @@
 """Monoid-annotated relations over named variables.
 
-A relation here is a finite map from assignments (rows) to nonzero
-annotations in one of the monoids of :mod:`ctxfam.monoid`.  Zero rows are
-never stored, so the support of a relation is exactly its key set.  The
-central operation is marginalisation: restricting to a subset of the
-variables and summing the annotations of rows that collapse together.
+A relation here is a finite map from rows to nonzero annotations in one
+of the monoids of :mod:`ctxfam.monoid`.  It holds its sorted variable
+names once; a row is the tuple of its values in that order, and an
+annotation is a raw payload (``int`` for B and N, ``Fraction`` for Q).
+Zero rows are never stored, so the support of a relation is exactly its
+key set.  The central operation is marginalisation: restricting to a
+subset of the variables and summing the annotations of rows that
+collapse together.
+
+Rows become :class:`Assignment` and annotations ``MonoidValue`` objects
+only at the API edge: ``rows``, ``support``, ``annotation`` and ``repr``
+build them, and :meth:`KRelation.from_assignments` takes them in.
 
 Variables are strings.  Values are opaque tokens compared literally
 (``"0"`` and ``0`` are distinct values); library-built relations use
@@ -15,20 +22,23 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Mapping
+from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain
+from math import inf
 from operator import add, itemgetter, or_
 from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple, Union
 
-from .monoid import MonoidKind, MonoidValue, msum
+from .monoid import MonoidKind, MonoidValue
 
 if TYPE_CHECKING:
     from .fdlogic import FD
 
 Value = Union[str, int]
+Key = Tuple[Value, ...]  # a row's values, in the order of its relation's names
+Payload = Union[int, Fraction]
 Pairs = Tuple[Tuple[str, Value], ...]
-Groups = Dict[Pairs, List["Assignment"]]
-_first = itemgetter(0)
+Groups = Dict[Key, List[Key]]
 
 
 class DomainError(ValueError):
@@ -41,45 +51,35 @@ def value_key(value: Value) -> Tuple[str, str]:
 
 
 def values_key(pairs: Pairs) -> Tuple[Tuple[str, str], ...]:
-    """The ``value_key`` of each value, in variable order.  Among rows over
-    the same variables this orders exactly as ``Assignment.sort_key``; it
-    is the row order of :func:`_row_order`, which uses it only for rows
-    holding a token that is not a plain ``str``."""
+    """The ``value_key`` of each value of a row given as pairs: the row
+    order of :func:`_row_order` and of ``Assignment.sort_key``."""
     return tuple([value_key(val) for _, val in pairs])
 
 
-def _row_order(rows: Sequence[Pairs]) -> List[int]:
-    """The positions of ``rows``, the pairs of distinct rows over one
-    variable set, in row order: the ``values_key`` order, which is the
-    ``Assignment.sort_key`` order of such rows.
-
-    When every variable and value is a plain ``str``, that is the order of
-    the pairs themselves, which the sort compares in C.  ``int``, mixed and
-    ``str``-subclass tokens are ordered by ``values_key``, the only key
-    that orders them correctly.  The sort is stable and takes linear time
-    on rows already in order.
+def _row_order(keys: Sequence[Key]) -> List[int]:
+    """The positions of ``keys``, the value tuples of distinct rows over one
+    variable set, in row order: by each value's ``value_key``, which is the
+    ``Assignment.sort_key`` order.  When every value is a plain ``str``,
+    that is the order of the tuples themselves, which the sort compares in
+    C.  The sort takes linear time on rows already in order.
     """
-    if set(map(type, chain.from_iterable(chain.from_iterable(rows)))) <= {str}:
-        keys = rows
+    if set(map(type, chain.from_iterable(keys))) <= {str}:
+        order = keys
     else:
-        keys = [values_key(pairs) for pairs in rows]
-    return sorted(range(len(rows)), key=keys.__getitem__)
+        order = [tuple([value_key(val) for val in key]) for key in keys]
+    return sorted(range(len(keys)), key=order.__getitem__)
 
 
-def _projection(variables: AbstractSet[str], target: AbstractSet[str]) -> Callable[[Pairs], Pairs]:
-    """Restriction by positions: the function taking the pairs of a row
-    over ``variables`` to the pairs of its restriction to ``target``.
-
-    The positions are worked out once, and the result is again sorted by
-    variable, so :meth:`Assignment._sorted` takes it as it is.
-    """
-    positions = [i for i, var in enumerate(sorted(variables)) if var in target]
+def _projection(names: Sequence[str], target: AbstractSet[str]) -> Callable[[Key], Key]:
+    """Restriction by positions: the function taking a row over ``names``
+    to its row over the names in ``target``, again in sorted order."""
+    positions = [i for i, var in enumerate(names) if var in target]
     if len(positions) > 1:
         return itemgetter(*positions)
     if positions:
         (i,) = positions
-        return lambda pairs: (pairs[i],)
-    return lambda pairs: ()
+        return lambda key: (key[i],)
+    return lambda key: ()
 
 
 class Assignment:
@@ -159,73 +159,84 @@ class Assignment:
 class KRelation:
     """A support-sparse annotated relation: rows mapped to nonzero values.
 
-    Instances are immutable.  All rows must bind exactly the declared
-    variables and all annotations must share the declared kind; zero
-    annotations are rejected rather than silently dropped, so that a
-    stored row always witnesses membership in the support.
+    ``names`` holds the sorted variable names, ``variables`` the same as a
+    set.  The store maps value tuples, in the order of ``names``, to raw
+    nonzero payloads, in row order.  Instances are immutable.
     """
 
-    __slots__ = ("variables", "kind", "_rows")
+    __slots__ = ("variables", "names", "kind", "_rows")
 
-    def __init__(
-        self,
-        variables: Iterable[str],
-        kind: MonoidKind,
-        rows: Mapping[Assignment, MonoidValue],
-    ):
-        """Validate every row and store the rows in row order.
-
-        Every row must bind exactly ``variables`` and carry a nonzero
-        annotation of ``kind``.  The rows are stored in ``values_key``
-        order (see :func:`_row_order`): when every token is a plain
-        ``str`` the sort compares the rows' pairs directly, and rows
-        handed over already in that order cost one linear pass.
-        """
+    def __init__(self, variables: Iterable[str], kind: MonoidKind, rows: Mapping[Key, Payload]):
+        """Store the rows in :func:`_row_order`.  Each key is a tuple of one
+        value per variable, in sorted order, and each payload is nonzero of
+        ``kind``: the ``int`` 1 in B, an ``int`` in N, a ``Fraction`` in Q.
+        A zero is rejected, not dropped, so every stored row is in the support."""
         vars_ = frozenset(str(v) for v in variables)
         names = tuple(sorted(vars_))
-        items = list(rows.items())
-        for row, value in items:
-            if tuple(map(_first, row._pairs)) != names:
-                raise DomainError(
-                    f"row {row} does not bind exactly {sorted(vars_)}"
-                )
+        keys = list(rows)
+        payloads = list(rows.values())
+        if set(map(len, keys)) - {len(names)} or set(map(type, keys)) - {tuple}:
+            bad = next(key for key in keys if type(key) is not tuple or len(key) != len(names))
+            raise DomainError(f"row {bad!r} does not bind exactly {list(names)}")
+        wanted, top = (Fraction, inf) if kind is MonoidKind.Q else (int, 1 if kind is MonoidKind.B else inf)
+        if not set(map(type, payloads)) <= {wanted} or not 0 < min(payloads, default=1) <= max(payloads, default=1) <= top:
+            p = next(p for p in payloads if type(p) is not wanted or not 0 < p <= top)
+            if type(p) is wanted and p == 0:
+                row = Assignment._sorted(tuple(zip(names, keys[payloads.index(p)])))
+                raise ValueError(f"zero annotation stored for row {row}")
+            raise ValueError(f"annotation {p} is not of kind {kind}")
+        order = _row_order(keys)
+        object.__setattr__(self, "variables", vars_)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_rows", dict(zip(map(keys.__getitem__, order), map(payloads.__getitem__, order))))
+
+    @classmethod
+    def from_assignments(cls, variables: Iterable[str], kind: MonoidKind, rows: Mapping[Assignment, MonoidValue]) -> "KRelation":
+        """The relation of ``{Assignment: MonoidValue}`` rows, each of which
+        must bind exactly ``variables`` and carry an annotation of ``kind``."""
+        vars_ = frozenset(str(v) for v in variables)
+        names = tuple(sorted(vars_))
+        table: Dict[Key, Payload] = {}
+        for row, value in rows.items():
+            if tuple(var for var, _ in row.items()) != names:
+                raise DomainError(f"row {row} does not bind exactly {list(names)}")
             if value.kind is not kind:
                 raise ValueError(f"annotation {value} is not of kind {kind}")
-            if value.is_zero:
-                raise ValueError(f"zero annotation stored for row {row}")
-        object.__setattr__(self, "variables", vars_)
-        object.__setattr__(self, "kind", kind)
-        order = _row_order([row._pairs for row, _ in items])
-        object.__setattr__(self, "_rows", dict(map(items.__getitem__, order)))
+            table[tuple(val for _, val in row.items())] = value.payload
+        return cls(vars_, kind, table)
 
     @classmethod
     def boolean(cls, variables: Iterable[str], support: Iterable[Assignment]) -> "KRelation":
         """A B-relation holding exactly the given rows."""
-        one = MonoidValue.one(MonoidKind.B)
-        return cls(variables, MonoidKind.B, {row: one for row in support})
+        return cls.from_assignments(variables, MonoidKind.B, dict.fromkeys(support, MonoidValue.one(MonoidKind.B)))
 
     def rows(self) -> Iterator[Tuple[Assignment, MonoidValue]]:
         """Rows in deterministic (sorted) order."""
-        return iter(self._rows.items())
+        names, kind = self.names, self.kind
+        return ((Assignment._sorted(tuple(zip(names, key))), MonoidValue(kind, p)) for key, p in self._rows.items())
 
     def annotation(self, row: Assignment) -> MonoidValue:
         """The annotation of a row; zero when the row is absent."""
-        return self._rows.get(row, MonoidValue.zero(self.kind))
+        payload = None
+        if tuple(var for var, _ in row.items()) == self.names:
+            payload = self._rows.get(tuple(val for _, val in row.items()))
+        return MonoidValue.zero(self.kind) if payload is None else MonoidValue(self.kind, payload)
 
     @property
     def support(self) -> FrozenSet[Assignment]:
-        return frozenset(self._rows)
+        return frozenset(row for row, _ in self.rows())
 
     def support_relation(self) -> "KRelation":
         """The same rows annotated 1 in B: the relation itself when it is
         already a B-relation, since relations are immutable."""
         if self.kind is MonoidKind.B:
             return self
-        return KRelation.boolean(self.variables, self._rows)
+        return KRelation(self.variables, MonoidKind.B, dict.fromkeys(self._rows, 1))
 
     def total(self) -> MonoidValue:
         """Sum of all annotations (the marginal onto no variables)."""
-        return msum(self._rows.values(), self.kind)
+        return MonoidValue.of(self.kind, _totals(self, _groups(self, ())).get((), 0))
 
     def marginalise(self, variables: Iterable[str]) -> "KRelation":
         """Restrict to a variable subset, summing collapsing rows.
@@ -238,8 +249,7 @@ class KRelation:
         extra = target - self.variables
         if extra:
             raise DomainError(f"cannot marginalise onto unknown variables {sorted(extra)}")
-        sums = _totals(self, _groups(self, target))
-        return KRelation(target, self.kind, {Assignment._sorted(k): MonoidValue(self.kind, t) for k, t in sums.items()})
+        return KRelation(target, self.kind, _totals(self, _groups(self, target)))
 
     def satisfies(self, fd: "FD") -> bool:
         """Whether the support satisfies a functional dependency.
@@ -252,8 +262,8 @@ class KRelation:
         extra = needed - self.variables
         if extra:
             raise DomainError(f"dependency mentions unknown variables {sorted(extra)}")
-        right = _projection(self.variables, fd.rhs)
-        return all(len({right(row._pairs) for row in g}) == 1 for g in _groups(self, fd.lhs).values())
+        right = _projection(self.names, fd.rhs)
+        return all(len(set(map(right, g))) == 1 for g in _groups(self, fd.lhs).values())
 
     def __add__(self, other: "KRelation") -> "KRelation":
         """Pointwise sum of two relations over the same variables."""
@@ -263,10 +273,10 @@ class KRelation:
             raise DomainError("cannot add relations over different variables")
         if self.kind is not other.kind:
             raise ValueError("cannot add relations of different kinds")
-        merged: Dict[Assignment, MonoidValue] = dict(self._rows)
-        for row, value in other._rows.items():
-            prior = merged.get(row)
-            merged[row] = value if prior is None else prior + value
+        plus = or_ if self.kind is MonoidKind.B else add
+        merged = dict(self._rows)
+        for key, p in other._rows.items():
+            merged[key] = plus(merged[key], p) if key in merged else p
         return KRelation(self.variables, self.kind, merged)
 
     def __eq__(self, other: object) -> bool:
@@ -292,7 +302,7 @@ def scalar_fill(value: MonoidValue, variables: Iterable[str], support: Iterable[
     """The relation annotating every given row with the same nonzero value."""
     if value.is_zero:
         raise ValueError("scalar fill needs a nonzero annotation")
-    return KRelation(variables, value.kind, {row: value for row in support})
+    return KRelation.from_assignments(variables, value.kind, dict.fromkeys(support, value))
 
 
 def consistent(r: KRelation, s: KRelation) -> bool:
@@ -310,18 +320,18 @@ def consistent(r: KRelation, s: KRelation) -> bool:
 
 def _groups(relation: KRelation, target: AbstractSet[str]) -> Groups:
     """The stored rows grouped by their restriction to ``target``, in stored order."""
-    project = _projection(relation.variables, target)
+    project = _projection(relation.names, target)
     groups: Groups = defaultdict(list)
-    for row in relation._rows:
-        groups[project(row._pairs)].append(row)
+    for key in relation._rows:
+        groups[project(key)].append(key)
     return groups
 
 
-def _totals(relation: KRelation, groups: Groups) -> Dict[Pairs, Any]:
-    """Each group's annotation sum, a raw payload added in stored order; never zero."""
+def _totals(relation: KRelation, groups: Groups) -> Dict[Key, Payload]:
+    """Each group's annotation sum, a payload added in stored order; never zero."""
     fold = partial(reduce, or_ if relation.kind is MonoidKind.B else add)
     rows = relation._rows
-    return {short: fold([rows[row].payload for row in group]) for short, group in groups.items()}
+    return {short: fold([rows[key] for key in group]) for short, group in groups.items()}
 
 
 def _agreement(relations: Sequence[KRelation]) -> Iterator[Tuple[KRelation, KRelation, Groups, Groups]]:
@@ -335,7 +345,7 @@ def _agreement(relations: Sequence[KRelation]) -> Iterator[Tuple[KRelation, KRel
             yield r, s, _groups(r, shared), _groups(s, shared)
 
 
-def _cells(left: Mapping[Pairs, Any], right: Mapping[Pairs, Any]) -> Iterator[Tuple[Pairs, Any, Any]]:
+def _cells(left: Mapping[Key, Any], right: Mapping[Key, Any]) -> Iterator[Tuple[Key, Any, Any]]:
     """The cells of one pair in row order, with each side's entry (or None)."""
     shorts = list(left.keys() | right.keys())
     for i in _row_order(shorts):

@@ -27,7 +27,7 @@ def brel(variables: Sequence[str], rows: Iterable[Sequence]) -> KRelation:
 
 def wrel(kind: MonoidKind, variables: Sequence[str], weighted_rows) -> KRelation:
     """Weighted relation from (value tuple, weight) pairs."""
-    return KRelation(
+    return KRelation.from_assignments(
         frozenset(variables),
         kind,
         {
@@ -191,7 +191,7 @@ def random_weighted_family(
         if kind is MonoidKind.N
         else [Fraction(1, 2), 1, Fraction(3, 2), 2]
     )
-    global_relation = KRelation(
+    global_relation = KRelation.from_assignments(
         frozenset(variables),
         kind,
         {

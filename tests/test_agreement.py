@@ -29,7 +29,7 @@ from test_relation import reference_marginal
 
 
 def marginal(r, variables):
-    return KRelation(variables, r.kind, dict(reference_marginal(r, variables)))
+    return KRelation.from_assignments(variables, r.kind, dict(reference_marginal(r, variables)))
 
 
 def reference_find_violation(relations):
@@ -102,15 +102,15 @@ def perturbed(relations, rng):
     if rows:
         dropped = dict(rows)
         del dropped[rng.choice(list(rows))]
-        yield swap(KRelation(r.variables, r.kind, dropped))
+        yield swap(KRelation.from_assignments(r.variables, r.kind, dropped))
     if r.kind is MonoidKind.B:
         fresh = Assignment({v: "fresh" for v in r.variables})
-        yield swap(KRelation(r.variables, r.kind, {**rows, fresh: MonoidValue.one(r.kind)}))
+        yield swap(KRelation.from_assignments(r.variables, r.kind, {**rows, fresh: MonoidValue.one(r.kind)}))
     elif rows:
         bumped = dict(rows)
         row = rng.choice(list(rows))
         bumped[row] = bumped[row] + MonoidValue.one(r.kind)
-        yield swap(KRelation(r.variables, r.kind, bumped))
+        yield swap(KRelation.from_assignments(r.variables, r.kind, bumped))
         yield swap(r.support_relation())
     yield swap(KRelation(r.variables, r.kind, {}))
     yield [KRelation(s.variables, s.kind, {}) for s in relations]
@@ -187,12 +187,15 @@ class TestLpEquations:
                 continue
             expected = reference_lp_equalities(family)
             assert len(calls) == 2
+            # The unknowns are the rows' numbers, in the order of labels().
+            labels = family.labels()
             for equalities, lower, variables in calls:
-                assert equalities == expected
-                assert [list(cell.items()) for cell, _ in equalities] == [
+                named = [({labels[n]: c for n, c in cell.items()}, rhs) for cell, rhs in equalities]
+                assert named == expected
+                assert [list(cell.items()) for cell, _ in named] == [
                     list(cell.items()) for cell, _ in expected
                 ]
-                assert list(variables) == family.labels()
-                assert lower == {row: Fraction(1) for row in family.labels()}
+                assert list(variables) == list(range(len(labels)))
+                assert lower == {n: Fraction(1) for n in range(len(labels))}
             checked += 1
         assert checked > 60

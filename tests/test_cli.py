@@ -69,6 +69,17 @@ class TestCheck:
         assert lines[0] == "locally inconsistent"
         assert "Teacher=David" in lines[1]
 
+    @pytest.mark.parametrize("weight", ["1", "2"])
+    def test_nested_contexts_refused_whatever_the_weights(self, capsys, tmp_path, weight):
+        path = tmp_path / "nested.fam"
+        path.write_text(f"monoid N\ncontext x\n0 : {weight}\ncontext x y\n0 0 : 2\n")
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: context ['x'] is contained in ['x', 'y']; "
+            "maximal contexts must form an antichain\n"
+        )
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "nope.fam"))
         assert code == 2
@@ -151,7 +162,9 @@ class TestOpg:
         assert code == 0
         text = dot.read_text()
         assert text.startswith("digraph opg {")
-        assert '"2:Alice" -> "0:CS"' in text
+        assert '  4 [label="2:Alice"];\n' in text
+        assert '  0 [label="0:CS"];\n' in text
+        assert '  4 -> 0 [label="Course=CS,Student=Alice"];\n' in text
 
     def test_non_cyclic_arrangement_refused(self, capsys, tmp_path):
         path = tmp_path / "two.fam"

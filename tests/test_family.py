@@ -259,7 +259,7 @@ class TestSupportAndSums:
                 )
                 for _ in range(rng.randint(0, 6))
             }
-            glob = KRelation(frozenset(vars_), kind, rows)
+            glob = KRelation.from_assignments(frozenset(vars_), kind, rows)
             family = ContextualFamily([glob.marginalise(c) for c in shapes[n // 3 % 3]])
             validated = ContextualFamily(
                 [r.support_relation() for r in family.maximal_relations()]
@@ -311,7 +311,7 @@ class TestSupportAndSums:
                     )
                     for _ in range(rng.randint(1, 4))
                 }
-                glob = KRelation(frozenset(vars_), MonoidKind.N, rows)
+                glob = KRelation.from_assignments(frozenset(vars_), MonoidKind.N, rows)
                 return ContextualFamily([glob.marginalise(c) for c in contexts])
 
             f, g = sample(), sample()

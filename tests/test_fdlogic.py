@@ -714,7 +714,7 @@ def reference_counterexample(sigma, phi, kind):
             total = KRelation.boolean(variables, [row_zero, row_split])
         else:
             one = MonoidValue.one(kind)
-            total = KRelation(variables, kind, {row_zero: one, row_split: one})
+            total = KRelation.from_assignments(variables, kind, {row_zero: one, row_split: one})
         return ContextualFamily([total.marginalise(c) for c in contexts])
     small = MonoidValue.one(kind)
     big = small + small if kind is not MonoidKind.B else small
@@ -729,7 +729,7 @@ def reference_counterexample(sigma, phi, kind):
         if kind is MonoidKind.B:
             relations.append(KRelation.boolean(c, rows))
         else:
-            relations.append(KRelation(c, kind, {r: value for r in rows}))
+            relations.append(KRelation.from_assignments(c, kind, {r: value for r in rows}))
     return ContextualFamily(relations)
 
 

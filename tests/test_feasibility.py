@@ -562,7 +562,7 @@ def marginal_family(shape, kind, rows, domain, seed):
     for _ in range(rows):
         row = Assignment({v: f"v{rng.randrange(domain)}" for v in variables})
         weights[row] = weights.get(row, 0) + rng.choice(pool)
-    glob = KRelation(
+    glob = KRelation.from_assignments(
         frozenset(variables), kind, {r: MonoidValue.of(kind, w) for r, w in weights.items()}
     )
     return ContextualFamily([glob.marginalise(frozenset(c)) for c in SHAPES[shape]])
@@ -579,7 +579,7 @@ def twisted_family(shape, kind, domain, seed):
     relations = []
     for n, (u, v) in enumerate(contexts):
         step = 1 if n == shifted else 0
-        relations.append(KRelation(frozenset((u, v)), kind, {
+        relations.append(KRelation.from_assignments(frozenset((u, v)), kind, {
             Assignment({u: f"v{perm[u][a]}", v: f"v{perm[v][(a + step) % domain]}"}): weight
             for a in range(domain)
         }))
@@ -662,9 +662,9 @@ def reference_global_weighted(family):
         if integral is None:
             return None
         rows = {t: MonoidValue.of(MonoidKind.N, w) for t, w in integral.items() if w}
-        return KRelation(family.contexts.variables, MonoidKind.N, rows)
+        return KRelation.from_assignments(family.contexts.variables, MonoidKind.N, rows)
     rows = {t: MonoidValue.of(MonoidKind.Q, w) for t, w in solution.items() if w}
-    return KRelation(family.contexts.variables, MonoidKind.Q, rows)
+    return KRelation.from_assignments(family.contexts.variables, MonoidKind.Q, rows)
 
 
 def reference_integer_weights(family, join):
@@ -964,7 +964,7 @@ class TestAgainstParentGlobalPath:
 
     def test_weighted_search_leaves_no_cyclic_garbage(self):
         family = ContextualFamily([
-            KRelation(frozenset(c), MonoidKind.N, {
+            KRelation.from_assignments(frozenset(c), MonoidKind.N, {
                 Assignment(dict(zip(c, values))): MonoidValue.of(MonoidKind.N, w)
                 for values, w in (("00", 1), ("11", 2))
             })

@@ -330,8 +330,8 @@ def reference_parse(text: str):
     ]
 
 
-TOKENS = st.sampled_from(["0", "1", "10", "2", "9", "01", "a", "B", "b", "c"])
-RESERVED_TOKENS = st.sampled_from(["0", "a", "b", "context", "monoid"])
+TOKENS = st.sampled_from(["0", "1", "10", "2", "9", "01", "a", "B", "b", "c", "a:b", 'x"y'])
+RESERVED_TOKENS = st.sampled_from(["0", "a", "b", "context", "monoid", "a:b", 'x"y'])
 GOOD_WEIGHTS = {"B": [None, "1"], "N": [None, "1", "2", "3"], "Q": [None, "1", "3/2", "2"]}
 BAD_WEIGHTS = ["0", "1/0", "2/3x", "1 2", ""]
 

@@ -7,6 +7,7 @@ import pytest
 
 from ctxfam.family import ContextSet, ContextualFamily
 from ctxfam.fdlogic import FD, random_family_satisfying
+from ctxfam.formats import parse_family
 from ctxfam.monoid import MonoidKind, MonoidValue, subtract
 from ctxfam.relation import Assignment, KRelation
 from ctxfam.realisability import (
@@ -422,15 +423,50 @@ class TestDot:
         expected = (
             "digraph opg {\n"
             "  rankdir=LR;\n"
-            '  "0:0";\n'
-            '  "1:0";\n'
-            '  "2:0";\n'
-            '  "2:0" -> "0:0" [label="x=0,y=0"];\n'
-            '  "0:0" -> "1:0" [label="x=0,z=0"];\n'
-            '  "1:0" -> "2:0" [label="y=0,z=0"];\n'
+            '  0 [label="0:0"];\n'
+            '  1 [label="1:0"];\n'
+            '  2 [label="2:0"];\n'
+            '  2 -> 0 [label="x=0,y=0"];\n'
+            '  0 -> 1 [label="x=0,z=0"];\n'
+            '  1 -> 2 [label="y=0,z=0"];\n'
             "}\n"
         )
         assert build_opg(unit_triangle).to_dot() == expected
+
+    def test_vertices_with_equal_text_stay_apart(self):
+        # Two boundary values of layer 2 both display as "2:x,y,z".
+        family = parse_family(
+            "monoid B\n"
+            "context a b c\n0 x,y z\n1 x y,z\n"
+            "context b c d\nx,y z 0\nx y,z 1\n"
+            "context a d\n0 0\n1 1\n"
+        )
+        graph = build_opg(family)
+        assert [str(v) for v in graph.vertices[4:]] == ["2:x,y,z", "2:x,y,z"]
+        lines = graph.to_dot().splitlines()
+        assert lines[2:8] == [f'  {i} [label="{v}"];' for i, v in enumerate(graph.vertices)]
+        assert lines[8:14] == [
+            '  5 -> 0 [label="a=0,b=x,y,c=z"];',
+            '  4 -> 1 [label="a=1,b=x,c=y,z"];',
+            '  0 -> 2 [label="a=0,d=0"];',
+            '  1 -> 3 [label="a=1,d=1"];',
+            '  3 -> 4 [label="b=x,c=y,z,d=1"];',
+            '  2 -> 5 [label="b=x,y,c=z,d=0"];',
+        ]
+
+    def test_quotes_and_backslashes_are_escaped(self):
+        family = parse_family('monoid B\ncontext x y\na"b 0\ncontext y z\n0 c\\d\ncontext x z\na"b c\\d\n')
+        assert build_opg(family).to_dot() == (
+            "digraph opg {\n"
+            "  rankdir=LR;\n"
+            '  0 [label="0:a\\"b"];\n'
+            '  1 [label="1:c\\\\d"];\n'
+            '  2 [label="2:0"];\n'
+            '  2 -> 0 [label="x=a\\"b,y=0"];\n'
+            '  0 -> 1 [label="x=a\\"b,z=c\\\\d"];\n'
+            '  1 -> 2 [label="y=0,z=c\\\\d"];\n'
+            "}\n"
+        )
 
     def test_dot_is_deterministic(self, teaching_family):
         first = build_opg(teaching_family).to_dot()
@@ -536,7 +572,7 @@ def reference_decompose(family):
                         del rows[lab]
                     else:
                         rows[lab] = remaining
-            updated.append(KRelation(rel.variables, rel.kind, rows))
+            updated.append(KRelation.from_assignments(rel.variables, rel.kind, rows))
         current = ContextualFamily(updated)
     return parts
 
@@ -579,7 +615,7 @@ def walk_family(rng, kind, weights, contexts_count=None, components=None,
                 total[i][key] = total[i].get(key, 0) + w
     return ContextualFamily(
         [
-            KRelation(
+            KRelation.from_assignments(
                 frozenset(vs),
                 kind,
                 {

@@ -51,7 +51,7 @@ class TestAssignment:
 class TestConstruction:
     def test_rows_must_match_declared_variables(self):
         with pytest.raises(DomainError):
-            KRelation(
+            KRelation.from_assignments(
                 frozenset({"x", "y"}),
                 MonoidKind.B,
                 {row(("x",), ("0",)): MonoidValue.one(MonoidKind.B)},
@@ -59,7 +59,7 @@ class TestConstruction:
 
     def test_zero_annotations_rejected(self):
         with pytest.raises(ValueError):
-            KRelation(
+            KRelation.from_assignments(
                 frozenset({"x"}),
                 MonoidKind.N,
                 {row(("x",), ("0",)): MonoidValue.zero(MonoidKind.N)},
@@ -67,7 +67,7 @@ class TestConstruction:
 
     def test_kind_must_be_uniform(self):
         with pytest.raises(ValueError):
-            KRelation(
+            KRelation.from_assignments(
                 frozenset({"x"}),
                 MonoidKind.N,
                 {row(("x",), ("0",)): MonoidValue.one(MonoidKind.Q)},
@@ -116,7 +116,7 @@ def relations(kind: MonoidKind):
     return st.dictionaries(
         st.tuples(values, values, values), weight, min_size=0, max_size=6
     ).map(
-        lambda d: KRelation(
+        lambda d: KRelation.from_assignments(
             frozenset({"x", "y", "z"}),
             kind,
             {
@@ -319,7 +319,7 @@ def mixed_relations(draw):
         Assignment(zip(variables, values)): MonoidValue.of(kind, w)
         for values, w in weighted.items()
     }
-    return KRelation(variables, kind, rows), rows
+    return KRelation.from_assignments(variables, kind, rows), rows
 
 
 def subsets(variables, min_size=0):
@@ -367,7 +367,7 @@ class TestRowOrder:
     @given(pooled_rows())
     def test_rows_are_stored_in_values_key_order(self, drawn):
         variables, kind, rows = drawn
-        stored = list(KRelation(variables, kind, rows).rows())
+        stored = list(KRelation.from_assignments(variables, kind, rows).rows())
         assert stored == sorted(rows.items(), key=lambda kv: values_key(kv[0].items()))
 
 
@@ -394,7 +394,7 @@ class TestAgreesWithPerRowReference:
         expected = reference_marginal(r, target)
         marginal = r.marginalise(target)
         assert list(marginal.rows()) == expected
-        assert marginal == KRelation(target, r.kind, dict(expected))
+        assert marginal == KRelation.from_assignments(target, r.kind, dict(expected))
 
     @given(mixed_relations(), st.data())
     def test_satisfies(self, drawn, data):
@@ -444,5 +444,5 @@ class TestAgreesWithPerRowReference:
         wrong = Assignment(bad)
         for rows in ({wrong: one}, {good: one, wrong: one}):
             with pytest.raises(DomainError) as exc:
-                KRelation(["b", "a"], MonoidKind.N, rows)
+                KRelation.from_assignments(["b", "a"], MonoidKind.N, rows)
             assert str(exc.value) == f"row {wrong} does not bind exactly ['a', 'b']"
