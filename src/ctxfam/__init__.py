@@ -76,7 +76,6 @@ from .realisability import (
     build_opg,
     classify_chordless_cycle,
     decompose_cycles,
-    family_from_weights,
     find_realisation,
     find_simple_cycle_through,
     lift_uniform,
@@ -89,7 +88,6 @@ from .relation import (
     DomainError,
     KRelation,
     consistent,
-    scalar_fill,
 )
 
 __version__ = "0.1.0"
@@ -133,7 +131,6 @@ __all__ = [
     "decompose_cycles",
     "derivation_closure",
     "derives",
-    "family_from_weights",
     "find_realisation",
     "find_simple_cycle_through",
     "find_violation",
@@ -151,7 +148,6 @@ __all__ = [
     "realisable_chordless",
     "realisable_lp",
     "realise",
-    "scalar_fill",
     "semantic_entails_oracle",
     "serialize_decomposition",
     "serialize_family",

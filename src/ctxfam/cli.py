@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .family import (
     ContextualFamily,
@@ -146,35 +146,38 @@ def _cmd_opg(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_realisable(args: argparse.Namespace) -> int:
+def _report_realisation(
+    args: argparse.Namespace,
+    build: Callable[[ContextualFamily, MonoidKind], ContextualFamily],
+    output: Optional[str],
+) -> int:
+    """Realise the support of ``args.family`` in ``args.monoid`` with
+    ``build(support, kind)``: print the verdict, then the witness to
+    ``output`` or the uncovered edges."""
     family = _load_family(args.family)
     kind = _parse_kind(args.monoid, "N|Q")
     try:
-        witness = find_realisation(family.support(), kind)
+        witness = build(family.support(), kind)
     except NotRealisableError as exc:
         print("not realisable")
         for edge in exc.uncovered:
             print(f"uncovered edge: {edge.describe()}")
         return 1
     print("realisable")
-    sys.stdout.write(serialize_family(witness))
+    _emit(serialize_family(witness), output)
     return 0
+
+
+def _cmd_realisable(args: argparse.Namespace) -> int:
+    return _report_realisation(args, find_realisation, None)
 
 
 def _cmd_realise(args: argparse.Namespace) -> int:
-    family = _load_family(args.family)
-    kind = _parse_kind(args.monoid, "N|Q")
-    weight = None if args.weight is None else parse_value(kind, args.weight)
-    try:
-        witness = realise(family.support(), kind, weight)
-    except NotRealisableError as exc:
-        print("not realisable")
-        for edge in exc.uncovered:
-            print(f"uncovered edge: {edge.describe()}")
-        return 1
-    print("realisable")
-    _emit(serialize_family(witness), args.output)
-    return 0
+    def build(support: ContextualFamily, kind: MonoidKind) -> ContextualFamily:
+        weight = None if args.weight is None else parse_value(kind, args.weight)
+        return realise(support, kind, weight)
+
+    return _report_realisation(args, build, args.output)
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:

@@ -15,6 +15,9 @@ feasibility over one unknown weight per supported row (see
 :mod:`ctxfam.feasibility`); a natural-valued witness follows from a
 rational one by clearing denominators, because the marginal-agreement
 constraints are homogeneous.
+
+Graph vertices and edges hold value tuples, as relations do; their
+``boundary`` and ``label`` assignments are built only when read.
 """
 
 from __future__ import annotations
@@ -109,26 +112,39 @@ def classify_chordless_cycle(contexts: ContextSet) -> CycleOrdering:
 
 @dataclass(frozen=True)
 class OpgVertex:
-    """A boundary value: (layer index, assignment on that boundary)."""
+    """A boundary value: its layer, that layer's sorted boundary variables
+    and the value tuple in their order."""
 
     layer: int
-    boundary: Assignment
+    names: Tuple[str, ...]
+    key: Key
+
+    @property
+    def boundary(self) -> Assignment:
+        """The value as an assignment on the boundary, built on each read."""
+        return Assignment._sorted(tuple(zip(self.names, self.key)))
 
     def __str__(self) -> str:
-        values = ",".join(str(val) for _, val in self.boundary.items())
-        return f"{self.layer}:{values}"
+        return f"{self.layer}:{','.join(map(str, self.key))}"
 
 
 @dataclass(frozen=True)
 class OpgEdge:
     """One supported row, drawn from its incoming boundary value to its
     outgoing one.  ``context_index`` names the layer whose relation holds
-    the generating assignment."""
+    the row, ``names`` that relation's sorted variables and ``key`` the
+    row's value tuple in their order."""
 
     source: OpgVertex
     target: OpgVertex
-    label: Assignment
     context_index: int
+    names: Tuple[str, ...]
+    key: Key
+
+    @property
+    def label(self) -> Assignment:
+        """The row as an assignment, built on each read."""
+        return Assignment._sorted(tuple(zip(self.names, self.key)))
 
     def describe(self) -> str:
         return f"{self.source} -> {self.target}  {self.label}"
@@ -239,7 +255,8 @@ def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
     numbered here, once: by layer, and within a layer in the row order
     (:func:`_row_order`) of their boundary values.  The edges come by
     context and then in stored row order, each with the numbers of its
-    ends.
+    ends.  Vertices and edges hold the value tuples that the relations
+    and their projections already hold, so no ``Assignment`` is built.
     """
     ordering = classify_chordless_cycle(family.contexts)
     relations = [family.relation_at(c) for c in ordering.contexts]
@@ -253,18 +270,17 @@ def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
         numbers[i].update(dict.fromkeys(map(after, relation._rows)))
     vertices: List[OpgVertex] = []
     for layer, number in enumerate(numbers):
-        names = sorted(ordering.boundary(layer))
+        names = tuple(sorted(ordering.boundary(layer)))
         values = list(number)
         for j in _row_order(values):
             number[values[j]] = len(vertices)
-            vertices.append(OpgVertex(layer, Assignment._sorted(tuple(zip(names, values[j])))))
+            vertices.append(OpgVertex(layer, names, values[j]))
     edges: List[OpgEdge] = []
     ends: List[Tuple[int, int]] = []
     for i, (relation, before, after) in enumerate(sides):
         for key in relation._rows:
             source, target = numbers[i - 1][before(key)], numbers[i][after(key)]
-            label = Assignment._sorted(tuple(zip(relation.names, key)))
-            edges.append(OpgEdge(vertices[source], vertices[target], label, i))
+            edges.append(OpgEdge(vertices[source], vertices[target], i, relation.names, key))
             ends.append((source, target))
     return OverlapProjectionGraph(ordering, vertices, edges, ends)
 
@@ -415,9 +431,10 @@ def decompose_cycles(
     that still has a live edge, picks the shortest cycle over its
     out-edges (the first in sorted edge order among equals), and
     subtracts the least annotation along it; an edge dies when its
-    residual reaches zero.  Residual weights, rows and live out-adjacency
-    are kept by edge and vertex number, so each peel costs one
-    breadth-first search per out-edge of its start vertex.  Local consistency makes
+    residual reaches zero.  Residual weights and live out-adjacency are
+    kept by edge and vertex number, and each edge names its row by its
+    ``context_index`` and ``key``, so each peel costs one breadth-first
+    search per out-edge of its start vertex.  Local consistency makes
     the weights a circulation on the graph, and subtracting a cycle keeps
     it one, so a vertex with a live in-edge still has a live out-edge and
     the start vertex only moves forward.  A part is a simple cycle,
@@ -429,11 +446,9 @@ def decompose_cycles(
         raise ValueError("decomposition needs a cancellative kind")
     graph = build_opg(family)
     relations = [family.relation_at(c) for c in graph.ordering.contexts]
-    # Edge k is the k-th row of these relations, counted in stored order.
-    rows = [(i, key) for i, rel in enumerate(relations) for key in rel._rows]
-    residual = [p for rel in relations for p in rel._rows.values()]
+    residual = [relations[e.context_index]._rows[e.key] for e in graph.edges]
     succ = [list(out) for out in graph._succ]
-    live = len(rows)
+    live = len(residual)
     start = 0
     parts: List[Tuple[MonoidValue, ContextualFamily]] = []
     while live:
@@ -449,8 +464,8 @@ def decompose_cycles(
         least = min(residual[k] for k in best)
         on_cycle: List[Dict[Key, Payload]] = [{} for _ in relations]
         for k in best:
-            i, key = rows[k]
-            on_cycle[i][key] = 1
+            edge = graph.edges[k]
+            on_cycle[edge.context_index][edge.key] = 1
         supports = [KRelation(rel.variables, MonoidKind.B, r) for rel, r in zip(relations, on_cycle)]
         sub = ContextualFamily._unchecked(family.contexts, MonoidKind.B, supports)
         parts.append((MonoidValue(family.kind, least), sub))
@@ -520,26 +535,6 @@ def _reweighted(relations: List[KRelation], payloads: List[Payload], kind: Monoi
     in stored order, the n-th annotated ``payloads[n]``."""
     rest = iter(payloads)  # zip reads rel._rows first, so it stops at the end of each relation
     return [KRelation(rel.variables, kind, dict(zip(rel._rows, rest))) for rel in relations]
-
-
-def family_from_weights(
-    contexts: ContextSet,
-    weights: Dict[Assignment, MonoidValue],
-    kind: Optional[MonoidKind] = None,
-) -> ContextualFamily:
-    """Assemble a family from per-row weights (as produced by
-    :func:`realisable_lp`); each row goes to the context of its variables.
-    The kind argument is only needed when the weight map is empty."""
-    kinds = {w.kind for w in weights.values()}
-    if kind is not None:
-        kinds.add(kind)
-    if len(kinds) != 1:
-        raise ValueError("weights must share one kind" if kinds else "empty weights need an explicit kind")
-    kind = kinds.pop()
-    grouped: Dict[Tuple[str, ...], Dict[Assignment, MonoidValue]] = {tuple(sorted(c)): {} for c in contexts}
-    for row, value in weights.items():
-        grouped[tuple(var for var, _ in row.items())][row] = value
-    return ContextualFamily([KRelation.from_assignments(names, kind, rows) for names, rows in grouped.items()])
 
 
 def find_realisation(family: ContextualFamily, kind: MonoidKind) -> ContextualFamily:

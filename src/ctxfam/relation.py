@@ -11,7 +11,8 @@ collapse together.
 
 Rows become :class:`Assignment` and annotations ``MonoidValue`` objects
 only at the API edge: ``rows``, ``support``, ``annotation`` and ``repr``
-build them, and :meth:`KRelation.from_assignments` takes them in.
+build them, and :meth:`KRelation.from_assignments` is the one way to
+take them in.
 
 Variables are strings.  Values are opaque tokens compared literally
 (``"0"`` and ``0`` are distinct values); library-built relations use
@@ -48,12 +49,6 @@ class DomainError(ValueError):
 def value_key(value: Value) -> Tuple[str, str]:
     """Deterministic sort key for values of mixed token types."""
     return (str(value), type(value).__name__)
-
-
-def values_key(pairs: Pairs) -> Tuple[Tuple[str, str], ...]:
-    """The ``value_key`` of each value of a row given as pairs: the row
-    order of :func:`_row_order` and of ``Assignment.sort_key``."""
-    return tuple([value_key(val) for _, val in pairs])
 
 
 def _row_order(keys: Sequence[Key]) -> List[int]:
@@ -206,11 +201,6 @@ class KRelation:
             table[tuple(val for _, val in row.items())] = value.payload
         return cls(vars_, kind, table)
 
-    @classmethod
-    def boolean(cls, variables: Iterable[str], support: Iterable[Assignment]) -> "KRelation":
-        """A B-relation holding exactly the given rows."""
-        return cls.from_assignments(variables, MonoidKind.B, dict.fromkeys(support, MonoidValue.one(MonoidKind.B)))
-
     def rows(self) -> Iterator[Tuple[Assignment, MonoidValue]]:
         """Rows in deterministic (sorted) order."""
         names, kind = self.names, self.kind
@@ -296,13 +286,6 @@ class KRelation:
     def __repr__(self) -> str:
         body = "; ".join(f"{row}:{val}" for row, val in self.rows())
         return f"KRelation[{self.kind}]({{{body}}})"
-
-
-def scalar_fill(value: MonoidValue, variables: Iterable[str], support: Iterable[Assignment]) -> KRelation:
-    """The relation annotating every given row with the same nonzero value."""
-    if value.is_zero:
-        raise ValueError("scalar fill needs a nonzero annotation")
-    return KRelation.from_assignments(variables, value.kind, dict.fromkeys(support, value))
 
 
 def consistent(r: KRelation, s: KRelation) -> bool:

@@ -20,8 +20,10 @@ def row(variables: Sequence[str], values: Sequence) -> Assignment:
 
 def brel(variables: Sequence[str], rows: Iterable[Sequence]) -> KRelation:
     """Boolean relation from value tuples in the given variable order."""
-    return KRelation.boolean(
-        frozenset(variables), [row(variables, r) for r in rows]
+    return KRelation.from_assignments(
+        frozenset(variables),
+        MonoidKind.B,
+        dict.fromkeys((row(variables, r) for r in rows), MonoidValue.one(MonoidKind.B)),
     )
 
 
@@ -34,6 +36,18 @@ def wrel(kind: MonoidKind, variables: Sequence[str], weighted_rows) -> KRelation
             row(variables, values): MonoidValue.of(kind, weight)
             for values, weight in weighted_rows
         },
+    )
+
+
+def family_of(contexts, kind: MonoidKind, weights) -> ContextualFamily:
+    """The checked family of ``{Assignment: MonoidValue}`` weights, such as
+    ``realisable_lp`` returns: each row goes to the context of its
+    variables, and a context with no row gets an empty relation."""
+    grouped = {c: {} for c in contexts}
+    for r, value in weights.items():
+        grouped[r.variables][r] = value
+    return ContextualFamily(
+        [KRelation.from_assignments(c, kind, rows) for c, rows in grouped.items()]
     )
 
 

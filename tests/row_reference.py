@@ -18,9 +18,15 @@ from typing import Dict, List, Optional, Tuple
 from ctxfam.family import ConsistencyViolation, ContextualFamily
 from ctxfam.formats import _RESERVED_VALUES, FormatError, _significant_lines
 from ctxfam.monoid import MonoidKind, MonoidValue, parse_value
-from ctxfam.relation import Assignment, DomainError, values_key
+from ctxfam.relation import Assignment, DomainError, value_key
 
 _first = itemgetter(0)
+
+
+def values_key(pairs):
+    """The ``value_key`` of each value of a row given as pairs: the row
+    order of ``Assignment.sort_key``."""
+    return tuple([value_key(val) for _, val in pairs])
 
 
 def row_order(rows):

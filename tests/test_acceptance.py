@@ -33,7 +33,6 @@ from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.realisability import (
     build_opg,
     decompose_cycles,
-    family_from_weights,
     lift_uniform,
     realisable_chordless,
     realisable_lp,
@@ -44,6 +43,7 @@ from conftest import (
     chain_brute_force,
     chain_premises,
     cycle_contexts,
+    family_of,
     random_weighted_family,
 )
 
@@ -149,7 +149,7 @@ class TestAcceptance:
                     isinstance(v.payload, int) and v.payload >= 1
                     for v in natural.values()
                 )
-                witness = family_from_weights(family.contexts, natural)
+                witness = family_of(family.contexts, MonoidKind.N, natural)
                 assert witness.support() == family
             checked += 1
         assert feasible >= 20
@@ -171,8 +171,9 @@ class TestAcceptance:
             if weights is None:
                 continue
             factor = rng.choice(scales)
-            family = family_from_weights(
+            family = family_of(
                 support.contexts,
+                MonoidKind.Q,
                 {
                     label: MonoidValue.of(MonoidKind.Q, value.payload * factor)
                     for label, value in weights.items()

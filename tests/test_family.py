@@ -15,7 +15,7 @@ from ctxfam.family import (
 )
 from ctxfam.fdlogic import FD
 from ctxfam.monoid import MonoidKind, MonoidValue
-from ctxfam.relation import Assignment, KRelation, scalar_fill
+from ctxfam.relation import Assignment, KRelation
 
 from conftest import (
     CS,
@@ -32,7 +32,10 @@ from conftest import (
 def uniform(family, value):
     """Every supported row annotated with one value, validated as a family."""
     return ContextualFamily(
-        [scalar_fill(value, r.variables, r.support) for r in family.maximal_relations()]
+        [
+            KRelation.from_assignments(r.variables, value.kind, dict.fromkeys(r.support, value))
+            for r in family.maximal_relations()
+        ]
     )
 
 

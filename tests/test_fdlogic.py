@@ -710,11 +710,8 @@ def reference_counterexample(sigma, phi, kind):
         closed = {x} | reached
         row_zero = Assignment({v: "0" for v in variables})
         row_split = Assignment({v: "0" if v in closed else "1" for v in variables})
-        if kind is MonoidKind.B:
-            total = KRelation.boolean(variables, [row_zero, row_split])
-        else:
-            one = MonoidValue.one(kind)
-            total = KRelation.from_assignments(variables, kind, {row_zero: one, row_split: one})
+        one = MonoidValue.one(kind)
+        total = KRelation.from_assignments(variables, kind, {row_zero: one, row_split: one})
         return ContextualFamily([total.marginalise(c) for c in contexts])
     small = MonoidValue.one(kind)
     big = small + small if kind is not MonoidKind.B else small
@@ -726,10 +723,7 @@ def reference_counterexample(sigma, phi, kind):
         else:
             rows = [Assignment({v: "0" for v in c}), Assignment({v: "1" for v in c})]
             value = big
-        if kind is MonoidKind.B:
-            relations.append(KRelation.boolean(c, rows))
-        else:
-            relations.append(KRelation.from_assignments(c, kind, {r: value for r in rows}))
+        relations.append(KRelation.from_assignments(c, kind, dict.fromkeys(rows, value)))
     return ContextualFamily(relations)
 
 
@@ -1055,7 +1049,11 @@ def reference_family_from_choice(contexts, vs_list, chosen):
     relations = []
     for context, vs, rows in zip(contexts, vs_list, chosen):
         assignments = [Assignment(zip(vs, row)) for row in sorted(rows)]
-        relations.append(KRelation.boolean(context, assignments))
+        relations.append(
+            KRelation.from_assignments(
+                context, MonoidKind.B, dict.fromkeys(assignments, MonoidValue.one(MonoidKind.B))
+            )
+        )
     return ContextualFamily(relations)
 
 

@@ -624,7 +624,9 @@ def reference_global_boolean(family):
     join = reference_support_join(family)
     if not join and any(len(r) for r in family.maximal_relations()):
         return None
-    candidate = KRelation.boolean(family.contexts.variables, join)
+    candidate = KRelation.from_assignments(
+        family.contexts.variables, MonoidKind.B, dict.fromkeys(join, MonoidValue.one(MonoidKind.B))
+    )
     return candidate if _projects_onto(candidate, family) else None
 
 

@@ -1,5 +1,6 @@
 """Overlap projection graphs, cycle covers, realisation, decomposition."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from ctxfam.realisability import (
     build_opg,
     classify_chordless_cycle,
     decompose_cycles,
-    family_from_weights,
     find_realisation,
     find_simple_cycle_through,
     lift_uniform,
@@ -27,7 +27,7 @@ from ctxfam.realisability import (
     realise,
 )
 
-from conftest import CS, ST, TC, brel, cycle_contexts, row, wrel
+from conftest import CS, ST, TC, brel, cycle_contexts, family_of, row, wrel
 
 
 def triangle_family(rows_xy, rows_yz, rows_zx):
@@ -336,8 +336,8 @@ class TestFindRealisation:
              brel(("b", "c"), [("0", "0"), ("1", "0")])]
         )
         weights = realisable_lp(family, MonoidKind.N)
-        assert find_realisation(family, MonoidKind.N) == family_from_weights(
-            family.contexts, weights, MonoidKind.N
+        assert find_realisation(family, MonoidKind.N) == family_of(
+            family.contexts, MonoidKind.N, weights
         )
 
     def test_lp_refusal_has_no_uncovered_edges(self, five_context_family):
@@ -380,7 +380,7 @@ class TestRealisableLp:
         assert all(
             isinstance(w.payload, int) and w.payload >= 1 for w in weights.values()
         )
-        witness = family_from_weights(extended_family.contexts, weights, MonoidKind.N)
+        witness = family_of(extended_family.contexts, MonoidKind.N, weights)
         assert witness.support() == extended_family
 
     def test_five_context_family_infeasible(self, five_context_family):
@@ -517,10 +517,7 @@ def reference_cycle_through(graph, edge):
 
 
 def _reference_b_family(contexts, labels):
-    grouped = {c: [] for c in contexts}
-    for label in labels:
-        grouped[label.variables].append(label)
-    return ContextualFamily([KRelation.boolean(c, rs) for c, rs in grouped.items()])
+    return family_of(contexts, MonoidKind.B, dict.fromkeys(labels, MonoidValue.one(MonoidKind.B)))
 
 
 def reference_realise(family, kind, weight=None):
@@ -642,7 +639,9 @@ def with_cross_row(rng, family):
     cross = Assignment(
         {v: (right[v] if v == out_var else left[v]) for v in rels[at].variables}
     )
-    rels[at] = KRelation.boolean(rels[at].variables, rows + [cross])
+    rels[at] = KRelation.from_assignments(
+        rels[at].variables, MonoidKind.B, dict.fromkeys(rows + [cross], MonoidValue.one(MonoidKind.B))
+    )
     return ContextualFamily(rels)
 
 
@@ -879,13 +878,15 @@ def vertex_hashes(monkeypatch):
     return calls
 
 
+@pytest.fixture(scope="module")
+def family():
+    """An N-family over a five-context cycle whose every edge lies on a cycle."""
+    return walk_family(random.Random(1), MonoidKind.N, [1, 2, 3], contexts_count=5)
+
+
 class TestNoVertexLookups:
     """Graph paths read the integer adjacency and edge ends that build_opg
     numbers, so none of them hashes a vertex."""
-
-    @pytest.fixture(scope="class")
-    def family(self):
-        return walk_family(random.Random(1), MonoidKind.N, [1, 2, 3], contexts_count=5)
 
     def test_uncovered_edges_hash_no_vertex_per_edge(self, family, vertex_hashes):
         graph = build_opg(family)
@@ -916,3 +917,96 @@ class TestNoVertexLookups:
     def test_graph_paths_hash_no_vertex(self, family, vertex_hashes, run):
         run(family)
         assert vertex_hashes == []
+
+
+@pytest.fixture
+def assignments_built(monkeypatch):
+    """Counts Assignment constructions, checked and unchecked, from here on."""
+    calls = []
+    init, unchecked = Assignment.__init__, Assignment._sorted.__func__
+
+    def counting_init(self, bindings):
+        calls.append(1)
+        init(self, bindings)
+
+    def counting_sorted(cls, pairs):
+        calls.append(1)
+        return unchecked(cls, pairs)
+
+    monkeypatch.setattr(Assignment, "__init__", counting_init)
+    monkeypatch.setattr(Assignment, "_sorted", classmethod(counting_sorted))
+    return calls
+
+
+class TestNoAssignmentBuilt:
+    """The graph holds value tuples, so the graph paths build no row object;
+    ``boundary`` and ``label`` build one only when read."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            build_opg,
+            lambda family: build_opg(family).uncovered_edges(),
+            lambda family: realise(family.support(), MonoidKind.N),
+            decompose_cycles,
+        ],
+        ids=["build_opg", "uncovered_edges", "realise", "decompose_cycles"],
+    )
+    def test_graph_paths_build_no_assignment(self, family, assignments_built, run):
+        assert build_opg(family).has_edge_cycle_cover
+        assignments_built.clear()
+        run(family)
+        assert assignments_built == []
+
+    def test_each_read_builds_one(self, family, assignments_built):
+        graph = build_opg(family)
+        edge = graph.edges[0]
+        assert edge.label == edge.label and edge.source.boundary == edge.source.boundary
+        assert len(assignments_built) == 4
+
+
+class TestShownAsBefore:
+    """What a vertex and an edge show is what the Assignments that
+    build_opg stored showed: each row of the cycle's relations, in stored
+    order, as the edge label, and its restrictions to the two boundaries
+    as the vertices it joins."""
+
+    @pytest.mark.parametrize("ints", [False, True], ids=["str", "int"])
+    def test_labels_boundaries_and_text(self, ints):
+        rng = random.Random(f"shown/{ints}")
+        for _ in range(10):
+            family = walk_family(rng, MonoidKind.N, [1, 2], ints=ints)
+            graph = build_opg(family)
+            ordering = graph.ordering
+            n = len(ordering)
+            labels = [r for c in ordering.contexts for r, _ in family.relation_at(c).rows()]
+            assert [e.label for e in graph.edges] == labels
+
+            def text(layer, boundary):
+                return f"{layer}:" + ",".join(str(val) for _, val in boundary.items())
+
+            for e, label in zip(graph.edges, labels):
+                i = e.context_index
+                before = label.restrict(ordering.boundary(i - 1))
+                after = label.restrict(ordering.boundary(i))
+                assert (e.source.layer, e.source.boundary) == ((i - 1) % n, before)
+                assert (e.target.layer, e.target.boundary) == (i, after)
+                assert str(e.source) == text((i - 1) % n, before)
+                assert e.describe() == f"{text((i - 1) % n, before)} -> {text(i, after)}  {label}"
+            for a in graph.vertices:
+                for b in graph.vertices:
+                    assert (a == b) == ((a.layer, a.boundary) == (b.layer, b.boundary))
+            shown = [text(v.layer, v.boundary) for v in graph.vertices]
+            ends = [(graph.vertices.index(e.source), graph.vertices.index(e.target)) for e in graph.edges]
+            dot = ["digraph opg {", "  rankdir=LR;"]
+            dot += [f'  {i} [label="{s}"];' for i, s in enumerate(shown)]
+            dot += [f'  {s} -> {t} [label="{label}"];' for (s, t), label in zip(ends, labels)]
+            assert graph.to_dot() == "\n".join(dot + ["}"]) + "\n"
+
+    def test_labels_are_read_only_and_edges_pickle(self, unit_triangle):
+        edge = build_opg(unit_triangle).edges[0]
+        assert pickle.loads(pickle.dumps(edge)) == edge
+        with pytest.raises(AttributeError):
+            edge.label = edge.label
+        with pytest.raises(AttributeError):
+            edge.source.boundary = edge.source.boundary

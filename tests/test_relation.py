@@ -13,11 +13,10 @@ from ctxfam.relation import (
     DomainError,
     KRelation,
     consistent,
-    scalar_fill,
-    values_key,
 )
 
 from conftest import CS, CS_ROWS, ST, ST_ROWS, TC, TC_ROWS, brel, row, wrel
+from row_reference import values_key
 
 
 class TestAssignment:
@@ -165,28 +164,6 @@ class TestSupport:
     def test_boolean_support_relation_is_itself(self):
         r = brel(ST, ST_ROWS)
         assert r.support_relation() is r
-
-
-class TestScalarFill:
-    def test_uniform_weights(self):
-        rows = [row(ST, r) for r in ST_ROWS]
-        r = scalar_fill(MonoidValue.of(MonoidKind.N, 1), frozenset(ST), rows)
-        assert all(w == MonoidValue.of(MonoidKind.N, 1) for _, w in r.rows())
-
-    def test_third_weight_masses_to_one(self):
-        rows = [row(("x",), (v,)) for v in ("a", "b", "c")]
-        r = scalar_fill(
-            MonoidValue.of(MonoidKind.Q, Fraction(1, 3)), frozenset({"x"}), rows
-        )
-        assert r.total() == MonoidValue.of(MonoidKind.Q, 1)
-
-    def test_zero_fill_rejected(self):
-        with pytest.raises(ValueError):
-            scalar_fill(
-                MonoidValue.zero(MonoidKind.N),
-                frozenset({"x"}),
-                [row(("x",), ("a",))],
-            )
 
 
 class TestAdd:
