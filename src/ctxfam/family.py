@@ -16,12 +16,12 @@ the subject of the realisability machinery in :mod:`ctxfam.realisability`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .feasibility import find_rational_solution
+from .feasibility import _check_witness, _feasible, find_rational_solution
 from .monoid import MonoidKind, MonoidValue
-from .relation import Assignment, Key, KRelation, Value, _agreement, _cells, _projection, _row_order, _totals
+from .relation import Assignment, Key, KRelation, Value, _agreement, _cells, _groups, _projection, _row_order, _totals
 
 if TYPE_CHECKING:
     from .fdlogic import FD
@@ -129,8 +129,8 @@ def find_violation(relations: Iterable[KRelation]) -> Optional[ConsistencyViolat
     the first agreement cell whose two annotation sums differ (any cell, if
     the kinds differ).  Only that cell becomes an ``Assignment`` and values."""
     rels = sorted(relations, key=lambda r: tuple(sorted(r.variables)))
-    for r, s, left, right in _agreement(rels):
-        sums_r, sums_s = _totals(r, left), _totals(s, right)
+    for i, j, sums_r, sums_s in _agreement(rels, lambda r, shared: _totals(r, _groups(r, shared))):
+        r, s = rels[i], rels[j]
         if r.kind is s.kind and sums_r == sums_s:
             continue
         for short, a, b in _cells(sums_r, sums_s):
@@ -359,16 +359,27 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
     relation exists when some cell has no candidate over it.  Otherwise,
     for B, the join itself is the witness.  For Q and N the unknowns are
     the weights of the join rows, at least 0 each, with one equation per
-    cell, in cell order: the weights over the cell sum to its value.  For
-    Q the witness is the exact solution of
+    cell, in cell order: the weights over the cell sum to its value.
+
+    The last cell of every context after the first is left out of the
+    tableau.  Every join row lies in one cell of each context, so each
+    context's equations sum to the total weight, and local consistency
+    gives every context the same total: that equation is the sum of
+    context 0's minus the context's other cells, and Gauss-Jordan
+    elimination would only reduce it to an empty row.  The Q witness is
+    still checked against those cells.
+
+    For Q the witness is the exact solution of
     :func:`~ctxfam.feasibility.find_rational_solution` on its one integer
     tableau: the lexicographically least weights, in join-row order,
-    among those the Gauss-Jordan elimination leaves free.  For N a
-    rational solution must exist first, and then a complete bounded
-    search over the cell table finds integer weights.
+    among those the Gauss-Jordan elimination leaves free.  For N phase 1
+    of the same tableau must find the system feasible, and then a
+    complete bounded search over the cell table finds integer weights,
+    which meet every cell by construction.
     """
     join, cells = _support_join(family)
-    demands = [p for rel in family.maximal_relations() for p in rel._rows.values()]
+    relations = list(family.maximal_relations())
+    demands = [p for rel in relations for p in rel._rows.values()]
     over: List[List[int]] = [[] for _ in demands]
     for i, row in enumerate(cells):
         for k in row:
@@ -378,15 +389,21 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
     variables = family.contexts.variables
     if family.kind is MonoidKind.B:
         return KRelation(variables, MonoidKind.B, dict.fromkeys(join, 1))
-    equalities = [({i: Fraction(1) for i in ts}, Fraction(d)) for ts, d in zip(over, demands)]
+    ends = list(accumulate(map(len, relations)))
+    implied = {end - 1 for end, rel in zip(ends[1:], relations[1:]) if rel}
+    equalities = [({i: 1 for i in ts}, d) for k, (ts, d) in enumerate(zip(over, demands)) if k not in implied]
     unknowns = range(len(join))
-    solution = find_rational_solution(equalities, {i: Fraction(0) for i in unknowns}, unknowns)
-    if solution is None:
-        return None
+    bounds = dict.fromkeys(unknowns, 0)
     if family.kind is MonoidKind.N:
+        if not _feasible(equalities, bounds, unknowns):
+            return None
         weights = _integer_weights(demands, cells)
         if weights is None:
             return None
     else:
+        solution = find_rational_solution(equalities, bounds, unknowns)
+        if solution is None:
+            return None
+        _check_witness([({i: 1 for i in over[k]}, demands[k]) for k in sorted(implied)], {}, solution)
         weights = [solution[i] for i in unknowns]
     return KRelation(variables, family.kind, {t: w for t, w in zip(join, weights) if w})

@@ -4,15 +4,24 @@ This is the arithmetic core behind weighted global-consistency checking
 and general realisability: given equalities ``sum c_i x_i = r`` and a
 lower bound ``x_i >= b_i`` on every rational unknown, decide feasibility
 and produce a witness.  Feasibility is decided exactly, never numerically.
+Coefficients, right-hand sides and bounds may be ``int`` or ``Fraction``.
 
-Everything happens in one fraction-free integer tableau with one column
-per unknown, ``y_j = x_j - b_j >= 0``, and one row per equality, scaled
-to integers.  Gauss-Jordan elimination pivots each row on its least
-remaining column, so afterwards every row holds one pivot column and
-otherwise only free columns.  The witness is the lexicographic minimum of
-the free unknowns in ascending variable order: each takes its least value
-given the earlier ones, and the pivot unknowns follow.  That point is
-unique, so the witness does not depend on how it is found.
+Everything happens in one fraction-free integer tableau, ``_Tableau``,
+with one column per unknown, ``y_j = x_j - b_j >= 0``, and one row per
+equality, scaled to integers from the inputs' numerators and
+denominators.  It has four parts:
+
+* build and Gauss-Jordan elimination, which pivots each row on its least
+  remaining column, so afterwards every row holds one pivot column and
+  otherwise only free columns;
+* phase 1, which answers feasibility;
+* the lexicographic stages: the witness is the lexicographic minimum of
+  the free unknowns in ascending variable order, each at its least value
+  given the earlier ones, and the pivot unknowns follow;
+* read-back, the one place a ``Fraction`` is built.
+
+The lexicographic minimum is unique, so the witness does not depend on
+how it is found.
 
 The pivot rows are already a basis of the simplex method.  A row whose
 right-hand side is negative gets an artificial column, and phase 1 drives
@@ -28,8 +37,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+Rational = Union[int, Fraction]
 Row = Dict[int, int]  # column -> nonzero integer coefficient, with _RHS and _OBJ
 
 _RHS = -1  # key of a row's right-hand side
@@ -106,104 +116,199 @@ def _bar(rows: List[Row], columns: Iterable[int]) -> None:
             row.pop(k, None)
 
 
+class _Tableau:
+    """The integer tableau of one system, in four parts: the constructor
+    builds the rows and runs Gauss-Jordan elimination, :meth:`phase1`
+    answers feasibility, :meth:`lex_min` runs the lexicographic stages,
+    each one :meth:`stage`, and :meth:`witness` reads the values back.
+
+    ``rows[i]`` holds ``basis[i]`` at a positive coefficient.  ``free``
+    lists, in ascending order, the columns Gauss-Jordan leaves without a
+    pivot, and ``contradiction`` is set when some equality reduced to
+    ``0 = r`` with ``r`` nonzero.  No :class:`Fraction` is built before
+    :meth:`witness`.
+    """
+
+    __slots__ = ("variables", "index", "bounds", "rows", "basis", "free", "contradiction", "artificials")
+
+    def __init__(
+        self,
+        equalities: Sequence[Tuple[Mapping[Hashable, Rational], Rational]],
+        lower_bounds: Mapping[Hashable, Rational],
+        variables: Sequence[Hashable],
+    ):
+        index = {v: i for i, v in enumerate(variables)}
+        for v in [v for coeffs, _ in equalities for v in coeffs] + list(lower_bounds):
+            if v not in index:
+                raise ValueError(f"unknown {v!r} is not among the variables")
+        for v in variables:
+            if v not in lower_bounds:
+                raise ValueError(f"unknown {v!r} has no lower bound")
+        bounds = {index[v]: b for v, b in lower_bounds.items() if b}
+        shift = {j: (b.numerator, b.denominator) for j, b in bounds.items()}
+        self.variables, self.index, self.bounds = variables, index, bounds
+        self.contradiction = False
+        self.artificials: List[int] = []
+
+        rows: List[Row] = []
+        basis: List[int] = []
+        for coeffs, rhs in equalities:
+            row = _integer_row(coeffs, rhs, index, shift)
+            for i, b in enumerate(basis):
+                if b in row:
+                    row = _eliminate(row, rows[i], b)
+            columns = [k for k in row if k >= 0]
+            if not columns:
+                if row:  # 0 = rhs with rhs nonzero
+                    self.contradiction = True
+                    break
+                continue
+            p = min(columns)
+            if row[p] < 0:
+                row = {k: -v for k, v in row.items()}
+            for i, other in enumerate(rows):
+                if p in other:
+                    rows[i] = _eliminate(other, row, p)
+            rows.append(row)
+            basis.append(p)
+        self.rows, self.basis = rows, basis
+        self.free = sorted(set(index.values()).difference(basis))
+
+    def phase1(self) -> bool:
+        """Whether the system is feasible.  Each row with a negative
+        right-hand side gets an artificial column, and phase 1 of the
+        simplex drives their sum to zero.  On success the basis is
+        feasible, with every column priced out by phase 1 and every
+        nonbasic artificial barred."""
+        if self.contradiction:
+            return False
+        rows, basis = self.rows, self.basis
+        artificials = self.artificials
+        for i, row in enumerate(rows):
+            if row.get(_RHS, 0) < 0:
+                basis[i] = len(self.variables) + len(artificials)
+                artificials.append(basis[i])
+                rows[i] = {k: -v for k, v in row.items()}
+                rows[i][basis[i]] = 1
+        if not artificials:
+            return True
+        obj: Row = dict.fromkeys(artificials, -1)
+        obj[_OBJ] = 1
+        for i, b in enumerate(basis):
+            if b in obj:
+                obj = _eliminate(obj, rows[i], b)
+        if self.stage(obj).get(_RHS, 0):
+            return False
+        _bar(rows, (k for k in artificials if k not in basis))
+        return True
+
+    def stage(self, obj: Row) -> Row:
+        """Minimise the objective row ``obj`` from the current feasible
+        basis, bar every column it priced out and return its final form."""
+        obj = _minimise(self.rows, self.basis, obj)
+        _bar(self.rows, _priced_out(obj))
+        return obj
+
+    def lex_min(self) -> None:
+        """After a successful :meth:`phase1`, minimise each free unknown in
+        ascending order, barring after each stage the columns it priced
+        out.  Without artificials the free unknowns already sit at their
+        bounds, which is the minimum, and no stage runs."""
+        if not self.artificials:
+            return
+        rows, basis = self.rows, self.basis
+        for j in self.free:
+            if j in basis:
+                # the basic row, with the unknown renamed to the objective
+                obj = dict(rows[basis.index(j)])
+                obj[_OBJ] = obj.pop(j)
+                self.stage(obj)
+            else:
+                _bar(rows, [j])
+
+    def witness(self) -> Dict[Hashable, Fraction]:
+        """Every unknown's value: a basic column's right-hand side over its
+        coefficient, a nonbasic one 0, each shifted back by its bound."""
+        level = {b: Fraction(row.get(_RHS, 0), row[b]) for row, b in zip(self.rows, self.basis)}
+        index, bounds = self.index, self.bounds
+        witness = {}
+        for v in self.variables:
+            x = level.get(index[v], _ZERO)
+            witness[v] = x + bounds[index[v]] if index[v] in bounds else x
+        return witness
+
+
+def _integer_row(
+    coeffs: Mapping[Hashable, Rational],
+    rhs: Rational,
+    index: Mapping[Hashable, int],
+    shift: Mapping[int, Tuple[int, int]],
+) -> Row:
+    """The row of ``sum c_v x_v = rhs`` over the shifted columns
+    ``y_j = x_j - b_j``, scaled to integers straight from the inputs'
+    numerators and denominators: ``sum c_j y_j = rhs - sum c_j b_j``."""
+    scale = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+    row = {index[v]: c.numerator * (scale // c.denominator) for v, c in coeffs.items() if c}
+    r = rhs.numerator * (scale // rhs.denominator)
+    shifted = [(j, shift[j]) for j in row if j in shift] if shift else ()
+    if shifted:
+        d = lcm(*(den for _, (_, den) in shifted))
+        if d > 1:
+            row = {j: a * d for j, a in row.items()}
+            r *= d
+        r -= sum(row[j] * num // den for j, (num, den) in shifted)  # den divides row[j]
+    if r:
+        row[_RHS] = r
+    return row
+
+
 def find_rational_solution(
-    equalities: Iterable[Tuple[Mapping[Hashable, Fraction], Fraction]],
-    lower_bounds: Mapping[Hashable, Fraction],
+    equalities: Iterable[Tuple[Mapping[Hashable, Rational], Rational]],
+    lower_bounds: Mapping[Hashable, Rational],
     variables: Sequence[Hashable],
 ) -> Optional[Dict[Hashable, Fraction]]:
     """A rational witness for the system, or None when infeasible.
 
     ``equalities`` are pairs (coefficient map, right-hand side) read as
     ``sum c_i x_i = r``; ``lower_bounds`` gives every variable its
-    constraint ``x >= b``.  Naming a variable that is not in ``variables``,
-    or leaving one without a lower bound, raises :class:`ValueError`.
+    constraint ``x >= b``.  Coefficients, right-hand sides and bounds may
+    be ``int`` or ``Fraction``.  Naming a variable that is not in
+    ``variables``, or leaving one without a lower bound, raises
+    :class:`ValueError`.
 
     The witness is the lexicographic minimum, in the order of
     ``variables``, of the unknowns left free by Gauss-Jordan elimination
     (which pivots each equality on its least remaining unknown): each
     takes its least feasible value given the earlier ones, and the pivot
     unknowns follow from them.  One integer tableau finds this point (see
-    the module docstring), and the witness is checked against every
-    equality and bound before it is returned.
+    the module docstring): it is built and eliminated, phase 1 decides
+    feasibility, the lexicographic stages run and the values are read
+    back.  The witness, whose values are ``Fraction``s, is checked
+    against every equality and bound before it is returned.
     """
     equalities = list(equalities)
-    index = {v: i for i, v in enumerate(variables)}
-    for v in [v for coeffs, _ in equalities for v in coeffs] + list(lower_bounds):
-        if v not in index:
-            raise ValueError(f"unknown {v!r} is not among the variables")
-    for v in variables:
-        if v not in lower_bounds:
-            raise ValueError(f"unknown {v!r} has no lower bound")
-    shift = {index[v]: Fraction(b) for v, b in lower_bounds.items() if b}
-
-    rows: List[Row] = []
-    basis: List[int] = []
-    for coeffs, rhs in equalities:
-        terms = {index[v]: Fraction(c) for v, c in coeffs.items() if c}
-        r = Fraction(rhs)
-        if shift:
-            r -= sum((c * shift[j] for j, c in terms.items() if j in shift), _ZERO)
-        scale = lcm(r.denominator, *(c.denominator for c in terms.values()))
-        row = {j: c.numerator * (scale // c.denominator) for j, c in terms.items()}
-        if r:
-            row[_RHS] = r.numerator * (scale // r.denominator)
-        for i, b in enumerate(basis):
-            if b in row:
-                row = _eliminate(row, rows[i], b)
-        columns = [k for k in row if k >= 0]
-        if not columns:
-            if row:  # 0 = rhs with rhs nonzero
-                return None
-            continue
-        p = min(columns)
-        if row[p] < 0:
-            row = {k: -v for k, v in row.items()}
-        for i, other in enumerate(rows):
-            if p in other:
-                rows[i] = _eliminate(other, row, p)
-        rows.append(row)
-        basis.append(p)
-
-    free = sorted(set(index.values()).difference(basis))
-    artificials = []
-    for i, row in enumerate(rows):
-        if row.get(_RHS, 0) < 0:
-            basis[i] = len(variables) + len(artificials)
-            artificials.append(basis[i])
-            rows[i] = {k: -v for k, v in row.items()}
-            rows[i][basis[i]] = 1
-    if artificials:
-        obj: Row = dict.fromkeys(artificials, -1)
-        obj[_OBJ] = 1
-        for i, b in enumerate(basis):
-            if b in obj:
-                obj = _eliminate(obj, rows[i], b)
-        obj = _minimise(rows, basis, obj)
-        if obj.get(_RHS, 0):
-            return None
-        _bar(rows, _priced_out(obj))
-        _bar(rows, (k for k in artificials if k not in basis))
-        for j in free:
-            if j in basis:
-                # the basic row, with the unknown renamed to the objective
-                obj = dict(rows[basis.index(j)])
-                obj[_OBJ] = obj.pop(j)
-                _bar(rows, _priced_out(_minimise(rows, basis, obj)))
-            else:
-                _bar(rows, [j])
-
-    level = {b: Fraction(row.get(_RHS, 0), row[b]) for row, b in zip(rows, basis)}
-    witness = {}
-    for v in variables:
-        x = level.get(index[v], _ZERO)
-        witness[v] = x + shift[index[v]] if index[v] in shift else x
+    tableau = _Tableau(equalities, lower_bounds, variables)
+    if not tableau.phase1():
+        return None
+    tableau.lex_min()
+    witness = tableau.witness()
     _check_witness(equalities, lower_bounds, witness)
     return witness
 
 
+def _feasible(
+    equalities: Sequence[Tuple[Mapping[Hashable, Rational], Rational]],
+    lower_bounds: Mapping[Hashable, Rational],
+    variables: Sequence[Hashable],
+) -> bool:
+    """Whether :func:`find_rational_solution` would find a witness: the
+    tableau is built and phase 1 run, and no lexicographic stage."""
+    return _Tableau(equalities, lower_bounds, variables).phase1()
+
+
 def _check_witness(
-    equalities: Sequence[Tuple[Mapping[Hashable, Fraction], Fraction]],
-    lower_bounds: Mapping[Hashable, Fraction],
+    equalities: Sequence[Tuple[Mapping[Hashable, Rational], Rational]],
+    lower_bounds: Mapping[Hashable, Rational],
     witness: Mapping[Hashable, Fraction],
 ) -> None:
     """Raise :class:`AssertionError` unless ``witness`` meets every given

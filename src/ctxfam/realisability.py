@@ -24,13 +24,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 from math import lcm
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .family import ContextSet, ContextualFamily
-from .feasibility import find_rational_solution
+from .feasibility import _check_witness, find_rational_solution
 from .monoid import MonoidKind, MonoidValue
 from .relation import Assignment, Key, KRelation, Payload, _agreement, _cells, _projection, _row_order
 
@@ -488,6 +487,12 @@ def realisable_lp(
     context at +1 and of the other at -1 sum to 0, solved on the tableau of
     :func:`~ctxfam.feasibility.find_rational_solution`, where each row
     weight is a column, numbered context by context in stored row order.
+    The last cell of every pair ``(i, j)`` with ``i >= 1`` is left out of
+    the tableau: the cells of a pair sum to the weight of one context less
+    that of the other, so that cell equals the cells of ``(0, j)`` less
+    those of ``(0, i)`` and the pair's other cells, which all come before
+    it, and Gauss-Jordan elimination would only reduce it to an empty row.
+    The witness is still checked against every one of those cells.
     The constraints are homogeneous, so scaling a rational witness by the
     least common denominator yields a natural witness: feasibility does
     not depend on the cancellative kind chosen.  Returns the witness
@@ -508,21 +513,27 @@ def _lp_weights(family: ContextualFamily, kind: MonoidKind) -> Optional[List[Pay
         raise ValueError("realisability concerns the kinds N and Q")
     relations = list(family.maximal_relations())
     numbers = count()  # zip reads rel._rows first, so no number is skipped
-    number = {rel.variables: dict(zip(rel._rows, numbers)) for rel in relations}
+    number = [dict(zip(rel._rows, numbers)) for rel in relations]
     unknowns = sum(map(len, relations))
     if not unknowns:
         return []
-    equalities: List[Tuple[Dict[int, int], Fraction]] = []
-    for r, s, left, right in _agreement(relations):
-        ours, theirs = number[r.variables], number[s.variables]
+    equalities: List[Tuple[Dict[int, int], int]] = []
+    implied: List[Tuple[Dict[int, int], int]] = []
+    for i, j, left, right in _agreement(relations):
+        ours, theirs = number[i], number[j]
+        pair = []
         for _, a, b in _cells(left, right):
             cell = {ours[key]: 1 for key in a or ()}
             cell.update((theirs[key], -1) for key in b or ())
-            equalities.append((cell, Fraction(0)))
+            pair.append((cell, 0))
+        if i:
+            implied.append(pair.pop())
+        equalities.extend(pair)
     columns = range(unknowns)
-    solution = find_rational_solution(equalities, dict.fromkeys(columns, Fraction(1)), columns)
+    solution = find_rational_solution(equalities, dict.fromkeys(columns, 1), columns)
     if solution is None:
         return None
+    _check_witness(implied, {}, solution)
     weights = [solution[n] for n in columns]
     if kind is MonoidKind.Q:
         return weights

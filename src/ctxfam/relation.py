@@ -317,15 +317,27 @@ def _totals(relation: KRelation, groups: Groups) -> Dict[Key, Payload]:
     return {short: fold([rows[key] for key in group]) for short, group in groups.items()}
 
 
-def _agreement(relations: Sequence[KRelation]) -> Iterator[Tuple[KRelation, KRelation, Groups, Groups]]:
-    """The agreement system of pairwise consistency: every pair of the
-    given relations, in the given order, with both sides grouped on their
-    shared variables.  Each key of either grouping is one cell; the empty
+def _agreement(
+    relations: Sequence[KRelation],
+    side: Callable[[KRelation, FrozenSet[str]], Any] = _groups,
+) -> Iterator[Tuple[int, int, Any, Any]]:
+    """The agreement system of pairwise consistency: every pair ``i < j``
+    of the given relations, in the given order, with ``side(relation,
+    shared)`` of both sides on their shared variables, by default the
+    grouping.  Each relation is grouped once per overlap, however many
+    partners share it.  Each key of either grouping is one cell; the empty
     overlap is the one cell holding every row."""
+    memo: Dict[Tuple[int, FrozenSet[str]], Any] = {}
+
+    def of(n: int, shared: FrozenSet[str]) -> Any:
+        if (n, shared) not in memo:
+            memo[n, shared] = side(relations[n], shared)
+        return memo[n, shared]
+
     for i, r in enumerate(relations):
-        for s in relations[i + 1 :]:
-            shared = r.variables & s.variables
-            yield r, s, _groups(r, shared), _groups(s, shared)
+        for j in range(i + 1, len(relations)):
+            shared = r.variables & relations[j].variables
+            yield i, j, of(i, shared), of(j, shared)
 
 
 def _cells(left: Mapping[Key, Any], right: Mapping[Key, Any]) -> Iterator[Tuple[Key, Any, Any]]:

@@ -13,18 +13,28 @@ relations.
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
+from ctxfam import family as family_module
 from ctxfam import realisability
-from ctxfam.family import ConsistencyViolation, ContextualFamily, find_violation
+from ctxfam.family import ConsistencyViolation, ContextualFamily, _support_join, check_global_consistency, find_violation
+from ctxfam.feasibility import find_rational_solution
 from ctxfam.fdlogic import FD, random_family_satisfying
 from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.realisability import realisable_lp
 from ctxfam.relation import Assignment, KRelation, consistent
 
 from conftest import CS, CS_EXT_ROWS, CS_ROWS, ST, ST_ROWS, TC, TC_ROWS, brel, cycle_contexts
-from test_feasibility import SHAPES, marginal_family, twisted_family
+from test_feasibility import (
+    SHAPES,
+    _ref_substitute,
+    marginal_family,
+    reference_eliminate_equalities,
+    reference_find_rational_solution,
+    twisted_family,
+)
 from test_relation import reference_marginal
 
 
@@ -56,9 +66,10 @@ def reference_consistent(r, s):
     return marginal(r, shared) == marginal(s, shared)
 
 
-def reference_lp_equalities(family):
-    """The equality list the LP built by grouping each overlap itself."""
-    equalities = []
+def reference_lp_pairs(family):
+    """The LP's agreement cells, built by grouping each overlap itself: one
+    ``(i, cells)`` per pair of contexts, ``i`` the index of its first."""
+    pairs = []
     contexts = list(family.contexts)
     by_context = {c: [row for row, _ in family.relation_at(c).rows()] for c in contexts}
     for i, ci in enumerate(contexts):
@@ -70,9 +81,19 @@ def reference_lp_equalities(family):
             for row in by_context[cj]:
                 cell = groups.setdefault(row.restrict(shared), {})
                 cell[row] = cell.get(row, Fraction(0)) - Fraction(1)
-            for key in sorted(groups, key=lambda a: a.sort_key):
-                equalities.append((groups[key], Fraction(0)))
-    return equalities
+            pairs.append((i, [(groups[key], Fraction(0)) for key in sorted(groups, key=lambda a: a.sort_key)]))
+    return pairs
+
+
+def reference_lp_split(family):
+    """The reference's cells as the LP's tableau takes them and as it
+    leaves them out: the last cell of every pair ``(i, j)`` with ``i >= 1``
+    is left out."""
+    kept, dropped = [], []
+    for i, cells in reference_lp_pairs(family):
+        kept.extend(cells[:-1] if i else cells)
+        dropped.extend(cells[-1:] if i else [])
+    return kept, dropped
 
 
 def seeded_families():
@@ -185,7 +206,7 @@ class TestLpEquations:
             if not family.labels():
                 assert calls == []
                 continue
-            expected = reference_lp_equalities(family)
+            expected, _ = reference_lp_split(family)
             assert len(calls) == 2
             # The unknowns are the rows' numbers, in the order of labels().
             labels = family.labels()
@@ -199,3 +220,127 @@ class TestLpEquations:
                 assert lower == {n: Fraction(1) for n in range(len(labels))}
             checked += 1
         assert checked > 60
+
+
+def numbered(family, cells):
+    """Reference cells over row labels as equalities over the rows'
+    numbers, context by context in stored order."""
+    number = {label: n for n, label in enumerate(family.labels())}
+    return [({number[label]: c for label, c in cell.items()}, rhs) for cell, rhs in cells]
+
+
+def global_split(family):
+    """The cell equations of global consistency, one per context row over
+    the join rows that restrict to it: those the tableau takes and the
+    last cell of every context after the first, which it leaves out."""
+    _, table = _support_join(family)
+    kept, dropped = [], []
+    first = 0
+    for n, rel in enumerate(family.maximal_relations()):
+        for k, (_, demand) in enumerate(rel.rows(), first):
+            cell = ({i: 1 for i, cells in enumerate(table) if k in cells}, demand.payload)
+            (dropped if n and k == first + len(rel) - 1 else kept).append(cell)
+        first += len(rel)
+    return kept, dropped
+
+
+def weighted_families():
+    """The N and Q families of ``seeded_families`` and twisted Q families."""
+    for family in seeded_families():
+        if family.kind is not MonoidKind.B:
+            yield family
+    for shape in SHAPES:
+        if all(len(c) == 2 for c in SHAPES[shape]):
+            for seed in range(3):
+                yield twisted_family(shape, MonoidKind.Q, 3, seed)
+
+
+def assert_implied(kept, dropped, lower, variables):
+    """Every dropped row eliminates to an empty row on the kept ones, and
+    the full system and the kept one have the same witness under both
+    solvers."""
+    exact = [({j: Fraction(c) for j, c in cell.items()}, Fraction(rhs)) for cell, rhs in kept]
+    pivots = reference_eliminate_equalities(exact)
+    if pivots is not None:
+        for cell, rhs in dropped:
+            assert _ref_substitute({j: Fraction(c) for j, c in cell.items()}, Fraction(rhs), pivots) == ({}, 0)
+    for solve in (find_rational_solution, reference_find_rational_solution):
+        assert solve(kept + dropped, lower, variables) == solve(kept, lower, variables)
+
+
+class TestImpliedCells:
+    """The cells left out of the tableau are implied by the ones it takes,
+    and leaving them out changes no witness."""
+
+    def test_lp_cells(self):
+        checked = 0
+        for family in lp_families():
+            kept, dropped = (numbered(family, cells) for cells in reference_lp_split(family))
+            columns = range(len(family.labels()))
+            assert_implied(kept, dropped, dict.fromkeys(columns, 1), columns)
+            checked += bool(dropped)
+        assert checked > 40
+
+    def test_global_cells(self, monkeypatch):
+        calls = []
+
+        def capture(solve):
+            def captured(equalities, lower, variables):
+                calls.append(equalities)
+                return solve(equalities, lower, variables)
+
+            return captured
+
+        for name in ("find_rational_solution", "_feasible"):
+            monkeypatch.setattr(family_module, name, capture(getattr(family_module, name)))
+        checked = 0
+        for family in weighted_families():
+            calls.clear()
+            check_global_consistency(family)
+            if not calls:  # a cell with no join row refuses before the tableau
+                continue
+            kept, dropped = global_split(family)
+            assert calls == [kept]
+            unknowns = range(len(_support_join(family)[0]))
+            assert_implied(kept, dropped, dict.fromkeys(unknowns, 0), unknowns)
+            checked += bool(dropped)
+        assert checked > 40
+
+
+class TestDroppedCellsChecked:
+    """The callers check the witness against the cells they leave out of
+    the tableau: a witness with one value on such a cell moved by ``1/D``,
+    the least step over its common denominator, is rejected."""
+
+    PATH = ContextualFamily([brel(c, [("0", "0"), ("1", "1")]) for c in (("a", "b"), ("b", "c"), ("c", "d"))])
+
+    @staticmethod
+    def moving(monkeypatch, module, column, step):
+        def moved(equalities, lower, variables):
+            witness = find_rational_solution(equalities, lower, variables)
+            witness[column] += Fraction(step, lcm(*(x.denominator for x in witness.values())))
+            return witness
+
+        monkeypatch.setattr(module, "find_rational_solution", moved)
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_lp_witness(self, monkeypatch, step):
+        dropped = numbered(self.PATH, reference_lp_split(self.PATH)[1])
+        columns = [n for cell, _ in dropped for n in cell]
+        assert realisable_lp(self.PATH, MonoidKind.Q) is not None
+        for column in columns:
+            self.moving(monkeypatch, realisability, column, step)
+            with pytest.raises(AssertionError, match="equality"):
+                realisable_lp(self.PATH, MonoidKind.Q)
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_global_witness(self, monkeypatch, step):
+        family = marginal_family("path", MonoidKind.Q, 4, 2, 0)
+        _, dropped = global_split(family)
+        rows = [i for cell, _ in dropped for i in cell]
+        assert len(dropped) == 3 and rows
+        assert check_global_consistency(family) is not None
+        for i in rows:
+            self.moving(monkeypatch, family_module, i, step)
+            with pytest.raises(AssertionError, match="equality"):
+                check_global_consistency(family)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxfam import family as family_module
-from ctxfam import realisability
+from ctxfam import feasibility, realisability
 from ctxfam.family import (
     ContextualFamily,
     _integer_weights,
@@ -20,7 +20,7 @@ from ctxfam.family import (
     check_global_consistency,
 )
 from ctxfam.fdlogic import FD, random_family_satisfying
-from ctxfam.feasibility import _check_witness, find_rational_solution
+from ctxfam.feasibility import _check_witness, _feasible, find_rational_solution
 from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.realisability import realisable_lp
 from ctxfam.relation import Assignment, KRelation
@@ -106,16 +106,17 @@ class TestInfeasible:
         assert find_rational_solution(equalities, bounds, list("abc")) is None
 
 
+INTEGER_SYSTEMS = st.lists(
+    st.tuples(
+        st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+        st.integers(-4, 4),
+    ),
+    max_size=4,
+)
+
+
 class TestRandomSystems:
-    @given(
-        st.lists(
-            st.tuples(
-                st.lists(st.integers(-3, 3), min_size=4, max_size=4),
-                st.integers(-4, 4),
-            ),
-            max_size=4,
-        )
-    )
+    @given(INTEGER_SYSTEMS)
     def test_solutions_always_verify(self, raw):
         variables = ["w", "x", "y", "z"]
         equalities = [
@@ -139,6 +140,15 @@ class TestRandomSystems:
     )
     def test_bounds_only_solved_at_bounds(self, bounds):
         assert check([], bounds, ["x", "y", "z"]) == bounds
+
+    @given(INTEGER_SYSTEMS, st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+    def test_int_and_fraction_inputs_agree(self, raw, lows):
+        variables = ["w", "x", "y", "z"]
+        ints = [({v: c for v, c in zip(variables, coeffs) if c}, rhs) for coeffs, rhs in raw]
+        fractions = [({v: Fraction(c) for v, c in cell.items()}, Fraction(rhs)) for cell, rhs in ints]
+        witness = check(ints, dict(zip(variables, lows)), variables)
+        assert witness == check(fractions, {v: Fraction(b) for v, b in zip(variables, lows)}, variables)
+        assert witness is None or {type(x) for x in witness.values()} == {Fraction}
 
 
 class TestWitnessCheck:
@@ -740,7 +750,10 @@ def small_families(shape):
 
 def routed(monkeypatch, reference):
     """Route ``module.find_rational_solution`` through a check that the
-    witness equals ``reference``'s; returns the list of witnesses."""
+    witness equals ``reference``'s, and the N path's phase-1 entry point
+    ``family._feasible`` through a check that it answers as ``reference``
+    does; returns the list of witnesses, ``reference``'s for a phase-1
+    question."""
 
     def route(module):
         witnesses = []
@@ -751,7 +764,16 @@ def routed(monkeypatch, reference):
             witnesses.append(witness)
             return witness
 
+        def feasible(equalities, lower_bounds, variables):
+            answer = _feasible(equalities, lower_bounds, variables)
+            expected = reference(equalities, lower_bounds, variables)
+            assert answer == (expected is not None)
+            witnesses.append(expected)
+            return answer
+
         monkeypatch.setattr(module, "find_rational_solution", both)
+        if module is family_module:
+            monkeypatch.setattr(module, "_feasible", feasible)
         return witnesses
 
     return route
@@ -981,3 +1003,35 @@ class TestAgainstParentGlobalPath:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestPhaseOneOnlyForN:
+    """N global consistency asks its tableau only whether the system is
+    feasible; the lexicographic stages run for Q alone."""
+
+    def test_n_runs_no_lex_stage(self, monkeypatch):
+        calls = []
+        phase1, lex_min = feasibility._Tableau.phase1, feasibility._Tableau.lex_min
+
+        def counted_phase1(tableau):
+            answer = phase1(tableau)
+            calls.append(("phase1", bool(tableau.artificials)))
+            return answer
+
+        def counted_lex_min(tableau):
+            calls.append(("lex_min", bool(tableau.artificials)))
+            return lex_min(tableau)
+
+        monkeypatch.setattr(feasibility._Tableau, "phase1", counted_phase1)
+        monkeypatch.setattr(feasibility._Tableau, "lex_min", counted_lex_min)
+        seen = {}
+        for kind in (MonoidKind.N, MonoidKind.Q):
+            calls.clear()
+            for shape in SHAPES:
+                for seed in range(12):
+                    check_global_consistency(marginal_family(shape, kind, 2 + seed % 5, 2 + seed % 2, seed))
+            seen[kind] = list(calls)
+        # phase 1 pivots on some N systems, and the same shapes run stages for Q
+        assert ("phase1", True) in seen[MonoidKind.N]
+        assert not [call for call in seen[MonoidKind.N] if call[0] == "lex_min"]
+        assert ("lex_min", True) in seen[MonoidKind.Q]
