@@ -27,7 +27,6 @@ from .family import (
 from .fdlogic import (
     FD,
     RuleSet,
-    _decide_unary,
     build_counterexample,
     derives,
     format_trace,
@@ -227,11 +226,10 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     sigma = _load_fds(args.fds)
     phi = _parse_query(args.query)
     kind = _parse_kind(args.monoid, "B|N|Q")
-    derivable, _ = _decide_unary(sigma, phi, RuleSet.CR)
-    if derivable:
+    family = build_counterexample(sigma, phi, kind)
+    if family is None:
         print("derivable; no counterexample")
         return 0
-    family = build_counterexample(sigma, phi, kind)
     print("counterexample found")
     _emit(serialize_family(family), args.output)
     return 1

@@ -28,12 +28,14 @@ CR and FULL share one closure engine (``_ClosureEngine``) and one copy
 of each search in it: ``_reach`` for the cycle rule and the
 counterexamples, ``_chain_states`` and ``_chain_instance`` for the chain
 rule, and ``_chain_requirements`` for writing and replaying chain steps.
-The chain-rule search runs on interned variables (indices in sorted
-name order) and integer bitmasks: one table holds the context atoms
-(bit k of entry [i][j] when {v_i, v_j, v_k} is an atom) and one mask
-per variable its in-neighbours, so it visits states in the same order
-as a search over names and derives the same edges with the same
-justifications.  A query runs the engine only until its goal is decided.
+The engine, the single-rule checks and the counterexample construction
+read one premise table (``_intern``): variables as indices in sorted name
+order, stated edges as bitmasks, and the stated sets, from which the
+chain rule builds its context atoms (bit k of entry [i][j] when {v_i,
+v_j, v_k} is an atom).  Index order is name order, so every pass and
+trace is that of a search over names; names come back only where a
+trace, a closure or a family is written.  A query runs the engine only
+until its goal is decided; ``build_counterexample`` decides its query once.
 The semantic side has one search too: ``_backtrack_family`` finds the
 first locally consistent B-family, in a fixed candidate order, that
 meets the premises (and violates the goal); the bounded oracle calls it
@@ -45,7 +47,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -266,12 +268,11 @@ def _check_chain_step(
     return True
 
 
-def _chain_requirements(
-    xs: Sequence[str], cs: Sequence[str]
-) -> Tuple[List[Tuple[str, str]], List[FrozenSet[str]]]:
+def _chain_requirements(xs: Sequence, cs: Sequence) -> Tuple[List[Tuple], List[FrozenSet]]:
     """What the chain-rule instance x1 -> ... -> xn with certificates
     c1 .. c(n-1) needs: the unary edges (the chain, then each c_i -> xn)
-    and the three-variable context sets, in trace antecedent order."""
+    and the three-variable context sets, in trace antecedent order.  The
+    variables are names or interned indices."""
     n = len(xs)
     target = xs[-1]
     edges = [(xs[i], xs[i + 1]) for i in range(n - 1)]
@@ -299,6 +300,42 @@ def classical_closure(sigma: Iterable[FD], attributes: Iterable[str]) -> FrozenS
 
 # ---------------------------------------------------------------------------
 # The unary closure engine (CR and FULL)
+
+
+_Premises = Tuple[
+    Tuple[str, ...], Dict[str, int], List[Tuple[int, int]], List[int], List[int], List[FrozenSet[str]]
+]
+
+
+def _intern(sigma: Iterable[FD], extra_sets: Iterable[FrozenSet[str]] = ()) -> _Premises:
+    """The premise table of the unary machinery, on interned variables:
+    the variables, sorted, and their index; the stated unary edges as
+    sorted index pairs and as bitmasks, ``out_mask`` and ``in_mask`` (bit
+    b of ``out_mask[a]`` and bit a of ``in_mask[b]`` for a -> b); and the
+    stated sets, each premise's, then the extra sets.  Rejects
+    dependencies outside the unary + CD fragment."""
+    pairs: List[Tuple[str, str]] = []
+    sets: List[FrozenSet[str]] = []
+    for fd in sigma:
+        if fd.is_unary:
+            (u,) = fd.lhs
+            (v,) = fd.rhs
+            pairs.append((u, v))
+        elif not fd.is_cd:
+            raise UnsupportedDependencyError(
+                f"{fd.display()} is neither unary nor a CD; "
+                "only CLASSICAL and NRA accept general dependencies"
+            )
+        sets.append(fd.variables)
+    sets += [frozenset(s) for s in extra_sets]
+    variables = tuple(sorted(frozenset().union(*sets)))
+    index = {v: i for i, v in enumerate(variables)}
+    edges = sorted({(index[u], index[v]) for u, v in pairs})
+    out_mask, in_mask = [0] * len(variables), [0] * len(variables)
+    for a, b in edges:
+        out_mask[a] |= 1 << b
+        in_mask[b] |= 1 << a
+    return variables, index, edges, out_mask, in_mask, sets
 
 
 def _atom_table(index: Dict[str, int], context_sets: Iterable[FrozenSet[str]]) -> List[List[int]]:
@@ -390,40 +427,31 @@ def _chain_states(table: List[List[int]], in_mask: List[int], target: int) -> _C
     return succ, reached, witnesses
 
 
-def _reach(out_adj: Dict[str, List[str]], x: str) -> Tuple[Dict[str, str], List[str]]:
-    """Vertices reachable from x along at least one edge, in breadth-first
-    order (each level sorted), with the predecessor map of the tree."""
-    parent: Dict[str, str] = {}
-    frontier = []
-    for b in out_adj[x]:
-        if b not in parent:
-            parent[b] = x
-            frontier.append(b)
-    order = list(frontier)
+def _reach(out_mask: List[int], x: int) -> Dict[int, int]:
+    """The vertices reachable from x along at least one edge, each mapped
+    to its predecessor in the breadth-first tree: each level is walked in
+    ascending order, so a vertex's predecessor is the first vertex of the
+    previous level with an edge to it."""
+    seen = out_mask[x]
+    parent = dict.fromkeys(_bits(seen), x)
+    frontier = list(parent)
     while frontier:
-        fresh = []
+        before = seen
         for a in frontier:
-            for b in out_adj[a]:
-                if b not in parent:
-                    parent[b] = a
-                    fresh.append(b)
-        fresh.sort()
-        order.extend(fresh)
-        frontier = fresh
-    return parent, order
+            new = out_mask[a] & ~seen
+            seen |= new
+            for b in _bits(new):
+                parent[b] = a
+        frontier = list(_bits(seen & ~before))
+    return parent
 
 
 def _chain_instance(
-    variables: Sequence[str],
-    table: List[List[int]],
-    states: _ChainStates,
-    x: int,
-    y: int,
-) -> Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]]:
+    table: List[List[int]], states: _ChainStates, x: int, y: int
+) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """The chain x = x1 -> ... -> xn = y and its certificates c1 ..
-    c(n-1), named by ``variables``, read off the chain-rule states of
-    target y from the first witness that starts one; None when no
-    instance concludes x -> y."""
+    c(n-1), read off the chain-rule states of target y from the first
+    witness that starts one; None when no instance concludes x -> y."""
     succ, reached, witnesses = states
     for c1 in _bits(witnesses & table[x][y]):
         if not reached[c1] >> x & 1:
@@ -436,7 +464,7 @@ def _chain_instance(
             cs.append(state[1])
             state = succ[state]
         xs.append(y)
-        return tuple(variables[i] for i in xs), tuple(variables[i] for i in cs)
+        return tuple(xs), tuple(cs)
     return None
 
 
@@ -459,11 +487,10 @@ class _ClosureEngine:
     from earlier, complete passes, so the goal's trace is the full
     closure's.  Only goals reachable but not derivable reach the fixpoint.
 
-    The chain rule works on interned variables (indices into the sorted
-    ``variables``): the context atoms are one ``_atom_table`` of bitmasks,
-    built once, and ``in_mask[b]`` has bit a set for each edge a -> b.
-    The cycle rule, the justifications and the ``edges`` map stay keyed
-    by variable names.
+    The engine runs on the premise table of :func:`_intern`: ``edges``
+    maps index pairs to justifications (cycle paths and chain instances
+    in indices too), ``out_mask`` and ``in_mask`` hold the derived edges,
+    and the chain rule's context atoms are one ``_atom_table``.
     """
 
     def __init__(
@@ -473,34 +500,24 @@ class _ClosureEngine:
         extra_context_sets: Iterable[FrozenSet[str]],
         goal: Optional[Tuple[str, str]] = None,
     ):
-        premise_edges, contexts, variables = _split_premises(sigma)
-        extra = [frozenset(s) for s in extra_context_sets]
-        self.variables: Tuple[str, ...] = tuple(sorted(set(variables).union(*extra)))
-        self.index = {v: i for i, v in enumerate(self.variables)}
+        self.variables, index, edges, self.out_mask, self.in_mask, sets = _intern(sigma, extra_context_sets)
         self.use_chain = rules is RuleSet.FULL
         if self.use_chain:
-            self.atom_table = _atom_table(self.index, contexts + extra)
-        self.edges: Dict[Tuple[str, str], Tuple] = {}
-        self.out_adj: Dict[str, List[str]] = {v: [] for v in self.variables}
-        self.in_mask = [0] * len(self.variables)
-        for u, v in sorted(set(premise_edges)):
-            self._add((u, v), ("premise",))
-        for v in self.variables:
-            if (v, v) not in self.edges:
+            self.atom_table = _atom_table(index, sets)
+        self.edges: Dict[Tuple[int, int], Tuple] = dict.fromkeys(edges, ("premise",))
+        for v in range(len(self.variables)):
+            if not self.out_mask[v] >> v & 1:
                 self._add((v, v), ("reflexivity",))
-        self.goal = goal
+        self.goal = None if goal is None else (index[goal[0]], index[goal[1]])
         self._run()
 
-    def _add(self, edge: Tuple[str, str], justification: Tuple) -> None:
-        if edge in self.edges:
-            return
+    def _add(self, edge: Tuple[int, int], justification: Tuple) -> None:
+        a, b = edge
         self.edges[edge] = justification
-        insort(self.out_adj[edge[0]], edge[1])
-        self.in_mask[self.index[edge[1]]] |= 1 << self.index[edge[0]]
+        self.out_mask[a] |= 1 << b
+        self.in_mask[b] |= 1 << a
 
-    def _path_edges(
-        self, x: str, y: str, parent: Dict[str, str]
-    ) -> Tuple[Tuple[str, str], ...]:
+    def _path_edges(self, x: int, y: int, parent: Dict[int, int]) -> Tuple[Tuple[int, int], ...]:
         path = []
         walk = y
         while walk != x:
@@ -511,7 +528,7 @@ class _ClosureEngine:
 
     def _run(self) -> None:
         goal = self.goal
-        if goal is not None and goal[1] not in _reach(self.out_adj, goal[0])[0]:
+        if goal is not None and goal[1] not in _reach(self.out_mask, goal[0]):
             return
         # A goal's own pass comes first; the run ends once it is derived.
         while goal not in self.edges:
@@ -521,71 +538,45 @@ class _ClosureEngine:
             for edge in sorted(additions):
                 self._add(edge, additions[edge])
 
-    def _pass(self, goal: Optional[Tuple[str, str]]) -> Dict[Tuple[str, str], Tuple]:
+    def _pass(self, goal: Optional[Tuple[int, int]]) -> Dict[Tuple[int, int], Tuple]:
         """What the next pass derives, with justifications; given a goal
         (x, y) with y reachable from x, only what it derives for that pair."""
-        names = self.variables
-        additions: Dict[Tuple[str, str], Tuple] = {}
-        for x in names if goal is None else goal[:1]:
-            parent, order = _reach(self.out_adj, x)
-            for y in order if goal is None else goal[1:]:
-                if y == x or (x, y) in self.edges or (x, y) in additions:
-                    continue
-                if (y, x) in self.edges:
-                    path = self._path_edges(x, y, parent)
-                    additions[(x, y)] = ("cycle", path, (y, x))
+        out_mask, in_mask = self.out_mask, self.in_mask
+        additions: Dict[Tuple[int, int], Tuple] = {}
+        for x in range(len(out_mask)) if goal is None else goal[:1]:
+            parent = _reach(out_mask, x)
+            # Every x -> x is an edge, so y = x is skipped here.
+            for y in parent if goal is None else goal[1:]:
+                if in_mask[x] >> y & 1 and not out_mask[x] >> y & 1:
+                    additions[(x, y)] = ("cycle", self._path_edges(x, y, parent), (y, x))
         if self.use_chain:
-            for y in range(len(names)) if goal is None else [self.index[goal[1]]]:
-                states = _chain_states(self.atom_table, self.in_mask, y)
+            for y in range(len(out_mask)) if goal is None else goal[1:]:
+                states = _chain_states(self.atom_table, in_mask, y)
                 # Only a variable that starts a reached state can start
                 # an instance; an edge x -> y (x = y included) needs none.
                 starts = 0
                 for mask in states[1]:
                     starts |= mask
                 if goal is not None:
-                    starts &= 1 << self.index[goal[0]]
-                for x in _bits(starts & ~self.in_mask[y]):
-                    if (names[x], names[y]) in additions:
+                    starts &= 1 << goal[0]
+                for x in _bits(starts & ~in_mask[y]):
+                    if (x, y) in additions:
                         continue
-                    instance = _chain_instance(names, self.atom_table, states, x, y)
+                    instance = _chain_instance(self.atom_table, states, x, y)
                     if instance is not None:
-                        additions[(names[x], names[y])] = ("chain",) + instance
+                        additions[(x, y)] = ("chain",) + instance
         return additions
-
-
-def _split_premises(sigma: Sequence[FD]) -> Tuple[List[Tuple[str, str]], List[FrozenSet[str]], List[str]]:
-    """Unary edges, context sets, and variables of a premise list;
-    rejects dependencies outside the unary + CD fragment."""
-    edges: List[Tuple[str, str]] = []
-    contexts: List[FrozenSet[str]] = []
-    variables: Set[str] = set()
-    for fd in sigma:
-        if fd.is_unary:
-            (u,) = fd.lhs
-            (v,) = fd.rhs
-            edges.append((u, v))
-        elif not fd.is_cd:
-            raise UnsupportedDependencyError(
-                f"{fd.display()} is neither unary nor a CD; "
-                "only CLASSICAL and NRA accept general dependencies"
-            )
-        contexts.append(fd.variables)
-        variables |= fd.variables
-    return edges, contexts, sorted(variables)
 
 
 def cycle_rule_derives(sigma: Iterable[FD], x: str, y: str) -> bool:
     """One cycle-rule application from the premises as given: a directed
     path x to y among the stated unary dependencies, closed by the stated
     edge y -> x."""
-    edges, _, variables = _split_premises(list(sigma))
-    if (y, x) not in set(edges):
+    _, index, _, out_mask, _, _ = _intern(sigma)
+    i, j = index.get(x), index.get(y)
+    if i is None or j is None or not out_mask[j] >> i & 1:
         return False
-    out_adj: Dict[str, List[str]] = {v: [] for v in variables}
-    for u, v in sorted(set(edges)):
-        out_adj[u].append(v)
-    parent, _ = _reach(out_adj, x)
-    return y in parent
+    return j in _reach(out_mask, i)
 
 
 def chain_rule_derives(sigma: Iterable[FD], x: str, y: str) -> bool:
@@ -596,16 +587,13 @@ def chain_rule_derives(sigma: Iterable[FD], x: str, y: str) -> bool:
     the required three-variable contexts (drawn from the premises'
     variable sets) are available.
     """
-    edges, contexts, variables = _split_premises(list(sigma))
-    index = {v: i for i, v in enumerate(variables)}
-    if x not in index or y not in index:
+    _, index, _, _, in_mask, sets = _intern(sigma)
+    i, j = index.get(x), index.get(y)
+    if i is None or j is None:
         return False
-    table = _atom_table(index, contexts)
-    in_mask = [0] * len(variables)
-    for a, b in edges:
-        in_mask[index[b]] |= 1 << index[a]
-    states = _chain_states(table, in_mask, index[y])
-    return _chain_instance(variables, table, states, index[x], index[y]) is not None
+    atoms = _atom_table(index, sets)
+    states = _chain_states(atoms, in_mask, j)
+    return _chain_instance(atoms, states, i, j) is not None
 
 
 def derivation_closure(
@@ -623,7 +611,7 @@ def derivation_closure(
     if rules not in (RuleSet.CR, RuleSet.FULL):
         raise ValueError("closure is defined for the CR and FULL rule sets")
     engine = _ClosureEngine(list(sigma), rules, extra_context_sets)
-    return frozenset(FD.unary(u, v) for (u, v) in engine.edges)
+    return frozenset(FD.unary(engine.variables[a], engine.variables[b]) for a, b in engine.edges)
 
 
 def _trace_node(
@@ -635,16 +623,19 @@ def _trace_node(
     kind, item = node
     if kind == "cd":
         return [], FD(item, item), "premise" if item in premise_cds else "reflexivity", ()
+    names = engine.variables
+    fd = FD.unary(names[item[0]], names[item[1]])
     just = engine.edges[item]
     if just[0] == "cycle":
         _, path, closing = just
-        return [("fd", e) for e in path + (closing,)], FD.unary(*item), "cycle", ()
+        return [("fd", e) for e in path + (closing,)], fd, "cycle", ()
     if just[0] == "chain":
         _, xs, cs = just
         needed_edges, needed_sets = _chain_requirements(xs, cs)
-        needed = [("fd", e) for e in needed_edges] + [("cd", s) for s in needed_sets]
-        return needed, FD.unary(*item), "chain", ("unary", xs, cs)
-    return [], FD.unary(*item), just[0], ()
+        needed = [("fd", e) for e in needed_edges]
+        needed += [("cd", frozenset(names[i] for i in s)) for s in needed_sets]
+        return needed, fd, "chain", ("unary", tuple(names[i] for i in xs), tuple(names[i] for i in cs))
+    return [], fd, just[0], ()
 
 
 def _trace_from_engine(engine: _ClosureEngine, sigma: Sequence[FD]) -> DerivationTrace:
@@ -684,7 +675,7 @@ def _decide_unary(
     refusing premises outside the fragment.  A reflexive goal is derivable
     and any other non-unary one is not, both without an engine (None)."""
     if phi.rhs <= phi.lhs or not phi.is_unary:
-        _split_premises(sigma)
+        _intern(sigma)
         return phi.rhs <= phi.lhs, None
     engine = _ClosureEngine(sigma, rules, [phi.variables], (*phi.lhs, *phi.rhs))
     return engine.goal in engine.edges, engine
@@ -789,50 +780,61 @@ def derives(
 # Counterexamples and the bounded semantic oracle
 
 
+def _outside_fragment(sigma: Iterable[FD]) -> Optional[FD]:
+    """The first premise that is neither unary nor a CD of at most two
+    variables: the fragment in which CR is complete and the bounded
+    oracle's default bounds suffice."""
+    return next((fd for fd in sigma if not fd.is_unary and not (fd.is_cd and len(fd.lhs) <= 2)), None)
+
+
 def build_counterexample(
     sigma: Iterable[FD], phi: FD, kind: MonoidKind = MonoidKind.B
-) -> ContextualFamily:
+) -> Optional[ContextualFamily]:
     """A locally consistent family satisfying the premises and violating
-    the goal, for goals the cycle rule cannot derive.
+    the goal, or None when the goal is derivable.
 
-    Works in the fragment behind the completeness argument: unary
-    premises with at most binary CDs and a unary goal.  Two shapes cover
-    everything.  With no premise path from x to y, two global rows
-    (all zeroes, and the indicator of the non-reachable part) project to
-    a globally consistent counterexample.  With such a path, the goal's
-    context gets all four rows over {x, y} while every other context gets
-    the two diagonal rows; weighted kinds annotate the four rows a = 1
-    and the diagonals b = 2, using a + a = b to balance the marginals.
+    The query is decided here alone, by one run of the CR engine, in this
+    order: premises outside the unary + CD fragment are refused; None is
+    returned exactly when CR derives the goal, reflexive goals included;
+    then CDs wider than two variables, and a goal that is not unary, are
+    refused.
+
+    The construction works in the fragment behind the completeness
+    argument: unary premises with at most binary CDs and a unary goal.
+    Two shapes cover everything.  With no premise path from x to y, two
+    global rows (all zeroes, and the indicator of the non-reachable part)
+    project to a globally consistent counterexample.  With such a path,
+    the goal's context gets all four rows over {x, y} while every other
+    context gets the two diagonal rows; weighted kinds annotate the four
+    rows a = 1 and the diagonals b = 2, using a + a = b to balance the
+    marginals.
     """
     premises = list(sigma)
-    for fd in premises:
-        if not fd.is_unary and not (fd.is_cd and len(fd.lhs) <= 2):
-            raise UnsupportedDependencyError(
-                f"counterexample construction covers unary premises and "
-                f"binary CDs; got {fd.display()}"
-            )
-    if not phi.is_unary:
-        raise UnsupportedDependencyError("the goal must be a unary dependency")
-    (x,) = phi.lhs
-    (y,) = phi.rhs
-    if x == y:
-        raise ValueError(f"{phi.display()} is reflexive, hence always derivable")
     derivable, engine = _decide_unary(premises, phi, RuleSet.CR)
     if derivable:
-        raise ValueError(f"{phi.display()} is derivable; no counterexample exists")
+        return None
+    wide = _outside_fragment(premises)
+    if wide is not None:
+        raise UnsupportedDependencyError(
+            f"counterexample construction covers unary premises and "
+            f"binary CDs; got {wide.display()}"
+        )
+    if not phi.is_unary:
+        raise UnsupportedDependencyError("the goal must be a unary dependency")
 
     contexts = ContextSet.from_sets(
         [fd.variables for fd in premises] + [phi.variables]
     )
-    variables = sorted(contexts.variables)
+    variables = engine.variables
+    x, y = engine.goal
     # Derived edges only join vertices that already reach each other, so
     # this is reachability along premise edges, plus x by reflexivity,
     # however far the goal-directed engine ran.
-    reached, _ = _reach(engine.out_adj, x)
+    reached = _reach(engine.out_mask, x)
     one = MonoidValue.one(kind)
     if y not in reached:
         row_zero = ("0",) * len(variables)
-        row_split = tuple("0" if v in reached else "1" for v in variables)
+        row_split = tuple("0" if i in reached else "1" for i in range(len(variables)))
         total = KRelation(variables, kind, {row_zero: one.payload, row_split: one.payload})
         family = ContextualFamily([total.marginalise(c) for c in contexts])
     else:
@@ -1064,9 +1066,7 @@ def semantic_entails_oracle(
     if domain_size < 1 or max_rows < 1:
         raise ValueError("domain size and row budget must be positive")
     premises = sorted(set(sigma), key=lambda f: f.sort_key)
-    fragment = phi.is_unary and all(
-        fd.is_unary or (fd.is_cd and len(fd.lhs) <= 2) for fd in premises
-    )
+    fragment = phi.is_unary and _outside_fragment(premises) is None
     conclusive = fragment and domain_size >= 2 and max_rows >= 4
     if phi.rhs <= phi.lhs:
         return EntailmentVerdict(True, None, True)

@@ -65,7 +65,7 @@ class MonoidValue:
 
     def __post_init__(self) -> None:
         if self.kind is MonoidKind.B:
-            if self.payload not in (0, 1) or not isinstance(self.payload, int):
+            if not isinstance(self.payload, int) or isinstance(self.payload, bool) or self.payload not in (0, 1):
                 raise ValueError(f"B value must be 0 or 1, got {self.payload!r}")
         elif self.kind is MonoidKind.N:
             if not isinstance(self.payload, int) or isinstance(self.payload, bool):

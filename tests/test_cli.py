@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ctxfam import fdlogic
 from ctxfam.cli import main
 from ctxfam.formats import parse_family, parse_fd, parse_relations
 
@@ -330,6 +331,22 @@ class TestCounterexample:
         code, out, _ = run(capsys, "counterexample", str(path), "--query", "x -> x")
         assert code == 0
         assert out.splitlines()[0] == "derivable; no counterexample"
+
+    @pytest.mark.parametrize("query, code", [("x -> z", 1), ("y -> x", 1), ("x -> y", 0)])
+    def test_one_engine_per_query(self, capsys, tmp_path, monkeypatch, query, code):
+        """The query is decided once: one closure engine, refuted or not."""
+        built = []
+
+        class CountingEngine(fdlogic._ClosureEngine):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(fdlogic, "_ClosureEngine", CountingEngine)
+        path = tmp_path / "fds.txt"
+        path.write_text(TRANSITIVITY)
+        assert run(capsys, "counterexample", str(path), "--query", query)[0] == code
+        assert len(built) == 1
 
     def test_output_file(self, capsys, tmp_path):
         fds = tmp_path / "fds.txt"

@@ -19,7 +19,6 @@ from ctxfam.fdlogic import (
     UnsupportedDependencyError,
     _ClosureEngine,
     _context_candidates,
-    _split_premises,
     build_counterexample,
     chain_rule_derives,
     classical_closure,
@@ -319,8 +318,8 @@ class TestCounterexamples:
 
     def test_derivable_goal_rejected(self):
         sigma = [u("x", "y"), u("y", "x")]
-        with pytest.raises(ValueError):
-            build_counterexample(sigma, u("x", "y"))
+        assert build_counterexample(sigma, u("x", "y")) is None
+        assert build_counterexample(sigma, u("x", "x")) is None
 
     def test_cd_premises_shape_contexts(self):
         sigma = [u("x", "y"), cd(["y", "z"])]
@@ -567,6 +566,27 @@ class ReferenceEngine:
                 self._add(edge, additions[edge])
 
 
+def _split_premises(sigma):
+    """Unary edges, context sets, and variables of a premise list;
+    rejects dependencies outside the unary + CD fragment."""
+    edges = []
+    contexts = []
+    variables = set()
+    for fd in sigma:
+        if fd.is_unary:
+            (a,) = fd.lhs
+            (b,) = fd.rhs
+            edges.append((a, b))
+        elif not fd.is_cd:
+            raise UnsupportedDependencyError(
+                f"{fd.display()} is neither unary nor a CD; "
+                "only CLASSICAL and NRA accept general dependencies"
+            )
+        contexts.append(fd.variables)
+        variables |= fd.variables
+    return edges, contexts, sorted(variables)
+
+
 def reference_engine(sigma, rules, extra_context_sets):
     edges, contexts, variables = _split_premises(list(sigma))
     extra = [frozenset(s) for s in extra_context_sets]
@@ -683,10 +703,6 @@ def reference_counterexample(sigma, phi, kind):
             )
     (x,) = phi.lhs
     (y,) = phi.rhs
-    if x == y:
-        raise ValueError(f"{phi.display()} is reflexive, hence always derivable")
-    if (x, y) in reference_engine(premises, RuleSet.CR, [phi.variables]).edges:
-        raise ValueError(f"{phi.display()} is derivable; no counterexample exists")
     contexts = ContextSet.from_sets([fd.variables for fd in premises] + [phi.variables])
     variables = sorted(contexts.variables)
     adjacency = {v: set() for v in variables}
@@ -725,6 +741,32 @@ def reference_counterexample(sigma, phi, kind):
             value = big
         relations.append(KRelation.from_assignments(c, kind, dict.fromkeys(rows, value)))
     return ContextualFamily(relations)
+
+
+def reference_decided_counterexample(sigma, phi, kind):
+    """The counterexample query as ``build_counterexample`` decides it:
+    None when CR derives the goal, else the reference construction."""
+    if reference_derives(sigma, phi, RuleSet.CR)[0]:
+        return None
+    return reference_counterexample(sigma, phi, kind)
+
+
+def named_edges(engine):
+    """The engine's edges and justifications in order, with the interned
+    variables in their pairs, paths and chain instances named."""
+    names = engine.variables
+
+    def pair(edge):
+        return names[edge[0]], names[edge[1]]
+
+    out = []
+    for edge, just in engine.edges.items():
+        if just[0] == "cycle":
+            just = ("cycle", tuple(pair(e) for e in just[1]), pair(just[2]))
+        elif just[0] == "chain":
+            just = ("chain",) + tuple(tuple(names[i] for i in vs) for vs in just[1:])
+        out.append((pair(edge), just))
+    return out
 
 
 def _rows_satisfy(rows, positions, fd):
@@ -845,7 +887,7 @@ class TestAgainstReference:
             extra = [u(*queries[0]).variables]
             engine = _ClosureEngine(sigma, rules, extra)
             old = reference_engine(sigma, rules, extra)
-            assert list(engine.edges.items()) == list(old.edges.items())
+            assert named_edges(engine) == list(old.edges.items())
             assert derivation_closure(sigma, rules, extra) == frozenset(
                 u(a, b) for a, b in old.edges
             )
@@ -867,7 +909,7 @@ class TestAgainstReference:
         cases = [(sigma, u(*queries[0]), MonoidKind.B)]
         cases += [(binary, u(x, y), kinds[i % 3]) for i, (x, y) in enumerate(queries)]
         for case in cases:
-            assert outcome(build_counterexample, *case) == outcome(reference_counterexample, *case)
+            assert outcome(build_counterexample, *case) == outcome(reference_decided_counterexample, *case)
 
     def test_small_premise_sets(self):
         derivable = refuted = 0
@@ -897,6 +939,38 @@ class TestAgainstReference:
             premise_vars = {v for fd in sigma for v in fd.variables}
             outside += sum(not {x, y} <= premise_vars for x, y in queries)
         assert chains > 50 and outside > 50
+
+    def test_edges_are_keyed_by_index_pairs(self):
+        """Interned in sorted name order: the premises first, sorted, then
+        the reflexive edges, then what the passes derive."""
+        sigma = [u("c", "b"), u("b", "a"), u("a", "c"), cd(["a", "b", "c"])]
+        engine = _ClosureEngine(sigma, RuleSet.FULL, [frozenset({"d"})])
+        assert engine.variables == ("a", "b", "c", "d")
+        keys = list(engine.edges)
+        assert keys[:7] == [(0, 2), (1, 0), (2, 1), (0, 0), (1, 1), (2, 2), (3, 3)]
+        assert keys[7:] == [(0, 1), (1, 2), (2, 0)]
+        assert engine.edges[(0, 1)] == ("cycle", ((0, 2), (2, 1)), (1, 0))
+        assert all(type(a) is int and type(b) is int for a, b in keys)
+
+    def test_fragment_is_one_decision(self, monkeypatch):
+        """The oracle's ``conclusive`` flag and the counterexample refusal
+        agree on which premise sets are in the unary + binary-CD fragment.
+        With the bounded search stubbed out, ``conclusive`` is the fragment
+        test alone; the refusal shows wherever CR leaves the goal open."""
+        monkeypatch.setattr(fdlogic, "_backtrack_family", lambda *args: None)
+        counts = {True: 0, False: 0}
+        for sigma, queries in small_corpus(8, 150):
+            for x, y in queries[:3]:
+                fragment = semantic_entails_oracle(sigma, u(x, y)).conclusive
+                try:
+                    if build_counterexample(sigma, u(x, y)) is None:
+                        continue
+                    refused = False
+                except UnsupportedDependencyError:
+                    refused = True
+                assert refused != fragment
+                counts[fragment] += 1
+        assert counts[True] > 30 and counts[False] > 100
 
     def test_chain_rule_with_absent_variables(self):
         sigma = [u("x", "y"), u("y", "z"), cd(["x", "y", "z"])]

@@ -17,6 +17,7 @@ from ctxfam.monoid import (
     parse_value,
     subtract,
 )
+from ctxfam.relation import KRelation
 
 
 def B(x):
@@ -172,6 +173,22 @@ class TestValidation:
 
     def test_boolean_coercion_collapses_to_one(self):
         assert MonoidValue.of(MonoidKind.B, True) == B(1)
+
+    @pytest.mark.parametrize("payload", [1, True, False, 2, -1, Fraction(1), 1.0, "1"])
+    def test_boolean_payloads_agree_with_relations(self, payload):
+        """A B value and a stored B row accept the same nonzero payloads;
+        ``bool`` is refused by both, as N refuses it."""
+
+        def accepts(build):
+            try:
+                build()
+            except ValueError:
+                return False
+            return True
+
+        value = accepts(lambda: MonoidValue(MonoidKind.B, payload))
+        stored = accepts(lambda: KRelation(["x"], MonoidKind.B, {("0",): payload}))
+        assert value == stored == (payload == 1 and type(payload) is int)
 
 
 class TestText:
