@@ -26,11 +26,14 @@ how it is found.
 The pivot rows are already a basis of the simplex method.  A row whose
 right-hand side is negative gets an artificial column, and phase 1 drives
 those to zero; when there is none, the free unknowns at their bounds are
-the answer and no simplex pivot is made.  Bland's rule (Bland 1977)
-chooses the pivots, which is deterministic and never cycles.  Each free
-unknown is then minimised in turn, and after each stage every column with
-a positive reduced cost is barred from the tableau, which keeps the later
-stages on the optimal face of the earlier ones.
+the answer and no simplex pivot is made.  Dantzig's rule (the largest
+reduced cost enters) chooses the pivots, except that a step that would be
+degenerate takes Bland's pivot (Bland 1977): this is deterministic,
+never cycles (see :func:`_minimise`) and mostly takes far fewer pivots
+than Bland's rule alone.  Each free unknown is then minimised in turn, and
+after each stage every column with a positive reduced cost is barred from
+the tableau, which keeps the later stages on the optimal face of the
+earlier ones.
 """
 
 from __future__ import annotations
@@ -64,6 +67,26 @@ def _eliminate(row: Row, piv: Row, col: int) -> Row:
     return {k: v // g for k, v in new.items()} if g > 1 else new
 
 
+def _leaving(rows: List[Row], basis: List[int], e: int) -> int:
+    """The ratio test for entering column ``e``: among the rows with a
+    positive coefficient ``a`` in ``e``, the one of least ratio
+    ``rhs / a`` (compared by cross-multiplication), and among those the
+    one whose basic column is least."""
+    leave, num, den = -1, 0, 1
+    for i, row in enumerate(rows):
+        a = row.get(e, 0)
+        if a <= 0:
+            continue
+        rhs = row.get(_RHS, 0)
+        if leave < 0 or rhs * den < num * a or (
+            rhs * den == num * a and basis[i] < basis[leave]
+        ):
+            leave, num, den = i, rhs, a
+    if leave < 0:
+        raise AssertionError("objective unbounded below; solver bug")
+    return leave
+
+
 def _minimise(rows: List[Row], basis: List[int], obj: Row) -> Row:
     """Pivot the objective row ``obj`` down to its minimum from a feasible
     basis and return its final form.
@@ -71,28 +94,34 @@ def _minimise(rows: List[Row], basis: List[int], obj: Row) -> Row:
     A row ``sum a_k z_k = rhs`` holds its basic column at a positive
     coefficient, so feasibility is ``rhs >= 0``.  The objective row reads
     ``S*w + sum a_k z_k = rhs`` with ``S > 0``, so raising column ``k``
-    lowers ``w`` exactly when ``a_k > 0``.  Bland's rule: the least such
-    column enters, and among the rows of least ratio ``rhs / a`` (compared
-    by cross-multiplication) the one whose basic column is least leaves.
-    Every objective is a sum of columns, which are all at least 0, so it
-    is never unbounded below.
+    lowers ``w`` exactly when ``a_k > 0``.  Dantzig's rule picks the
+    entering column: the one of largest ``a_k``, the least such column on
+    a tie.  :func:`_leaving` picks the row that leaves.  When that row's
+    right-hand side is 0 the step would be degenerate, and Bland's pivot
+    (Bland 1977) is taken instead: the least column with ``a_k > 0``
+    enters, and :func:`_leaving` picks its row.  Every objective is a sum
+    of columns, which are all at least 0, so it is never unbounded below.
+
+    This terminates.  A pivot whose leaving row has a positive right-hand
+    side lowers ``w``, so a cycle of bases, along which ``w`` cannot
+    change, is made of degenerate pivots alone.  Each degenerate pivot is
+    Bland's (when Dantzig's column is also the least, the two coincide),
+    and Bland's theorem rules out a cycle of Bland pivots.
     """
     while True:
-        e = min((k for k, v in obj.items() if k >= 0 and v > 0), default=None)
-        if e is None:
+        e, top, least = -1, 0, -1
+        for k, v in obj.items():
+            if k >= 0 and v > 0:
+                if v > top or (v == top and k < e):
+                    e, top = k, v
+                if least < 0 or k < least:
+                    least = k
+        if e < 0:
             return obj
-        leave, num, den = -1, 0, 1
-        for i, row in enumerate(rows):
-            a = row.get(e, 0)
-            if a <= 0:
-                continue
-            rhs = row.get(_RHS, 0)
-            if leave < 0 or rhs * den < num * a or (
-                rhs * den == num * a and basis[i] < basis[leave]
-            ):
-                leave, num, den = i, rhs, a
-        if leave < 0:
-            raise AssertionError("objective unbounded below; solver bug")
+        leave = _leaving(rows, basis, e)
+        if not rows[leave].get(_RHS, 0) and least != e:
+            e = least
+            leave = _leaving(rows, basis, e)
         piv = rows[leave]
         for i, row in enumerate(rows):
             if i != leave and e in row:

@@ -1,6 +1,7 @@
 """Exact rational feasibility: equalities with per-variable lower bounds."""
 
 import gc
+import hashlib
 import random
 import signal
 from fractions import Fraction
@@ -21,6 +22,7 @@ from ctxfam.family import (
 )
 from ctxfam.fdlogic import FD, random_family_satisfying
 from ctxfam.feasibility import _check_witness, _feasible, find_rational_solution
+from ctxfam.formats import serialize_relation
 from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.realisability import realisable_lp
 from ctxfam.relation import Assignment, KRelation
@@ -1035,3 +1037,136 @@ class TestPhaseOneOnlyForN:
         assert ("phase1", True) in seen[MonoidKind.N]
         assert not [call for call in seen[MonoidKind.N] if call[0] == "lex_min"]
         assert ("lex_min", True) in seen[MonoidKind.Q]
+
+
+@pytest.fixture
+def pivot_rules(monkeypatch):
+    """Count the pivots ``_minimise`` takes, by rule.  A pivot runs the
+    ratio test on Dantzig's column, runs it once more on Bland's column
+    when the step would be degenerate and that column differs, and then
+    eliminates the entering column from the objective row.  So a pivot is
+    a run of ratio tests ended by an objective elimination: one test is a
+    Dantzig pivot, two a Bland fallback."""
+    counts = {"dantzig": 0, "bland": 0}
+    tests = []
+    leaving, eliminate = feasibility._leaving, feasibility._eliminate
+
+    def counted_leaving(rows, basis, e):
+        tests.append(e)
+        return leaving(rows, basis, e)
+
+    def counted_eliminate(row, piv, col):
+        if feasibility._OBJ in row and tests:
+            assert len(tests) <= 2
+            counts["bland" if len(tests) == 2 else "dantzig"] += 1
+            tests.clear()
+        return eliminate(row, piv, col)
+
+    monkeypatch.setattr(feasibility, "_leaving", counted_leaving)
+    monkeypatch.setattr(feasibility, "_eliminate", counted_eliminate)
+    return counts
+
+
+def without_integer_search(monkeypatch):
+    """Stub out the N path's integer search, which runs for minutes on
+    the 12-row grid of seed 0; the tableau's phase 1 still runs."""
+    monkeypatch.setattr(family_module, "_integer_weights", lambda demands, cells: None)
+
+
+class TestPivotRule:
+    """Dantzig's entering column, with Bland's pivot on every degenerate
+    step."""
+
+    def test_beale_cycling_example_reaches_its_optimum(self, monkeypatch):
+        # Beale (1955): from the degenerate basis x1, x2, x3, Dantzig's
+        # rule alone (ties leaving at the least basic column) cycles
+        # through six bases.  Minimise
+        #   w = -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7
+        # subject to
+        #   x1 + 1/4 x4 - 60 x5 - 1/25 x6 + 9 x7 = 0
+        #   x2 + 1/2 x4 - 90 x5 - 1/50 x6 + 3 x7 = 0
+        #   x3 + x6 = 1,  x >= 0,
+        # with x_j in column j - 1 and each row scaled to integers.
+        rhs, own = feasibility._RHS, feasibility._OBJ
+        rows = [
+            {0: 100, 3: 25, 4: -6000, 5: -4, 6: 900},
+            {1: 50, 3: 25, 4: -4500, 5: -1, 6: 150},
+            {2: 1, 5: 1, rhs: 1},
+        ]
+        basis = [0, 1, 2]
+        # 100 w + 75 x4 - 15000 x5 + 2 x6 - 600 x7 = 0
+        obj = {own: 100, 3: 75, 4: -15000, 5: 2, 6: -600}
+        pivots = count()
+        eliminate = feasibility._eliminate
+
+        def capped(row, piv, col):
+            if own in row and next(pivots) >= 20:
+                raise AssertionError("more than 20 pivots on Beale's example: the simplex cycles")
+            return eliminate(row, piv, col)
+
+        monkeypatch.setattr(feasibility, "_eliminate", capped)
+        obj = feasibility._minimise(rows, basis, obj)
+        assert Fraction(obj.get(rhs, 0), obj[own]) == Fraction(-1, 20)
+        level = {b: Fraction(row.get(rhs, 0), row[b]) for row, b in zip(rows, basis)}
+        assert {b: x for b, x in level.items() if x} == {
+            0: Fraction(3, 100), 3: Fraction(1, 25), 5: Fraction(1)
+        }
+
+    def test_both_rules_pivot_and_witnesses_match_the_parent_solver(
+        self, pivot_rules, against_parent, monkeypatch
+    ):
+        witnesses = against_parent(family_module)
+        without_integer_search(monkeypatch)
+        for kind in (MonoidKind.N, MonoidKind.Q):
+            for shape in SHAPES:
+                for seed in range(12):
+                    check_global_consistency(
+                        marginal_family(shape, kind, 2 + seed % 5, 2 + seed % 2, seed)
+                    )
+            for seed in range(4):
+                within(20, check_global_consistency, marginal_family("grid", kind, 12, 3, seed))
+            assert pivot_rules["dantzig"] > 0 and pivot_rules["bland"] > 0, kind
+            pivot_rules.update(dantzig=0, bland=0)
+        assert len(witnesses) == 2 * (5 * 12 + 4)
+
+    # Bland's rule alone takes 173, 105, 89 and 29 pivots on the N grids of
+    # seeds 0-3, and 289, 115, 67 and 133 on the Q grids.
+    @pytest.mark.parametrize(
+        "kind, seed, most",
+        [
+            (MonoidKind.N, 0, 68),
+            (MonoidKind.N, 1, 40),
+            (MonoidKind.N, 2, 51),
+            (MonoidKind.N, 3, 18),
+            (MonoidKind.Q, 0, 174),
+            (MonoidKind.Q, 1, 75),
+            (MonoidKind.Q, 2, 101),
+            (MonoidKind.Q, 3, 79),
+        ],
+        ids=lambda x: getattr(x, "name", x),
+    )
+    def test_pivot_count_on_twelve_row_grid(self, kind, seed, most, pivot_rules, monkeypatch):
+        without_integer_search(monkeypatch)
+        within(20, check_global_consistency, marginal_family("grid", kind, 12, 3, seed))
+        assert pivot_rules["dantzig"] + pivot_rules["bland"] <= most
+
+
+class TestDenseTableau:
+    """Forty global rows: the grid's join holds all 729 rows over its six
+    variables, and the tableau rows fill up.  The witness is the unique
+    lexicographic minimum, so no pivot rule may change it: the digests
+    are those of the witnesses found with Bland's rule alone."""
+
+    @pytest.mark.parametrize(
+        "shape, digest",
+        [
+            ("grid", "9e6c52f28de86410a42c3681147d8313766f9d81c7f82b42767904e7b412ca4a"),
+            ("acyclic", "42e3ad32998dc8b68ed8a72fd80a125a1646051167a1b7c0a9722dac19e33324"),
+        ],
+        ids=["grid", "acyclic"],
+    )
+    def test_witness_projects_onto_the_family(self, shape, digest):
+        family = marginal_family(shape, MonoidKind.Q, 40, 3, 0)
+        witness = within(20, check_global_consistency, family)
+        assert witness is not None and _projects_onto(witness, family)
+        assert hashlib.sha256(serialize_relation(witness).encode()).hexdigest() == digest
