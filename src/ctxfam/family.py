@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .feasibility import _check_witness, _feasible, find_rational_solution
+from .feasibility import _feasible, find_rational_solution
 from .monoid import MonoidKind, MonoidValue
 from .relation import Assignment, Key, KRelation, Value, _agreement, _cells, _groups, _projection, _row_order, _totals
 
@@ -366,10 +366,12 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
     context's equations sum to the total weight, and local consistency
     gives every context the same total: that equation is the sum of
     context 0's minus the context's other cells, and Gauss-Jordan
-    elimination would only reduce it to an empty row.  The Q witness is
-    still checked against those cells.
+    elimination would only reduce it to an empty row.  The solver still
+    checks the Q witness against those cells.
 
-    For Q the witness is the exact solution of
+    Each cell is an integer row for :mod:`ctxfam.feasibility`: the weights
+    over it, each scaled by the denominator of its value, sum to the
+    value's numerator.  For Q the witness is the exact solution of
     :func:`~ctxfam.feasibility.find_rational_solution` on its one integer
     tableau: the lexicographically least weights, in join-row order,
     among those the Gauss-Jordan elimination leaves free.  For N phase 1
@@ -390,20 +392,20 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
     if family.kind is MonoidKind.B:
         return KRelation(variables, MonoidKind.B, dict.fromkeys(join, 1))
     ends = list(accumulate(map(len, relations)))
-    implied = {end - 1 for end, rel in zip(ends[1:], relations[1:]) if rel}
-    equalities = [({i: 1 for i in ts}, d) for k, (ts, d) in enumerate(zip(over, demands)) if k not in implied]
+    left_out = {end - 1 for end, rel in zip(ends[1:], relations[1:]) if rel}
+    equalities: List[Tuple[Dict[int, int], int]] = []
+    implied: List[Tuple[Dict[int, int], int]] = []
+    for k, (ts, d) in enumerate(zip(over, demands)):
+        (implied if k in left_out else equalities).append((dict.fromkeys(ts, d.denominator), d.numerator))
     unknowns = range(len(join))
-    bounds = dict.fromkeys(unknowns, 0)
     if family.kind is MonoidKind.N:
-        if not _feasible(equalities, bounds, unknowns):
+        if not _feasible(equalities, unknowns):
             return None
         weights = _integer_weights(demands, cells)
         if weights is None:
             return None
     else:
-        solution = find_rational_solution(equalities, bounds, unknowns)
-        if solution is None:
+        weights = find_rational_solution(equalities, implied, unknowns)
+        if weights is None:
             return None
-        _check_witness([({i: 1 for i in over[k]}, demands[k]) for k in sorted(implied)], {}, solution)
-        weights = [solution[i] for i in unknowns]
     return KRelation(variables, family.kind, {t: w for t, w in zip(join, weights) if w})

@@ -1,23 +1,22 @@
-"""Exact feasibility of linear equality systems with variable lower bounds.
+"""Exact feasibility of integer equality systems over nonnegative columns.
 
 This is the arithmetic core behind weighted global-consistency checking
-and general realisability: given equalities ``sum c_i x_i = r`` and a
-lower bound ``x_i >= b_i`` on every rational unknown, decide feasibility
-and produce a witness.  Feasibility is decided exactly, never numerically.
-Coefficients, right-hand sides and bounds may be ``int`` or ``Fraction``.
+and general realisability: given integer rows ``sum c_j y_j = r`` over
+the columns ``y_0, ..., y_{n-1}``, all at least 0, decide feasibility and
+produce a witness.  Feasibility is decided exactly, never numerically.
+Each caller brings its own system to this form (see
+:func:`find_rational_solution`).
 
 Everything happens in one fraction-free integer tableau, ``_Tableau``,
-with one column per unknown, ``y_j = x_j - b_j >= 0``, and one row per
-equality, scaled to integers from the inputs' numerators and
-denominators.  It has four parts:
+with one column per unknown and one row per equality.  It has four parts:
 
 * build and Gauss-Jordan elimination, which pivots each row on its least
   remaining column, so afterwards every row holds one pivot column and
   otherwise only free columns;
 * phase 1, which answers feasibility;
 * the lexicographic stages: the witness is the lexicographic minimum of
-  the free unknowns in ascending variable order, each at its least value
-  given the earlier ones, and the pivot unknowns follow;
+  the free columns in ascending order, each at its least value given the
+  earlier ones, and the pivot columns follow;
 * read-back, the one place a ``Fraction`` is built.
 
 The lexicographic minimum is unique, so the witness does not depend on
@@ -25,25 +24,25 @@ how it is found.
 
 The pivot rows are already a basis of the simplex method.  A row whose
 right-hand side is negative gets an artificial column, and phase 1 drives
-those to zero; when there is none, the free unknowns at their bounds are
-the answer and no simplex pivot is made.  Dantzig's rule (the largest
-reduced cost enters) chooses the pivots, except that a step that would be
-degenerate takes Bland's pivot (Bland 1977): this is deterministic,
-never cycles (see :func:`_minimise`) and mostly takes far fewer pivots
-than Bland's rule alone.  Each free unknown is then minimised in turn, and
-after each stage every column with a positive reduced cost is barred from
-the tableau, which keeps the later stages on the optimal face of the
-earlier ones.
+those to zero; when there is none, the free columns at 0 are the answer
+and no simplex pivot is made.  Dantzig's rule (the largest reduced cost
+enters) chooses the pivots, except that a step that would be degenerate
+takes Bland's pivot (Bland 1977): this is deterministic, never cycles
+(see :func:`_minimise`) and mostly takes far fewer pivots than Bland's
+rule alone.  Each free column is then minimised in turn, and after each
+stage every column with a positive reduced cost is barred from the
+tableau, which keeps the later stages on the optimal face of the earlier
+ones.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-Rational = Union[int, Fraction]
 Row = Dict[int, int]  # column -> nonzero integer coefficient, with _RHS and _OBJ
+Equality = Tuple[Dict[int, int], int]  # (column -> nonzero coefficient, right-hand side)
 
 _RHS = -1  # key of a row's right-hand side
 _OBJ = -2  # key of the objective's own coefficient in an objective row
@@ -158,31 +157,19 @@ class _Tableau:
     :meth:`witness`.
     """
 
-    __slots__ = ("variables", "index", "bounds", "rows", "basis", "free", "contradiction", "artificials")
+    __slots__ = ("n", "rows", "basis", "free", "contradiction", "artificials")
 
-    def __init__(
-        self,
-        equalities: Sequence[Tuple[Mapping[Hashable, Rational], Rational]],
-        lower_bounds: Mapping[Hashable, Rational],
-        variables: Sequence[Hashable],
-    ):
-        index = {v: i for i, v in enumerate(variables)}
-        for v in [v for coeffs, _ in equalities for v in coeffs] + list(lower_bounds):
-            if v not in index:
-                raise ValueError(f"unknown {v!r} is not among the variables")
-        for v in variables:
-            if v not in lower_bounds:
-                raise ValueError(f"unknown {v!r} has no lower bound")
-        bounds = {index[v]: b for v, b in lower_bounds.items() if b}
-        shift = {j: (b.numerator, b.denominator) for j, b in bounds.items()}
-        self.variables, self.index, self.bounds = variables, index, bounds
+    def __init__(self, equalities: Iterable[Equality], n: int):
+        self.n = n
         self.contradiction = False
         self.artificials: List[int] = []
 
         rows: List[Row] = []
         basis: List[int] = []
         for coeffs, rhs in equalities:
-            row = _integer_row(coeffs, rhs, index, shift)
+            row = dict(coeffs)
+            if rhs:
+                row[_RHS] = rhs
             for i, b in enumerate(basis):
                 if b in row:
                     row = _eliminate(row, rows[i], b)
@@ -201,7 +188,7 @@ class _Tableau:
             rows.append(row)
             basis.append(p)
         self.rows, self.basis = rows, basis
-        self.free = sorted(set(index.values()).difference(basis))
+        self.free = sorted(set(range(n)).difference(basis))
 
     def phase1(self) -> bool:
         """Whether the system is feasible.  Each row with a negative
@@ -215,7 +202,7 @@ class _Tableau:
         artificials = self.artificials
         for i, row in enumerate(rows):
             if row.get(_RHS, 0) < 0:
-                basis[i] = len(self.variables) + len(artificials)
+                basis[i] = self.n + len(artificials)
                 artificials.append(basis[i])
                 rows[i] = {k: -v for k, v in row.items()}
                 rows[i][basis[i]] = 1
@@ -239,124 +226,79 @@ class _Tableau:
         return obj
 
     def lex_min(self) -> None:
-        """After a successful :meth:`phase1`, minimise each free unknown in
+        """After a successful :meth:`phase1`, minimise each free column in
         ascending order, barring after each stage the columns it priced
-        out.  Without artificials the free unknowns already sit at their
-        bounds, which is the minimum, and no stage runs."""
+        out.  Without artificials the free columns already sit at 0, which
+        is the minimum, and no stage runs."""
         if not self.artificials:
             return
         rows, basis = self.rows, self.basis
         for j in self.free:
             if j in basis:
-                # the basic row, with the unknown renamed to the objective
+                # the basic row, with the column renamed to the objective
                 obj = dict(rows[basis.index(j)])
                 obj[_OBJ] = obj.pop(j)
                 self.stage(obj)
             else:
                 _bar(rows, [j])
 
-    def witness(self) -> Dict[Hashable, Fraction]:
-        """Every unknown's value: a basic column's right-hand side over its
-        coefficient, a nonbasic one 0, each shifted back by its bound."""
+    def witness(self) -> List[Fraction]:
+        """Every column's value, in column order: a basic column's
+        right-hand side over its coefficient, a nonbasic one 0."""
         level = {b: Fraction(row.get(_RHS, 0), row[b]) for row, b in zip(self.rows, self.basis)}
-        index, bounds = self.index, self.bounds
-        witness = {}
-        for v in self.variables:
-            x = level.get(index[v], _ZERO)
-            witness[v] = x + bounds[index[v]] if index[v] in bounds else x
-        return witness
-
-
-def _integer_row(
-    coeffs: Mapping[Hashable, Rational],
-    rhs: Rational,
-    index: Mapping[Hashable, int],
-    shift: Mapping[int, Tuple[int, int]],
-) -> Row:
-    """The row of ``sum c_v x_v = rhs`` over the shifted columns
-    ``y_j = x_j - b_j``, scaled to integers straight from the inputs'
-    numerators and denominators: ``sum c_j y_j = rhs - sum c_j b_j``."""
-    scale = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
-    row = {index[v]: c.numerator * (scale // c.denominator) for v, c in coeffs.items() if c}
-    r = rhs.numerator * (scale // rhs.denominator)
-    shifted = [(j, shift[j]) for j in row if j in shift] if shift else ()
-    if shifted:
-        d = lcm(*(den for _, (_, den) in shifted))
-        if d > 1:
-            row = {j: a * d for j, a in row.items()}
-            r *= d
-        r -= sum(row[j] * num // den for j, (num, den) in shifted)  # den divides row[j]
-    if r:
-        row[_RHS] = r
-    return row
+        return [level.get(j, _ZERO) for j in range(self.n)]
 
 
 def find_rational_solution(
-    equalities: Iterable[Tuple[Mapping[Hashable, Rational], Rational]],
-    lower_bounds: Mapping[Hashable, Rational],
-    variables: Sequence[Hashable],
-) -> Optional[Dict[Hashable, Fraction]]:
+    equalities: Sequence[Equality], implied: Sequence[Equality], columns: range
+) -> Optional[List[Fraction]]:
     """A rational witness for the system, or None when infeasible.
 
-    ``equalities`` are pairs (coefficient map, right-hand side) read as
-    ``sum c_i x_i = r``; ``lower_bounds`` gives every variable its
-    constraint ``x >= b``.  Coefficients, right-hand sides and bounds may
-    be ``int`` or ``Fraction``.  Naming a variable that is not in
-    ``variables``, or leaving one without a lower bound, raises
-    :class:`ValueError`.
+    ``equalities`` and ``implied`` are pairs (coefficient map, right-hand
+    side) read as ``sum c_j y_j = r``, every coefficient a nonzero
+    ``int`` and every column ``j`` in ``columns``, which is ``range(n)``;
+    every column is at least 0.  The rows of ``implied`` are the ones the
+    caller left out because the others imply them: they stay out of the
+    tableau, and the witness is checked against them together with
+    ``equalities``.
 
-    The witness is the lexicographic minimum, in the order of
-    ``variables``, of the unknowns left free by Gauss-Jordan elimination
-    (which pivots each equality on its least remaining unknown): each
-    takes its least feasible value given the earlier ones, and the pivot
-    unknowns follow from them.  One integer tableau finds this point (see
-    the module docstring): it is built and eliminated, phase 1 decides
-    feasibility, the lexicographic stages run and the values are read
-    back.  The witness, whose values are ``Fraction``s, is checked
-    against every equality and bound before it is returned.
+    The witness is the lexicographic minimum, in column order, of the
+    columns left free by Gauss-Jordan elimination (which pivots each
+    equality on its least remaining column): each takes its least feasible
+    value given the earlier ones, and the pivot columns follow from them.
+    One integer tableau finds this point (see the module docstring): it is
+    built and eliminated, phase 1 decides feasibility, the lexicographic
+    stages run and the values are read back as ``Fraction``s, one per
+    column.
     """
-    equalities = list(equalities)
-    tableau = _Tableau(equalities, lower_bounds, variables)
+    tableau = _Tableau(equalities, len(columns))
     if not tableau.phase1():
         return None
     tableau.lex_min()
     witness = tableau.witness()
-    _check_witness(equalities, lower_bounds, witness)
+    _check_witness([*equalities, *implied], witness)
     return witness
 
 
-def _feasible(
-    equalities: Sequence[Tuple[Mapping[Hashable, Rational], Rational]],
-    lower_bounds: Mapping[Hashable, Rational],
-    variables: Sequence[Hashable],
-) -> bool:
+def _feasible(equalities: Sequence[Equality], columns: range) -> bool:
     """Whether :func:`find_rational_solution` would find a witness: the
     tableau is built and phase 1 run, and no lexicographic stage."""
-    return _Tableau(equalities, lower_bounds, variables).phase1()
+    return _Tableau(equalities, len(columns)).phase1()
 
 
-def _check_witness(
-    equalities: Sequence[Tuple[Mapping[Hashable, Rational], Rational]],
-    lower_bounds: Mapping[Hashable, Rational],
-    witness: Mapping[Hashable, Fraction],
-) -> None:
+def _check_witness(equalities: Iterable[Equality], witness: Sequence[Fraction]) -> None:
     """Raise :class:`AssertionError` unless ``witness`` meets every given
-    equality and lower bound, checked in integer arithmetic.
+    equality and is at least 0, checked in integer arithmetic.
 
-    Each value is ``n_v / d`` over the witness's common denominator ``d``.
-    An equality whose coefficients and right-hand side have the common
-    denominator ``e`` holds when ``sum (e * c_v) * n_v == (e * r) * d``, and
-    a bound ``b`` holds when ``n_v * den(b) >= num(b) * d``.  These are the
-    caller's own equalities, not the tableau's rows, so a fault in building
-    or pivoting the tableau shows here.
+    Each value is ``n_j / d`` over the witness's common denominator ``d``,
+    and an equality holds when ``sum c_j * n_j == r * d``.  These are the
+    caller's own rows, not the tableau's, so a fault in building or
+    pivoting the tableau shows here.
     """
-    d = lcm(*(x.denominator for x in witness.values()))
-    n = {v: x.numerator * (d // x.denominator) for v, x in witness.items()}
+    d = lcm(*(x.denominator for x in witness))
+    n = [x.numerator * (d // x.denominator) for x in witness]
     for coeffs, rhs in equalities:
-        e = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
-        total = sum(c.numerator * (e // c.denominator) * n[v] for v, c in coeffs.items())
-        if total != rhs.numerator * (e // rhs.denominator) * d:
+        if sum(c * n[j] for j, c in coeffs.items()) != rhs * d:
             raise AssertionError("witness fails an equality; solver bug")
-    for v, b in lower_bounds.items():
-        if n[v] * b.denominator < b.numerator * d:
-            raise AssertionError("witness fails a lower bound; solver bug")
+    if any(v < 0 for v in n):
+        raise AssertionError("witness has a negative column; solver bug")

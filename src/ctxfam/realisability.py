@@ -29,7 +29,7 @@ from math import lcm
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .family import ContextSet, ContextualFamily
-from .feasibility import _check_witness, find_rational_solution
+from .feasibility import find_rational_solution
 from .monoid import MonoidKind, MonoidValue
 from .relation import Assignment, Key, KRelation, Payload, _agreement, _cells, _projection, _row_order
 
@@ -487,12 +487,15 @@ def realisable_lp(
     context at +1 and of the other at -1 sum to 0, solved on the tableau of
     :func:`~ctxfam.feasibility.find_rational_solution`, where each row
     weight is a column, numbered context by context in stored row order.
+    The solver's columns are at least 0, so each holds ``y = x - 1`` for
+    its weight ``x``: a cell's right-hand side is minus the sum of its
+    coefficients, and the weights are the witness plus 1.
     The last cell of every pair ``(i, j)`` with ``i >= 1`` is left out of
     the tableau: the cells of a pair sum to the weight of one context less
     that of the other, so that cell equals the cells of ``(0, j)`` less
     those of ``(0, i)`` and the pair's other cells, which all come before
     it, and Gauss-Jordan elimination would only reduce it to an empty row.
-    The witness is still checked against every one of those cells.
+    The solver still checks the witness against every one of those cells.
     The constraints are homogeneous, so scaling a rational witness by the
     least common denominator yields a natural witness: feasibility does
     not depend on the cancellative kind chosen.  Returns the witness
@@ -525,16 +528,14 @@ def _lp_weights(family: ContextualFamily, kind: MonoidKind) -> Optional[List[Pay
         for _, a, b in _cells(left, right):
             cell = {ours[key]: 1 for key in a or ()}
             cell.update((theirs[key], -1) for key in b or ())
-            pair.append((cell, 0))
+            pair.append((cell, -sum(cell.values())))
         if i:
             implied.append(pair.pop())
         equalities.extend(pair)
-    columns = range(unknowns)
-    solution = find_rational_solution(equalities, dict.fromkeys(columns, 1), columns)
+    solution = find_rational_solution(equalities, implied, range(unknowns))
     if solution is None:
         return None
-    _check_witness(implied, {}, solution)
-    weights = [solution[n] for n in columns]
+    weights = [w + 1 for w in solution]
     if kind is MonoidKind.Q:
         return weights
     scale = lcm(*(w.denominator for w in weights))

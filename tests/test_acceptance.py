@@ -12,8 +12,11 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from ctxfam.family import (
     ContextualFamily,
+    _support_join,
     check_global_consistency,
     find_violation,
 )
@@ -40,11 +43,13 @@ from ctxfam.realisability import (
 )
 
 from conftest import (
+    brel,
     chain_brute_force,
     chain_premises,
     cycle_contexts,
     family_of,
     random_weighted_family,
+    wrel,
 )
 
 u = FD.unary
@@ -354,3 +359,119 @@ class TestAcceptance:
             "chain-rule search agrees with brute-force instantiation on "
             "100 random instances",
         )
+
+
+# ---------------------------------------------------------------------------
+# The Bell (CHSH) scenario: Alice measures a0 or a1, Bob b0 or b1, each with
+# outcome 0 or 1.  The four joint measurements form a chordless 4-cycle.
+
+BELL_CONTEXTS = [("a0", "b0"), ("a0", "b1"), ("a1", "b0"), ("a1", "b1")]
+
+# The possibilistic table of Hardy's model, one row "xy" per possible
+# outcome pair of each context in BELL_CONTEXTS.
+HARDY = [("00", "01", "10", "11"), ("00", "01", "11"), ("00", "10", "11"), ("00", "01", "10")]
+
+
+def bell_family(kind, tables):
+    """The family of one ``{"xy": weight}`` table per Bell context; a B
+    table lists its rows only."""
+    if kind is MonoidKind.B:
+        return ContextualFamily([brel(c, map(tuple, t)) for c, t in zip(BELL_CONTEXTS, tables)])
+    return ContextualFamily([
+        wrel(kind, c, [(tuple(xy), w) for xy, w in t.items()]) for c, t in zip(BELL_CONTEXTS, tables)
+    ])
+
+
+def noisy_pr_box(p):
+    """``p * PR + (1 - p) * uniform`` in Q: equal outcomes get weight
+    ``(1 + p) / 4`` in the first three contexts, unequal ones in
+    ``{a1 b1}``, and the others ``(1 - p) / 4``."""
+    likely, unlikely = (1 + p) / 4, (1 - p) / 4
+    equal = {"00": likely, "11": likely, "01": unlikely, "10": unlikely}
+    unequal = {"00": unlikely, "11": unlikely, "01": likely, "10": likely}
+    tables = [equal, equal, equal, unequal]
+    return bell_family(MonoidKind.Q, [{xy: w for xy, w in t.items() if w} for t in tables])
+
+
+def marginals_match(witness, family):
+    return all(witness.marginalise(c) == family.relation_at(c) for c in family.contexts)
+
+
+class TestBellScenarios:
+    """The paper's motivating families, quantum-style probability tables
+    and their possibilistic supports, with verdicts known from the
+    literature."""
+
+    def test_pr_box_is_strongly_contextual(self):
+        # Popescu and Rohrlich, Found. Phys. 24 (1994): the PR box is
+        # no-signalling, so the family is locally consistent, and its CHSH
+        # value 4 exceeds the bound 2 of every global distribution.
+        box = noisy_pr_box(Fraction(1))
+        assert check_global_consistency(box) is None
+        # Abramsky and Brandenburger, New J. Phys. 13 (2011): no global
+        # assignment agrees with the PR box's support in all four
+        # contexts (strong contextuality), so its support join is empty.
+        support = box.support()
+        assert _support_join(support)[0] == []
+        assert check_global_consistency(support) is None
+
+    @pytest.mark.parametrize(
+        "p, consistent",
+        [(Fraction(1, 2), True), (Fraction(1, 2) + Fraction(1, 1000), False)],
+        ids=["p=1/2", "p=1/2+1/1000"],
+    )
+    def test_noisy_pr_box_meets_the_chsh_bound_exactly(self, p, consistent):
+        # Fine, Phys. Rev. Lett. 48 (1982): a family over the CHSH
+        # contexts has a global distribution exactly when every CHSH
+        # inequality holds; the CHSH value here is 4p, so exactly when
+        # p <= 1/2.
+        family = noisy_pr_box(p)
+        witness = check_global_consistency(family)
+        assert (witness is not None) is consistent
+        assert witness is None or marginals_match(witness, family)
+        # Every outcome pair is possible in every context, so the support
+        # is the full table: all 16 global assignments agree with it, and
+        # the possibilistic level sees no contextuality (Abramsky and
+        # Brandenburger 2011).
+        support = family.support()
+        join = check_global_consistency(support)
+        assert join is not None and marginals_match(join, support)
+        assert len(join) == len(_support_join(support)[0]) == 16
+
+    def test_hardy_table_is_logically_contextual_and_realisable(self):
+        # Hardy, Phys. Rev. Lett. 71 (1993), read possibilistically by
+        # Abramsky and Brandenburger 2011: some global assignments agree
+        # with every table, so the support join is not empty (5 rows, by
+        # enumerating the 16 assignments), but the row a0 b0 = 1 1 lies
+        # in none of them (logical contextuality), so the family is
+        # globally inconsistent.
+        family = bell_family(MonoidKind.B, HARDY)
+        assert check_global_consistency(family) is None
+        join, _ = _support_join(family)
+        assert len(join) == 5
+        points = [dict(zip(sorted(family.contexts.variables), t)) for t in join]
+        assert not [t for t in points if t["a0"] == t["b0"] == "1"]
+        # Hardy's quantum model has this support, and a support realisable
+        # over Q is realisable over N by clearing denominators; the graph
+        # test and the LP agree.
+        for kind in (MonoidKind.N, MonoidKind.Q):
+            assert realisable_chordless(family, kind)
+            assert realisable_lp(family, kind) is not None
+            assert realise(family, kind).support() == family
+
+    def test_noncontextual_mixture_has_a_checked_witness(self):
+        # Fine 1982: a mixture of deterministic global assignments is a
+        # global distribution, so its marginals are globally consistent.
+        mixture = {("0", "0", "0", "0"): 2, ("0", "1", "1", "0"): 1, ("1", "1", "0", "1"): 3}
+        tables = []
+        for x, y in BELL_CONTEXTS:
+            table = {}
+            for values, weight in mixture.items():
+                point = dict(zip(("a0", "a1", "b0", "b1"), values))
+                table[point[x] + point[y]] = table.get(point[x] + point[y], 0) + weight
+            tables.append(table)
+        family = bell_family(MonoidKind.N, tables)
+        witness = check_global_consistency(family)
+        assert witness is not None and witness.kind is MonoidKind.N
+        assert marginals_match(witness, family)
+        assert witness.total() == MonoidValue.of(MonoidKind.N, 6)

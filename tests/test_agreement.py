@@ -13,14 +13,13 @@ relations.
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 import pytest
 
 from ctxfam import family as family_module
 from ctxfam import realisability
 from ctxfam.family import ConsistencyViolation, ContextualFamily, _support_join, check_global_consistency, find_violation
-from ctxfam.feasibility import find_rational_solution
+from ctxfam.feasibility import _check_witness, find_rational_solution
 from ctxfam.fdlogic import FD, random_family_satisfying
 from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.realisability import realisable_lp
@@ -33,6 +32,7 @@ from test_feasibility import (
     marginal_family,
     reference_eliminate_equalities,
     reference_find_rational_solution,
+    standard_form,
     twisted_family,
 )
 from test_relation import reference_marginal
@@ -190,12 +190,15 @@ def lp_families():
 
 class TestLpEquations:
     def test_same_system_as_the_reference(self, monkeypatch):
+        # The rows are those the solver's earlier front end built from the
+        # reference's cells with every row weight at least 1: _integer_row
+        # over the columns y = x - 1.
         calls = []
         solve = realisability.find_rational_solution
 
-        def capture(equalities, lower, variables):
-            calls.append((equalities, lower, variables))
-            return solve(equalities, lower, variables)
+        def capture(equalities, implied, columns):
+            calls.append((equalities, implied, columns))
+            return solve(equalities, implied, columns)
 
         monkeypatch.setattr(realisability, "find_rational_solution", capture)
         checked = 0
@@ -206,18 +209,17 @@ class TestLpEquations:
             if not family.labels():
                 assert calls == []
                 continue
-            expected, _ = reference_lp_split(family)
-            assert len(calls) == 2
             # The unknowns are the rows' numbers, in the order of labels().
             labels = family.labels()
-            for equalities, lower, variables in calls:
-                named = [({labels[n]: c for n, c in cell.items()}, rhs) for cell, rhs in equalities]
-                assert named == expected
-                assert [list(cell.items()) for cell, _ in named] == [
-                    list(cell.items()) for cell, _ in expected
+            lower = dict.fromkeys(labels, Fraction(1))
+            expected, dropped = (standard_form(cells, lower, labels) for cells in reference_lp_split(family))
+            assert len(calls) == 2
+            for equalities, implied, columns in calls:
+                assert equalities == expected and implied == dropped
+                assert [list(cell.items()) for cell, _ in equalities + implied] == [
+                    list(cell.items()) for cell, _ in expected + dropped
                 ]
-                assert list(variables) == list(range(len(labels)))
-                assert lower == {n: Fraction(1) for n in range(len(labels))}
+                assert columns == range(len(labels))
             checked += 1
         assert checked > 60
 
@@ -256,16 +258,57 @@ def weighted_families():
 
 
 def assert_implied(kept, dropped, lower, variables):
-    """Every dropped row eliminates to an empty row on the kept ones, and
-    the full system and the kept one have the same witness under both
-    solvers."""
+    """Every dropped row eliminates to an empty row on the kept ones, the
+    full system and the kept one have the same witness under the
+    reference, and the solver, given the dropped rows as implied ones,
+    returns the witness of the full system."""
     exact = [({j: Fraction(c) for j, c in cell.items()}, Fraction(rhs)) for cell, rhs in kept]
     pivots = reference_eliminate_equalities(exact)
     if pivots is not None:
         for cell, rhs in dropped:
             assert _ref_substitute({j: Fraction(c) for j, c in cell.items()}, Fraction(rhs), pivots) == ({}, 0)
-    for solve in (find_rational_solution, reference_find_rational_solution):
-        assert solve(kept + dropped, lower, variables) == solve(kept, lower, variables)
+    solve = reference_find_rational_solution
+    assert solve(kept + dropped, lower, variables) == solve(kept, lower, variables)
+    rows, implied = standard_form(kept, lower, variables), standard_form(dropped, lower, variables)
+    columns = range(len(variables))
+    assert find_rational_solution(rows + implied, [], columns) == find_rational_solution(rows, implied, columns)
+
+
+def captured_global_rows(monkeypatch, family):
+    """The rows ``check_global_consistency(family)`` hands the solver: one
+    ``(equalities, implied)`` pair per call, ``implied`` None for the N
+    path's phase-1 question."""
+    calls = []
+    solve, feasible = family_module.find_rational_solution, family_module._feasible
+
+    def solved(equalities, implied, columns):
+        calls.append((equalities, implied, columns))
+        return solve(equalities, implied, columns)
+
+    def decided(equalities, columns):
+        calls.append((equalities, None, columns))
+        return feasible(equalities, columns)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(family_module, "find_rational_solution", solved)
+        patch.setattr(family_module, "_feasible", decided)
+        check_global_consistency(family)
+    return calls
+
+
+def assert_global_rows(calls, family):
+    """``calls`` is the one call of the global check on ``family``, whose
+    rows are those the solver's earlier front end built from the
+    reference's cells with every weight at least 0: ``_integer_row``, each
+    cell scaled by the denominator of its value."""
+    kept, dropped = global_split(family)
+    unknowns = range(len(_support_join(family)[0]))
+    lower = dict.fromkeys(unknowns, 0)
+    ((equalities, implied, columns),) = calls
+    assert equalities == standard_form(kept, lower, unknowns)
+    assert implied is None if family.kind is MonoidKind.N else implied == standard_form(dropped, lower, unknowns)
+    assert columns == unknowns
+    return kept, dropped, lower, unknowns
 
 
 class TestImpliedCells:
@@ -282,65 +325,59 @@ class TestImpliedCells:
         assert checked > 40
 
     def test_global_cells(self, monkeypatch):
-        calls = []
-
-        def capture(solve):
-            def captured(equalities, lower, variables):
-                calls.append(equalities)
-                return solve(equalities, lower, variables)
-
-            return captured
-
-        for name in ("find_rational_solution", "_feasible"):
-            monkeypatch.setattr(family_module, name, capture(getattr(family_module, name)))
         checked = 0
         for family in weighted_families():
-            calls.clear()
-            check_global_consistency(family)
+            calls = captured_global_rows(monkeypatch, family)
             if not calls:  # a cell with no join row refuses before the tableau
                 continue
-            kept, dropped = global_split(family)
-            assert calls == [kept]
-            unknowns = range(len(_support_join(family)[0]))
-            assert_implied(kept, dropped, dict.fromkeys(unknowns, 0), unknowns)
+            kept, dropped, lower, unknowns = assert_global_rows(calls, family)
+            assert_implied(kept, dropped, lower, unknowns)
             checked += bool(dropped)
         assert checked > 40
 
+    @pytest.mark.parametrize("kind", [MonoidKind.N, MonoidKind.Q], ids=lambda k: k.name)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_twelve_row_grid_rows(self, seed, kind, monkeypatch):
+        # The integer search runs for minutes on the N grid of seed 0, and
+        # only the rows matter here.
+        monkeypatch.setattr(family_module, "_integer_weights", lambda demands, cells: None)
+        family = marginal_family("grid", kind, 12, 3, seed)
+        assert_global_rows(captured_global_rows(monkeypatch, family), family)
+
 
 class TestDroppedCellsChecked:
-    """The callers check the witness against the cells they leave out of
-    the tableau: a witness with one value on such a cell moved by ``1/D``,
-    the least step over its common denominator, is rejected."""
+    """The solver checks its witness against the rows the callers leave
+    out of the tableau: with one such row's right-hand side moved by one,
+    the witness still meets every kept row, and the solver raises."""
 
     PATH = ContextualFamily([brel(c, [("0", "0"), ("1", "1")]) for c in (("a", "b"), ("b", "c"), ("c", "d"))])
 
     @staticmethod
-    def moving(monkeypatch, module, column, step):
-        def moved(equalities, lower, variables):
-            witness = find_rational_solution(equalities, lower, variables)
-            witness[column] += Fraction(step, lcm(*(x.denominator for x in witness.values())))
-            return witness
-
-        monkeypatch.setattr(module, "find_rational_solution", moved)
+    def assert_each_implied_row_checked(call, step):
+        equalities, implied, columns = call
+        witness = find_rational_solution(equalities, implied, columns)
+        _check_witness(equalities, witness)
+        assert implied
+        for k, (cell, rhs) in enumerate(implied):
+            moved = implied[:k] + [(cell, rhs + step)] + implied[k + 1 :]
+            with pytest.raises(AssertionError, match="equality"):
+                find_rational_solution(equalities, moved, columns)
 
     @pytest.mark.parametrize("step", [1, -1])
     def test_lp_witness(self, monkeypatch, step):
-        dropped = numbered(self.PATH, reference_lp_split(self.PATH)[1])
-        columns = [n for cell, _ in dropped for n in cell]
+        calls = []
+        solve = realisability.find_rational_solution
+        monkeypatch.setattr(realisability, "find_rational_solution", lambda *call: calls.append(call) or solve(*call))
         assert realisable_lp(self.PATH, MonoidKind.Q) is not None
-        for column in columns:
-            self.moving(monkeypatch, realisability, column, step)
-            with pytest.raises(AssertionError, match="equality"):
-                realisable_lp(self.PATH, MonoidKind.Q)
+        (call,) = calls
+        labels = self.PATH.labels()
+        dropped = reference_lp_split(self.PATH)[1]
+        assert call[1] == standard_form(dropped, dict.fromkeys(labels, 1), labels) and dropped
+        self.assert_each_implied_row_checked(call, step)
 
     @pytest.mark.parametrize("step", [1, -1])
     def test_global_witness(self, monkeypatch, step):
         family = marginal_family("path", MonoidKind.Q, 4, 2, 0)
-        _, dropped = global_split(family)
-        rows = [i for cell, _ in dropped for i in cell]
-        assert len(dropped) == 3 and rows
-        assert check_global_consistency(family) is not None
-        for i in rows:
-            self.moving(monkeypatch, family_module, i, step)
-            with pytest.raises(AssertionError, match="equality"):
-                check_global_consistency(family)
+        ((equalities, implied, columns),) = captured_global_rows(monkeypatch, family)
+        assert len(implied) == 3
+        self.assert_each_implied_row_checked((equalities, implied, columns), step)

@@ -10,6 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 KEY_LINES = {
+    "bell_scenarios.py": "p = 501/1000: CHSH value 501/250, globally consistent: False",
     "fd_entailment.py": "Bounded semantic search agrees: refuted (conclusive)",
     "realisation_and_decomposition.py": (
         "Summing the weighted cycles rebuilds the realisation exactly: True"

@@ -1,5 +1,12 @@
-"""Exact rational feasibility: equalities with per-variable lower bounds."""
+"""Exact rational feasibility: integer equalities over nonnegative columns.
 
+Systems over named unknowns with rational coefficients and a lower bound
+per unknown, as the hand-written cases and the reference solvers take
+them, reach the solver through ``standard_form``: the integer rows the
+solver's earlier general front end built for them.
+"""
+
+import copy
 import gc
 import hashlib
 import random
@@ -28,8 +35,51 @@ from ctxfam.realisability import realisable_lp
 from ctxfam.relation import Assignment, KRelation
 
 
+def _integer_row(coeffs, rhs, index, shift):
+    """The row of ``sum c_v x_v = rhs`` over the shifted columns
+    ``y_j = x_j - b_j``, scaled to integers straight from the inputs'
+    numerators and denominators: ``sum c_j y_j = rhs - sum c_j b_j``.
+    The solver's own front end built its rows with this before it took
+    integer rows over nonnegative columns."""
+    scale = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+    row = {index[v]: c.numerator * (scale // c.denominator) for v, c in coeffs.items() if c}
+    r = rhs.numerator * (scale // rhs.denominator)
+    shifted = [(j, shift[j]) for j in row if j in shift] if shift else ()
+    if shifted:
+        d = lcm(*(den for _, (_, den) in shifted))
+        if d > 1:
+            row = {j: a * d for j, a in row.items()}
+            r *= d
+        r -= sum(row[j] * num // den for j, (num, den) in shifted)  # den divides row[j]
+    if r:
+        row[feasibility._RHS] = r
+    return row
+
+
+def standard_form(equalities, lower_bounds, variables):
+    """``(coefficients, right-hand side)`` pairs of ``_integer_row`` for
+    each equality over named unknowns, each unknown numbered by its place
+    in ``variables`` and shifted by its lower bound."""
+    index = {v: j for j, v in enumerate(variables)}
+    shift = {index[v]: (b.numerator, b.denominator) for v, b in lower_bounds.items() if b}
+    rows = []
+    for coeffs, rhs in equalities:
+        row = _integer_row(coeffs, rhs, index, shift)
+        rows.append((row, row.pop(feasibility._RHS, 0)))
+    return rows
+
+
+def solve_named(equalities, lower_bounds, variables):
+    """The solver's witness for the standard form of a named system,
+    shifted back by the bounds and keyed by the unknowns' names."""
+    witness = find_rational_solution(standard_form(equalities, lower_bounds, variables), [], range(len(variables)))
+    if witness is None:
+        return None
+    return {v: y + lower_bounds[v] for v, y in zip(variables, witness)}
+
+
 def check(equalities, lower_bounds, variables):
-    solution = find_rational_solution(equalities, lower_bounds, variables)
+    solution = solve_named(equalities, lower_bounds, variables)
     if solution is None:
         return None
     for coeffs, rhs in equalities:
@@ -72,11 +122,23 @@ class TestSolvable:
         solution = check([], {"x": Fraction(2)}, ["x"])
         assert solution == {"x": Fraction(2)}
 
+    def test_integer_rows_leave_the_input_unchanged(self):
+        # x0 - x1 = -1 takes an artificial column, phase 1 and a stage; the
+        # witness lists the columns in order
+        equalities = [({0: 1, 1: -1}, -1)]
+        implied = [({0: -2, 1: 2}, 2)]
+        before = copy.deepcopy((equalities, implied))
+        witness = find_rational_solution(equalities, implied, range(2))
+        assert witness == [Fraction(0), Fraction(1)]
+        assert all(type(x) is Fraction for x in witness)
+        assert (equalities, implied) == before
+        assert find_rational_solution(equalities + [({1: 1}, 0)], [], range(2)) is None
+
 
 class TestInfeasible:
     def test_contradictory_constants(self):
         assert (
-            find_rational_solution(
+            solve_named(
                 [({"x": Fraction(1)}, Fraction(1)), ({"x": Fraction(1)}, Fraction(2))],
                 {"x": Fraction(-5)},
                 ["x"],
@@ -86,7 +148,7 @@ class TestInfeasible:
 
     def test_bound_conflicts_with_equation(self):
         assert (
-            find_rational_solution(
+            solve_named(
                 [({"x": Fraction(1), "y": Fraction(1)}, Fraction(1))],
                 {"x": Fraction(1), "y": Fraction(1)},
                 ["x", "y"],
@@ -96,7 +158,7 @@ class TestInfeasible:
 
     def test_zero_equals_nonzero(self):
         assert (
-            find_rational_solution([({}, Fraction(3))], {"x": Fraction(0)}, ["x"]) is None
+            solve_named([({}, Fraction(3))], {"x": Fraction(0)}, ["x"]) is None
         )
 
     def test_mass_split_against_larger_lower_bounds(self):
@@ -105,7 +167,7 @@ class TestInfeasible:
             ({"a": Fraction(1), "b": Fraction(1), "c": Fraction(1)}, Fraction(2))
         ]
         bounds = {v: Fraction(1) for v in "abc"}
-        assert find_rational_solution(equalities, bounds, list("abc")) is None
+        assert solve_named(equalities, bounds, list("abc")) is None
 
 
 INTEGER_SYSTEMS = st.lists(
@@ -120,20 +182,12 @@ INTEGER_SYSTEMS = st.lists(
 class TestRandomSystems:
     @given(INTEGER_SYSTEMS)
     def test_solutions_always_verify(self, raw):
-        variables = ["w", "x", "y", "z"]
-        equalities = [
-            (
-                {
-                    v: Fraction(c)
-                    for v, c in zip(variables, coeffs)
-                    if c != 0
-                },
-                Fraction(rhs),
-            )
-            for coeffs, rhs in raw
-        ]
-        bounds = {v: Fraction(0) for v in variables}
-        check(equalities, bounds, variables)
+        equalities = [({j: c for j, c in enumerate(coeffs) if c}, rhs) for coeffs, rhs in raw]
+        witness = find_rational_solution(equalities, [], range(4))
+        if witness is not None:
+            assert len(witness) == 4 and all(x >= 0 for x in witness)
+            for coeffs, rhs in equalities:
+                assert sum(c * witness[j] for j, c in coeffs.items()) == rhs
 
     @given(
         st.fixed_dictionaries(
@@ -143,62 +197,42 @@ class TestRandomSystems:
     def test_bounds_only_solved_at_bounds(self, bounds):
         assert check([], bounds, ["x", "y", "z"]) == bounds
 
-    @given(INTEGER_SYSTEMS, st.lists(st.integers(-2, 2), min_size=4, max_size=4))
-    def test_int_and_fraction_inputs_agree(self, raw, lows):
-        variables = ["w", "x", "y", "z"]
-        ints = [({v: c for v, c in zip(variables, coeffs) if c}, rhs) for coeffs, rhs in raw]
-        fractions = [({v: Fraction(c) for v, c in cell.items()}, Fraction(rhs)) for cell, rhs in ints]
-        witness = check(ints, dict(zip(variables, lows)), variables)
-        assert witness == check(fractions, {v: Fraction(b) for v, b in zip(variables, lows)}, variables)
-        assert witness is None or {type(x) for x in witness.values()} == {Fraction}
-
 
 class TestWitnessCheck:
     """The integer witness check rejects a witness with one value moved by
     ``1/D``, the least step over the witness's common denominator ``D``."""
 
-    EQUALITIES = [
-        ({"a": Fraction(1), "b": Fraction(-1)}, Fraction(0)),
-        ({"b": Fraction(1, 3), "c": Fraction(1)}, Fraction(5, 2)),
-    ]
+    VARIABLES = list("abcd")
     BOUNDS = {"a": Fraction(1, 2), "b": Fraction(0), "c": Fraction(1, 4), "d": Fraction(3, 4)}
+    EQUALITIES = standard_form(
+        [
+            ({"a": Fraction(1), "b": Fraction(-1)}, Fraction(0)),
+            ({"b": Fraction(1, 3), "c": Fraction(1)}, Fraction(5, 2)),
+        ],
+        BOUNDS,
+        VARIABLES,
+    )
 
     def solved(self):
-        witness = find_rational_solution(self.EQUALITIES, self.BOUNDS, list("abcd"))
+        witness = find_rational_solution(self.EQUALITIES, [], range(4))
         assert witness is not None
-        _check_witness(self.EQUALITIES, self.BOUNDS, witness)
-        return witness, lcm(*(x.denominator for x in witness.values()))
+        _check_witness(self.EQUALITIES, witness)
+        return witness, lcm(*(x.denominator for x in witness))
 
     @pytest.mark.parametrize("v", ["a", "b", "c"])
     @pytest.mark.parametrize("step", [1, -1])
     def test_moved_value_fails_an_equality(self, v, step):
         witness, d = self.solved()
-        witness[v] += Fraction(step, d)
+        witness[self.VARIABLES.index(v)] += Fraction(step, d)
         with pytest.raises(AssertionError, match="equality"):
-            _check_witness(self.EQUALITIES, self.BOUNDS, witness)
+            _check_witness(self.EQUALITIES, witness)
 
     def test_value_moved_below_its_bound_fails(self):
         witness, d = self.solved()
-        assert witness["d"] == self.BOUNDS["d"]
-        witness["d"] -= Fraction(1, d)
-        with pytest.raises(AssertionError, match="lower bound"):
-            _check_witness(self.EQUALITIES, self.BOUNDS, witness)
-
-
-class TestInputErrors:
-    def test_unknown_bound_variable_is_named(self):
-        with pytest.raises(ValueError, match="'y'"):
-            find_rational_solution([], {"y": Fraction(0)}, ["x"])
-
-    def test_unknown_equality_variable_is_named(self):
-        with pytest.raises(ValueError, match="'y'"):
-            find_rational_solution(
-                [({"x": Fraction(1), "y": Fraction(1)}, Fraction(1))], {}, ["x"]
-            )
-
-    def test_missing_lower_bound_is_named(self):
-        with pytest.raises(ValueError, match="'y' has no lower bound"):
-            find_rational_solution([], {"x": Fraction(0)}, ["x", "y"])
+        assert witness[3] == 0  # d at its bound
+        witness[3] -= Fraction(1, d)
+        with pytest.raises(AssertionError, match="negative"):
+            _check_witness(self.EQUALITIES, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +569,7 @@ class TestSameWitnessAsFourierMotzkin:
     @given(systems())
     def test_random_systems(self, system):
         equalities, bounds, variables = system
-        assert find_rational_solution(equalities, bounds, variables) == fm_solution(
+        assert solve_named(equalities, bounds, variables) == fm_solution(
             equalities, bounds, variables
         )
 
@@ -545,7 +579,7 @@ class TestSameWitnessAsParentSolver:
     @given(systems())
     def test_random_systems(self, system):
         equalities, bounds, variables = system
-        assert find_rational_solution(
+        assert solve_named(
             equalities, bounds, variables
         ) == reference_find_rational_solution(equalities, bounds, variables)
 
@@ -667,8 +701,7 @@ def reference_global_weighted(family):
     constraints = reference_marginal_constraints(family, join)
     if constraints is None:
         return None
-    lower = {t: Fraction(0) for t in join}
-    solution = find_rational_solution(constraints, lower, join)
+    solution = solve_named(constraints, dict.fromkeys(join, 0), join)
     if solution is None:
         return None
     if family.kind is MonoidKind.N:
@@ -752,25 +785,29 @@ def small_families(shape):
 
 def routed(monkeypatch, reference):
     """Route ``module.find_rational_solution`` through a check that the
-    witness equals ``reference``'s, and the N path's phase-1 entry point
-    ``family._feasible`` through a check that it answers as ``reference``
-    does; returns the list of witnesses, ``reference``'s for a phase-1
-    question."""
+    witness equals ``reference``'s for the same rows, every column at
+    least 0, and the N path's phase-1 entry point ``family._feasible``
+    through a check that it answers as ``reference`` does; returns the
+    list of witnesses, ``reference``'s for a phase-1 question."""
+
+    def expected(equalities, columns):
+        found = reference(equalities, dict.fromkeys(columns, 0), columns)
+        return None if found is None else [found[j] for j in columns]
 
     def route(module):
         witnesses = []
 
-        def both(equalities, lower_bounds, variables):
-            witness = find_rational_solution(equalities, lower_bounds, variables)
-            assert witness == reference(equalities, lower_bounds, variables)
+        def both(equalities, implied, columns):
+            witness = find_rational_solution(equalities, implied, columns)
+            assert witness == expected(equalities, columns)
             witnesses.append(witness)
             return witness
 
-        def feasible(equalities, lower_bounds, variables):
-            answer = _feasible(equalities, lower_bounds, variables)
-            expected = reference(equalities, lower_bounds, variables)
-            assert answer == (expected is not None)
-            witnesses.append(expected)
+        def feasible(equalities, columns):
+            answer = _feasible(equalities, columns)
+            witness = expected(equalities, columns)
+            assert answer == (witness is not None)
+            witnesses.append(witness)
             return answer
 
         monkeypatch.setattr(module, "find_rational_solution", both)
