@@ -39,13 +39,15 @@ until its goal is decided; ``build_counterexample`` decides its query once.
 The semantic side has one search too: ``_backtrack_family`` finds the
 first locally consistent B-family, in a fixed candidate order, that
 meets the premises (and violates the goal); the bounded oracle calls it
-as it is, and the random sampler with shuffled candidates.
+as it is, and the random sampler with shuffled candidates.  Contexts of
+one class (equal arity, with the premises and goal inside them at the same
+positions of their sorted variables) share one candidate list and its
+projection tables within a call.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -317,16 +319,20 @@ def _intern(sigma: Iterable[FD], extra_sets: Iterable[FrozenSet[str]] = ()) -> _
     pairs: List[Tuple[str, str]] = []
     sets: List[FrozenSet[str]] = []
     for fd in sigma:
-        if fd.is_unary:
-            (u,) = fd.lhs
-            (v,) = fd.rhs
+        lhs, rhs = fd.lhs, fd.rhs
+        # Unary first: x -> x is a CD too, and adds its self-edge.
+        if len(lhs) == 1 and len(rhs) == 1:
+            (u,) = lhs
+            (v,) = rhs
             pairs.append((u, v))
-        elif not fd.is_cd:
+            sets.append(lhs | rhs)
+        elif lhs == rhs:
+            sets.append(lhs)
+        else:
             raise UnsupportedDependencyError(
                 f"{fd.display()} is neither unary nor a CD; "
                 "only CLASSICAL and NRA accept general dependencies"
             )
-        sets.append(fd.variables)
     sets += [frozenset(s) for s in extra_sets]
     variables = tuple(sorted(frozenset().union(*sets)))
     index = {v: i for i, v in enumerate(variables)}
@@ -923,6 +929,31 @@ def _context_candidates(
     return vs, rows, out
 
 
+def _class_form(fd: FD, positions: Dict[str, int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """A dependency inside a context, as its sides' sorted positions in
+    the context's sorted variable order."""
+    return tuple(sorted(positions[v] for v in fd.lhs)), tuple(sorted(positions[v] for v in fd.rhs))
+
+
+def _projection_table(
+    rows: Sequence[Tuple[str, ...]], supports: Sequence[Tuple[int, ...]], idx: Tuple[int, ...]
+) -> List[int]:
+    """Each support's projection onto positions idx: the mask of its
+    rows' restrictions, each ranked among all restrictions of ``rows`` in
+    sorted order, so equal projections are equal ints in any context.  A
+    support is given as its row indices."""
+    restricted = [tuple(row[p] for p in idx) for row in rows]
+    rank = {t: 1 << i for i, t in enumerate(sorted(set(restricted)))}
+    bits = [rank[t] for t in restricted]
+    table = []
+    for support in supports:
+        out = 0
+        for j in support:
+            out |= bits[j]
+        table.append(out)
+    return table
+
+
 def _backtrack_family(
     context_set: ContextSet,
     sigma: Sequence[FD],
@@ -938,75 +969,84 @@ def _backtrack_family(
     The search is depth-first over one support per context: contexts in
     order, each context's candidates in :func:`_context_candidates` order,
     or shuffled by the supplied random generator, which turns the search
-    into a sampler.  Two devices make it fast without changing which
-    family comes first.  Each context's candidates are bucketed by their
-    projections onto its overlaps with earlier contexts, so a depth walks
-    only the bucket that agrees with the choices above it.  And a depth
-    whose view (the earlier choices' projections onto their overlaps with
-    this and later contexts) failed before is skipped (nogood recording).
-    A projection is a mask over all restrictions to the overlap, ranked
-    in sorted order, so equal projections are equal ints in any context;
-    each is computed once per search.  The walk keeps an explicit stack.
-    Overlapping supports agree and none is empty, so the family is
-    assembled unchecked.
+    into a sampler.  Contexts of one class (equal arity, and equal
+    premises and goal inside them, written in positions of the sorted
+    variables) have equal rows and candidates, so each class builds its
+    candidate list once; a context shuffles a permutation of its class
+    list, which draws what shuffling the list itself would.  Two devices
+    make the search fast without changing which family comes first.  Each
+    context's candidates are bucketed by their projections onto its
+    overlaps with earlier contexts, so a depth walks only the bucket that
+    agrees with the choices above it.  And a depth whose view (the earlier
+    choices' projections onto their overlaps with this and later
+    contexts) failed before is skipped (nogood recording).  A projection
+    is a mask over all restrictions to the overlap, ranked in sorted
+    order, so equal projections are equal ints in any context; each
+    class lists its candidates' projections onto one overlap once.  The
+    walk keeps an explicit stack.  Overlapping supports agree and none is
+    empty, so the family is assembled unchecked.
     """
     contexts = context_set.maximal
     vs_list: List[Tuple[str, ...]] = []
-    candidate_lists: List[List[int]] = []
-    # Contexts of one arity share their rows, and often their candidates.
-    rows_of: Dict[int, List[Tuple[str, ...]]] = {}
+    # Each class's rows and candidates, each as its row indices; each
+    # context's class and its order of the class's candidate indices.
+    class_index: Dict[Tuple, int] = {}
+    classes: List[Tuple[List[Tuple[str, ...]], List[Tuple[int, ...]]]] = []
+    class_of: List[int] = []
+    orders: List[Sequence[int]] = []
     for c in contexts:
-        vs, rows, cands = _context_candidates(c, sigma, phi, domain, max_rows)
-        if not cands:
+        vs = tuple(sorted(c))
+        positions = {v: i for i, v in enumerate(vs)}
+        key = (
+            len(vs),
+            frozenset(_class_form(fd, positions) for fd in sigma if fd.variables <= c),
+            _class_form(phi, positions) if phi is not None and phi.variables <= c else None,
+        )
+        k = class_index.get(key)
+        if k is None:
+            k = class_index[key] = len(classes)
+            _, rows, cands = _context_candidates(c, sigma, phi, domain, max_rows)
+            classes.append((rows, [tuple(_bits(cand)) for cand in cands]))
+        size = len(classes[k][1])
+        if not size:
             return None
-        rows_of[len(vs)] = rows
+        order: Sequence[int] = range(size)
         if rng is not None:
-            rng.shuffle(cands)
+            order = list(order)
+            rng.shuffle(order)
         vs_list.append(vs)
-        candidate_lists.append(cands)
+        class_of.append(k)
+        orders.append(order)
 
     n = len(contexts)
     # later[d] lists the later depths whose contexts overlap depth d's;
-    # out_ids[d][i] holds candidate i's projections onto those overlaps,
-    # and buckets[d] groups candidate indices by their projections onto
-    # earlier ones.
+    # out_ids[d][i] holds class candidate i's projections onto those
+    # overlaps, and buckets[d] groups class candidate indices, in depth
+    # d's order, by their projections onto earlier ones.
     later: List[List[int]] = [[] for _ in range(n)]
     buckets: List[Dict[Tuple[int, ...], List[int]]] = []
     out_ids: List[List[Tuple[int, ...]]] = []
-
-    @functools.lru_cache(maxsize=None)
-    def restriction_bits(arity: int, idx: Tuple[int, ...]) -> List[int]:
-        """Per row, the bit of its restriction to positions idx, ranked
-        among all those restrictions in sorted order."""
-        restricted = [tuple(row[p] for p in idx) for row in rows_of[arity]]
-        rank = {t: 1 << i for i, t in enumerate(sorted(set(restricted)))}
-        return [rank[t] for t in restricted]
-
-    @functools.lru_cache(maxsize=None)
-    def project(arity: int, idx: Tuple[int, ...], cand: int) -> int:
-        bits = restriction_bits(arity, idx)
-        out = 0
-        for j in _bits(cand):
-            out |= bits[j]
-        return out
-
+    projections: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
     for d, c in enumerate(contexts):
-        positions = []
-        for k in range(n):
-            shared = sorted(c & contexts[k])
-            if k != d and shared:
-                positions.append(tuple(vs_list[d].index(v) for v in shared))
-                if k > d:
-                    later[d].append(k)
-        split = len(positions) - len(later[d])
+        k = class_of[d]
+        tables = []
+        for j in range(n):
+            shared = sorted(c & contexts[j])
+            if j != d and shared:
+                idx = tuple(vs_list[d].index(v) for v in shared)
+                if (k, idx) not in projections:
+                    projections[(k, idx)] = _projection_table(*classes[k], idx)
+                tables.append(projections[(k, idx)])
+                if j > d:
+                    later[d].append(j)
+        split = len(tables) - len(later[d])
+        size = len(classes[k][1])
+        keys = list(zip(*tables[:split])) if split else [()] * size
         bucket: Dict[Tuple[int, ...], List[int]] = {}
-        outs = []
-        for i, cand in enumerate(candidate_lists[d]):
-            proj = [project(len(c), idx, cand) for idx in positions]
-            bucket.setdefault(tuple(proj[:split]), []).append(i)
-            outs.append(tuple(proj[split:]))
+        for i in orders[d]:
+            bucket.setdefault(keys[i], []).append(i)
         buckets.append(bucket)
-        out_ids.append(outs)
+        out_ids.append(list(zip(*tables[split:])) if later[d] else [()] * size)
     # Depth t reads its bucket key from entry incoming[t] of the chosen
     # candidates' out_ids, and its view from entry pending[t] onward.
     incoming = [[(j, later[j].index(t)) for j in range(t) if t in later[j]] for t in range(n)]
@@ -1042,9 +1082,9 @@ def _backtrack_family(
         return None
 
     relations = []
-    for context, vs, cands, i in zip(contexts, vs_list, candidate_lists, chosen):
-        rows = rows_of[len(vs)]
-        relations.append(KRelation(context, MonoidKind.B, {rows[j]: 1 for j in _bits(cands[i])}))
+    for context, k, i in zip(contexts, class_of, chosen):
+        rows, supports = classes[k]
+        relations.append(KRelation(context, MonoidKind.B, {rows[j]: 1 for j in supports[i]}))
     return ContextualFamily._unchecked(context_set, MonoidKind.B, relations)
 
 

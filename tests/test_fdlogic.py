@@ -1283,6 +1283,39 @@ SAMPLER_PREMISES = [
     + [cd([f"x{i}", f"x{(i + 1) % k}"]) for i in range(k)]
     for k in range(2, 7)
 ] + [chain_premises(n)[0] for n in (3, 4, 5)]
+# The sampler jobs of the fd-entail benchmark seed their generators so.
+WORKLOAD_SEEDS = [f"fd-entail/{s}/{i}" for s in (5, 11) for i in range(10)]
+
+# Premise sets, goals and extra context sets whose contexts differ in one
+# respect only, with the number of context classes, hence candidate
+# builds, each should take.  The extra sets {b c e} and {e f} hold no
+# premise, so only their arity tells them apart.
+CLASS_CASES = [
+    pytest.param([u("a", "b"), u("b", "c")], None, [], 2, 4, 1, id="one-class"),
+    pytest.param([u("a", "b"), cd(["a", "b"]), cd(["b", "c"])], None, [], 2, 4, 2, id="one-premise"),
+    pytest.param([u("a", "b"), u("c", "b")], None, [], 2, 4, 2, id="direction"),
+    pytest.param([cd(["a", "b"]), cd(["b", "c"])], u("a", "b"), [], 2, 4, 2, id="goal-fits"),
+    pytest.param(
+        [u("a", "b"), u("c", "d")], None, [{"b", "c", "e"}, {"e", "f"}], 2, 4, 3, id="binary-and-ternary"
+    ),
+    pytest.param(
+        [cd(["a", "b", "c"]), cd(["b", "c", "d"]), cd(["c", "d", "e"]), u("a", "b"), u("c", "d")],
+        None, [], 3, 3, 2, id="domain-3-ternary",
+    ),
+]
+
+
+def count_candidate_builds(monkeypatch):
+    """The contexts ``_context_candidates`` is called for, from now on."""
+    builds = []
+    build = fdlogic._context_candidates
+
+    def counted(*args):
+        builds.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(fdlogic, "_context_candidates", counted)
+    return builds
 
 
 class TestOneSearch:
@@ -1319,12 +1352,46 @@ class TestOneSearch:
     def test_sampler_draws(self, sigma):
         premises = sorted(set(sigma), key=lambda f: f.sort_key)
         contexts = list(ContextSet.from_sets(fd.variables for fd in premises))
-        for seed in range(6):
-            drawn = random_family_satisfying(sigma, random.Random(seed))
+        chain = any(fd.is_cd and len(fd.lhs) == 3 for fd in premises)
+        for seed in [*range(6), *(WORKLOAD_SEEDS if chain else [])]:
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            drawn = random_family_satisfying(sigma, rng)
             expected = reference_backtrack_family(
-                contexts, premises, None, ["0", "1"], 4, rng=random.Random(seed)
+                contexts, premises, None, ["0", "1"], 4, rng=reference_rng
             )
             assert drawn == expected
+            assert rng.getstate() == reference_rng.getstate()
+
+    @pytest.mark.parametrize("sigma, phi, extra, domain_size, max_rows, classes", CLASS_CASES)
+    def test_sharing_never_crosses_a_class(
+        self, monkeypatch, sigma, phi, extra, domain_size, max_rows, classes
+    ):
+        premises = sorted(set(sigma), key=lambda f: f.sort_key)
+        goal_sets = [] if phi is None else [phi.variables]
+        context_set = ContextSet.from_sets([fd.variables for fd in premises] + goal_sets + extra)
+        domain = [str(i) for i in range(domain_size)]
+        builds = count_candidate_builds(monkeypatch)
+        for seed in [None, *range(4)]:
+            builds.clear()
+            rng = None if seed is None else random.Random(seed)
+            found = fdlogic._backtrack_family(context_set, premises, phi, domain, max_rows, rng)
+            assert found is not None
+            assert len(builds) == classes
+            reference_rng = None if seed is None else random.Random(seed)
+            assert found == reference_backtrack_family(
+                list(context_set), premises, phi, domain, max_rows, rng=reference_rng
+            )
+
+    @pytest.mark.parametrize(
+        "sigma, contexts, builds",
+        [(chain_premises(5)[0], 11, 4), (chain_premises(3)[0], 5, 4), (SAMPLER_PREMISES[4], 6, 2)],
+        ids=["chain-5", "chain-3", "cycle-6"],
+    )
+    def test_one_candidate_build_per_class(self, monkeypatch, sigma, contexts, builds):
+        counted = count_candidate_builds(monkeypatch)
+        family = random_family_satisfying(sigma, random.Random(0))
+        assert len(family.contexts) == contexts
+        assert len(counted) == builds
 
     def test_families_pass_the_pairwise_check(self):
         """The search assembles its family without the pairwise check;
