@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .feasibility import _feasible, find_rational_solution
+from .feasibility import _Tableau, find_rational_solution
 from .monoid import MonoidKind, MonoidValue
 from .relation import Assignment, Key, KRelation, Value, _agreement, _cells, _groups, _projection, _row_order, _totals
 
@@ -399,7 +399,7 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
         (implied if k in left_out else equalities).append((dict.fromkeys(ts, d.denominator), d.numerator))
     unknowns = range(len(join))
     if family.kind is MonoidKind.N:
-        if not _feasible(equalities, unknowns):
+        if not _Tableau(equalities, len(unknowns)).phase1():
             return None
         weights = _integer_weights(demands, cells)
         if weights is None:

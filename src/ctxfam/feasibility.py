@@ -280,12 +280,6 @@ def find_rational_solution(
     return witness
 
 
-def _feasible(equalities: Sequence[Equality], columns: range) -> bool:
-    """Whether :func:`find_rational_solution` would find a witness: the
-    tableau is built and phase 1 run, and no lexicographic stage."""
-    return _Tableau(equalities, len(columns)).phase1()
-
-
 def _check_witness(equalities: Iterable[Equality], witness: Sequence[Fraction]) -> None:
     """Raise :class:`AssertionError` unless ``witness`` meets every given
     equality and is at least 0, checked in integer arithmetic.

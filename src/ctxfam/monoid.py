@@ -42,11 +42,6 @@ class MonoidKind(enum.Enum):
         """True when a + c = b + c implies a = b.  Fails only for B."""
         return self is not MonoidKind.B
 
-    @property
-    def is_positive(self) -> bool:
-        """True when a + b = 0 implies a = b = 0.  Holds for all three."""
-        return True
-
     def __str__(self) -> str:
         return self.value
 

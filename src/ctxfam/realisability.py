@@ -161,10 +161,12 @@ class OverlapProjectionGraph:
     vertex ``_ends[k][0]`` to vertex ``_ends[k][1]``; ``_succ[i]`` lists
     ``(edge number, target number)`` for the edges leaving vertex i, in
     edge order.  Every graph path reads these integer lists, so no vertex
-    is looked up by hash.
+    is looked up by hash.  ``_tree`` holds the root number and the
+    breadth-first tree of :func:`_bfs_tree` that
+    :func:`find_simple_cycle_through` built last, or None.
     """
 
-    __slots__ = ("ordering", "vertices", "edges", "_ends", "_succ")
+    __slots__ = ("ordering", "vertices", "edges", "_ends", "_succ", "_tree")
 
     def __init__(
         self,
@@ -183,6 +185,7 @@ class OverlapProjectionGraph:
         self._succ: List[List[Tuple[int, int]]] = [[] for _ in self.vertices]
         for k, (source, target) in enumerate(self._ends):
             self._succ[source].append((k, target))
+        self._tree: Optional[Tuple[int, List[Optional[Tuple[int, int]]]]] = None
 
     def _component_labels(self) -> List[int]:
         """Kosaraju's two-pass sweep: the component of every vertex number.
@@ -319,19 +322,57 @@ def _shortest_path(
     return None
 
 
+def _bfs_tree(
+    adj: List[List[Tuple[int, int]]], root: int
+) -> Tuple[List[int], List[Optional[Tuple[int, int]]]]:
+    """The full breadth-first tree of ``root`` over integer adjacency lists
+    of ``(edge number, neighbour number)``: each vertex's depth, -1 when
+    unreached, and the ``(edge number, vertex number)`` it was first
+    reached by, None for the root and for unreached vertices.
+
+    The tree grows as :func:`_shortest_path` searches, level by level,
+    each list in order, the first discovery winning; so the tree path to
+    a vertex is the path that search returns for it.
+    """
+    depth = [-1] * len(adj)
+    via: List[Optional[Tuple[int, int]]] = [None] * len(adj)
+    depth[root] = 0
+    queue = [root]
+    for node in queue:  # the queue grows while it is read, level by level
+        below = depth[node] + 1
+        for k, nxt in adj[node]:
+            if depth[nxt] < 0:
+                depth[nxt] = below
+                via[nxt] = (k, node)
+                queue.append(nxt)
+    return depth, via
+
+
 def find_simple_cycle_through(graph: OverlapProjectionGraph, k: int) -> List[OpgEdge]:
     """A shortest simple cycle whose first edge is ``graph.edges[k]``.
 
-    Breadth-first search from the edge's target back to its source, with
-    neighbours expanded in edge order, so the result is deterministic.
-    Raises :class:`NotRealisableError` when the edge lies on no cycle.
+    The path back from the edge's target to its source is read from the
+    breadth-first tree rooted at the target, with neighbours expanded in
+    edge order, so the result is deterministic.  The graph keeps the last
+    tree built, so consecutive calls for edges into one vertex build one
+    tree between them.  Raises :class:`NotRealisableError` when the edge
+    lies on no cycle.
     """
     source, target = graph._ends[k]
-    path = _shortest_path(graph._succ, target, source)
-    if path is None:
+    if graph._tree is None or graph._tree[0] != target:
+        graph._tree = (target, _bfs_tree(graph._succ, target)[1])
+    via = graph._tree[1]
+    if source != target and via[source] is None:
         edge = graph.edges[k]
         raise NotRealisableError(f"edge {edge.describe()} lies on no cycle", uncovered=(edge,))
-    return [graph.edges[j] for j in [k] + path]
+    back = []
+    walk = source
+    while walk != target:
+        j, walk = via[walk]
+        back.append(graph.edges[j])
+    back.append(graph.edges[k])
+    back.reverse()
+    return back
 
 
 def lift_uniform(sub: ContextualFamily, weight: MonoidValue) -> ContextualFamily:
@@ -390,11 +431,13 @@ def realise(
     cycle :func:`find_simple_cycle_through` picks for each edge of the
     overlap projection graph, so each row, edge k, is annotated ``count x
     weight`` (just ``weight`` in B), where count is the number of those
-    cycles through edge k.  The witness is validated once, then its
-    support is checked against the input.  A context set that is no
-    chordless cycle raises :class:`NotChordlessCycleError` whatever the
-    weight.  Raises :class:`NotRealisableError`, carrying the uncovered
-    edges, when no realisation exists.
+    cycles through edge k.  The edges are visited grouped by target, so
+    one breadth-first tree is built per vertex, not one search per edge;
+    the counts do not depend on the order.  The witness is validated
+    once, then its support is checked against the input.  A context set
+    that is no chordless cycle raises :class:`NotChordlessCycleError`
+    whatever the weight.  Raises :class:`NotRealisableError`, carrying
+    the uncovered edges, when no realisation exists.
     """
     if family.kind is not MonoidKind.B:
         raise ValueError("realise expects a B-family support")
@@ -410,7 +453,8 @@ def realise(
         listing = "; ".join(e.describe() for e in uncovered)
         raise NotRealisableError(f"support is not realisable: {listing}", uncovered)
     # A cycle lists the graph's own edge objects, so identity names an edge.
-    crossings = Counter(id(e) for k in range(len(graph.edges))
+    targets = [target for _, target in graph._ends]
+    crossings = Counter(id(e) for k in sorted(range(len(targets)), key=targets.__getitem__)
                         for e in find_simple_cycle_through(graph, k))
     base = weight.payload
     payloads = [base if kind is MonoidKind.B else base * crossings[id(e)] for e in graph.edges]
@@ -428,18 +472,21 @@ def decompose_cycles(
 
     Repeatedly takes the least vertex of the overlap projection graph
     that still has a live edge, picks the shortest cycle over its
-    out-edges (the first in sorted edge order among equals), and
-    subtracts the least annotation along it; an edge dies when its
-    residual reaches zero.  Residual weights and live out-adjacency are
-    kept by edge and vertex number, and each edge names its row by its
-    ``context_index`` and ``key``, so each peel costs one breadth-first
-    search per out-edge of its start vertex.  Local consistency makes
-    the weights a circulation on the graph, and subtracting a cycle keeps
-    it one, so a vertex with a live in-edge still has a live out-edge and
-    the start vertex only moves forward.  A part is a simple cycle,
-    consistent by construction, so it is assembled without the pairwise
-    check.  The parts reconstruct the input exactly: the sum of
-    ``lift_uniform(part, weight)`` equals the family.
+    out-edges (the first in edge order among equals), and subtracts the
+    least annotation along it; an edge dies when its residual reaches
+    zero.  Residual weights and live out- and in-adjacency are kept by
+    edge and vertex number, and each edge names its row by its
+    ``context_index`` and ``key``.  Each peel makes two searches: one
+    backward breadth-first sweep from the start vertex, which gives every
+    vertex's distance to it and so picks the out-edge, then one forward
+    search from that edge's target, which rebuilds the path.  Local
+    consistency makes the weights a circulation on the graph, and
+    subtracting a cycle keeps it one, so a vertex with a live in-edge
+    still has a live out-edge and the start vertex only moves forward.  A
+    part is a simple cycle, consistent by construction, so it is
+    assembled from the relations' own stored rows without any check.  The
+    parts reconstruct the input exactly: the sum of ``lift_uniform(part,
+    weight)`` equals the family.
     """
     if not family.kind.is_cancellative:
         raise ValueError("decomposition needs a cancellative kind")
@@ -447,25 +494,28 @@ def decompose_cycles(
     relations = [family.relation_at(c) for c in graph.ordering.contexts]
     residual = [relations[e.context_index]._rows[e.key] for e in graph.edges]
     succ = [list(out) for out in graph._succ]
+    pred: List[List[Tuple[int, int]]] = [[] for _ in succ]
+    for k, (source, target) in enumerate(graph._ends):
+        pred[target].append((k, source))
     live = len(residual)
     start = 0
     parts: List[Tuple[MonoidValue, ContextualFamily]] = []
     while live:
         while not succ[start]:
             start += 1
-        cycles = []
-        for k, nxt in succ[start]:
-            path = _shortest_path(succ, nxt, start)
-            if path is None:
-                raise AssertionError("residual is not a circulation; internal bug")
-            cycles.append([k] + path)
-        best = min(cycles, key=len)
+        distance, _ = _bfs_tree(pred, start)
+        if any(distance[nxt] < 0 for _, nxt in succ[start]):
+            raise AssertionError("residual is not a circulation; internal bug")
+        k, nxt = min(succ[start], key=lambda out: distance[out[1]])
+        best = [k] + _shortest_path(succ, nxt, start)
         least = min(residual[k] for k in best)
-        on_cycle: List[Dict[Key, Payload]] = [{} for _ in relations]
-        for k in best:
+        # build_opg numbers edges by context and then in stored row order,
+        # so ascending edge numbers give each relation's keys in its order.
+        keys: List[List[Key]] = [[] for _ in relations]
+        for k in sorted(best):
             edge = graph.edges[k]
-            on_cycle[edge.context_index][edge.key] = 1
-        supports = [KRelation(rel.variables, MonoidKind.B, r) for rel, r in zip(relations, on_cycle)]
+            keys[edge.context_index].append(edge.key)
+        supports = [rel._sub(rows) for rel, rows in zip(relations, keys)]
         sub = ContextualFamily._unchecked(family.contexts, MonoidKind.B, supports)
         parts.append((MonoidValue(family.kind, least), sub))
         for k in best:
@@ -473,6 +523,7 @@ def decompose_cycles(
             if not residual[k]:
                 source, target = graph._ends[k]
                 succ[source].remove((k, target))
+                pred[target].remove((k, source))
                 live -= 1
     return parts
 

@@ -201,6 +201,17 @@ class KRelation:
             table[tuple(val for _, val in row.items())] = value.payload
         return cls(vars_, kind, table)
 
+    def _sub(self, keys: Iterable[Key]) -> "KRelation":
+        """The B-relation of some of the stored rows, each annotated 1.
+        ``keys`` must be stored here and come in stored order, so the rows
+        stay in row order; nothing is checked."""
+        sub = object.__new__(KRelation)
+        sub.variables = self.variables
+        sub.names = self.names
+        sub.kind = MonoidKind.B
+        sub._rows = dict.fromkeys(keys, 1)
+        return sub
+
     def rows(self) -> Iterator[Tuple[Assignment, MonoidValue]]:
         """Rows in deterministic (sorted) order."""
         names, kind = self.names, self.kind

@@ -279,19 +279,19 @@ def captured_global_rows(monkeypatch, family):
     ``(equalities, implied)`` pair per call, ``implied`` None for the N
     path's phase-1 question."""
     calls = []
-    solve, feasible = family_module.find_rational_solution, family_module._feasible
+    solve, tableau = family_module.find_rational_solution, family_module._Tableau
 
     def solved(equalities, implied, columns):
         calls.append((equalities, implied, columns))
         return solve(equalities, implied, columns)
 
-    def decided(equalities, columns):
-        calls.append((equalities, None, columns))
-        return feasible(equalities, columns)
+    def built(equalities, n):
+        calls.append((equalities, None, range(n)))
+        return tableau(equalities, n)
 
     with monkeypatch.context() as patch:
         patch.setattr(family_module, "find_rational_solution", solved)
-        patch.setattr(family_module, "_feasible", decided)
+        patch.setattr(family_module, "_Tableau", built)
         check_global_consistency(family)
     return calls
 

@@ -28,7 +28,7 @@ from ctxfam.family import (
     check_global_consistency,
 )
 from ctxfam.fdlogic import FD, random_family_satisfying
-from ctxfam.feasibility import _check_witness, _feasible, find_rational_solution
+from ctxfam.feasibility import _check_witness, _Tableau, find_rational_solution
 from ctxfam.formats import serialize_relation
 from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.realisability import realisable_lp
@@ -786,9 +786,9 @@ def small_families(shape):
 def routed(monkeypatch, reference):
     """Route ``module.find_rational_solution`` through a check that the
     witness equals ``reference``'s for the same rows, every column at
-    least 0, and the N path's phase-1 entry point ``family._feasible``
-    through a check that it answers as ``reference`` does; returns the
-    list of witnesses, ``reference``'s for a phase-1 question."""
+    least 0, and the N path's phase-1 tableau ``family._Tableau`` through
+    a check that it answers as ``reference`` does; returns the list of
+    witnesses, ``reference``'s for a phase-1 question."""
 
     def expected(equalities, columns):
         found = reference(equalities, dict.fromkeys(columns, 0), columns)
@@ -803,16 +803,20 @@ def routed(monkeypatch, reference):
             witnesses.append(witness)
             return witness
 
-        def feasible(equalities, columns):
-            answer = _feasible(equalities, columns)
-            witness = expected(equalities, columns)
-            assert answer == (witness is not None)
-            witnesses.append(witness)
-            return answer
+        class Checked(_Tableau):
+            def __init__(self, equalities, n):
+                super().__init__(equalities, n)
+                self.expected = expected(equalities, range(n))
+
+            def phase1(self):
+                answer = super().phase1()
+                assert answer == (self.expected is not None)
+                witnesses.append(self.expected)
+                return answer
 
         monkeypatch.setattr(module, "find_rational_solution", both)
         if module is family_module:
-            monkeypatch.setattr(module, "_feasible", feasible)
+            monkeypatch.setattr(module, "_Tableau", Checked)
         return witnesses
 
     return route

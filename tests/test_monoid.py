@@ -48,10 +48,6 @@ def same_kind_values():
 
 
 class TestKindMetadata:
-    def test_all_kinds_positive(self):
-        for kind in MonoidKind:
-            assert kind.is_positive
-
     def test_cancellative_exactly_for_numeric_kinds(self):
         assert not MonoidKind.B.is_cancellative
         assert MonoidKind.N.is_cancellative

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from ctxfam import realisability
 from ctxfam.family import ContextSet, ContextualFamily
 from ctxfam.fdlogic import FD, random_family_satisfying
-from ctxfam.formats import parse_family
+from ctxfam.formats import parse_family, serialize_decomposition
 from ctxfam.monoid import MonoidKind, MonoidValue, subtract
 from ctxfam.relation import Assignment, KRelation
 from ctxfam.realisability import (
@@ -734,14 +735,37 @@ class TestAgainstReference:
         assert unlike_numeric > 10
 
     def test_cycle_search_matches_the_reference(self):
+        """Every edge, asked for in shuffled order and each twice, so the
+        graph's one cached tree is hit and replaced; an edge on no cycle
+        raises as the reference does."""
         rng = random.Random(2)
         for ints in (False, True):
-            for _ in range(25):
-                graph = build_opg(walk_family(rng, MonoidKind.B, [1], ints=ints))
-                for k, edge in enumerate(graph.edges):
-                    assert find_simple_cycle_through(graph, k) == (
-                        reference_cycle_through(graph, edge)
-                    )
+            uncovered = 0
+            for i in range(40):
+                if i % 2 == 0:
+                    family = walk_family(rng, MonoidKind.B, [1], ints=ints)
+                else:
+                    family = walk_family(rng, MonoidKind.B, [1], components=2, ints=ints)
+                    try:
+                        family = with_cross_row(rng, family)
+                    except ValueError:
+                        pass  # the cross row broke local consistency
+                graph = build_opg(family)
+                order = list(range(len(graph.edges))) * 2
+                rng.shuffle(order)
+                for k in order:
+                    edge = graph.edges[k]
+                    try:
+                        expected = reference_cycle_through(graph, edge)
+                    except NotRealisableError as refused:
+                        with pytest.raises(NotRealisableError) as new:
+                            find_simple_cycle_through(graph, k)
+                        assert str(new.value) == str(refused)
+                        assert new.value.uncovered == refused.uncovered == (edge,)
+                        uncovered += 1
+                    else:
+                        assert find_simple_cycle_through(graph, k) == expected
+            assert uncovered > 10
 
     def test_components_match_object_adjacency(self):
         rng = random.Random(2)
@@ -812,6 +836,26 @@ class TestAgainstReference:
                 total = lifted if total is None else total + lifted
             assert total == family
 
+    def test_decompose_writes_the_reference_bytes_on_int_tokens(self):
+        """Int tokens, whose row order is not numeric order: the parts
+        serialise as the reference's, and each part relation, built from
+        stored rows, is the checked constructor's, in the same order."""
+        rng = random.Random(9)
+        for kind, weights in [(MonoidKind.N, [1, 2, 3]), (MonoidKind.Q, [Fraction(1, 2), 1])]:
+            for _ in range(15):
+                family = walk_family(rng, kind, weights, ints=True)
+                parts = decompose_cycles(family)
+                assert serialize_decomposition(parts) == serialize_decomposition(
+                    reference_decompose(family)
+                )
+                for _, sub in parts:
+                    for rel in sub.maximal_relations():
+                        shuffled = list(rel._rows.items())
+                        rng.shuffle(shuffled)
+                        checked = KRelation(rel.variables, MonoidKind.B, dict(shuffled))
+                        assert checked == rel
+                        assert list(checked._rows.items()) == list(rel._rows.items())
+
     def test_decompose_matches_on_realisations(self):
         rng = random.Random(11)
         for kind, base in KINDS_AND_WEIGHTS:
@@ -862,6 +906,39 @@ class TestNoPerCycleRebuilds:
     def test_decompose_validates_no_part(self, large, constructions):
         parts = decompose_cycles(large)
         assert len(parts) > 10 and not constructions
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Counts the full breadth-first trees and the early-stopping searches
+    of the graph paths from here on."""
+    calls = {"_bfs_tree": 0, "_shortest_path": 0}
+    for name in calls:
+
+        def counting(*args, _name=name, _original=getattr(realisability, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(realisability, name, counting)
+    return calls
+
+
+class TestSearchesPerVertex:
+    """realise builds one tree per vertex, not one search per edge, and
+    each peel of decompose_cycles makes one backward sweep and one forward
+    search, however many out-edges its start vertex has."""
+
+    def test_realise_builds_at_most_one_tree_per_vertex(self, family, searches):
+        graph = build_opg(family)
+        assert len(graph.edges) > len(graph.vertices)
+        realise(family.support(), MonoidKind.N)
+        assert searches["_shortest_path"] == 0
+        assert 0 < searches["_bfs_tree"] <= len(graph.vertices)
+
+    def test_decompose_makes_two_searches_per_part(self, family, searches):
+        parts = decompose_cycles(family)
+        assert len(parts) > 5
+        assert searches == {"_bfs_tree": len(parts), "_shortest_path": len(parts)}
 
 
 @pytest.fixture
