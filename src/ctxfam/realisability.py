@@ -287,65 +287,46 @@ def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
     return OverlapProjectionGraph(ordering, vertices, edges, ends)
 
 
-def _shortest_path(
-    succ: List[List[Tuple[int, int]]], start: int, goal: int
-) -> Optional[List[int]]:
-    """Edge indices of a shortest path from ``start`` to ``goal``.
+def _shortest_cycle(succ: List[List[Tuple[int, int]]], start: int) -> Optional[List[int]]:
+    """Edge numbers of a shortest cycle through ``start``, from it and back.
 
-    Breadth-first search over integer out-adjacency lists, expanding each
-    vertex's successors in list order and stopping at the first edge that
-    reaches the goal, so equal-length paths are broken deterministically.
-    None when the goal is unreachable.
+    Breadth-first search over integer out-adjacency lists, level by level,
+    each list in order, the first discovery winning; it stops at the first
+    edge back into ``start`` and returns that edge with the tree path to
+    it.  None when no edge leads back.
     """
-    if start == goal:
-        return []
-    parent: Dict[int, Tuple[int, int]] = {}
+    via: Dict[int, Tuple[int, int]] = {}  # start never enters: an edge into it ends the search
     queue = [start]
-    seen = {start}
-    while queue:
-        fresh: List[int] = []
-        for node in queue:
-            for k, nxt in succ[node]:
-                if nxt == goal:
-                    path = [k]
-                    walk = node
-                    while walk != start:
-                        k, walk = parent[walk]
-                        path.append(k)
-                    path.reverse()
-                    return path
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parent[nxt] = (k, node)
-                    fresh.append(nxt)
-        queue = fresh
+    for node in queue:  # the queue grows while it is read, level by level
+        for k, nxt in succ[node]:
+            if nxt == start:
+                path = [k]
+                while node != start:
+                    k, node = via[node]
+                    path.append(k)
+                path.reverse()
+                return path
+            if nxt not in via:
+                via[nxt] = (k, node)
+                queue.append(nxt)
     return None
 
 
-def _bfs_tree(
-    adj: List[List[Tuple[int, int]]], root: int
-) -> Tuple[List[int], List[Optional[Tuple[int, int]]]]:
+def _bfs_tree(adj: List[List[Tuple[int, int]]], root: int) -> List[Optional[Tuple[int, int]]]:
     """The full breadth-first tree of ``root`` over integer adjacency lists
-    of ``(edge number, neighbour number)``: each vertex's depth, -1 when
-    unreached, and the ``(edge number, vertex number)`` it was first
-    reached by, None for the root and for unreached vertices.
-
-    The tree grows as :func:`_shortest_path` searches, level by level,
-    each list in order, the first discovery winning; so the tree path to
-    a vertex is the path that search returns for it.
+    of ``(edge number, neighbour number)``: the ``(edge number, vertex
+    number)`` each vertex was first reached by, None for the root and for
+    unreached vertices.  It grows level by level, each list in order, the
+    first discovery winning.
     """
-    depth = [-1] * len(adj)
     via: List[Optional[Tuple[int, int]]] = [None] * len(adj)
-    depth[root] = 0
     queue = [root]
     for node in queue:  # the queue grows while it is read, level by level
-        below = depth[node] + 1
         for k, nxt in adj[node]:
-            if depth[nxt] < 0:
-                depth[nxt] = below
+            if via[nxt] is None and nxt != root:
                 via[nxt] = (k, node)
                 queue.append(nxt)
-    return depth, via
+    return via
 
 
 def find_simple_cycle_through(graph: OverlapProjectionGraph, k: int) -> List[OpgEdge]:
@@ -360,7 +341,7 @@ def find_simple_cycle_through(graph: OverlapProjectionGraph, k: int) -> List[Opg
     """
     source, target = graph._ends[k]
     if graph._tree is None or graph._tree[0] != target:
-        graph._tree = (target, _bfs_tree(graph._succ, target)[1])
+        graph._tree = (target, _bfs_tree(graph._succ, target))
     via = graph._tree[1]
     if source != target and via[source] is None:
         edge = graph.edges[k]
@@ -430,18 +411,22 @@ def realise(
     The witness is the sum of one uniform lift of ``weight`` along the
     cycle :func:`find_simple_cycle_through` picks for each edge of the
     overlap projection graph, so each row, edge k, is annotated ``count x
-    weight`` (just ``weight`` in B), where count is the number of those
-    cycles through edge k.  The edges are visited grouped by target, so
-    one breadth-first tree is built per vertex, not one search per edge;
-    the counts do not depend on the order.  The witness is validated
-    once, then its support is checked against the input.  A context set
-    that is no chordless cycle raises :class:`NotChordlessCycleError`
-    whatever the weight.  Raises :class:`NotRealisableError`, carrying
-    the uncovered edges, when no realisation exists.
+    weight``, where count is the number of those cycles through edge k.
+    The edges are visited grouped by target, so one breadth-first tree is
+    built per vertex, not one search per edge; the counts do not depend
+    on the order.  The witness is validated once, then its support is
+    checked against the input.  A context set that is no chordless cycle
+    raises :class:`NotChordlessCycleError` whatever the kind and weight;
+    on a chordless cycle, a kind other than N or Q raises
+    :class:`ValueError` (a B support is its own realisation).  Raises
+    :class:`NotRealisableError`, carrying the uncovered edges, when no
+    realisation exists.
     """
     if family.kind is not MonoidKind.B:
         raise ValueError("realise expects a B-family support")
     graph = build_opg(family)
+    if not kind.is_cancellative:
+        raise ValueError("realisability concerns the kinds N and Q")
     if weight is None:
         weight = MonoidValue.one(kind)
     if weight.kind is not kind:
@@ -457,7 +442,7 @@ def realise(
     crossings = Counter(id(e) for k in sorted(range(len(targets)), key=targets.__getitem__)
                         for e in find_simple_cycle_through(graph, k))
     base = weight.payload
-    payloads = [base if kind is MonoidKind.B else base * crossings[id(e)] for e in graph.edges]
+    payloads = [base * crossings[id(e)] for e in graph.edges]
     relations = [family.relation_at(c) for c in graph.ordering.contexts]
     total = ContextualFamily(_reweighted(relations, payloads, kind))
     if total.support() != family.support():
@@ -471,43 +456,52 @@ def decompose_cycles(
     """Peel a weighted family into uniform simple cycles.
 
     Repeatedly takes the least vertex of the overlap projection graph
-    that still has a live edge, picks the shortest cycle over its
-    out-edges (the first in edge order among equals), and subtracts the
-    least annotation along it; an edge dies when its residual reaches
-    zero.  Residual weights and live out- and in-adjacency are kept by
-    edge and vertex number, and each edge names its row by its
-    ``context_index`` and ``key``.  Each peel makes two searches: one
-    backward breadth-first sweep from the start vertex, which gives every
-    vertex's distance to it and so picks the out-edge, then one forward
-    search from that edge's target, which rebuilds the path.  Local
-    consistency makes the weights a circulation on the graph, and
-    subtracting a cycle keeps it one, so a vertex with a live in-edge
-    still has a live out-edge and the start vertex only moves forward.  A
-    part is a simple cycle, consistent by construction, so it is
-    assembled from the relations' own stored rows without any check.  The
-    parts reconstruct the input exactly: the sum of ``lift_uniform(part,
-    weight)`` equals the family.
+    that still has a live edge, finds a shortest cycle through it, and
+    subtracts the least annotation along it; an edge dies when its
+    residual reaches zero.  Residual weights and live out-adjacency are
+    kept by edge and vertex number, and each edge names its row by its
+    ``context_index`` and ``key``.
+
+    Each peel is one breadth-first search from the start vertex, stopped
+    at the first edge back into it.  Its cycle runs through the first
+    out-edge, in edge order, whose target is least distant from the start
+    vertex, and on along the path a search from that target finds:
+    the search lays out each level in the order of its first-discovering
+    edges, so at every depth the subtrees of earlier out-edges come first.
+    No vertex on that target's shortest paths back is reached first from
+    an earlier out-edge's target at the same depth, since that target
+    would then be as close and come first; so the tree parents along the
+    path are the ones the search from the target finds.
+
+    Local consistency makes the weights a circulation on the graph: they
+    balance at every vertex, which is checked once, and subtracting a
+    cycle keeps them balanced, so every live edge lies on a live cycle and
+    the start vertex only moves forward.  A part is a simple cycle,
+    consistent by construction, so it is assembled from the relations'
+    own stored rows without any check.  The parts reconstruct the input
+    exactly: the sum of ``lift_uniform(part, weight)`` equals the family.
     """
     if not family.kind.is_cancellative:
         raise ValueError("decomposition needs a cancellative kind")
     graph = build_opg(family)
     relations = [family.relation_at(c) for c in graph.ordering.contexts]
     residual = [relations[e.context_index]._rows[e.key] for e in graph.edges]
+    balance = [0] * len(graph.vertices)
+    for (source, target), weight in zip(graph._ends, residual):
+        balance[source] += weight
+        balance[target] -= weight
+    if any(balance):
+        raise AssertionError("residual is not a circulation; internal bug")
     succ = [list(out) for out in graph._succ]
-    pred: List[List[Tuple[int, int]]] = [[] for _ in succ]
-    for k, (source, target) in enumerate(graph._ends):
-        pred[target].append((k, source))
     live = len(residual)
     start = 0
     parts: List[Tuple[MonoidValue, ContextualFamily]] = []
     while live:
         while not succ[start]:
             start += 1
-        distance, _ = _bfs_tree(pred, start)
-        if any(distance[nxt] < 0 for _, nxt in succ[start]):
+        best = _shortest_cycle(succ, start)
+        if best is None:
             raise AssertionError("residual is not a circulation; internal bug")
-        k, nxt = min(succ[start], key=lambda out: distance[out[1]])
-        best = [k] + _shortest_path(succ, nxt, start)
         least = min(residual[k] for k in best)
         # build_opg numbers edges by context and then in stored row order,
         # so ascending edge numbers give each relation's keys in its order.
@@ -523,7 +517,6 @@ def decompose_cycles(
             if not residual[k]:
                 source, target = graph._ends[k]
                 succ[source].remove((k, target))
-                pred[target].remove((k, source))
                 live -= 1
     return parts
 
@@ -611,7 +604,8 @@ def find_realisation(family: ContextualFamily, kind: MonoidKind) -> ContextualFa
     so they are assembled without the pairwise check.  Raises
     :class:`NotRealisableError` when the support is not realisable; its
     ``uncovered`` edges are those of the graph test, and empty when the
-    LP refused.
+    LP refused.  Both paths refuse any other kind with one
+    :class:`ValueError`.
     """
     try:
         return realise(family, kind)

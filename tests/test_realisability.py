@@ -269,6 +269,21 @@ class TestRealise:
         assert len(err.value.uncovered) == 1
         assert err.value.uncovered[0].label == row(CS, ("CS", "Alice"))
 
+    @pytest.mark.parametrize("covered", [True, False])
+    def test_boolean_kind_refused_on_a_cycle(self, unit_triangle, teaching_family, covered):
+        """A B support is its own realisation, so B is refused as the
+        graph test and the LP refuse it, not answered from the graph."""
+        support = unit_triangle if covered else teaching_family
+        for call in (realise, find_realisation):
+            with pytest.raises(ValueError, match="^realisability concerns the kinds N and Q$"):
+                call(support, MonoidKind.B)
+
+    def test_non_cycle_refused_before_the_kind(self, five_context_family):
+        with pytest.raises(NotChordlessCycleError):
+            realise(five_context_family, MonoidKind.B)
+        with pytest.raises(ValueError, match="^realisability concerns the kinds N and Q$"):
+            find_realisation(five_context_family, MonoidKind.B)
+
     def test_empty_family_realises_empty(self):
         family = ContextualFamily([brel(ST, []), brel(TC, []), brel(CS, [])])
         witness = realise(family, MonoidKind.N)
@@ -823,9 +838,15 @@ class TestAgainstReference:
         ],
     )
     def test_decompose_matches_rebuild_and_peel(self, kind, weights):
+        """Thirty sparse families, then five dense ones, where about half
+        the peels start at a vertex with several out-edges on equally short
+        cycles, so the tie-break among them is compared too."""
         rng = random.Random(f"decompose/{kind}/{weights}")
-        for _ in range(30):
-            family = walk_family(rng, kind, weights)
+        for i in range(35):
+            if i < 30:
+                family = walk_family(rng, kind, weights)
+            else:
+                family = walk_family(rng, kind, weights, walks=(8, 20), domain=(6, 12))
             parts = decompose_cycles(family)
             assert parts == reference_decompose(family)
             total = None
@@ -910,9 +931,9 @@ class TestNoPerCycleRebuilds:
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Counts the full breadth-first trees and the early-stopping searches
+    """Counts the full breadth-first trees and the shortest-cycle searches
     of the graph paths from here on."""
-    calls = {"_bfs_tree": 0, "_shortest_path": 0}
+    calls = {"_bfs_tree": 0, "_shortest_cycle": 0}
     for name in calls:
 
         def counting(*args, _name=name, _original=getattr(realisability, name)):
@@ -925,20 +946,33 @@ def searches(monkeypatch):
 
 class TestSearchesPerVertex:
     """realise builds one tree per vertex, not one search per edge, and
-    each peel of decompose_cycles makes one backward sweep and one forward
-    search, however many out-edges its start vertex has."""
+    each peel of decompose_cycles makes one search from its start vertex,
+    however many out-edges that vertex has."""
 
     def test_realise_builds_at_most_one_tree_per_vertex(self, family, searches):
         graph = build_opg(family)
         assert len(graph.edges) > len(graph.vertices)
         realise(family.support(), MonoidKind.N)
-        assert searches["_shortest_path"] == 0
+        assert searches["_shortest_cycle"] == 0
         assert 0 < searches["_bfs_tree"] <= len(graph.vertices)
 
-    def test_decompose_makes_two_searches_per_part(self, family, searches):
+    def test_decompose_makes_one_search_per_part(self, family, searches):
         parts = decompose_cycles(family)
         assert len(parts) > 5
-        assert searches == {"_bfs_tree": len(parts), "_shortest_path": len(parts)}
+        assert searches == {"_bfs_tree": 0, "_shortest_cycle": len(parts)}
+
+    def test_unbalanced_residuals_are_refused(self, family):
+        """A family that skips the pairwise check, with one row's weight
+        raised: the weights no longer balance at that row's ends."""
+        relations = list(family.maximal_relations())
+        first = relations[0]
+        rows = dict(first._rows)
+        key = next(iter(rows))
+        rows[key] += 1
+        relations[0] = KRelation(first.variables, first.kind, rows)
+        broken = ContextualFamily._unchecked(family.contexts, family.kind, relations)
+        with pytest.raises(AssertionError, match="residual is not a circulation"):
+            decompose_cycles(broken)
 
 
 @pytest.fixture
