@@ -151,12 +151,12 @@ def _report_realisation(
     output: Optional[str],
 ) -> int:
     """Realise the support of ``args.family`` in ``args.monoid`` with
-    ``build(support, kind)``: print the verdict, then the witness to
+    ``build(family, kind)``: print the verdict, then the witness to
     ``output`` or the uncovered edges."""
     family = _load_family(args.family)
     kind = _parse_kind(args.monoid, "N|Q")
     try:
-        witness = build(family.support(), kind)
+        witness = build(family, kind)
     except NotRealisableError as exc:
         print("not realisable")
         for edge in exc.uncovered:
@@ -172,18 +172,15 @@ def _cmd_realisable(args: argparse.Namespace) -> int:
 
 
 def _cmd_realise(args: argparse.Namespace) -> int:
-    def build(support: ContextualFamily, kind: MonoidKind) -> ContextualFamily:
+    def build(family: ContextualFamily, kind: MonoidKind) -> ContextualFamily:
         weight = None if args.weight is None else parse_value(kind, args.weight)
-        return realise(support, kind, weight)
+        return realise(family, kind, weight)
 
     return _report_realisation(args, build, args.output)
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    family = _load_family(args.family)
-    if family.kind is MonoidKind.B:
-        raise InputError("decomposition needs an N or Q family")
-    parts = decompose_cycles(family)
+    parts = decompose_cycles(_load_family(args.family))
     print(f"decomposition: {len(parts)} cycles")
     sys.stdout.write(serialize_decomposition(parts))
     return 0

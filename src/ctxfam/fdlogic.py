@@ -799,11 +799,14 @@ def build_counterexample(
     """A locally consistent family satisfying the premises and violating
     the goal, or None when the goal is derivable.
 
-    The query is decided here alone, by one run of the CR engine, in this
-    order: premises outside the unary + CD fragment are refused; None is
-    returned exactly when CR derives the goal, reflexive goals included;
-    then CDs wider than two variables, and a goal that is not unary, are
-    refused.
+    The query is decided here alone, in this order: premises outside the
+    unary + CD fragment are refused; None is returned when CR derives the
+    goal, reflexive goals included; with a CD wider than two variables,
+    where CR is not complete, None is returned when FULL derives the goal
+    and the CD is refused otherwise; then a goal that is not unary is
+    refused.  Every FULL rule is sound, so a goal FULL derives has no
+    counterexample.  Queries inside the construction's fragment run CR
+    alone.
 
     The construction works in the fragment behind the completeness
     argument: unary premises with at most binary CDs and a unary goal.
@@ -821,6 +824,8 @@ def build_counterexample(
         return None
     wide = _outside_fragment(premises)
     if wide is not None:
+        if _decide_unary(premises, phi, RuleSet.FULL)[0]:
+            return None
         raise UnsupportedDependencyError(
             f"counterexample construction covers unary premises and "
             f"binary CDs; got {wide.display()}"

@@ -1,7 +1,9 @@
-"""Realisability of supports: which B-families carry weighted annotations.
+"""Realisability of supports: which supports carry weighted annotations.
 
-A locally consistent B-family fixes a support; whether some N- or
-Q-family exists with exactly that support is the realisability question.
+A locally consistent family fixes a support; whether some N- or Q-family
+exists with exactly that support is the realisability question.  Every
+annotation monoid here is positive, so a family of any kind has one
+support, and every entry point reads only that.
 Over *chordless-cycle* context sets (n >= 3 maximal contexts whose
 intersection graph is a single cycle) the question has a purely
 graph-theoretic answer: build the overlap projection graph, whose
@@ -357,15 +359,14 @@ def find_simple_cycle_through(graph: OverlapProjectionGraph, k: int) -> List[Opg
 
 
 def lift_uniform(sub: ContextualFamily, weight: MonoidValue) -> ContextualFamily:
-    """Annotate a simply cyclic B-family uniformly with one nonzero weight.
+    """Annotate a simply cyclic support uniformly with one nonzero weight.
 
-    The input must be a B-family whose overlap projection graph is a
-    single simple cycle through every supported row.  Such a cycle meets
-    every layer the same number of times, which is exactly why the
-    uniform annotation is consistent for any annotation monoid.
+    The support of ``sub``, a family of any kind, must have an overlap
+    projection graph that is a single simple cycle through every
+    supported row.  Such a cycle meets every layer the same number of
+    times, which is exactly why the uniform annotation is consistent for
+    any annotation monoid.
     """
-    if sub.kind is not MonoidKind.B:
-        raise ValueError("lift_uniform expects a B-family")
     if weight.is_zero:
         raise ValueError("lift weight must be nonzero")
     graph = build_opg(sub)
@@ -387,18 +388,18 @@ def lift_uniform(sub: ContextualFamily, weight: MonoidValue) -> ContextualFamily
 
 
 def realisable_chordless(family: ContextualFamily, kind: MonoidKind) -> bool:
-    """Whether the support admits any family in a cancellative kind.
+    """Whether the support of a family of any kind admits a family in a
+    cancellative kind.
 
     Decided structurally: realisable exactly when every edge of the
     overlap projection graph lies on a cycle.  The argument needs
-    positivity and cancellativity, so B is rejected (where the question
-    is trivial anyway: the B-family is its own realisation).
+    positivity and cancellativity, so B is refused, after the context
+    set, as :func:`realise` refuses it.
     """
+    graph = build_opg(family)
     if not kind.is_cancellative:
-        raise ValueError("the cycle-cover criterion needs a cancellative kind")
-    if family.kind is not MonoidKind.B:
-        raise ValueError("realisability is a property of a B-family support")
-    return build_opg(family).has_edge_cycle_cover
+        raise ValueError("realisability concerns the kinds N and Q")
+    return graph.has_edge_cycle_cover
 
 
 def realise(
@@ -406,7 +407,8 @@ def realise(
     kind: MonoidKind,
     weight: Optional[MonoidValue] = None,
 ) -> ContextualFamily:
-    """A family of the requested kind with exactly the given support.
+    """A family of the requested kind with exactly the support of
+    ``family``, which may be of any kind.
 
     The witness is the sum of one uniform lift of ``weight`` along the
     cycle :func:`find_simple_cycle_through` picks for each edge of the
@@ -414,16 +416,15 @@ def realise(
     weight``, where count is the number of those cycles through edge k.
     The edges are visited grouped by target, so one breadth-first tree is
     built per vertex, not one search per edge; the counts do not depend
-    on the order.  The witness is validated once, then its support is
-    checked against the input.  A context set that is no chordless cycle
-    raises :class:`NotChordlessCycleError` whatever the kind and weight;
+    on the order.  The witness annotates exactly the input's stored rows,
+    each nonzero, so its support is the input's by construction; it is
+    validated once.  A context set that is no chordless cycle raises
+    :class:`NotChordlessCycleError` whatever the kind and weight;
     on a chordless cycle, a kind other than N or Q raises
     :class:`ValueError` (a B support is its own realisation).  Raises
     :class:`NotRealisableError`, carrying the uncovered edges, when no
     realisation exists.
     """
-    if family.kind is not MonoidKind.B:
-        raise ValueError("realise expects a B-family support")
     graph = build_opg(family)
     if not kind.is_cancellative:
         raise ValueError("realisability concerns the kinds N and Q")
@@ -444,10 +445,7 @@ def realise(
     base = weight.payload
     payloads = [base * crossings[id(e)] for e in graph.edges]
     relations = [family.relation_at(c) for c in graph.ordering.contexts]
-    total = ContextualFamily(_reweighted(relations, payloads, kind))
-    if total.support() != family.support():
-        raise AssertionError("realisation changed the support; internal bug")
-    return total
+    return ContextualFamily(_reweighted(relations, payloads, kind))
 
 
 def decompose_cycles(
@@ -482,7 +480,7 @@ def decompose_cycles(
     exactly: the sum of ``lift_uniform(part, weight)`` equals the family.
     """
     if not family.kind.is_cancellative:
-        raise ValueError("decomposition needs a cancellative kind")
+        raise ValueError("decomposition needs an N or Q family")
     graph = build_opg(family)
     relations = [family.relation_at(c) for c in graph.ordering.contexts]
     residual = [relations[e.context_index]._rows[e.key] for e in graph.edges]
@@ -524,7 +522,8 @@ def decompose_cycles(
 def realisable_lp(
     family: ContextualFamily, kind: MonoidKind
 ) -> Optional[Dict[Assignment, MonoidValue]]:
-    """Realisability of an arbitrary support by exact rational feasibility.
+    """Realisability of the support of a family of any kind, over any
+    context set, by exact rational feasibility.
 
     One unknown per supported row, at least one each, and one equation per
     agreement cell (the empty overlap is one cell): the cell's rows of one
@@ -554,8 +553,6 @@ def realisable_lp(
 def _lp_weights(family: ContextualFamily, kind: MonoidKind) -> Optional[List[Payload]]:
     """The witness of :func:`realisable_lp` as payloads of ``kind``, one per
     row, context by context in stored order; None when there is none."""
-    if family.kind is not MonoidKind.B:
-        raise ValueError("realisable_lp expects a B-family support")
     if not kind.is_cancellative:
         raise ValueError("realisability concerns the kinds N and Q")
     relations = list(family.maximal_relations())
@@ -594,8 +591,8 @@ def _reweighted(relations: List[KRelation], payloads: List[Payload], kind: Monoi
 
 
 def find_realisation(family: ContextualFamily, kind: MonoidKind) -> ContextualFamily:
-    """A family of kind N or Q with exactly the given support, over any
-    context set.
+    """A family of kind N or Q with exactly the support of ``family``, a
+    family of any kind, over any context set.
 
     Chordless cycles are decided by the graph test and realised by
     :func:`realise`, which builds the overlap projection graph once; other

@@ -745,8 +745,13 @@ def reference_counterexample(sigma, phi, kind):
 
 def reference_decided_counterexample(sigma, phi, kind):
     """The counterexample query as ``build_counterexample`` decides it:
-    None when CR derives the goal, else the reference construction."""
+    None when CR derives the goal, or when a CD wider than two variables
+    is among the premises and FULL derives it; else the reference
+    construction."""
     if reference_derives(sigma, phi, RuleSet.CR)[0]:
+        return None
+    wide = any(fd.is_cd and len(fd.lhs) > 2 for fd in sigma)
+    if wide and reference_derives(sigma, phi, RuleSet.FULL)[0]:
         return None
     return reference_counterexample(sigma, phi, kind)
 
@@ -956,7 +961,8 @@ class TestAgainstReference:
         """The oracle's ``conclusive`` flag and the counterexample refusal
         agree on which premise sets are in the unary + binary-CD fragment.
         With the bounded search stubbed out, ``conclusive`` is the fragment
-        test alone; the refusal shows wherever CR leaves the goal open."""
+        test alone; the refusal shows wherever FULL leaves the goal open,
+        which inside the fragment is where CR does."""
         monkeypatch.setattr(fdlogic, "_backtrack_family", lambda *args: None)
         counts = {True: 0, False: 0}
         for sigma, queries in small_corpus(8, 150):

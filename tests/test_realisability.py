@@ -9,7 +9,8 @@ import pytest
 from ctxfam import realisability
 from ctxfam.family import ContextSet, ContextualFamily
 from ctxfam.fdlogic import FD, random_family_satisfying
-from ctxfam.formats import parse_family, serialize_decomposition
+from ctxfam.family import LocalConsistencyError
+from ctxfam.formats import parse_family, serialize_decomposition, serialize_family
 from ctxfam.monoid import MonoidKind, MonoidValue, subtract
 from ctxfam.relation import Assignment, KRelation
 from ctxfam.realisability import (
@@ -29,6 +30,7 @@ from ctxfam.realisability import (
 )
 
 from conftest import CS, ST, TC, brel, cycle_contexts, family_of, row, wrel
+from test_feasibility import SHAPES, marginal_family
 
 
 def triangle_family(rows_xy, rows_yz, rows_zx):
@@ -1121,3 +1123,176 @@ class TestShownAsBefore:
             edge.label = edge.label
         with pytest.raises(AttributeError):
             edge.source.boundary = edge.source.boundary
+
+
+def stored(family):
+    """What a family shows: its serialised text and, relation by relation,
+    its stored rows in order."""
+    return serialize_family(family), [list(r._rows.items()) for r in family.maximal_relations()]
+
+
+def answer(call, *args):
+    """The result of a call, families shown by :func:`stored` and the LP's
+    weights in order, or the type, message and uncovered edges of the
+    ``ValueError`` it raised."""
+    try:
+        result = call(*args)
+    except ValueError as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "uncovered", None))
+    if isinstance(result, ContextualFamily):
+        return ("family", stored(result))
+    return ("value", list(result.items()) if isinstance(result, dict) else result)
+
+
+def int_tokens(family):
+    """The same family with each string token ``v<n>`` replaced by the int
+    n + 9, so that row order ("10" before "9") is not numeric order."""
+    return ContextualFamily(
+        [KRelation(r.variables, r.kind, {tuple(int(v[1:]) + 9 for v in key): p
+                                         for key, p in r._rows.items()})
+         for r in family.maximal_relations()]
+    )
+
+
+def reweighted(rng, support, kind, weights):
+    """The support annotated with random nonzero weights of ``kind``,
+    without the pairwise check: a locally consistent weighted family is
+    its own realisation, so an unrealisable support has no checked
+    weighted family, but the entry points read only its support."""
+    relations = [
+        KRelation(r.variables, kind, {key: MonoidValue.of(kind, rng.choice(weights)).payload
+                                      for key in r._rows})
+        for r in support.maximal_relations()
+    ]
+    return ContextualFamily._unchecked(support.contexts, kind, relations)
+
+
+WEIGHTED = [
+    (MonoidKind.N, [1, 2, 3]),
+    (MonoidKind.Q, [Fraction(1, 2), 1, Fraction(5, 3)]),
+]
+
+ENTRY_POINTS = {
+    "realise-N": (realise, MonoidKind.N),
+    "realise-Q": (realise, MonoidKind.Q),
+    "realise-N-2": (realise, MonoidKind.N, MonoidValue.of(MonoidKind.N, 2)),
+    "realise-Q-3/2": (realise, MonoidKind.Q, MonoidValue.of(MonoidKind.Q, Fraction(3, 2))),
+    "realise-B": (realise, MonoidKind.B),
+    "find_realisation-N": (find_realisation, MonoidKind.N),
+    "find_realisation-Q": (find_realisation, MonoidKind.Q),
+    "find_realisation-B": (find_realisation, MonoidKind.B),
+    "realisable_chordless-N": (realisable_chordless, MonoidKind.N),
+    "realisable_chordless-Q": (realisable_chordless, MonoidKind.Q),
+    "realisable_chordless-B": (realisable_chordless, MonoidKind.B),
+    "realisable_lp-N": (realisable_lp, MonoidKind.N),
+    "realisable_lp-Q": (realisable_lp, MonoidKind.Q),
+    "lift_uniform-N-2": (lift_uniform, MonoidValue.of(MonoidKind.N, 2)),
+}
+
+
+class TestAnyKind:
+    """Every realisability entry point reads only the support: an N or Q
+    family gets the answer, refusals included, that its B support gets,
+    down to the witness's serialised bytes and stored row order."""
+
+    def assert_as_support(self, family):
+        support = family.support()
+        assert family.kind is not MonoidKind.B and support.kind is MonoidKind.B
+        answers = {}
+        for name, (call, *args) in ENTRY_POINTS.items():
+            answers[name] = answer(call, family, *args)
+            assert answers[name] == answer(call, support, *args), name
+        return answers
+
+    @pytest.mark.parametrize("ints", [False, True], ids=["str", "int"])
+    @pytest.mark.parametrize("kind, weights", WEIGHTED, ids=["N", "Q"])
+    def test_walk_families(self, kind, weights, ints):
+        """Cycles: the graph witness, the graph test and the LP, and the
+        lifts of the decomposition parts lifted to N."""
+        rng = random.Random(f"any-kind/{kind}/{ints}")
+        witnesses = lifts = 0
+        for _ in range(12):
+            family = walk_family(rng, kind, weights, ints=ints)
+            answers = self.assert_as_support(family)
+            witnesses += sum(a[0] == "family" for a in answers.values())
+            for weight, part in decompose_cycles(family):
+                lifted = lift_uniform(part, MonoidValue.one(MonoidKind.N))
+                for w in (weight, MonoidValue.of(MonoidKind.N, 3)):
+                    assert answer(lift_uniform, lifted, w) == answer(lift_uniform, part, w)
+                    lifts += 1
+        assert witnesses > 60 and lifts > 50
+
+    @pytest.mark.parametrize("ints", [False, True], ids=["str", "int"])
+    @pytest.mark.parametrize("kind", [MonoidKind.N, MonoidKind.Q], ids=["N", "Q"])
+    def test_shapes(self, kind, ints):
+        """Other context sets: the LP witness, and the same
+        NotChordlessCycleError from the graph paths."""
+        lp = 0
+        for shape in sorted(SHAPES):
+            for seed in range(2):
+                family = marginal_family(shape, kind, 6, 3, seed)
+                answers = self.assert_as_support(int_tokens(family) if ints else family)
+                lp += answers["find_realisation-N"][0] == "family"
+                assert answers["realise-N"][1] is NotChordlessCycleError
+        assert lp == 2 * len(SHAPES)
+
+    @pytest.mark.parametrize("ints", [False, True], ids=["str", "int"])
+    @pytest.mark.parametrize("kind, weights", WEIGHTED, ids=["N", "Q"])
+    def test_planted_uncovered_edges(self, kind, weights, ints):
+        """Unrealisable supports: a cross row between two walk components,
+        and the five-context family the LP refuses."""
+        rng = random.Random(f"planted/{kind}/{ints}")
+        refused = 0
+        for _ in range(20):
+            support = walk_family(rng, MonoidKind.B, [1], components=2, ints=ints)
+            try:
+                support = with_cross_row(rng, support)
+            except ValueError:
+                continue  # the cross row broke local consistency
+            answers = self.assert_as_support(reweighted(rng, support, kind, weights))
+            assert answers["realise-N"][1] is NotRealisableError and answers["realise-N"][3]
+            refused += 1
+        assert refused >= 10
+
+    def test_lp_refusal(self, five_context_family):
+        rng = random.Random(6)
+        for kind, weights in WEIGHTED:
+            answers = self.assert_as_support(reweighted(rng, five_context_family, kind, weights))
+            assert answers["find_realisation-N"] == (
+                "raised", NotRealisableError, "support is not realisable", ())
+
+
+class TestWitnessStillValidated:
+    """``realise`` does not compare the witness's support with the input's:
+    the witness annotates the input's own rows, so a zero count is refused
+    by the relation constructor and an unbalanced one by the pairwise
+    check.  A wrong cycle from the search cannot get through either."""
+
+    @pytest.mark.parametrize("ints", [False, True], ids=["str", "int"])
+    @pytest.mark.parametrize("kind, weights", WEIGHTED, ids=["N", "Q"])
+    @pytest.mark.parametrize("wrong", ["unbalanced", "edge-left-out"])
+    def test_a_wrong_cycle_is_refused(self, monkeypatch, kind, weights, ints, wrong):
+        family = walk_family(random.Random(f"wrong/{kind}/{ints}"), kind, weights,
+                             contexts_count=4, components=1, ints=ints)
+        assert answer(realise, family, kind)[0] == "family"
+        original = realisability.find_simple_cycle_through
+        calls = []
+
+        def search(graph, k):
+            """The cycle of edge 0 without its second edge, or every cycle
+            without edge 0."""
+            cycle = original(graph, k)
+            calls.append(k)
+            if wrong == "unbalanced":
+                return cycle[:1] + cycle[2:] if k == 0 else cycle
+            return [e for e in cycle if e is not graph.edges[0]]
+
+        monkeypatch.setattr(realisability, "find_simple_cycle_through", search)
+        for given in (family, family.support()):
+            if wrong == "unbalanced":
+                with pytest.raises(LocalConsistencyError):
+                    realise(given, kind)
+            else:
+                with pytest.raises(ValueError, match="^zero annotation stored for row "):
+                    realise(given, kind)
+        assert calls.count(0) == 2
