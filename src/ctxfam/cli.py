@@ -133,12 +133,13 @@ def _cmd_global(args: argparse.Namespace) -> int:
 
 def _cmd_opg(args: argparse.Namespace) -> int:
     graph = build_opg(_load_family(args.family))
+    vertices, edges = graph.texts()
     lines = [
-        f"overlap projection graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges",
+        f"overlap projection graph: {len(vertices)} vertices, {len(edges)} edges",
         "cycle order: " + " | ".join(" ".join(sorted(c)) for c in graph.ordering.contexts),
     ]
-    lines += [f"vertex {vertex}" for vertex in graph.vertices]
-    lines += [f"edge {edge.describe()}" for edge in graph.edges]
+    lines += [f"vertex {text}" for text in vertices]
+    lines += [f"edge {text}" for text in edges]
     sys.stdout.write("\n".join(lines) + "\n")
     if args.dot is not None:
         _emit(graph.to_dot(), args.dot)

@@ -18,15 +18,17 @@ feasibility over one unknown weight per supported row (see
 rational one by clearing denominators, because the marginal-agreement
 constraints are homogeneous.
 
-Graph vertices and edges hold value tuples, as relations do; their
-``boundary`` and ``label`` assignments are built only when read.
+Graph vertices hold value tuples, as relations do, and edges are
+numbered rows over them; edge objects, and the ``boundary`` and ``label``
+assignments, are built only when read, and an edge's text is written
+straight from its row by one formatter.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, repeat
 from math import lcm
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -129,12 +131,27 @@ class OpgVertex:
         return f"{self.layer}:{','.join(map(str, self.key))}"
 
 
+def _row_format(names: Tuple[str, ...]) -> str:
+    """The format string of a row over ``names``: ``.format(*key)`` writes
+    the row's ``name=value`` pairs as its ``Assignment`` shows them,
+    without building one."""
+    return ",".join(name.replace("{", "{{").replace("}", "}}") + "={}" for name in names)
+
+
+def _edge_format(names: Tuple[str, ...]) -> str:
+    """The one definition of an edge's text, for a row over ``names``:
+    ``.format(source, target, *key)`` writes its ends' texts, then the
+    row."""
+    return "{} -> {}  " + _row_format(names)
+
+
 @dataclass(frozen=True)
 class OpgEdge:
     """One supported row, drawn from its incoming boundary value to its
     outgoing one.  ``context_index`` names the layer whose relation holds
     the row, ``names`` that relation's sorted variables and ``key`` the
-    row's value tuple in their order."""
+    row's value tuple in their order.  The graph keeps its edges as
+    numbered rows and builds these objects only when they are read."""
 
     source: OpgVertex
     target: OpgVertex
@@ -148,7 +165,7 @@ class OpgEdge:
         return Assignment._sorted(tuple(zip(self.names, self.key)))
 
     def describe(self) -> str:
-        return f"{self.source} -> {self.target}  {self.label}"
+        return _edge_format(self.names).format(self.source, self.target, *self.key)
 
 
 class OverlapProjectionGraph:
@@ -159,35 +176,62 @@ class OverlapProjectionGraph:
     boundary i-1 to its value on boundary i.  The graph is cyclically
     n-partite: every edge advances the layer by one, modulo n.
 
-    Vertex i is ``vertices[i]`` and edge k is ``edges[k]``, drawn from
-    vertex ``_ends[k][0]`` to vertex ``_ends[k][1]``; ``_succ[i]`` lists
-    ``(edge number, target number)`` for the edges leaving vertex i, in
-    edge order.  Every graph path reads these integer lists, so no vertex
-    is looked up by hash.  ``_tree`` holds the root number and the
-    breadth-first tree of :func:`_bfs_tree` that
+    Vertex i is ``vertices[i]``.  Edge k is a numbered row: ``_rows[k]``
+    holds its ``(context index, key)``, over the names ``_names`` holds
+    for that context, and ``_ends[k]`` its source and target numbers.
+    ``edges`` builds the :class:`OpgEdge` objects on first read and keeps
+    them, so edge k is always the same object.  Of the graph paths only
+    :func:`find_simple_cycle_through`, which returns edge objects, reads
+    it; the component test, the writers and :func:`decompose_cycles` do
+    not.
+    ``_succ[i]`` lists ``(edge number, target number)`` for the edges
+    leaving vertex i, in edge order.  Every graph path reads these integer
+    lists, so no vertex is looked up by hash.  ``_tree`` holds the root
+    number and the breadth-first tree of :func:`_bfs_tree` that
     :func:`find_simple_cycle_through` built last, or None.
     """
 
-    __slots__ = ("ordering", "vertices", "edges", "_ends", "_succ", "_tree")
+    __slots__ = ("ordering", "vertices", "_names", "_rows", "_ends", "_succ", "_tree", "_edges")
 
     def __init__(
         self,
         ordering: CycleOrdering,
         vertices: Iterable[OpgVertex],
-        edges: Iterable[OpgEdge],
+        names: Iterable[Tuple[str, ...]],
+        rows: Iterable[Tuple[int, Key]],
         ends: Iterable[Tuple[int, int]],
     ):
-        """Takes the vertices and edges in the order :func:`build_opg`
-        numbers them, and each edge's source and target numbers; it only
-        fills the adjacency lists."""
+        """Takes the vertices and the edges' rows in the order
+        :func:`build_opg` numbers them, each context's names, and each
+        edge's source and target numbers; it only fills the adjacency
+        lists."""
         self.ordering = ordering
         self.vertices = tuple(vertices)
-        self.edges = tuple(edges)
+        self._names = tuple(names)
+        self._rows = tuple(rows)
         self._ends = tuple(ends)
-        self._succ: List[List[Tuple[int, int]]] = [[] for _ in self.vertices]
+        succ: List[List[Tuple[int, int]]] = [[] for _ in self.vertices]
         for k, (source, target) in enumerate(self._ends):
-            self._succ[source].append((k, target))
+            succ[source].append((k, target))
+        self._succ = succ
         self._tree: Optional[Tuple[int, List[Optional[Tuple[int, int]]]]] = None
+        self._edges: Optional[Tuple[OpgEdge, ...]] = None
+
+    @property
+    def edges(self) -> Tuple[OpgEdge, ...]:
+        """Every edge as an :class:`OpgEdge`, in numbered order, built on
+        first read and kept."""
+        if self._edges is None:
+            self._edges = tuple(map(self._edge, range(len(self._rows))))
+        return self._edges
+
+    def _edge(self, k: int) -> OpgEdge:
+        """Edge k as an object: the kept one once ``edges`` was read, else
+        a new one."""
+        if self._edges is not None:
+            return self._edges[k]
+        (i, key), (source, target) = self._rows[k], self._ends[k]
+        return OpgEdge(self.vertices[source], self.vertices[target], i, self._names[i], key)
 
     def _component_labels(self) -> List[int]:
         """Kosaraju's two-pass sweep: the component of every vertex number.
@@ -230,23 +274,36 @@ class OverlapProjectionGraph:
         return component
 
     def uncovered_edges(self) -> Tuple[OpgEdge, ...]:
-        """Edges lying on no cycle: endpoints in different components."""
+        """Edges lying on no cycle: endpoints in different components.
+        Only the edges returned are built."""
         component = self._component_labels()
-        return tuple(e for e, (source, target) in zip(self.edges, self._ends)
+        return tuple(self._edge(k) for k, (source, target) in enumerate(self._ends)
                      if component[source] != component[target])
 
     @property
     def has_edge_cycle_cover(self) -> bool:
         return not self.uncovered_edges()
 
+    def texts(self) -> Tuple[List[str], List[str]]:
+        """Each vertex's text and each edge's ``describe()`` text, in
+        numbered order, written from the numbered rows: each vertex's text
+        and each context's format once, and no edge object or
+        ``Assignment`` built."""
+        shown = [str(v) for v in self.vertices]
+        formats = [_edge_format(names) for names in self._names]
+        return shown, [formats[i].format(shown[source], shown[target], *key)
+                       for (i, key), (source, target) in zip(self._rows, self._ends)]
+
     def to_dot(self) -> str:
         """Deterministic DOT text: the vertices, each named by its number
-        and labelled with its text, then the edges, in numbered order."""
+        and labelled with its text, then the edges, in numbered order,
+        each labelled with its row; written from the numbered rows."""
+        formats = [_row_format(names) for names in self._names]
         lines = ["digraph opg {", "  rankdir=LR;"]
-        for i, v in enumerate(self.vertices):
-            lines.append(f'  {i} [label="{str(v).translate(_DOT_QUOTED)}"];')
-        for e, (source, target) in zip(self.edges, self._ends):
-            lines.append(f'  {source} -> {target} [label="{str(e.label).translate(_DOT_QUOTED)}"];')
+        lines += [f'  {i} [label="{str(v).translate(_DOT_QUOTED)}"];'
+                  for i, v in enumerate(self.vertices)]
+        lines += [f'  {source} -> {target} [label="{formats[i].format(*key).translate(_DOT_QUOTED)}"];'
+                  for (i, key), (source, target) in zip(self._rows, self._ends)]
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -258,20 +315,23 @@ def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
     the support matters, so any kind is accepted.  The vertices are
     numbered here, once: by layer, and within a layer in the row order
     (:func:`_row_order`) of their boundary values.  The edges come by
-    context and then in stored row order, each with the numbers of its
-    ends.  Vertices and edges hold the value tuples that the relations
-    and their projections already hold, so no ``Assignment`` is built.
+    context and then in stored row order, each kept as a numbered row:
+    its context index and key, and the numbers of its ends.  Vertices and
+    rows hold the value tuples that the relations and their projections
+    already hold, so no ``Assignment`` and no :class:`OpgEdge` is built.
     """
     ordering = classify_chordless_cycle(family.contexts)
     relations = [family.relation_at(c) for c in ordering.contexts]
-    sides = [
-        (r, _projection(r.names, ordering.boundary(i - 1)), _projection(r.names, ordering.boundary(i)))
-        for i, r in enumerate(relations)
-    ]
+    sides = []
+    for i, relation in enumerate(relations):
+        keys = list(relation._rows)
+        before = _projection(relation.names, ordering.boundary(i - 1))
+        after = _projection(relation.names, ordering.boundary(i))
+        sides.append((keys, list(map(before, keys)), list(map(after, keys))))
     numbers: List[Dict[Key, int]] = [{} for _ in sides]
-    for i, (relation, before, after) in enumerate(sides):
-        numbers[i - 1].update(dict.fromkeys(map(before, relation._rows)))
-        numbers[i].update(dict.fromkeys(map(after, relation._rows)))
+    for i, (_, before, after) in enumerate(sides):
+        numbers[i - 1].update(dict.fromkeys(before))
+        numbers[i].update(dict.fromkeys(after))
     vertices: List[OpgVertex] = []
     for layer, number in enumerate(numbers):
         names = tuple(sorted(ordering.boundary(layer)))
@@ -279,14 +339,12 @@ def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
         for j in _row_order(values):
             number[values[j]] = len(vertices)
             vertices.append(OpgVertex(layer, names, values[j]))
-    edges: List[OpgEdge] = []
+    rows: List[Tuple[int, Key]] = []
     ends: List[Tuple[int, int]] = []
-    for i, (relation, before, after) in enumerate(sides):
-        for key in relation._rows:
-            source, target = numbers[i - 1][before(key)], numbers[i][after(key)]
-            edges.append(OpgEdge(vertices[source], vertices[target], i, relation.names, key))
-            ends.append((source, target))
-    return OverlapProjectionGraph(ordering, vertices, edges, ends)
+    for i, (keys, before, after) in enumerate(sides):
+        rows += zip(repeat(i), keys)
+        ends += zip(map(numbers[i - 1].__getitem__, before), map(numbers[i].__getitem__, after))
+    return OverlapProjectionGraph(ordering, vertices, [r.names for r in relations], rows, ends)
 
 
 def _shortest_cycle(succ: List[List[Tuple[int, int]]], start: int) -> Optional[List[int]]:
@@ -346,14 +404,15 @@ def find_simple_cycle_through(graph: OverlapProjectionGraph, k: int) -> List[Opg
         graph._tree = (target, _bfs_tree(graph._succ, target))
     via = graph._tree[1]
     if source != target and via[source] is None:
-        edge = graph.edges[k]
+        edge = graph._edge(k)
         raise NotRealisableError(f"edge {edge.describe()} lies on no cycle", uncovered=(edge,))
+    edges = graph.edges  # read once per call, not once per cycle edge
     back = []
     walk = source
     while walk != target:
         j, walk = via[walk]
-        back.append(graph.edges[j])
-    back.append(graph.edges[k])
+        back.append(edges[j])
+    back.append(edges[k])
     back.reverse()
     return back
 
@@ -457,8 +516,8 @@ def decompose_cycles(
     that still has a live edge, finds a shortest cycle through it, and
     subtracts the least annotation along it; an edge dies when its
     residual reaches zero.  Residual weights and live out-adjacency are
-    kept by edge and vertex number, and each edge names its row by its
-    ``context_index`` and ``key``.
+    kept by edge and vertex number, and each edge names its row by the
+    context index and key the graph numbers it with.
 
     Each peel is one breadth-first search from the start vertex, stopped
     at the first edge back into it.  Its cycle runs through the first
@@ -483,7 +542,8 @@ def decompose_cycles(
         raise ValueError("decomposition needs an N or Q family")
     graph = build_opg(family)
     relations = [family.relation_at(c) for c in graph.ordering.contexts]
-    residual = [relations[e.context_index]._rows[e.key] for e in graph.edges]
+    numbered = graph._rows
+    residual = [relations[i]._rows[key] for i, key in numbered]
     balance = [0] * len(graph.vertices)
     for (source, target), weight in zip(graph._ends, residual):
         balance[source] += weight
@@ -505,8 +565,8 @@ def decompose_cycles(
         # so ascending edge numbers give each relation's keys in its order.
         keys: List[List[Key]] = [[] for _ in relations]
         for k in sorted(best):
-            edge = graph.edges[k]
-            keys[edge.context_index].append(edge.key)
+            i, key = numbered[k]
+            keys[i].append(key)
         supports = [rel._sub(rows) for rel, rows in zip(relations, keys)]
         sub = ContextualFamily._unchecked(family.contexts, MonoidKind.B, supports)
         parts.append((MonoidValue(family.kind, least), sub))

@@ -246,7 +246,10 @@ class TestDecompose:
 
 # CI's hash-seed documents whose outputs turn on tie-breaks.  TIES: an N
 # cycle whose start vertex x=1 has a six-edge cycle on its first out-edge
-# and three triangles after it; FAN: a support with six edges into z=0.
+# and three triangles after it; FAN: a support with six edges into z=0;
+# UNCOVERED: a triangle support with one row, a=0,b=1, on no cycle.  The
+# opg listings order vertices by layer and row order and edges by
+# context and stored row order.
 # A changed but deterministic tie-break prints the same bytes under every
 # hash seed, so their full stdout is pinned here.
 TIES = """\
@@ -317,6 +320,80 @@ context y z
 3 0
 4 0
 5 0
+"""
+
+UNCOVERED = """\
+monoid B
+context a b
+0 0
+1 1
+0 1
+context b c
+0 0
+1 1
+context a c
+0 0
+1 1
+"""
+
+TIES_OPG = """\
+overlap projection graph: 14 vertices, 23 edges
+cycle order: x y | x z | y z
+vertex 0:1
+vertex 0:2
+vertex 0:3
+vertex 0:4
+vertex 1:0
+vertex 1:1
+vertex 1:2
+vertex 1:3
+vertex 1:4
+vertex 2:0
+vertex 2:1
+vertex 2:2
+vertex 2:3
+vertex 2:4
+edge 2:1 -> 0:1  x=1,y=1
+edge 2:2 -> 0:1  x=1,y=2
+edge 2:4 -> 0:1  x=1,y=4
+edge 2:1 -> 0:2  x=2,y=1
+edge 2:3 -> 0:2  x=2,y=3
+edge 2:1 -> 0:3  x=3,y=1
+edge 2:0 -> 0:4  x=4,y=0
+edge 0:1 -> 1:0  x=1,z=0
+edge 0:1 -> 1:1  x=1,z=1
+edge 0:1 -> 1:2  x=1,z=2
+edge 0:1 -> 1:3  x=1,z=3
+edge 0:2 -> 1:1  x=2,z=1
+edge 0:2 -> 1:3  x=2,z=3
+edge 0:3 -> 1:2  x=3,z=2
+edge 0:4 -> 1:4  x=4,z=4
+edge 1:0 -> 2:0  y=0,z=0
+edge 1:1 -> 2:1  y=1,z=1
+edge 1:2 -> 2:1  y=1,z=2
+edge 1:3 -> 2:1  y=1,z=3
+edge 1:2 -> 2:2  y=2,z=2
+edge 1:3 -> 2:2  y=2,z=3
+edge 1:1 -> 2:3  y=3,z=1
+edge 1:4 -> 2:4  y=4,z=4
+"""
+
+UNCOVERED_OPG = """\
+overlap projection graph: 6 vertices, 7 edges
+cycle order: a b | a c | b c
+vertex 0:0
+vertex 0:1
+vertex 1:0
+vertex 1:1
+vertex 2:0
+vertex 2:1
+edge 2:0 -> 0:0  a=0,b=0
+edge 2:1 -> 0:0  a=0,b=1
+edge 2:1 -> 0:1  a=1,b=1
+edge 0:0 -> 1:0  a=0,c=0
+edge 0:1 -> 1:1  a=1,c=1
+edge 1:0 -> 2:0  b=0,c=0
+edge 1:1 -> 2:1  b=1,c=1
 """
 
 TIES_DECOMPOSED = """\
@@ -429,8 +506,10 @@ class TestTieBreaks:
             (TIES, ["decompose"], TIES_DECOMPOSED),
             (CYCLE, ["decompose"], CYCLE_DECOMPOSED),
             (FAN, ["realise", "--monoid", "N"], FAN_REALISED),
+            (TIES, ["opg"], TIES_OPG),
+            (UNCOVERED, ["opg"], UNCOVERED_OPG),
         ],
-        ids=["decompose-ties", "decompose-cycle", "realise-fan"],
+        ids=["decompose-ties", "decompose-cycle", "realise-fan", "opg-ties", "opg-uncovered"],
     )
     def test_pinned_stdout(self, capsys, tmp_path, document, argv, expected):
         path = tmp_path / "family.fam"

@@ -1,12 +1,17 @@
 """Overlap projection graphs, cycle covers, realisation, decomposition."""
 
+import io
 import pickle
 import random
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ctxfam import realisability
+from ctxfam.cli import main
 from ctxfam.family import ContextSet, ContextualFamily
 from ctxfam.fdlogic import FD, random_family_satisfying
 from ctxfam.family import LocalConsistencyError
@@ -17,6 +22,7 @@ from ctxfam.realisability import (
     NotChordlessCycleError,
     NotRealisableError,
     NotSimplyCyclicError,
+    OpgEdge,
     OpgVertex,
     build_opg,
     classify_chordless_cycle,
@@ -1051,9 +1057,23 @@ def assignments_built(monkeypatch):
     return calls
 
 
+def opg_command(family, dot=False):
+    """The ``opg`` command on ``family`` written as a document: its stdout,
+    and with ``dot`` the DOT text it writes."""
+    with tempfile.TemporaryDirectory() as work:
+        path, dot_path = Path(work) / "family.fam", Path(work) / "opg.dot"
+        path.write_text(serialize_family(family))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["opg", str(path)] + (["--dot", str(dot_path)] if dot else []))
+        assert code == 0
+        return out.getvalue(), dot_path.read_text() if dot else None
+
+
 class TestNoAssignmentBuilt:
-    """The graph holds value tuples, so the graph paths build no row object;
-    ``boundary`` and ``label`` build one only when read."""
+    """The graph holds value tuples, so the graph paths and the ``opg``
+    writer build no row object; ``boundary`` and ``label`` build one only
+    when read."""
 
     @pytest.mark.parametrize(
         "run",
@@ -1062,8 +1082,10 @@ class TestNoAssignmentBuilt:
             lambda family: build_opg(family).uncovered_edges(),
             lambda family: realise(family.support(), MonoidKind.N),
             decompose_cycles,
+            opg_command,
+            lambda family: opg_command(family, dot=True),
         ],
-        ids=["build_opg", "uncovered_edges", "realise", "decompose_cycles"],
+        ids=["build_opg", "uncovered_edges", "realise", "decompose_cycles", "opg", "opg-dot"],
     )
     def test_graph_paths_build_no_assignment(self, family, assignments_built, run):
         assert build_opg(family).has_edge_cycle_cover
@@ -1076,6 +1098,149 @@ class TestNoAssignmentBuilt:
         edge = graph.edges[0]
         assert edge.label == edge.label and edge.source.boundary == edge.source.boundary
         assert len(assignments_built) == 4
+
+
+@pytest.fixture
+def edges_built(monkeypatch):
+    """Counts OpgEdge constructions from here on."""
+    calls = []
+    init = OpgEdge.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OpgEdge, "__init__", counting)
+    return calls
+
+
+class TestEdgesBuiltOnRead:
+    """The graph keeps its edges as numbered rows: the graph paths and the
+    ``opg`` writer build no OpgEdge, a refusal builds the edges it
+    reports, and ``edges`` builds every edge once, on first read."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [build_opg, decompose_cycles, opg_command, lambda family: opg_command(family, dot=True)],
+        ids=["build_opg", "decompose_cycles", "opg", "opg-dot"],
+    )
+    def test_graph_paths_build_no_edge(self, family, edges_built, run):
+        run(family)
+        assert edges_built == []
+
+    def test_uncovered_edges_builds_what_it_returns(self, edges_built):
+        rng = random.Random(6)
+        checked = 0
+        for _ in range(20):
+            try:
+                support = with_cross_row(rng, walk_family(rng, MonoidKind.B, [1], components=2))
+            except ValueError:
+                continue  # the cross row broke local consistency
+            graph = build_opg(support)
+            edges_built.clear()
+            uncovered = graph.uncovered_edges()
+            assert uncovered and len(edges_built) == len(uncovered)
+            edges_built.clear()
+            with pytest.raises(NotRealisableError) as refused:
+                realise(support, MonoidKind.N)
+            assert refused.value.uncovered == uncovered
+            assert len(edges_built) == len(uncovered)
+            # Once the edges are read, the kept objects are returned.
+            k = build_opg(support).edges.index(uncovered[0])
+            edges = graph.edges
+            assert graph.uncovered_edges()[0] is edges[k]
+            checked += 1
+        assert checked >= 10
+
+    def test_cycle_refusal_builds_the_one_edge(self, teaching_family, edges_built):
+        (edge,) = build_opg(teaching_family).uncovered_edges()
+        k = build_opg(teaching_family).edges.index(edge)
+        graph = build_opg(teaching_family)
+        edges_built.clear()
+        with pytest.raises(NotRealisableError) as refused:
+            find_simple_cycle_through(graph, k)
+        assert refused.value.uncovered == (edge,)
+        assert len(edges_built) == 1
+
+    def test_edges_are_built_once_on_first_read(self, family, edges_built):
+        graph = build_opg(family)
+        edges_built.clear()
+        first = graph.edges
+        assert len(edges_built) == len(first) > 0
+        assert graph.edges is first
+        assert len(edges_built) == len(first)
+        assert find_simple_cycle_through(graph, 3)[0] is first[3]
+
+
+def reference_opg_listing(graph):
+    """The ``opg`` command's stdout as it was written edge object by edge
+    object: each vertex's text, then each edge's ends and label."""
+    lines = [
+        f"overlap projection graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges",
+        "cycle order: " + " | ".join(" ".join(sorted(c)) for c in graph.ordering.contexts),
+    ]
+    lines += [f"vertex {v}" for v in graph.vertices]
+    lines += [f"edge {e.source} -> {e.target}  {e.label}" for e in graph.edges]
+    return "\n".join(lines) + "\n"
+
+
+def reference_dot(graph):
+    """The DOT text as it was written from the edge objects' labels."""
+    escape = str.maketrans({"\\": "\\\\", '"': '\\"'})
+    number = {v: i for i, v in enumerate(graph.vertices)}
+    lines = ["digraph opg {", "  rankdir=LR;"]
+    lines += [f'  {i} [label="{str(v).translate(escape)}"];' for i, v in enumerate(graph.vertices)]
+    lines += [
+        f'  {number[e.source]} -> {number[e.target]} [label="{str(e.label).translate(escape)}"];'
+        for e in graph.edges
+    ]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+class TestWrittenAsBefore:
+    """The writers that format the numbered rows print what the edge
+    objects printed: the ``opg`` listing, the DOT text and each refused
+    edge's text, on str and int tokens, with planted cross rows."""
+
+    @pytest.mark.parametrize("ints", [False, True], ids=["str", "int"])
+    def test_listing_dot_and_refusals(self, ints):
+        rng = random.Random(f"written/{ints}")
+        uncovered = 0
+        for i in range(30):
+            if i % 2 == 0:
+                family = walk_family(rng, MonoidKind.N, [1, 2], ints=ints)
+            else:
+                family = walk_family(rng, MonoidKind.B, [1], components=2, ints=ints)
+                try:
+                    family = with_cross_row(rng, family)
+                except ValueError:
+                    pass  # the cross row broke local consistency
+            graph = build_opg(family)
+            listing = reference_opg_listing(build_opg(family)).splitlines()
+            shown, edges = graph.texts()
+            assert listing[2:] == [f"vertex {t}" for t in shown] + [f"edge {t}" for t in edges]
+            assert graph.to_dot() == reference_dot(graph)
+            assert [f"edge {e.describe()}" for e in graph.edges] == listing[2 + len(shown):]
+            refused = build_opg(family).uncovered_edges()
+            assert [e.describe() for e in refused] == [
+                f"{e.source} -> {e.target}  {e.label}" for e in refused
+            ]
+            uncovered += bool(refused)
+            if not ints:
+                # The document reads back with the rows in stored order.
+                assert opg_command(family, dot=True) == (
+                    reference_opg_listing(graph), reference_dot(graph)
+                )
+        assert uncovered >= 5
+
+    def test_names_with_braces(self):
+        family = parse_family(
+            "monoid B\ncontext x{ y}\n0 0\n1 1\ncontext y} {z}\n0 0\n1 1\n"
+            "context x{ {z}\n0 0\n1 1\n"
+        )
+        graph = build_opg(family)
+        assert graph.texts()[1][0] == "2:0 -> 0:0  x{=0,y}=0"
+        assert opg_command(family, dot=True) == (reference_opg_listing(graph), reference_dot(graph))
 
 
 class TestShownAsBefore:
