@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Opt
 
 from .feasibility import _Tableau, find_rational_solution
 from .monoid import MonoidKind, MonoidValue
-from .relation import Assignment, Key, KRelation, Value, _agreement, _cells, _groups, _projection, _row_order, _totals
+from .relation import Assignment, Key, KRelation, Value, _agreement, _cells, _project, _row_order, _sums
 
 if TYPE_CHECKING:
     from .fdlogic import FD
@@ -129,7 +129,7 @@ def find_violation(relations: Iterable[KRelation]) -> Optional[ConsistencyViolat
     the first agreement cell whose two annotation sums differ (any cell, if
     the kinds differ).  Only that cell becomes an ``Assignment`` and values."""
     rels = sorted(relations, key=lambda r: tuple(sorted(r.variables)))
-    for i, j, sums_r, sums_s in _agreement(rels, lambda r, shared: _totals(r, _groups(r, shared))):
+    for i, j, sums_r, sums_s in _agreement(rels, _sums):
         r, s = rels[i], rels[j]
         if r.kind is s.kind and sums_r == sums_s:
             continue
@@ -274,12 +274,11 @@ def _support_join(family: ContextualFamily) -> Tuple[List[Key], List[List[int]]]
     bound: Set[str] = set()
     first = 0
     for rel in family.maximal_relations():
-        shared = _projection(rel.names, bound)
         read = [slot[var] for var in rel.names if var in bound]
         write = [slot[var] for var in rel.names]
         matches: Dict[Key, List[Tuple[int, Key]]] = {}
-        for n, key in enumerate(rel._rows, first):
-            matches.setdefault(shared(key), []).append((n, key))
+        for (n, key), short in zip(enumerate(rel._rows, first), _project(rel.names, bound, rel._rows)):
+            matches.setdefault(short, []).append((n, key))
         extended: List[Tuple[List[Value], List[int]]] = []
         for partial, cells in rows:
             for n, values in matches.get(tuple([partial[p] for p in read]), ()):

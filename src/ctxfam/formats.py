@@ -26,15 +26,19 @@ dependencies.  ``->`` names no variable on a ``cd`` line, and ``cd`` may
 not be the least variable left of ``->``: either would be written back
 as another dependency.
 
-Parsing reports errors with line numbers; serialisation is canonical
-(sorted contexts, sorted rows) and round-trips.
+Both parsers read their text through one line reader,
+:func:`_token_lines`, which cuts comments, skips lines left without
+tokens and numbers the rest as lines of the whole text, blank and
+comment lines included.  Parsing reports errors with those line numbers;
+serialisation is canonical (sorted contexts, sorted rows) and
+round-trips.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .family import ContextualFamily
 from .fdlogic import FD
@@ -54,23 +58,24 @@ class FormatError(ValueError):
         self.message = message
 
 
-def _significant_lines(text: str) -> List[Tuple[int, str]]:
-    out = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((number, line))
-    return out
+def _token_lines(text: str) -> Iterator[Tuple[int, List[str]]]:
+    """``(line number, tokens)`` for each line of ``text`` that has tokens
+    once its comment is cut, numbered from 1.  Built from ``splitlines``,
+    ``map``, ``enumerate`` and ``filter``: no Python call per line."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = map(itemgetter(0), map(str.partition, lines, repeat("#")))
+    return filter(itemgetter(1), enumerate(map(str.split, lines), 1))
 
 
 def parse_relations(text: str) -> List[KRelation]:
     """The context relations of a family document, unvalidated as a
     family: consistency checking is the caller's decision."""
-    lines = _significant_lines(text)
-    if not lines:
+    lines = _token_lines(text)
+    first = next(lines, None)
+    if first is None:
         raise FormatError(1, "empty document; expected a monoid line")
-    number, first = lines[0]
-    parts = first.split()
+    number, parts = first
     if parts[0] != "monoid" or len(parts) != 2:
         raise FormatError(number, "expected 'monoid B|N|Q' on the first line")
     try:
@@ -84,8 +89,7 @@ def parse_relations(text: str) -> List[KRelation]:
     rows: List[Dict[Tuple[str, ...], Payload]] = []
     one = MonoidValue.one(kind).payload
     weights: Dict[str, Payload] = {}  # parsed payloads by token
-    for number, line in lines[1:]:
-        tokens = line.split()
+    for number, tokens in lines:
         if tokens[0] == "monoid":
             raise FormatError(number, "duplicate monoid line")
         if tokens[0] == "context":
@@ -133,11 +137,11 @@ def parse_relations(text: str) -> List[KRelation]:
         block[key] = weight
 
     if not blocks:
-        raise FormatError(lines[-1][0], "document declares no context")
+        raise FormatError(number, "document declares no context")  # the last line's number
     for (start, _), block in zip(blocks, rows):
         if not _RESERVED_VALUES.isdisjoint(chain.from_iterable(block)):
-            number, word = next((n, w) for n, line in lines if n > start
-                                for w in line.split() if w in _RESERVED_VALUES)
+            number, word = next((n, w) for n, tokens in _token_lines(text) if n > start
+                                for w in tokens if w in _RESERVED_VALUES)
             raise FormatError(number, f"row value {word!r} is a reserved word")
     return [KRelation(variables, kind, block) for (_, variables), block in zip(blocks, rows)]
 
@@ -187,9 +191,8 @@ def serialize_decomposition(parts) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def parse_fd(text: str, line: int = 1) -> FD:
-    """One dependency: ``x [y ...] -> z [w ...]`` or ``cd x y [z ...]``."""
-    tokens = text.split()
+def _dependency(tokens: List[str], line: int) -> FD:
+    """The dependency of one line's tokens; errors carry ``line``."""
     if not tokens:
         raise FormatError(line, "empty dependency")
     if tokens[0] == "cd":
@@ -209,11 +212,14 @@ def parse_fd(text: str, line: int = 1) -> FD:
     return FD(frozenset(lhs), frozenset(rhs))
 
 
+def parse_fd(text: str, line: int = 1) -> FD:
+    """One dependency: ``x [y ...] -> z [w ...]`` or ``cd x y [z ...]``."""
+    return _dependency(text.split(), line)
+
+
 def parse_fds(text: str) -> List[FD]:
     """All dependencies in a document, one per line."""
-    out = []
-    for number, line in _significant_lines(text):
-        out.append(parse_fd(line, number))
+    out = [_dependency(tokens, number) for number, tokens in _token_lines(text)]
     if not out:
         raise FormatError(1, "empty document; expected dependencies")
     return out

@@ -35,7 +35,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from .family import ContextSet, ContextualFamily
 from .feasibility import find_rational_solution
 from .monoid import MonoidKind, MonoidValue
-from .relation import Assignment, Key, KRelation, Payload, _agreement, _cells, _projection, _row_order
+from .relation import Assignment, Key, KRelation, Payload, _agreement, _cells, _project, _row_order
 
 
 _DOT_QUOTED = str.maketrans({"\\": "\\\\", '"': '\\"'})  # escapes inside a quoted DOT string
@@ -325,9 +325,9 @@ def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
     sides = []
     for i, relation in enumerate(relations):
         keys = list(relation._rows)
-        before = _projection(relation.names, ordering.boundary(i - 1))
-        after = _projection(relation.names, ordering.boundary(i))
-        sides.append((keys, list(map(before, keys)), list(map(after, keys))))
+        before = list(_project(relation.names, ordering.boundary(i - 1), keys))
+        after = list(_project(relation.names, ordering.boundary(i), keys))
+        sides.append((keys, before, after))
     numbers: List[Dict[Key, int]] = [{} for _ in sides]
     for i, (_, before, after) in enumerate(sides):
         numbers[i - 1].update(dict.fromkeys(before))

@@ -7,7 +7,12 @@ annotation is a raw payload (``int`` for B and N, ``Fraction`` for Q).
 Zero rows are never stored, so the support of a relation is exactly its
 key set.  The central operation is marginalisation: restricting to a
 subset of the variables and summing the annotations of rows that
-collapse together.
+collapse together.  Restriction works on whole batches of rows:
+:func:`_project` restricts every key by positions at once, and
+:func:`_sums` sums each marginal in one pass over the stored rows, for
+``marginalise``, ``total``, ``consistent`` and the pairwise check.  Only
+``satisfies`` and the agreement cells of the realisability LP group the
+rows themselves (:func:`_groups`).
 
 Rows become :class:`Assignment` and annotations ``MonoidValue`` objects
 only at the API edge: ``rows``, ``support``, ``annotation`` and ``repr``
@@ -24,11 +29,10 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import chain
+from itertools import chain, repeat
 from math import inf
 from operator import add, itemgetter, or_
-from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .monoid import MonoidKind, MonoidValue
 
@@ -65,16 +69,16 @@ def _row_order(keys: Sequence[Key]) -> List[int]:
     return sorted(range(len(keys)), key=order.__getitem__)
 
 
-def _projection(names: Sequence[str], target: AbstractSet[str]) -> Callable[[Key], Key]:
-    """Restriction by positions: the function taking a row over ``names``
-    to its row over the names in ``target``, again in sorted order."""
+def _project(names: Sequence[str], target: AbstractSet[str], keys: Collection[Key]) -> Iterator[Key]:
+    """Restriction by positions: each of ``keys``, rows over ``names``,
+    restricted to the names in ``target``, again in sorted order, with no
+    Python call per row."""
     positions = [i for i, var in enumerate(names) if var in target]
     if len(positions) > 1:
-        return itemgetter(*positions)
+        return map(itemgetter(*positions), keys)
     if positions:
-        (i,) = positions
-        return lambda key: (key[i],)
-    return lambda key: ()
+        return zip(map(itemgetter(positions[0]), keys))
+    return repeat((), len(keys))
 
 
 class Assignment:
@@ -237,7 +241,7 @@ class KRelation:
 
     def total(self) -> MonoidValue:
         """Sum of all annotations (the marginal onto no variables)."""
-        return MonoidValue.of(self.kind, _totals(self, _groups(self, ())).get((), 0))
+        return MonoidValue.of(self.kind, _sums(self, ()).get((), 0))
 
     def marginalise(self, variables: Iterable[str]) -> "KRelation":
         """Restrict to a variable subset, summing collapsing rows.
@@ -250,7 +254,7 @@ class KRelation:
         extra = target - self.variables
         if extra:
             raise DomainError(f"cannot marginalise onto unknown variables {sorted(extra)}")
-        return KRelation(target, self.kind, _totals(self, _groups(self, target)))
+        return KRelation(target, self.kind, _sums(self, target))
 
     def satisfies(self, fd: "FD") -> bool:
         """Whether the support satisfies a functional dependency.
@@ -263,8 +267,7 @@ class KRelation:
         extra = needed - self.variables
         if extra:
             raise DomainError(f"dependency mentions unknown variables {sorted(extra)}")
-        right = _projection(self.names, fd.rhs)
-        return all(len(set(map(right, g))) == 1 for g in _groups(self, fd.lhs).values())
+        return all(len(set(_project(self.names, fd.rhs, g))) == 1 for g in _groups(self, fd.lhs).values())
 
     def __add__(self, other: "KRelation") -> "KRelation":
         """Pointwise sum of two relations over the same variables."""
@@ -309,23 +312,32 @@ def consistent(r: KRelation, s: KRelation) -> bool:
     if r.kind is not s.kind:
         raise ValueError("cannot compare relations of different kinds")
     shared = r.variables & s.variables
-    return _totals(r, _groups(r, shared)) == _totals(s, _groups(s, shared))
+    return _sums(r, shared) == _sums(s, shared)
 
 
 def _groups(relation: KRelation, target: AbstractSet[str]) -> Groups:
     """The stored rows grouped by their restriction to ``target``, in stored order."""
-    project = _projection(relation.names, target)
+    keys = relation._rows
     groups: Groups = defaultdict(list)
-    for key in relation._rows:
-        groups[project(key)].append(key)
+    for short, key in zip(_project(relation.names, target, keys), keys):
+        groups[short].append(key)
     return groups
 
 
-def _totals(relation: KRelation, groups: Groups) -> Dict[Key, Payload]:
-    """Each group's annotation sum, a payload added in stored order; never zero."""
-    fold = partial(reduce, or_ if relation.kind is MonoidKind.B else add)
+def _sums(relation: KRelation, target: AbstractSet[str]) -> Dict[Key, Payload]:
+    """The marginal store onto ``target``: each restriction of a stored row,
+    first seen first, with the sum of its rows' payloads, added in stored
+    order (1 in B); never zero.  One pass over the rows, building no groups."""
     rows = relation._rows
-    return {short: fold([rows[key] for key in group]) for short, group in groups.items()}
+    shorts = _project(relation.names, target, rows)
+    if relation.kind is MonoidKind.B:
+        return dict.fromkeys(shorts, 1)
+    sums: Dict[Key, Payload] = {}
+    get = sums.get
+    for short, p in zip(shorts, rows.values()):
+        q = get(short)
+        sums[short] = p if q is None else q + p
+    return sums
 
 
 def _agreement(
@@ -335,9 +347,10 @@ def _agreement(
     """The agreement system of pairwise consistency: every pair ``i < j``
     of the given relations, in the given order, with ``side(relation,
     shared)`` of both sides on their shared variables, by default the
-    grouping.  Each relation is grouped once per overlap, however many
-    partners share it.  Each key of either grouping is one cell; the empty
-    overlap is the one cell holding every row."""
+    grouping (the pairwise check passes :func:`_sums`).  ``side`` runs once
+    per relation and overlap, however many partners share it.  Each key of
+    either side is one cell; the empty overlap is the one cell holding
+    every row."""
     memo: Dict[Tuple[int, FrozenSet[str]], Any] = {}
 
     def of(n: int, shared: FrozenSet[str]) -> Any:

@@ -16,7 +16,7 @@ from operator import add, itemgetter, or_
 from typing import Dict, List, Optional, Tuple
 
 from ctxfam.family import ConsistencyViolation, ContextualFamily
-from ctxfam.formats import _RESERVED_VALUES, FormatError, _significant_lines
+from ctxfam.formats import _RESERVED_VALUES, FormatError
 from ctxfam.monoid import MonoidKind, MonoidValue, parse_value
 from ctxfam.relation import Assignment, DomainError, value_key
 
@@ -37,6 +37,17 @@ def row_order(rows):
     else:
         keys = [values_key(pairs) for pairs in rows]
     return sorted(range(len(rows)), key=keys.__getitem__)
+
+
+def significant_lines(text: str) -> List[Tuple[int, str]]:
+    """The parsers' line reader before it yielded tokens: each line with
+    its comment cut and its ends stripped, numbered from 1, unless empty."""
+    out = []
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append((number, line))
+    return out
 
 
 def projection(variables, target):
@@ -127,7 +138,7 @@ def find_violation(relations) -> Optional[ConsistencyViolation]:
 
 
 def parse_relations(text: str) -> List[RowRelation]:
-    lines = _significant_lines(text)
+    lines = significant_lines(text)
     if not lines:
         raise FormatError(1, "empty document; expected a monoid line")
     number, first = lines[0]

@@ -796,3 +796,44 @@ class TestEntrypoint:
         )
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
+
+
+# CI's hash-seed documents for the line reader, written with the same
+# bytes.  COMMENTED has comment lines, trailing comments, blank lines,
+# tabs and \r\n endings; DUPLICATE repeats a row after a comment line, so
+# its error names line 6.  Outputs captured before the parsers shared one
+# line reader.
+COMMENTED = (
+    "# a commented family\r\n\r\nmonoid N  # kind\r\n\tcontext x y\r\n0\t0 : 1\r\n  1 0 : 2  \r\n"
+    "# a whole-line comment\r\n1 1 : 1\r\n\t\r\ncontext y z # second context\r\n0 0 : 2\r\n"
+    "\t0 1\t: 1\r\n1 1 : 1 #\r\n"
+)
+
+DUPLICATE = "monoid B\ncontext a b\n0 0\n1 1\n# the next row repeats the first\n0 0\n"
+
+COMMENTED_GLOBAL = """\
+globally consistent
+monoid N
+context x y z
+0 0 0 : 1
+1 0 0 : 1
+1 0 1 : 1
+1 1 1 : 1
+"""
+
+
+class TestLineReader:
+    @pytest.mark.parametrize(
+        "document, command, expected",
+        [
+            (COMMENTED, "check", (0, "locally consistent\n", "")),
+            (COMMENTED, "global", (0, COMMENTED_GLOBAL, "")),
+            (DUPLICATE, "check", (2, "", "error: {path}: line 6: duplicate row a=0,b=0\n")),
+        ],
+        ids=["check-commented", "global-commented", "check-duplicate"],
+    )
+    def test_pinned_output(self, capsys, tmp_path, document, command, expected):
+        path = tmp_path / "family.fam"
+        path.write_bytes(document.encode())
+        code, out, err = expected
+        assert run(capsys, command, str(path)) == (code, out, err.format(path=path))

@@ -10,7 +10,6 @@ from ctxfam.family import ContextualFamily, LocalConsistencyError
 from ctxfam.fdlogic import FD
 from ctxfam.formats import (
     FormatError,
-    _significant_lines,
     parse_family,
     parse_fd,
     parse_fds,
@@ -24,6 +23,7 @@ from ctxfam.realisability import decompose_cycles, realise
 from ctxfam.relation import Assignment
 
 from conftest import CS_EXT_ROWS, ST_ROWS, TC_ROWS, brel, wrel
+from row_reference import significant_lines
 
 TEACHING_TEXT = """\
 monoid B
@@ -265,7 +265,7 @@ def reference_parse(text: str):
     """The parser before rows by position, kept as the reference: one
     Assignment per row, rows listed in ``sort_key`` order.  Returns the
     variables, kind and row list of each context."""
-    lines = _significant_lines(text)
+    lines = significant_lines(text)
     if not lines:
         raise FormatError(1, "empty document; expected a monoid line")
     number, first = lines[0]
@@ -336,26 +336,74 @@ GOOD_WEIGHTS = {"B": [None, "1"], "N": [None, "1", "2", "3"], "Q": [None, "1", "
 BAD_WEIGHTS = ["0", "1/0", "2/3x", "1 2", ""]
 
 
+MARGINS = st.sampled_from(["", "", "", " ", "\t", " \t "])
+SEPARATORS = st.sampled_from([" "] * 4 + ["\t", "  ", " \t"])
+COMMENTS = st.sampled_from(["#", "# a note", "#context x", " # 1 : 2", "\t# monoid B"])
+ENDINGS = st.sampled_from(["\n"] * 3 + ["\r\n"])
+
+
+def laid_out(draw, lines: List[List[str]]) -> str:
+    r"""The token lines as text: each line with margins of spaces and
+    tabs, tokens parted by spaces or tabs, sometimes a trailing comment,
+    and ``\n`` or ``\r\n`` ending it.  Blank, whitespace-only and
+    comment lines fall before about one line in ten, so the line numbers
+    count lines that hold no tokens."""
+    text = []
+    for tokens in lines:
+        while draw(st.integers(0, 9)) == 9:
+            text.append(draw(MARGINS) + draw(st.sampled_from(["", "", "# a comment line"])))
+        line = draw(MARGINS) + draw(SEPARATORS).join(tokens) + draw(MARGINS)
+        if draw(st.integers(0, 4)) == 4:
+            line += draw(COMMENTS)
+        text.append(line)
+    return "".join(line + draw(ENDINGS) for line in text)
+
+
 @st.composite
 def documents(draw, tokens=TOKENS):
     """Family documents of every kind, mostly well formed; contexts may be
     empty, declared out of sorted order, or repeated, and about one row in
     twenty has the wrong arity or a bad annotation.  Row values are drawn
-    from ``tokens``."""
+    from ``tokens``.  Lines are laid out by :func:`laid_out`."""
     kind = draw(st.sampled_from("BNQ"))
-    lines = ["monoid " + kind]
+    lines = [["monoid", kind]]
     for _ in range(draw(st.integers(1, 3))):
         variables = draw(
             st.lists(st.sampled_from(["y", "x", "z10", "z2"]), min_size=1, max_size=3, unique=True)
         )
-        lines.append("context " + " ".join(variables))
+        lines.append(["context", *variables])
         for _ in range(draw(st.integers(0, 6))):
             arity = len(variables) + draw(st.sampled_from([0] * 38 + [-1, 1]))
             values = draw(st.lists(tokens, min_size=arity, max_size=arity))
             pool = GOOD_WEIGHTS[kind] if draw(st.integers(0, 39)) else BAD_WEIGHTS
             weight = draw(st.sampled_from(pool))
-            lines.append(" ".join(values) + ("" if weight is None else " : " + weight))
-    return "\n".join(lines) + "\n"
+            lines.append(values + ([] if weight is None else [":", weight]))
+    return laid_out(draw, lines)
+
+
+FD_VARIABLES = st.sampled_from(["x", "y", "z", "a", "cd"])
+FD_LINES = st.one_of(
+    st.builds(lambda lhs, rhs: lhs + ["->"] + rhs, *[st.lists(FD_VARIABLES, min_size=1, max_size=2)] * 2),
+    st.builds(lambda variables: ["cd"] + variables, st.lists(FD_VARIABLES, max_size=3)),
+    st.lists(st.sampled_from(["x", "y", "cd", "->"]), max_size=4),
+)
+
+
+@st.composite
+def dependency_documents(draw):
+    """Dependency documents of up to six lines, mostly well formed: about
+    one line in three is a random token list.  Lines are laid out by
+    :func:`laid_out`."""
+    return laid_out(draw, draw(st.lists(FD_LINES, max_size=6)))
+
+
+def reference_parse_fds(text: str):
+    """``parse_fds`` before it read tokens: ``parse_fd`` on each line of the
+    reference line reader."""
+    out = [parse_fd(line, number) for number, line in significant_lines(text)]
+    if not out:
+        raise FormatError(1, "empty document; expected dependencies")
+    return out
 
 
 class TestAgreesWithPerRowReference:
@@ -370,6 +418,17 @@ class TestAgreesWithPerRowReference:
             return
         relations = parse_relations(text)
         assert [(r.variables, r.kind, list(r.rows())) for r in relations] == expected
+
+    @given(dependency_documents())
+    def test_parse_fds(self, text):
+        try:
+            expected = reference_parse_fds(text)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as new:
+                parse_fds(text)
+            assert (new.value.line, new.value.message) == (exc.line, exc.message)
+            return
+        assert parse_fds(text) == expected
 
     @given(documents(RESERVED_TOKENS))
     def test_every_accepted_document_reads_back(self, text):

@@ -8,17 +8,20 @@ tokens, and a guard checks that parsing and validating builds no
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import row_reference as ref
+from ctxfam import family as family_module
+from ctxfam import relation as relation_module
 from ctxfam.family import ContextSet, ContextualFamily, _support_join, find_violation
 from ctxfam.fdlogic import FD
 from ctxfam.formats import FormatError, parse_family, parse_relations
 from ctxfam.monoid import MonoidKind, MonoidValue
-from ctxfam.relation import Assignment, DomainError, KRelation, _groups, _row_order
+from ctxfam.relation import Assignment, DomainError, KRelation, _groups, _project, _row_order, _sums, consistent
 
 from test_formats import RESERVED_TOKENS, documents
 from test_relation import NAMES, TOKEN_POOLS, WEIGHTS, subsets
@@ -73,6 +76,25 @@ class TestRelations:
             for short, group in _groups(new, target).items()
         ] == [(Assignment._sorted(short), group) for short, group in ref.groups(old, target).items()]
         assert list(new.marginalise(target).rows()) == list(old.marginalise(target).rows())
+
+    @given(pooled())
+    def test_batch_projection_and_sums(self, drawn):
+        """On every target, the empty one included, ``_project`` restricts
+        the stored rows as the reference's ``projection`` does, row by row,
+        and ``_sums`` holds the reference's group totals, keys in order."""
+        variables, kind, rows = drawn
+        new, old = both(variables, kind, rows)
+        names = sorted(variables)
+        for size in range(len(names) + 1):
+            for target in map(frozenset, combinations(names, size)):
+                short_names = sorted(target)
+                project = ref.projection(variables, target)
+                assert [as_row(short_names, short) for short in _project(new.names, target, new._rows)] == [
+                    Assignment._sorted(project(row.items())) for row in old._rows
+                ]
+                assert [(as_row(short_names, short), p) for short, p in _sums(new, target).items()] == [
+                    (Assignment._sorted(short), p) for short, p in ref.totals(old, ref.groups(old, target)).items()
+                ]
 
     @given(pooled(), st.data())
     def test_satisfies(self, drawn, data):
@@ -192,6 +214,26 @@ def test_parsing_and_validating_builds_no_row_objects(constructions):
     assert sum(len(r) for r in family.maximal_relations()) == 3000
     assert constructions["Assignment"] == 0
     assert constructions["MonoidValue"] <= 3
+
+
+def test_validating_and_marginalising_group_no_rows(monkeypatch):
+    """The pairwise check, ``marginalise``, ``total`` and ``consistent`` sum
+    each marginal in one pass: none of them groups the rows."""
+
+    def refuse(*args):
+        raise AssertionError("rows grouped")
+
+    monkeypatch.setattr(relation_module, "_groups", refuse)
+    monkeypatch.setattr(family_module, "_groups", refuse, raising=False)
+    for kind, weights in [(MonoidKind.B, [1, 1]), (MonoidKind.N, [2, 1]), (MonoidKind.Q, [Fraction(1, 2), Fraction(3, 2)])]:
+        left = KRelation(["a", "b"], kind, {("0", "0"): weights[0], ("1", "0"): weights[1]})
+        right = KRelation(["b", "c"], kind, {("0", "0"): weights[1], ("0", "1"): weights[0]})
+        family = ContextualFamily([left, right])
+        assert family.kind is kind
+        assert left.marginalise(["b"]) == right.marginalise(["b"])
+        assert left.total() == right.total()
+        assert consistent(left, right)
+        assert not consistent(left, KRelation(["b"], kind, {("1",): weights[0]}))
 
 
 @pytest.mark.parametrize(
