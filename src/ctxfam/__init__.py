@@ -35,7 +35,6 @@ from .fdlogic import (
     UnsupportedDependencyError,
     build_counterexample,
     chain_rule_derives,
-    classical_closure,
     cycle_rule_derives,
     derivation_closure,
     derives,
@@ -60,10 +59,7 @@ from .monoid import (
     MonoidValue,
     add,
     format_value,
-    msum,
-    natural_leq,
     parse_value,
-    subtract,
 )
 from .realisability import (
     CycleOrdering,
@@ -124,7 +120,6 @@ __all__ = [
     "build_opg",
     "chain_rule_derives",
     "check_global_consistency",
-    "classical_closure",
     "classify_chordless_cycle",
     "consistent",
     "cycle_rule_derives",
@@ -137,8 +132,6 @@ __all__ = [
     "format_trace",
     "format_value",
     "lift_uniform",
-    "msum",
-    "natural_leq",
     "parse_family",
     "parse_fd",
     "parse_fds",
@@ -152,6 +145,5 @@ __all__ = [
     "serialize_decomposition",
     "serialize_family",
     "serialize_relation",
-    "subtract",
     "verify_trace",
 ]

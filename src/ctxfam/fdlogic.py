@@ -286,20 +286,6 @@ def _chain_requirements(xs: Sequence, cs: Sequence) -> Tuple[List[Tuple], List[F
     return edges, sets
 
 
-def classical_closure(sigma: Iterable[FD], attributes: Iterable[str]) -> FrozenSet[str]:
-    """Attribute closure under all premises, context-blind."""
-    closure = set(str(a) for a in attributes)
-    fds = sorted(sigma, key=lambda f: f.sort_key)
-    changed = True
-    while changed:
-        changed = False
-        for fd in fds:
-            if fd.lhs <= closure and not fd.rhs <= closure:
-                closure |= fd.rhs
-                changed = True
-    return frozenset(closure)
-
-
 # ---------------------------------------------------------------------------
 # The unary closure engine (CR and FULL)
 
@@ -602,21 +588,17 @@ def chain_rule_derives(sigma: Iterable[FD], x: str, y: str) -> bool:
     return _chain_instance(atoms, states, i, j) is not None
 
 
-def derivation_closure(
-    sigma: Iterable[FD],
-    rules: RuleSet = RuleSet.CR,
-    extra_context_sets: Iterable[FrozenSet[str]] = (),
-) -> FrozenSet[FD]:
+def derivation_closure(sigma: Iterable[FD], rules: RuleSet = RuleSet.CR) -> FrozenSet[FD]:
     """All unary dependencies derivable from the premises.
 
-    ``extra_context_sets`` admits additional variable sets (a goal's, in
-    particular) without adding premises.  Only CR and FULL are closure
+    The contexts are the premises' variable sets; a CD premise declares
+    one without constraining anything.  Only CR and FULL are closure
     systems here; CLASSICAL and NRA answer via attribute closure in
     :func:`derives`.
     """
     if rules not in (RuleSet.CR, RuleSet.FULL):
         raise ValueError("closure is defined for the CR and FULL rule sets")
-    engine = _ClosureEngine(list(sigma), rules, extra_context_sets)
+    engine = _ClosureEngine(list(sigma), rules, ())
     return frozenset(FD.unary(engine.variables[a], engine.variables[b]) for a, b in engine.edges)
 
 
@@ -1123,21 +1105,14 @@ def semantic_entails_oracle(
     return EntailmentVerdict(True, None, conclusive)
 
 
-def random_family_satisfying(
-    sigma: Iterable[FD],
-    rng,
-    domain_size: int = 2,
-    max_rows: int = 4,
-    extra_context_sets: Iterable[FrozenSet[str]] = (),
-) -> Optional[ContextualFamily]:
+def random_family_satisfying(sigma: Iterable[FD], rng) -> Optional[ContextualFamily]:
     """A pseudo-random locally consistent B-family over the premises'
-    contexts (plus any extra sets) satisfying every premise, or None when
-    even the bounded search space holds no such family, or there are no
-    contexts to build one over."""
+    contexts satisfying every premise, or None when there are no contexts
+    to build one over or the oracle's default bounds (domain 2, four rows
+    per context) admit no such family.  A CD premise declares a context
+    without constraining it."""
     premises = sorted(set(sigma), key=lambda f: f.sort_key)
-    sets = [fd.variables for fd in premises] + [frozenset(s) for s in extra_context_sets]
-    contexts = ContextSet.from_sets(sets)
+    contexts = ContextSet.from_sets([fd.variables for fd in premises])
     if not contexts:
         return None
-    domain = [str(i) for i in range(domain_size)]
-    return _backtrack_family(contexts, premises, None, domain, max_rows, rng=rng)
+    return _backtrack_family(contexts, premises, None, ["0", "1"], 4, rng=rng)

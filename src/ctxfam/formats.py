@@ -24,7 +24,8 @@ Dependency documents hold one dependency per line: ``x -> y`` (several
 variables allowed on each side) or ``cd x y ...`` for constraint
 dependencies.  ``->`` names no variable on a ``cd`` line, and ``cd`` may
 not be the least variable left of ``->``: either would be written back
-as another dependency.
+as another dependency.  A single dependency (a query) may not contain
+``#``: a family written for it would cut its variable at the ``#``.
 
 Both parsers read their text through one line reader,
 :func:`_token_lines`, which cuts comments, skips lines left without
@@ -214,6 +215,8 @@ def _dependency(tokens: List[str], line: int) -> FD:
 
 def parse_fd(text: str, line: int = 1) -> FD:
     """One dependency: ``x [y ...] -> z [w ...]`` or ``cd x y [z ...]``."""
+    if "#" in text:
+        raise FormatError(line, "'#' starts a comment and may not appear in a dependency")
     return _dependency(text.split(), line)
 
 

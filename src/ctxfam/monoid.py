@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
 
 
 class KindMismatchError(TypeError):
@@ -120,42 +119,6 @@ def add(a: MonoidValue, b: MonoidValue) -> MonoidValue:
     if a.kind is MonoidKind.B:
         return MonoidValue(a.kind, a.payload | b.payload)
     return MonoidValue(a.kind, a.payload + b.payload)
-
-
-def msum(values: Iterable[MonoidValue], kind: Optional[MonoidKind] = None) -> MonoidValue:
-    """Sum of finitely many values; the empty sum needs an explicit kind."""
-    total: Optional[MonoidValue] = None
-    for v in values:
-        total = v if total is None else add(total, v)
-    if total is None:
-        if kind is None:
-            raise ValueError("empty sum needs an explicit kind")
-        return MonoidValue.zero(kind)
-    return total
-
-
-def natural_leq(a: MonoidValue, b: MonoidValue) -> bool:
-    """The natural preorder: a <= b iff some c satisfies a + c = b.
-
-    For B this is implication (0 <= 1); for N and Q it coincides with the
-    numeric order because subtraction of a smaller value stays in the
-    monoid.
-    """
-    _require_same_kind(a, b)
-    return a.payload <= b.payload
-
-
-def subtract(a: MonoidValue, b: MonoidValue) -> MonoidValue:
-    """Partial subtraction a - b, defined for cancellative kinds with b <= a.
-
-    B is rejected outright: 1 - 1 would have two candidate results there.
-    """
-    _require_same_kind(a, b)
-    if not a.kind.is_cancellative:
-        raise KindMismatchError("subtraction is not defined for B")
-    if b.payload > a.payload:
-        raise ValueError(f"cannot subtract {b} from {a} within the monoid")
-    return MonoidValue(a.kind, a.payload - b.payload)
 
 
 def _decimal(text: str) -> bool:

@@ -123,18 +123,6 @@ class Assignment:
                 return val
         raise KeyError(var)
 
-    def restrict(self, variables: Iterable[str]) -> "Assignment":
-        """The restriction of this row to the given variables.
-
-        Every requested variable must be bound; restriction never invents
-        values.
-        """
-        wanted = frozenset(variables)
-        missing = wanted - self.variables
-        if missing:
-            raise DomainError(f"assignment does not bind {sorted(missing)}")
-        return Assignment._sorted(tuple([pair for pair in self._pairs if pair[0] in wanted]))
-
     @property
     def sort_key(self) -> Tuple:
         return tuple((var, value_key(val)) for var, val in self._pairs)

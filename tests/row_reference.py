@@ -1,10 +1,13 @@
 """The row-object relation code that the value-tuple store replaced, kept
-as a test-only reference.
+as a test-only reference, with the helpers that only tests need.
 
 A reference relation maps :class:`Assignment` rows to
 :class:`MonoidValue` annotations; it is validated row by row, sorted by
 the rows' pairs, and restricted, grouped, joined and parsed through
 those pairs.  The tests compare its results ``==`` with the new code.
+:func:`classical_closure` is the context-blind attribute closure that
+CLASSICAL and NRA derivations and contextual counterexamples are
+checked against.
 """
 
 from __future__ import annotations
@@ -48,6 +51,29 @@ def significant_lines(text: str) -> List[Tuple[int, str]]:
         if line:
             out.append((number, line))
     return out
+
+
+def restrict(row: Assignment, names) -> Assignment:
+    """The restriction of a row to the given names, every one of which it
+    must bind."""
+    wanted = frozenset(names)
+    missing = wanted - row.variables
+    if missing:
+        raise DomainError(f"assignment does not bind {sorted(missing)}")
+    return Assignment((v, val) for v, val in row.items() if v in wanted)
+
+
+def classical_closure(sigma, attributes) -> frozenset:
+    """Attribute closure under all premises, context-blind."""
+    closure = set(attributes)
+    changed = True
+    while changed:
+        changed = False
+        for fd in sigma:
+            if fd.lhs <= closure and not fd.rhs <= closure:
+                closure |= fd.rhs
+                changed = True
+    return frozenset(closure)
 
 
 def projection(variables, target):

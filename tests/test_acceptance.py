@@ -66,9 +66,7 @@ def report(capsys, number: int, text: str) -> None:
 def random_cycle_support(rng):
     """A random locally consistent B-family over a chordless cycle."""
     contexts = cycle_contexts(rng.randint(3, 5))
-    return random_family_satisfying(
-        [cd(sorted(c)) for c in contexts], rng, domain_size=2, max_rows=4
-    )
+    return random_family_satisfying([cd(sorted(c)) for c in contexts], rng)
 
 
 class TestAcceptance:

@@ -26,6 +26,7 @@ from ctxfam.realisability import realisable_lp
 from ctxfam.relation import Assignment, KRelation, consistent
 
 from conftest import CS, CS_EXT_ROWS, CS_ROWS, ST, ST_ROWS, TC, TC_ROWS, brel, cycle_contexts
+from row_reference import restrict
 from test_feasibility import (
     SHAPES,
     _ref_substitute,
@@ -77,9 +78,9 @@ def reference_lp_pairs(family):
             shared = ci & cj
             groups = {}
             for row in by_context[ci]:
-                groups.setdefault(row.restrict(shared), {})[row] = Fraction(1)
+                groups.setdefault(restrict(row, shared), {})[row] = Fraction(1)
             for row in by_context[cj]:
-                cell = groups.setdefault(row.restrict(shared), {})
+                cell = groups.setdefault(restrict(row, shared), {})
                 cell[row] = cell.get(row, Fraction(0)) - Fraction(1)
             pairs.append((i, [(groups[key], Fraction(0)) for key in sorted(groups, key=lambda a: a.sort_key)]))
     return pairs

@@ -583,6 +583,49 @@ class TestDerive:
         assert err.startswith("error: query:")
 
 
+# CI's covering-CD document and its CLASSICAL and NRA traces, captured
+# before ``classical_closure`` left the library.
+COVERING = "a b -> c\nc -> d\ncd a b c d\n"
+COVERING_CLASSICAL = """\
+derivable
+1. cd a b  [reflexivity]
+2. a b -> c  [premise]
+3. a b -> a b c  [augmentation(2)]
+4. a b -> a b c  [transitivity(1,3)]
+5. c -> d  [premise]
+6. a b c -> a b c d  [augmentation(5)]
+7. a b -> a b c d  [transitivity(4,6)]
+8. a b c d -> d  [reflexivity]
+9. a b -> d  [transitivity(7,8)]
+"""
+COVERING_NRA = """\
+derivable
+1. cd a b  [reflexivity]
+2. a b -> c  [premise]
+3. a b -> a b c  [augmentation(2)]
+4. cd a b c  [reflexivity]
+5. a b -> a b c  [chain(1,3,4)]
+6. c -> d  [premise]
+7. a b c -> a b c d  [augmentation(6)]
+8. cd a b c d  [premise]
+9. a b -> a b c d  [chain(5,7,8)]
+10. a b c d -> d  [reflexivity]
+11. cd a b c d  [premise]
+12. a b -> d  [chain(9,10,11)]
+"""
+
+
+class TestCoveringTraces:
+    @pytest.mark.parametrize(
+        "rules, expected", [("classical", COVERING_CLASSICAL), ("nra", COVERING_NRA)]
+    )
+    def test_pinned_trace(self, capsys, tmp_path, rules, expected):
+        path = tmp_path / "covering.fd"
+        path.write_text(COVERING)
+        argv = ["derive", str(path), "--query", "a b -> d", "--rules", rules, "--trace"]
+        assert run(capsys, *argv) == (0, expected, "")
+
+
 class TestEntail:
     def test_holds_with_bounded_note(self, capsys, tmp_path):
         path = tmp_path / "fds.txt"
@@ -669,6 +712,7 @@ TWO_CONTEXTS = "monoid N\ncontext x y\n0 0 : 1\ncontext y z\n0 0 : 1\n"
 CYCLE_ERROR = "error: a chordless cycle needs at least 3 contexts, got 2\n"
 GENERAL = "error: x y -> z is neither unary nor a CD; only CLASSICAL and NRA accept general dependencies\n"
 CD_REFUSAL = "error: counterexample construction covers unary premises and binary CDs; got cd x y z\n"
+HASH_QUERY = "error: query: '#' starts a comment and may not appear in a dependency\n"
 
 
 class TestErrorCorpus:
@@ -696,6 +740,15 @@ class TestErrorCorpus:
         path = tmp_path / "input.txt"
         path.write_text(document)
         assert run(capsys, argv[0], str(path), *argv[1:]) == (2, "", err)
+
+    @pytest.mark.parametrize("command", ["derive", "entail", "counterexample"])
+    @pytest.mark.parametrize("query", ["y -> x#1", "x -> y#1", "x# -> y", "cd x #"])
+    def test_hash_in_a_query_is_refused(self, capsys, tmp_path, command, query):
+        """A variable with ``#`` would be cut short in the family written
+        for the query, so no witness for it could be read back."""
+        path = tmp_path / "deps.fd"
+        path.write_text("x -> y\ncd x y\ncd y z\n")
+        assert run(capsys, command, str(path), "--query", query) == (2, "", HASH_QUERY)
 
 
     @pytest.mark.parametrize(

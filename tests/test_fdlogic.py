@@ -8,7 +8,7 @@ from bisect import insort
 
 import pytest
 
-from ctxfam.family import ContextSet, ContextualFamily
+from ctxfam.family import ContextSet, ContextualFamily, check_global_consistency
 from ctxfam import fdlogic
 from ctxfam.fdlogic import (
     FD,
@@ -21,7 +21,6 @@ from ctxfam.fdlogic import (
     _context_candidates,
     build_counterexample,
     chain_rule_derives,
-    classical_closure,
     cycle_rule_derives,
     derivation_closure,
     derives,
@@ -34,6 +33,7 @@ from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.relation import Assignment, KRelation
 
 from conftest import chain_brute_force, chain_premises
+from row_reference import classical_closure
 
 u = FD.unary
 cd = FD.cd
@@ -56,15 +56,44 @@ class TestFd:
 
 
 class TestClassicalClosure:
+    """CLASSICAL and NRA derive a goal under a covering CD exactly when its
+    right side lies in the context-blind attribute closure of its left."""
+
+    def check(self, sigma, goals):
+        for phi in goals:
+            expected = phi.rhs <= classical_closure(sigma, phi.lhs)
+            for rules in (RuleSet.CLASSICAL, RuleSet.NRA):
+                assert derives(sigma, phi, rules)[0] == expected, (phi, rules)
+
     def test_transitive_chain(self):
-        assert classical_closure([u("x", "y"), u("y", "z")], {"x"}) == {"x", "y", "z"}
+        sigma = [u("x", "y"), u("y", "z"), cd(["x", "y", "z"])]
+        assert classical_closure(sigma, {"x"}) == {"x", "y", "z"}
+        self.check(sigma, [u("x", "z"), FD(frozenset("x"), frozenset("yz")), u("z", "x")])
 
     def test_no_premises(self):
-        assert classical_closure([], {"x"}) == {"x"}
+        sigma = [cd(["x", "y"])]
+        assert classical_closure(sigma, {"x"}) == {"x"}
+        self.check(sigma, [u("x", "x"), u("x", "y")])
 
     def test_uncovered_left_side_blocks(self):
-        sigma = [FD(frozenset({"x", "y"}), frozenset({"z"}))]
+        sigma = [FD(frozenset({"x", "y"}), frozenset({"z"})), cd(["x", "y", "z"])]
         assert classical_closure(sigma, {"x"}) == {"x"}
+        self.check(sigma, [u("x", "z"), FD(frozenset("xy"), frozenset("z"))])
+
+    def test_seeded_corpus(self):
+        rng = random.Random(12)
+        for _ in range(150):
+            vs = [f"v{i}" for i in range(rng.randint(3, 7))]
+            sides = [1, 1, 2]
+            sigma = {
+                FD(frozenset(rng.sample(vs, rng.choice(sides))), frozenset(rng.sample(vs, rng.choice(sides))))
+                for _ in range(rng.randint(1, 2 * len(vs)))
+            }
+            sigma = sorted(sigma | {cd(vs)}, key=lambda f: f.sort_key)
+            self.check(sigma, [
+                FD(frozenset(rng.sample(vs, rng.choice([1, 2]))), frozenset(rng.sample(vs, rng.choice([1, 2]))))
+                for _ in range(3)
+            ])
 
 
 class TestCycleRule:
@@ -321,6 +350,22 @@ class TestCounterexamples:
         assert build_counterexample(sigma, u("x", "y")) is None
         assert build_counterexample(sigma, u("x", "x")) is None
 
+    def test_contextual_exactly_when_classically_derivable(self):
+        """A counterexample to a goal CR does not derive is globally
+        inconsistent exactly when the context-blind closure derives the
+        goal: a global relation would satisfy every premise and so the goal."""
+        seen = {True: 0, False: 0}
+        for seed in range(40):
+            for sigma, phi in entail_shape_corpus(seed, 8):
+                if derives(sigma, phi)[0]:
+                    continue
+                classical = phi.rhs <= classical_closure(sigma, phi.lhs)
+                seen[classical] += 1
+                for kind in MonoidKind:
+                    family = build_counterexample(sigma, phi, kind)
+                    assert (check_global_consistency(family) is None) == classical, (sigma, phi, kind)
+        assert min(seen.values()) >= 10
+
     def test_cd_premises_shape_contexts(self):
         sigma = [u("x", "y"), cd(["y", "z"])]
         phi = u("x", "z")
@@ -363,9 +408,7 @@ class TestAgreementProperties:
         ok, _ = derives(sigma, goal)
         assert ok
         for _ in range(150):
-            family = random_family_satisfying(
-                sigma, rng, extra_context_sets=[goal.variables]
-            )
+            family = random_family_satisfying(sigma + [cd(goal.variables)], rng)
             if family is None:
                 continue
             assert family.satisfies(goal)
@@ -893,7 +936,7 @@ class TestAgainstReference:
             engine = _ClosureEngine(sigma, rules, extra)
             old = reference_engine(sigma, rules, extra)
             assert named_edges(engine) == list(old.edges.items())
-            assert derivation_closure(sigma, rules, extra) == frozenset(
+            assert derivation_closure(sigma + [cd(s) for s in extra], rules) == frozenset(
                 u(a, b) for a, b in old.edges
             )
             for x, y in queries:
@@ -1100,9 +1143,7 @@ class TestSamplerEdges:
         assert random_family_satisfying([], random.Random(0)) is None
 
     def test_extra_contexts_alone_give_a_family(self):
-        family = random_family_satisfying(
-            [], random.Random(0), extra_context_sets=[frozenset({"a", "b"})]
-        )
+        family = random_family_satisfying([cd(["a", "b"])], random.Random(0))
         assert family is not None
         assert list(family.contexts) == [frozenset({"a", "b"})]
 

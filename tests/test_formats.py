@@ -193,12 +193,20 @@ class TestDependencyFormats:
             ("cd x -> y", "'->' is reserved"),
             ("cd -> y", "'->' is reserved"),
             ("x cd -> y", "'cd' is reserved"),
+            ("y -> x#1", "'#' starts a comment"),
+            ("x -> y # note", "'#' starts a comment"),
+            ("#", "'#' starts a comment"),
         ],
     )
     def test_parse_fd_rejections(self, text, fragment):
         with pytest.raises(FormatError) as excinfo:
             parse_fd(text)
         assert fragment in str(excinfo.value)
+
+    def test_hash_error_keeps_its_line(self):
+        with pytest.raises(FormatError) as excinfo:
+            parse_fd("y -> x#1", 7)
+        assert excinfo.value.line == 7
 
     def test_parse_fds_document(self):
         text = "# premises\nx -> y\n\ncd x y z\n"

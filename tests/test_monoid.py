@@ -12,10 +12,7 @@ from ctxfam.monoid import (
     MonoidValue,
     add,
     format_value,
-    msum,
-    natural_leq,
     parse_value,
-    subtract,
 )
 from ctxfam.relation import KRelation
 
@@ -103,50 +100,6 @@ class TestAdd:
     def test_boolean_cancellation_counterexample(self):
         assert add(B(1), B(1)) == add(B(1), B(0))
         assert B(1) != B(0)
-
-
-class TestNaturalOrder:
-    def test_examples(self):
-        assert natural_leq(B(0), B(1))
-        assert not natural_leq(N(3), N(2))
-        assert natural_leq(Q(Fraction(5, 6)), Q(Fraction(5, 6)))
-
-    @given(same_kind_values())
-    def test_reflexive_and_transitive(self, triple):
-        a, b, c = triple
-        assert natural_leq(a, a)
-        if natural_leq(a, b) and natural_leq(b, c):
-            assert natural_leq(a, c)
-
-    @given(same_kind_values())
-    def test_characterised_by_addition(self, triple):
-        a, b, _ = triple
-        assert natural_leq(a, add(a, b))
-
-
-class TestSum:
-    def test_examples(self):
-        assert msum([N(1), N(1)]) == N(2)
-        assert msum([], kind=MonoidKind.B) == B(0)
-        assert msum([Q(Fraction(1, 2)), Q(Fraction(1, 2)), Q(1)]) == Q(2)
-
-    def test_empty_sum_needs_kind(self):
-        with pytest.raises(ValueError):
-            msum([])
-
-
-class TestSubtract:
-    def test_numeric_subtraction(self):
-        assert subtract(N(5), N(2)) == N(3)
-        assert subtract(Q(Fraction(1, 2)), Q(Fraction(1, 3))) == Q(Fraction(1, 6))
-
-    def test_boolean_has_no_subtraction(self):
-        with pytest.raises(KindMismatchError):
-            subtract(B(1), B(1))
-
-    def test_underflow_rejected(self):
-        with pytest.raises(ValueError):
-            subtract(N(1), N(2))
 
 
 class TestValidation:

@@ -16,7 +16,7 @@ from ctxfam.family import ContextSet, ContextualFamily
 from ctxfam.fdlogic import FD, random_family_satisfying
 from ctxfam.family import LocalConsistencyError
 from ctxfam.formats import parse_family, serialize_decomposition, serialize_family
-from ctxfam.monoid import MonoidKind, MonoidValue, subtract
+from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.relation import Assignment, KRelation
 from ctxfam.realisability import (
     NotChordlessCycleError,
@@ -36,6 +36,7 @@ from ctxfam.realisability import (
 )
 
 from conftest import CS, ST, TC, brel, cycle_contexts, family_of, row, wrel
+from row_reference import restrict
 from test_feasibility import SHAPES, marginal_family
 
 
@@ -429,9 +430,7 @@ class TestRealisableLp:
         checked = 0
         while checked < 40:
             contexts = cycle_contexts(rng.randint(3, 5))
-            family = random_family_satisfying(
-                [FD.cd(c) for c in contexts], rng, domain_size=2, max_rows=4
-            )
+            family = random_family_satisfying([FD.cd(c) for c in contexts], rng)
             if family is None or not any(
                 len(r) for r in family.maximal_relations()
             ):
@@ -588,7 +587,7 @@ def reference_decompose(family):
             rows = dict(rel.rows())
             for lab in labels:
                 if lab in rows:
-                    remaining = subtract(rows[lab], least)
+                    remaining = MonoidValue(least.kind, rows[lab].payload - least.payload)
                     if remaining.is_zero:
                         del rows[lab]
                     else:
@@ -1265,8 +1264,8 @@ class TestShownAsBefore:
 
             for e, label in zip(graph.edges, labels):
                 i = e.context_index
-                before = label.restrict(ordering.boundary(i - 1))
-                after = label.restrict(ordering.boundary(i))
+                before = restrict(label, ordering.boundary(i - 1))
+                after = restrict(label, ordering.boundary(i))
                 assert (e.source.layer, e.source.boundary) == ((i - 1) % n, before)
                 assert (e.target.layer, e.target.boundary) == (i, after)
                 assert str(e.source) == text((i - 1) % n, before)
