@@ -58,11 +58,15 @@ class InputError(Exception):
 
 
 def _read(path: str) -> str:
+    """The text of the file at ``path``; an unreadable file or one that is
+    not UTF-8 is an input error that names the path."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _load_family(path: str) -> ContextualFamily:

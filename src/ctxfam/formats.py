@@ -27,24 +27,29 @@ not be the least variable left of ``->``: either would be written back
 as another dependency.  A single dependency (a query) may not contain
 ``#``: a family written for it would cut its variable at the ``#``.
 
-Both parsers read their text through one line reader,
-:func:`_token_lines`, which cuts comments, skips lines left without
-tokens and numbers the rest as lines of the whole text, blank and
-comment lines included.  Parsing reports errors with those line numbers;
-serialisation is canonical (sorted contexts, sorted rows) and
+Both parsers read their text through one line reader, :func:`_lines`,
+which cuts comments and strips each line, keeping blank and comment
+lines so that line n of the text is item n - 1.  The family parser then
+reads a context block at a time (:func:`_read_block`): it splits the
+block's rows as one text, takes each value, ``:`` and weight column as a
+slice of those tokens, and tests whole columns at once; it builds no
+Python object per row beyond the row's key.  Only when a block fails a
+test is it read again line by line, to raise the error of its first
+malformed row.  Parsing reports errors with line numbers of the whole
+text; serialisation is canonical (sorted contexts, sorted rows) and
 round-trips.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-from operator import itemgetter
-from typing import Dict, Iterator, List, Tuple
+from itertools import chain, compress, count, repeat
+from operator import eq, itemgetter
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .family import ContextualFamily
 from .fdlogic import FD
 from .monoid import MonoidKind, MonoidValue, format_value, parse_value
-from .relation import Assignment, KRelation, Payload
+from .relation import Assignment, Key, KRelation, Payload
 
 
 _RESERVED_VALUES = frozenset(("context", "monoid"))
@@ -59,92 +64,174 @@ class FormatError(ValueError):
         self.message = message
 
 
-def _token_lines(text: str) -> Iterator[Tuple[int, List[str]]]:
-    """``(line number, tokens)`` for each line of ``text`` that has tokens
-    once its comment is cut, numbered from 1.  Built from ``splitlines``,
-    ``map``, ``enumerate`` and ``filter``: no Python call per line."""
+def _lines(text: str) -> List[str]:
+    """Every line of ``text``, its comment cut and its ends stripped of
+    whitespace; line n is item n - 1, so blank and comment lines stay and
+    keep the numbering.  Built from ``splitlines`` and ``map``: no Python
+    call per line."""
     lines = text.splitlines()
     if "#" in text:
         lines = map(itemgetter(0), map(str.partition, lines, repeat("#")))
-    return filter(itemgetter(1), enumerate(map(str.split, lines), 1))
+    return list(map(str.strip, lines))
+
+
+def _led_by(lines: List[str]) -> Tuple[List[int], List[int]]:
+    """The indices of the lines whose first token is ``context``, and of
+    those whose first token is ``monoid``."""
+    led: Dict[str, List[int]] = {"context": [], "monoid": []}
+    for i in compress(count(), map(str.startswith, lines, repeat(("context", "monoid")))):
+        word = lines[i].split(None, 1)[0]
+        if word in led:
+            led[word].append(i)
+    return led["context"], led["monoid"]
 
 
 def parse_relations(text: str) -> List[KRelation]:
     """The context relations of a family document, unvalidated as a
     family: consistency checking is the caller's decision."""
-    lines = _token_lines(text)
-    first = next(lines, None)
-    if first is None:
+    lines = _lines(text)
+    start = next(compress(count(), lines), None)
+    if start is None:
         raise FormatError(1, "empty document; expected a monoid line")
-    number, parts = first
+    parts = lines[start].split()
     if parts[0] != "monoid" or len(parts) != 2:
-        raise FormatError(number, "expected 'monoid B|N|Q' on the first line")
+        raise FormatError(start + 1, "expected 'monoid B|N|Q' on the first line")
     try:
         kind = MonoidKind(parts[1])
     except ValueError:
-        raise FormatError(number, f"unknown monoid {parts[1]!r}") from None
+        raise FormatError(start + 1, f"unknown monoid {parts[1]!r}") from None
 
-    # Each context's rows are kept as KRelation keys, value tuples in sorted
-    # variable order (``pick`` takes them from a line).
-    blocks: List[Tuple[int, Tuple[str, ...]]] = []
-    rows: List[Dict[Tuple[str, ...], Payload]] = []
+    heads, monoids = _led_by(lines)
+    stop = monoids[1] if len(monoids) > 1 else len(lines)  # a duplicate monoid line: an error at or before it
+    first = heads[0] if heads else len(lines)
+    _locate_row_error(kind, None, lines, start + 1, first)
+    if not heads:
+        raise FormatError(start + 1, "document declares no context")  # the last line with tokens
+    blocks: List[Tuple[Tuple[str, ...], int, int]] = []  # variables, first and end row line index
+    stores: List[Dict[Key, Payload]] = []
     one = MonoidValue.one(kind).payload
-    weights: Dict[str, Payload] = {}  # parsed payloads by token
-    for number, tokens in lines:
+    weights: Dict[str, Payload] = {}  # the nonzero payload of each weight token read
+    for head, end in zip(heads, heads[1:] + [len(lines)]):
+        variables = tuple(lines[head].split()[1:])
+        if not variables:
+            raise FormatError(head + 1, "context needs at least one variable")
+        if len(set(variables)) != len(variables):
+            raise FormatError(head + 1, "context repeats a variable")
+        if any(frozenset(variables) == frozenset(b) for b, _, _ in blocks):
+            raise FormatError(head + 1, "duplicate context")
+        store = None
+        if not head < stop < end:
+            store = _read_block(kind, variables, list(filter(None, lines[head + 1 : end])), one, weights)
+        if store is None:
+            _locate_row_error(kind, variables, lines, head + 1, end)
+        blocks.append((variables, head + 1, end))
+        stores.append(store)
+
+    # Each context line holds "context" and the first line "monoid": a row
+    # can hold a reserved word only where the text holds one more.
+    reserved = text.count("context") > len(heads) or text.count("monoid") > 1
+    for (_, begin, end), store in zip(blocks, stores):
+        if reserved and not _RESERVED_VALUES.isdisjoint(chain.from_iterable(store)):
+            number, word = next((i + 1, w) for i in range(begin, end)
+                                for w in lines[i].split() if w in _RESERVED_VALUES)
+            raise FormatError(number, f"row value {word!r} is a reserved word")
+    return [KRelation(variables, kind, store) for (variables, _, _), store in zip(blocks, stores)]
+
+
+def _read_block(kind: MonoidKind, variables: Tuple[str, ...], rows: List[str],
+                one: Payload, weights: Dict[str, Payload]) -> Optional[Dict[Key, Payload]]:
+    """The store of one context block, its rows' value tuples in sorted
+    variable order mapped to their payloads (``one`` where a row has no
+    weight), or None when a row is malformed.  ``rows`` are the block's
+    lines that hold tokens, none led by ``monoid``.
+
+    The rows are split as one text, each followed by a ``#`` token, which
+    no line holds once its comment is cut: when every ``#`` falls one
+    width apart, every row has that width, and each value, ``:`` and
+    weight is a column, a slice of the tokens.  Rows of several widths
+    are sorted by width first.  Every test reads whole columns: the
+    width, the count and place of ``:``, each weight token not yet in
+    ``weights`` parsed once and kept there when nonzero, and duplicate
+    rows by the size of the store.  Reserved words are the caller's
+    test."""
+    if not rows:
+        return {}
+    flat = " # ".join(rows).split()
+    stride, rest = divmod(len(flat) + 1, len(rows))
+    if not rest and flat[stride - 1 :: stride].count("#") == len(rows) - 1 == flat.count("#"):
+        groups = [(stride, flat)]
+    else:
+        widths = list(map(len, map(str.split, rows)))
+        groups = [(width + 1, " # ".join(compress(rows, map(eq, widths, repeat(width)))).split())
+                  for width in set(widths)]
+    arity = len(variables)
+    order = sorted(range(arity), key=variables.__getitem__)
+    store: Dict[Key, Payload] = {}
+    for stride, flat in groups:
+        if stride == arity + 1:
+            if ":" in flat:
+                return None
+            payloads: Iterator[Payload] = repeat(one)
+        elif stride == arity + 3:
+            size = (len(flat) + 1) // stride
+            if flat[arity::stride].count(":") != size or flat.count(":") != size:
+                return None
+            tokens = flat[arity + 1 :: stride]
+            for token in set(tokens).difference(weights):
+                try:
+                    payload = parse_value(kind, token).payload
+                except ValueError:
+                    return None
+                if not payload:
+                    return None
+                weights[token] = payload
+            payloads = map(weights.__getitem__, tokens)
+        else:
+            return None
+        store.update(zip(zip(*[flat[i::stride] for i in order]), payloads))
+    return store if len(store) == len(rows) else None
+
+
+def _locate_row_error(kind: MonoidKind, variables: Optional[Tuple[str, ...]],
+                      lines: List[str], begin: int, end: int) -> None:
+    """Raise the positioned error of the first malformed row among
+    ``lines[begin:end]``, the rows of a block of ``variables``, read line
+    by line; with no variables, every row is out of place.  Rows are only
+    checked here, never kept: this runs when :func:`_read_block` refused
+    a block, and before the first context line."""
+    seen = set()
+    for number, line in enumerate(lines[begin:end], begin + 1):
+        tokens = line.split()
+        if not tokens:
+            continue
         if tokens[0] == "monoid":
             raise FormatError(number, "duplicate monoid line")
-        if tokens[0] == "context":
-            variables = tuple(tokens[1:])
-            if not variables:
-                raise FormatError(number, "context needs at least one variable")
-            if len(set(variables)) != len(variables):
-                raise FormatError(number, "context repeats a variable")
-            if any(frozenset(variables) == frozenset(b) for _, b in blocks):
-                raise FormatError(number, "duplicate context")
-            blocks.append((number, variables))
-            order = sorted(range(len(variables)), key=variables.__getitem__)
-            pick = tuple if order == list(range(len(order))) else itemgetter(*order)
-            block = {}
-            rows.append(block)
-            continue
-        if not blocks:
+        if variables is None:
             raise FormatError(number, "row appears before any context line")
         if ":" in tokens:
             cut = tokens.index(":")
             values, weight_tokens = tokens[:cut], tokens[cut + 1 :]
             if len(weight_tokens) != 1:
                 raise FormatError(number, "expected a single annotation after ':'")
-            weight = weights.get(weight_tokens[0])
-            if weight is None:
-                try:
-                    weight = parse_value(kind, weight_tokens[0]).payload
-                except ValueError as exc:
-                    raise FormatError(number, str(exc)) from None
-                weights[weight_tokens[0]] = weight
+            try:
+                weight = parse_value(kind, weight_tokens[0]).payload
+            except ValueError as exc:
+                raise FormatError(number, str(exc)) from None
         else:
-            values = tokens
-            weight = one
-        if len(values) != len(order):
+            values, weight = tokens, 1
+        if len(values) != len(variables):
             raise FormatError(
                 number,
-                f"row has {len(values)} values for context of arity {len(order)}",
+                f"row has {len(values)} values for context of arity {len(variables)}",
             )
         if not weight:
             raise FormatError(number, "zero annotation: omit the row instead")
-        key = pick(values)
-        if key in block:
-            names = sorted(blocks[-1][1])
-            raise FormatError(number, f"duplicate row {Assignment._sorted(tuple(zip(names, key)))}")
-        block[key] = weight
-
-    if not blocks:
-        raise FormatError(number, "document declares no context")  # the last line's number
-    for (start, _), block in zip(blocks, rows):
-        if not _RESERVED_VALUES.isdisjoint(chain.from_iterable(block)):
-            number, word = next((n, w) for n, tokens in _token_lines(text) if n > start
-                                for w in tokens if w in _RESERVED_VALUES)
-            raise FormatError(number, f"row value {word!r} is a reserved word")
-    return [KRelation(variables, kind, block) for (_, variables), block in zip(blocks, rows)]
+        row = Assignment(zip(variables, values))
+        if row in seen:
+            raise FormatError(number, f"duplicate row {row}")
+        seen.add(row)
+    if variables is not None:
+        raise AssertionError("a block refused in bulk reads line by line; internal bug")
 
 
 def parse_family(text: str) -> ContextualFamily:
@@ -222,7 +309,8 @@ def parse_fd(text: str, line: int = 1) -> FD:
 
 def parse_fds(text: str) -> List[FD]:
     """All dependencies in a document, one per line."""
-    out = [_dependency(tokens, number) for number, tokens in _token_lines(text)]
+    lines = _lines(text)
+    out = list(map(_dependency, map(str.split, filter(None, lines)), compress(count(1), lines)))
     if not out:
         raise FormatError(1, "empty document; expected dependencies")
     return out

@@ -19,18 +19,20 @@ rational one by clearing denominators, because the marginal-agreement
 constraints are homogeneous.
 
 Graph vertices hold value tuples, as relations do, and edges are
-numbered rows over them; edge objects, and the ``boundary`` and ``label``
-assignments, are built only when read, and an edge's text is written
-straight from its row by one formatter.
+numbers into integer columns of ends and rows; edge objects, and the
+``boundary`` and ``label`` assignments, are built only when read, and an
+edge's text is written straight from its columns by one formatter.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import chain, compress, count
 from math import lcm
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from operator import ne
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .family import ContextSet, ContextualFamily
 from .feasibility import find_rational_solution
@@ -176,45 +178,48 @@ class OverlapProjectionGraph:
     boundary i-1 to its value on boundary i.  The graph is cyclically
     n-partite: every edge advances the layer by one, modulo n.
 
-    Vertex i is ``vertices[i]``.  Edge k is a numbered row: ``_rows[k]``
-    holds its ``(context index, key)``, over the names ``_names`` holds
-    for that context, and ``_ends[k]`` its source and target numbers.
-    ``edges`` builds the :class:`OpgEdge` objects on first read and keeps
-    them, so edge k is always the same object.  Of the graph paths only
+    Vertex i is ``vertices[i]``.  Edges are numbered and kept as integer
+    columns: edge k runs from vertex ``src[k]`` to vertex ``dst[k]`` and
+    is the row ``keys[k]``.  The edges of context i are numbered from
+    ``starts[i]`` up to ``starts[i + 1]``, over the names ``_names[i]``.
+    ``out[v]`` lists the numbers of the edges leaving vertex v, in edge
+    order.  Every graph path reads these columns, so no vertex is looked
+    up by hash and no tuple is built per edge.  ``edges`` builds the
+    :class:`OpgEdge` objects on first read and keeps them, so edge k is
+    always the same object; of the graph paths only
     :func:`find_simple_cycle_through`, which returns edge objects, reads
-    it; the component test, the writers and :func:`decompose_cycles` do
-    not.
-    ``_succ[i]`` lists ``(edge number, target number)`` for the edges
-    leaving vertex i, in edge order.  Every graph path reads these integer
-    lists, so no vertex is looked up by hash.  ``_tree`` holds the root
-    number and the breadth-first tree of :func:`_bfs_tree` that
-    :func:`find_simple_cycle_through` built last, or None.
+    it.  ``_tree`` holds the root number and the breadth-first tree of
+    :func:`_bfs_tree` that :func:`find_simple_cycle_through` built last,
+    or None.
     """
 
-    __slots__ = ("ordering", "vertices", "_names", "_rows", "_ends", "_succ", "_tree", "_edges")
+    __slots__ = ("ordering", "vertices", "_names", "keys", "starts", "src", "dst", "out", "_tree", "_edges")
 
     def __init__(
         self,
         ordering: CycleOrdering,
         vertices: Iterable[OpgVertex],
         names: Iterable[Tuple[str, ...]],
-        rows: Iterable[Tuple[int, Key]],
-        ends: Iterable[Tuple[int, int]],
+        keys: List[Key],
+        starts: List[int],
+        src: List[int],
+        dst: List[int],
     ):
-        """Takes the vertices and the edges' rows in the order
-        :func:`build_opg` numbers them, each context's names, and each
-        edge's source and target numbers; it only fills the adjacency
-        lists."""
+        """Takes the vertices, each context's names, and the edge columns
+        in the order :func:`build_opg` numbers them; it only fills the
+        out-edge lists."""
         self.ordering = ordering
         self.vertices = tuple(vertices)
         self._names = tuple(names)
-        self._rows = tuple(rows)
-        self._ends = tuple(ends)
-        succ: List[List[Tuple[int, int]]] = [[] for _ in self.vertices]
-        for k, (source, target) in enumerate(self._ends):
-            succ[source].append((k, target))
-        self._succ = succ
-        self._tree: Optional[Tuple[int, List[Optional[Tuple[int, int]]]]] = None
+        self.keys = keys
+        self.starts = starts
+        self.src = src
+        self.dst = dst
+        out: List[List[int]] = [[] for _ in self.vertices]
+        for k, source in enumerate(src):
+            out[source].append(k)
+        self.out = out
+        self._tree: Optional[Tuple[int, List[int]]] = None
         self._edges: Optional[Tuple[OpgEdge, ...]] = None
 
     @property
@@ -222,7 +227,7 @@ class OverlapProjectionGraph:
         """Every edge as an :class:`OpgEdge`, in numbered order, built on
         first read and kept."""
         if self._edges is None:
-            self._edges = tuple(map(self._edge, range(len(self._rows))))
+            self._edges = tuple(map(self._edge, range(len(self.keys))))
         return self._edges
 
     def _edge(self, k: int) -> OpgEdge:
@@ -230,55 +235,62 @@ class OverlapProjectionGraph:
         a new one."""
         if self._edges is not None:
             return self._edges[k]
-        (i, key), (source, target) = self._rows[k], self._ends[k]
-        return OpgEdge(self.vertices[source], self.vertices[target], i, self._names[i], key)
+        i = bisect_right(self.starts, k) - 1
+        return OpgEdge(self.vertices[self.src[k]], self.vertices[self.dst[k]], i, self._names[i], self.keys[k])
+
+    def _contexts(self) -> Iterator[Tuple[int, range]]:
+        """Each context index with the range of its edge numbers."""
+        return enumerate(map(range, self.starts, self.starts[1:]))
 
     def _component_labels(self) -> List[int]:
         """Kosaraju's two-pass sweep: the component of every vertex number.
-        The second pass walks edges backwards, from lists built here."""
+        The first pass walks each vertex's out-edges through an iterator;
+        the second walks edges backwards, from lists built here."""
+        out, dst = self.out, self.dst
         finish: List[int] = []
         seen = [False] * len(self.vertices)
         for root in range(len(self.vertices)):
             if seen[root]:
                 continue
-            stack: List[Tuple[int, int]] = [(root, 0)]
             seen[root] = True
-            while stack:
-                node, i = stack.pop()
-                succs = self._succ[node]
-                if i < len(succs):
-                    stack.append((node, i + 1))
-                    nxt = succs[i][1]
+            path = [root]
+            walks = [iter(out[root])]
+            while walks:
+                for k in walks[-1]:
+                    nxt = dst[k]
                     if not seen[nxt]:
                         seen[nxt] = True
-                        stack.append((nxt, 0))
+                        path.append(nxt)
+                        walks.append(iter(out[nxt]))
+                        break
                 else:
-                    finish.append(node)
+                    walks.pop()
+                    finish.append(path.pop())
         pred: List[List[int]] = [[] for _ in self.vertices]
-        for source, target in self._ends:
+        for source, target in zip(self.src, dst):
             pred[target].append(source)
         component = [-1] * len(self.vertices)
         labels = 0
         for root in reversed(finish):
             if component[root] >= 0:
                 continue
-            stack2 = [root]
+            stack = [root]
             component[root] = labels
-            while stack2:
-                node = stack2.pop()
+            while stack:
+                node = stack.pop()
                 for prev in pred[node]:
                     if component[prev] < 0:
                         component[prev] = labels
-                        stack2.append(prev)
+                        stack.append(prev)
             labels += 1
         return component
 
     def uncovered_edges(self) -> Tuple[OpgEdge, ...]:
         """Edges lying on no cycle: endpoints in different components.
         Only the edges returned are built."""
-        component = self._component_labels()
-        return tuple(self._edge(k) for k, (source, target) in enumerate(self._ends)
-                     if component[source] != component[target])
+        label = self._component_labels().__getitem__
+        across = map(ne, map(label, self.src), map(label, self.dst))
+        return tuple(map(self._edge, compress(count(), across)))
 
     @property
     def has_edge_cycle_cover(self) -> bool:
@@ -286,24 +298,29 @@ class OverlapProjectionGraph:
 
     def texts(self) -> Tuple[List[str], List[str]]:
         """Each vertex's text and each edge's ``describe()`` text, in
-        numbered order, written from the numbered rows: each vertex's text
-        and each context's format once, and no edge object or
-        ``Assignment`` built."""
+        numbered order, written from the columns: each vertex's text and
+        each context's format once, and no edge object or ``Assignment``
+        built."""
         shown = [str(v) for v in self.vertices]
-        formats = [_edge_format(names) for names in self._names]
-        return shown, [formats[i].format(shown[source], shown[target], *key)
-                       for (i, key), (source, target) in zip(self._rows, self._ends)]
+        src, dst, keys = self.src, self.dst, self.keys
+        lines: List[str] = []
+        for i, edges in self._contexts():
+            text = _edge_format(self._names[i]).format
+            lines += [text(shown[src[k]], shown[dst[k]], *keys[k]) for k in edges]
+        return shown, lines
 
     def to_dot(self) -> str:
         """Deterministic DOT text: the vertices, each named by its number
         and labelled with its text, then the edges, in numbered order,
-        each labelled with its row; written from the numbered rows."""
-        formats = [_row_format(names) for names in self._names]
+        each labelled with its row; written from the columns."""
+        src, dst, keys = self.src, self.dst, self.keys
         lines = ["digraph opg {", "  rankdir=LR;"]
         lines += [f'  {i} [label="{str(v).translate(_DOT_QUOTED)}"];'
                   for i, v in enumerate(self.vertices)]
-        lines += [f'  {source} -> {target} [label="{formats[i].format(*key).translate(_DOT_QUOTED)}"];'
-                  for (i, key), (source, target) in zip(self._rows, self._ends)]
+        for i, edges in self._contexts():
+            row = _row_format(self._names[i]).format
+            lines += [f'  {src[k]} -> {dst[k]} [label="{row(*keys[k]).translate(_DOT_QUOTED)}"];'
+                      for k in edges]
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -314,22 +331,23 @@ def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
     The family's context set must classify as a chordless cycle.  Only
     the support matters, so any kind is accepted.  The vertices are
     numbered here, once: by layer, and within a layer in the row order
-    (:func:`_row_order`) of their boundary values.  The edges come by
-    context and then in stored row order, each kept as a numbered row:
-    its context index and key, and the numbers of its ends.  Vertices and
-    rows hold the value tuples that the relations and their projections
-    already hold, so no ``Assignment`` and no :class:`OpgEdge` is built.
+    (:func:`_row_order`) of their boundary values.  The edges are
+    numbered by context and then in stored row order, and their columns
+    are filled straight from the relations' keys and from the
+    projections of those keys onto the two boundaries (:func:`_project`),
+    mapped to vertex numbers, so no ``Assignment``, no
+    :class:`OpgEdge` and no tuple per edge is built.
     """
     ordering = classify_chordless_cycle(family.contexts)
     relations = [family.relation_at(c) for c in ordering.contexts]
     sides = []
     for i, relation in enumerate(relations):
-        keys = list(relation._rows)
+        keys = relation._rows
         before = list(_project(relation.names, ordering.boundary(i - 1), keys))
         after = list(_project(relation.names, ordering.boundary(i), keys))
-        sides.append((keys, before, after))
+        sides.append((before, after))
     numbers: List[Dict[Key, int]] = [{} for _ in sides]
-    for i, (_, before, after) in enumerate(sides):
+    for i, (before, after) in enumerate(sides):
         numbers[i - 1].update(dict.fromkeys(before))
         numbers[i].update(dict.fromkeys(after))
     vertices: List[OpgVertex] = []
@@ -339,52 +357,60 @@ def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
         for j in _row_order(values):
             number[values[j]] = len(vertices)
             vertices.append(OpgVertex(layer, names, values[j]))
-    rows: List[Tuple[int, Key]] = []
-    ends: List[Tuple[int, int]] = []
-    for i, (keys, before, after) in enumerate(sides):
-        rows += zip(repeat(i), keys)
-        ends += zip(map(numbers[i - 1].__getitem__, before), map(numbers[i].__getitem__, after))
-    return OverlapProjectionGraph(ordering, vertices, [r.names for r in relations], rows, ends)
+    keys: List[Key] = []
+    starts = [0]
+    src: List[int] = []
+    dst: List[int] = []
+    for i, (relation, (before, after)) in enumerate(zip(relations, sides)):
+        keys += relation._rows
+        starts.append(len(keys))
+        src += map(numbers[i - 1].__getitem__, before)
+        dst += map(numbers[i].__getitem__, after)
+    return OverlapProjectionGraph(ordering, vertices, [r.names for r in relations], keys, starts, src, dst)
 
 
-def _shortest_cycle(succ: List[List[Tuple[int, int]]], start: int) -> Optional[List[int]]:
+def _shortest_cycle(out: List[List[int]], src: List[int], dst: List[int], start: int) -> Optional[List[int]]:
     """Edge numbers of a shortest cycle through ``start``, from it and back.
 
-    Breadth-first search over integer out-adjacency lists, level by level,
-    each list in order, the first discovery winning; it stops at the first
-    edge back into ``start`` and returns that edge with the tree path to
-    it.  None when no edge leads back.
+    Breadth-first search over the out-edge lists ``out`` of the edges
+    whose ends ``src`` and ``dst`` hold, level by level, each list in
+    order, the first discovery winning; it stops at the first edge back
+    into ``start`` and returns that edge with the tree path to it.  None
+    when no edge leads back.
     """
-    via: Dict[int, Tuple[int, int]] = {}  # start never enters: an edge into it ends the search
+    via: Dict[int, int] = {}  # the edge each vertex was reached by; start never enters
     queue = [start]
     for node in queue:  # the queue grows while it is read, level by level
-        for k, nxt in succ[node]:
+        for k in out[node]:
+            nxt = dst[k]
             if nxt == start:
                 path = [k]
                 while node != start:
-                    k, node = via[node]
+                    k = via[node]
                     path.append(k)
+                    node = src[k]
                 path.reverse()
                 return path
             if nxt not in via:
-                via[nxt] = (k, node)
+                via[nxt] = k
                 queue.append(nxt)
     return None
 
 
-def _bfs_tree(adj: List[List[Tuple[int, int]]], root: int) -> List[Optional[Tuple[int, int]]]:
-    """The full breadth-first tree of ``root`` over integer adjacency lists
-    of ``(edge number, neighbour number)``: the ``(edge number, vertex
-    number)`` each vertex was first reached by, None for the root and for
+def _bfs_tree(out: List[List[int]], dst: List[int], root: int) -> List[int]:
+    """The full breadth-first tree of ``root`` over the out-edge lists
+    ``out`` of the edges whose targets ``dst`` holds: the number of the
+    edge each vertex was first reached by, -1 for the root and for
     unreached vertices.  It grows level by level, each list in order, the
     first discovery winning.
     """
-    via: List[Optional[Tuple[int, int]]] = [None] * len(adj)
+    via = [-1] * len(out)
     queue = [root]
     for node in queue:  # the queue grows while it is read, level by level
-        for k, nxt in adj[node]:
-            if via[nxt] is None and nxt != root:
-                via[nxt] = (k, node)
+        for k in out[node]:
+            nxt = dst[k]
+            if via[nxt] < 0 and nxt != root:
+                via[nxt] = k
                 queue.append(nxt)
     return via
 
@@ -399,19 +425,20 @@ def find_simple_cycle_through(graph: OverlapProjectionGraph, k: int) -> List[Opg
     tree between them.  Raises :class:`NotRealisableError` when the edge
     lies on no cycle.
     """
-    source, target = graph._ends[k]
+    source, target = graph.src[k], graph.dst[k]
     if graph._tree is None or graph._tree[0] != target:
-        graph._tree = (target, _bfs_tree(graph._succ, target))
+        graph._tree = (target, _bfs_tree(graph.out, graph.dst, target))
     via = graph._tree[1]
-    if source != target and via[source] is None:
+    if source != target and via[source] < 0:
         edge = graph._edge(k)
         raise NotRealisableError(f"edge {edge.describe()} lies on no cycle", uncovered=(edge,))
-    edges = graph.edges  # read once per call, not once per cycle edge
+    edges, src = graph.edges, graph.src  # read once per call, not once per cycle edge
     back = []
     walk = source
     while walk != target:
-        j, walk = via[walk]
+        j = via[walk]
         back.append(edges[j])
+        walk = src[j]
     back.append(edges[k])
     back.reverse()
     return back
@@ -431,8 +458,8 @@ def lift_uniform(sub: ContextualFamily, weight: MonoidValue) -> ContextualFamily
     graph = build_opg(sub)
     if not graph.vertices:
         raise NotSimplyCyclicError("the empty family is not a cycle")
-    into = Counter(target for _, target in graph._ends)
-    for i, (v, out) in enumerate(zip(graph.vertices, graph._succ)):
+    into = Counter(graph.dst)
+    for i, (v, out) in enumerate(zip(graph.vertices, graph.out)):
         if len(out) != 1 or into[i] != 1:
             raise NotSimplyCyclicError(
                 f"vertex {v} has degree other than one in each direction"
@@ -498,8 +525,7 @@ def realise(
         listing = "; ".join(e.describe() for e in uncovered)
         raise NotRealisableError(f"support is not realisable: {listing}", uncovered)
     # A cycle lists the graph's own edge objects, so identity names an edge.
-    targets = [target for _, target in graph._ends]
-    crossings = Counter(id(e) for k in sorted(range(len(targets)), key=targets.__getitem__)
+    crossings = Counter(id(e) for k in sorted(range(len(graph.dst)), key=graph.dst.__getitem__)
                         for e in find_simple_cycle_through(graph, k))
     base = weight.payload
     payloads = [base * crossings[id(e)] for e in graph.edges]
@@ -515,9 +541,9 @@ def decompose_cycles(
     Repeatedly takes the least vertex of the overlap projection graph
     that still has a live edge, finds a shortest cycle through it, and
     subtracts the least annotation along it; an edge dies when its
-    residual reaches zero.  Residual weights and live out-adjacency are
+    residual reaches zero.  Residual weights and live out-edge lists are
     kept by edge and vertex number, and each edge names its row by the
-    context index and key the graph numbers it with.
+    graph's key column and its context by the graph's start offsets.
 
     Each peel is one breadth-first search from the start vertex, stopped
     at the first edge back into it.  Its cycle runs through the first
@@ -542,39 +568,37 @@ def decompose_cycles(
         raise ValueError("decomposition needs an N or Q family")
     graph = build_opg(family)
     relations = [family.relation_at(c) for c in graph.ordering.contexts]
-    numbered = graph._rows
-    residual = [relations[i]._rows[key] for i, key in numbered]
+    src, dst, keys, starts = graph.src, graph.dst, graph.keys, graph.starts
+    residual = list(chain.from_iterable(rel._rows.values() for rel in relations))
     balance = [0] * len(graph.vertices)
-    for (source, target), weight in zip(graph._ends, residual):
+    for source, target, weight in zip(src, dst, residual):
         balance[source] += weight
         balance[target] -= weight
     if any(balance):
         raise AssertionError("residual is not a circulation; internal bug")
-    succ = [list(out) for out in graph._succ]
+    succ = [list(out) for out in graph.out]
     live = len(residual)
     start = 0
     parts: List[Tuple[MonoidValue, ContextualFamily]] = []
     while live:
         while not succ[start]:
             start += 1
-        best = _shortest_cycle(succ, start)
+        best = _shortest_cycle(succ, src, dst, start)
         if best is None:
             raise AssertionError("residual is not a circulation; internal bug")
         least = min(residual[k] for k in best)
         # build_opg numbers edges by context and then in stored row order,
         # so ascending edge numbers give each relation's keys in its order.
-        keys: List[List[Key]] = [[] for _ in relations]
+        rows: List[List[Key]] = [[] for _ in relations]
         for k in sorted(best):
-            i, key = numbered[k]
-            keys[i].append(key)
-        supports = [rel._sub(rows) for rel, rows in zip(relations, keys)]
+            rows[bisect_right(starts, k) - 1].append(keys[k])
+        supports = [rel._sub(part) for rel, part in zip(relations, rows)]
         sub = ContextualFamily._unchecked(family.contexts, MonoidKind.B, supports)
         parts.append((MonoidValue(family.kind, least), sub))
         for k in best:
             residual[k] -= least
             if not residual[k]:
-                source, target = graph._ends[k]
-                succ[source].remove((k, target))
+                succ[src[k]].remove(k)
                 live -= 1
     return parts
 

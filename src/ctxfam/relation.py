@@ -29,9 +29,9 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import inf
-from operator import add, itemgetter, or_
+from operator import add, attrgetter, itemgetter, lt, or_
 from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .monoid import MonoidKind, MonoidValue
@@ -55,17 +55,22 @@ def value_key(value: Value) -> Tuple[str, str]:
     return (str(value), type(value).__name__)
 
 
+def _sort_keys(keys: Sequence[Key]) -> Sequence[tuple]:
+    """What row order compares for each of ``keys``, the value tuples of
+    distinct rows over one variable set: each value's ``value_key``, which
+    is the ``Assignment.sort_key`` order.  When every value is a plain
+    ``str``, that is the order of the tuples themselves, which a sort
+    compares in C, so ``keys`` itself is returned."""
+    if set(map(type, chain.from_iterable(keys))) <= {str}:
+        return keys
+    return [tuple([value_key(val) for val in key]) for key in keys]
+
+
 def _row_order(keys: Sequence[Key]) -> List[int]:
     """The positions of ``keys``, the value tuples of distinct rows over one
-    variable set, in row order: by each value's ``value_key``, which is the
-    ``Assignment.sort_key`` order.  When every value is a plain ``str``,
-    that is the order of the tuples themselves, which the sort compares in
-    C.  The sort takes linear time on rows already in order.
-    """
-    if set(map(type, chain.from_iterable(keys))) <= {str}:
-        order = keys
-    else:
-        order = [tuple([value_key(val) for val in key]) for key in keys]
+    variable set, in row order (:func:`_sort_keys`).  The sort takes linear
+    time on rows already in order."""
+    order = _sort_keys(keys)
     return sorted(range(len(keys)), key=order.__getitem__)
 
 
@@ -154,7 +159,8 @@ class KRelation:
     __slots__ = ("variables", "names", "kind", "_rows")
 
     def __init__(self, variables: Iterable[str], kind: MonoidKind, rows: Mapping[Key, Payload]):
-        """Store the rows in :func:`_row_order`.  Each key is a tuple of one
+        """Store the rows in :func:`_row_order`; rows that already come in
+        that order are copied with no sort.  Each key is a tuple of one
         value per variable, in sorted order, and each payload is nonzero of
         ``kind``: the ``int`` 1 in B, an ``int`` in N, a ``Fraction`` in Q.
         A zero is rejected, not dropped, so every stored row is in the support."""
@@ -166,17 +172,25 @@ class KRelation:
             bad = next(key for key in keys if type(key) is not tuple or len(key) != len(names))
             raise DomainError(f"row {bad!r} does not bind exactly {list(names)}")
         wanted, top = (Fraction, inf) if kind is MonoidKind.Q else (int, 1 if kind is MonoidKind.B else inf)
-        if not set(map(type, payloads)) <= {wanted} or not 0 < min(payloads, default=1) <= max(payloads, default=1) <= top:
+        typed = set(map(type, payloads)) <= {wanted}
+        # A Fraction has the sign of its numerator, which compares in C.
+        signs = list(map(attrgetter("numerator"), payloads)) if typed and wanted is Fraction else payloads
+        if not typed or not 0 < min(signs, default=1) <= max(signs, default=1) <= top:
             p = next(p for p in payloads if type(p) is not wanted or not 0 < p <= top)
             if type(p) is wanted and p == 0:
                 row = Assignment._sorted(tuple(zip(names, keys[payloads.index(p)])))
                 raise ValueError(f"zero annotation stored for row {row}")
             raise ValueError(f"annotation {p} is not of kind {kind}")
-        order = _row_order(keys)
+        order = _sort_keys(keys)
+        if all(map(lt, order, islice(order, 1, None))):
+            store = dict(rows)  # already in row order
+        else:
+            positions = sorted(range(len(keys)), key=order.__getitem__)
+            store = dict(zip(map(keys.__getitem__, positions), map(payloads.__getitem__, positions)))
         object.__setattr__(self, "variables", vars_)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_rows", dict(zip(map(keys.__getitem__, order), map(payloads.__getitem__, order))))
+        object.__setattr__(self, "_rows", store)
 
     @classmethod
     def from_assignments(cls, variables: Iterable[str], kind: MonoidKind, rows: Mapping[Assignment, MonoidValue]) -> "KRelation":

@@ -741,6 +741,22 @@ class TestErrorCorpus:
         path.write_text(document)
         assert run(capsys, argv[0], str(path), *argv[1:]) == (2, "", err)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["check"], ["global"], ["opg"], ["realisable", "--monoid", "N"], ["realise", "--monoid", "N"],
+         ["decompose"], ["derive", "--query", "x -> y"], ["entail", "--query", "x -> y"],
+         ["counterexample", "--query", "x -> y"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_file_not_in_utf8_is_named(self, capsys, tmp_path, argv):
+        """Every command reads its file through one reader, which names the
+        file and the byte that is not UTF-8."""
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"monoid B\ncontext x y\n\xff 0\n")
+        err = (f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 21: "
+               "invalid start byte\n")
+        assert run(capsys, argv[0], str(path), *argv[1:]) == (2, "", err)
+
     @pytest.mark.parametrize("command", ["derive", "entail", "counterexample"])
     @pytest.mark.parametrize("query", ["y -> x#1", "x -> y#1", "x# -> y", "cd x #"])
     def test_hash_in_a_query_is_refused(self, capsys, tmp_path, command, query):

@@ -3,7 +3,7 @@
 from typing import List, Set, Tuple
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ctxfam.family import ContextualFamily, LocalConsistencyError
@@ -84,6 +84,10 @@ class TestParseDiagnostics:
             ("monoid B\ncontext b a\nx context\n", 3, "row value 'context' is a reserved word"),
             ("monoid B\ncontext b a\ny y\nx monoid\n", 4, "row value 'monoid' is a reserved word"),
             ("monoid N\ncontext x\n0\ncontext y z\n0 0 : 2\n0 monoid : 1\n", 6, "'monoid' is a reserved"),
+            ("monoid N\ncontext y x\n" + "".join(f"v{i} w{i % 7} : 1\n" for i in range(60)) + "v60 context : 1\n"
+             + "".join(f"v{i} w0 : 1\n" for i in range(61, 64)), 63, "row value 'context' is a reserved word"),
+            ("monoid N\ncontext x y\n" + "".join(f"v{i} w1 w2 : 1\n" if i == 197 else f"v{i} w{i % 7} : {1 + i % 3}\n"
+                                                 for i in range(200)), 200, "row has 3 values for context of arity 2"),
         ],
     )
     def test_error_carries_line_and_message(self, text, line, fragment):
@@ -414,8 +418,82 @@ def reference_parse_fds(text: str):
     return out
 
 
+def block_documents() -> List[str]:
+    """Documents of long uniform blocks, the shape the block reader reads
+    as columns: blocks of 60 rows with one row mutated near the end, so
+    the error must be found by line; blocks mixing weighted and
+    unweighted rows; contexts declared out of sorted order and contexts
+    of one variable; comments, tabs and ``\r\n`` endings."""
+
+    def rows(kind: str, arity: int, weighted: bool, count: int = 60) -> List[str]:
+        weight = {"B": "1", "N": "2", "Q": "3/2"}[kind]
+        out = []
+        for i in range(count):
+            values = [f"v{i}"] + [f"w{i % 3 * (j + 1)}" for j in range(arity - 1)]
+            out.append(" ".join(values) + (f" : {weight}" if weighted else ""))
+        return out
+
+    mutations = [
+        lambda row: row.rsplit(" ", 1)[0] if " : " not in row else row.split(" ", 1)[1],  # arity
+        lambda row: row + " :",  # a stray ':'
+        lambda row: row + " : 1 : 2",  # a second ':'
+        lambda row: row.split(" : ")[0] + " : x",  # a bad weight
+        lambda row: row.split(" : ")[0] + " : 0",  # a zero weight
+        lambda row: row.split(" : ")[0] + " : :",  # ':' as the weight
+        lambda row: "v0" + row[row.index(" ") :] if " " in row else "v0",  # the first row again, or its weight changed
+        lambda row: "monoid N",  # a monoid line in the block
+        lambda row: "context",  # a context with no variables
+    ]
+    # A reserved word is refused only once every block has read cleanly,
+    # which the reference does not know: it must meet the later block's
+    # error first.
+    reserved = [
+        lambda row: row.replace(" ", " context ", 1).rsplit(" ", 1)[0] if " " in row else "x context",
+        lambda row: row.replace(" ", " monoid ", 1).rsplit(" ", 1)[0] if " " in row else "x monoid",
+    ]
+    texts = []
+    for kind, variables, weighted in [("N", "x y", True), ("B", "y x", False), ("Q", "z2 x y", True),
+                                      ("N", "y", False), ("Q", "x", True), ("B", "z10 z2", True)]:
+        arity = len(variables.split())
+        block = rows(kind, arity, weighted)
+        clean = ["monoid " + kind, "context " + variables, *block, "context q", *rows(kind, 1, not weighted)]
+        texts.append("\n".join(clean) + "\n")
+        for mutate in mutations + reserved:
+            broken = list(block)
+            broken[-3] = mutate(broken[-3])
+            # A later block with a wrong row: an error in the first block comes first.
+            texts.append("\n".join(["monoid " + kind, "context " + variables, *broken,
+                                    "context q", "a b"]) + "\n")
+            if mutate not in reserved:
+                texts.append("\n".join(["monoid " + kind, "context " + variables, *broken]) + "\n")
+    mixed = ["monoid N", "context y x"] + [f"v{i} w{i % 5}" + (f" : {1 + i % 3}" if i % 4 else "")
+                                            for i in range(60)]
+    texts.append("\n".join(mixed) + "\n")
+    texts.append("\n".join(mixed + ["v7 w2 : 3"]) + "\n")  # a duplicate across the two kinds of row
+    texts.append("\n".join(mixed[:40] + ["v99 w1 w3"] + mixed[40:]) + "\n")
+    laid = ["# a long block", "monoid Q  # kind", "\tcontext z x  # out of order"]
+    laid += [f"\t{'v%d' % i}\t w{i % 3} : {i + 1}/2  # row {i}" if i % 2 else f"  v{i} w{i % 3}  "
+             for i in range(60)]
+    laid += ["", "  # a comment line", "context y", *[f"u{i}" for i in range(55)]]
+    texts.append("\r\n".join(laid) + "\r\n")
+    texts.append("\r\n".join(laid[:-4] + ["u3 : 0"] + laid[-4:]) + "\r\n")
+    return texts
+
+
+def with_examples(texts: List[str]):
+    """Run a ``@given`` test on each of ``texts`` as well."""
+
+    def decorate(test):
+        for text in reversed(texts):
+            test = example(text)(test)
+        return test
+
+    return decorate
+
+
 class TestAgreesWithPerRowReference:
     @given(documents())
+    @with_examples(block_documents())
     def test_parse_relations(self, text):
         try:
             expected = reference_parse(text)

@@ -4,6 +4,7 @@ import io
 import pickle
 import random
 import tempfile
+from bisect import bisect_right
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -807,11 +808,13 @@ class TestAgainstReference:
                 assert graph._component_labels() == labels
                 assert graph.uncovered_edges() == cut
                 for i, v in enumerate(graph.vertices):
-                    assert [graph.edges[k] for k, _ in graph._succ[i]] == out[v]
-                    assert [graph.edges[k] for k, (_, t) in enumerate(graph._ends)
-                            if t == i] == inc[v]
-                assert [(graph.vertices[s], graph.vertices[t]) for s, t in graph._ends] == [
+                    assert [graph.edges[k] for k in graph.out[i]] == out[v]
+                    assert [graph.edges[k] for k, t in enumerate(graph.dst) if t == i] == inc[v]
+                assert [(graph.vertices[s], graph.vertices[t]) for s, t in zip(graph.src, graph.dst)] == [
                     (e.source, e.target) for e in graph.edges
+                ]
+                assert [(bisect_right(graph.starts, k) - 1, key) for k, key in enumerate(graph.keys)] == [
+                    (e.context_index, e.key) for e in graph.edges
                 ]
                 several += len(set(labels)) > 1
                 uncovered += bool(cut)
