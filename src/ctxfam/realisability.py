@@ -29,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, compress, count
 from math import lcm
 from operator import ne
@@ -188,9 +189,12 @@ class OverlapProjectionGraph:
     :class:`OpgEdge` objects on first read and keeps them, so edge k is
     always the same object; of the graph paths only
     :func:`find_simple_cycle_through`, which returns edge objects, reads
-    it.  ``_tree`` holds the root number and the breadth-first tree of
-    :func:`_bfs_tree` that :func:`find_simple_cycle_through` built last,
-    or None.
+    it.  ``_tree`` holds the breadth-first tree that
+    :func:`find_simple_cycle_through` grew last, as far as it has grown:
+    ``[root, via, queue, read]``, the root number, the edge each vertex
+    was first reached by (-1 for the root and unreached vertices), the
+    vertices in discovery order, and how many of them have had their
+    out-edges scanned; or None.
     """
 
     __slots__ = ("ordering", "vertices", "_names", "keys", "starts", "src", "dst", "out", "_tree", "_edges")
@@ -219,7 +223,7 @@ class OverlapProjectionGraph:
         for k, source in enumerate(src):
             out[source].append(k)
         self.out = out
-        self._tree: Optional[Tuple[int, List[int]]] = None
+        self._tree: Optional[list] = None
         self._edges: Optional[Tuple[OpgEdge, ...]] = None
 
     @property
@@ -397,41 +401,40 @@ def _shortest_cycle(out: List[List[int]], src: List[int], dst: List[int], start:
     return None
 
 
-def _bfs_tree(out: List[List[int]], dst: List[int], root: int) -> List[int]:
-    """The full breadth-first tree of ``root`` over the out-edge lists
-    ``out`` of the edges whose targets ``dst`` holds: the number of the
-    edge each vertex was first reached by, -1 for the root and for
-    unreached vertices.  It grows level by level, each list in order, the
-    first discovery winning.
-    """
-    via = [-1] * len(out)
-    queue = [root]
-    for node in queue:  # the queue grows while it is read, level by level
-        for k in out[node]:
-            nxt = dst[k]
-            if via[nxt] < 0 and nxt != root:
-                via[nxt] = k
-                queue.append(nxt)
-    return via
-
-
 def find_simple_cycle_through(graph: OverlapProjectionGraph, k: int) -> List[OpgEdge]:
     """A shortest simple cycle whose first edge is ``graph.edges[k]``.
 
     The path back from the edge's target to its source is read from the
-    breadth-first tree rooted at the target, with neighbours expanded in
-    edge order, so the result is deterministic.  The graph keeps the last
-    tree built, so consecutive calls for edges into one vertex build one
-    tree between them.  Raises :class:`NotRealisableError` when the edge
-    lies on no cycle.
+    breadth-first tree rooted at the target, grown level by level with
+    each out-edge list in edge order and the first discovery winning, so
+    the result is deterministic.  The tree is grown only until the source
+    has a parent: the graph keeps the last root's tree with its queue and
+    how far the queue has been read (``graph._tree``), and a call for
+    another edge into that root reads on from there.  Parents are fixed
+    when first found, so a partial tree is a prefix of the full one and
+    gives the same paths.  Raises :class:`NotRealisableError` when the
+    queue runs out first: the edge lies on no cycle.
     """
     source, target = graph.src[k], graph.dst[k]
-    if graph._tree is None or graph._tree[0] != target:
-        graph._tree = (target, _bfs_tree(graph.out, graph.dst, target))
-    via = graph._tree[1]
+    tree = graph._tree
+    if tree is None or tree[0] != target:
+        tree = graph._tree = [target, [-1] * len(graph.out), [target], 0]
+    _, via, queue, read = tree
     if source != target and via[source] < 0:
-        edge = graph._edge(k)
-        raise NotRealisableError(f"edge {edge.describe()} lies on no cycle", uncovered=(edge,))
+        out, dst = graph.out, graph.dst
+        while read < len(queue):  # the queue grows while it is read, level by level
+            for j in out[queue[read]]:
+                nxt = dst[j]
+                if via[nxt] < 0 and nxt != target:
+                    via[nxt] = j
+                    queue.append(nxt)
+            read += 1
+            if via[source] >= 0:
+                break
+        tree[3] = read
+        if via[source] < 0:
+            edge = graph._edge(k)
+            raise NotRealisableError(f"edge {edge.describe()} lies on no cycle", uncovered=(edge,))
     edges, src = graph.edges, graph.src  # read once per call, not once per cycle edge
     back = []
     walk = source
@@ -499,10 +502,12 @@ def realise(
     The witness is the sum of one uniform lift of ``weight`` along the
     cycle :func:`find_simple_cycle_through` picks for each edge of the
     overlap projection graph, so each row, edge k, is annotated ``count x
-    weight``, where count is the number of those cycles through edge k.
-    The edges are visited grouped by target, so one breadth-first tree is
-    built per vertex, not one search per edge; the counts do not depend
-    on the order.  The witness annotates exactly the input's stored rows,
+    weight``, where count is the number of those cycles through edge k;
+    each distinct count is multiplied by ``weight`` once.  The edges are
+    visited grouped by target, so at most one breadth-first tree is grown
+    per vertex, not one search per edge, and each only as far as the
+    edges into its root need; the counts do not depend on the order.
+    The witness annotates exactly the input's stored rows,
     each nonzero, so its support is the input's by construction; it is
     validated once.  A context set that is no chordless cycle raises
     :class:`NotChordlessCycleError` whatever the kind and weight;
@@ -525,12 +530,14 @@ def realise(
         listing = "; ".join(e.describe() for e in uncovered)
         raise NotRealisableError(f"support is not realisable: {listing}", uncovered)
     # A cycle lists the graph's own edge objects, so identity names an edge.
-    crossings = Counter(id(e) for k in sorted(range(len(graph.dst)), key=graph.dst.__getitem__)
-                        for e in find_simple_cycle_through(graph, k))
+    into = sorted(range(len(graph.dst)), key=graph.dst.__getitem__)
+    cycles = map(partial(find_simple_cycle_through, graph), into)
+    crossings = Counter(map(id, chain.from_iterable(cycles)))
+    counts = list(map(crossings.__getitem__, map(id, graph.edges)))
     base = weight.payload
-    payloads = [base * crossings[id(e)] for e in graph.edges]
+    payload = {c: base * c for c in set(counts)}
     relations = [family.relation_at(c) for c in graph.ordering.contexts]
-    return ContextualFamily(_reweighted(relations, payloads, kind))
+    return ContextualFamily(_reweighted(relations, map(payload.__getitem__, counts), kind))
 
 
 def decompose_cycles(
@@ -667,9 +674,9 @@ def _lp_weights(family: ContextualFamily, kind: MonoidKind) -> Optional[List[Pay
     return [int(w * scale) for w in weights]
 
 
-def _reweighted(relations: List[KRelation], payloads: List[Payload], kind: MonoidKind) -> List[KRelation]:
+def _reweighted(relations: List[KRelation], payloads: Iterable[Payload], kind: MonoidKind) -> List[KRelation]:
     """The rows of ``relations`` in ``kind``, numbered relation by relation
-    in stored order, the n-th annotated ``payloads[n]``."""
+    in stored order, the n-th annotated with the n-th of ``payloads``."""
     rest = iter(payloads)  # zip reads rel._rows first, so it stops at the end of each relation
     return [KRelation(rel.variables, kind, dict(zip(rel._rows, rest))) for rel in relations]
 

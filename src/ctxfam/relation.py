@@ -8,9 +8,10 @@ Zero rows are never stored, so the support of a relation is exactly its
 key set.  The central operation is marginalisation: restricting to a
 subset of the variables and summing the annotations of rows that
 collapse together.  Restriction works on whole batches of rows:
-:func:`_project` restricts every key by positions at once, and
-:func:`_sums` sums each marginal in one pass over the stored rows, for
-``marginalise``, ``total``, ``consistent`` and the pairwise check.  Only
+:func:`_restrict` restricts every key by positions at once (as tuples
+through :func:`_project`), and :func:`_sums` sums each marginal in one
+pass over the stored rows, for ``marginalise``, ``total``,
+``consistent`` and the pairwise check, ``Q`` in integers.  Only
 ``satisfies`` and the agreement cells of the realisability LP group the
 rows themselves (:func:`_groups`).
 
@@ -30,7 +31,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from math import inf
+from math import inf, lcm
 from operator import add, attrgetter, itemgetter, lt, or_
 from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple, Union
 
@@ -74,16 +75,25 @@ def _row_order(keys: Sequence[Key]) -> List[int]:
     return sorted(range(len(keys)), key=order.__getitem__)
 
 
-def _project(names: Sequence[str], target: AbstractSet[str], keys: Collection[Key]) -> Iterator[Key]:
+def _restrict(names: Sequence[str], target: AbstractSet[str], keys: Collection[Key]) -> Tuple[Iterator[Any], bool]:
     """Restriction by positions: each of ``keys``, rows over ``names``,
     restricted to the names in ``target``, again in sorted order, with no
-    Python call per row."""
+    Python call per row; and whether ``target`` holds exactly one of
+    ``names``, in which case each restriction is that value itself rather
+    than a 1-tuple."""
     positions = [i for i, var in enumerate(names) if var in target]
-    if len(positions) > 1:
-        return map(itemgetter(*positions), keys)
+    if len(positions) == 1:
+        return map(itemgetter(positions[0]), keys), True
     if positions:
-        return zip(map(itemgetter(positions[0]), keys))
-    return repeat((), len(keys))
+        return map(itemgetter(*positions), keys), False
+    return repeat((), len(keys)), False
+
+
+def _project(names: Sequence[str], target: AbstractSet[str], keys: Collection[Key]) -> Iterator[Key]:
+    """Each of ``keys``, rows over ``names``, restricted to the names in
+    ``target`` as a tuple (:func:`_restrict`)."""
+    shorts, single = _restrict(names, target, keys)
+    return zip(shorts) if single else shorts
 
 
 class Assignment:
@@ -329,17 +339,36 @@ def _groups(relation: KRelation, target: AbstractSet[str]) -> Groups:
 def _sums(relation: KRelation, target: AbstractSet[str]) -> Dict[Key, Payload]:
     """The marginal store onto ``target``: each restriction of a stored row,
     first seen first, with the sum of its rows' payloads, added in stored
-    order (1 in B); never zero.  One pass over the rows, building no groups."""
+    order (1 in B); never zero.  One pass over the rows, building no groups.
+
+    On a single variable the rows are summed on their values themselves,
+    and one 1-tuple is built per distinct value at the end.  Q is summed
+    in integers: each key's numerators over the relation's common
+    denominator, then one ``Fraction`` per key; when no two rows share a
+    key, the stored payloads themselves are returned and no ``Fraction``
+    is built."""
     rows = relation._rows
-    shorts = _project(relation.names, target, rows)
+    shorts, single = _restrict(relation.names, target, rows)
+    payloads = rows.values()
     if relation.kind is MonoidKind.B:
-        return dict.fromkeys(shorts, 1)
-    sums: Dict[Key, Payload] = {}
-    get = sums.get
-    for short, p in zip(shorts, rows.values()):
-        q = get(short)
-        sums[short] = p if q is None else q + p
-    return sums
+        sums: Dict[Any, Payload] = dict.fromkeys(shorts, 1)
+    elif relation.kind is MonoidKind.N:
+        sums = {}
+        get = sums.get
+        for short, p in zip(shorts, payloads):
+            q = get(short)
+            sums[short] = p if q is None else q + p
+    else:
+        shorts = list(shorts)
+        sums = dict(zip(shorts, payloads))
+        if len(sums) < len(shorts):
+            numerators, denominators = zip(*map(Fraction.as_integer_ratio, payloads))
+            common = lcm(*set(denominators))
+            scaled = dict.fromkeys(sums, 0)
+            for short, n, d in zip(shorts, numerators, denominators):
+                scaled[short] += n * (common // d)
+            sums = {short: Fraction(n, common) for short, n in scaled.items()}
+    return {(short,): p for short, p in sums.items()} if single else sums
 
 
 def _agreement(

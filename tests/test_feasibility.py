@@ -1051,6 +1051,43 @@ class TestAgainstParentGlobalPath:
             gc.enable()
 
 
+class TestLocalImpliesGlobalExactlyOnAcyclicShapes:
+    """Vorob'ev's theorem (for sets Beeri, Fagin, Maier and Yannakakis;
+    for bags Atserias and Kolaitis): on an acyclic context set every
+    locally consistent family has a global relation, and on a cyclic one
+    some locally consistent family has none.  ``path``, ``star`` and
+    ``acyclic`` are acyclic; ``grid`` and ``chorded`` are not."""
+
+    @pytest.mark.parametrize("kind", list(MonoidKind), ids=lambda k: k.name)
+    @pytest.mark.parametrize("shape", ["path", "star", "acyclic"])
+    def test_acyclic_families_get_a_global_witness(self, shape, kind):
+        """Marginal families and, on the binary shapes, the twisted families
+        and their sums with marginal ones, which no single global relation
+        built them: each witness marginalises onto every context relation."""
+        checked = 0
+        for seed in range(15):
+            builds = [lambda k: marginal_family(shape, k, 2 + seed % 5, 2 + seed % 2, seed)]
+            if shape != "acyclic":
+                builds += [
+                    lambda k: twisted_family(shape, k, 2 + seed % 3, seed),
+                    lambda k: marginal_family(shape, k, 3, 2, seed) + twisted_family(shape, k, 2, seed),
+                ]
+            for build in builds:
+                family = at_kind(kind, build)
+                witness = check_global_consistency(family)
+                assert witness is not None and witness.kind is kind
+                assert _projects_onto(witness, family)
+                checked += 1
+        assert checked == (15 if shape == "acyclic" else 45)
+
+    @pytest.mark.parametrize("kind", list(MonoidKind), ids=lambda k: k.name)
+    @pytest.mark.parametrize("shape", ["grid", "chorded"])
+    def test_twisted_families_are_globally_inconsistent(self, shape, kind):
+        for seed in range(15):
+            family = at_kind(kind, lambda k: twisted_family(shape, k, 2 + seed % 3, seed))
+            assert check_global_consistency(family) is None
+
+
 class TestPhaseOneOnlyForN:
     """N global consistency asks its tableau only whether the system is
     feasible; the lexicographic stages run for Q alone."""

@@ -735,6 +735,26 @@ class TestAgainstReference:
             )
         assert sizes == {3, 4, 5, 6} and several
 
+    @pytest.mark.parametrize("base", [Fraction(2, 3), Fraction(5, 4)])
+    def test_realise_matches_the_sum_of_lifts_on_larger_q_graphs(self, base):
+        """Dense supports, where many edges share each target and each count
+        takes several values: one product per distinct count, and the
+        witness's marginals summed in integers, still give the reference's
+        family, payload for payload."""
+        rng = random.Random(f"realise-large/{base}")
+        weight = MonoidValue.of(MonoidKind.Q, base)
+        counts = set()
+        for ints in (False, True, False):
+            support = walk_family(rng, MonoidKind.B, [1], components=2, walks=(12, 24), domain=(6, 12), ints=ints)
+            assert len(build_opg(support).edges) > 60
+            new = realise(support, MonoidKind.Q, weight)
+            old = reference_realise(support, MonoidKind.Q, weight)
+            assert new == old
+            for rel in new.maximal_relations():
+                assert list(rel._rows.items()) == list(old.relation_at(rel.variables)._rows.items())
+                counts.update(p / base for p in rel._rows.values())
+        assert len(counts) > 5
+
     def test_edges_come_in_context_then_label_order(self):
         """The graph keeps build_opg's edge order without sorting it, and
         its vertices in layer and then row order, also for int tokens,
@@ -759,9 +779,11 @@ class TestAgainstReference:
 
     def test_cycle_search_matches_the_reference(self):
         """Every edge, asked for in shuffled order and each twice, so the
-        graph's one cached tree is hit and replaced; an edge on no cycle
-        raises as the reference does."""
+        graph's one kept tree is grown on, hit and replaced; an edge on no
+        cycle raises as the reference does.  Then, on every graph, a root's
+        tree is replaced by another's and regrown past where it stopped."""
         rng = random.Random(2)
+        beyond = 0
         for ints in (False, True):
             uncovered = 0
             for i in range(40):
@@ -788,7 +810,38 @@ class TestAgainstReference:
                         uncovered += 1
                     else:
                         assert find_simple_cycle_through(graph, k) == expected
+                beyond += self.assert_regrown_trees_match(graph)
             assert uncovered > 10
+        assert beyond > 40
+
+    @staticmethod
+    def assert_regrown_trees_match(graph):
+        """For each root A with two in-edges on cycles: the edge into A on
+        the shortest cycle, whose tree stops early, then an edge into
+        another root B, then A's edge whose source that first partial tree
+        had not reached, then the first edge again.  Returns how many
+        roots had such a source."""
+        covered = set(graph.edges) - set(graph.uncovered_edges())
+        into = {}
+        for k, edge in enumerate(graph.edges):
+            if edge in covered:
+                into.setdefault(graph.dst[k], []).append(k)
+        beyond = 0
+        for root, ks in into.items():
+            cycles = {k: reference_cycle_through(graph, graph.edges[k]) for k in ks}
+            near = min(ks, key=lambda k: len(cycles[k]))
+            assert find_simple_cycle_through(graph, near) == cycles[near]
+            via = graph._tree[1]
+            far = [k for k in ks if via[graph.src[k]] < 0]
+            if not far:
+                continue
+            other = next(k for t, ts in into.items() if t != root for k in ts)
+            assert find_simple_cycle_through(graph, other) == reference_cycle_through(graph, graph.edges[other])
+            assert graph._tree[0] != root
+            assert find_simple_cycle_through(graph, far[-1]) == cycles[far[-1]]
+            assert find_simple_cycle_through(graph, near) == cycles[near]
+            beyond += 1
+        return beyond
 
     def test_components_match_object_adjacency(self):
         rng = random.Random(2)
@@ -930,6 +983,18 @@ class TestNoPerCycleRebuilds:
         realise(large_support, MonoidKind.N)
         assert len(constructions) <= 3
 
+    def test_realise_scans_fewer_out_edges_than_full_trees(self, large_support, trees):
+        """Each tree grows only until the sources of the edges into its
+        root have parents, so realise scans fewer out-edges than one full
+        tree per vertex, which scans every edge of this one component."""
+        realise(large_support, MonoidKind.N)
+        graph = build_opg(large_support)
+        assert len(set(graph._component_labels())) == 1
+        assert len(trees) == len(graph.vertices)
+        full = sum(full_tree_scans(graph, root) for root, _, _, _ in trees)
+        assert full == len(graph.vertices) * len(graph.edges)
+        assert scanned(graph, trees) < full // 2
+
     def test_decompose_validates_one_family_per_part(self, large, constructions):
         parts = decompose_cycles(large)
         assert len(constructions) <= len(parts) + 1
@@ -941,35 +1006,79 @@ class TestNoPerCycleRebuilds:
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Counts the full breadth-first trees and the shortest-cycle searches
-    of the graph paths from here on."""
-    calls = {"_bfs_tree": 0, "_shortest_cycle": 0}
-    for name in calls:
+    """Counts the shortest-cycle searches of decompose_cycles from here on."""
+    calls = {"_shortest_cycle": 0}
+    original = realisability._shortest_cycle
 
-        def counting(*args, _name=name, _original=getattr(realisability, name)):
-            calls[_name] += 1
-            return _original(*args)
+    def counting(*args):
+        calls["_shortest_cycle"] += 1
+        return original(*args)
 
-        monkeypatch.setattr(realisability, name, counting)
+    monkeypatch.setattr(realisability, "_shortest_cycle", counting)
     return calls
 
 
-class TestSearchesPerVertex:
-    """realise builds one tree per vertex, not one search per edge, and
-    each peel of decompose_cycles makes one search from its start vertex,
-    however many out-edges that vertex has."""
+@pytest.fixture
+def trees(monkeypatch):
+    """The breadth-first trees that find_simple_cycle_through grows from
+    here on, each once, in the order first grown.  A tree is the graph's
+    ``_tree`` list, which later calls on the same root grow in place, so
+    each list holds its final state when read."""
+    grown = []
+    original = realisability.find_simple_cycle_through
 
-    def test_realise_builds_at_most_one_tree_per_vertex(self, family, searches):
+    def recording(graph, k):
+        try:
+            return original(graph, k)
+        finally:
+            if not any(tree is graph._tree for tree in grown):
+                grown.append(graph._tree)
+
+    monkeypatch.setattr(realisability, "find_simple_cycle_through", recording)
+    return grown
+
+
+def scanned(graph, trees):
+    """The out-edges scanned in growing ``trees``: those of every vertex
+    each tree's queue has read."""
+    return sum(len(graph.out[v]) for root, via, queue, read in trees for v in queue[:read])
+
+
+def full_tree_scans(graph, root):
+    """The out-edges a full breadth-first tree of ``root`` scans: those of
+    every vertex reachable from it."""
+    seen, queue = {root}, [root]
+    for node in queue:
+        for k in graph.out[node]:
+            if graph.dst[k] not in seen:
+                seen.add(graph.dst[k])
+                queue.append(graph.dst[k])
+    return sum(len(graph.out[v]) for v in queue)
+
+
+class TestSearchesPerVertex:
+    """realise grows at most one tree per vertex, not one search per edge,
+    and each peel of decompose_cycles makes one search from its start
+    vertex, however many out-edges that vertex has."""
+
+    def test_realise_builds_at_most_one_tree_per_vertex(self, family, searches, trees):
+        """Each tree has its own root, and no tree reads further than a
+        full one would: its queue holds distinct vertices, read at most
+        to the end."""
         graph = build_opg(family)
         assert len(graph.edges) > len(graph.vertices)
         realise(family.support(), MonoidKind.N)
         assert searches["_shortest_cycle"] == 0
-        assert 0 < searches["_bfs_tree"] <= len(graph.vertices)
+        roots = [root for root, _, _, _ in trees]
+        assert 0 < len(roots) == len(set(roots)) <= len(graph.vertices)
+        for root, via, queue, read in trees:
+            assert queue[0] == root and len(set(queue)) == len(queue)
+            assert 0 < read <= len(queue)
 
-    def test_decompose_makes_one_search_per_part(self, family, searches):
+    def test_decompose_makes_one_search_per_part(self, family, searches, trees):
         parts = decompose_cycles(family)
         assert len(parts) > 5
-        assert searches == {"_bfs_tree": 0, "_shortest_cycle": len(parts)}
+        assert searches == {"_shortest_cycle": len(parts)} and not trees
 
     def test_unbalanced_residuals_are_refused(self, family):
         """A family that skips the pairwise check, with one row's weight

@@ -7,6 +7,7 @@ tokens, and a guard checks that parsing and validating builds no
 :class:`Assignment`.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -133,6 +134,84 @@ class TestPairwiseCheck:
         assert new == ref.find_violation([o for _, o in pairs])
         if new is not None:
             assert new.describe() == ref.find_violation([o for _, o in pairs]).describe()
+
+
+MIXED_DENOMINATORS = [Fraction(n, d) for d in (1, 2, 3, 4, 6, 7, 12) for n in (1, 5, 11)]
+
+
+def q_pair(rng, pool, count):
+    """A Q relation over a, b, x1, x10, x2 and its reference: ``count``
+    distinct rows (at most four in five of those the pool allows) whose
+    ``a`` takes two values, so each value of ``a`` holds about half of
+    them, weighted with mixed denominators."""
+    names = ["a", "b", "x1", "x10", "x2"]
+    keys = set()
+    while len(keys) < min(count, 2 * len(pool) ** 4 * 4 // 5):
+        keys.add((rng.choice(pool[:2]),) + tuple(rng.choice(pool) for _ in names[1:]))
+    rows = {Assignment(zip(names, key)): MonoidValue(MonoidKind.Q, rng.choice(MIXED_DENOMINATORS)) for key in keys}
+    return both(names, MonoidKind.Q, rows)
+
+
+class TestQSums:
+    """The integer sums of ``_sums`` on Q against the reference's
+    ``Fraction`` totals."""
+
+    @pytest.mark.parametrize("pool", TOKEN_POOLS, ids=["str", "int", "mixed", "str-subclass"])
+    def test_sums_match_the_reference_with_many_rows_per_key(self, pool):
+        """Every target, on relations where some key collects 30 rows or
+        more: the same keys in the same order, with equal ``Fraction``s."""
+        rng = random.Random(f"q-sums/{pool}")
+        most = 0
+        for _ in range(6):
+            new, old = q_pair(rng, pool, rng.randint(60, 150))
+            for size in range(len(new.names) + 1):
+                for target in map(frozenset, combinations(new.names, size)):
+                    grouped = ref.groups(old, target)
+                    most = max(most, max(map(len, grouped.values())))
+                    sums = _sums(new, target)
+                    assert [(as_row(sorted(target), short), p) for short, p in sums.items()] == [
+                        (Assignment._sorted(short), p) for short, p in ref.totals(old, grouped).items()
+                    ]
+                    assert set(map(type, sums.values())) == {Fraction}
+        assert most >= 30
+
+    def test_a_key_with_one_row_keeps_its_payload(self):
+        """When no two rows restrict to the same key, each sum is the stored
+        payload object itself: onto every variable, onto one variable that
+        tells the rows apart, and a one-row relation onto none."""
+        rng = random.Random(12)
+        rows = {(f"a{i}", f"b{i % 3}"): rng.choice(MIXED_DENOMINATORS) for i in range(40)}
+        relation = KRelation(["a", "b"], MonoidKind.Q, rows)
+        for target in ({"a", "b"}, {"a"}):
+            sums = _sums(relation, target)
+            assert len(sums) == len(rows)
+            for (short, p), stored in zip(sums.items(), relation._rows.values()):
+                assert p is stored
+        single = KRelation(["a", "b"], MonoidKind.Q, {("0", "1"): Fraction(5, 12)})
+        assert _sums(single, ()) == {(): Fraction(5, 12)}
+        assert _sums(single, ())[()] is single._rows[("0", "1")]
+
+    def test_a_twelfth_off_is_described_as_before(self):
+        """A consistent Q family with mixed denominators, one cell of one
+        relation moved by 1/12: the first violation and its text are the
+        reference's."""
+        rng = random.Random(7)
+        found = 0
+        for _ in range(10):
+            glob, _ = q_pair(rng, ["0", "1", "2", "3"], 100)
+            relations = [glob.marginalise(c) for c in (["a", "b"], ["b", "x1"], ["a", "x1", "x10"])]
+            assert find_violation(relations) is None
+            at = rng.randrange(len(relations))
+            rows = dict(relations[at]._rows)
+            key = rng.choice(sorted(rows))
+            rows[key] += Fraction(1, 12)
+            relations[at] = KRelation(relations[at].variables, MonoidKind.Q, rows)
+            olds = [ref.RowRelation(r.variables, r.kind, dict(r.rows())) for r in relations]
+            new, old = find_violation(relations), ref.find_violation(olds)
+            assert new is not None and new == old
+            assert new.describe() == old.describe()
+            found += 1
+        assert found == 10
 
 
 def reference_parse(text):
