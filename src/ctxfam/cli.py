@@ -96,15 +96,19 @@ def _parse_kind(text: str, allowed: str) -> MonoidKind:
     return MonoidKind(text)
 
 
-def _emit(text: str, path: Optional[str]) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
+def _emit(verdict: str, text: str, path: Optional[str]) -> None:
+    """Print ``verdict``, then ``text``; with a ``path``, write ``text`` to
+    that file instead, before anything reaches stdout, so a file that
+    cannot be written prints no verdict, only the error."""
+    if path is not None:
         try:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc.strerror}") from None
+        text = ""
+    print(verdict)
+    sys.stdout.write(text)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -144,9 +148,7 @@ def _cmd_opg(args: argparse.Namespace) -> int:
     ]
     lines += [f"vertex {text}" for text in vertices]
     lines += [f"edge {text}" for text in edges]
-    sys.stdout.write("\n".join(lines) + "\n")
-    if args.dot is not None:
-        _emit(graph.to_dot(), args.dot)
+    _emit("\n".join(lines), "" if args.dot is None else graph.to_dot(), args.dot)
     return 0
 
 
@@ -156,8 +158,8 @@ def _report_realisation(
     output: Optional[str],
 ) -> int:
     """Realise the support of ``args.family`` in ``args.monoid`` with
-    ``build(family, kind)``: print the verdict, then the witness to
-    ``output`` or the uncovered edges."""
+    ``build(family, kind)``: print the verdict, then the witness or the
+    uncovered edges; a witness for ``output`` is written there first."""
     family = _load_family(args.family)
     kind = _parse_kind(args.monoid, "N|Q")
     try:
@@ -167,8 +169,7 @@ def _report_realisation(
         for edge in exc.uncovered:
             print(f"uncovered edge: {edge.describe()}")
         return 1
-    print("realisable")
-    _emit(serialize_family(witness), output)
+    _emit("realisable", serialize_family(witness), output)
     return 0
 
 
@@ -232,8 +233,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     if family is None:
         print("derivable; no counterexample")
         return 0
-    print("counterexample found")
-    _emit(serialize_family(family), args.output)
+    _emit("counterexample found", serialize_family(family), args.output)
     return 1
 
 

@@ -21,7 +21,10 @@ constraints are homogeneous.
 Graph vertices hold value tuples, as relations do, and edges are
 numbers into integer columns of ends and rows; edge objects, and the
 ``boundary`` and ``label`` assignments, are built only when read, and an
-edge's text is written straight from its columns by one formatter.
+edge's text is written straight from its columns by one formatter.  One
+breadth-first search, :func:`_grow`, grows every tree on the graph: the
+shortest cycle through each edge that :func:`realise` sums, and each
+peel of :func:`decompose_cycles`.
 """
 
 from __future__ import annotations
@@ -179,42 +182,40 @@ class OverlapProjectionGraph:
     boundary i-1 to its value on boundary i.  The graph is cyclically
     n-partite: every edge advances the layer by one, modulo n.
 
-    Vertex i is ``vertices[i]``.  Edges are numbered and kept as integer
-    columns: edge k runs from vertex ``src[k]`` to vertex ``dst[k]`` and
-    is the row ``keys[k]``.  The edges of context i are numbered from
-    ``starts[i]`` up to ``starts[i + 1]``, over the names ``_names[i]``.
-    ``out[v]`` lists the numbers of the edges leaving vertex v, in edge
-    order.  Every graph path reads these columns, so no vertex is looked
-    up by hash and no tuple is built per edge.  ``edges`` builds the
-    :class:`OpgEdge` objects on first read and keeps them, so edge k is
-    always the same object; of the graph paths only
-    :func:`find_simple_cycle_through`, which returns edge objects, reads
-    it.  ``_tree`` holds the breadth-first tree that
-    :func:`find_simple_cycle_through` grew last, as far as it has grown:
-    ``[root, via, queue, read]``, the root number, the edge each vertex
-    was first reached by (-1 for the root and unreached vertices), the
-    vertices in discovery order, and how many of them have had their
-    out-edges scanned; or None.
+    Vertex i is ``vertices[i]``, and ``relations[i]`` is the family's
+    relation at context i of the ordering.  Edges are numbered and kept as
+    integer columns: edge k runs from vertex ``src[k]`` to vertex
+    ``dst[k]`` and is the row ``keys[k]``.  The edges of context i are
+    numbered from ``starts[i]`` up to ``starts[i + 1]``, in the stored row
+    order of ``relations[i]``.  ``out[v]`` lists the numbers of the edges
+    leaving vertex v, in edge order.  Every graph path reads these
+    columns, so no vertex is looked up by hash and no tuple is built per
+    edge.  ``edges`` builds the :class:`OpgEdge` objects on first read
+    and keeps them, so edge k is always the same object; of the graph
+    paths only :func:`find_simple_cycle_through`, which returns edge
+    objects, reads it.  ``_tree`` holds the breadth-first tree (see
+    :func:`_grow`) that :func:`find_simple_cycle_through` grew last, as
+    far as it has grown, or None.
     """
 
-    __slots__ = ("ordering", "vertices", "_names", "keys", "starts", "src", "dst", "out", "_tree", "_edges")
+    __slots__ = ("ordering", "vertices", "relations", "keys", "starts", "src", "dst", "out", "_tree", "_edges")
 
     def __init__(
         self,
         ordering: CycleOrdering,
         vertices: Iterable[OpgVertex],
-        names: Iterable[Tuple[str, ...]],
+        relations: Iterable[KRelation],
         keys: List[Key],
         starts: List[int],
         src: List[int],
         dst: List[int],
     ):
-        """Takes the vertices, each context's names, and the edge columns
-        in the order :func:`build_opg` numbers them; it only fills the
-        out-edge lists."""
+        """Takes the vertices, the relations in cycle order, and the edge
+        columns in the order :func:`build_opg` numbers them; it only fills
+        the out-edge lists."""
         self.ordering = ordering
         self.vertices = tuple(vertices)
-        self._names = tuple(names)
+        self.relations = tuple(relations)
         self.keys = keys
         self.starts = starts
         self.src = src
@@ -240,7 +241,7 @@ class OverlapProjectionGraph:
         if self._edges is not None:
             return self._edges[k]
         i = bisect_right(self.starts, k) - 1
-        return OpgEdge(self.vertices[self.src[k]], self.vertices[self.dst[k]], i, self._names[i], self.keys[k])
+        return OpgEdge(self.vertices[self.src[k]], self.vertices[self.dst[k]], i, self.relations[i].names, self.keys[k])
 
     def _contexts(self) -> Iterator[Tuple[int, range]]:
         """Each context index with the range of its edge numbers."""
@@ -309,7 +310,7 @@ class OverlapProjectionGraph:
         src, dst, keys = self.src, self.dst, self.keys
         lines: List[str] = []
         for i, edges in self._contexts():
-            text = _edge_format(self._names[i]).format
+            text = _edge_format(self.relations[i].names).format
             lines += [text(shown[src[k]], shown[dst[k]], *keys[k]) for k in edges]
         return shown, lines
 
@@ -322,7 +323,7 @@ class OverlapProjectionGraph:
         lines += [f'  {i} [label="{str(v).translate(_DOT_QUOTED)}"];'
                   for i, v in enumerate(self.vertices)]
         for i, edges in self._contexts():
-            row = _row_format(self._names[i]).format
+            row = _row_format(self.relations[i].names).format
             lines += [f'  {src[k]} -> {dst[k]} [label="{row(*keys[k]).translate(_DOT_QUOTED)}"];'
                       for k in edges]
         lines.append("}")
@@ -370,71 +371,54 @@ def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
         starts.append(len(keys))
         src += map(numbers[i - 1].__getitem__, before)
         dst += map(numbers[i].__getitem__, after)
-    return OverlapProjectionGraph(ordering, vertices, [r.names for r in relations], keys, starts, src, dst)
+    return OverlapProjectionGraph(ordering, vertices, relations, keys, starts, src, dst)
 
 
-def _shortest_cycle(out: List[List[int]], src: List[int], dst: List[int], start: int) -> Optional[List[int]]:
-    """Edge numbers of a shortest cycle through ``start``, from it and back.
+def _grow(tree: list, out: List[List[int]], dst: List[int], goal: int) -> bool:
+    """Grow a breadth-first tree until ``goal`` has a parent; whether it has.
 
-    Breadth-first search over the out-edge lists ``out`` of the edges
-    whose ends ``src`` and ``dst`` hold, level by level, each list in
-    order, the first discovery winning; it stops at the first edge back
-    into ``start`` and returns that edge with the tree path to it.  None
-    when no edge leads back.
+    ``tree`` is ``[root, via, queue, read]``: the root, the edge each
+    vertex was first reached by (-1 while unreached), the vertices in
+    discovery order, and how many have had their out-lists read.  It reads
+    the queue on, a whole list of ``out`` at a time, each in edge order,
+    the first edge to reach a vertex (its end in ``dst``) being its
+    parent, until the goal has one or the queue runs out.  The root may
+    take a parent, the edge closing a cycle through it, but is never
+    queued again.  Parents are fixed when first found, so a tree grown in
+    steps is a prefix of the full one and gives the same paths.
     """
-    via: Dict[int, int] = {}  # the edge each vertex was reached by; start never enters
-    queue = [start]
-    for node in queue:  # the queue grows while it is read, level by level
-        for k in out[node]:
+    root, via, queue, read = tree
+    while via[goal] < 0 and read < len(queue):  # the queue grows while it is read, level by level
+        for k in out[queue[read]]:
             nxt = dst[k]
-            if nxt == start:
-                path = [k]
-                while node != start:
-                    k = via[node]
-                    path.append(k)
-                    node = src[k]
-                path.reverse()
-                return path
-            if nxt not in via:
+            if via[nxt] < 0:
                 via[nxt] = k
-                queue.append(nxt)
-    return None
+                if nxt != root:
+                    queue.append(nxt)
+        read += 1
+    tree[3] = read
+    return via[goal] >= 0
 
 
 def find_simple_cycle_through(graph: OverlapProjectionGraph, k: int) -> List[OpgEdge]:
     """A shortest simple cycle whose first edge is ``graph.edges[k]``.
 
     The path back from the edge's target to its source is read from the
-    breadth-first tree rooted at the target, grown level by level with
-    each out-edge list in edge order and the first discovery winning, so
-    the result is deterministic.  The tree is grown only until the source
-    has a parent: the graph keeps the last root's tree with its queue and
-    how far the queue has been read (``graph._tree``), and a call for
-    another edge into that root reads on from there.  Parents are fixed
-    when first found, so a partial tree is a prefix of the full one and
-    gives the same paths.  Raises :class:`NotRealisableError` when the
-    queue runs out first: the edge lies on no cycle.
+    breadth-first tree :func:`_grow` grows at the target, so the result is
+    deterministic.  The tree is grown only until the source has a parent:
+    the graph keeps the last root's tree (``graph._tree``), and a call for
+    another edge into that root grows it on from where it stopped.
+    Raises :class:`NotRealisableError` when the queue runs out first: the
+    edge lies on no cycle.
     """
     source, target = graph.src[k], graph.dst[k]
     tree = graph._tree
     if tree is None or tree[0] != target:
         tree = graph._tree = [target, [-1] * len(graph.out), [target], 0]
-    _, via, queue, read = tree
-    if source != target and via[source] < 0:
-        out, dst = graph.out, graph.dst
-        while read < len(queue):  # the queue grows while it is read, level by level
-            for j in out[queue[read]]:
-                nxt = dst[j]
-                if via[nxt] < 0 and nxt != target:
-                    via[nxt] = j
-                    queue.append(nxt)
-            read += 1
-            if via[source] >= 0:
-                break
-        tree[3] = read
-        if via[source] < 0:
-            edge = graph._edge(k)
-            raise NotRealisableError(f"edge {edge.describe()} lies on no cycle", uncovered=(edge,))
+    via = tree[1]
+    if via[source] < 0 and not _grow(tree, graph.out, graph.dst, source):
+        edge = graph._edge(k)
+        raise NotRealisableError(f"edge {edge.describe()} lies on no cycle", uncovered=(edge,))
     edges, src = graph.edges, graph.src  # read once per call, not once per cycle edge
     back = []
     walk = source
@@ -471,7 +455,7 @@ def lift_uniform(sub: ContextualFamily, weight: MonoidValue) -> ContextualFamily
         raise NotSimplyCyclicError("the support splits into several cycles")
     lifted = [
         KRelation(rel.variables, weight.kind, dict.fromkeys(rel._rows, weight.payload))
-        for rel in sub.maximal_relations()
+        for rel in graph.relations
     ]
     return ContextualFamily(lifted)
 
@@ -536,8 +520,7 @@ def realise(
     counts = list(map(crossings.__getitem__, map(id, graph.edges)))
     base = weight.payload
     payload = {c: base * c for c in set(counts)}
-    relations = [family.relation_at(c) for c in graph.ordering.contexts]
-    return ContextualFamily(_reweighted(relations, map(payload.__getitem__, counts), kind))
+    return ContextualFamily(_reweighted(graph.relations, map(payload.__getitem__, counts), kind))
 
 
 def decompose_cycles(
@@ -552,16 +535,18 @@ def decompose_cycles(
     kept by edge and vertex number, and each edge names its row by the
     graph's key column and its context by the graph's start offsets.
 
-    Each peel is one breadth-first search from the start vertex, stopped
-    at the first edge back into it.  Its cycle runs through the first
-    out-edge, in edge order, whose target is least distant from the start
-    vertex, and on along the path a search from that target finds:
-    the search lays out each level in the order of its first-discovering
-    edges, so at every depth the subtrees of earlier out-edges come first.
-    No vertex on that target's shortest paths back is reached first from
-    an earlier out-edge's target at the same depth, since that target
-    would then be as close and come first; so the tree parents along the
-    path are the ones the search from the target finds.
+    Each peel grows one fresh tree with :func:`_grow` at the start vertex
+    over the live out-lists, with the start as its goal: the start's
+    parent is the first edge back into it, and the tree path to that
+    edge's source closes the cycle.  It runs through the first out-edge,
+    in edge order, whose target is least distant from the start vertex,
+    and on along the path a search from that target finds: the search lays
+    out each level in the order of its first-discovering edges, so at
+    every depth the subtrees of earlier out-edges come first.  No vertex
+    on that target's shortest paths back is reached first from an earlier
+    out-edge's target at the same depth, since that target would then be
+    as close and come first; so the tree parents along the path are the
+    ones the search from the target finds.
 
     Local consistency makes the weights a circulation on the graph: they
     balance at every vertex, which is checked once, and subtracting a
@@ -574,7 +559,7 @@ def decompose_cycles(
     if not family.kind.is_cancellative:
         raise ValueError("decomposition needs an N or Q family")
     graph = build_opg(family)
-    relations = [family.relation_at(c) for c in graph.ordering.contexts]
+    relations = graph.relations
     src, dst, keys, starts = graph.src, graph.dst, graph.keys, graph.starts
     residual = list(chain.from_iterable(rel._rows.values() for rel in relations))
     balance = [0] * len(graph.vertices)
@@ -590,9 +575,14 @@ def decompose_cycles(
     while live:
         while not succ[start]:
             start += 1
-        best = _shortest_cycle(succ, src, dst, start)
-        if best is None:
+        via = [-1] * len(succ)
+        if not _grow([start, via, [start], 0], succ, dst, start):
             raise AssertionError("residual is not a circulation; internal bug")
+        k = via[start]
+        best = [k]
+        while src[k] != start:
+            k = via[src[k]]
+            best.append(k)
         least = min(residual[k] for k in best)
         # build_opg numbers edges by context and then in stored row order,
         # so ascending edge numbers give each relation's keys in its order.
@@ -674,7 +664,7 @@ def _lp_weights(family: ContextualFamily, kind: MonoidKind) -> Optional[List[Pay
     return [int(w * scale) for w in weights]
 
 
-def _reweighted(relations: List[KRelation], payloads: Iterable[Payload], kind: MonoidKind) -> List[KRelation]:
+def _reweighted(relations: Iterable[KRelation], payloads: Iterable[Payload], kind: MonoidKind) -> List[KRelation]:
     """The rows of ``relations`` in ``kind``, numbered relation by relation
     in stored order, the n-th annotated with the n-th of ``payloads``."""
     rest = iter(payloads)  # zip reads rel._rows first, so it stops at the end of each relation

@@ -742,6 +742,24 @@ class TestErrorCorpus:
         assert run(capsys, argv[0], str(path), *argv[1:]) == (2, "", err)
 
     @pytest.mark.parametrize(
+        "document, argv, flag",
+        [
+            (EXTENDED, ["realise", "--monoid", "N"], "--output"),
+            (TRANSITIVITY, ["counterexample", "--query", "x -> z"], "--output"),
+            (TEACHING, ["opg"], "--dot"),
+        ],
+        ids=["realise", "counterexample", "opg"],
+    )
+    def test_an_unwritable_file_prints_no_verdict(self, capsys, tmp_path, document, argv, flag):
+        """The file is written before anything reaches stdout, so stdout
+        never states a verdict that the exit status then denies."""
+        path = tmp_path / "input.txt"
+        path.write_text(document)
+        target = tmp_path / "missing" / "out.txt"
+        err = f"error: cannot write {target}: No such file or directory\n"
+        assert run(capsys, argv[0], str(path), *argv[1:], flag, str(target)) == (2, "", err)
+
+    @pytest.mark.parametrize(
         "argv",
         [["check"], ["global"], ["opg"], ["realisable", "--monoid", "N"], ["realise", "--monoid", "N"],
          ["decompose"], ["derive", "--query", "x -> y"], ["entail", "--query", "x -> y"],

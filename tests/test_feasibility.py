@@ -12,7 +12,7 @@ import hashlib
 import random
 import signal
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, product
 from math import gcd, lcm
 
 import pytest
@@ -634,6 +634,40 @@ def twisted_family(shape, kind, domain, seed):
     return ContextualFamily(relations)
 
 
+def glued_family(kind, seed):
+    """A locally consistent family on the ``acyclic`` shape glued along its
+    join tree, where each context's parent is the one before it, rather
+    than drawn from one global relation.  The first context is random;
+    each later one splits every row of its parent's marginal on their
+    shared variables among values of its one new variable: any nonempty
+    set of them in B, integer parts in N, equal parts in Q."""
+    rng = random.Random(f"glued/{kind.name}/{seed}")
+    contexts = SHAPES["acyclic"]
+    domain = ["v0", "v1", "v2"]
+    pool = {MonoidKind.B: [1], MonoidKind.N: [1, 2, 3, 4], MonoidKind.Q: [Fraction(1, 2), 1, Fraction(3, 2), 2]}[kind]
+    first = {
+        Assignment({v: rng.choice(domain[:2]) for v in contexts[0]}): MonoidValue.of(kind, rng.choice(pool))
+        for _ in range(rng.randint(1, 4))
+    }
+    relations = [KRelation.from_assignments(frozenset(contexts[0]), kind, first)]
+    for parent, context in zip(contexts, contexts[1:]):
+        shared = frozenset(parent) & frozenset(context)
+        (new,) = frozenset(context) - shared
+        rows = {}
+        for row, value in relations[-1].marginalise(shared).rows():
+            w = value.payload
+            if kind is MonoidKind.N:
+                cuts = sorted(rng.sample(range(1, w), rng.randint(0, min(w, len(domain)) - 1)))
+                parts = [b - a for a, b in zip([0] + cuts, cuts + [w])]
+            else:
+                m = rng.randint(1, len(domain))
+                parts = [w if kind is MonoidKind.B else w / m] * m
+            for ext, part in zip(rng.sample(domain, len(parts)), parts):
+                rows[Assignment(dict(row.items(), **{new: ext}))] = MonoidValue.of(kind, part)
+        relations.append(KRelation.from_assignments(frozenset(context), kind, rows))
+    return ContextualFamily(relations)
+
+
 # ---------------------------------------------------------------------------
 # Reference: the global path the cell table replaced.  It restricts every
 # join row to every context to find the context rows it covers, decides B
@@ -1081,11 +1115,71 @@ class TestLocalImpliesGlobalExactlyOnAcyclicShapes:
         assert checked == (15 if shape == "acyclic" else 45)
 
     @pytest.mark.parametrize("kind", list(MonoidKind), ids=lambda k: k.name)
+    def test_glued_families_get_a_global_witness(self, kind):
+        """Families glued context by context along the join tree, not
+        built from one global relation."""
+        for seed in range(100):
+            family = glued_family(kind, seed)
+            witness = check_global_consistency(family)
+            assert witness is not None and witness.kind is kind
+            assert _projects_onto(witness, family)
+
+    @pytest.mark.parametrize("kind", list(MonoidKind), ids=lambda k: k.name)
     @pytest.mark.parametrize("shape", ["grid", "chorded"])
     def test_twisted_families_are_globally_inconsistent(self, shape, kind):
         for seed in range(15):
             family = at_kind(kind, lambda k: twisted_family(shape, k, 2 + seed % 3, seed))
             assert check_global_consistency(family) is None
+
+
+def lex_greatest_point(family):
+    """The support join's rows and, by brute force, the lexicographically
+    greatest natural weight vector over them, in join-row order, whose sum
+    over every cell is that cell's demand, or None: every vector is tried,
+    each weight at most the least demand among its row's cells."""
+    join, cells = _support_join(family)
+    demands = [p for rel in family.maximal_relations() for p in rel._rows.values()]
+    own = [min(demands[k] for k in row) for row in cells]
+    for weights in product(*(range(b, -1, -1) for b in own)):  # greatest first
+        sums = [0] * len(demands)
+        for row, w in zip(cells, weights):
+            for k in row:
+                sums[k] += w
+        if sums == demands:
+            return join, list(weights)
+    return join, None
+
+
+class TestNWitnessIsTheLexGreatestIntegerPoint:
+    """The N witness of check_global_consistency is the lexicographically
+    greatest integer point of ``{x >= 0 : cell sums = demands}``, in
+    join-row order: the definition a lex-max solver must reproduce."""
+
+    def test_against_brute_force(self):
+        """Marginal families on every shape and, on the binary shapes, their
+        sums with twisted families, kept when the support join has at most
+        9 rows and no demand is above 4."""
+        kept = refused = 0
+        for seed in range(25):
+            for shape in sorted(SHAPES):
+                for rows in (1, 2, 3):
+                    builds = [marginal_family(shape, MonoidKind.N, rows, 2, seed)]
+                    if shape != "acyclic":
+                        builds.append(builds[0] + twisted_family(shape, MonoidKind.N, 2, seed))
+                    for family in builds:
+                        demands = [p for rel in family.maximal_relations() for p in rel._rows.values()]
+                        if len(_support_join(family)[0]) > 9 or max(demands) > 4:
+                            continue
+                        join, best = lex_greatest_point(family)
+                        witness = check_global_consistency(family)
+                        if best is None:
+                            assert witness is None
+                            refused += 1
+                        else:
+                            assert set(witness._rows) <= set(join)
+                            assert [witness._rows.get(row, 0) for row in join] == best
+                        kept += 1
+        assert kept > 400 and refused > 40
 
 
 class TestPhaseOneOnlyForN:

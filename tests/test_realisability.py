@@ -598,6 +598,59 @@ def reference_decompose(family):
     return parts
 
 
+def shortest_cycle(out, src, dst, start):
+    """Edge numbers of a shortest cycle through ``start``, from it and back:
+    one breadth-first search over the out-edge lists ``out``, level by
+    level, each list in order, the first discovery winning, stopped at the
+    first edge back into ``start``.  None when no edge leads back."""
+    via = {}  # the edge each vertex was reached by; start never enters
+    queue = [start]
+    for node in queue:  # the queue grows while it is read, level by level
+        for k in out[node]:
+            nxt = dst[k]
+            if nxt == start:
+                path = [k]
+                while node != start:
+                    k = via[node]
+                    path.append(k)
+                    node = src[k]
+                path.reverse()
+                return path
+            if nxt not in via:
+                via[nxt] = k
+                queue.append(nxt)
+    return None
+
+
+def reference_peel(family):
+    """decompose_cycles with its own search, :func:`shortest_cycle`, in
+    place of the breadth-first tree it shares with realise: the same peel
+    order over the same residuals and live out-lists."""
+    graph = build_opg(family)
+    relations = [family.relation_at(c) for c in graph.ordering.contexts]
+    src, dst, keys, starts = graph.src, graph.dst, graph.keys, graph.starts
+    residual = [w for rel in relations for w in rel._rows.values()]
+    succ = [list(out) for out in graph.out]
+    live, start, parts = len(residual), 0, []
+    while live:
+        while not succ[start]:
+            start += 1
+        best = shortest_cycle(succ, src, dst, start)
+        least = min(residual[k] for k in best)
+        rows = [[] for _ in relations]
+        for k in sorted(best):
+            rows[bisect_right(starts, k) - 1].append(keys[k])
+        supports = [rel._sub(part) for rel, part in zip(relations, rows)]
+        parts.append((MonoidValue(family.kind, least),
+                      ContextualFamily._unchecked(family.contexts, MonoidKind.B, supports)))
+        for k in best:
+            residual[k] -= least
+            if not residual[k]:
+                succ[src[k]].remove(k)
+                live -= 1
+    return parts
+
+
 def walk_family(rng, kind, weights, contexts_count=None, components=None,
                 walks=(1, 3), domain=(2, 3), ints=False):
     """A locally consistent family over a chordless cycle of binary and
@@ -920,6 +973,26 @@ class TestAgainstReference:
                 total = lifted if total is None else total + lifted
             assert total == family
 
+    @pytest.mark.parametrize(
+        "kind, weights", [(MonoidKind.N, [1, 2, 3]), (MonoidKind.Q, [Fraction(1, 2), 1, Fraction(5, 3)])]
+    )
+    @pytest.mark.parametrize("ints", [False, True])
+    def test_decompose_writes_the_reference_peel_bytes(self, kind, weights, ints):
+        """250 families per case, a fifth of them dense, and some with
+        several components: the parts serialise as the reference peel's."""
+        rng = random.Random(f"peel/{kind}/{ints}")
+        several = 0
+        for i in range(250):
+            if i % 5:
+                family = walk_family(rng, kind, weights, ints=ints)
+            else:
+                family = walk_family(rng, kind, weights, walks=(8, 20), domain=(6, 12), ints=ints)
+            several += len(set(build_opg(family)._component_labels())) > 1
+            assert serialize_decomposition(decompose_cycles(family)) == serialize_decomposition(
+                reference_peel(family)
+            )
+        assert several > 50
+
     def test_decompose_writes_the_reference_bytes_on_int_tokens(self):
         """Int tokens, whose row order is not numeric order: the parts
         serialise as the reference's, and each part relation, built from
@@ -1006,15 +1079,17 @@ class TestNoPerCycleRebuilds:
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Counts the shortest-cycle searches of decompose_cycles from here on."""
-    calls = {"_shortest_cycle": 0}
-    original = realisability._shortest_cycle
+    """The breadth-first searches grown from here on: one ``(tree, goal)``
+    pair per call of the shared grow function, holding the tree list it
+    grew in place."""
+    calls = []
+    original = realisability._grow
 
-    def counting(*args):
-        calls["_shortest_cycle"] += 1
-        return original(*args)
+    def recording(tree, out, dst, goal):
+        calls.append((tree, goal))
+        return original(tree, out, dst, goal)
 
-    monkeypatch.setattr(realisability, "_shortest_cycle", counting)
+    monkeypatch.setattr(realisability, "_grow", recording)
     return calls
 
 
@@ -1058,17 +1133,18 @@ def full_tree_scans(graph, root):
 
 class TestSearchesPerVertex:
     """realise grows at most one tree per vertex, not one search per edge,
-    and each peel of decompose_cycles makes one search from its start
+    and each peel of decompose_cycles grows one fresh tree from its start
     vertex, however many out-edges that vertex has."""
 
     def test_realise_builds_at_most_one_tree_per_vertex(self, family, searches, trees):
-        """Each tree has its own root, and no tree reads further than a
-        full one would: its queue holds distinct vertices, read at most
-        to the end."""
+        """Every search realise makes grows one of the graph's kept trees
+        toward an edge's source, and no peel tree.  Each kept tree has its
+        own root, and no tree reads further than a full one would: its
+        queue holds distinct vertices, read at most to the end."""
         graph = build_opg(family)
         assert len(graph.edges) > len(graph.vertices)
         realise(family.support(), MonoidKind.N)
-        assert searches["_shortest_cycle"] == 0
+        assert searches and all(any(tree is t for t in trees) and goal != tree[0] for tree, goal in searches)
         roots = [root for root, _, _, _ in trees]
         assert 0 < len(roots) == len(set(roots)) <= len(graph.vertices)
         for root, via, queue, read in trees:
@@ -1077,8 +1153,10 @@ class TestSearchesPerVertex:
 
     def test_decompose_makes_one_search_per_part(self, family, searches, trees):
         parts = decompose_cycles(family)
-        assert len(parts) > 5
-        assert searches == {"_shortest_cycle": len(parts)} and not trees
+        assert len(parts) > 5 and not trees
+        assert len(searches) == len(parts)
+        assert all(goal == tree[0] for tree, goal in searches)
+        assert len({id(tree) for tree, _ in searches}) == len(parts)
 
     def test_unbalanced_residuals_are_refused(self, family):
         """A family that skips the pairwise check, with one row's weight
