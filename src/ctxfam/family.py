@@ -78,7 +78,7 @@ class ContextSet:
                         f"context {sorted(c)} is contained in {sorted(d)}; "
                         "maximal contexts must form an antichain"
                     )
-        object.__setattr__(self, "maximal", tuple(sorted(sets, key=lambda c: tuple(sorted(c)))))
+        self.maximal = tuple(sorted(sets, key=lambda c: tuple(sorted(c))))
 
     @classmethod
     def from_sets(cls, sets: Iterable[Iterable[str]]) -> "ContextSet":
@@ -164,11 +164,9 @@ class ContextualFamily:
         violation = find_violation(rels)
         if violation is not None:
             raise LocalConsistencyError(violation)
-        object.__setattr__(self, "contexts", contexts)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(
-            self, "_relations", {r.variables: r for r in rels}
-        )
+        self.contexts = contexts
+        self.kind = kind
+        self._relations = {r.variables: r for r in rels}
 
     @classmethod
     def _unchecked(
@@ -176,9 +174,9 @@ class ContextualFamily:
     ) -> "ContextualFamily":
         """A family the caller knows to be consistent: no pairwise check."""
         family = object.__new__(cls)
-        object.__setattr__(family, "contexts", contexts)
-        object.__setattr__(family, "kind", kind)
-        object.__setattr__(family, "_relations", {r.variables: r for r in relations})
+        family.contexts = contexts
+        family.kind = kind
+        family._relations = {r.variables: r for r in relations}
         return family
 
     def relation_at(self, context: Iterable[str]) -> KRelation:

@@ -30,20 +30,21 @@ as another dependency.  A single dependency (a query) may not contain
 Both parsers read their text through one line reader, :func:`_lines`,
 which cuts comments and strips each line, keeping blank and comment
 lines so that line n of the text is item n - 1.  The family parser then
-reads a context block at a time (:func:`_read_block`): it splits the
-block's rows as one text, takes each value, ``:`` and weight column as a
-slice of those tokens, and tests whole columns at once; it builds no
-Python object per row beyond the row's key.  Only when a block fails a
-test is it read again line by line, to raise the error of its first
-malformed row.  Parsing reports errors with line numbers of the whole
-text; serialisation is canonical (sorted contexts, sorted rows) and
-round-trips.
+reads a context block at a time.  A block whose rows all have one width
+is read as columns (:func:`_read_block`): its rows are split as one
+text, each value, ``:`` and weight column is a slice of those tokens,
+and whole columns are tested at once, so no Python object is built per
+row beyond the row's key.  Any other block, and any block that fails a
+column test, is read line by line (:func:`_read_lines`) into the same
+store, or to the error of its first malformed row.  Parsing reports
+errors with line numbers of the whole text; serialisation is canonical
+(sorted contexts, sorted rows) and round-trips.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress, count, repeat
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .family import ContextualFamily
@@ -75,17 +76,6 @@ def _lines(text: str) -> List[str]:
     return list(map(str.strip, lines))
 
 
-def _led_by(lines: List[str]) -> Tuple[List[int], List[int]]:
-    """The indices of the lines whose first token is ``context``, and of
-    those whose first token is ``monoid``."""
-    led: Dict[str, List[int]] = {"context": [], "monoid": []}
-    for i in compress(count(), map(str.startswith, lines, repeat(("context", "monoid")))):
-        word = lines[i].split(None, 1)[0]
-        if word in led:
-            led[word].append(i)
-    return led["context"], led["monoid"]
-
-
 def parse_relations(text: str) -> List[KRelation]:
     """The context relations of a family document, unvalidated as a
     family: consistency checking is the caller's decision."""
@@ -101,16 +91,15 @@ def parse_relations(text: str) -> List[KRelation]:
     except ValueError:
         raise FormatError(start + 1, f"unknown monoid {parts[1]!r}") from None
 
-    heads, monoids = _led_by(lines)
-    stop = monoids[1] if len(monoids) > 1 else len(lines)  # a duplicate monoid line: an error at or before it
-    first = heads[0] if heads else len(lines)
-    _locate_row_error(kind, None, lines, start + 1, first)
+    heads = [i for i in compress(count(), map(str.startswith, lines, repeat("context")))
+             if lines[i].split(None, 1)[0] == "context"]
+    one = MonoidValue.one(kind).payload
+    weights: Dict[str, Payload] = {}  # the nonzero payload of each weight token read
+    _read_lines(kind, (), lines, start + 1, heads[0] if heads else len(lines), one, weights)
     if not heads:
         raise FormatError(start + 1, "document declares no context")  # the last line with tokens
     blocks: List[Tuple[Tuple[str, ...], int, int]] = []  # variables, first and end row line index
     stores: List[Dict[Key, Payload]] = []
-    one = MonoidValue.one(kind).payload
-    weights: Dict[str, Payload] = {}  # the nonzero payload of each weight token read
     for head, end in zip(heads, heads[1:] + [len(lines)]):
         variables = tuple(lines[head].split()[1:])
         if not variables:
@@ -119,11 +108,9 @@ def parse_relations(text: str) -> List[KRelation]:
             raise FormatError(head + 1, "context repeats a variable")
         if any(frozenset(variables) == frozenset(b) for b, _, _ in blocks):
             raise FormatError(head + 1, "duplicate context")
-        store = None
-        if not head < stop < end:
-            store = _read_block(kind, variables, list(filter(None, lines[head + 1 : end])), one, weights)
+        store = _read_block(kind, variables, list(filter(None, lines[head + 1 : end])), one, weights)
         if store is None:
-            _locate_row_error(kind, variables, lines, head + 1, end)
+            store = _read_lines(kind, variables, lines, head + 1, end, one, weights)
         blocks.append((variables, head + 1, end))
         stores.append(store)
 
@@ -140,85 +127,84 @@ def parse_relations(text: str) -> List[KRelation]:
 
 def _read_block(kind: MonoidKind, variables: Tuple[str, ...], rows: List[str],
                 one: Payload, weights: Dict[str, Payload]) -> Optional[Dict[Key, Payload]]:
-    """The store of one context block, its rows' value tuples in sorted
-    variable order mapped to their payloads (``one`` where a row has no
-    weight), or None when a row is malformed.  ``rows`` are the block's
-    lines that hold tokens, none led by ``monoid``.
+    """The store of one context block read as columns: its rows' value
+    tuples in sorted variable order mapped to their payloads (``one``
+    where a row has no weight).  ``rows`` are the block's lines that hold
+    tokens.  Returns None, for :func:`_read_lines` to read, unless every
+    row has one width, none is led by ``monoid`` and none is malformed.
 
     The rows are split as one text, each followed by a ``#`` token, which
     no line holds once its comment is cut: when every ``#`` falls one
     width apart, every row has that width, and each value, ``:`` and
-    weight is a column, a slice of the tokens.  Rows of several widths
-    are sorted by width first.  Every test reads whole columns: the
-    width, the count and place of ``:``, each weight token not yet in
-    ``weights`` parsed once and kept there when nonzero, and duplicate
-    rows by the size of the store.  Reserved words are the caller's
-    test."""
+    weight is a column, a slice of the tokens.  Every test reads whole
+    columns: the width, the first values, the count and place of ``:``,
+    each weight token not yet in ``weights`` parsed once and kept there
+    when nonzero, and duplicate rows by the size of the store.  Reserved
+    words are the caller's test."""
     if not rows:
         return {}
     flat = " # ".join(rows).split()
     stride, rest = divmod(len(flat) + 1, len(rows))
-    if not rest and flat[stride - 1 :: stride].count("#") == len(rows) - 1 == flat.count("#"):
-        groups = [(stride, flat)]
-    else:
-        widths = list(map(len, map(str.split, rows)))
-        groups = [(width + 1, " # ".join(compress(rows, map(eq, widths, repeat(width)))).split())
-                  for width in set(widths)]
+    if rest or not flat[stride - 1 :: stride].count("#") == len(rows) - 1 == flat.count("#") \
+            or "monoid" in flat[::stride]:
+        return None
     arity = len(variables)
-    order = sorted(range(arity), key=variables.__getitem__)
-    store: Dict[Key, Payload] = {}
-    for stride, flat in groups:
-        if stride == arity + 1:
-            if ":" in flat:
-                return None
-            payloads: Iterator[Payload] = repeat(one)
-        elif stride == arity + 3:
-            size = (len(flat) + 1) // stride
-            if flat[arity::stride].count(":") != size or flat.count(":") != size:
-                return None
-            tokens = flat[arity + 1 :: stride]
-            for token in set(tokens).difference(weights):
-                try:
-                    payload = parse_value(kind, token).payload
-                except ValueError:
-                    return None
-                if not payload:
-                    return None
-                weights[token] = payload
-            payloads = map(weights.__getitem__, tokens)
-        else:
+    if stride == arity + 1:
+        if ":" in flat:
             return None
-        store.update(zip(zip(*[flat[i::stride] for i in order]), payloads))
+        payloads: Iterator[Payload] = repeat(one)
+    elif stride == arity + 3:
+        if flat[arity::stride].count(":") != len(rows) or flat.count(":") != len(rows):
+            return None
+        tokens = flat[arity + 1 :: stride]
+        for token in set(tokens).difference(weights):
+            try:
+                payload = parse_value(kind, token).payload
+            except ValueError:
+                return None
+            if not payload:
+                return None
+            weights[token] = payload
+        payloads = map(weights.__getitem__, tokens)
+    else:
+        return None
+    order = sorted(range(arity), key=variables.__getitem__)
+    store = dict(zip(zip(*[flat[i::stride] for i in order]), payloads))
     return store if len(store) == len(rows) else None
 
 
-def _locate_row_error(kind: MonoidKind, variables: Optional[Tuple[str, ...]],
-                      lines: List[str], begin: int, end: int) -> None:
-    """Raise the positioned error of the first malformed row among
-    ``lines[begin:end]``, the rows of a block of ``variables``, read line
-    by line; with no variables, every row is out of place.  Rows are only
-    checked here, never kept: this runs when :func:`_read_block` refused
-    a block, and before the first context line."""
-    seen = set()
+def _read_lines(kind: MonoidKind, variables: Tuple[str, ...], lines: List[str], begin: int, end: int,
+                one: Payload, weights: Dict[str, Payload]) -> Dict[Key, Payload]:
+    """The store of the rows among ``lines[begin:end]``, a block of
+    ``variables``, read line by line and keyed as by :func:`_read_block`;
+    or the positioned error of the first malformed row.  With no
+    variables, every row is out of place: the lines before the first
+    context.  Weights go through ``weights`` as in the column reader, and
+    a row becomes an :class:`Assignment` only to name a duplicate."""
+    order = sorted(range(len(variables)), key=variables.__getitem__)
+    store: Dict[Key, Payload] = {}
     for number, line in enumerate(lines[begin:end], begin + 1):
         tokens = line.split()
         if not tokens:
             continue
         if tokens[0] == "monoid":
             raise FormatError(number, "duplicate monoid line")
-        if variables is None:
+        if not variables:
             raise FormatError(number, "row appears before any context line")
+        values, weight = tokens, one
         if ":" in tokens:
             cut = tokens.index(":")
             values, weight_tokens = tokens[:cut], tokens[cut + 1 :]
             if len(weight_tokens) != 1:
                 raise FormatError(number, "expected a single annotation after ':'")
-            try:
-                weight = parse_value(kind, weight_tokens[0]).payload
-            except ValueError as exc:
-                raise FormatError(number, str(exc)) from None
-        else:
-            values, weight = tokens, 1
+            weight = weights.get(weight_tokens[0])
+            if weight is None:
+                try:
+                    weight = parse_value(kind, weight_tokens[0]).payload
+                except ValueError as exc:
+                    raise FormatError(number, str(exc)) from None
+                if weight:
+                    weights[weight_tokens[0]] = weight
         if len(values) != len(variables):
             raise FormatError(
                 number,
@@ -226,12 +212,11 @@ def _locate_row_error(kind: MonoidKind, variables: Optional[Tuple[str, ...]],
             )
         if not weight:
             raise FormatError(number, "zero annotation: omit the row instead")
-        row = Assignment(zip(variables, values))
-        if row in seen:
-            raise FormatError(number, f"duplicate row {row}")
-        seen.add(row)
-    if variables is not None:
-        raise AssertionError("a block refused in bulk reads line by line; internal bug")
+        key = tuple(map(values.__getitem__, order))
+        if key in store:
+            raise FormatError(number, f"duplicate row {Assignment(zip(variables, values))}")
+        store[key] = weight
+    return store
 
 
 def parse_family(text: str) -> ContextualFamily:

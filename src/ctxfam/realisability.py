@@ -33,7 +33,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
 from math import lcm
 from operator import ne
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
@@ -453,11 +453,7 @@ def lift_uniform(sub: ContextualFamily, weight: MonoidValue) -> ContextualFamily
             )
     if len(set(graph._component_labels())) != 1:
         raise NotSimplyCyclicError("the support splits into several cycles")
-    lifted = [
-        KRelation(rel.variables, weight.kind, dict.fromkeys(rel._rows, weight.payload))
-        for rel in graph.relations
-    ]
-    return ContextualFamily(lifted)
+    return ContextualFamily(_reweighted(graph.relations, repeat(weight.payload), weight.kind))
 
 
 def realisable_chordless(family: ContextualFamily, kind: MonoidKind) -> bool:

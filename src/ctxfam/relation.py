@@ -197,10 +197,10 @@ class KRelation:
         else:
             positions = sorted(range(len(keys)), key=order.__getitem__)
             store = dict(zip(map(keys.__getitem__, positions), map(payloads.__getitem__, positions)))
-        object.__setattr__(self, "variables", vars_)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_rows", store)
+        self.variables = vars_
+        self.names = names
+        self.kind = kind
+        self._rows = store
 
     @classmethod
     def from_assignments(cls, variables: Iterable[str], kind: MonoidKind, rows: Mapping[Assignment, MonoidValue]) -> "KRelation":

@@ -10,6 +10,9 @@ from ctxfam.family import ContextualFamily, LocalConsistencyError
 from ctxfam.fdlogic import FD
 from ctxfam.formats import (
     FormatError,
+    _lines,
+    _read_block,
+    _read_lines,
     parse_family,
     parse_fd,
     parse_fds,
@@ -489,6 +492,67 @@ def with_examples(texts: List[str]):
         return test
 
     return decorate
+
+
+@st.composite
+def one_width_documents(draw):
+    """One-context documents of B, N or Q whose rows all have one width:
+    arity 1-3, every row weighted or none, about one weight in twenty
+    bad, and rows drawn from few values, so some repeat.  Lines are laid
+    out by :func:`laid_out`."""
+    kind = draw(st.sampled_from("BNQ"))
+    variables = draw(st.lists(st.sampled_from(["y", "x", "z10", "z2"]), min_size=1, max_size=3, unique=True))
+    weighted = draw(st.booleans())
+    lines = [["monoid", kind], ["context", *variables]]
+    for _ in range(draw(st.integers(0, 12))):
+        values = draw(st.lists(TOKENS, min_size=len(variables), max_size=len(variables)))
+        pool = GOOD_WEIGHTS[kind][1:] if draw(st.integers(0, 19)) else ["0", "1/0", "2/3x"]
+        lines.append(values + ([":", draw(st.sampled_from(pool))] if weighted else []))
+    return laid_out(draw, lines)
+
+
+def check_readers_agree(text: str) -> Set[str]:
+    """Read each context block of a family document with both readers:
+    the column reader must decline it or read exactly the line reader's
+    store, must read a well-formed block of one width with no ``monoid``
+    row, and must decline every other block.  Returns which of those
+    others were met: ``"widths"``, ``"monoid"``."""
+    lines = _lines(text)
+    kind = MonoidKind(next(filter(None, lines)).split()[1])
+    one = MonoidValue.one(kind).payload
+    heads = [i for i, line in enumerate(lines) if line.split()[:1] == ["context"]]
+    met = set()
+    for head, end in zip(heads, heads[1:] + [len(lines)]):
+        variables = tuple(lines[head].split()[1:])
+        if not variables or len(set(variables)) != len(variables):
+            continue
+        rows = list(filter(None, lines[head + 1 : end]))
+        try:
+            by_line = _read_lines(kind, variables, lines, head + 1, end, one, {})
+        except FormatError:
+            by_line = None
+        by_column = _read_block(kind, variables, rows, one, {})
+        assert by_column is None or by_column == by_line
+        if len(set(len(row.split()) for row in rows)) > 1:
+            met.add("widths")
+            assert by_column is None
+        elif any(row.split()[0] == "monoid" for row in rows):
+            met.add("monoid")
+            assert by_column is None
+        elif by_line is not None:
+            assert by_column == by_line
+    return met
+
+
+class TestColumnReaderContract:
+    @given(one_width_documents())
+    def test_generated_one_width_blocks(self, text):
+        check_readers_agree(text)
+
+    def test_block_documents(self):
+        met = [check_readers_agree(text) for text in block_documents()]
+        assert sum("widths" in m for m in met) >= 3
+        assert sum("monoid" in m for m in met) >= 2
 
 
 class TestAgreesWithPerRowReference:

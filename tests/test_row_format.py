@@ -295,6 +295,18 @@ def test_parsing_and_validating_builds_no_row_objects(constructions):
     assert constructions["MonoidValue"] <= 3
 
 
+def test_reading_a_mixed_block_line_by_line_builds_no_row_objects(constructions):
+    """3 000 rows in one context, two in three weighted: the block mixes
+    widths, so it is read line by line, and still no row becomes an
+    Assignment or a MonoidValue."""
+    lines = ["monoid N", "context a b"]
+    lines += [f"a{i} b{i % 3}" + (f" : {1 + i % 2}" if i % 3 else "") for i in range(3000)]
+    family = parse_family("\n".join(lines) + "\n")
+    assert sum(len(r) for r in family.maximal_relations()) == 3000
+    assert constructions["Assignment"] == 0
+    assert constructions["MonoidValue"] <= 3
+
+
 def test_validating_and_marginalising_group_no_rows(monkeypatch):
     """The pairwise check, ``marginalise``, ``total`` and ``consistent`` sum
     each marginal in one pass: none of them groups the rows."""
