@@ -78,7 +78,7 @@ def main() -> None:
             [family.relation_at(frozenset(pair)) for pair in names]
         )
         feasible = realisable_lp(restriction, MonoidKind.Q) is not None
-        covered = build_opg(restriction).has_edge_cycle_cover
+        covered = not build_opg(restriction).uncovered_edges()
         label = " ".join("".join(sorted(p)) for p in names)
         print(f"  triangle {label}: feasible={feasible}, edges covered={covered}")
     print()

@@ -75,7 +75,6 @@ from .realisability import (
     find_realisation,
     find_simple_cycle_through,
     lift_uniform,
-    realisable_chordless,
     realisable_lp,
     realise,
 )
@@ -83,7 +82,6 @@ from .relation import (
     Assignment,
     DomainError,
     KRelation,
-    consistent,
 )
 
 __version__ = "0.1.0"
@@ -121,7 +119,6 @@ __all__ = [
     "chain_rule_derives",
     "check_global_consistency",
     "classify_chordless_cycle",
-    "consistent",
     "cycle_rule_derives",
     "decompose_cycles",
     "derivation_closure",
@@ -138,7 +135,6 @@ __all__ = [
     "parse_relations",
     "parse_value",
     "random_family_satisfying",
-    "realisable_chordless",
     "realisable_lp",
     "realise",
     "semantic_entails_oracle",

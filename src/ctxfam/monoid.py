@@ -127,11 +127,20 @@ def _decimal(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _int(digits: str) -> int:
+    """The value of a token of decimal digits, refused past 4300 digits
+    whatever the interpreter's own limit on converting text to ``int``."""
+    if len(digits) > 4300:
+        raise ValueError("annotation has more than 4300 digits")
+    return int(digits)
+
+
 def parse_value(kind: MonoidKind, text: str) -> MonoidValue:
     """Parse an annotation in the textual family format.
 
     B takes ``0`` or ``1``; N takes decimal digits; Q takes digits or
-    ``p/q`` with a positive denominator.
+    ``p/q`` with a positive denominator.  No number may have more than
+    4300 digits.
     """
     text = text.strip()
     if kind is MonoidKind.B:
@@ -141,15 +150,15 @@ def parse_value(kind: MonoidKind, text: str) -> MonoidValue:
     if kind is MonoidKind.N:
         if not _decimal(text):
             raise ValueError(f"N annotation must be decimal digits, got {text!r}")
-        return MonoidValue(kind, int(text))
+        return MonoidValue(kind, _int(text))
     if "/" in text:
         num, _, den = text.partition("/")
-        if not (_decimal(num) and _decimal(den)) or int(den) == 0:
+        if not (_decimal(num) and _decimal(den)) or _int(den) == 0:
             raise ValueError(f"Q annotation must be digits or p/q, got {text!r}")
-        return MonoidValue(kind, Fraction(int(num), int(den)))
+        return MonoidValue(kind, Fraction(_int(num), _int(den)))
     if not _decimal(text):
         raise ValueError(f"Q annotation must be digits or p/q, got {text!r}")
-    return MonoidValue(kind, Fraction(int(text)))
+    return MonoidValue(kind, Fraction(_int(text)))
 
 
 def format_value(value: MonoidValue) -> str:

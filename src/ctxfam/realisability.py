@@ -297,10 +297,6 @@ class OverlapProjectionGraph:
         across = map(ne, map(label, self.src), map(label, self.dst))
         return tuple(map(self._edge, compress(count(), across)))
 
-    @property
-    def has_edge_cycle_cover(self) -> bool:
-        return not self.uncovered_edges()
-
     def texts(self) -> Tuple[List[str], List[str]]:
         """Each vertex's text and each edge's ``describe()`` text, in
         numbered order, written from the columns: each vertex's text and
@@ -454,21 +450,6 @@ def lift_uniform(sub: ContextualFamily, weight: MonoidValue) -> ContextualFamily
     if len(set(graph._component_labels())) != 1:
         raise NotSimplyCyclicError("the support splits into several cycles")
     return ContextualFamily(_reweighted(graph.relations, repeat(weight.payload), weight.kind))
-
-
-def realisable_chordless(family: ContextualFamily, kind: MonoidKind) -> bool:
-    """Whether the support of a family of any kind admits a family in a
-    cancellative kind.
-
-    Decided structurally: realisable exactly when every edge of the
-    overlap projection graph lies on a cycle.  The argument needs
-    positivity and cancellativity, so B is refused, after the context
-    set, as :func:`realise` refuses it.
-    """
-    graph = build_opg(family)
-    if not kind.is_cancellative:
-        raise ValueError("realisability concerns the kinds N and Q")
-    return graph.has_edge_cycle_cover
 
 
 def realise(

@@ -10,8 +10,8 @@ subset of the variables and summing the annotations of rows that
 collapse together.  Restriction works on whole batches of rows:
 :func:`_restrict` restricts every key by positions at once (as tuples
 through :func:`_project`), and :func:`_sums` sums each marginal in one
-pass over the stored rows, for ``marginalise``, ``total``,
-``consistent`` and the pairwise check, ``Q`` in integers.  Only
+pass over the stored rows, for ``marginalise``, ``total`` and the
+pairwise check, ``Q`` in integers.  Only
 ``satisfies`` and the agreement cells of the realisability LP group the
 rows themselves (:func:`_groups`).
 
@@ -312,19 +312,6 @@ class KRelation:
     def __repr__(self) -> str:
         body = "; ".join(f"{row}:{val}" for row, val in self.rows())
         return f"KRelation[{self.kind}]({{{body}}})"
-
-
-def consistent(r: KRelation, s: KRelation) -> bool:
-    """Whether two relations agree after marginalising to shared variables.
-
-    When the variable sets are disjoint the shared marginal is the total
-    mass, so two nonempty relations of equal total are consistent and an
-    empty relation is consistent only with another empty one.
-    """
-    if r.kind is not s.kind:
-        raise ValueError("cannot compare relations of different kinds")
-    shared = r.variables & s.variables
-    return _sums(r, shared) == _sums(s, shared)
 
 
 def _groups(relation: KRelation, target: AbstractSet[str]) -> Groups:

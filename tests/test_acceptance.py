@@ -37,7 +37,6 @@ from ctxfam.realisability import (
     build_opg,
     decompose_cycles,
     lift_uniform,
-    realisable_chordless,
     realisable_lp,
     realise,
 )
@@ -91,8 +90,6 @@ class TestAcceptance:
         graph = build_opg(teaching_family)
         assert len(graph.vertices) == 6
         assert len(graph.edges) == 7
-        assert not realisable_chordless(teaching_family, MonoidKind.N)
-        assert not realisable_chordless(teaching_family, MonoidKind.Q)
         uncovered = graph.uncovered_edges()
         assert len(uncovered) == 1
         assert uncovered[0].describe() == (
@@ -104,8 +101,8 @@ class TestAcceptance:
         )
 
     def test_criterion_03_extension_realises(self, capsys, extended_family):
-        assert realisable_chordless(extended_family, MonoidKind.N)
-        assert realisable_chordless(extended_family, MonoidKind.Q)
+        assert build_opg(extended_family).uncovered_edges() == ()
+        assert realise(extended_family, MonoidKind.Q).support() == extended_family
         weighted = realise(extended_family, MonoidKind.N)
         revalidated = parse_family(serialize_family(weighted))
         assert revalidated == weighted
@@ -129,7 +126,7 @@ class TestAcceptance:
             )
             weights = realisable_lp(restriction, MonoidKind.Q)
             assert weights is not None
-            assert build_opg(restriction).has_edge_cycle_cover
+            assert build_opg(restriction).uncovered_edges() == ()
         report(
             capsys, 4,
             "five-context family infeasible; both triangle restrictions "
@@ -452,8 +449,8 @@ class TestBellScenarios:
         # Hardy's quantum model has this support, and a support realisable
         # over Q is realisable over N by clearing denominators; the graph
         # test and the LP agree.
+        assert build_opg(family).uncovered_edges() == ()
         for kind in (MonoidKind.N, MonoidKind.Q):
-            assert realisable_chordless(family, kind)
             assert realisable_lp(family, kind) is not None
             assert realise(family, kind).support() == family
 

@@ -9,7 +9,10 @@ import pytest
 
 from ctxfam import fdlogic
 from ctxfam.cli import main
-from ctxfam.formats import parse_family, parse_fd, parse_relations, serialize_family
+from ctxfam.formats import FormatError, parse_family, parse_fd, parse_relations, serialize_family
+from ctxfam.monoid import MonoidKind, MonoidValue, parse_value
+
+from test_monoid import LONGEST, TOO_LONG
 
 TEACHING = """\
 monoid B
@@ -223,6 +226,83 @@ class TestRealise:
         code, out, _ = run(capsys, "realise", teaching, "--monoid", "N")
         assert code == 1
         assert out.splitlines()[0] == "not realisable"
+
+
+TRIANGLE = "monoid B\ncontext x y\n0 0\ncontext y z\n0 0\ncontext x z\n0 0\n"
+BIG_TOKENS = [("N", "{}"), ("Q", "{}"), ("Q", "{}/7"), ("Q", "7/{}")]
+BIG_IDS = ["N", "Q", "Q-numerator", "Q-denominator"]
+
+
+class TestBigNumbers:
+    """A number of 4300 digits is read and one of 4301 refused at its
+    line, and every witness and violation is written exactly, however
+    many digits it has.  The interpreter's limit on int-to-text
+    conversion is lifted while a command runs and restored after it."""
+
+    @pytest.fixture(autouse=True)
+    def limit_restored(self):
+        limit = sys.get_int_max_str_digits()
+        yield
+        assert sys.get_int_max_str_digits() == limit
+
+    @staticmethod
+    def exactly(number):
+        """The text of ``number``, past the interpreter's digit limit."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(number)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("kind, token", BIG_TOKENS, ids=BIG_IDS)
+    def test_4300_digits_read_and_checked(self, capsys, tmp_path, kind, token):
+        document = f"monoid {kind}\ncontext x y\n0 0 : {token.format(LONGEST)}\n"
+        payload = parse_value(MonoidKind(kind), token.format(LONGEST)).payload
+        family = parse_family(document)
+        assert [p for _, _, p in family.assignments()] == [MonoidValue(MonoidKind(kind), payload)]
+        path = tmp_path / "big.fam"
+        path.write_text(document)
+        assert run(capsys, "check", str(path)) == (0, "locally consistent\n", "")
+
+    @pytest.mark.parametrize("kind, token", BIG_TOKENS, ids=BIG_IDS)
+    def test_4301_digits_refused_at_their_line(self, capsys, tmp_path, kind, token):
+        document = f"monoid {kind}\ncontext x y\n0 0 : 1\n1 1 : {token.format(TOO_LONG)}\n"
+        with pytest.raises(FormatError) as exc:
+            parse_family(document)
+        assert str(exc.value) == "line 4: annotation has more than 4300 digits"
+        path = tmp_path / "big.fam"
+        path.write_text(document)
+        err = f"error: {path}: line 4: annotation has more than 4300 digits\n"
+        assert run(capsys, "check", str(path)) == (2, "", err)
+
+    @pytest.mark.parametrize("kind, token", BIG_TOKENS, ids=BIG_IDS)
+    def test_realise_weight_of_4300_digits(self, capsys, tmp_path, kind, token):
+        """Each row of a triangle lies on the three cycles searched, so
+        each payload is three times the weight: 4301 digits for N."""
+        path = tmp_path / "triangle.fam"
+        path.write_text(TRIANGLE)
+        weight = token.format(LONGEST)
+        three = self.exactly(3 * parse_value(MonoidKind(kind), weight).payload)
+        rows = "".join(f"context {c}\n0 0 : {three}\n" for c in ("x y", "x z", "y z"))
+        expected = f"realisable\nmonoid {kind}\n{rows}"
+        assert run(capsys, "realise", str(path), "--monoid", kind, "--weight", weight) == (0, expected, "")
+
+    @pytest.mark.parametrize("kind, token", BIG_TOKENS, ids=BIG_IDS)
+    def test_realise_weight_of_4301_digits(self, capsys, tmp_path, kind, token):
+        path = tmp_path / "triangle.fam"
+        path.write_text(TRIANGLE)
+        argv = ["realise", str(path), "--monoid", kind, "--weight", token.format(TOO_LONG)]
+        assert run(capsys, *argv) == (2, "", "error: annotation has more than 4300 digits\n")
+
+    def test_violation_of_4301_digits(self, capsys, tmp_path):
+        """Two 4300-digit weights summed onto y = 0 in one context, weight
+        1 in the other: the violation names the 4301-digit sum."""
+        path = tmp_path / "inconsistent.fam"
+        path.write_text(f"monoid N\ncontext x y\n0 0 : {LONGEST}\n1 0 : {LONGEST}\ncontext y z\n0 0 : 1\n")
+        twice = "1" + "9" * 4299 + "8"
+        out = f"locally inconsistent\ncontexts (x y) and (y z) disagree at y=0: {twice} vs 1\n"
+        assert run(capsys, "check", str(path)) == (1, out, "")
 
 
 class TestDecompose:

@@ -1,5 +1,6 @@
 """Monoid value arithmetic: laws, order, parsing."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -186,3 +187,48 @@ class TestText:
     @given(st.one_of(booleans, naturals, rationals))
     def test_round_trip(self, value):
         assert parse_value(value.kind, format_value(value)) == value
+
+
+LONGEST = "9" * 4300
+TOO_LONG = "1" * 4301
+
+
+class TestDigitCap:
+    """Every number of an annotation has at most 4300 digits, refused with
+    one message whatever the interpreter's own limit on int-to-text
+    conversion: the default, or none (0), as the command line runs."""
+
+    @pytest.fixture(params=[4300, 0], ids=["default-limit", "no-limit"])
+    def limit(self, request):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(request.param)
+        yield
+        sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize(
+        "kind, text, payload",
+        [
+            (MonoidKind.N, LONGEST, 10**4300 - 1),
+            (MonoidKind.Q, LONGEST, Fraction(10**4300 - 1)),
+            (MonoidKind.Q, f"{LONGEST}/7", Fraction(10**4300 - 1, 7)),
+            (MonoidKind.Q, f"7/{LONGEST}", Fraction(7, 10**4300 - 1)),
+        ],
+        ids=["N", "Q", "Q-numerator", "Q-denominator"],
+    )
+    def test_4300_digits_parse(self, limit, kind, text, payload):
+        assert parse_value(kind, text).payload == payload
+
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            (MonoidKind.N, TOO_LONG),
+            (MonoidKind.Q, TOO_LONG),
+            (MonoidKind.Q, f"{TOO_LONG}/7"),
+            (MonoidKind.Q, f"7/{TOO_LONG}"),
+        ],
+        ids=["N", "Q", "Q-numerator", "Q-denominator"],
+    )
+    def test_4301_digits_refused(self, limit, kind, text):
+        with pytest.raises(ValueError) as exc:
+            parse_value(kind, text)
+        assert str(exc.value) == "annotation has more than 4300 digits"

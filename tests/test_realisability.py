@@ -31,7 +31,6 @@ from ctxfam.realisability import (
     find_realisation,
     find_simple_cycle_through,
     lift_uniform,
-    realisable_chordless,
     realisable_lp,
     realise,
 )
@@ -128,7 +127,7 @@ class TestBuildOpg:
         assert len(graph.edges) == 6
         labels = graph._component_labels()
         assert sorted(labels.count(c) for c in set(labels)) == [3, 3]
-        assert graph.has_edge_cycle_cover
+        assert graph.uncovered_edges() == ()
 
     def test_layers_advance_cyclically(self, teaching_family):
         graph = build_opg(teaching_family)
@@ -148,35 +147,39 @@ class TestCycleCover:
         uncovered = graph.uncovered_edges()
         assert len(uncovered) == 1
         assert uncovered[0].label == row(CS, ("CS", "Alice"))
-        assert not graph.has_edge_cycle_cover
 
     def test_extension_covers_every_edge(self, extended_family):
         graph = build_opg(extended_family)
         assert graph.uncovered_edges() == ()
-        assert graph.has_edge_cycle_cover
 
     def test_single_triangle_is_covered(self, unit_triangle):
-        assert build_opg(unit_triangle).has_edge_cycle_cover
+        assert build_opg(unit_triangle).uncovered_edges() == ()
 
 
 class TestRealisableChordless:
+    """On a chordless cycle, ``find_realisation`` realises a support
+    exactly when the graph test leaves no edge uncovered."""
+
     def test_teaching_family_is_not_realisable(self, teaching_family):
-        assert not realisable_chordless(teaching_family, MonoidKind.N)
-        assert not realisable_chordless(teaching_family, MonoidKind.Q)
+        (edge,) = build_opg(teaching_family).uncovered_edges()
+        for kind in (MonoidKind.N, MonoidKind.Q):
+            with pytest.raises(NotRealisableError) as exc:
+                find_realisation(teaching_family, kind)
+            assert exc.value.uncovered == (edge,)
 
     def test_extension_is_realisable(self, extended_family):
-        assert realisable_chordless(extended_family, MonoidKind.N)
+        assert find_realisation(extended_family, MonoidKind.N).support() == extended_family
 
     def test_triangle_is_realisable(self, unit_triangle):
-        assert realisable_chordless(unit_triangle, MonoidKind.Q)
+        assert find_realisation(unit_triangle, MonoidKind.Q).support() == unit_triangle
 
     def test_boolean_kind_rejected(self, unit_triangle):
         with pytest.raises(ValueError):
-            realisable_chordless(unit_triangle, MonoidKind.B)
+            find_realisation(unit_triangle, MonoidKind.B)
 
     def test_non_chordless_contexts_rejected(self, five_context_family):
         with pytest.raises(NotChordlessCycleError):
-            realisable_chordless(five_context_family, MonoidKind.N)
+            build_opg(five_context_family)
 
 
 class TestSimpleCycles:
@@ -422,9 +425,8 @@ class TestRealisableLp:
                 ]
             )
             weights = realisable_lp(restriction, MonoidKind.Q)
-            covered = build_opg(restriction).has_edge_cycle_cover
             assert weights is not None
-            assert covered
+            assert build_opg(restriction).uncovered_edges() == ()
 
     def test_agrees_with_cycle_cover_on_random_cycles(self):
         rng = random.Random(17)
@@ -437,9 +439,37 @@ class TestRealisableLp:
             ):
                 continue
             feasible = realisable_lp(family, MonoidKind.Q) is not None
-            covered = build_opg(family).has_edge_cycle_cover
+            covered = not build_opg(family).uncovered_edges()
             assert feasible == covered
             checked += 1
+
+
+def hoffman_supports(rng):
+    """Seeded chordless-cycle supports of both verdicts: sums of closed
+    walks, on which every edge lies on a cycle; the same walks with a
+    row planted at random; and with a row planted from one component
+    into another, which lies on no cycle."""
+    for _ in range(50):
+        walks = walk_family(rng, MonoidKind.B, [1], components=rng.randint(2, 3))
+        yield walks
+        yield with_row(rng, walks, lambda rows, _: (rng.choice(rows), rng.choice(rows)))
+        yield with_cross_row(rng, walks)
+
+
+class TestGraphTestIsTheLP:
+    """On a chordless cycle the graph test is Hoffman's circulation theorem
+    (Hoffman 1960): weights of at least 1 meeting every agreement equation
+    exist exactly when every edge of the overlap projection graph lies on
+    a cycle.  So the graph test and the LP, over Q and over N, agree."""
+
+    def test_on_random_supports(self):
+        verdicts = {True: 0, False: 0}
+        for family in hoffman_supports(random.Random("hoffman")):
+            covered = not build_opg(family).uncovered_edges()
+            assert (realisable_lp(family, MonoidKind.Q) is not None) is covered
+            assert (realisable_lp(family, MonoidKind.N) is not None) is covered
+            verdicts[covered] += 1
+        assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
 
 
 class TestDot:
@@ -702,24 +732,37 @@ def walk_family(rng, kind, weights, contexts_count=None, components=None,
     )
 
 
-def with_cross_row(rng, family):
-    """The support plus one row from one component into another at a
-    random context: its edge lies on no cycle."""
+def with_row(rng, family, pick):
+    """The support plus one row at a random context: the values of one of
+    its rows before the context's out-boundary and of another after it,
+    ``pick(rows, out_var)`` choosing the two among the rows in order.  Its
+    edge lies on a cycle only when a path leads back from the second
+    row's end to the first row's start."""
     rels = list(family.maximal_relations())
     at = rng.randrange(len(rels))
     rows = sorted(rels[at].support, key=lambda a: a.sort_key)
     ordering = classify_chordless_cycle(family.contexts)
     i = ordering.contexts.index(rels[at].variables)
     out_var = next(iter(ordering.boundary(i)))
-    left = rows[0]
-    right = next(r for r in rows if component_of(r[out_var]) != component_of(left[out_var]))
-    cross = Assignment(
+    left, right = pick(rows, out_var)
+    planted = Assignment(
         {v: (right[v] if v == out_var else left[v]) for v in rels[at].variables}
     )
     rels[at] = KRelation.from_assignments(
-        rels[at].variables, MonoidKind.B, dict.fromkeys(rows + [cross], MonoidValue.one(MonoidKind.B))
+        rels[at].variables, MonoidKind.B, dict.fromkeys(rows + [planted], MonoidValue.one(MonoidKind.B))
     )
     return ContextualFamily(rels)
+
+
+def with_cross_row(rng, family):
+    """The support plus one row from one component into another at a
+    random context: its edge lies on no cycle."""
+
+    def across(rows, out_var):
+        left = rows[0]
+        return left, next(r for r in rows if component_of(r[out_var]) != component_of(left[out_var]))
+
+    return with_row(rng, family, across)
 
 
 def component_of(value):
@@ -1277,7 +1320,7 @@ class TestNoAssignmentBuilt:
         ids=["build_opg", "uncovered_edges", "realise", "decompose_cycles", "opg", "opg-dot"],
     )
     def test_graph_paths_build_no_assignment(self, family, assignments_built, run):
-        assert build_opg(family).has_edge_cycle_cover
+        assert build_opg(family).uncovered_edges() == ()
         assignments_built.clear()
         run(family)
         assert assignments_built == []
@@ -1535,9 +1578,7 @@ ENTRY_POINTS = {
     "find_realisation-N": (find_realisation, MonoidKind.N),
     "find_realisation-Q": (find_realisation, MonoidKind.Q),
     "find_realisation-B": (find_realisation, MonoidKind.B),
-    "realisable_chordless-N": (realisable_chordless, MonoidKind.N),
-    "realisable_chordless-Q": (realisable_chordless, MonoidKind.Q),
-    "realisable_chordless-B": (realisable_chordless, MonoidKind.B),
+    "uncovered_edges": (lambda family: build_opg(family).uncovered_edges(),),
     "realisable_lp-N": (realisable_lp, MonoidKind.N),
     "realisable_lp-Q": (realisable_lp, MonoidKind.Q),
     "lift_uniform-N-2": (lift_uniform, MonoidValue.of(MonoidKind.N, 2)),

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ctxfam.family import find_violation
 from ctxfam.fdlogic import FD
 from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.relation import (
     Assignment,
     DomainError,
     KRelation,
-    consistent,
 )
 
 from conftest import CS, CS_ROWS, ST, ST_ROWS, TC, TC_ROWS, brel, row, wrel
@@ -180,24 +180,27 @@ class TestAdd:
 
 
 class TestConsistent:
+    """Two relations agree after marginalising to their shared variables
+    exactly when ``find_violation`` finds no disagreeing cell."""
+
     def test_teaching_contexts_agree_on_teacher(self):
-        assert consistent(brel(ST, ST_ROWS), brel(TC, TC_ROWS))
+        assert find_violation([brel(ST, ST_ROWS), brel(TC, TC_ROWS)]) is None
 
     def test_disjoint_domains_compare_total_mass(self):
         a = wrel(MonoidKind.N, ("x",), [(("0",), 2)])
         b = wrel(MonoidKind.N, ("y",), [(("0",), 1), (("1",), 1)])
-        assert consistent(a, b)
+        assert find_violation([a, b]) is None
         c = wrel(MonoidKind.N, ("y",), [(("0",), 1)])
-        assert not consistent(a, c)
+        assert find_violation([a, c]) is not None
 
     def test_single_row_disagreement(self):
         a = brel(("x", "y"), [("0", "0")])
         b = brel(("y", "z"), [("1", "1")])
-        assert not consistent(a, b)
+        assert find_violation([a, b]) is not None
 
     @given(relations(MonoidKind.N), relations(MonoidKind.N))
     def test_symmetric(self, r, s):
-        assert consistent(r, s) == consistent(s, r)
+        assert (find_violation([r, s]) is None) == (find_violation([s, r]) is None)
 
 
 class TestSatisfies:

@@ -22,7 +22,7 @@ from ctxfam.family import ContextSet, ContextualFamily, _support_join, find_viol
 from ctxfam.fdlogic import FD
 from ctxfam.formats import FormatError, parse_family, parse_relations
 from ctxfam.monoid import MonoidKind, MonoidValue
-from ctxfam.relation import Assignment, DomainError, KRelation, _groups, _project, _row_order, _sums, consistent
+from ctxfam.relation import Assignment, DomainError, KRelation, _groups, _project, _row_order, _sums
 
 from test_formats import RESERVED_TOKENS, documents
 from test_relation import NAMES, TOKEN_POOLS, WEIGHTS, subsets
@@ -308,8 +308,8 @@ def test_reading_a_mixed_block_line_by_line_builds_no_row_objects(constructions)
 
 
 def test_validating_and_marginalising_group_no_rows(monkeypatch):
-    """The pairwise check, ``marginalise``, ``total`` and ``consistent`` sum
-    each marginal in one pass: none of them groups the rows."""
+    """The pairwise check (``find_violation``), ``marginalise`` and
+    ``total`` sum each marginal in one pass: none of them groups the rows."""
 
     def refuse(*args):
         raise AssertionError("rows grouped")
@@ -323,8 +323,8 @@ def test_validating_and_marginalising_group_no_rows(monkeypatch):
         assert family.kind is kind
         assert left.marginalise(["b"]) == right.marginalise(["b"])
         assert left.total() == right.total()
-        assert consistent(left, right)
-        assert not consistent(left, KRelation(["b"], kind, {("1",): weights[0]}))
+        assert find_violation([left, right]) is None
+        assert find_violation([left, KRelation(["b"], kind, {("1",): weights[0]})]) is not None
 
 
 @pytest.mark.parametrize(
