@@ -13,6 +13,7 @@ Run:  python3 demos/realisation_and_decomposition.py
 from ctxfam import (
     ContextualFamily,
     MonoidKind,
+    NotRealisableError,
     build_opg,
     decompose_cycles,
     lift_uniform,
@@ -59,14 +60,22 @@ CS Bob
 """
 
 
+def feasible(family: ContextualFamily) -> bool:
+    """Whether the support of ``family`` has a rational realisation."""
+    try:
+        realisable_lp(family, MonoidKind.Q)
+    except NotRealisableError:
+        return False
+    return True
+
+
 def main() -> None:
     family = parse_family(FIVE_CONTEXTS)
     print("Five overlapping binary contexts (two triangles glued on c-a):")
     print(serialize_family(family))
 
     print("Feasibility of the whole family over Q:")
-    weights = realisable_lp(family, MonoidKind.Q)
-    print("  ->", "feasible" if weights is not None else "infeasible")
+    print("  ->", "feasible" if feasible(family) else "infeasible")
     print()
 
     print("Yet each triangle on its own is fine, and for triangles the")
@@ -77,10 +86,9 @@ def main() -> None:
         restriction = ContextualFamily(
             [family.relation_at(frozenset(pair)) for pair in names]
         )
-        feasible = realisable_lp(restriction, MonoidKind.Q) is not None
         covered = not build_opg(restriction).uncovered_edges()
         label = " ".join("".join(sorted(p)) for p in names)
-        print(f"  triangle {label}: feasible={feasible}, edges covered={covered}")
+        print(f"  triangle {label}: feasible={feasible(restriction)}, edges covered={covered}")
     print()
 
     print("Obstructions are therefore not local to any triangle: the two")

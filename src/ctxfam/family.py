@@ -126,15 +126,18 @@ class ContextSet:
 
 def find_violation(relations: Iterable[KRelation]) -> Optional[ConsistencyViolation]:
     """The first pairwise marginal disagreement: pairs in sorted order, then
-    the first agreement cell whose two annotation sums differ (any cell, if
-    the kinds differ).  Only that cell becomes an ``Assignment`` and values."""
+    the first agreement cell whose two annotation sums differ.  Only that
+    cell becomes an ``Assignment`` and values.  Relations of different
+    kinds raise :class:`ValueError` before any cell is read."""
     rels = sorted(relations, key=lambda r: tuple(sorted(r.variables)))
+    if len({r.kind for r in rels}) > 1:
+        raise ValueError("all context relations must share one kind")
     for i, j, sums_r, sums_s in _agreement(rels, _sums):
-        r, s = rels[i], rels[j]
-        if r.kind is s.kind and sums_r == sums_s:
+        if sums_r == sums_s:
             continue
+        r, s = rels[i], rels[j]
         for short, a, b in _cells(sums_r, sums_s):
-            if r.kind is not s.kind or a != b:
+            if a != b:
                 va = MonoidValue.zero(r.kind) if a is None else MonoidValue(r.kind, a)
                 vb = MonoidValue.zero(s.kind) if b is None else MonoidValue(s.kind, b)
                 row = Assignment._sorted(tuple(zip(sorted(r.variables & s.variables), short)))
@@ -195,17 +198,6 @@ class ContextualFamily:
     def maximal_relations(self) -> Iterator[KRelation]:
         for c in self.contexts:
             yield self._relations[c]
-
-    def assignments(self) -> Iterator[Tuple[FrozenSet[str], Assignment, MonoidValue]]:
-        """Every annotated row of every maximal context, in sorted order."""
-        for c in self.contexts:
-            for row, value in self._relations[c].rows():
-                yield c, row, value
-
-    def labels(self) -> List[Assignment]:
-        """All supported rows across maximal contexts (domains differ, so
-        rows from different contexts never collide)."""
-        return [row for _, row, _ in self.assignments()]
 
     def support(self) -> "ContextualFamily":
         """The same supports annotated in B: the family itself when it is

@@ -148,13 +148,6 @@ class TraceStep:
 class DerivationTrace:
     steps: Tuple[TraceStep, ...]
 
-    @property
-    def goal(self) -> FD:
-        return self.steps[-1].fd
-
-    def __str__(self) -> str:
-        return format_trace(self)
-
 
 def format_trace(trace: DerivationTrace) -> str:
     """Numbered steps, one per line, antecedents as 1-based indices."""
@@ -781,14 +774,15 @@ def build_counterexample(
     """A locally consistent family satisfying the premises and violating
     the goal, or None when the goal is derivable.
 
-    The query is decided here alone, in this order: premises outside the
-    unary + CD fragment are refused; None is returned when CR derives the
-    goal, reflexive goals included; with a CD wider than two variables,
-    where CR is not complete, None is returned when FULL derives the goal
-    and the CD is refused otherwise; then a goal that is not unary is
-    refused.  Every FULL rule is sound, so a goal FULL derives has no
-    counterexample.  Queries inside the construction's fragment run CR
-    alone.
+    The query is decided here alone, by one engine, in this order:
+    premises outside the unary + CD fragment are refused; None is
+    returned when the engine derives the goal, reflexive goals included;
+    a CD wider than two variables is refused; then a goal that is not
+    unary is refused.  Beside a CD wider than two variables, where CR is
+    not complete, the engine runs FULL, which derives everything CR
+    derives; every FULL rule is sound, so a goal FULL derives has no
+    counterexample.  Every other query runs CR, and only the
+    construction, which never runs beside a wide CD, reads its engine.
 
     The construction works in the fragment behind the completeness
     argument: unary premises with at most binary CDs and a unary goal.
@@ -801,13 +795,11 @@ def build_counterexample(
     marginals.
     """
     premises = list(sigma)
-    derivable, engine = _decide_unary(premises, phi, RuleSet.CR)
+    wide = _outside_fragment(premises)
+    derivable, engine = _decide_unary(premises, phi, RuleSet.CR if wide is None else RuleSet.FULL)
     if derivable:
         return None
-    wide = _outside_fragment(premises)
     if wide is not None:
-        if _decide_unary(premises, phi, RuleSet.FULL)[0]:
-            return None
         raise UnsupportedDependencyError(
             f"counterexample construction covers unary premises and "
             f"binary CDs; got {wide.display()}"

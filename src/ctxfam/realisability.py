@@ -577,11 +577,10 @@ def decompose_cycles(
     return parts
 
 
-def realisable_lp(
-    family: ContextualFamily, kind: MonoidKind
-) -> Optional[Dict[Assignment, MonoidValue]]:
-    """Realisability of the support of a family of any kind, over any
-    context set, by exact rational feasibility.
+def realisable_lp(family: ContextualFamily, kind: MonoidKind) -> ContextualFamily:
+    """A family of kind N or Q with exactly the support of ``family``, a
+    family of any kind, over any context set, by exact rational
+    feasibility.
 
     One unknown per supported row, at least one each, and one equation per
     agreement cell (the empty overlap is one cell): the cell's rows of one
@@ -596,29 +595,19 @@ def realisable_lp(
     that of the other, so that cell equals the cells of ``(0, j)`` less
     those of ``(0, i)`` and the pair's other cells, which all come before
     it, and Gauss-Jordan elimination would only reduce it to an empty row.
-    The solver still checks the witness against every one of those cells.
+    The solver still checks the witness against every one of those cells,
+    so the witness is assembled without the pairwise check.
     The constraints are homogeneous, so scaling a rational witness by the
     least common denominator yields a natural witness: feasibility does
-    not depend on the cancellative kind chosen.  Returns the witness
-    weights, or None when the support is not realisable.
+    not depend on the cancellative kind chosen.  Any other kind raises
+    :class:`ValueError`; an infeasible support raises
+    :class:`NotRealisableError` with no uncovered edges.
     """
-    weights = _lp_weights(family, kind)
-    if weights is None:
-        return None
-    return {row: MonoidValue(kind, w) for row, w in zip(family.labels(), weights)}
-
-
-def _lp_weights(family: ContextualFamily, kind: MonoidKind) -> Optional[List[Payload]]:
-    """The witness of :func:`realisable_lp` as payloads of ``kind``, one per
-    row, context by context in stored order; None when there is none."""
     if not kind.is_cancellative:
         raise ValueError("realisability concerns the kinds N and Q")
     relations = list(family.maximal_relations())
     numbers = count()  # zip reads rel._rows first, so no number is skipped
     number = [dict(zip(rel._rows, numbers)) for rel in relations]
-    unknowns = sum(map(len, relations))
-    if not unknowns:
-        return []
     equalities: List[Tuple[Dict[int, int], int]] = []
     implied: List[Tuple[Dict[int, int], int]] = []
     for i, j, left, right in _agreement(relations):
@@ -631,14 +620,15 @@ def _lp_weights(family: ContextualFamily, kind: MonoidKind) -> Optional[List[Pay
         if i:
             implied.append(pair.pop())
         equalities.extend(pair)
-    solution = find_rational_solution(equalities, implied, range(unknowns))
+    columns = range(sum(map(len, relations)))
+    solution = find_rational_solution(equalities, implied, columns) if columns else []  # no row, nothing to solve
     if solution is None:
-        return None
+        raise NotRealisableError("support is not realisable")
     weights = [w + 1 for w in solution]
-    if kind is MonoidKind.Q:
-        return weights
-    scale = lcm(*(w.denominator for w in weights))
-    return [int(w * scale) for w in weights]
+    if kind is MonoidKind.N:
+        scale = lcm(*(w.denominator for w in weights))
+        weights = [int(w * scale) for w in weights]
+    return ContextualFamily._unchecked(family.contexts, kind, _reweighted(relations, weights, kind))
 
 
 def _reweighted(relations: Iterable[KRelation], payloads: Iterable[Payload], kind: MonoidKind) -> List[KRelation]:
@@ -654,9 +644,7 @@ def find_realisation(family: ContextualFamily, kind: MonoidKind) -> ContextualFa
 
     Chordless cycles are decided by the graph test and realised by
     :func:`realise`, which builds the overlap projection graph once; other
-    context sets go to the LP of :func:`realisable_lp`, whose weights meet
-    every agreement equation (the solver checks its witness against each),
-    so they are assembled without the pairwise check.  Raises
+    context sets go to :func:`realisable_lp`.  Raises
     :class:`NotRealisableError` when the support is not realisable; its
     ``uncovered`` edges are those of the graph test, and empty when the
     LP refused.  Both paths refuse any other kind with one
@@ -665,8 +653,5 @@ def find_realisation(family: ContextualFamily, kind: MonoidKind) -> ContextualFa
     try:
         return realise(family, kind)
     except NotChordlessCycleError:
-        weights = _lp_weights(family, kind)
-        if weights is None:
-            raise NotRealisableError("support is not realisable") from None
-        relations = _reweighted(list(family.maximal_relations()), weights, kind)
-        return ContextualFamily._unchecked(family.contexts, kind, relations)
+        pass
+    return realisable_lp(family, kind)

@@ -11,6 +11,7 @@ import pytest
 from ctxfam.family import ContextualFamily
 from ctxfam.fdlogic import FD
 from ctxfam.monoid import MonoidKind, MonoidValue
+from ctxfam.realisability import NotRealisableError, realisable_lp
 from ctxfam.relation import Assignment, KRelation
 
 
@@ -39,16 +40,35 @@ def wrel(kind: MonoidKind, variables: Sequence[str], weighted_rows) -> KRelation
     )
 
 
-def family_of(contexts, kind: MonoidKind, weights) -> ContextualFamily:
-    """The checked family of ``{Assignment: MonoidValue}`` weights, such as
-    ``realisable_lp`` returns: each row goes to the context of its
-    variables, and a context with no row gets an empty relation."""
-    grouped = {c: {} for c in contexts}
-    for r, value in weights.items():
-        grouped[r.variables][r] = value
-    return ContextualFamily(
-        [KRelation.from_assignments(c, kind, rows) for c, rows in grouped.items()]
-    )
+def lp_witness(family: ContextualFamily, kind: MonoidKind) -> Optional[ContextualFamily]:
+    """``realisable_lp``'s witness, or None where it refuses; a refusal
+    names no uncovered edge."""
+    try:
+        return realisable_lp(family, kind)
+    except NotRealisableError as exc:
+        assert exc.uncovered == ()
+        return None
+
+
+# A grid of six variables over v0-v2 in seven binary contexts, each row
+# ``ab=w`` the row ``va vb : w``: locally consistent and every context row
+# under some row of the support join, yet with no global witness.
+GRID_CONTEXTS = (
+    "g00 g01: 00=5 01=2 10=3 12=5 20=2 21=3; g01 g02: 00=4 02=6 10=5 20=2 21=3; "
+    "g10 g11: 00=4 02=5 10=3 12=3 20=2 21=3; g11 g12: 01=7 02=2 12=3 20=5 21=3; "
+    "g00 g10: 01=5 02=2 10=4 11=1 12=3 20=5; g01 g11: 00=5 02=5 10=2 12=3 20=2 21=3; "
+    "g02 g12: 00=2 01=4 02=5 11=3 20=3 21=3"
+)
+
+
+def grid_document(kind: str) -> str:
+    """The grid family as a document of ``kind``, contexts in the order above."""
+    lines = [f"monoid {kind}"]
+    for block in GRID_CONTEXTS.split("; "):
+        names, rows = block.split(": ")
+        lines.append(f"context {names}")
+        lines += [f"v{ab[0]} v{ab[1]} : {w}" for ab, w in (r.split("=") for r in rows.split())]
+    return "\n".join(lines) + "\n"
 
 
 ST = ("Student", "Teacher")

@@ -34,19 +34,21 @@ from ctxfam.fdlogic import (
 from ctxfam.formats import parse_family, serialize_family
 from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.realisability import (
+    NotRealisableError,
     build_opg,
     decompose_cycles,
     lift_uniform,
     realisable_lp,
     realise,
 )
+from ctxfam.relation import KRelation
 
 from conftest import (
     brel,
     chain_brute_force,
     chain_premises,
     cycle_contexts,
-    family_of,
+    lp_witness,
     random_weighted_family,
     wrel,
 )
@@ -107,7 +109,7 @@ class TestAcceptance:
         revalidated = parse_family(serialize_family(weighted))
         assert revalidated == weighted
         assert weighted.support() == extended_family
-        assert all(not v.is_zero for _, _, v in weighted.assignments())
+        assert all(not v.is_zero for rel in weighted.maximal_relations() for _, v in rel.rows())
         report(
             capsys, 3,
             "adding (Math, Bob) flips realisability; N witness re-validates "
@@ -117,15 +119,16 @@ class TestAcceptance:
     def test_criterion_04_five_context_feasibility(
         self, capsys, five_context_family
     ):
-        assert realisable_lp(five_context_family, MonoidKind.Q) is None
-        assert realisable_lp(five_context_family, MonoidKind.N) is None
+        for kind in (MonoidKind.Q, MonoidKind.N):
+            with pytest.raises(NotRealisableError, match="^support is not realisable$") as err:
+                realisable_lp(five_context_family, kind)
+            assert err.value.uncovered == ()
         for names in ((("a", "b"), ("b", "c"), ("c", "a")),
                       (("a", "d"), ("d", "c"), ("c", "a"))):
             restriction = ContextualFamily(
                 [five_context_family.relation_at(frozenset(p)) for p in names]
             )
-            weights = realisable_lp(restriction, MonoidKind.Q)
-            assert weights is not None
+            assert realisable_lp(restriction, MonoidKind.Q).support() == restriction
             assert build_opg(restriction).uncovered_edges() == ()
         report(
             capsys, 4,
@@ -138,19 +141,19 @@ class TestAcceptance:
         checked = feasible = 0
         while checked < 200:
             family = random_cycle_support(rng)
-            if family is None or not family.labels():
+            if family is None or not any(family.maximal_relations()):
                 continue
-            rational = realisable_lp(family, MonoidKind.Q)
-            natural = realisable_lp(family, MonoidKind.N)
+            rational = lp_witness(family, MonoidKind.Q)
+            natural = lp_witness(family, MonoidKind.N)
             assert (rational is None) == (natural is None)
             if natural is not None:
                 feasible += 1
                 assert all(
                     isinstance(v.payload, int) and v.payload >= 1
-                    for v in natural.values()
+                    for rel in natural.maximal_relations() for _, v in rel.rows()
                 )
-                witness = family_of(family.contexts, MonoidKind.N, natural)
-                assert witness.support() == family
+                assert ContextualFamily(natural.maximal_relations()) == natural
+                assert natural.support() == family
             checked += 1
         assert feasible >= 20
         report(
@@ -165,19 +168,19 @@ class TestAcceptance:
         scales = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]
         while done < 100:
             support = random_cycle_support(rng)
-            if support is None or not support.labels():
+            if support is None or not any(support.maximal_relations()):
                 continue
-            weights = realisable_lp(support, MonoidKind.Q)
+            weights = lp_witness(support, MonoidKind.Q)
             if weights is None:
                 continue
             factor = rng.choice(scales)
-            family = family_of(
-                support.contexts,
-                MonoidKind.Q,
-                {
-                    label: MonoidValue.of(MonoidKind.Q, value.payload * factor)
-                    for label, value in weights.items()
-                },
+            family = ContextualFamily(
+                KRelation.from_assignments(
+                    rel.variables,
+                    MonoidKind.Q,
+                    {row: MonoidValue.of(MonoidKind.Q, value.payload * factor) for row, value in rel.rows()},
+                )
+                for rel in weights.maximal_relations()
             )
             parts = decompose_cycles(family)
             assert parts
@@ -451,7 +454,7 @@ class TestBellScenarios:
         # test and the LP agree.
         assert build_opg(family).uncovered_edges() == ()
         for kind in (MonoidKind.N, MonoidKind.Q):
-            assert realisable_lp(family, kind) is not None
+            assert realisable_lp(family, kind).support() == family
             assert realise(family, kind).support() == family
 
     def test_noncontextual_mixture_has_a_checked_witness(self):

@@ -6,8 +6,8 @@ reference copies below keep that code, with each marginal taken row by
 row (``test_relation.reference_marginal``), and the tests
 check that the one agreement walk gives equal results on seeded families
 of the test shapes in B, N and Q: as built, with one row dropped or
-bumped, with one relation switched to B (mixed kinds), and with empty
-relations.
+bumped, with one relation switched to B (mixed kinds, which
+``find_violation`` refuses), and with empty relations.
 """
 
 import random
@@ -25,7 +25,7 @@ from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.realisability import realisable_lp
 from ctxfam.relation import Assignment, KRelation
 
-from conftest import CS, CS_EXT_ROWS, CS_ROWS, ST, ST_ROWS, TC, TC_ROWS, brel, cycle_contexts
+from conftest import CS, CS_EXT_ROWS, CS_ROWS, ST, ST_ROWS, TC, TC_ROWS, brel, cycle_contexts, lp_witness
 from row_reference import restrict
 from test_feasibility import (
     SHAPES,
@@ -148,30 +148,43 @@ def inputs():
 
 class TestAgainstMarginalReference:
     def test_find_violation(self):
+        """Equal to the reference on one kind; relations of mixed kinds
+        are refused before any cell is read."""
         found = mixed = 0
         for relations in inputs():
+            if len({r.kind for r in relations}) > 1:
+                with pytest.raises(ValueError, match="all context relations must share one kind"):
+                    find_violation(relations)
+                mixed += 1
+                continue
             violation = find_violation(relations)
             expected = reference_find_violation(relations)
             assert violation == expected
             if expected is not None:
                 assert violation.describe() == expected.describe()
                 found += 1
-                mixed += expected.value_a.kind is not expected.value_b.kind
         assert found > 300
         assert mixed > 50
 
     def test_consistent(self):
         """Every pair of relations on its own, either way round: no
-        violation exactly when the reference marginals are equal, and
-        one across kinds (every mixed pair here has a row)."""
-        checked = 0
+        violation exactly when the reference marginals are equal, and a
+        refusal across kinds."""
+        checked = mixed = 0
         for relations in inputs():
             for r, s in combinations(relations, 2):
-                agree = r.kind is s.kind and reference_consistent(r, s)
+                if r.kind is not s.kind:
+                    for pair in ([r, s], [s, r]):
+                        with pytest.raises(ValueError, match="all context relations must share one kind"):
+                            find_violation(pair)
+                    mixed += 1
+                    continue
+                agree = reference_consistent(r, s)
                 assert (find_violation([r, s]) is None) is agree
                 assert (find_violation([s, r]) is None) is agree
-                checked += r.kind is s.kind
+                checked += 1
         assert checked > 5000
+        assert mixed > 50
 
 
 def lp_families():
@@ -205,12 +218,12 @@ class TestLpEquations:
         for family in lp_families():
             calls.clear()
             for kind in (MonoidKind.N, MonoidKind.Q):
-                realisable_lp(family, kind)
-            if not family.labels():
+                lp_witness(family, kind)
+            labels = row_labels(family)
+            if not labels:
                 assert calls == []
                 continue
-            # The unknowns are the rows' numbers, in the order of labels().
-            labels = family.labels()
+            # The unknowns are the rows' numbers, in the order of row_labels().
             lower = dict.fromkeys(labels, Fraction(1))
             expected, dropped = (standard_form(cells, lower, labels) for cells in reference_lp_split(family))
             assert len(calls) == 2
@@ -224,10 +237,16 @@ class TestLpEquations:
         assert checked > 60
 
 
+def row_labels(family):
+    """Every row of every maximal context, context by context in stored
+    order: the LP's unknowns, in column order."""
+    return [row for rel in family.maximal_relations() for row, _ in rel.rows()]
+
+
 def numbered(family, cells):
     """Reference cells over row labels as equalities over the rows'
     numbers, context by context in stored order."""
-    number = {label: n for n, label in enumerate(family.labels())}
+    number = {label: n for n, label in enumerate(row_labels(family))}
     return [({number[label]: c for label, c in cell.items()}, rhs) for cell, rhs in cells]
 
 
@@ -319,7 +338,7 @@ class TestImpliedCells:
         checked = 0
         for family in lp_families():
             kept, dropped = (numbered(family, cells) for cells in reference_lp_split(family))
-            columns = range(len(family.labels()))
+            columns = range(len(row_labels(family)))
             assert_implied(kept, dropped, dict.fromkeys(columns, 1), columns)
             checked += bool(dropped)
         assert checked > 40
@@ -368,9 +387,9 @@ class TestDroppedCellsChecked:
         calls = []
         solve = realisability.find_rational_solution
         monkeypatch.setattr(realisability, "find_rational_solution", lambda *call: calls.append(call) or solve(*call))
-        assert realisable_lp(self.PATH, MonoidKind.Q) is not None
+        assert realisable_lp(self.PATH, MonoidKind.Q).support() == self.PATH
         (call,) = calls
-        labels = self.PATH.labels()
+        labels = row_labels(self.PATH)
         dropped = reference_lp_split(self.PATH)[1]
         assert call[1] == standard_form(dropped, dict.fromkeys(labels, 1), labels) and dropped
         self.assert_each_implied_row_checked(call, step)

@@ -12,6 +12,7 @@ from ctxfam.cli import main
 from ctxfam.formats import FormatError, parse_family, parse_fd, parse_relations, serialize_family
 from ctxfam.monoid import MonoidKind, MonoidValue, parse_value
 
+from conftest import grid_document
 from test_monoid import LONGEST, TOO_LONG
 
 TEACHING = """\
@@ -109,6 +110,12 @@ class TestGlobal:
         assert code == 1
         assert out.splitlines()[0] == "globally inconsistent"
 
+    @pytest.mark.parametrize("kind", ["N", "Q"])
+    def test_grid_refused_past_the_cell_check(self, capsys, tmp_path, kind):
+        path = tmp_path / "grid.fam"
+        path.write_text(grid_document(kind))
+        assert run(capsys, "global", str(path)) == (1, "globally inconsistent\n", "")
+
     def test_witness_marginalises_to_every_context(self, capsys, tmp_path):
         text = "monoid N\ncontext x y\n0 0 : 2\n1 1 : 1\ncontext y z\n0 1 : 2\n1 0 : 1\n"
         path = tmp_path / "ok.fam"
@@ -194,6 +201,12 @@ class TestRealisable:
         witness = parse_family("\n".join(lines[1:]) + "\n")
         assert witness.support() == parse_family(EXTENDED)
 
+    @pytest.mark.parametrize("kind", ["N", "Q"])
+    def test_lp_refusal_names_no_edge(self, capsys, tmp_path, five_context_family, kind):
+        path = tmp_path / "five.fam"
+        path.write_text(serialize_family(five_context_family))
+        assert run(capsys, "realisable", str(path), "--monoid", kind) == (1, "not realisable\n", "")
+
     def test_monoid_flag_required_values(self, capsys, teaching):
         code, _, err = run(capsys, "realisable", teaching, "--monoid", "B")
         assert code == 2
@@ -260,7 +273,7 @@ class TestBigNumbers:
         document = f"monoid {kind}\ncontext x y\n0 0 : {token.format(LONGEST)}\n"
         payload = parse_value(MonoidKind(kind), token.format(LONGEST)).payload
         family = parse_family(document)
-        assert [p for _, _, p in family.assignments()] == [MonoidValue(MonoidKind(kind), payload)]
+        assert [v for rel in family.maximal_relations() for _, v in rel.rows()] == [MonoidValue(MonoidKind(kind), payload)]
         path = tmp_path / "big.fam"
         path.write_text(document)
         assert run(capsys, "check", str(path)) == (0, "locally consistent\n", "")
@@ -806,6 +819,8 @@ class TestErrorCorpus:
             (EXTENDED, ["realise", "--monoid", "N", "--weight", "x"],
              "error: N annotation must be decimal digits, got 'x'\n"),
             (TWO_CONTEXTS, ["realise", "--monoid", "N", "--weight", "0"], CYCLE_ERROR),
+            (EXTENDED, ["realise", "--monoid", "N", "--weight", "0"],
+             "error: realisation weight must be nonzero\n"),
             (TRANSITIVITY, ["derive", "--query", "x -> z", "--rules", "bogus"],
              "error: unknown rule set 'bogus'\n"),
             ("x y -> z\n", ["derive", "--query", "x -> z"], GENERAL),
@@ -813,13 +828,41 @@ class TestErrorCorpus:
             (TRANSITIVITY, ["entail", "--query", "x -> z", "--domain", "0"],
              "error: domain size and row budget must be positive\n"),
         ],
-        ids=["opg", "decompose", "realise-weight", "realise-cycle", "derive-rules",
+        ids=["opg", "decompose", "realise-weight", "realise-cycle", "realise-weight-zero", "derive-rules",
              "derive-general", "counterexample-general", "entail-domain"],
     )
     def test_error_line_and_exit_2(self, capsys, tmp_path, document, argv, err):
         path = tmp_path / "input.txt"
         path.write_text(document)
         assert run(capsys, argv[0], str(path), *argv[1:]) == (2, "", err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["global"], ["opg"], ["realise", "--monoid", "N"], ["realisable", "--monoid", "N"], ["decompose"]],
+        ids=["global", "opg", "realise", "realisable", "decompose"],
+    )
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ("monoid N\ncontext x y\n0 0 1 : 1\n", "line 3: row has 3 values for context of arity 2"),
+            ("monoid N\ncontext x y\n0 0 : 1\n1 0 : 1\ncontext y z\n0 0 : 1\n",
+             "contexts (x y) and (y z) disagree at y=0: 2 vs 1"),
+        ],
+        ids=["malformed", "inconsistent"],
+    )
+    def test_family_that_does_not_load(self, capsys, tmp_path, document, message, argv):
+        """A family that does not parse or is not locally consistent is
+        reported with its file name, and no verdict."""
+        path = tmp_path / "input.fam"
+        path.write_text(document)
+        assert run(capsys, argv[0], str(path), *argv[1:]) == (2, "", f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("command", ["derive", "entail", "counterexample"])
+    def test_dependencies_that_do_not_load(self, capsys, tmp_path, command):
+        path = tmp_path / "input.fd"
+        path.write_text("x -> y\nx ->\n")
+        expected = f"error: {path}: line 2: a dependency needs variables on both sides\n"
+        assert run(capsys, command, str(path), "--query", "x -> y") == (2, "", expected)
 
     @pytest.mark.parametrize(
         "document, argv, flag",

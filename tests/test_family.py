@@ -2,17 +2,22 @@
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
+from ctxfam import family as family_module
 from ctxfam.family import (
     ContextError,
     ContextSet,
     ContextualFamily,
     LocalConsistencyError,
+    _support_join,
     check_global_consistency,
     find_violation,
 )
+from ctxfam.feasibility import _Tableau
+from ctxfam.formats import parse_family
 from ctxfam.fdlogic import FD
 from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.relation import Assignment, KRelation
@@ -24,6 +29,7 @@ from conftest import (
     TC,
     TC_ROWS,
     brel,
+    grid_document,
     row,
     wrel,
 )
@@ -107,6 +113,21 @@ class TestLocalConsistency:
     def test_duplicate_contexts_rejected(self):
         with pytest.raises(ValueError):
             ContextualFamily([brel(ST, ST_ROWS), brel(ST, ST_ROWS)])
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (brel(("a",), []), wrel(MonoidKind.N, ("b",), [])),
+            (brel(ST, ST_ROWS), wrel(MonoidKind.N, TC, [(r, 1) for r in TC_ROWS])),
+        ],
+        ids=["empty", "rows"],
+    )
+    def test_find_violation_refuses_mixed_kinds(self, a, b):
+        """Across kinds no cell can agree, so the pair is refused before
+        any cell is read, as the family constructor refuses it."""
+        for pair in ([a, b], [b, a]):
+            with pytest.raises(ValueError, match="^all context relations must share one kind$"):
+                find_violation(pair)
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -202,6 +223,41 @@ class TestGlobalConsistency:
         witness = check_global_consistency(family)
         assert witness is not None
         assert len(witness) == 0
+
+
+class TestSolverRefusals:
+    """The grid family passes the cell check, so the global question
+    reaches the solver, which refuses it: phase 1 in N, ahead of the
+    integer search, and ``find_rational_solution`` in Q."""
+
+    @pytest.mark.parametrize("kind", ["N", "Q"])
+    def test_every_cell_under_a_join_row(self, kind):
+        family = parse_family(grid_document(kind))
+        _, cells = _support_join(family)
+        assert set(chain.from_iterable(cells)) == set(range(sum(map(len, family.maximal_relations()))))
+
+    def test_n_refused_by_phase_1(self, monkeypatch):
+        refusals = []
+
+        class Recording(_Tableau):
+            def phase1(self):
+                refusals.append(super().phase1())
+                return refusals[-1]
+
+        def never(demands, cells):
+            raise AssertionError("the integer search ran")
+
+        monkeypatch.setattr(family_module, "_Tableau", Recording)
+        monkeypatch.setattr(family_module, "_integer_weights", never)
+        assert check_global_consistency(parse_family(grid_document("N"))) is None
+        assert refusals == [False]
+
+    def test_q_refused_by_the_solver(self, monkeypatch):
+        answers = []
+        solve = family_module.find_rational_solution
+        monkeypatch.setattr(family_module, "find_rational_solution", lambda *call: answers.append(solve(*call)) or answers[-1])
+        assert check_global_consistency(parse_family(grid_document("Q"))) is None
+        assert answers == [None]
 
 
 class TestSupportAndSums:

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from bisect import insort
+from dataclasses import replace
 
 import pytest
 
@@ -29,6 +30,7 @@ from ctxfam.fdlogic import (
     semantic_entails_oracle,
     verify_trace,
 )
+from ctxfam.formats import parse_fd, parse_fds
 from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.relation import Assignment, KRelation
 
@@ -315,6 +317,102 @@ class TestDerives:
         assert len(built) == 1
 
 
+# Each base trace is a document, a query, a rule set and the rule of
+# every step: the chain trace is the FULL derivation of a -> d with two
+# certificates (c and e), the cycle trace a CR derivation, and the
+# covering traces those of NRA and CLASSICAL over one CD of every variable.
+COVERING = "a b -> c\nc -> d\ncd a b c d\n"
+TRACES = {
+    "chain": ("a -> b\nb -> d\nc -> d\ne -> d\ncd a c d\ncd a c b\ncd b e d\ncd c b e\ncd c e d\n",
+              "a -> d", RuleSet.FULL, ["premise"] * 9 + ["chain"]),
+    "cycle": ("x -> y\ny -> z\nz -> x\ncd x y\ncd y z\ncd x z\n",
+              "y -> x", RuleSet.CR, ["premise"] * 3 + ["cycle"]),
+    "nra": (COVERING, "a b -> d", RuleSet.NRA,
+            ["reflexivity", "premise", "augmentation", "reflexivity", "chain", "premise",
+             "augmentation", "premise", "chain", "reflexivity", "premise", "chain"]),
+    "classical": (COVERING, "a b -> d", RuleSet.CLASSICAL,
+                  ["reflexivity", "premise", "augmentation", "transitivity", "premise",
+                   "augmentation", "transitivity", "reflexivity", "transitivity"]),
+}
+
+
+def base_trace(name):
+    """The premises, goal and trace of ``TRACES[name]``, checked to be the
+    valid trace of the listed steps."""
+    document, query, rules, shape = TRACES[name]
+    sigma, goal = parse_fds(document), parse_fd(query)
+    ok, trace = derives(sigma, goal, rules)
+    assert ok and [step.rule for step in trace.steps] == shape
+    assert verify_trace(trace, sigma, goal)
+    return sigma, goal, trace
+
+
+def changed(index, change):
+    """The change of step ``index`` to the fields ``change(trace)`` names."""
+
+    def apply(trace):
+        steps = list(trace.steps)
+        steps[index] = replace(steps[index], **change(trace))
+        return DerivationTrace(tuple(steps))
+
+    return apply
+
+
+def put_first(step):
+    """The change that puts ``step`` first, each antecedent moved along."""
+
+    def apply(trace):
+        moved = [replace(s, antecedents=tuple(j + 1 for j in s.antecedents)) for s in trace.steps]
+        return DerivationTrace((step, *moved))
+
+    return apply
+
+
+def dropping(index, dropped):
+    """Step ``index`` with antecedent ``dropped`` left out."""
+    return changed(index, lambda t: {"antecedents": tuple(j for j in t.steps[index].antecedents if j != dropped)})
+
+
+class TestVerifyTraceRejects:
+    """One change to a valid trace, and the replay refuses it; each change
+    leaves every other check satisfied, so one check alone refuses it."""
+
+    @pytest.mark.parametrize(
+        "name, change",
+        [
+            ("chain", changed(9, lambda t: {"fd": u("a", "b"), "rule": "premise", "antecedents": (), "detail": ()})),
+            ("chain", changed(9, lambda t: {"rule": "chains"})),
+            ("chain", changed(9, lambda t: {"antecedents": t.steps[9].antecedents + (9,)})),
+            ("cycle", changed(3, lambda t: {"antecedents": (0, 1, -2)})),
+            ("chain", put_first(TraceStep(u("b", "a"), "premise"))),
+            ("chain", changed(9, lambda t: {"rule": "premise", "antecedents": (), "detail": ()})),
+            ("nra", put_first(TraceStep(u("a", "b"), "reflexivity"))),
+            ("nra", changed(11, lambda t: {"rule": "reflexivity", "antecedents": (), "detail": ()})),
+            ("cycle", changed(3, lambda t: {"antecedents": (1, 2)})),
+            ("cycle", changed(3, lambda t: {"antecedents": (0, 1, 1)})),
+            ("chain", dropping(9, 2)),
+            ("chain", dropping(9, 4)),
+            ("chain", changed(9, lambda t: {"detail": ("binary",) + t.steps[9].detail[1:]})),
+            ("nra", changed(2, lambda t: {"detail": (("a",),)})),
+            ("classical", changed(8, lambda t: {"antecedents": (6, 4)})),
+            ("nra", put_first(TraceStep(cd(["a", "b", "e"]), "reflexivity"))),
+        ],
+        ids=[
+            "last-dependency", "rule-name", "antecedent-forward", "antecedent-negative",
+            "premise-not-stated", "goal-as-premise", "reflexivity-outside", "goal-as-reflexivity",
+            "cycle-path-breaks", "cycle-closes-wrong", "missing-certificate-edge", "missing-cd",
+            "chain-detail-tag", "augmentation-added-set", "transitivity-middle", "no-stated-set",
+        ],
+    )
+    def test_one_change_is_refused(self, name, change):
+        sigma, goal, trace = base_trace(name)
+        assert not verify_trace(change(trace), sigma, goal)
+
+    def test_empty_trace_is_refused(self):
+        sigma, goal, _ = base_trace("cycle")
+        assert not verify_trace(DerivationTrace(()), sigma, goal)
+
+
 class TestCounterexamples:
     def test_broken_transitivity(self):
         sigma = [u("x", "y"), u("y", "z")]
@@ -365,6 +463,26 @@ class TestCounterexamples:
                     family = build_counterexample(sigma, phi, kind)
                     assert (check_global_consistency(family) is None) == classical, (sigma, phi, kind)
         assert min(seen.values()) >= 10
+
+    @pytest.mark.parametrize("goal, derivable", [(u("x", "z"), True), (u("z", "x"), False)])
+    def test_wide_cd_query_builds_one_engine(self, monkeypatch, goal, derivable):
+        """Beside a CD wider than two variables one FULL engine decides the
+        query: x -> z needs the chain rule, and z -> x is refused."""
+        built = []
+
+        class CountingEngine(_ClosureEngine):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(fdlogic, "_ClosureEngine", CountingEngine)
+        sigma = [u("x", "y"), u("y", "z"), cd(["x", "y", "z"])]
+        if derivable:
+            assert build_counterexample(sigma, goal) is None
+        else:
+            with pytest.raises(UnsupportedDependencyError, match="binary CDs; got cd x y z$"):
+                build_counterexample(sigma, goal)
+        assert [rules for _, rules, *_ in built] == [RuleSet.FULL]
 
     def test_cd_premises_shape_contexts(self):
         sigma = [u("x", "y"), cd(["y", "z"])]

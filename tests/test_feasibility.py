@@ -31,9 +31,9 @@ from ctxfam.fdlogic import FD, random_family_satisfying
 from ctxfam.feasibility import _check_witness, _Tableau, find_rational_solution
 from ctxfam.formats import serialize_relation
 from ctxfam.monoid import MonoidKind, MonoidValue
-from ctxfam.realisability import realisable_lp
 from ctxfam.relation import Assignment, KRelation
 
+from conftest import lp_witness
 from row_reference import restrict
 
 
@@ -898,7 +898,7 @@ class TestSameWitnessOnFamilies:
             if drawn is not None:
                 supports.append(drawn)
             for support in supports:
-                realisable_lp(support, MonoidKind.Q)
+                lp_witness(support, MonoidKind.Q)
         # on the shapes with cycles some drawn supports are not realisable
         assert (None in witnesses) == (shape in ("chorded", "grid"))
         assert len(witnesses) == 16
@@ -942,7 +942,7 @@ class TestSameWitnessAsParentOnFamilies:
             if drawn is not None:
                 supports.append(drawn)
             for support in supports:
-                realisable_lp(support, kind)
+                lp_witness(support, kind)
         assert (None in witnesses) == (shape in ("chorded", "grid"))
         assert len(witnesses) == 40
 

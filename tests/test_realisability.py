@@ -35,7 +35,7 @@ from ctxfam.realisability import (
     realise,
 )
 
-from conftest import CS, ST, TC, brel, cycle_contexts, family_of, row, wrel
+from conftest import CS, ST, TC, brel, cycle_contexts, lp_witness, row, wrel
 from row_reference import restrict
 from test_feasibility import SHAPES, marginal_family
 
@@ -251,6 +251,18 @@ class TestLiftUniform:
         with pytest.raises(NotSimplyCyclicError):
             lift_uniform(teaching_family, MonoidValue.of(MonoidKind.N, 1))
 
+    def test_empty_family_rejected(self):
+        family = ContextualFamily([brel(ST, []), brel(TC, []), brel(CS, [])])
+        with pytest.raises(NotSimplyCyclicError, match="^the empty family is not a cycle$"):
+            lift_uniform(family, MonoidValue.of(MonoidKind.N, 1))
+
+    def test_two_disjoint_cycles_rejected(self):
+        # Every vertex has one edge in and one out, on two triangles.
+        diagonal = [("0", "0"), ("1", "1")]
+        family = triangle_family(diagonal, diagonal, diagonal)
+        with pytest.raises(NotSimplyCyclicError, match="^the support splits into several cycles$"):
+            lift_uniform(family, MonoidValue.of(MonoidKind.N, 1))
+
 
 class TestRealise:
     def test_extension_round_trips_support(self, extended_family):
@@ -275,6 +287,18 @@ class TestRealise:
         )
         for relation in witness.maximal_relations():
             assert relation.total() == MonoidValue.of(MonoidKind.Q, 1)
+
+    @pytest.mark.parametrize(
+        "kind, weight, message",
+        [
+            (MonoidKind.N, MonoidValue.of(MonoidKind.Q, Fraction(1, 2)), "weight 1/2 is not of kind N"),
+            (MonoidKind.Q, MonoidValue.of(MonoidKind.N, 2), "weight 2 is not of kind Q"),
+        ],
+        ids=["Q-into-N", "N-into-Q"],
+    )
+    def test_weight_of_the_other_kind_refused(self, unit_triangle, kind, weight, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            realise(unit_triangle, kind, weight)
 
     def test_unrealisable_family_raises_with_the_edge(self, teaching_family):
         with pytest.raises(NotRealisableError) as err:
@@ -364,15 +388,18 @@ class TestFindRealisation:
             [brel(("a", "b"), [("0", "0"), ("1", "1")]),
              brel(("b", "c"), [("0", "0"), ("1", "0")])]
         )
-        weights = realisable_lp(family, MonoidKind.N)
-        assert find_realisation(family, MonoidKind.N) == family_of(
-            family.contexts, MonoidKind.N, weights
-        )
+        witness = find_realisation(family, MonoidKind.N)
+        assert stored(witness) == stored(realisable_lp(family, MonoidKind.N))
+        assert witness == ContextualFamily(list(witness.maximal_relations()))
+        assert witness.support() == family
 
     def test_lp_refusal_has_no_uncovered_edges(self, five_context_family):
         with pytest.raises(NotRealisableError) as err:
             find_realisation(five_context_family, MonoidKind.Q)
         assert err.value.uncovered == ()
+        # The LP runs after the graph test's refusal is handled, so no
+        # exception chains onto its own.
+        assert err.value.__context__ is None
 
     @pytest.mark.parametrize("kind", [MonoidKind.N, MonoidKind.Q])
     @pytest.mark.parametrize(
@@ -400,20 +427,25 @@ class TestFindRealisation:
 
 class TestRealisableLp:
     def test_teaching_family_infeasible(self, teaching_family):
-        assert realisable_lp(teaching_family, MonoidKind.Q) is None
-        assert realisable_lp(teaching_family, MonoidKind.N) is None
+        for kind in (MonoidKind.Q, MonoidKind.N):
+            with pytest.raises(NotRealisableError, match="^support is not realisable$") as err:
+                realisable_lp(teaching_family, kind)
+            assert err.value.uncovered == ()
 
     def test_extension_feasible_with_integer_witness(self, extended_family):
-        weights = realisable_lp(extended_family, MonoidKind.N)
-        assert weights is not None
+        witness = realisable_lp(extended_family, MonoidKind.N)
+        assert witness.kind is MonoidKind.N
         assert all(
-            isinstance(w.payload, int) and w.payload >= 1 for w in weights.values()
+            isinstance(w.payload, int) and w.payload >= 1
+            for rel in witness.maximal_relations() for _, w in rel.rows()
         )
-        witness = family_of(extended_family.contexts, MonoidKind.N, weights)
+        assert witness == ContextualFamily(list(witness.maximal_relations()))
         assert witness.support() == extended_family
 
     def test_five_context_family_infeasible(self, five_context_family):
-        assert realisable_lp(five_context_family, MonoidKind.Q) is None
+        with pytest.raises(NotRealisableError, match="^support is not realisable$") as err:
+            realisable_lp(five_context_family, MonoidKind.Q)
+        assert err.value.uncovered == ()
 
     def test_triangle_restrictions_feasible(self, five_context_family):
         for names in ((("a", "b"), ("b", "c"), ("c", "a")),
@@ -424,8 +456,7 @@ class TestRealisableLp:
                     for pair in names
                 ]
             )
-            weights = realisable_lp(restriction, MonoidKind.Q)
-            assert weights is not None
+            assert realisable_lp(restriction, MonoidKind.Q).support() == restriction
             assert build_opg(restriction).uncovered_edges() == ()
 
     def test_agrees_with_cycle_cover_on_random_cycles(self):
@@ -438,7 +469,7 @@ class TestRealisableLp:
                 len(r) for r in family.maximal_relations()
             ):
                 continue
-            feasible = realisable_lp(family, MonoidKind.Q) is not None
+            feasible = lp_witness(family, MonoidKind.Q) is not None
             covered = not build_opg(family).uncovered_edges()
             assert feasible == covered
             checked += 1
@@ -466,8 +497,8 @@ class TestGraphTestIsTheLP:
         verdicts = {True: 0, False: 0}
         for family in hoffman_supports(random.Random("hoffman")):
             covered = not build_opg(family).uncovered_edges()
-            assert (realisable_lp(family, MonoidKind.Q) is not None) is covered
-            assert (realisable_lp(family, MonoidKind.N) is not None) is covered
+            assert (lp_witness(family, MonoidKind.Q) is not None) is covered
+            assert (lp_witness(family, MonoidKind.N) is not None) is covered
             verdicts[covered] += 1
         assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
 
@@ -571,7 +602,12 @@ def reference_cycle_through(graph, edge):
 
 
 def _reference_b_family(contexts, labels):
-    return family_of(contexts, MonoidKind.B, dict.fromkeys(labels, MonoidValue.one(MonoidKind.B)))
+    """The checked B-family of the given rows: each row goes to the context
+    of its variables, and a context with no row gets an empty relation."""
+    grouped = {c: {} for c in contexts}
+    for label in labels:
+        grouped[label.variables][label] = MonoidValue.one(MonoidKind.B)
+    return ContextualFamily([KRelation.from_assignments(c, MonoidKind.B, rows) for c, rows in grouped.items()])
 
 
 def reference_realise(family, kind, weight=None):
@@ -1529,16 +1565,15 @@ def stored(family):
 
 
 def answer(call, *args):
-    """The result of a call, families shown by :func:`stored` and the LP's
-    weights in order, or the type, message and uncovered edges of the
-    ``ValueError`` it raised."""
+    """The result of a call, families shown by :func:`stored`, or the type,
+    message and uncovered edges of the ``ValueError`` it raised."""
     try:
         result = call(*args)
     except ValueError as exc:
         return ("raised", type(exc), str(exc), getattr(exc, "uncovered", None))
     if isinstance(result, ContextualFamily):
         return ("family", stored(result))
-    return ("value", list(result.items()) if isinstance(result, dict) else result)
+    return ("value", result)
 
 
 def int_tokens(family):
