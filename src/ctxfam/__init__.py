@@ -57,8 +57,6 @@ from .monoid import (
     KindMismatchError,
     MonoidKind,
     MonoidValue,
-    add,
-    format_value,
     parse_value,
 )
 from .realisability import (
@@ -113,7 +111,6 @@ __all__ = [
     "RuleSet",
     "TraceStep",
     "UnsupportedDependencyError",
-    "add",
     "build_counterexample",
     "build_opg",
     "chain_rule_derives",
@@ -127,7 +124,6 @@ __all__ = [
     "find_simple_cycle_through",
     "find_violation",
     "format_trace",
-    "format_value",
     "lift_uniform",
     "parse_family",
     "parse_fd",

@@ -148,9 +148,11 @@ def find_violation(relations: Iterable[KRelation]) -> Optional[ConsistencyViolat
 class ContextualFamily:
     """A locally consistent assignment of relations to maximal contexts.
 
-    Construction validates pairwise consistency and raises
-    :class:`LocalConsistencyError` with the first violating pair
-    otherwise, so an instance in hand is always a genuine family.
+    Construction refuses, in this order: no relation at all; contexts
+    that do not form a :class:`ContextSet`; relations of different kinds
+    (:func:`find_violation`); and a pairwise disagreement, raised as
+    :class:`LocalConsistencyError` with the first violating pair.  So an
+    instance in hand is always a genuine family.
     """
 
     __slots__ = ("contexts", "kind", "_relations")
@@ -159,16 +161,12 @@ class ContextualFamily:
         rels = list(relations)
         if not rels:
             raise ValueError("a family needs at least one context relation")
-        kind = rels[0].kind
-        for r in rels:
-            if r.kind is not kind:
-                raise ValueError("all context relations must share one kind")
         contexts = ContextSet(r.variables for r in rels)
         violation = find_violation(rels)
         if violation is not None:
             raise LocalConsistencyError(violation)
         self.contexts = contexts
-        self.kind = kind
+        self.kind = rels[0].kind
         self._relations = {r.variables: r for r in rels}
 
     @classmethod

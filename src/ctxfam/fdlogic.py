@@ -103,13 +103,10 @@ class FD:
     def variables(self) -> FrozenSet[str]:
         return self.lhs | self.rhs
 
-    def display(self) -> str:
+    def __str__(self) -> str:
         if self.is_cd:
             return "cd " + " ".join(sorted(self.lhs))
         return " ".join(sorted(self.lhs)) + " -> " + " ".join(sorted(self.rhs))
-
-    def __str__(self) -> str:
-        return self.display()
 
     @property
     def sort_key(self) -> Tuple:
@@ -158,7 +155,7 @@ def format_trace(trace: DerivationTrace) -> str:
             rule = f"{step.rule}({refs})"
         else:
             rule = step.rule
-        lines.append(f"{i}. {step.fd.display()}  [{rule}]")
+        lines.append(f"{i}. {step.fd}  [{rule}]")
     return "\n".join(lines)
 
 
@@ -309,7 +306,7 @@ def _intern(sigma: Iterable[FD], extra_sets: Iterable[FrozenSet[str]] = ()) -> _
             sets.append(lhs)
         else:
             raise UnsupportedDependencyError(
-                f"{fd.display()} is neither unary nor a CD; "
+                f"{fd} is neither unary nor a CD; "
                 "only CLASSICAL and NRA accept general dependencies"
             )
     sets += [frozenset(s) for s in extra_sets]
@@ -673,6 +670,7 @@ def _derives_covering(
             "CLASSICAL and NRA need a premise CD containing every variable "
             f"({' '.join(sorted(allvars))})"
         )
+    stated = set(sigma)
     steps: List[TraceStep] = []
 
     def push(step: TraceStep) -> int:
@@ -688,7 +686,7 @@ def _derives_covering(
             return push(TraceStep(FD(left, right), "transitivity", (i, j)))
         union = left | mid | right
         cd = FD.cd(union)
-        rule = "premise" if cd in set(sigma) else "reflexivity"
+        rule = "premise" if cd in stated else "reflexivity"
         k = push(TraceStep(cd, rule))
         return push(
             TraceStep(
@@ -752,7 +750,7 @@ def derives(
         return derivable, _trace_from_engine(engine, premises) if derivable else None
     if not derivable:
         raise UnsupportedDependencyError(
-            f"goal {phi.display()} is neither unary nor a CD; use CLASSICAL or NRA"
+            f"goal {phi} is neither unary nor a CD; use CLASSICAL or NRA"
         )
     return True, DerivationTrace((TraceStep(phi, "reflexivity"),))
 
@@ -802,7 +800,7 @@ def build_counterexample(
     if wide is not None:
         raise UnsupportedDependencyError(
             f"counterexample construction covers unary premises and "
-            f"binary CDs; got {wide.display()}"
+            f"binary CDs; got {wide}"
         )
     if not phi.is_unary:
         raise UnsupportedDependencyError("the goal must be a unary dependency")
@@ -834,7 +832,7 @@ def build_counterexample(
 
     for fd in premises:
         if not family.satisfies(fd):
-            raise AssertionError(f"construction violates premise {fd.display()}")
+            raise AssertionError(f"construction violates premise {fd}")
     if family.satisfies(phi):
         raise AssertionError("construction fails to violate the goal")
     return family

@@ -49,7 +49,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .family import ContextualFamily
 from .fdlogic import FD
-from .monoid import MonoidKind, MonoidValue, format_value, parse_value
+from .monoid import MonoidKind, MonoidValue, parse_value
 from .relation import Assignment, Key, KRelation, Payload
 
 
@@ -258,7 +258,7 @@ def serialize_decomposition(parts) -> str:
     """
     lines: List[str] = []
     for index, (weight, support) in enumerate(parts, start=1):
-        lines.append(f"cycle {index} weight {format_value(weight)}")
+        lines.append(f"cycle {index} weight {weight}")
         for relation in support.maximal_relations():
             lines.extend(serialize_relation_rows(relation, False))
     return "\n".join(lines) + "\n" if lines else ""

@@ -77,8 +77,11 @@ class MonoidValue:
         """Coerce a raw number into the given kind.
 
         B accepts 0/1 (anything nonzero counts as present for B), N accepts
-        non-negative ints, Q accepts ints and Fractions.
+        non-negative ints, Q accepts ints and Fractions.  Every kind refuses
+        a float, whose binary value is seldom the number written.
         """
+        if isinstance(raw, float):
+            raise ValueError(f"{kind} value must be exact, got the float {raw}")
         if kind is MonoidKind.B:
             return MonoidValue(kind, 1 if raw else 0)
         if kind is MonoidKind.N:
@@ -102,23 +105,16 @@ class MonoidValue:
         return self.payload == 0
 
     def __add__(self, other: "MonoidValue") -> "MonoidValue":
-        return add(self, other)
+        """Monoid addition: or for B, + for N and Q."""
+        if self.kind is not other.kind:
+            raise KindMismatchError(f"cannot combine {self.kind} value with {other.kind} value")
+        if self.kind is MonoidKind.B:
+            return MonoidValue(self.kind, self.payload | other.payload)
+        return MonoidValue(self.kind, self.payload + other.payload)
 
     def __str__(self) -> str:
+        """Canonical text for an annotation; inverse of :func:`parse_value`."""
         return str(self.payload)
-
-
-def _require_same_kind(a: MonoidValue, b: MonoidValue) -> None:
-    if a.kind is not b.kind:
-        raise KindMismatchError(f"cannot combine {a.kind} value with {b.kind} value")
-
-
-def add(a: MonoidValue, b: MonoidValue) -> MonoidValue:
-    """Monoid addition: or for B, + for N and Q."""
-    _require_same_kind(a, b)
-    if a.kind is MonoidKind.B:
-        return MonoidValue(a.kind, a.payload | b.payload)
-    return MonoidValue(a.kind, a.payload + b.payload)
 
 
 def _decimal(text: str) -> bool:
@@ -159,8 +155,3 @@ def parse_value(kind: MonoidKind, text: str) -> MonoidValue:
     if not _decimal(text):
         raise ValueError(f"Q annotation must be digits or p/q, got {text!r}")
     return MonoidValue(kind, Fraction(_int(text)))
-
-
-def format_value(value: MonoidValue) -> str:
-    """Canonical text for an annotation; inverse of :func:`parse_value`."""
-    return str(value.payload)

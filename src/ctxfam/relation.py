@@ -104,15 +104,11 @@ class Assignment:
     def __init__(self, bindings: Union[Mapping[str, Value], Iterable[Tuple[str, Value]]]):
         items = bindings.items() if isinstance(bindings, Mapping) else bindings
         listed = [(str(var), val) for var, val in items]
-        try:
-            pairs = tuple(sorted(listed))
-        except TypeError:
-            # Values are compared only between pairs with equal variables.
-            seen = sorted(var for var, _ in listed)
-            raise ValueError(f"duplicate variable in assignment: {seen}") from None
-        seen = [var for var, _ in pairs]
+        seen = sorted(var for var, _ in listed)
         if len(set(seen)) != len(seen):
             raise ValueError(f"duplicate variable in assignment: {seen}")
+        # No variable repeats, so the sort never compares two values.
+        pairs = tuple(sorted(listed))
         self._pairs = pairs
         self._hash = hash(pairs)
 

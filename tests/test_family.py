@@ -66,6 +66,13 @@ class TestContextSet:
         cs = ContextSet([frozenset({"b", "c"}), frozenset({"a", "d"})])
         assert [tuple(sorted(c)) for c in cs] == [("a", "d"), ("b", "c")]
 
+    def test_empty_context_rejected(self):
+        with pytest.raises(ValueError, match="^maximal contexts must be nonempty$"):
+            ContextSet([[]])
+
+    def test_repr(self):
+        assert repr(ContextSet([["z", "y"], ["y", "x"]])) == "ContextSet({x,y}, {y,z})"
+
 
 class TestLocalConsistency:
     def test_teaching_family_validates(self, teaching_family):
@@ -134,6 +141,39 @@ class TestLocalConsistency:
             ContextualFamily(
                 [brel(ST, ST_ROWS), wrel(MonoidKind.N, TC, [(r, 1) for r in TC_ROWS])]
             )
+
+    def test_no_relation_rejected(self):
+        with pytest.raises(ValueError, match="^a family needs at least one context relation$"):
+            ContextualFamily([])
+
+    def test_refusal_order(self):
+        """The contexts are refused before the kinds, and the kinds before
+        any disagreement, whatever order the relations come in."""
+        b_x = brel(("x",), [("0",)])
+        nested = wrel(MonoidKind.N, ("x", "y"), [(("0", "0"), 2)])
+        disjoint = wrel(MonoidKind.N, ("y",), [(("0",), 2)])
+        for relations, message in [
+            ([b_x, nested], r"^context \['x'\] is contained in \['x', 'y'\]; maximal contexts must form an antichain$"),
+            ([b_x, disjoint], "^all context relations must share one kind$"),
+        ]:
+            for ordered in (relations, relations[::-1]):
+                with pytest.raises(ValueError, match=message):
+                    ContextualFamily(ordered)
+
+    def test_repr(self):
+        family = ContextualFamily(
+            [wrel(MonoidKind.N, ("x",), [(("0",), 1)]), wrel(MonoidKind.N, ("y",), [(("0",), 1)])]
+        )
+        assert repr(family) == "ContextualFamily[N](2 contexts)"
+
+    def test_add_refusals(self):
+        family = ContextualFamily([brel(("x",), [("0",)])])
+        with pytest.raises(TypeError):
+            family + 1
+        with pytest.raises(ContextError, match="^cannot add families over different context sets$"):
+            family + ContextualFamily([brel(("y",), [("0",)])])
+        with pytest.raises(ValueError, match="^cannot add families of different kinds$"):
+            family + ContextualFamily([wrel(MonoidKind.N, ("x",), [(("0",), 1)])])
 
 
 class TestDerivedRelations:

@@ -196,6 +196,11 @@ class TestDerivationClosure:
         with pytest.raises(UnsupportedDependencyError):
             derivation_closure([FD(frozenset({"x", "y"}), frozenset({"z"}))])
 
+    @pytest.mark.parametrize("rules", [RuleSet.CLASSICAL, RuleSet.NRA])
+    def test_covering_rule_sets_rejected(self, rules):
+        with pytest.raises(ValueError, match="^closure is defined for the CR and FULL rule sets$"):
+            derivation_closure([], rules)
+
 
 class TestDerives:
     def test_ternary_context_transitivity_full(self):
@@ -396,17 +401,47 @@ class TestVerifyTraceRejects:
             ("nra", changed(2, lambda t: {"detail": (("a",),)})),
             ("classical", changed(8, lambda t: {"antecedents": (6, 4)})),
             ("nra", put_first(TraceStep(cd(["a", "b", "e"]), "reflexivity"))),
+            ("nra", changed(2, lambda t: {"antecedents": (1, 0)})),
+            ("nra", changed(2, lambda t: {"detail": ()})),
+            ("classical", changed(8, lambda t: {"antecedents": (6,)})),
+            ("chain", changed(9, lambda t: {"detail": t.steps[9].detail[:2] + (("c", "e", "c"),)})),
         ],
         ids=[
             "last-dependency", "rule-name", "antecedent-forward", "antecedent-negative",
             "premise-not-stated", "goal-as-premise", "reflexivity-outside", "goal-as-reflexivity",
             "cycle-path-breaks", "cycle-closes-wrong", "missing-certificate-edge", "missing-cd",
             "chain-detail-tag", "augmentation-added-set", "transitivity-middle", "no-stated-set",
+            "augmentation-two-antecedents", "augmentation-no-added-set", "transitivity-one-antecedent",
+            "chain-certificate-count",
         ],
     )
     def test_one_change_is_refused(self, name, change):
         sigma, goal, trace = base_trace(name)
         assert not verify_trace(change(trace), sigma, goal)
+
+    def test_chain_concludes_its_ends(self):
+        """The chain a -> b -> d, every requirement stated, relabelled to
+        conclude the stated goal a -> b."""
+        sigma, _, trace = base_trace("chain")
+        goal = u("a", "b")
+        steps = trace.steps[:-1] + (replace(trace.steps[-1], fd=goal),)
+        assert not verify_trace(DerivationTrace(steps), sigma, goal)
+
+    @pytest.mark.parametrize(
+        "document, conclusion, first",
+        [
+            ("x -> y\ny -> x\n", "x -> x y", "y -> x"),
+            ("y -> x z\nx -> y\n", "y -> x", "y -> x z"),
+        ],
+        ids=["cycle-conclusion-not-unary", "cycle-antecedent-not-unary"],
+    )
+    def test_cycle_steps_are_unary(self, document, conclusion, first):
+        """A cycle step over two stated premises, refused because its
+        conclusion or one antecedent is not unary."""
+        sigma, goal = parse_fds(document), parse_fd(conclusion)
+        steps = [TraceStep(parse_fd(first), "premise"), TraceStep(parse_fd("x -> y"), "premise"),
+                 TraceStep(goal, "cycle", (0, 1))]
+        assert not verify_trace(DerivationTrace(tuple(steps)), sigma, goal)
 
     def test_empty_trace_is_refused(self):
         sigma, goal, _ = base_trace("cycle")
@@ -740,7 +775,7 @@ def _split_premises(sigma):
             edges.append((a, b))
         elif not fd.is_cd:
             raise UnsupportedDependencyError(
-                f"{fd.display()} is neither unary nor a CD; "
+                f"{fd} is neither unary nor a CD; "
                 "only CLASSICAL and NRA accept general dependencies"
             )
         contexts.append(fd.variables)
@@ -860,7 +895,7 @@ def reference_counterexample(sigma, phi, kind):
         if not fd.is_unary and not (fd.is_cd and len(fd.lhs) <= 2):
             raise UnsupportedDependencyError(
                 f"counterexample construction covers unary premises and "
-                f"binary CDs; got {fd.display()}"
+                f"binary CDs; got {fd}"
             )
     (x,) = phi.lhs
     (y,) = phi.rhs

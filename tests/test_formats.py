@@ -77,6 +77,7 @@ class TestParseDiagnostics:
             ("monoid B\ncontext x\n0\ncontext x\n1\n", 4, "duplicate context"),
             ("monoid B\n0 1\n", 2, "row appears before any context"),
             ("monoid B\ncontext x y\n0\n", 3, "row has 1 values for context of arity 2"),
+            ("monoid N\ncontext x y\n0 :\n", 3, "expected a single annotation after ':'"),
             ("monoid N\ncontext x\n0 : 0\n", 3, "zero annotation"),
             ("monoid B\ncontext x y\n0 1\n0 1\n", 4, "duplicate row"),
             ("monoid B\n", 1, "document declares no context"),
@@ -230,18 +231,18 @@ class TestDependencyFormats:
 
     def test_display_round_trip(self):
         for fd in (FD.unary("x", "y"), FD.cd(["b", "a"]), FD(frozenset({"p", "q"}), frozenset({"r"}))):
-            assert parse_fd(fd.display()) == fd
+            assert parse_fd(str(fd)) == fd
 
     @pytest.mark.parametrize("text", ["a cd -> y", "A cd -> y", "x -> cd"])
     def test_cd_after_the_least_variable_is_a_variable(self, text):
         """``cd`` is refused only where the display would start with it."""
         fd = parse_fd(text)
         assert "cd" in fd.lhs | fd.rhs and not fd.is_cd
-        assert parse_fd(fd.display()) == fd
+        assert parse_fd(str(fd)) == fd
 
     def test_display_of_a_document(self):
         fds = [FD.unary("x", "y"), FD.cd(["x", "y"])]
-        assert [fd.display() for fd in fds] == ["x -> y", "cd x y"]
+        assert [str(fd) for fd in fds] == ["x -> y", "cd x y"]
         assert parse_fds("x -> y\ncd x y\n") == fds
 
     @given(st.lists(st.sampled_from(["x", "y", "a", "cd", "->"]), min_size=1, max_size=5))
@@ -252,7 +253,7 @@ class TestDependencyFormats:
             fd = parse_fd(" ".join(tokens))
         except FormatError:
             return
-        assert parse_fd(fd.display()) == fd
+        assert parse_fd(str(fd)) == fd
 
 
 class TestDecompositionOutput:

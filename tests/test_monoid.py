@@ -1,5 +1,6 @@
 """Monoid value arithmetic: laws, order, parsing."""
 
+import re
 import sys
 from fractions import Fraction
 
@@ -11,8 +12,6 @@ from ctxfam.monoid import (
     KindMismatchError,
     MonoidKind,
     MonoidValue,
-    add,
-    format_value,
     parse_value,
 )
 from ctxfam.relation import KRelation
@@ -54,39 +53,39 @@ class TestKindMetadata:
 
 class TestAdd:
     def test_boolean_add_is_disjunction(self):
-        assert add(B(1), B(1)) == B(1)
-        assert add(B(0), B(1)) == B(1)
-        assert add(B(0), B(0)) == B(0)
+        assert B(1) + B(1) == B(1)
+        assert B(0) + B(1) == B(1)
+        assert B(0) + B(0) == B(0)
 
     def test_natural_add(self):
-        assert add(N(2), N(3)) == N(5)
+        assert N(2) + N(3) == N(5)
 
     def test_rational_add(self):
-        assert add(Q(Fraction(1, 2)), Q(Fraction(1, 3))) == Q(Fraction(5, 6))
+        assert Q(Fraction(1, 2)) + Q(Fraction(1, 3)) == Q(Fraction(5, 6))
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(KindMismatchError):
-            add(B(1), N(1))
+            B(1) + N(1)
 
     @given(same_kind_values())
     def test_laws(self, triple):
         a, b, c = triple
         zero = MonoidValue.zero(a.kind)
-        assert add(a, add(b, c)) == add(add(a, b), c)
-        assert add(a, b) == add(b, a)
-        assert add(a, zero) == a
+        assert a + (b + c) == (a + b) + c
+        assert a + b == b + a
+        assert a + zero == a
 
     @given(same_kind_values())
     def test_positivity(self, triple):
         a, b, _ = triple
         zero = MonoidValue.zero(a.kind)
-        if add(a, b) == zero:
+        if a + b == zero:
             assert a == zero and b == zero
 
     def test_positivity_exhaustive_boolean(self):
         for x in (0, 1):
             for y in (0, 1):
-                if add(B(x), B(y)).is_zero:
+                if (B(x) + B(y)).is_zero:
                     assert x == 0 and y == 0
 
     @given(st.one_of(
@@ -95,11 +94,11 @@ class TestAdd:
     ))
     def test_cancellativity_for_numeric_kinds(self, triple):
         a, b, c = triple
-        if add(a, b) == add(a, c):
+        if a + b == a + c:
             assert b == c
 
     def test_boolean_cancellation_counterexample(self):
-        assert add(B(1), B(1)) == add(B(1), B(0))
+        assert B(1) + B(1) == B(1) + B(0)
         assert B(1) != B(0)
 
 
@@ -123,6 +122,22 @@ class TestValidation:
 
     def test_boolean_coercion_collapses_to_one(self):
         assert MonoidValue.of(MonoidKind.B, True) == B(1)
+
+    @pytest.mark.parametrize("kind", list(MonoidKind))
+    @pytest.mark.parametrize("raw", [2.7, 0.1, 1.0])
+    def test_coercion_refuses_floats(self, kind, raw):
+        with pytest.raises(ValueError, match=re.escape(f"{kind} value must be exact, got the float {raw}")):
+            MonoidValue.of(kind, raw)
+
+    def test_natural_coercion_accepts_integral_fractions(self):
+        value = MonoidValue.of(MonoidKind.N, Fraction(4))
+        assert value == N(4) and type(value.payload) is int
+
+    def test_payload_types_checked(self):
+        with pytest.raises(ValueError, match=r"^N value must be an int, got 1\.5$"):
+            MonoidValue(MonoidKind.N, 1.5)
+        with pytest.raises(ValueError, match=r"^Q value must be a Fraction, got 1$"):
+            MonoidValue(MonoidKind.Q, 1)
 
     @pytest.mark.parametrize("payload", [1, True, False, 2, -1, Fraction(1), 1.0, "1"])
     def test_boolean_payloads_agree_with_relations(self, payload):
@@ -186,7 +201,7 @@ class TestText:
 
     @given(st.one_of(booleans, naturals, rationals))
     def test_round_trip(self, value):
-        assert parse_value(value.kind, format_value(value)) == value
+        assert parse_value(value.kind, str(value)) == value
 
 
 LONGEST = "9" * 4300

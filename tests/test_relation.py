@@ -37,6 +37,10 @@ class TestAssignment:
     def test_value_equality_is_literal(self):
         assert row(("x",), ("0",)) != row(("x",), (0,))
 
+    def test_unbound_variable_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            Assignment({"x": "0"})["y"]
+
 
 class TestConstruction:
     def test_rows_must_match_declared_variables(self):
@@ -177,6 +181,16 @@ class TestAdd:
         b = brel(("y",), [("s",)])
         with pytest.raises(DomainError):
             a + b
+
+    def test_other_operands_rejected(self):
+        a = wrel(MonoidKind.N, ("x",), [(("s",), 1)])
+        with pytest.raises(TypeError):
+            a + 1
+        with pytest.raises(ValueError, match="^cannot add relations of different kinds$"):
+            a + brel(("x",), [("s",)])
+
+    def test_repr(self):
+        assert repr(wrel(MonoidKind.N, ("y", "x"), [(("0", "0"), 1)])) == "KRelation[N]({x=0,y=0:1})"
 
 
 class TestConsistent:
