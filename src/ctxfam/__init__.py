@@ -54,13 +54,11 @@ from .formats import (
     serialize_relation,
 )
 from .monoid import (
-    KindMismatchError,
     MonoidKind,
     MonoidValue,
     parse_value,
 )
 from .realisability import (
-    CycleOrdering,
     NotChordlessCycleError,
     NotRealisableError,
     NotSimplyCyclicError,
@@ -90,14 +88,12 @@ __all__ = [
     "ContextError",
     "ContextSet",
     "ContextualFamily",
-    "CycleOrdering",
     "DerivationTrace",
     "DomainError",
     "EntailmentVerdict",
     "FD",
     "FormatError",
     "KRelation",
-    "KindMismatchError",
     "LocalConsistencyError",
     "MissingCoveringContextError",
     "MonoidKind",

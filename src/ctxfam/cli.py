@@ -144,7 +144,7 @@ def _cmd_opg(args: argparse.Namespace) -> int:
     vertices, edges = graph.texts()
     lines = [
         f"overlap projection graph: {len(vertices)} vertices, {len(edges)} edges",
-        "cycle order: " + " | ".join(" ".join(sorted(c)) for c in graph.ordering.contexts),
+        "cycle order: " + " | ".join(" ".join(r.names) for r in graph.relations),
     ]
     lines += [f"vertex {text}" for text in vertices]
     lines += [f"edge {text}" for text in edges]

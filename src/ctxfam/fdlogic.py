@@ -772,15 +772,14 @@ def build_counterexample(
     """A locally consistent family satisfying the premises and violating
     the goal, or None when the goal is derivable.
 
-    The query is decided here alone, by one engine, in this order:
+    The query is decided here alone, by one FULL engine, in this order:
     premises outside the unary + CD fragment are refused; None is
     returned when the engine derives the goal, reflexive goals included;
     a CD wider than two variables is refused; then a goal that is not
-    unary is refused.  Beside a CD wider than two variables, where CR is
-    not complete, the engine runs FULL, which derives everything CR
-    derives; every FULL rule is sound, so a goal FULL derives has no
-    counterexample.  Every other query runs CR, and only the
-    construction, which never runs beside a wide CD, reads its engine.
+    unary is refused.  Every FULL rule is sound, so a goal FULL derives
+    has no counterexample; in the fragment FULL derives what CR derives,
+    since CR is complete there, so the construction reads the same
+    engine.
 
     The construction works in the fragment behind the completeness
     argument: unary premises with at most binary CDs and a unary goal.
@@ -793,10 +792,10 @@ def build_counterexample(
     marginals.
     """
     premises = list(sigma)
-    wide = _outside_fragment(premises)
-    derivable, engine = _decide_unary(premises, phi, RuleSet.CR if wide is None else RuleSet.FULL)
+    derivable, engine = _decide_unary(premises, phi, RuleSet.FULL)
     if derivable:
         return None
+    wide = _outside_fragment(premises)
     if wide is not None:
         raise UnsupportedDependencyError(
             f"counterexample construction covers unary premises and "

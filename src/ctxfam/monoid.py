@@ -25,10 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-class KindMismatchError(TypeError):
-    """Raised when values of different monoid kinds are combined."""
-
-
 class MonoidKind(enum.Enum):
     """Identifies which annotation monoid a value or relation lives in."""
 
@@ -73,13 +69,17 @@ class MonoidValue:
                 raise ValueError(f"Q value must be non-negative, got {self.payload}")
 
     @staticmethod
-    def of(kind: MonoidKind, raw: int | Fraction) -> "MonoidValue":
+    def of(kind: MonoidKind, raw: int | Fraction | str) -> "MonoidValue":
         """Coerce a raw number into the given kind.
 
         B accepts 0/1 (anything nonzero counts as present for B), N accepts
-        non-negative ints, Q accepts ints and Fractions.  Every kind refuses
-        a float, whose binary value is seldom the number written.
+        non-negative ints, Q accepts ints and Fractions.  Text is read as
+        an annotation of the family format, by :func:`parse_value`.  Every
+        kind refuses a float, whose binary value is seldom the number
+        written.
         """
+        if isinstance(raw, str):
+            return parse_value(kind, raw)
         if isinstance(raw, float):
             raise ValueError(f"{kind} value must be exact, got the float {raw}")
         if kind is MonoidKind.B:
@@ -105,9 +105,14 @@ class MonoidValue:
         return self.payload == 0
 
     def __add__(self, other: "MonoidValue") -> "MonoidValue":
-        """Monoid addition: or for B, + for N and Q."""
+        """Monoid addition: or for B, + for N and Q.  A value of another
+        kind is refused with a ``ValueError``, as relations and families
+        refuse one; an operand that is not a value at all is left to
+        Python (``NotImplemented``), which raises ``TypeError``."""
+        if not isinstance(other, MonoidValue):
+            return NotImplemented
         if self.kind is not other.kind:
-            raise KindMismatchError(f"cannot combine {self.kind} value with {other.kind} value")
+            raise ValueError(f"cannot combine {self.kind} value with {other.kind} value")
         if self.kind is MonoidKind.B:
             return MonoidValue(self.kind, self.payload | other.payload)
         return MonoidValue(self.kind, self.payload + other.payload)

@@ -63,29 +63,16 @@ class NotRealisableError(ValueError):
         self.uncovered = uncovered
 
 
-@dataclass(frozen=True)
-class CycleOrdering:
-    """Maximal contexts arranged so neighbours, and only neighbours,
-    intersect.  Index arithmetic is cyclic."""
-
-    contexts: Tuple[FrozenSet[str], ...]
-
-    def __len__(self) -> int:
-        return len(self.contexts)
-
-    def boundary(self, i: int) -> FrozenSet[str]:
-        """Shared variables of context i and context i+1 (cyclically)."""
-        n = len(self.contexts)
-        return self.contexts[i % n] & self.contexts[(i + 1) % n]
-
-
-def classify_chordless_cycle(contexts: ContextSet) -> CycleOrdering:
-    """Arrange a context set as a chordless cycle, or explain why not.
+def classify_chordless_cycle(contexts: ContextSet) -> Tuple[FrozenSet[str], ...]:
+    """The contexts of a chordless cycle in cycle order, or an error
+    saying why the context set is not one.
 
     Requirements: at least three maximal contexts, every context
     intersecting exactly two others, and the intersection graph connected
-    (a single cycle).  The returned ordering starts at the least context
-    and proceeds toward its lesser neighbour, so it is deterministic.
+    (a single cycle).  Neighbours in the returned tuple, and only they,
+    intersect, the last and the first included.  It starts at the least
+    context and proceeds toward its lesser neighbour, so it is
+    deterministic.
     """
     sets = list(contexts)
     m = len(sets)
@@ -116,7 +103,7 @@ def classify_chordless_cycle(contexts: ContextSet) -> CycleOrdering:
         raise NotChordlessCycleError(
             "the intersection graph of the contexts is not connected"
         )
-    return CycleOrdering(tuple(sets[i] for i in order))
+    return tuple(sets[i] for i in order)
 
 
 @dataclass(frozen=True)
@@ -183,7 +170,8 @@ class OverlapProjectionGraph:
     n-partite: every edge advances the layer by one, modulo n.
 
     Vertex i is ``vertices[i]``, and ``relations[i]`` is the family's
-    relation at context i of the ordering.  Edges are numbered and kept as
+    relation at context i, the contexts taken in cycle order (see
+    :func:`classify_chordless_cycle`).  Edges are numbered and kept as
     integer columns: edge k runs from vertex ``src[k]`` to vertex
     ``dst[k]`` and is the row ``keys[k]``.  The edges of context i are
     numbered from ``starts[i]`` up to ``starts[i + 1]``, in the stored row
@@ -198,11 +186,10 @@ class OverlapProjectionGraph:
     far as it has grown, or None.
     """
 
-    __slots__ = ("ordering", "vertices", "relations", "keys", "starts", "src", "dst", "out", "_tree", "_edges")
+    __slots__ = ("vertices", "relations", "keys", "starts", "src", "dst", "out", "_tree", "_edges")
 
     def __init__(
         self,
-        ordering: CycleOrdering,
         vertices: Iterable[OpgVertex],
         relations: Iterable[KRelation],
         keys: List[Key],
@@ -213,7 +200,6 @@ class OverlapProjectionGraph:
         """Takes the vertices, the relations in cycle order, and the edge
         columns in the order :func:`build_opg` numbers them; it only fills
         the out-edge lists."""
-        self.ordering = ordering
         self.vertices = tuple(vertices)
         self.relations = tuple(relations)
         self.keys = keys
@@ -329,23 +315,26 @@ class OverlapProjectionGraph:
 def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
     """The overlap projection graph of a family's support.
 
-    The family's context set must classify as a chordless cycle.  Only
-    the support matters, so any kind is accepted.  The vertices are
-    numbered here, once: by layer, and within a layer in the row order
-    (:func:`_row_order`) of their boundary values.  The edges are
-    numbered by context and then in stored row order, and their columns
-    are filled straight from the relations' keys and from the
-    projections of those keys onto the two boundaries (:func:`_project`),
-    mapped to vertex numbers, so no ``Assignment``, no
-    :class:`OpgEdge` and no tuple per edge is built.
+    The family's context set must classify as a chordless cycle, whose
+    order (:func:`classify_chordless_cycle`) orders the relations.
+    Boundary i, the variables context i shares with context i+1
+    (cyclically), is intersected once here.  Only the support matters,
+    so any kind is accepted.  The vertices are numbered here, once: by
+    layer, and within a layer in the row order (:func:`_row_order`) of
+    their boundary values.  The edges are numbered by context and then in
+    stored row order, and their columns are filled straight from the
+    relations' keys and from the projections of those keys onto the two
+    boundaries (:func:`_project`), mapped to vertex numbers, so no
+    ``Assignment``, no :class:`OpgEdge` and no tuple per edge is built.
     """
-    ordering = classify_chordless_cycle(family.contexts)
-    relations = [family.relation_at(c) for c in ordering.contexts]
+    contexts = classify_chordless_cycle(family.contexts)
+    boundaries = [c & d for c, d in zip(contexts, contexts[1:] + contexts[:1])]
+    relations = [family.relation_at(c) for c in contexts]
     sides = []
     for i, relation in enumerate(relations):
         keys = relation._rows
-        before = list(_project(relation.names, ordering.boundary(i - 1), keys))
-        after = list(_project(relation.names, ordering.boundary(i), keys))
+        before = list(_project(relation.names, boundaries[i - 1], keys))
+        after = list(_project(relation.names, boundaries[i], keys))
         sides.append((before, after))
     numbers: List[Dict[Key, int]] = [{} for _ in sides]
     for i, (before, after) in enumerate(sides):
@@ -353,7 +342,7 @@ def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
         numbers[i].update(dict.fromkeys(after))
     vertices: List[OpgVertex] = []
     for layer, number in enumerate(numbers):
-        names = tuple(sorted(ordering.boundary(layer)))
+        names = tuple(sorted(boundaries[layer]))
         values = list(number)
         for j in _row_order(values):
             number[values[j]] = len(vertices)
@@ -367,7 +356,7 @@ def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
         starts.append(len(keys))
         src += map(numbers[i - 1].__getitem__, before)
         dst += map(numbers[i].__getitem__, after)
-    return OverlapProjectionGraph(ordering, vertices, relations, keys, starts, src, dst)
+    return OverlapProjectionGraph(vertices, relations, keys, starts, src, dst)
 
 
 def _grow(tree: list, out: List[List[int]], dst: List[int], goal: int) -> bool:

@@ -774,7 +774,9 @@ class TestCounterexample:
 
     @pytest.mark.parametrize("query, code", [("x -> z", 1), ("y -> x", 1), ("x -> y", 0)])
     def test_one_engine_per_query(self, capsys, tmp_path, monkeypatch, query, code):
-        """The query is decided once: one closure engine, refuted or not."""
+        """The query is decided once: one FULL closure engine, refuted or
+        not, though every premise lies in the fragment where CR is
+        complete."""
         built = []
 
         class CountingEngine(fdlogic._ClosureEngine):
@@ -786,7 +788,7 @@ class TestCounterexample:
         path = tmp_path / "fds.txt"
         path.write_text(TRANSITIVITY)
         assert run(capsys, "counterexample", str(path), "--query", query)[0] == code
-        assert len(built) == 1
+        assert [rules for _, rules, *_ in built] == [fdlogic.RuleSet.FULL]
 
     def test_output_file(self, capsys, tmp_path):
         fds = tmp_path / "fds.txt"

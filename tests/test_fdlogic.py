@@ -519,6 +519,19 @@ class TestCounterexamples:
                 build_counterexample(sigma, goal)
         assert [rules for _, rules, *_ in built] == [RuleSet.FULL]
 
+    def test_cr_and_full_agree_on_the_fragment(self):
+        """CR is complete for unary premises with CDs of at most two
+        variables, so the chain rule derives nothing more there: the FULL
+        engine that decides every counterexample query decides as CR."""
+        derived = refuted = 0
+        for sigma, phi in fragment_corpus(40, 300):
+            closure = derivation_closure(sigma, RuleSet.CR)
+            assert derivation_closure(sigma, RuleSet.FULL) == closure, sigma
+            assert (build_counterexample(sigma, phi) is None) == (phi in closure), (sigma, phi)
+            derived += sum(fd.lhs != fd.rhs for fd in closure - set(sigma))
+            refuted += phi not in closure
+        assert derived >= 150 and 100 <= refuted <= 250
+
     def test_cd_premises_shape_contexts(self):
         sigma = [u("x", "y"), cd(["y", "z"])]
         phi = u("x", "z")
@@ -1475,6 +1488,18 @@ def entail_shape_corpus(seed, count):
         vs = [f"v{n}" for n in range(5 + j % 4)]
         sigma = {u(*rng.sample(vs, 2)) for _ in range(rng.randint(2, 8))}
         sigma |= {cd(rng.sample(vs, 2)) for _ in range(rng.randint(0, 5))}
+        yield sorted(sigma, key=lambda f: f.sort_key), u(*rng.sample(vs, 2))
+
+
+def fragment_corpus(seed, count):
+    """Premise sets of the fragment in which CR is complete, over 2-7
+    variables: unary dependencies and CDs of one or two variables, each
+    with a unary goal."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        vs = [f"v{n}" for n in range(rng.randint(2, 7))]
+        sigma = {u(*rng.sample(vs, 2)) for _ in range(rng.randint(0, 2 * len(vs)))}
+        sigma |= {cd(rng.sample(vs, rng.randint(1, 2))) for _ in range(rng.randint(0, len(vs)))}
         yield sorted(sigma, key=lambda f: f.sort_key), u(*rng.sample(vs, 2))
 
 

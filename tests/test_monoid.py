@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ctxfam.monoid import (
-    KindMismatchError,
     MonoidKind,
     MonoidValue,
     parse_value,
@@ -64,8 +63,17 @@ class TestAdd:
         assert Q(Fraction(1, 2)) + Q(Fraction(1, 3)) == Q(Fraction(5, 6))
 
     def test_kind_mismatch_rejected(self):
-        with pytest.raises(KindMismatchError):
+        with pytest.raises(ValueError, match=r"^cannot combine B value with N value$"):
             B(1) + N(1)
+        with pytest.raises(ValueError, match=r"^cannot combine Q value with N value$"):
+            Q(Fraction(1, 2)) + N(1)
+
+    @pytest.mark.parametrize("other", [1, Fraction(1, 2), None])
+    def test_non_value_operand_is_a_type_error(self, other):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            N(1) + other
+        with pytest.raises(TypeError, match="unsupported operand"):
+            other + N(1)
 
     @given(same_kind_values())
     def test_laws(self, triple):
@@ -128,6 +136,39 @@ class TestValidation:
     def test_coercion_refuses_floats(self, kind, raw):
         with pytest.raises(ValueError, match=re.escape(f"{kind} value must be exact, got the float {raw}")):
             MonoidValue.of(kind, raw)
+
+    @pytest.mark.parametrize(
+        "kind, text, payload",
+        [
+            (MonoidKind.B, "0", 0),
+            (MonoidKind.B, "1", 1),
+            (MonoidKind.N, "0", 0),
+            (MonoidKind.N, " 12 ", 12),
+            (MonoidKind.Q, "3/2", Fraction(3, 2)),
+            (MonoidKind.Q, "4", Fraction(4)),
+        ],
+    )
+    def test_text_is_read_as_an_annotation(self, kind, text, payload):
+        value = MonoidValue.of(kind, text)
+        assert value == parse_value(kind, text) == MonoidValue(kind, payload)
+
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            (MonoidKind.B, "2"),
+            (MonoidKind.N, "\u0663"),
+            (MonoidKind.N, "-1"),
+            (MonoidKind.N, "3/2"),
+            (MonoidKind.Q, "1.5"),
+            (MonoidKind.Q, "1/0"),
+            (MonoidKind.Q, "\u00b2"),
+        ],
+    )
+    def test_text_refused_as_parse_value_refuses_it(self, kind, text):
+        with pytest.raises(ValueError) as refused:
+            parse_value(kind, text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            MonoidValue.of(kind, text)
 
     def test_natural_coercion_accepts_integral_fractions(self):
         value = MonoidValue.of(MonoidKind.N, Fraction(4))

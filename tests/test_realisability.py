@@ -60,16 +60,16 @@ def unit_triangle():
 
 class TestClassify:
     def test_three_pairwise_overlapping_contexts(self, teaching_family):
-        ordering = classify_chordless_cycle(teaching_family.contexts)
-        names = [tuple(sorted(c)) for c in ordering.contexts]
+        contexts = classify_chordless_cycle(teaching_family.contexts)
+        names = [tuple(sorted(c)) for c in contexts]
         assert names == [
             ("Course", "Student"),
             ("Course", "Teacher"),
             ("Student", "Teacher"),
         ]
-        assert ordering.boundary(0) == frozenset({"Course"})
-        assert ordering.boundary(1) == frozenset({"Teacher"})
-        assert ordering.boundary(2) == frozenset({"Student"})
+        assert contexts[0] & contexts[1] == frozenset({"Course"})
+        assert contexts[1] & contexts[2] == frozenset({"Teacher"})
+        assert contexts[2] & contexts[0] == frozenset({"Student"})
 
     def test_high_degree_context_refused(self, five_context_family):
         with pytest.raises(NotChordlessCycleError, match="3"):
@@ -93,10 +93,10 @@ class TestClassify:
 
     def test_longer_cycles_are_ordered_deterministically(self):
         cs = ContextSet(cycle_contexts(5))
-        ordering = classify_chordless_cycle(cs)
-        assert len(ordering.contexts) == 5
-        for i, context in enumerate(ordering.contexts):
-            nxt = ordering.contexts[(i + 1) % 5]
+        contexts = classify_chordless_cycle(cs)
+        assert len(contexts) == 5
+        for i, context in enumerate(contexts):
+            nxt = contexts[(i + 1) % 5]
             assert context & nxt
 
 
@@ -693,7 +693,7 @@ def reference_peel(family):
     place of the breadth-first tree it shares with realise: the same peel
     order over the same residuals and live out-lists."""
     graph = build_opg(family)
-    relations = [family.relation_at(c) for c in graph.ordering.contexts]
+    relations = graph.relations
     src, dst, keys, starts = graph.src, graph.dst, graph.keys, graph.starts
     residual = [w for rel in relations for w in rel._rows.values()]
     succ = [list(out) for out in graph.out]
@@ -777,9 +777,9 @@ def with_row(rng, family, pick):
     rels = list(family.maximal_relations())
     at = rng.randrange(len(rels))
     rows = sorted(rels[at].support, key=lambda a: a.sort_key)
-    ordering = classify_chordless_cycle(family.contexts)
-    i = ordering.contexts.index(rels[at].variables)
-    out_var = next(iter(ordering.boundary(i)))
+    contexts = classify_chordless_cycle(family.contexts)
+    i = contexts.index(rels[at].variables)
+    out_var = next(iter(contexts[i] & contexts[(i + 1) % len(contexts)]))
     left, right = pick(rows, out_var)
     planted = Assignment(
         {v: (right[v] if v == out_var else left[v]) for v in rels[at].variables}
@@ -1445,7 +1445,7 @@ def reference_opg_listing(graph):
     object: each vertex's text, then each edge's ends and label."""
     lines = [
         f"overlap projection graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges",
-        "cycle order: " + " | ".join(" ".join(sorted(c)) for c in graph.ordering.contexts),
+        "cycle order: " + " | ".join(" ".join(sorted(r.variables)) for r in graph.relations),
     ]
     lines += [f"vertex {v}" for v in graph.vertices]
     lines += [f"edge {e.source} -> {e.target}  {e.label}" for e in graph.edges]
@@ -1523,9 +1523,10 @@ class TestShownAsBefore:
         for _ in range(10):
             family = walk_family(rng, MonoidKind.N, [1, 2], ints=ints)
             graph = build_opg(family)
-            ordering = graph.ordering
-            n = len(ordering)
-            labels = [r for c in ordering.contexts for r, _ in family.relation_at(c).rows()]
+            contexts = classify_chordless_cycle(family.contexts)
+            assert [r.variables for r in graph.relations] == list(contexts)
+            n = len(contexts)
+            labels = [r for c in contexts for r, _ in family.relation_at(c).rows()]
             assert [e.label for e in graph.edges] == labels
 
             def text(layer, boundary):
@@ -1533,8 +1534,8 @@ class TestShownAsBefore:
 
             for e, label in zip(graph.edges, labels):
                 i = e.context_index
-                before = restrict(label, ordering.boundary(i - 1))
-                after = restrict(label, ordering.boundary(i))
+                before = restrict(label, contexts[i - 1] & contexts[i])
+                after = restrict(label, contexts[i] & contexts[(i + 1) % n])
                 assert (e.source.layer, e.source.boundary) == ((i - 1) % n, before)
                 assert (e.target.layer, e.target.boundary) == (i, after)
                 assert str(e.source) == text((i - 1) % n, before)
