@@ -12,11 +12,12 @@ Run:  python3 demos/realisation_and_decomposition.py
 
 from ctxfam import (
     ContextualFamily,
+    KRelation,
     MonoidKind,
+    MonoidValue,
     NotRealisableError,
     build_opg,
     decompose_cycles,
-    lift_uniform,
     parse_family,
     realisable_lp,
     realise,
@@ -69,6 +70,14 @@ def feasible(family: ContextualFamily) -> bool:
     return True
 
 
+def lift(weight: MonoidValue, sub: ContextualFamily) -> ContextualFamily:
+    """The cycle ``sub`` with each of its rows annotated ``weight``."""
+    return ContextualFamily(
+        [KRelation.from_assignments(r.variables, weight.kind, dict.fromkeys(r.support, weight))
+         for r in sub.maximal_relations()]
+    )
+
+
 def main() -> None:
     family = parse_family(FIVE_CONTEXTS)
     print("Five overlapping binary contexts (two triangles glued on c-a):")
@@ -104,9 +113,9 @@ def main() -> None:
     print(f"It decomposes into {len(parts)} positively weighted simple cycles:")
     print(serialize_decomposition(parts))
 
-    total = lift_uniform(parts[0][1], parts[0][0])
+    total = lift(*parts[0])
     for weight, sub in parts[1:]:
-        total = total + lift_uniform(sub, weight)
+        total = total + lift(weight, sub)
     print("Summing the weighted cycles rebuilds the realisation exactly:",
           total == weighted)
 

@@ -34,9 +34,6 @@ from .fdlogic import (
     TraceStep,
     UnsupportedDependencyError,
     build_counterexample,
-    chain_rule_derives,
-    cycle_rule_derives,
-    derivation_closure,
     derives,
     format_trace,
     random_family_satisfying,
@@ -61,7 +58,6 @@ from .monoid import (
 from .realisability import (
     NotChordlessCycleError,
     NotRealisableError,
-    NotSimplyCyclicError,
     OpgEdge,
     OpgVertex,
     OverlapProjectionGraph,
@@ -70,7 +66,6 @@ from .realisability import (
     decompose_cycles,
     find_realisation,
     find_simple_cycle_through,
-    lift_uniform,
     realisable_lp,
     realise,
 )
@@ -100,7 +95,6 @@ __all__ = [
     "MonoidValue",
     "NotChordlessCycleError",
     "NotRealisableError",
-    "NotSimplyCyclicError",
     "OpgEdge",
     "OpgVertex",
     "OverlapProjectionGraph",
@@ -109,18 +103,14 @@ __all__ = [
     "UnsupportedDependencyError",
     "build_counterexample",
     "build_opg",
-    "chain_rule_derives",
     "check_global_consistency",
     "classify_chordless_cycle",
-    "cycle_rule_derives",
     "decompose_cycles",
-    "derivation_closure",
     "derives",
     "find_realisation",
     "find_simple_cycle_through",
     "find_violation",
     "format_trace",
-    "lift_uniform",
     "parse_family",
     "parse_fd",
     "parse_fds",

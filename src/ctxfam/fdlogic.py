@@ -28,14 +28,14 @@ CR and FULL share one closure engine (``_ClosureEngine``) and one copy
 of each search in it: ``_reach`` for the cycle rule and the
 counterexamples, ``_chain_states`` and ``_chain_instance`` for the chain
 rule, and ``_chain_requirements`` for writing and replaying chain steps.
-The engine, the single-rule checks and the counterexample construction
-read one premise table (``_intern``): variables as indices in sorted name
-order, stated edges as bitmasks, and the stated sets, from which the
-chain rule builds its context atoms (bit k of entry [i][j] when {v_i,
-v_j, v_k} is an atom).  Index order is name order, so every pass and
-trace is that of a search over names; names come back only where a
-trace, a closure or a family is written.  A query runs the engine only
-until its goal is decided; ``build_counterexample`` decides its query once.
+The engine and the counterexample construction read one premise table
+(``_intern``): variables as indices in sorted name order, stated edges
+as bitmasks, and the stated sets, from which the chain rule builds its
+context atoms (bit k of entry [i][j] when {v_i, v_j, v_k} is an atom).
+Index order is name order, so every pass and trace is that of a search
+over names; names come back only where a trace or a family is written.
+A query runs the engine only until its goal is decided;
+``build_counterexample`` decides its query once.
 The semantic side has one search too: ``_backtrack_family`` finds the
 first locally consistent B-family, in a fixed candidate order, that
 meets the premises (and violates the goal); the bounded oracle calls it
@@ -167,7 +167,8 @@ def verify_trace(trace: DerivationTrace, sigma: Iterable[FD], goal: FD) -> bool:
     """Replay a trace: every step must be a premise, a reflexivity
     instance, or a correct single application of a rule to earlier steps,
     and must mention only variable sets inside some stated dependency's
-    variables (the goal's included)."""
+    variables (the goal's included).  A malformed step, one whose detail
+    is not of its rule's shape, answers False as well."""
     premises = set(sigma)
     context_sets = [fd.variables for fd in premises] + [goal.variables]
     steps = trace.steps
@@ -179,34 +180,40 @@ def verify_trace(trace: DerivationTrace, sigma: Iterable[FD], goal: FD) -> bool:
         if not _available(step.fd.variables, context_sets):
             return False
         ants = [steps[j].fd for j in step.antecedents]
-        if step.rule == "premise":
-            if step.fd not in premises or ants:
+        try:
+            if not _check_step(step, ants, premises, context_sets):
                 return False
-        elif step.rule == "reflexivity":
-            if not step.fd.rhs <= step.fd.lhs or ants:
-                return False
-        elif step.rule == "cycle":
-            if not _check_cycle_step(step.fd, ants):
-                return False
-        elif step.rule == "chain":
-            if not _check_chain_step(step.fd, ants, step.detail, context_sets):
-                return False
-        elif step.rule == "augmentation":
-            if len(ants) != 1 or not step.detail:
-                return False
-            (base,) = ants
-            added = frozenset(step.detail[0])
-            if step.fd != FD(base.lhs | added, base.rhs | added):
-                return False
-        elif step.rule == "transitivity":
-            if len(ants) != 2:
-                return False
-            first, second = ants
-            if first.rhs != second.lhs or step.fd != FD(first.lhs, second.rhs):
-                return False
-        else:
+        except (TypeError, ValueError):
+            # A detail not of its rule's shape: the wrong number of parts,
+            # a number where variable names belong, or an empty side.
             return False
     return True
+
+
+def _check_step(
+    step: TraceStep, ants: List[FD], premises: Set[FD], context_sets: Sequence[FrozenSet[str]]
+) -> bool:
+    """Whether one step is its rule applied to its antecedents ``ants``."""
+    if step.rule == "premise":
+        return step.fd in premises and not ants
+    if step.rule == "reflexivity":
+        return step.fd.rhs <= step.fd.lhs and not ants
+    if step.rule == "cycle":
+        return _check_cycle_step(step.fd, ants)
+    if step.rule == "chain":
+        return _check_chain_step(step.fd, ants, step.detail, context_sets)
+    if step.rule == "augmentation":
+        if len(ants) != 1 or not step.detail:
+            return False
+        (base,) = ants
+        added = frozenset(step.detail[0])
+        return step.fd == FD(base.lhs | added, base.rhs | added)
+    if step.rule == "transitivity":
+        if len(ants) != 2:
+            return False
+        first, second = ants
+        return first.rhs == second.lhs and step.fd == FD(first.lhs, second.rhs)
+    return False
 
 
 def _check_cycle_step(conclusion: FD, ants: List[FD]) -> bool:
@@ -548,48 +555,6 @@ class _ClosureEngine:
                     if instance is not None:
                         additions[(x, y)] = ("chain",) + instance
         return additions
-
-
-def cycle_rule_derives(sigma: Iterable[FD], x: str, y: str) -> bool:
-    """One cycle-rule application from the premises as given: a directed
-    path x to y among the stated unary dependencies, closed by the stated
-    edge y -> x."""
-    _, index, _, out_mask, _, _ = _intern(sigma)
-    i, j = index.get(x), index.get(y)
-    if i is None or j is None or not out_mask[j] >> i & 1:
-        return False
-    return j in _reach(out_mask, i)
-
-
-def chain_rule_derives(sigma: Iterable[FD], x: str, y: str) -> bool:
-    """One chain-rule application from the premises as given.
-
-    True when some chain x = x1 -> ... -> xn = y exists among the stated
-    unary dependencies together with certificates c_i -> y, such that all
-    the required three-variable contexts (drawn from the premises'
-    variable sets) are available.
-    """
-    _, index, _, _, in_mask, sets = _intern(sigma)
-    i, j = index.get(x), index.get(y)
-    if i is None or j is None:
-        return False
-    atoms = _atom_table(index, sets)
-    states = _chain_states(atoms, in_mask, j)
-    return _chain_instance(atoms, states, i, j) is not None
-
-
-def derivation_closure(sigma: Iterable[FD], rules: RuleSet = RuleSet.CR) -> FrozenSet[FD]:
-    """All unary dependencies derivable from the premises.
-
-    The contexts are the premises' variable sets; a CD premise declares
-    one without constraining anything.  Only CR and FULL are closure
-    systems here; CLASSICAL and NRA answer via attribute closure in
-    :func:`derives`.
-    """
-    if rules not in (RuleSet.CR, RuleSet.FULL):
-        raise ValueError("closure is defined for the CR and FULL rule sets")
-    engine = _ClosureEngine(list(sigma), rules, ())
-    return frozenset(FD.unary(engine.variables[a], engine.variables[b]) for a, b in engine.edges)
 
 
 def _trace_node(

@@ -72,17 +72,19 @@ class MonoidValue:
     def of(kind: MonoidKind, raw: int | Fraction | str) -> "MonoidValue":
         """Coerce a raw number into the given kind.
 
-        B accepts 0/1 (anything nonzero counts as present for B), N accepts
-        non-negative ints, Q accepts ints and Fractions.  Text is read as
-        an annotation of the family format, by :func:`parse_value`.  Every
-        kind refuses a float, whose binary value is seldom the number
-        written.
+        B accepts any non-negative number (anything nonzero counts as
+        present), N accepts non-negative ints, Q accepts non-negative ints
+        and Fractions.  Text is read as an annotation of the family
+        format, by :func:`parse_value`.  Every kind refuses a float, whose
+        binary value is seldom the number written.
         """
         if isinstance(raw, str):
             return parse_value(kind, raw)
         if isinstance(raw, float):
             raise ValueError(f"{kind} value must be exact, got the float {raw}")
         if kind is MonoidKind.B:
+            if raw < 0:
+                raise ValueError(f"B value must be non-negative, got {raw}")
             return MonoidValue(kind, 1 if raw else 0)
         if kind is MonoidKind.N:
             if isinstance(raw, Fraction):

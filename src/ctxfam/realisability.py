@@ -33,7 +33,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count
 from math import lcm
 from operator import ne
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
@@ -49,10 +49,6 @@ _DOT_QUOTED = str.maketrans({"\\": "\\\\", '"': '\\"'})  # escapes inside a quot
 
 class NotChordlessCycleError(ValueError):
     """Raised when a context set is not a chordless cycle of contexts."""
-
-
-class NotSimplyCyclicError(ValueError):
-    """Raised when a family is not a single simple cycle of assignments."""
 
 
 class NotRealisableError(ValueError):
@@ -416,31 +412,6 @@ def find_simple_cycle_through(graph: OverlapProjectionGraph, k: int) -> List[Opg
     return back
 
 
-def lift_uniform(sub: ContextualFamily, weight: MonoidValue) -> ContextualFamily:
-    """Annotate a simply cyclic support uniformly with one nonzero weight.
-
-    The support of ``sub``, a family of any kind, must have an overlap
-    projection graph that is a single simple cycle through every
-    supported row.  Such a cycle meets every layer the same number of
-    times, which is exactly why the uniform annotation is consistent for
-    any annotation monoid.
-    """
-    if weight.is_zero:
-        raise ValueError("lift weight must be nonzero")
-    graph = build_opg(sub)
-    if not graph.vertices:
-        raise NotSimplyCyclicError("the empty family is not a cycle")
-    into = Counter(graph.dst)
-    for i, (v, out) in enumerate(zip(graph.vertices, graph.out)):
-        if len(out) != 1 or into[i] != 1:
-            raise NotSimplyCyclicError(
-                f"vertex {v} has degree other than one in each direction"
-            )
-    if len(set(graph._component_labels())) != 1:
-        raise NotSimplyCyclicError("the support splits into several cycles")
-    return ContextualFamily(_reweighted(graph.relations, repeat(weight.payload), weight.kind))
-
-
 def realise(
     family: ContextualFamily,
     kind: MonoidKind,
@@ -520,7 +491,8 @@ def decompose_cycles(
     the start vertex only moves forward.  A part is a simple cycle,
     consistent by construction, so it is assembled from the relations'
     own stored rows without any check.  The parts reconstruct the input
-    exactly: the sum of ``lift_uniform(part, weight)`` equals the family.
+    exactly: annotate each part's rows with its weight, and the parts sum
+    to the family.
     """
     if not family.kind.is_cancellative:
         raise ValueError("decomposition needs an N or Q family")

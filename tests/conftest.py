@@ -1,17 +1,29 @@
-"""Shared fixtures: the teaching family and builders used across tests."""
+"""Shared fixtures: the teaching family and builders used across tests,
+and the library helpers that only tests call."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence
+from itertools import repeat
+from typing import FrozenSet, Iterable, List, Optional, Sequence
 
 import pytest
 
 from ctxfam.family import ContextualFamily
-from ctxfam.fdlogic import FD
+from ctxfam.fdlogic import (
+    FD,
+    RuleSet,
+    _atom_table,
+    _chain_instance,
+    _chain_states,
+    _ClosureEngine,
+    _intern,
+    _reach,
+)
 from ctxfam.monoid import MonoidKind, MonoidValue
-from ctxfam.realisability import NotRealisableError, realisable_lp
+from ctxfam.realisability import NotRealisableError, _reweighted, build_opg, realisable_lp
 from ctxfam.relation import Assignment, KRelation
 
 
@@ -48,6 +60,81 @@ def lp_witness(family: ContextualFamily, kind: MonoidKind) -> Optional[Contextua
     except NotRealisableError as exc:
         assert exc.uncovered == ()
         return None
+
+
+# Single-rule checks, the unary closure and the uniform lift: no command
+# needs them, so they live here, over the library's private pieces.
+
+
+def cycle_rule_derives(sigma: Iterable[FD], x: str, y: str) -> bool:
+    """One cycle-rule application from the premises as given: a directed
+    path x to y among the stated unary dependencies, closed by the stated
+    edge y -> x."""
+    _, index, _, out_mask, _, _ = _intern(sigma)
+    i, j = index.get(x), index.get(y)
+    if i is None or j is None or not out_mask[j] >> i & 1:
+        return False
+    return j in _reach(out_mask, i)
+
+
+def chain_rule_derives(sigma: Iterable[FD], x: str, y: str) -> bool:
+    """One chain-rule application from the premises as given.
+
+    True when some chain x = x1 -> ... -> xn = y exists among the stated
+    unary dependencies together with certificates c_i -> y, such that all
+    the required three-variable contexts (drawn from the premises'
+    variable sets) are available.
+    """
+    _, index, _, _, in_mask, sets = _intern(sigma)
+    i, j = index.get(x), index.get(y)
+    if i is None or j is None:
+        return False
+    atoms = _atom_table(index, sets)
+    states = _chain_states(atoms, in_mask, j)
+    return _chain_instance(atoms, states, i, j) is not None
+
+
+def derivation_closure(sigma: Iterable[FD], rules: RuleSet = RuleSet.CR) -> FrozenSet[FD]:
+    """All unary dependencies derivable from the premises.
+
+    The contexts are the premises' variable sets; a CD premise declares
+    one without constraining anything.  Only CR and FULL are closure
+    systems here; CLASSICAL and NRA answer via attribute closure in
+    :func:`derives`.
+    """
+    if rules not in (RuleSet.CR, RuleSet.FULL):
+        raise ValueError("closure is defined for the CR and FULL rule sets")
+    engine = _ClosureEngine(list(sigma), rules, ())
+    return frozenset(FD.unary(engine.variables[a], engine.variables[b]) for a, b in engine.edges)
+
+
+class NotSimplyCyclicError(ValueError):
+    """Raised when a family is not a single simple cycle of assignments."""
+
+
+def lift_uniform(sub: ContextualFamily, weight: MonoidValue) -> ContextualFamily:
+    """Annotate a simply cyclic support uniformly with one nonzero weight.
+
+    The support of ``sub``, a family of any kind, must have an overlap
+    projection graph that is a single simple cycle through every
+    supported row.  Such a cycle meets every layer the same number of
+    times, which is exactly why the uniform annotation is consistent for
+    any annotation monoid.
+    """
+    if weight.is_zero:
+        raise ValueError("lift weight must be nonzero")
+    graph = build_opg(sub)
+    if not graph.vertices:
+        raise NotSimplyCyclicError("the empty family is not a cycle")
+    into = Counter(graph.dst)
+    for i, (v, out) in enumerate(zip(graph.vertices, graph.out)):
+        if len(out) != 1 or into[i] != 1:
+            raise NotSimplyCyclicError(
+                f"vertex {v} has degree other than one in each direction"
+            )
+    if len(set(graph._component_labels())) != 1:
+        raise NotSimplyCyclicError("the support splits into several cycles")
+    return ContextualFamily(_reweighted(graph.relations, repeat(weight.payload), weight.kind))
 
 
 # A grid of six variables over v0-v2 in seven binary contexts, each row

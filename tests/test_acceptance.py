@@ -24,8 +24,6 @@ from ctxfam.fdlogic import (
     FD,
     RuleSet,
     build_counterexample,
-    chain_rule_derives,
-    derivation_closure,
     derives,
     random_family_satisfying,
     semantic_entails_oracle,
@@ -37,7 +35,6 @@ from ctxfam.realisability import (
     NotRealisableError,
     build_opg,
     decompose_cycles,
-    lift_uniform,
     realisable_lp,
     realise,
 )
@@ -47,7 +44,10 @@ from conftest import (
     brel,
     chain_brute_force,
     chain_premises,
+    chain_rule_derives,
     cycle_contexts,
+    derivation_closure,
+    lift_uniform,
     lp_witness,
     random_weighted_family,
     wrel,

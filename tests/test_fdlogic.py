@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from ctxfam.family import ContextSet, ContextualFamily, check_global_consistency
+from ctxfam.family import ContextSet, ContextualFamily, check_global_consistency, find_violation
 from ctxfam import fdlogic
 from ctxfam.fdlogic import (
     FD,
@@ -21,9 +21,6 @@ from ctxfam.fdlogic import (
     _ClosureEngine,
     _context_candidates,
     build_counterexample,
-    chain_rule_derives,
-    cycle_rule_derives,
-    derivation_closure,
     derives,
     format_trace,
     random_family_satisfying,
@@ -34,7 +31,13 @@ from ctxfam.formats import parse_fd, parse_fds
 from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.relation import Assignment, KRelation
 
-from conftest import chain_brute_force, chain_premises
+from conftest import (
+    chain_brute_force,
+    chain_premises,
+    chain_rule_derives,
+    cycle_rule_derives,
+    derivation_closure,
+)
 from row_reference import classical_closure
 
 u = FD.unary
@@ -447,6 +450,29 @@ class TestVerifyTraceRejects:
         sigma, goal, _ = base_trace("cycle")
         assert not verify_trace(DerivationTrace(()), sigma, goal)
 
+    @pytest.mark.parametrize(
+        "rule, antecedents, detail",
+        [
+            ("chain", (0, 1, 2), ("sets", ("x",), ("y",))),
+            ("chain", (0, 1, 2), ("unary", ("x", "y", "z"))),
+            ("augmentation", (0,), (5,)),
+        ],
+        ids=["sets-three-parts", "unary-two-parts", "augmentation-number"],
+    )
+    def test_malformed_detail_is_refused(self, rule, antecedents, detail):
+        """A last step whose detail is not of its rule's shape answers
+        False rather than raising; the well-formed step in its place
+        replays."""
+        sigma = parse_fds("x -> y\ny -> z\ncd x y z\n")
+        goal = u("x", "z")
+        premises = tuple(TraceStep(fd, "premise") for fd in sigma)
+
+        def trace(*last):
+            return DerivationTrace(premises + (TraceStep(goal, *last),))
+
+        assert verify_trace(trace("chain", (0, 1, 2), ("sets", ("x",), ("y",), ("z",))), sigma, goal)
+        assert verify_trace(trace(rule, antecedents, detail), sigma, goal) is False
+
 
 class TestCounterexamples:
     def test_broken_transitivity(self):
@@ -538,6 +564,55 @@ class TestCounterexamples:
         family = build_counterexample(sigma, phi)
         assert frozenset({"y", "z"}) in family.contexts
         assert not family.satisfies(phi)
+
+
+def built_or_refused(sigma, phi, kind):
+    """``build_counterexample``'s answer, or "refused" where it raises
+    :class:`UnsupportedDependencyError`."""
+    try:
+        return build_counterexample(sigma, phi, kind)
+    except UnsupportedDependencyError:
+        return "refused"
+
+
+class TestThreeVariableScope:
+    """The unary completeness claim on every premise set of a small scope:
+    each nonempty set (1 023) of the six unary dependencies and four CDs
+    over a, b and c, with each of the nine unary queries, the reflexive
+    ones included."""
+
+    def test_full_decides_as_the_oracle_and_counterexamples_refute(self):
+        """FULL derives a query exactly when the domain-3 oracle finds no
+        counterexample.  ``build_counterexample`` returns None exactly on
+        the derivable queries; on the others it refuses in every kind, or
+        returns in B, N and Q a locally consistent family that satisfies
+        the premises and violates the query."""
+        candidates = [u(x, y) for x, y in itertools.permutations("abc", 2)]
+        candidates += [cd(s) for s in ("ab", "ac", "bc", "abc")]
+        queries = [u(x, y) for x in "abc" for y in "abc"]
+        total = underivable = built = refused = 0
+        for size in range(1, len(candidates) + 1):
+            for sigma in map(list, itertools.combinations(candidates, size)):
+                for phi in queries:
+                    total += 1
+                    derived = derives(sigma, phi, RuleSet.FULL)[0]
+                    oracle = semantic_entails_oracle(sigma, phi, domain_size=3)
+                    assert oracle.holds == derived, (sigma, phi)
+                    answers = [built_or_refused(sigma, phi, kind) for kind in MonoidKind]
+                    if derived:
+                        assert answers == [None] * 3, (sigma, phi)
+                        continue
+                    underivable += 1
+                    if answers == ["refused"] * 3:
+                        refused += 1
+                        continue
+                    for kind, family in zip(MonoidKind, answers):
+                        assert isinstance(family, ContextualFamily) and family.kind is kind, (sigma, phi)
+                        assert all(family.satisfies(p) for p in sigma), (sigma, phi, kind)
+                        assert not family.satisfies(phi), (sigma, phi, kind)
+                        assert find_violation(family.maximal_relations()) is None, (sigma, phi, kind)
+                    built += 1
+        assert (total, underivable, built, refused) == (9207, 2490, 1338, 1152)
 
 
 class TestOracle:

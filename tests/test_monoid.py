@@ -124,12 +124,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             MonoidValue.of(MonoidKind.Q, Fraction(-1, 2))
 
+    @pytest.mark.parametrize(
+        "kind, raw",
+        [
+            (MonoidKind.B, -1),
+            (MonoidKind.B, Fraction(-1, 2)),
+            (MonoidKind.N, -1),
+            (MonoidKind.Q, Fraction(-1, 2)),
+        ],
+    )
+    def test_negative_refused_in_every_kind(self, kind, raw):
+        """B reads a nonzero number as present, but not a negative one:
+        every kind refuses it with the same message."""
+        with pytest.raises(ValueError, match=re.escape(f"{kind} value must be non-negative, got {raw}")):
+            MonoidValue.of(kind, raw)
+
     def test_natural_rejects_fractions(self):
         with pytest.raises(ValueError):
             MonoidValue.of(MonoidKind.N, Fraction(1, 2))
 
     def test_boolean_coercion_collapses_to_one(self):
         assert MonoidValue.of(MonoidKind.B, True) == B(1)
+        assert MonoidValue.of(MonoidKind.B, 7) == B(1)
+        assert MonoidValue.of(MonoidKind.B, Fraction(1, 2)) == B(1)
 
     @pytest.mark.parametrize("kind", list(MonoidKind))
     @pytest.mark.parametrize("raw", [2.7, 0.1, 1.0])

@@ -22,7 +22,6 @@ from ctxfam.relation import Assignment, KRelation
 from ctxfam.realisability import (
     NotChordlessCycleError,
     NotRealisableError,
-    NotSimplyCyclicError,
     OpgEdge,
     OpgVertex,
     build_opg,
@@ -30,12 +29,22 @@ from ctxfam.realisability import (
     decompose_cycles,
     find_realisation,
     find_simple_cycle_through,
-    lift_uniform,
     realisable_lp,
     realise,
 )
 
-from conftest import CS, ST, TC, brel, cycle_contexts, lp_witness, row, wrel
+from conftest import (
+    CS,
+    ST,
+    TC,
+    NotSimplyCyclicError,
+    brel,
+    cycle_contexts,
+    lift_uniform,
+    lp_witness,
+    row,
+    wrel,
+)
 from row_reference import restrict
 from test_feasibility import SHAPES, marginal_family
 
