@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Opt
 
 from .feasibility import _Tableau, find_rational_solution
 from .monoid import MonoidKind, MonoidValue
-from .relation import Assignment, Key, KRelation, Value, _agreement, _cells, _project, _row_order, _sums
+from .relation import Assignment, Key, KRelation, _agreement, _cells, _project, _sums
 
 if TYPE_CHECKING:
     from .fdlogic import FD
@@ -258,7 +258,7 @@ def _support_join(family: ContextualFamily) -> Tuple[List[Key], List[List[int]]]
     rows that agree with it on the variables already bound, looked up by
     their values there, so no row repeats."""
     slot = {var: i for i, var in enumerate(sorted(family.contexts.variables))}
-    rows: List[Tuple[List[Value], List[int]]] = [([""] * len(slot), [])]
+    rows: List[Tuple[List[str], List[int]]] = [([""] * len(slot), [])]
     bound: Set[str] = set()
     first = 0
     for rel in family.maximal_relations():
@@ -267,7 +267,7 @@ def _support_join(family: ContextualFamily) -> Tuple[List[Key], List[List[int]]]
         matches: Dict[Key, List[Tuple[int, Key]]] = {}
         for (n, key), short in zip(enumerate(rel._rows, first), _project(rel.names, bound, rel._rows)):
             matches.setdefault(short, []).append((n, key))
-        extended: List[Tuple[List[Value], List[int]]] = []
+        extended: List[Tuple[List[str], List[int]]] = []
         for partial, cells in rows:
             for n, values in matches.get(tuple([partial[p] for p in read]), ()):
                 merged = partial.copy()
@@ -278,7 +278,7 @@ def _support_join(family: ContextualFamily) -> Tuple[List[Key], List[List[int]]]
         bound |= rel.variables
         first += len(rel)
     joined = [tuple(merged) for merged, _ in rows]
-    order = _row_order(joined)
+    order = sorted(range(len(joined)), key=joined.__getitem__)
     return [joined[i] for i in order], [rows[i][1] for i in order]
 
 

@@ -168,14 +168,15 @@ def verify_trace(trace: DerivationTrace, sigma: Iterable[FD], goal: FD) -> bool:
     instance, or a correct single application of a rule to earlier steps,
     and must mention only variable sets inside some stated dependency's
     variables (the goal's included).  A malformed step, one whose detail
-    is not of its rule's shape, answers False as well."""
+    is not of its rule's shape or one of whose antecedents is not the
+    ``int`` index of an earlier step, answers False as well."""
     premises = set(sigma)
     context_sets = [fd.variables for fd in premises] + [goal.variables]
     steps = trace.steps
     if not steps or steps[-1].fd != goal:
         return False
     for i, step in enumerate(steps):
-        if any(j >= i or j < 0 for j in step.antecedents):
+        if any(type(j) is not int or not 0 <= j < i for j in step.antecedents):
             return False
         if not _available(step.fd.variables, context_sets):
             return False

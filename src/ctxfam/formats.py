@@ -229,7 +229,7 @@ def parse_family(text: str) -> ContextualFamily:
 def serialize_relation_rows(relation: KRelation, with_weights: bool) -> List[str]:
     lines = [f"context {' '.join(relation.names)}"]
     for key, payload in relation._rows.items():
-        cells = " ".join(map(str, key))
+        cells = " ".join(key)
         lines.append(f"{cells} : {payload}" if with_weights else cells)
     return lines
 

@@ -41,7 +41,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 from .family import ContextSet, ContextualFamily
 from .feasibility import find_rational_solution
 from .monoid import MonoidKind, MonoidValue
-from .relation import Assignment, Key, KRelation, Payload, _agreement, _cells, _project, _row_order
+from .relation import Assignment, Key, KRelation, Payload, _agreement, _cells, _project
 
 
 _DOT_QUOTED = str.maketrans({"\\": "\\\\", '"': '\\"'})  # escapes inside a quoted DOT string
@@ -117,7 +117,7 @@ class OpgVertex:
         return Assignment._sorted(tuple(zip(self.names, self.key)))
 
     def __str__(self) -> str:
-        return f"{self.layer}:{','.join(map(str, self.key))}"
+        return f"{self.layer}:{','.join(self.key)}"
 
 
 def _row_format(names: Tuple[str, ...]) -> str:
@@ -316,8 +316,8 @@ def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
     Boundary i, the variables context i shares with context i+1
     (cyclically), is intersected once here.  Only the support matters,
     so any kind is accepted.  The vertices are numbered here, once: by
-    layer, and within a layer in the row order (:func:`_row_order`) of
-    their boundary values.  The edges are numbered by context and then in
+    layer, and within a layer in the order of their boundary value
+    tuples.  The edges are numbered by context and then in
     stored row order, and their columns are filled straight from the
     relations' keys and from the projections of those keys onto the two
     boundaries (:func:`_project`), mapped to vertex numbers, so no
@@ -339,10 +339,9 @@ def build_opg(family: ContextualFamily) -> OverlapProjectionGraph:
     vertices: List[OpgVertex] = []
     for layer, number in enumerate(numbers):
         names = tuple(sorted(boundaries[layer]))
-        values = list(number)
-        for j in _row_order(values):
-            number[values[j]] = len(vertices)
-            vertices.append(OpgVertex(layer, names, values[j]))
+        for value in sorted(number):
+            number[value] = len(vertices)
+            vertices.append(OpgVertex(layer, names, value))
     keys: List[Key] = []
     starts = [0]
     src: List[int] = []

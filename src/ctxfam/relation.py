@@ -20,9 +20,10 @@ only at the API edge: ``rows``, ``support``, ``annotation`` and ``repr``
 build them, and :meth:`KRelation.from_assignments` is the one way to
 take them in.
 
-Variables are strings.  Values are opaque tokens compared literally
-(``"0"`` and ``0`` are distinct values); library-built relations use
-string tokens throughout so that serialised output round-trips.
+Variables and values are strings, as the family format reads and
+writes them, and rows are in the order of their value tuples.  Any
+other value, an ``int`` or a ``str`` subclass among them, is refused;
+text the format cannot write, such as a value holding a space, is not.
 """
 
 from __future__ import annotations
@@ -40,39 +41,14 @@ from .monoid import MonoidKind, MonoidValue
 if TYPE_CHECKING:
     from .fdlogic import FD
 
-Value = Union[str, int]
-Key = Tuple[Value, ...]  # a row's values, in the order of its relation's names
+Key = Tuple[str, ...]  # a row's values, in the order of its relation's names
 Payload = Union[int, Fraction]
-Pairs = Tuple[Tuple[str, Value], ...]
+Pairs = Tuple[Tuple[str, str], ...]
 Groups = Dict[Key, List[Key]]
 
 
 class DomainError(ValueError):
-    """Raised when an operation refers to variables outside a relation."""
-
-
-def value_key(value: Value) -> Tuple[str, str]:
-    """Deterministic sort key for values of mixed token types."""
-    return (str(value), type(value).__name__)
-
-
-def _sort_keys(keys: Sequence[Key]) -> Sequence[tuple]:
-    """What row order compares for each of ``keys``, the value tuples of
-    distinct rows over one variable set: each value's ``value_key``, which
-    is the ``Assignment.sort_key`` order.  When every value is a plain
-    ``str``, that is the order of the tuples themselves, which a sort
-    compares in C, so ``keys`` itself is returned."""
-    if set(map(type, chain.from_iterable(keys))) <= {str}:
-        return keys
-    return [tuple([value_key(val) for val in key]) for key in keys]
-
-
-def _row_order(keys: Sequence[Key]) -> List[int]:
-    """The positions of ``keys``, the value tuples of distinct rows over one
-    variable set, in row order (:func:`_sort_keys`).  The sort takes linear
-    time on rows already in order."""
-    order = _sort_keys(keys)
-    return sorted(range(len(keys)), key=order.__getitem__)
+    """Raised on a row or operation outside a relation's variables, or a value not a ``str``."""
 
 
 def _restrict(names: Sequence[str], target: AbstractSet[str], keys: Collection[Key]) -> Tuple[Iterator[Any], bool]:
@@ -96,12 +72,18 @@ def _project(names: Sequence[str], target: AbstractSet[str], keys: Collection[Ke
     return zip(shorts) if single else shorts
 
 
+def _not_text(pairs: Pairs) -> DomainError:
+    """The refusal of a row, as pairs sorted by variable, holding a value not a ``str``."""
+    val = next(val for _, val in pairs if type(val) is not str)
+    return DomainError(f"row {Assignment._sorted(pairs)} holds {val!r} of type {type(val).__name__}; values are str")
+
+
 class Assignment:
-    """An immutable row: a finite map from variables to values."""
+    """An immutable row: a finite map from variables to ``str`` values."""
 
     __slots__ = ("_pairs", "_hash")
 
-    def __init__(self, bindings: Union[Mapping[str, Value], Iterable[Tuple[str, Value]]]):
+    def __init__(self, bindings: Union[Mapping[str, str], Iterable[Tuple[str, str]]]):
         items = bindings.items() if isinstance(bindings, Mapping) else bindings
         listed = [(str(var), val) for var, val in items]
         seen = sorted(var for var, _ in listed)
@@ -109,6 +91,8 @@ class Assignment:
             raise ValueError(f"duplicate variable in assignment: {seen}")
         # No variable repeats, so the sort never compares two values.
         pairs = tuple(sorted(listed))
+        if any(type(val) is not str for _, val in pairs):
+            raise _not_text(pairs)
         self._pairs = pairs
         self._hash = hash(pairs)
 
@@ -125,18 +109,14 @@ class Assignment:
     def variables(self) -> FrozenSet[str]:
         return frozenset(var for var, _ in self._pairs)
 
-    def items(self) -> Tuple[Tuple[str, Value], ...]:
+    def items(self) -> Pairs:
         return self._pairs
 
-    def __getitem__(self, var: str) -> Value:
+    def __getitem__(self, var: str) -> str:
         for v, val in self._pairs:
             if v == var:
                 return val
         raise KeyError(var)
-
-    @property
-    def sort_key(self) -> Tuple:
-        return tuple((var, value_key(val)) for var, val in self._pairs)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Assignment) and self._pairs == other._pairs
@@ -165,11 +145,12 @@ class KRelation:
     __slots__ = ("variables", "names", "kind", "_rows")
 
     def __init__(self, variables: Iterable[str], kind: MonoidKind, rows: Mapping[Key, Payload]):
-        """Store the rows in :func:`_row_order`; rows that already come in
-        that order are copied with no sort.  Each key is a tuple of one
-        value per variable, in sorted order, and each payload is nonzero of
-        ``kind``: the ``int`` 1 in B, an ``int`` in N, a ``Fraction`` in Q.
-        A zero is rejected, not dropped, so every stored row is in the support."""
+        """Store the rows in the order of their keys, with no sort when they
+        come in that order.  Each key is a tuple of one ``str`` per variable,
+        in sorted order; any other value, a ``str`` subclass too, is refused
+        with a :class:`DomainError` naming its row.  Each payload is nonzero
+        of ``kind``: the ``int`` 1 in B, an ``int`` in N, a ``Fraction`` in
+        Q; a zero is rejected, not dropped, so every row is in the support."""
         vars_ = frozenset(str(v) for v in variables)
         names = tuple(sorted(vars_))
         keys = list(rows)
@@ -177,6 +158,9 @@ class KRelation:
         if set(map(len, keys)) - {len(names)} or set(map(type, keys)) - {tuple}:
             bad = next(key for key in keys if type(key) is not tuple or len(key) != len(names))
             raise DomainError(f"row {bad!r} does not bind exactly {list(names)}")
+        if set(map(type, chain.from_iterable(keys))) - {str}:
+            bad = next(key for key in keys if set(map(type, key)) - {str})
+            raise _not_text(tuple(zip(names, bad)))
         wanted, top = (Fraction, inf) if kind is MonoidKind.Q else (int, 1 if kind is MonoidKind.B else inf)
         typed = set(map(type, payloads)) <= {wanted}
         # A Fraction has the sign of its numerator, which compares in C.
@@ -187,12 +171,10 @@ class KRelation:
                 row = Assignment._sorted(tuple(zip(names, keys[payloads.index(p)])))
                 raise ValueError(f"zero annotation stored for row {row}")
             raise ValueError(f"annotation {p} is not of kind {kind}")
-        order = _sort_keys(keys)
-        if all(map(lt, order, islice(order, 1, None))):
+        if all(map(lt, keys, islice(keys, 1, None))):
             store = dict(rows)  # already in row order
         else:
-            positions = sorted(range(len(keys)), key=order.__getitem__)
-            store = dict(zip(map(keys.__getitem__, positions), map(payloads.__getitem__, positions)))
+            store = dict(sorted(rows.items(), key=itemgetter(0)))
         self.variables = vars_
         self.names = names
         self.kind = kind
@@ -380,7 +362,5 @@ def _agreement(
 
 def _cells(left: Mapping[Key, Any], right: Mapping[Key, Any]) -> Iterator[Tuple[Key, Any, Any]]:
     """The cells of one pair in row order, with each side's entry (or None)."""
-    shorts = list(left.keys() | right.keys())
-    for i in _row_order(shorts):
-        short = shorts[i]
+    for short in sorted(left.keys() | right.keys()):
         yield short, left.get(short), right.get(short)

@@ -21,25 +21,15 @@ from typing import Dict, List, Optional, Tuple
 from ctxfam.family import ConsistencyViolation, ContextualFamily
 from ctxfam.formats import _RESERVED_VALUES, FormatError
 from ctxfam.monoid import MonoidKind, MonoidValue, parse_value
-from ctxfam.relation import Assignment, DomainError, value_key
+from ctxfam.relation import Assignment, DomainError
 
 _first = itemgetter(0)
 
 
-def values_key(pairs):
-    """The ``value_key`` of each value of a row given as pairs: the row
-    order of ``Assignment.sort_key``."""
-    return tuple([value_key(val) for _, val in pairs])
-
-
 def row_order(rows):
     """The positions of the pairs of distinct rows over one variable set, in
-    row order."""
-    if set(map(type, chain.from_iterable(chain.from_iterable(rows)))) <= {str}:
-        keys = rows
-    else:
-        keys = [values_key(pairs) for pairs in rows]
-    return sorted(range(len(rows)), key=keys.__getitem__)
+    row order: the order of the pair tuples themselves."""
+    return sorted(range(len(rows)), key=rows.__getitem__)
 
 
 def significant_lines(text: str) -> List[Tuple[int, str]]:

@@ -52,7 +52,7 @@ def reference_find_violation(relations):
             ms = marginal(s, shared)
             if mr == ms:
                 continue
-            for row in sorted(mr.support | ms.support, key=lambda a: a.sort_key):
+            for row in sorted(mr.support | ms.support, key=lambda a: a.items()):
                 va = mr.annotation(row)
                 vb = ms.annotation(row)
                 if va != vb:
@@ -80,7 +80,7 @@ def reference_lp_pairs(family):
             for row in by_context[cj]:
                 cell = groups.setdefault(restrict(row, shared), {})
                 cell[row] = cell.get(row, Fraction(0)) - Fraction(1)
-            pairs.append((i, [(groups[key], Fraction(0)) for key in sorted(groups, key=lambda a: a.sort_key)]))
+            pairs.append((i, [(groups[key], Fraction(0)) for key in sorted(groups, key=lambda a: a.items())]))
     return pairs
 
 

@@ -408,6 +408,8 @@ class TestVerifyTraceRejects:
             ("nra", changed(2, lambda t: {"detail": ()})),
             ("classical", changed(8, lambda t: {"antecedents": (6,)})),
             ("chain", changed(9, lambda t: {"detail": t.steps[9].detail[:2] + (("c", "e", "c"),)})),
+            ("cycle", changed(3, lambda t: {"antecedents": tuple(map(str, t.steps[3].antecedents))})),
+            ("cycle", changed(3, lambda t: {"antecedents": tuple(map(float, t.steps[3].antecedents))})),
         ],
         ids=[
             "last-dependency", "rule-name", "antecedent-forward", "antecedent-negative",
@@ -415,7 +417,7 @@ class TestVerifyTraceRejects:
             "cycle-path-breaks", "cycle-closes-wrong", "missing-certificate-edge", "missing-cd",
             "chain-detail-tag", "augmentation-added-set", "transitivity-middle", "no-stated-set",
             "augmentation-two-antecedents", "augmentation-no-added-set", "transitivity-one-antecedent",
-            "chain-certificate-count",
+            "chain-certificate-count", "antecedent-text", "antecedent-float",
         ],
     )
     def test_one_change_is_refused(self, name, change):

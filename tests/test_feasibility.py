@@ -685,7 +685,7 @@ def _projects_onto(candidate, family):
 def reference_support_join(family):
     rows = [dict()]
     for c in family.contexts:
-        supp = sorted(family.relation_at(c).support, key=lambda a: a.sort_key)
+        supp = sorted(family.relation_at(c).support, key=lambda a: a.items())
         extended = []
         for partial in rows:
             for s in supp:
@@ -699,7 +699,7 @@ def reference_support_join(family):
                 if ok:
                     extended.append(merged)
         rows = extended
-    return sorted((Assignment(m) for m in rows), key=lambda a: a.sort_key)
+    return sorted((Assignment(m) for m in rows), key=lambda a: a.items())
 
 
 def reference_global_boolean(family):
@@ -756,7 +756,7 @@ def reference_integer_weights(family, join):
         for row, value in family.relation_at(c).rows():
             demands[(c, row)] = int(value.payload)
     touched = {t: [(c, restrict(t, c)) for c in family.contexts] for t in join}
-    return reference_weight_search(demands, touched, sorted(join, key=lambda a: a.sort_key))
+    return reference_weight_search(demands, touched, sorted(join, key=lambda a: a.items()))
 
 
 def reference_weight_search(demands, touched, order):

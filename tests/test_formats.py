@@ -279,7 +279,7 @@ class TestDecompositionOutput:
 
 def reference_parse(text: str):
     """The parser before rows by position, kept as the reference: one
-    Assignment per row, rows listed in ``sort_key`` order.  Returns the
+    Assignment per row, rows listed in the order of their pairs.  Returns the
     variables, kind and row list of each context."""
     lines = significant_lines(text)
     if not lines:
@@ -341,7 +341,7 @@ def reference_parse(text: str):
     if not blocks:
         raise FormatError(lines[-1][0], "document declares no context")
     return [
-        (frozenset(variables), kind, sorted(block, key=lambda kv: kv[0].sort_key))
+        (frozenset(variables), kind, sorted(block, key=lambda kv: kv[0].items()))
         for (_, variables), block in zip(blocks, rows)
     ]
 

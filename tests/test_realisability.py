@@ -727,7 +727,7 @@ def reference_peel(family):
 
 
 def walk_family(rng, kind, weights, contexts_count=None, components=None,
-                walks=(1, 3), domain=(2, 3), ints=False):
+                walks=(1, 3), domain=(2, 3), digits=False):
     """A locally consistent family over a chordless cycle of binary and
     ternary contexts: the sum of closed walks around the cycle, each
     carrying one weight, in value-disjoint components.
@@ -737,8 +737,8 @@ def walk_family(rng, kind, weights, contexts_count=None, components=None,
     x_i = a_s, x_{i+1} = a_{s+1} to context i = s mod n, so every
     boundary value is entered and left equally often.
 
-    Values are strings ``c<component>v<value>``, or with ``ints`` the
-    ints ``100 * component + 9 + value``: they start at 9, so row order
+    Values are strings ``c<component>v<value>``, or with ``digits`` the
+    digits of ``100 * component + 9 + value``: they start at "9", so row order
     ("10" before "9") differs from numeric order."""
     n = contexts_count or rng.randint(3, 6)
     contexts = []
@@ -751,7 +751,7 @@ def walk_family(rng, kind, weights, contexts_count=None, components=None,
         for _ in range(rng.randint(*walks)):
             length = n * rng.randint(1, 2)
             values = [
-                100 * comp + 9 + v if ints else f"c{comp}v{v}"
+                str(100 * comp + 9 + v) if digits else f"c{comp}v{v}"
                 for v in (rng.randrange(size) for _ in range(length))
             ]
             w = rng.choice(weights)
@@ -760,7 +760,7 @@ def walk_family(rng, kind, weights, contexts_count=None, components=None,
                 key = (values[step], values[(step + 1) % length])
                 if len(contexts[i]) == 3:
                     private = rng.randrange(2)
-                    key += (private if ints else f"p{private}",)
+                    key += (str(private) if digits else f"p{private}",)
                 total[i][key] = total[i].get(key, 0) + w
     return ContextualFamily(
         [
@@ -785,7 +785,7 @@ def with_row(rng, family, pick):
     row's end to the first row's start."""
     rels = list(family.maximal_relations())
     at = rng.randrange(len(rels))
-    rows = sorted(rels[at].support, key=lambda a: a.sort_key)
+    rows = sorted(rels[at].support, key=Assignment.items)
     contexts = classify_chordless_cycle(family.contexts)
     i = contexts.index(rels[at].variables)
     out_var = next(iter(contexts[i] & contexts[(i + 1) % len(contexts)]))
@@ -812,7 +812,7 @@ def with_cross_row(rng, family):
 
 def component_of(value):
     """The walk_family component a value belongs to."""
-    return (value - 9) // 100 if isinstance(value, int) else value.split("v")[0]
+    return (int(value) - 9) // 100 if value.isdigit() else value.split("v")[0]
 
 
 def reference_components(graph):
@@ -885,8 +885,8 @@ class TestAgainstReference:
         rng = random.Random(f"realise-large/{base}")
         weight = MonoidValue.of(MonoidKind.Q, base)
         counts = set()
-        for ints in (False, True, False):
-            support = walk_family(rng, MonoidKind.B, [1], components=2, walks=(12, 24), domain=(6, 12), ints=ints)
+        for digits in (False, True, False):
+            support = walk_family(rng, MonoidKind.B, [1], components=2, walks=(12, 24), domain=(6, 12), digits=digits)
             assert len(build_opg(support).edges) > 60
             new = realise(support, MonoidKind.Q, weight)
             old = reference_realise(support, MonoidKind.Q, weight)
@@ -898,23 +898,23 @@ class TestAgainstReference:
 
     def test_edges_come_in_context_then_label_order(self):
         """The graph keeps build_opg's edge order without sorting it, and
-        its vertices in layer and then row order, also for int tokens,
+        its vertices in layer and then row order, also for digit tokens,
         whose row order is not their numeric order."""
         rng = random.Random(4)
         unlike_numeric = 0
-        for ints in (False, True):
+        for digits in (False, True):
             for kind, weights in [(MonoidKind.B, [1]), (MonoidKind.N, [1, 2, 3])]:
                 for _ in range(25):
-                    graph = build_opg(walk_family(rng, kind, weights, ints=ints))
-                    keys = [(e.context_index, e.label.sort_key) for e in graph.edges]
+                    graph = build_opg(walk_family(rng, kind, weights, digits=digits))
+                    keys = [(e.context_index, e.label.items()) for e in graph.edges]
                     assert keys == sorted(keys)
                     ends = {e.source for e in graph.edges} | {e.target for e in graph.edges}
                     assert set(graph.vertices) == ends
                     assert len(graph.vertices) == len(ends)
-                    order = [(v.layer, v.boundary.sort_key) for v in graph.vertices]
+                    order = [(v.layer, v.boundary.items()) for v in graph.vertices]
                     assert order == sorted(order)
-                    if ints:
-                        numeric = [(v.layer, v.boundary.items()) for v in graph.vertices]
+                    if digits:
+                        numeric = [(v.layer, [int(val) for _, val in v.boundary.items()]) for v in graph.vertices]
                         unlike_numeric += numeric != sorted(numeric)
         assert unlike_numeric > 10
 
@@ -925,13 +925,13 @@ class TestAgainstReference:
         tree is replaced by another's and regrown past where it stopped."""
         rng = random.Random(2)
         beyond = 0
-        for ints in (False, True):
+        for digits in (False, True):
             uncovered = 0
             for i in range(40):
                 if i % 2 == 0:
-                    family = walk_family(rng, MonoidKind.B, [1], ints=ints)
+                    family = walk_family(rng, MonoidKind.B, [1], digits=digits)
                 else:
-                    family = walk_family(rng, MonoidKind.B, [1], components=2, ints=ints)
+                    family = walk_family(rng, MonoidKind.B, [1], components=2, digits=digits)
                     try:
                         family = with_cross_row(rng, family)
                     except ValueError:
@@ -986,13 +986,13 @@ class TestAgainstReference:
 
     def test_components_match_object_adjacency(self):
         rng = random.Random(2)
-        for ints in (False, True):
+        for digits in (False, True):
             several = uncovered = 0
             for i in range(60):
                 if i % 2 == 0:
-                    family = walk_family(rng, MonoidKind.B, [1], ints=ints)
+                    family = walk_family(rng, MonoidKind.B, [1], digits=digits)
                 else:
-                    family = walk_family(rng, MonoidKind.B, [1], components=2, ints=ints)
+                    family = walk_family(rng, MonoidKind.B, [1], components=2, digits=digits)
                     try:
                         family = with_cross_row(rng, family)
                     except ValueError:
@@ -1064,31 +1064,31 @@ class TestAgainstReference:
     @pytest.mark.parametrize(
         "kind, weights", [(MonoidKind.N, [1, 2, 3]), (MonoidKind.Q, [Fraction(1, 2), 1, Fraction(5, 3)])]
     )
-    @pytest.mark.parametrize("ints", [False, True])
-    def test_decompose_writes_the_reference_peel_bytes(self, kind, weights, ints):
+    @pytest.mark.parametrize("digits", [False, True])
+    def test_decompose_writes_the_reference_peel_bytes(self, kind, weights, digits):
         """250 families per case, a fifth of them dense, and some with
         several components: the parts serialise as the reference peel's."""
-        rng = random.Random(f"peel/{kind}/{ints}")
+        rng = random.Random(f"peel/{kind}/{digits}")
         several = 0
         for i in range(250):
             if i % 5:
-                family = walk_family(rng, kind, weights, ints=ints)
+                family = walk_family(rng, kind, weights, digits=digits)
             else:
-                family = walk_family(rng, kind, weights, walks=(8, 20), domain=(6, 12), ints=ints)
+                family = walk_family(rng, kind, weights, walks=(8, 20), domain=(6, 12), digits=digits)
             several += len(set(build_opg(family)._component_labels())) > 1
             assert serialize_decomposition(decompose_cycles(family)) == serialize_decomposition(
                 reference_peel(family)
             )
         assert several > 50
 
-    def test_decompose_writes_the_reference_bytes_on_int_tokens(self):
-        """Int tokens, whose row order is not numeric order: the parts
+    def test_decompose_writes_the_reference_bytes_on_digit_tokens(self):
+        """Digit tokens, whose row order is not numeric order: the parts
         serialise as the reference's, and each part relation, built from
         stored rows, is the checked constructor's, in the same order."""
         rng = random.Random(9)
         for kind, weights in [(MonoidKind.N, [1, 2, 3]), (MonoidKind.Q, [Fraction(1, 2), 1])]:
             for _ in range(15):
-                family = walk_family(rng, kind, weights, ints=True)
+                family = walk_family(rng, kind, weights, digits=True)
                 parts = decompose_cycles(family)
                 assert serialize_decomposition(parts) == serialize_decomposition(
                     reference_decompose(family)
@@ -1477,17 +1477,17 @@ def reference_dot(graph):
 class TestWrittenAsBefore:
     """The writers that format the numbered rows print what the edge
     objects printed: the ``opg`` listing, the DOT text and each refused
-    edge's text, on str and int tokens, with planted cross rows."""
+    edge's text, on letter and digit tokens, with planted cross rows."""
 
-    @pytest.mark.parametrize("ints", [False, True], ids=["str", "int"])
-    def test_listing_dot_and_refusals(self, ints):
-        rng = random.Random(f"written/{ints}")
+    @pytest.mark.parametrize("digits", [False, True], ids=["str", "digits"])
+    def test_listing_dot_and_refusals(self, digits):
+        rng = random.Random(f"written/{digits}")
         uncovered = 0
         for i in range(30):
             if i % 2 == 0:
-                family = walk_family(rng, MonoidKind.N, [1, 2], ints=ints)
+                family = walk_family(rng, MonoidKind.N, [1, 2], digits=digits)
             else:
-                family = walk_family(rng, MonoidKind.B, [1], components=2, ints=ints)
+                family = walk_family(rng, MonoidKind.B, [1], components=2, digits=digits)
                 try:
                     family = with_cross_row(rng, family)
                 except ValueError:
@@ -1503,11 +1503,10 @@ class TestWrittenAsBefore:
                 f"{e.source} -> {e.target}  {e.label}" for e in refused
             ]
             uncovered += bool(refused)
-            if not ints:
-                # The document reads back with the rows in stored order.
-                assert opg_command(family, dot=True) == (
-                    reference_opg_listing(graph), reference_dot(graph)
-                )
+            # The document reads back with the rows in stored order.
+            assert opg_command(family, dot=True) == (
+                reference_opg_listing(graph), reference_dot(graph)
+            )
         assert uncovered >= 5
 
     def test_names_with_braces(self):
@@ -1526,11 +1525,11 @@ class TestShownAsBefore:
     order, as the edge label, and its restrictions to the two boundaries
     as the vertices it joins."""
 
-    @pytest.mark.parametrize("ints", [False, True], ids=["str", "int"])
-    def test_labels_boundaries_and_text(self, ints):
-        rng = random.Random(f"shown/{ints}")
+    @pytest.mark.parametrize("digits", [False, True], ids=["str", "digits"])
+    def test_labels_boundaries_and_text(self, digits):
+        rng = random.Random(f"shown/{digits}")
         for _ in range(10):
-            family = walk_family(rng, MonoidKind.N, [1, 2], ints=ints)
+            family = walk_family(rng, MonoidKind.N, [1, 2], digits=digits)
             graph = build_opg(family)
             contexts = classify_chordless_cycle(family.contexts)
             assert [r.variables for r in graph.relations] == list(contexts)
@@ -1586,11 +1585,12 @@ def answer(call, *args):
     return ("value", result)
 
 
-def int_tokens(family):
-    """The same family with each string token ``v<n>`` replaced by the int
-    n + 9, so that row order ("10" before "9") is not numeric order."""
+def digit_tokens(family):
+    """The same family with each string token ``v<n>`` replaced by the
+    digits of n + 9, so that row order ("10" before "9") is not numeric
+    order."""
     return ContextualFamily(
-        [KRelation(r.variables, r.kind, {tuple(int(v[1:]) + 9 for v in key): p
+        [KRelation(r.variables, r.kind, {tuple(str(int(v[1:]) + 9) for v in key): p
                                          for key, p in r._rows.items()})
          for r in family.maximal_relations()]
     )
@@ -1644,15 +1644,15 @@ class TestAnyKind:
             assert answers[name] == answer(call, support, *args), name
         return answers
 
-    @pytest.mark.parametrize("ints", [False, True], ids=["str", "int"])
+    @pytest.mark.parametrize("digits", [False, True], ids=["str", "digits"])
     @pytest.mark.parametrize("kind, weights", WEIGHTED, ids=["N", "Q"])
-    def test_walk_families(self, kind, weights, ints):
+    def test_walk_families(self, kind, weights, digits):
         """Cycles: the graph witness, the graph test and the LP, and the
         lifts of the decomposition parts lifted to N."""
-        rng = random.Random(f"any-kind/{kind}/{ints}")
+        rng = random.Random(f"any-kind/{kind}/{digits}")
         witnesses = lifts = 0
         for _ in range(12):
-            family = walk_family(rng, kind, weights, ints=ints)
+            family = walk_family(rng, kind, weights, digits=digits)
             answers = self.assert_as_support(family)
             witnesses += sum(a[0] == "family" for a in answers.values())
             for weight, part in decompose_cycles(family):
@@ -1662,29 +1662,29 @@ class TestAnyKind:
                     lifts += 1
         assert witnesses > 60 and lifts > 50
 
-    @pytest.mark.parametrize("ints", [False, True], ids=["str", "int"])
+    @pytest.mark.parametrize("digits", [False, True], ids=["str", "digits"])
     @pytest.mark.parametrize("kind", [MonoidKind.N, MonoidKind.Q], ids=["N", "Q"])
-    def test_shapes(self, kind, ints):
+    def test_shapes(self, kind, digits):
         """Other context sets: the LP witness, and the same
         NotChordlessCycleError from the graph paths."""
         lp = 0
         for shape in sorted(SHAPES):
             for seed in range(2):
                 family = marginal_family(shape, kind, 6, 3, seed)
-                answers = self.assert_as_support(int_tokens(family) if ints else family)
+                answers = self.assert_as_support(digit_tokens(family) if digits else family)
                 lp += answers["find_realisation-N"][0] == "family"
                 assert answers["realise-N"][1] is NotChordlessCycleError
         assert lp == 2 * len(SHAPES)
 
-    @pytest.mark.parametrize("ints", [False, True], ids=["str", "int"])
+    @pytest.mark.parametrize("digits", [False, True], ids=["str", "digits"])
     @pytest.mark.parametrize("kind, weights", WEIGHTED, ids=["N", "Q"])
-    def test_planted_uncovered_edges(self, kind, weights, ints):
+    def test_planted_uncovered_edges(self, kind, weights, digits):
         """Unrealisable supports: a cross row between two walk components,
         and the five-context family the LP refuses."""
-        rng = random.Random(f"planted/{kind}/{ints}")
+        rng = random.Random(f"planted/{kind}/{digits}")
         refused = 0
         for _ in range(20):
-            support = walk_family(rng, MonoidKind.B, [1], components=2, ints=ints)
+            support = walk_family(rng, MonoidKind.B, [1], components=2, digits=digits)
             try:
                 support = with_cross_row(rng, support)
             except ValueError:
@@ -1708,12 +1708,12 @@ class TestWitnessStillValidated:
     by the relation constructor and an unbalanced one by the pairwise
     check.  A wrong cycle from the search cannot get through either."""
 
-    @pytest.mark.parametrize("ints", [False, True], ids=["str", "int"])
+    @pytest.mark.parametrize("digits", [False, True], ids=["str", "digits"])
     @pytest.mark.parametrize("kind, weights", WEIGHTED, ids=["N", "Q"])
     @pytest.mark.parametrize("wrong", ["unbalanced", "edge-left-out"])
-    def test_a_wrong_cycle_is_refused(self, monkeypatch, kind, weights, ints, wrong):
-        family = walk_family(random.Random(f"wrong/{kind}/{ints}"), kind, weights,
-                             contexts_count=4, components=1, ints=ints)
+    def test_a_wrong_cycle_is_refused(self, monkeypatch, kind, weights, digits, wrong):
+        family = walk_family(random.Random(f"wrong/{kind}/{digits}"), kind, weights,
+                             contexts_count=4, components=1, digits=digits)
         assert answer(realise, family, kind)[0] == "family"
         original = realisability.find_simple_cycle_through
         calls = []
