@@ -15,8 +15,9 @@ the subject of the realisability machinery in :mod:`ctxfam.realisability`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .feasibility import _Tableau, find_rational_solution
@@ -107,6 +108,25 @@ class ContextSet:
             if wanted <= c:
                 return c
         raise ContextError(f"no context contains {sorted(wanted)}")
+
+    def is_acyclic(self) -> bool:
+        """Whether the contexts form an acyclic hypergraph, by the GYO
+        reduction (Graham 1979; Yu and Özsoyoğlu 1979): drop every variable
+        that lies in one context only and every context contained in
+        another, until nothing changes.  The set is acyclic exactly when at
+        most one context is left."""
+        edges = [set(c) for c in self.maximal]
+        while len(edges) > 1:
+            counts = Counter(chain.from_iterable(edges))
+            trimmed = [{v for v in e if counts[v] > 1} for e in edges]
+            kept: List[Set[str]] = []
+            for i, e in enumerate(trimmed):
+                if not any(e <= f for f in chain(kept, trimmed[i + 1 :])):
+                    kept.append(e)
+            if kept == edges:
+                return False
+            edges = kept
+        return True
 
     def __iter__(self) -> Iterator[FrozenSet[str]]:
         return iter(self.maximal)
@@ -286,10 +306,11 @@ def _integer_weights(demands: List[int], cells: List[List[int]]) -> Optional[Lis
     """Complete search for natural weights of the rows of a cell table,
     one per row, whose sums over every cell meet that cell's demand.
 
-    A rational solution does not guarantee an integral one, so after the
-    rational feasibility check this walks the (small) space directly,
-    depth first on an explicit stack: rows in table order, each weight
-    from the largest down, first solution wins.  Each weight is bounded
+    A rational solution does not guarantee an integral one, so this walks
+    the (small) space directly, after the rational feasibility check on a
+    cyclic context set and alone on an acyclic one, depth first on an
+    explicit stack: rows in table order, each weight from the largest
+    down, first solution wins.  Each weight is bounded
     by the least demand its row still leaves open, which keeps the search
     finite and the method complete.  A node is dropped when some cell
     needs more than the rows after it can carry, each row at most the
@@ -348,11 +369,18 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
     the weights of the join rows, at least 0 each, with one equation per
     cell, in cell order: the weights over the cell sum to its value.
 
-    The last cell of every context after the first is left out of the
-    tableau.  Every join row lies in one cell of each context, so each
-    context's equations sum to the total weight, and local consistency
-    gives every context the same total: that equation is the sum of
-    context 0's minus the context's other cells, and Gauss-Jordan
+    On an acyclic context set (:meth:`ContextSet.is_acyclic`) every
+    locally consistent family has a global relation: for sets Beeri,
+    Fagin, Maier and Yannakakis (JACM 1983), for bags Atserias and
+    Kolaitis (PODS 2021).  So for N there the system is feasible, no
+    tableau is built, and the complete search below finds the witness:
+    the join-tree path.
+
+    Elsewhere, the last cell of every context after the first is left
+    out of the tableau.  Every join row lies in one cell of each context,
+    so each context's equations sum to the total weight, and local
+    consistency gives every context the same total: that equation is the
+    sum of context 0's minus the context's other cells, and Gauss-Jordan
     elimination would only reduce it to an empty row.  The solver still
     checks the Q witness against those cells.
 
@@ -361,10 +389,10 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
     value's numerator.  For Q the witness is the exact solution of
     :func:`~ctxfam.feasibility.find_rational_solution` on its one integer
     tableau: the lexicographically least weights, in join-row order,
-    among those the Gauss-Jordan elimination leaves free.  For N phase 1
-    of the same tableau must find the system feasible, and then a
-    complete bounded search over the cell table finds integer weights,
-    which meet every cell by construction.
+    among those the Gauss-Jordan elimination leaves free.  For N on a
+    cyclic set phase 1 of the same tableau must find the system feasible,
+    and then a complete bounded search over the cell table finds integer
+    weights, which meet every cell by construction.
     """
     join, cells = _support_join(family)
     relations = list(family.maximal_relations())
@@ -378,21 +406,20 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
     variables = family.contexts.variables
     if family.kind is MonoidKind.B:
         return KRelation(variables, MonoidKind.B, dict.fromkeys(join, 1))
-    ends = list(accumulate(map(len, relations)))
-    left_out = {end - 1 for end, rel in zip(ends[1:], relations[1:]) if rel}
-    equalities: List[Tuple[Dict[int, int], int]] = []
-    implied: List[Tuple[Dict[int, int], int]] = []
-    for k, (ts, d) in enumerate(zip(over, demands)):
-        (implied if k in left_out else equalities).append((dict.fromkeys(ts, d.denominator), d.numerator))
-    unknowns = range(len(join))
-    if family.kind is MonoidKind.N:
-        if not _Tableau(equalities, len(unknowns)).phase1():
-            return None
+    if family.kind is MonoidKind.N and family.contexts.is_acyclic():
         weights = _integer_weights(demands, cells)
-        if weights is None:
-            return None
     else:
-        weights = find_rational_solution(equalities, implied, unknowns)
-        if weights is None:
-            return None
+        ends = list(accumulate(map(len, relations)))
+        left_out = {end - 1 for end, rel in zip(ends[1:], relations[1:]) if rel}
+        equalities: List[Tuple[Dict[int, int], int]] = []
+        implied: List[Tuple[Dict[int, int], int]] = []
+        for k, (ts, d) in enumerate(zip(over, demands)):
+            (implied if k in left_out else equalities).append((dict.fromkeys(ts, d.denominator), d.numerator))
+        if family.kind is MonoidKind.N:
+            feasible = _Tableau(equalities, len(join)).phase1()
+            weights = _integer_weights(demands, cells) if feasible else None
+        else:
+            weights = find_rational_solution(equalities, implied, range(len(join)))
+    if weights is None:
+        return None
     return KRelation(variables, family.kind, {t: w for t, w in zip(join, weights) if w})

@@ -38,14 +38,16 @@ row beyond the row's key.  Any other block, and any block that fails a
 column test, is read line by line (:func:`_read_lines`) into the same
 store, or to the error of its first malformed row.  Parsing reports
 errors with line numbers of the whole text; serialisation is canonical
-(sorted contexts, sorted rows) and round-trips.
+(sorted contexts, sorted rows) and round-trips, refusing any name or
+value it could not read back (:func:`_refuse_unreadable`).
 """
 
 from __future__ import annotations
 
+import re
 from itertools import chain, compress, count, repeat
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Collection, Dict, Iterator, List, Optional, Tuple
 
 from .family import ContextualFamily
 from .fdlogic import FD
@@ -54,6 +56,8 @@ from .relation import Assignment, Key, KRelation, Payload
 
 
 _RESERVED_VALUES = frozenset(("context", "monoid"))
+_UNWRITABLE_VALUES = _RESERVED_VALUES | {":"}
+_SPLITS_A_TOKEN = re.compile(r"[\s#]")  # the line reader's separators and comment mark
 
 
 class FormatError(ValueError):
@@ -226,7 +230,36 @@ def parse_family(text: str) -> ContextualFamily:
     return ContextualFamily(parse_relations(text))
 
 
+def _unreadable(texts: Collection[str]) -> bool:
+    """Whether some text would not read back as itself, one token: it is
+    empty or holds whitespace or ``#``.  One search over them all."""
+    return "" in texts or _SPLITS_A_TOKEN.search("".join(texts)) is not None
+
+
+def _refuse_unreadable(relations: List[KRelation]) -> None:
+    """Raise :class:`ValueError` for text of a document's relations that
+    the parser would not read back: a variable or value that is empty or
+    holds whitespace or ``#``, and a value that is ``:`` or a reserved
+    word.  Each distinct value is tested once per document; only a refusal
+    looks for the relation and row that hold it."""
+    names = set(chain.from_iterable(r.names for r in relations))
+    values = set(chain.from_iterable(chain.from_iterable(r._rows for r in relations)))
+    if not (_unreadable(names) or _unreadable(values)) and _UNWRITABLE_VALUES.isdisjoint(values):
+        return
+    for relation in relations:
+        for var in relation.names:
+            if _unreadable((var,)):
+                raise ValueError(f"variable {var!r} cannot be written in a family document")
+        for key in relation._rows:
+            for value in key:
+                if _unreadable((value,)) or value in _UNWRITABLE_VALUES:
+                    row = Assignment._sorted(tuple(zip(relation.names, key)))
+                    raise ValueError(f"row {row} holds value {value!r}, which cannot be written in a family document")
+
+
 def serialize_relation_rows(relation: KRelation, with_weights: bool) -> List[str]:
+    """The ``context`` line and row lines of one relation, whose text the
+    document writers have checked with :func:`_refuse_unreadable`."""
     lines = [f"context {' '.join(relation.names)}"]
     for key, payload in relation._rows.items():
         cells = " ".join(key)
@@ -237,15 +270,18 @@ def serialize_relation_rows(relation: KRelation, with_weights: bool) -> List[str
 def serialize_family(family: ContextualFamily) -> str:
     """Canonical text for a family: contexts and rows in sorted order,
     with explicit weights except in B."""
+    relations = list(family.maximal_relations())
+    _refuse_unreadable(relations)
     with_weights = family.kind is not MonoidKind.B
     lines = [f"monoid {family.kind}"]
-    for relation in family.maximal_relations():
+    for relation in relations:
         lines.extend(serialize_relation_rows(relation, with_weights))
     return "\n".join(lines) + "\n"
 
 
 def serialize_relation(relation: KRelation) -> str:
     """A single relation, framed as a one-context family document."""
+    _refuse_unreadable([relation])
     lines = [f"monoid {relation.kind}"] + serialize_relation_rows(relation, relation.kind is not MonoidKind.B)
     return "\n".join(lines) + "\n"
 
@@ -256,10 +292,12 @@ def serialize_decomposition(parts) -> str:
     Each ``(weight, support family)`` pair becomes a ``cycle i weight w``
     header followed by the rows of the cycle, context by context.
     """
+    parts = [(weight, list(support.maximal_relations())) for weight, support in parts]
+    _refuse_unreadable([relation for _, relations in parts for relation in relations])
     lines: List[str] = []
-    for index, (weight, support) in enumerate(parts, start=1):
+    for index, (weight, relations) in enumerate(parts, start=1):
         lines.append(f"cycle {index} weight {weight}")
-        for relation in support.maximal_relations():
+        for relation in relations:
             lines.extend(serialize_relation_rows(relation, False))
     return "\n".join(lines) + "\n" if lines else ""
 

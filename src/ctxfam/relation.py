@@ -22,8 +22,9 @@ take them in.
 
 Variables and values are strings, as the family format reads and
 writes them, and rows are in the order of their value tuples.  Any
-other value, an ``int`` or a ``str`` subclass among them, is refused;
-text the format cannot write, such as a value holding a space, is not.
+other value, an ``int`` or a ``str`` subclass among them, is refused.
+Text the format cannot write, such as a value holding a space, is kept
+here and refused by the writers of :mod:`ctxfam.formats`.
 """
 
 from __future__ import annotations

@@ -99,6 +99,36 @@ class TestCheck:
         assert "arity" in err
 
 
+# CI's hash-seed documents for the join-tree path: a weighted N path of
+# three contexts and a weighted N star of three, with their witnesses.
+N_PATH = (
+    "monoid N\ncontext x y\n0 0 : 2\n0 1 : 1\n1 1 : 2\ncontext y z\n0 0 : 1\n0 1 : 1\n1 0 : 2\n1 1 : 1\n"
+    "context z w\n0 0 : 2\n0 1 : 1\n1 1 : 2\n"
+)
+N_PATH_WITNESS = """\
+monoid N
+context w x y z
+0 0 0 0 : 1
+0 0 1 0 : 1
+1 0 0 1 : 1
+1 1 1 0 : 1
+1 1 1 1 : 1
+"""
+N_STAR = (
+    "monoid N\ncontext h a\n0 0 : 1\n0 1 : 2\n1 0 : 2\ncontext h b\n0 0 : 2\n0 1 : 1\n1 1 : 2\n"
+    "context h c\n0 0 : 3\n1 0 : 1\n1 1 : 1\n"
+)
+N_STAR_WITNESS = """\
+monoid N
+context a b c h
+0 0 0 0 : 1
+0 1 0 1 : 1
+0 1 1 1 : 1
+1 0 0 0 : 1
+1 1 0 0 : 1
+"""
+
+
 class TestGlobal:
     def test_inconsistent_teaching(self, capsys, teaching):
         code, out, _ = run(capsys, "global", teaching)
@@ -115,6 +145,18 @@ class TestGlobal:
         path = tmp_path / "grid.fam"
         path.write_text(grid_document(kind))
         assert run(capsys, "global", str(path)) == (1, "globally inconsistent\n", "")
+
+    @pytest.mark.parametrize(
+        "document, expected",
+        [(N_PATH, N_PATH_WITNESS), (N_STAR, N_STAR_WITNESS)],
+        ids=["path", "star"],
+    )
+    def test_acyclic_witness_pinned(self, capsys, tmp_path, document, expected):
+        """CI's hash-seed documents on acyclic context sets, whose N
+        witnesses the integer search finds with no tableau."""
+        path = tmp_path / "acyclic.fam"
+        path.write_text(document)
+        assert run(capsys, "global", str(path)) == (0, "globally consistent\n" + expected, "")
 
     def test_witness_marginalises_to_every_context(self, capsys, tmp_path):
         text = "monoid N\ncontext x y\n0 0 : 2\n1 1 : 1\ncontext y z\n0 1 : 2\n1 0 : 1\n"

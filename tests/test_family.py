@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 
 import pytest
 
@@ -72,6 +72,107 @@ class TestContextSet:
 
     def test_repr(self):
         assert repr(ContextSet([["z", "y"], ["y", "x"]])) == "ContextSet({x,y}, {y,z})"
+
+
+def join_forest_exists(contexts):
+    """Brute force: whether some maximum-weight spanning forest of the
+    intersection graph, each pair of contexts joined with the size of
+    their overlap as weight, has the running-intersection property: the
+    overlap of every two contexts lies in each context on the forest path
+    between them.  Every forest is tried."""
+    n = len(contexts)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if contexts[i] & contexts[j]]
+    forests = []
+    for mask in range(1 << len(pairs)):
+        chosen = [p for k, p in enumerate(pairs) if mask >> k & 1]
+        root = list(range(n))
+
+        def find(i):
+            while root[i] != i:
+                i = root[i]
+            return i
+
+        for i, j in chosen:
+            if find(i) == find(j):
+                break
+            root[find(i)] = find(j)
+        else:
+            forests.append(chosen)
+    best = max(sum(len(contexts[i] & contexts[j]) for i, j in f) for f in forests)
+
+    def path(forest, i, j):
+        """The contexts on the forest path from i to j, or None."""
+        trail = {i: None}
+        queue = [i]
+        for k in queue:
+            for a, b in forest:
+                for u, v in ((a, b), (b, a)):
+                    if u == k and v not in trail:
+                        trail[v] = k
+                        queue.append(v)
+        if j not in trail:
+            return None
+        nodes = [j]
+        while trail[nodes[-1]] is not None:
+            nodes.append(trail[nodes[-1]])
+        return nodes
+
+    def running_intersection(forest):
+        for i in range(n):
+            for j in range(i + 1, n):
+                shared = contexts[i] & contexts[j]
+                nodes = path(forest, i, j)
+                if shared and (nodes is None or not all(shared <= contexts[k] for k in nodes)):
+                    return False
+        return True
+
+    return any(
+        running_intersection(f)
+        for f in forests
+        if sum(len(contexts[i] & contexts[j]) for i, j in f) == best
+    )
+
+
+def antichains(variables, most):
+    """Every antichain of one to ``most`` nonempty subsets of ``variables``."""
+    subsets = [frozenset(c) for r in range(1, len(variables) + 1) for c in combinations(variables, r)]
+    for r in range(1, most + 1):
+        for group in combinations(subsets, r):
+            if not any(a < b or b < a for a, b in combinations(group, 2)):
+                yield group
+
+
+class TestAcyclicity:
+    """``ContextSet.is_acyclic``, the GYO reduction, against the brute-force
+    join-forest search above."""
+
+    def test_every_small_antichain(self):
+        """All 3 426 antichains of up to four contexts over five variables:
+        1 231 acyclic and 2 195 not."""
+        groups = list(antichains("abcde", 4))
+        verdicts = [ContextSet(g).is_acyclic() for g in groups]
+        assert verdicts == [join_forest_exists(list(g)) for g in groups]
+        assert (verdicts.count(True), verdicts.count(False)) == (1231, 2195)
+
+    @pytest.mark.parametrize(
+        "contexts, acyclic",
+        [
+            ([("x",)], True),
+            ([("x", "y", "z")], True),
+            ([("a", "b"), ("c", "d"), ("e",)], True),
+            ([("a", "b"), ("b", "c"), ("c", "a")], False),
+            ([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")], False),
+            # the triangle under a context holding all of it
+            ([("a", "b"), ("b", "c"), ("a", "c"), ("a", "b", "c")], True),
+            # a triangle and a disjoint path
+            ([("a", "b"), ("b", "c"), ("c", "a"), ("x", "y"), ("y", "z")], False),
+        ],
+        ids=["one variable", "one context", "disjoint", "3-cycle", "4-cycle", "covered triangle", "triangle and path"],
+    )
+    def test_edge_cases(self, contexts, acyclic):
+        context_set = ContextSet.from_sets(contexts)
+        assert context_set.is_acyclic() is acyclic
+        assert join_forest_exists(list(context_set)) is acyclic
 
 
 class TestLocalConsistency:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from ctxfam import family as family_module
 from ctxfam import feasibility, realisability
 from ctxfam.family import (
+    ContextSet,
     ContextualFamily,
     _integer_weights,
     _support_join,
@@ -858,6 +859,22 @@ def routed(monkeypatch, reference):
     return route
 
 
+def reference_cells_feasible(family, reference):
+    """Whether ``reference`` finds the cell system of ``family`` feasible:
+    the reference's equations, one per context row over the reference's
+    support join, every weight at least 0.  N on an acyclic context set
+    skips the tableau that would ask this; the tests ask it here."""
+    join = reference_support_join(family)
+    constraints = reference_marginal_constraints(family, join)
+    return constraints is not None and reference(constraints, dict.fromkeys(join, 0), join) is not None
+
+
+def join_tree_path(family):
+    """Whether ``check_global_consistency`` decides ``family`` without a
+    tableau: N on an acyclic context set."""
+    return family.kind is MonoidKind.N and family.contexts.is_acyclic()
+
+
 @pytest.fixture
 def against_fm(monkeypatch):
     return routed(monkeypatch, fm_solution)
@@ -871,11 +888,19 @@ def against_parent(monkeypatch):
 class TestSameWitnessOnFamilies:
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_global_consistency(self, shape, against_fm):
+        """On the acyclic shapes the N families ask the solver nothing, and
+        Fourier-Motzkin finds each one's cell system feasible."""
         witnesses = against_fm(family_module)
+        skipped = 0
         for family in islice(small_families(shape), 16):
+            asked = len(witnesses)
             witness = check_global_consistency(family)
             assert witness is not None and _projects_onto(witness, family)
-        assert len(witnesses) == 16
+            if join_tree_path(family):
+                assert len(witnesses) == asked and reference_cells_feasible(family, fm_solution)
+                skipped += 1
+        assert len(witnesses) + skipped == 16
+        assert skipped == (8 if shape in ("path", "star", "acyclic") else 0)
 
     def test_sums_with_a_twisted_family(self, against_fm):
         # the twisted rows can outweigh what the global rows can carry
@@ -910,16 +935,25 @@ class TestSameWitnessAsParentOnFamilies:
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_global_consistency(self, shape, against_parent):
+        """On the acyclic shapes the 40 N families ask the solver nothing,
+        and the parent solver finds each one's cell system feasible."""
         witnesses = against_parent(family_module)
+        skipped = 0
         for seed in range(40):
             for kind in (MonoidKind.N, MonoidKind.Q):
                 family = marginal_family(shape, kind, 2 + seed % 5, 2 + seed % 2, seed)
                 if shape in ("chorded", "grid") and seed < 12:
                     family = family + twisted_family(shape, kind, 2, seed)
+                asked = len(witnesses)
                 check_global_consistency(family)
+                if join_tree_path(family):
+                    assert len(witnesses) == asked
+                    assert reference_cells_feasible(family, reference_find_rational_solution)
+                    skipped += 1
         # a twisted sum is refused by the solver or, with an empty cell,
         # before it
-        assert len(witnesses) > 60
+        assert len(witnesses) + skipped > 60
+        assert skipped == (40 if shape in ("path", "star", "acyclic") else 0)
         assert (None in witnesses) == (shape in ("chorded", "grid"))
 
     @pytest.mark.parametrize("kind", [MonoidKind.N, MonoidKind.Q], ids=lambda k: k.name)
@@ -1092,6 +1126,11 @@ class TestLocalImpliesGlobalExactlyOnAcyclicShapes:
     some locally consistent family has none.  ``path``, ``star`` and
     ``acyclic`` are acyclic; ``grid`` and ``chorded`` are not."""
 
+    def test_the_shapes_acyclicity(self):
+        assert {shape: ContextSet(SHAPES[shape]).is_acyclic() for shape in SHAPES} == {
+            "path": True, "star": True, "acyclic": True, "grid": False, "chorded": False
+        }
+
     @pytest.mark.parametrize("kind", list(MonoidKind), ids=lambda k: k.name)
     @pytest.mark.parametrize("shape", ["path", "star", "acyclic"])
     def test_acyclic_families_get_a_global_witness(self, shape, kind):
@@ -1130,6 +1169,63 @@ class TestLocalImpliesGlobalExactlyOnAcyclicShapes:
         for seed in range(15):
             family = at_kind(kind, lambda k: twisted_family(shape, k, 2 + seed % 3, seed))
             assert check_global_consistency(family) is None
+
+
+class TestJoinTreePath:
+    """N on an acyclic context set builds no tableau: the integer search
+    alone finds the witness.  Every cyclic set still runs phase 1 first."""
+
+    @staticmethod
+    def tableaux_built(monkeypatch, family):
+        """The witness for ``family`` and the number of tableaux built."""
+        built = []
+
+        class Counted(_Tableau):
+            def __init__(self, equalities, n):
+                built.append(n)
+                super().__init__(equalities, n)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(family_module, "_Tableau", Counted)
+            witness = check_global_consistency(family)
+        assert witness is not None and _projects_onto(witness, family)
+        return len(built)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_a_tableau_only_on_cyclic_shapes(self, shape, monkeypatch):
+        for seed in range(4):
+            family = marginal_family(shape, MonoidKind.N, 2 + seed, 2, seed)
+            assert self.tableaux_built(monkeypatch, family) == (shape in ("grid", "chorded"))
+
+    def test_a_tableau_on_the_four_cycle(self, monkeypatch):
+        """The bulk-check workload's shape: a b, b c, c d and a d."""
+        rng = random.Random(0)
+        for _ in range(4):
+            rows = {Assignment({v: f"v{rng.randrange(2)}" for v in "abcd"}): MonoidValue.of(MonoidKind.N, rng.randint(1, 3))
+                    for _ in range(4)}
+            glob = KRelation.from_assignments(frozenset("abcd"), MonoidKind.N, rows)
+            family = ContextualFamily([glob.marginalise(frozenset(c)) for c in ("ab", "bc", "cd", "ad")])
+            assert self.tableaux_built(monkeypatch, family) == 1
+
+    @pytest.mark.parametrize(
+        "shape, rows, domain, seed, digest",
+        [
+            ("path", 200, 5, 0, "4e8fd33c1b57b5f757d2430810b710181a99ad3dacb649adcb4144d862b6ea91"),
+            ("path", 200, 5, 1, "75c41d361ae93ad3602ab0d44069276fbb8fab15f426bd9095c334195fa980db"),
+            ("acyclic", 200, 5, 0, "b1c9716077fac2cdba9a2ae4495a9d77be50af7d5ae0c1e7a6cd94c557f63a2b"),
+            ("acyclic", 200, 5, 1, "a1fc9a5c6a56c2166cc89486965de5b560f9a3c1280f8ec3543d1f1ef8ea1928"),
+            ("star", 400, 6, 0, "a30dbacca6cf875682ec3338621efa41ec67bef7723e75b7bd73fd21ed023e51"),
+            ("star", 400, 6, 1, "ca60ba6b3c0cd7e4a8db36104f19ac7ca9a6b549373d6d11dec2da4c588579ab"),
+        ],
+        ids=["path-200-0", "path-200-1", "acyclic-200-0", "acyclic-200-1", "star-400-0", "star-400-1"],
+    )
+    def test_large_families_keep_their_witness(self, shape, rows, domain, seed, digest):
+        """Phase 1 first took 10-74 s on path and acyclic and 2-3 s on star;
+        the digests are of the witnesses found that way."""
+        family = marginal_family(shape, MonoidKind.N, rows, domain, seed)
+        witness = within(20, check_global_consistency, family)
+        assert witness is not None and _projects_onto(witness, family)
+        assert hashlib.sha256(serialize_relation(witness).encode()).hexdigest() == digest
 
 
 def lex_greatest_point(family):
@@ -1290,19 +1386,25 @@ class TestPivotRule:
     def test_both_rules_pivot_and_witnesses_match_the_parent_solver(
         self, pivot_rules, against_parent, monkeypatch
     ):
+        # N on the three acyclic shapes asks the solver nothing; the parent
+        # solver finds each of those 36 cell systems feasible.
         witnesses = against_parent(family_module)
         without_integer_search(monkeypatch)
+        skipped = 0
         for kind in (MonoidKind.N, MonoidKind.Q):
             for shape in SHAPES:
                 for seed in range(12):
-                    check_global_consistency(
-                        marginal_family(shape, kind, 2 + seed % 5, 2 + seed % 2, seed)
-                    )
+                    family = marginal_family(shape, kind, 2 + seed % 5, 2 + seed % 2, seed)
+                    check_global_consistency(family)
+                    if join_tree_path(family):
+                        assert reference_cells_feasible(family, reference_find_rational_solution)
+                        skipped += 1
             for seed in range(4):
                 within(20, check_global_consistency, marginal_family("grid", kind, 12, 3, seed))
             assert pivot_rules["dantzig"] > 0 and pivot_rules["bland"] > 0, kind
             pivot_rules.update(dantzig=0, bland=0)
-        assert len(witnesses) == 2 * (5 * 12 + 4)
+        assert skipped == 3 * 12
+        assert len(witnesses) == 2 * (5 * 12 + 4) - skipped
 
     # Bland's rule alone takes 173, 105, 89 and 29 pivots on the N grids of
     # seeds 0-3, and 289, 115, 67 and 133 on the Q grids.

@@ -185,6 +185,53 @@ class TestSerializeRoundTrips:
         assert seen > 30
 
 
+class TestWriterRefusesUnreadableText:
+    """The document writers refuse a name or value that the parser would
+    read back as something else or not at all."""
+
+    @staticmethod
+    def one_row(variable, value):
+        return ContextualFamily([brel((variable,), [(value,)])])
+
+    @pytest.mark.parametrize(
+        "value",
+        ["a#b", "", "a b", "a\tb", ":", "context", "monoid"],
+        ids=["hash", "empty", "space", "tab", "colon", "context", "monoid"],
+    )
+    def test_value(self, value):
+        message = f"row x={value} holds value {value!r}, which cannot be written in a family document"
+        with pytest.raises(ValueError) as err:
+            serialize_family(self.one_row("x", value))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("variable", ["a#b", "", "a b"], ids=["hash", "empty", "space"])
+    def test_variable(self, variable):
+        with pytest.raises(ValueError, match=f"^variable {variable!r} cannot be written in a family document$"):
+            serialize_relation(brel((variable,), [("0",)]))
+
+    @pytest.mark.parametrize("variable", [":", "context", "monoid"])
+    def test_variables_the_parser_reads_back(self, variable):
+        # A context line names variables only, so these round-trip.
+        family = self.one_row(variable, "0")
+        assert parse_family(serialize_family(family)) == family
+
+    def test_values_with_a_colon_or_a_reserved_word_inside_round_trip(self):
+        family = self.one_row("x", "a:b")
+        assert parse_family(serialize_family(family)) == family
+        family = ContextualFamily([brel(("x", "y"), [("contexts", "monoids")])])
+        assert parse_family(serialize_family(family)) == family
+
+    def test_the_first_row_holding_a_refused_value_is_named(self):
+        relation = brel(("x", "y"), [("0", "1"), ("1", "a b"), ("2", "#"), ("3", "a b")])
+        with pytest.raises(ValueError, match=r"^row x=1,y=a b holds value 'a b'"):
+            serialize_relation(relation)
+
+    def test_a_decomposition_refuses_too(self):
+        family = ContextualFamily([brel(("x",), [("a b",)])])
+        with pytest.raises(ValueError, match="holds value 'a b'"):
+            serialize_decomposition([(MonoidValue.one(MonoidKind.N), family)])
+
+
 class TestDependencyFormats:
     def test_parse_fd_forms(self):
         assert parse_fd("x -> y") == FD.unary("x", "y")
