@@ -390,9 +390,10 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
     :func:`~ctxfam.feasibility.find_rational_solution` on its one integer
     tableau: the lexicographically least weights, in join-row order,
     among those the Gauss-Jordan elimination leaves free.  For N on a
-    cyclic set phase 1 of the same tableau must find the system feasible,
-    and then a complete bounded search over the cell table finds integer
-    weights, which meet every cell by construction.
+    cyclic set the same tableau's run must find the system feasible, and
+    only its verdict is read: a complete bounded search over the cell
+    table then finds integer weights, which meet every cell by
+    construction.
     """
     join, cells = _support_join(family)
     relations = list(family.maximal_relations())
@@ -416,7 +417,7 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
         for k, (ts, d) in enumerate(zip(over, demands)):
             (implied if k in left_out else equalities).append((dict.fromkeys(ts, d.denominator), d.numerator))
         if family.kind is MonoidKind.N:
-            feasible = _Tableau(equalities, len(join)).phase1()
+            feasible = _Tableau(equalities, len(join)).solve()
             weights = _integer_weights(demands, cells) if feasible else None
         else:
             weights = find_rational_solution(equalities, implied, range(len(join)))

@@ -480,7 +480,8 @@ class _ClosureEngine:
     The engine runs on the premise table of :func:`_intern`: ``edges``
     maps index pairs to justifications (cycle paths and chain instances
     in indices too), ``out_mask`` and ``in_mask`` hold the derived edges,
-    and the chain rule's context atoms are one ``_atom_table``.
+    and the chain rule's context atoms are one ``_atom_table``, built
+    when the first chain half runs.
     """
 
     def __init__(
@@ -492,8 +493,8 @@ class _ClosureEngine:
     ):
         self.variables, index, edges, self.out_mask, self.in_mask, sets = _intern(sigma, extra_context_sets)
         self.use_chain = rules is RuleSet.FULL
-        if self.use_chain:
-            self.atom_table = _atom_table(index, sets)
+        self.atom_table: Optional[List[List[int]]] = None
+        self.atoms_over = (index, sets)
         self.edges: Dict[Tuple[int, int], Tuple] = dict.fromkeys(edges, ("premise",))
         for v in range(len(self.variables)):
             if not self.out_mask[v] >> v & 1:
@@ -539,7 +540,10 @@ class _ClosureEngine:
             for y in parent if goal is None else goal[1:]:
                 if in_mask[x] >> y & 1 and not out_mask[x] >> y & 1:
                     additions[(x, y)] = ("cycle", self._path_edges(x, y, parent), (y, x))
-        if self.use_chain:
+        # A goal the cycle half derived needs no chain instance.
+        if self.use_chain and (goal is None or goal not in additions):
+            if self.atom_table is None:
+                self.atom_table = _atom_table(*self.atoms_over)
             for y in range(len(out_mask)) if goal is None else goal[1:]:
                 states = _chain_states(self.atom_table, in_mask, y)
                 # Only a variable that starts a reached state can start

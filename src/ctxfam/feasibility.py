@@ -8,44 +8,44 @@ Each caller brings its own system to this form (see
 :func:`find_rational_solution`).
 
 Everything happens in one fraction-free integer tableau, ``_Tableau``,
-with one column per unknown and one row per equality.  It has four parts:
+with one column per unknown and one row per equality.  It has three
+parts:
 
 * build and Gauss-Jordan elimination, which pivots each row on its least
   remaining column, so afterwards every row holds one pivot column and
   otherwise only free columns;
-* phase 1, which answers feasibility;
-* the lexicographic stages: the witness is the lexicographic minimum of
-  the free columns in ascending order, each at its least value given the
-  earlier ones, and the pivot columns follow;
+* the lexicographic dual simplex (Lemke 1954; Gomory 1958), which
+  answers feasibility and finds the witness in one run;
 * read-back, the one place a ``Fraction`` is built.
 
-The lexicographic minimum is unique, so the witness does not depend on
-how it is found.
-
-The pivot rows are already a basis of the simplex method.  A row whose
-right-hand side is negative gets an artificial column, and phase 1 drives
-those to zero; when there is none, the free columns at 0 are the answer
-and no simplex pivot is made.  Dantzig's rule (the largest reduced cost
-enters) chooses the pivots, except that a step that would be degenerate
-takes Bland's pivot (Bland 1977): this is deterministic, never cycles
-(see :func:`_minimise`) and mostly takes far fewer pivots than Bland's
-rule alone.  Each free column is then minimised in turn, and after each
-stage every column with a positive reduced cost is barred from the
-tableau, which keeps the later stages on the optimal face of the earlier
-ones.
+The witness is the lexicographic minimum of the free columns in
+ascending order, each at its least value given the earlier ones, and the
+pivot columns follow from them.  It is the point that minimises
+``sum eps**p y_p`` for an infinitesimal ``eps``, where position ``p``
+runs over the free columns in ascending order and then the pivot columns
+in ascending order.  The Gauss-Jordan rows are a basis of the simplex
+method whose reduced costs are all lexicographically positive: a free
+column's reduced cost is its own ``eps`` term plus later terms of the
+pivot columns.  So the basis is dual feasible, and the dual simplex runs
+from it with no artificial column, no objective row and no stage.  A row
+whose right-hand side is negative leaves; when it has no negative
+coefficient the system is infeasible.  The lexicographic ratio test
+always has one winner, so every pivot raises the dual objective, no
+basis repeats, and the run ends at the unique minimum, whichever pivots
+it takes.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-Row = Dict[int, int]  # column -> nonzero integer coefficient, with _RHS and _OBJ
+Row = Dict[int, int]  # column -> nonzero integer coefficient, with _RHS
 Equality = Tuple[Dict[int, int], int]  # (column -> nonzero coefficient, right-hand side)
 
 _RHS = -1  # key of a row's right-hand side
-_OBJ = -2  # key of the objective's own coefficient in an objective row
 _ZERO = Fraction(0)
 
 
@@ -66,89 +66,58 @@ def _eliminate(row: Row, piv: Row, col: int) -> Row:
     return {k: v // g for k, v in new.items()} if g > 1 else new
 
 
-def _leaving(rows: List[Row], basis: List[int], e: int) -> int:
-    """The ratio test for entering column ``e``: among the rows with a
-    positive coefficient ``a`` in ``e``, the one of least ratio
-    ``rhs / a`` (compared by cross-multiplication), and among those the
-    one whose basic column is least."""
-    leave, num, den = -1, 0, 1
-    for i, row in enumerate(rows):
-        a = row.get(e, 0)
-        if a <= 0:
-            continue
-        rhs = row.get(_RHS, 0)
-        if leave < 0 or rhs * den < num * a or (
-            rhs * den == num * a and basis[i] < basis[leave]
-        ):
-            leave, num, den = i, rhs, a
-    if leave < 0:
-        raise AssertionError("objective unbounded below; solver bug")
-    return leave
+def _entering(rows: List[Row], basis: List[int], order: List[int], pos: List[int], weight: Dict[int, int]) -> int:
+    """The lexicographic ratio test of the dual simplex: the column ``j``
+    of ``weight``, which maps each nonbasic column of negative
+    coefficient ``-w`` in the leaving row to ``w``, whose reduced cost
+    over ``w`` is lexicographically least.  ``order`` lists the rows by
+    the position of their basic column.
 
-
-def _minimise(rows: List[Row], basis: List[int], obj: Row) -> Row:
-    """Pivot the objective row ``obj`` down to its minimum from a feasible
-    basis and return its final form.
-
-    A row ``sum a_k z_k = rhs`` holds its basic column at a positive
-    coefficient, so feasibility is ``rhs >= 0``.  The objective row reads
-    ``S*w + sum a_k z_k = rhs`` with ``S > 0``, so raising column ``k``
-    lowers ``w`` exactly when ``a_k > 0``.  Dantzig's rule picks the
-    entering column: the one of largest ``a_k``, the least such column on
-    a tie.  :func:`_leaving` picks the row that leaves.  When that row's
-    right-hand side is 0 the step would be degenerate, and Bland's pivot
-    (Bland 1977) is taken instead: the least column with ``a_k > 0``
-    enters, and :func:`_leaving` picks its row.  Every objective is a sum
-    of columns, which are all at least 0, so it is never unbounded below.
-
-    This terminates.  A pivot whose leaving row has a positive right-hand
-    side lowers ``w``, so a cycle of bases, along which ``w`` cannot
-    change, is made of degenerate pivots alone.  Each degenerate pivot is
-    Bland's (when Dantzig's column is also the least, the two coincide),
-    and Bland's theorem rules out a cycle of Bland pivots.
+    Column ``j``'s reduced cost has entry 1 at ``pos[j]`` and entry
+    ``-a_qj / a_qb`` at ``pos[b]`` for each row ``q`` with basic column
+    ``b``; every other entry is 0.  The walk reads the positions in
+    ascending order and keeps, at each, the columns of least entry over
+    ``w``, until one is left; where some columns have a positive entry
+    and the rest 0, it keeps the rest without dividing.  Each reduced
+    cost is lexicographically positive, so the column whose first
+    nonzero entry comes last wins, and an entry after that is compared
+    only on a tie.  A tie never lasts: at ``pos[j]`` only ``j`` is
+    nonzero.
     """
-    while True:
-        e, top, least = -1, 0, -1
-        for k, v in obj.items():
-            if k >= 0 and v > 0:
-                if v > top or (v == top and k < e):
-                    e, top = k, v
-                if least < 0 or k < least:
-                    least = k
-        if e < 0:
-            return obj
-        leave = _leaving(rows, basis, e)
-        if not rows[leave].get(_RHS, 0) and least != e:
-            e = least
-            leave = _leaving(rows, basis, e)
-        piv = rows[leave]
-        for i, row in enumerate(rows):
-            if i != leave and e in row:
-                rows[i] = _eliminate(row, piv, e)
-        obj = _eliminate(obj, piv, e)
-        basis[leave] = e
-
-
-def _priced_out(obj: Row) -> List[int]:
-    """The columns of positive reduced cost in an optimal ``obj``: every
-    point of the optimal face has them at zero."""
-    return [k for k, v in obj.items() if k >= 0 and v < 0]
-
-
-def _bar(rows: List[Row], columns: Iterable[int]) -> None:
-    """Fix nonbasic columns at zero for good by taking them out of the
-    tableau."""
-    columns = list(columns)
-    for row in rows:
-        for k in columns:
-            row.pop(k, None)
+    if len(weight) == 1:
+        return next(iter(weight))
+    alive = set(weight)
+    own = sorted(weight, key=pos.__getitem__)
+    k = 0
+    for q in order:
+        p = pos[basis[q]]
+        while k < len(own) and pos[own[k]] < p:
+            j = own[k]
+            k += 1
+            if j in alive:
+                alive.remove(j)
+                if len(alive) == 1:
+                    return alive.pop()
+        row = rows[q]
+        hit = alive & row.keys()
+        if not hit:
+            continue
+        if len(hit) < len(alive) and all(row[j] < 0 for j in hit):
+            alive -= hit  # positive entries, where the rest have 0
+        else:
+            ratio = {j: Fraction(-row[j], weight[j]) for j in hit}
+            least = min(ratio.values())
+            alive = {j for j in hit if ratio[j] == least}
+        if len(alive) == 1:
+            return alive.pop()
+    return max(alive, key=pos.__getitem__)
 
 
 class _Tableau:
-    """The integer tableau of one system, in four parts: the constructor
-    builds the rows and runs Gauss-Jordan elimination, :meth:`phase1`
-    answers feasibility, :meth:`lex_min` runs the lexicographic stages,
-    each one :meth:`stage`, and :meth:`witness` reads the values back.
+    """The integer tableau of one system, in three parts: the constructor
+    builds the rows and runs Gauss-Jordan elimination, :meth:`solve` runs
+    the lexicographic dual simplex, which answers feasibility and finds
+    the witness, and :meth:`witness` reads the values back.
 
     ``rows[i]`` holds ``basis[i]`` at a positive coefficient.  ``free``
     lists, in ascending order, the columns Gauss-Jordan leaves without a
@@ -157,12 +126,11 @@ class _Tableau:
     :meth:`witness`.
     """
 
-    __slots__ = ("n", "rows", "basis", "free", "contradiction", "artificials")
+    __slots__ = ("n", "rows", "basis", "free", "contradiction")
 
     def __init__(self, equalities: Iterable[Equality], n: int):
         self.n = n
         self.contradiction = False
-        self.artificials: List[int] = []
 
         rows: List[Row] = []
         basis: List[int] = []
@@ -190,57 +158,41 @@ class _Tableau:
         self.rows, self.basis = rows, basis
         self.free = sorted(set(range(n)).difference(basis))
 
-    def phase1(self) -> bool:
-        """Whether the system is feasible.  Each row with a negative
-        right-hand side gets an artificial column, and phase 1 of the
-        simplex drives their sum to zero.  On success the basis is
-        feasible, with every column priced out by phase 1 and every
-        nonbasic artificial barred."""
+    def solve(self) -> bool:
+        """Whether the system is feasible; when it is, the basis ends at
+        the witness.  The dual simplex runs from the Gauss-Jordan basis,
+        with the free columns first in the cost order and the pivot
+        columns after them.  While some row's right-hand side is negative,
+        the one of least basic column leaves.  If it has no negative
+        coefficient, no point meets it; otherwise :func:`_entering` picks
+        the column that enters, the row is negated, and that column is
+        eliminated from the other rows."""
         if self.contradiction:
             return False
         rows, basis = self.rows, self.basis
-        artificials = self.artificials
-        for i, row in enumerate(rows):
-            if row.get(_RHS, 0) < 0:
-                basis[i] = self.n + len(artificials)
-                artificials.append(basis[i])
-                rows[i] = {k: -v for k, v in row.items()}
-                rows[i][basis[i]] = 1
-        if not artificials:
-            return True
-        obj: Row = dict.fromkeys(artificials, -1)
-        obj[_OBJ] = 1
-        for i, b in enumerate(basis):
-            if b in obj:
-                obj = _eliminate(obj, rows[i], b)
-        if self.stage(obj).get(_RHS, 0):
-            return False
-        _bar(rows, (k for k in artificials if k not in basis))
-        return True
-
-    def stage(self, obj: Row) -> Row:
-        """Minimise the objective row ``obj`` from the current feasible
-        basis, bar every column it priced out and return its final form."""
-        obj = _minimise(self.rows, self.basis, obj)
-        _bar(self.rows, _priced_out(obj))
-        return obj
-
-    def lex_min(self) -> None:
-        """After a successful :meth:`phase1`, minimise each free column in
-        ascending order, barring after each stage the columns it priced
-        out.  Without artificials the free columns already sit at 0, which
-        is the minimum, and no stage runs."""
-        if not self.artificials:
-            return
-        rows, basis = self.rows, self.basis
-        for j in self.free:
-            if j in basis:
-                # the basic row, with the column renamed to the objective
-                obj = dict(rows[basis.index(j)])
-                obj[_OBJ] = obj.pop(j)
-                self.stage(obj)
-            else:
-                _bar(rows, [j])
+        pos = [0] * self.n
+        for p, j in enumerate([*self.free, *sorted(basis)]):
+            pos[j] = p
+        order = sorted(range(len(rows)), key=lambda q: pos[basis[q]])
+        while True:
+            r, least = -1, self.n
+            for i, row in enumerate(rows):
+                if row.get(_RHS, 0) < 0 and basis[i] < least:
+                    r, least = i, basis[i]
+            if r < 0:
+                return True
+            weight = {j: -a for j, a in rows[r].items() if a < 0 and j >= 0}
+            if not weight:
+                return False
+            e = _entering(rows, basis, order, pos, weight)
+            g = gcd(*rows[r].values())
+            piv = {k: -v // g for k, v in rows[r].items()}
+            rows[r], basis[r] = piv, e
+            order.remove(r)
+            insort(order, r, key=lambda q: pos[basis[q]])
+            for i, row in enumerate(rows):
+                if i != r and e in row:
+                    rows[i] = _eliminate(row, piv, e)
 
     def witness(self) -> List[Fraction]:
         """Every column's value, in column order: a basic column's
@@ -267,14 +219,13 @@ def find_rational_solution(
     equality on its least remaining column): each takes its least feasible
     value given the earlier ones, and the pivot columns follow from them.
     One integer tableau finds this point (see the module docstring): it is
-    built and eliminated, phase 1 decides feasibility, the lexicographic
-    stages run and the values are read back as ``Fraction``s, one per
-    column.
+    built and eliminated, one lexicographic dual simplex run decides
+    feasibility and ends at the point, and the values are read back as
+    ``Fraction``s, one per column.
     """
     tableau = _Tableau(equalities, len(columns))
-    if not tableau.phase1():
+    if not tableau.solve():
         return None
-    tableau.lex_min()
     witness = tableau.witness()
     _check_witness([*equalities, *implied], witness)
     return witness

@@ -298,7 +298,7 @@ def assert_implied(kept, dropped, lower, variables):
 def captured_global_rows(monkeypatch, family):
     """The rows ``check_global_consistency(family)`` hands the solver: one
     ``(equalities, implied)`` pair per call, ``implied`` None for the N
-    path's phase-1 question."""
+    path's feasibility question."""
     calls = []
     solve, tableau = family_module.find_rational_solution, family_module._Tableau
 

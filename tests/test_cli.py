@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ctxfam import fdlogic
+from ctxfam import fdlogic, feasibility
 from ctxfam.cli import main
 from ctxfam.formats import FormatError, parse_family, parse_fd, parse_relations, serialize_family
 from ctxfam.monoid import MonoidKind, MonoidValue, parse_value
@@ -127,6 +127,42 @@ context a b c h
 1 0 0 0 : 1
 1 1 0 0 : 1
 """
+# CI's hash-seed document on which the solver's dual simplex pivots
+# twice: a weighted Q 3-cycle, with its global witness and the
+# realisation of its support.
+Q_PIVOTS = (
+    "monoid Q\ncontext x y\n0 0 : 1\n0 1 : 1/2\n1 0 : 1\n1 1 : 2\ncontext x z\n0 0 : 1/2\n0 1 : 1\n1 0 : 1\n1 1 : 2\n"
+    "context y z\n0 0 : 1\n0 1 : 1\n1 0 : 1/2\n1 1 : 2\n"
+)
+Q_PIVOTS_WITNESS = """\
+monoid Q
+context x y z
+0 0 0 : 1/2
+0 0 1 : 1/2
+0 1 1 : 1/2
+1 0 0 : 1/2
+1 0 1 : 1/2
+1 1 0 : 1/2
+1 1 1 : 3/2
+"""
+Q_PIVOTS_SUPPORT_REALISED = """\
+monoid Q
+context x y
+0 0 : 5
+0 1 : 3
+1 0 : 3
+1 1 : 1
+context x z
+0 0 : 5
+0 1 : 3
+1 0 : 3
+1 1 : 1
+context y z
+0 0 : 5
+0 1 : 3
+1 0 : 3
+1 1 : 1
+"""
 
 
 class TestGlobal:
@@ -157,6 +193,25 @@ class TestGlobal:
         path = tmp_path / "acyclic.fam"
         path.write_text(document)
         assert run(capsys, "global", str(path)) == (0, "globally consistent\n" + expected, "")
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["global"], "globally consistent\n" + Q_PIVOTS_WITNESS),
+            (["realisable", "--monoid", "Q"], "realisable\n" + Q_PIVOTS_SUPPORT_REALISED),
+        ],
+        ids=["global", "realisable"],
+    )
+    def test_pivoting_document_pinned(self, capsys, tmp_path, monkeypatch, argv, expected):
+        """CI's hash-seed document on which the dual simplex pivots twice
+        in ``global``."""
+        path = tmp_path / "pivots.fam"
+        path.write_text(Q_PIVOTS)
+        pivots = []
+        entering = feasibility._entering
+        monkeypatch.setattr(feasibility, "_entering", lambda *args: pivots.append(args) or entering(*args))
+        assert run(capsys, argv[0], str(path), *argv[1:]) == (0, expected, "")
+        assert len(pivots) >= (2 if argv[0] == "global" else 0)
 
     def test_witness_marginalises_to_every_context(self, capsys, tmp_path):
         text = "monoid N\ncontext x y\n0 0 : 2\n1 1 : 1\ncontext y z\n0 1 : 2\n1 0 : 1\n"

@@ -368,8 +368,8 @@ class TestGlobalConsistency:
 
 class TestSolverRefusals:
     """The grid family passes the cell check, so the global question
-    reaches the solver, which refuses it: phase 1 in N, ahead of the
-    integer search, and ``find_rational_solution`` in Q."""
+    reaches the solver, which refuses it: the tableau's run in N, ahead
+    of the integer search, and ``find_rational_solution`` in Q."""
 
     @pytest.mark.parametrize("kind", ["N", "Q"])
     def test_every_cell_under_a_join_row(self, kind):
@@ -377,12 +377,12 @@ class TestSolverRefusals:
         _, cells = _support_join(family)
         assert set(chain.from_iterable(cells)) == set(range(sum(map(len, family.maximal_relations()))))
 
-    def test_n_refused_by_phase_1(self, monkeypatch):
+    def test_n_refused_by_the_run(self, monkeypatch):
         refusals = []
 
         class Recording(_Tableau):
-            def phase1(self):
-                refusals.append(super().phase1())
+            def solve(self):
+                refusals.append(super().solve())
                 return refusals[-1]
 
         def never(demands, cells):

@@ -1380,6 +1380,28 @@ class TestGoalDirected:
             assert derives(sigma, u(*unreachable), RuleSet.FULL) == (False, None)
             assert calls == []
 
+    @pytest.mark.parametrize("seed", [0, 9, 21])
+    def test_atom_table_built_only_by_a_chain_half(self, monkeypatch, seed):
+        """The planted-cycle goal is derived by its own pass's cycle half
+        and the unreachable goal by no pass, so neither builds the chain
+        rule's table; the whole FULL closure builds it once."""
+        built = []
+        atom_table = fdlogic._atom_table
+
+        def counting(*args):
+            built.append(len(args[0]))
+            return atom_table(*args)
+
+        monkeypatch.setattr(fdlogic, "_atom_table", counting)
+        for sigma, (planted, unreachable) in large_corpus(seed):
+            assert derives(sigma, u(*planted), RuleSet.FULL)[0]
+            assert derives(sigma, u(*unreachable), RuleSet.FULL) == (False, None)
+            assert built == []
+            engine = _ClosureEngine(sigma, RuleSet.FULL, [])
+            assert built == [len(engine.variables)]
+            assert planted in {(engine.variables[a], engine.variables[b]) for a, b in engine.edges}
+            del built[:]
+
 
 class TestSamplerEdges:
     def test_no_contexts_gives_no_family(self):

@@ -9,6 +9,7 @@ solver's earlier general front end built for them.
 import copy
 import gc
 import hashlib
+import math
 import random
 import signal
 from fractions import Fraction
@@ -30,7 +31,7 @@ from ctxfam.family import (
 )
 from ctxfam.fdlogic import FD, random_family_satisfying
 from ctxfam.feasibility import _check_witness, _Tableau, find_rational_solution
-from ctxfam.formats import serialize_relation
+from ctxfam.formats import parse_family, serialize_relation
 from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.relation import Assignment, KRelation
 
@@ -126,8 +127,9 @@ class TestSolvable:
         assert solution == {"x": Fraction(2)}
 
     def test_integer_rows_leave_the_input_unchanged(self):
-        # x0 - x1 = -1 takes an artificial column, phase 1 and a stage; the
-        # witness lists the columns in order
+        # x0 - x1 = -1 leaves the Gauss-Jordan basis with a negative
+        # right-hand side, so the run pivots once; the witness lists the
+        # columns in order
         equalities = [({0: 1, 1: -1}, -1)]
         implied = [({0: -2, 1: 2}, 2)]
         before = copy.deepcopy((equalities, implied))
@@ -823,9 +825,9 @@ def small_families(shape):
 def routed(monkeypatch, reference):
     """Route ``module.find_rational_solution`` through a check that the
     witness equals ``reference``'s for the same rows, every column at
-    least 0, and the N path's phase-1 tableau ``family._Tableau`` through
-    a check that it answers as ``reference`` does; returns the list of
-    witnesses, ``reference``'s for a phase-1 question."""
+    least 0, and the N path's tableau ``family._Tableau`` through a check
+    that its run answers as ``reference`` does; returns the list of
+    witnesses, ``reference``'s for the N path's feasibility question."""
 
     def expected(equalities, columns):
         found = reference(equalities, dict.fromkeys(columns, 0), columns)
@@ -845,8 +847,8 @@ def routed(monkeypatch, reference):
                 super().__init__(equalities, n)
                 self.expected = expected(equalities, range(n))
 
-            def phase1(self):
-                answer = super().phase1()
+            def solve(self):
+                answer = super().solve()
                 assert answer == (self.expected is not None)
                 witnesses.append(self.expected)
                 return answer
@@ -982,17 +984,18 @@ class TestSameWitnessAsParentOnFamilies:
 
 
 def within(seconds, call, *args):
-    """``call(*args)``, failing the test when it runs past ``seconds``."""
+    """``call(*args)``, failing the test when it runs past ``seconds``,
+    which may be a fraction."""
 
     def expire(_signum, _frame):
         raise TimeoutError(f"{call.__name__} took more than {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         return call(*args)
     finally:
-        signal.alarm(0)
+        signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
 
 
@@ -1173,7 +1176,8 @@ class TestLocalImpliesGlobalExactlyOnAcyclicShapes:
 
 class TestJoinTreePath:
     """N on an acyclic context set builds no tableau: the integer search
-    alone finds the witness.  Every cyclic set still runs phase 1 first."""
+    alone finds the witness.  Every cyclic set still runs the tableau
+    first."""
 
     @staticmethod
     def tableaux_built(monkeypatch, family):
@@ -1278,25 +1282,29 @@ class TestNWitnessIsTheLexGreatestIntegerPoint:
         assert kept > 400 and refused > 40
 
 
-class TestPhaseOneOnlyForN:
+class TestNReadsOnlyTheVerdict:
     """N global consistency asks its tableau only whether the system is
-    feasible; the lexicographic stages run for Q alone."""
+    feasible; the witness is read for Q alone."""
 
-    def test_n_runs_no_lex_stage(self, monkeypatch):
+    def test_n_reads_no_witness(self, monkeypatch):
         calls = []
-        phase1, lex_min = feasibility._Tableau.phase1, feasibility._Tableau.lex_min
+        solve, witness, entering = _Tableau.solve, _Tableau.witness, feasibility._entering
 
-        def counted_phase1(tableau):
-            answer = phase1(tableau)
-            calls.append(("phase1", bool(tableau.artificials)))
-            return answer
+        def counted_solve(tableau):
+            calls.append("solve")
+            return solve(tableau)
 
-        def counted_lex_min(tableau):
-            calls.append(("lex_min", bool(tableau.artificials)))
-            return lex_min(tableau)
+        def counted_witness(tableau):
+            calls.append("witness")
+            return witness(tableau)
 
-        monkeypatch.setattr(feasibility._Tableau, "phase1", counted_phase1)
-        monkeypatch.setattr(feasibility._Tableau, "lex_min", counted_lex_min)
+        def counted_entering(*args):
+            calls.append("pivot")
+            return entering(*args)
+
+        monkeypatch.setattr(_Tableau, "solve", counted_solve)
+        monkeypatch.setattr(_Tableau, "witness", counted_witness)
+        monkeypatch.setattr(feasibility, "_entering", counted_entering)
         seen = {}
         for kind in (MonoidKind.N, MonoidKind.Q):
             calls.clear()
@@ -1304,90 +1312,70 @@ class TestPhaseOneOnlyForN:
                 for seed in range(12):
                     check_global_consistency(marginal_family(shape, kind, 2 + seed % 5, 2 + seed % 2, seed))
             seen[kind] = list(calls)
-        # phase 1 pivots on some N systems, and the same shapes run stages for Q
-        assert ("phase1", True) in seen[MonoidKind.N]
-        assert not [call for call in seen[MonoidKind.N] if call[0] == "lex_min"]
-        assert ("lex_min", True) in seen[MonoidKind.Q]
+        # the run pivots on some N systems, on the cyclic shapes alone, and
+        # every Q system, all feasible, has its witness read
+        assert seen[MonoidKind.N].count("solve") == 2 * 12
+        assert "pivot" in seen[MonoidKind.N] and "witness" not in seen[MonoidKind.N]
+        assert seen[MonoidKind.Q].count("solve") == seen[MonoidKind.Q].count("witness") == 5 * 12
+        assert "pivot" in seen[MonoidKind.Q]
 
 
-@pytest.fixture
-def pivot_rules(monkeypatch):
-    """Count the pivots ``_minimise`` takes, by rule.  A pivot runs the
-    ratio test on Dantzig's column, runs it once more on Bland's column
-    when the step would be degenerate and that column differs, and then
-    eliminates the entering column from the objective row.  So a pivot is
-    a run of ratio tests ended by an objective elimination: one test is a
-    Dantzig pivot, two a Bland fallback."""
-    counts = {"dantzig": 0, "bland": 0}
-    tests = []
-    leaving, eliminate = feasibility._leaving, feasibility._eliminate
+def lexicographic_costs(rows, basis, pos, weight):
+    """Each entering candidate's reduced cost over its weight, built here
+    as a dense vector of ``Fraction``s in cost order: 1 at its own
+    position, and ``-a_qj / a_qb`` at the position of each row's basic
+    column ``b``."""
+    costs = {}
+    for j, w in weight.items():
+        cost = [Fraction(0)] * len(pos)
+        cost[pos[j]] = Fraction(1, w)
+        for row, b in zip(rows, basis):
+            if j in row:
+                cost[pos[b]] = Fraction(-row[j], row[b] * w)
+        costs[j] = cost
+    return costs
 
-    def counted_leaving(rows, basis, e):
-        tests.append(e)
-        return leaving(rows, basis, e)
 
-    def counted_eliminate(row, piv, col):
-        if feasibility._OBJ in row and tests:
-            assert len(tests) <= 2
-            counts["bland" if len(tests) == 2 else "dantzig"] += 1
-            tests.clear()
-        return eliminate(row, piv, col)
+def spy_ratio_tests(patch):
+    """Check every ratio test of the dual simplex against
+    ``lexicographic_costs``: every candidate's cost is lexicographically
+    positive, which is dual feasibility, the least cost is held by exactly
+    one column, and that column is the one the test returns.  ``order``
+    lists every row by the position of its basic column.  Returns the list
+    of winners, one per pivot."""
+    winners = []
+    entering = feasibility._entering
 
-    monkeypatch.setattr(feasibility, "_leaving", counted_leaving)
-    monkeypatch.setattr(feasibility, "_eliminate", counted_eliminate)
-    return counts
+    def checked(rows, basis, order, pos, weight):
+        assert sorted(order) == list(range(len(rows)))
+        assert [pos[basis[q]] for q in order] == sorted(pos[b] for b in basis)
+        e = entering(rows, basis, order, pos, weight)
+        costs = lexicographic_costs(rows, basis, pos, weight)
+        assert all(next(x for x in cost if x) > 0 for cost in costs.values())
+        least = min(costs.values())
+        assert [j for j, cost in costs.items() if cost == least] == [e]
+        winners.append(e)
+        return e
+
+    patch.setattr(feasibility, "_entering", checked)
+    return winners
 
 
 def without_integer_search(monkeypatch):
     """Stub out the N path's integer search, which runs for minutes on
-    the 12-row grid of seed 0; the tableau's phase 1 still runs."""
+    the 12-row grid of seed 0; the tableau's run still decides
+    feasibility."""
     monkeypatch.setattr(family_module, "_integer_weights", lambda demands, cells: None)
 
 
-class TestPivotRule:
-    """Dantzig's entering column, with Bland's pivot on every degenerate
-    step."""
+class TestLexicographicRatioTest:
+    """The dual simplex's ratio test has one winner, the least reduced
+    cost, on every pivot."""
 
-    def test_beale_cycling_example_reaches_its_optimum(self, monkeypatch):
-        # Beale (1955): from the degenerate basis x1, x2, x3, Dantzig's
-        # rule alone (ties leaving at the least basic column) cycles
-        # through six bases.  Minimise
-        #   w = -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7
-        # subject to
-        #   x1 + 1/4 x4 - 60 x5 - 1/25 x6 + 9 x7 = 0
-        #   x2 + 1/2 x4 - 90 x5 - 1/50 x6 + 3 x7 = 0
-        #   x3 + x6 = 1,  x >= 0,
-        # with x_j in column j - 1 and each row scaled to integers.
-        rhs, own = feasibility._RHS, feasibility._OBJ
-        rows = [
-            {0: 100, 3: 25, 4: -6000, 5: -4, 6: 900},
-            {1: 50, 3: 25, 4: -4500, 5: -1, 6: 150},
-            {2: 1, 5: 1, rhs: 1},
-        ]
-        basis = [0, 1, 2]
-        # 100 w + 75 x4 - 15000 x5 + 2 x6 - 600 x7 = 0
-        obj = {own: 100, 3: 75, 4: -15000, 5: 2, 6: -600}
-        pivots = count()
-        eliminate = feasibility._eliminate
-
-        def capped(row, piv, col):
-            if own in row and next(pivots) >= 20:
-                raise AssertionError("more than 20 pivots on Beale's example: the simplex cycles")
-            return eliminate(row, piv, col)
-
-        monkeypatch.setattr(feasibility, "_eliminate", capped)
-        obj = feasibility._minimise(rows, basis, obj)
-        assert Fraction(obj.get(rhs, 0), obj[own]) == Fraction(-1, 20)
-        level = {b: Fraction(row.get(rhs, 0), row[b]) for row, b in zip(rows, basis)}
-        assert {b: x for b, x in level.items() if x} == {
-            0: Fraction(3, 100), 3: Fraction(1, 25), 5: Fraction(1)
-        }
-
-    def test_both_rules_pivot_and_witnesses_match_the_parent_solver(
-        self, pivot_rules, against_parent, monkeypatch
-    ):
+    def test_one_winner_and_witnesses_match_the_parent_solver(self, against_parent, monkeypatch):
         # N on the three acyclic shapes asks the solver nothing; the parent
         # solver finds each of those 36 cell systems feasible.
+        winners = spy_ratio_tests(monkeypatch)
         witnesses = against_parent(family_module)
         without_integer_search(monkeypatch)
         skipped = 0
@@ -1401,31 +1389,56 @@ class TestPivotRule:
                         skipped += 1
             for seed in range(4):
                 within(20, check_global_consistency, marginal_family("grid", kind, 12, 3, seed))
-            assert pivot_rules["dantzig"] > 0 and pivot_rules["bland"] > 0, kind
-            pivot_rules.update(dantzig=0, bland=0)
+            assert winners, kind
+            winners.clear()
         assert skipped == 3 * 12
         assert len(witnesses) == 2 * (5 * 12 + 4) - skipped
 
-    # Bland's rule alone takes 173, 105, 89 and 29 pivots on the N grids of
-    # seeds 0-3, and 289, 115, 67 and 133 on the Q grids.
+    def test_one_winner_on_twisted_sums(self, monkeypatch):
+        """Sums with twisted families, some refused by the run itself."""
+        winners = spy_ratio_tests(monkeypatch)
+        refused = 0
+        for seed in range(12):
+            for shape in ("chorded", "grid"):
+                family = marginal_family(shape, MonoidKind.Q, 3, 2, seed) + twisted_family(shape, MonoidKind.Q, 2, seed)
+                witness = check_global_consistency(family)
+                assert witness == reference_global(family)
+                refused += witness is None
+        assert winners and refused
+
+    @settings(max_examples=300, deadline=None)
+    @given(systems())
+    def test_one_winner_on_random_systems(self, system):
+        with pytest.MonkeyPatch.context() as patch:
+            spy_ratio_tests(patch)
+            assert solve_named(*system) == fm_solution(*system)
+
+    # Phase 1 and the stages, by Dantzig's rule with Bland's pivot on
+    # degenerate steps, took at most 68, 40, 51 and 18 pivots on the N
+    # grids of seeds 0-3, and 174, 75, 101 and 79 on the Q grids.  The N
+    # run now goes on to the lexicographic minimum, though only its
+    # verdict is read.
     @pytest.mark.parametrize(
         "kind, seed, most",
         [
-            (MonoidKind.N, 0, 68),
-            (MonoidKind.N, 1, 40),
-            (MonoidKind.N, 2, 51),
-            (MonoidKind.N, 3, 18),
-            (MonoidKind.Q, 0, 174),
-            (MonoidKind.Q, 1, 75),
-            (MonoidKind.Q, 2, 101),
-            (MonoidKind.Q, 3, 79),
+            (MonoidKind.N, 0, 28),
+            (MonoidKind.N, 1, 75),
+            (MonoidKind.N, 2, 57),
+            (MonoidKind.N, 3, 12),
+            (MonoidKind.Q, 0, 44),
+            (MonoidKind.Q, 1, 49),
+            (MonoidKind.Q, 2, 27),
+            (MonoidKind.Q, 3, 30),
         ],
         ids=lambda x: getattr(x, "name", x),
     )
-    def test_pivot_count_on_twelve_row_grid(self, kind, seed, most, pivot_rules, monkeypatch):
+    def test_pivot_count_on_twelve_row_grid(self, kind, seed, most, monkeypatch):
+        pivots = []
+        entering = feasibility._entering
+        monkeypatch.setattr(feasibility, "_entering", lambda *args: pivots.append(args) or entering(*args))
         without_integer_search(monkeypatch)
         within(20, check_global_consistency, marginal_family("grid", kind, 12, 3, seed))
-        assert pivot_rules["dantzig"] + pivot_rules["bland"] <= most
+        assert 0 < len(pivots) <= most
 
 
 class TestDenseTableau:
@@ -1445,5 +1458,71 @@ class TestDenseTableau:
     def test_witness_projects_onto_the_family(self, shape, digest):
         family = marginal_family(shape, MonoidKind.Q, 40, 3, 0)
         witness = within(20, check_global_consistency, family)
+        assert witness is not None and _projects_onto(witness, family)
+        assert hashlib.sha256(serialize_relation(witness).encode()).hexdigest() == digest
+
+
+def four_cycle_document(rows):
+    """The bulk-check workload's 4-cycle, ``a b``, ``b c``, ``c d`` and
+    ``a d``, as a Q document: the marginals of random global rows over
+    ``a b c d``, each value one of ceil(sqrt(2.5 * rows)), each weight 1 to
+    3, drawn with ``random.Random(0)`` until every context holds ``rows``
+    rows, listed in sorted order."""
+    rng = random.Random(0)
+    contexts = ["ab", "bc", "cd", "ad"]
+    domain = math.ceil(math.sqrt(2.5 * rows))
+    rels = [{} for _ in contexts]
+    while min(map(len, rels)) < rows:
+        row = dict(zip("abcd", [f"v{rng.randrange(domain)}" for _ in range(4)]))
+        weight = rng.randint(1, 3)
+        for rel, context in zip(rels, contexts):
+            key = tuple(row[v] for v in context)
+            rel[key] = rel.get(key, 0) + weight
+    lines = ["monoid Q"]
+    for context, rel in zip(contexts, rels):
+        lines.append("context " + " ".join(context))
+        lines += [" ".join(values) + f" : {rel[values]}" for values in sorted(rel)]
+    return "\n".join(lines) + "\n"
+
+
+class TestScaling:
+    """The Q families on which phase 1 and one primal stage per free column
+    took 1-57 s.  The digests are of the witnesses that solver found, with
+    no time limit; each limit here is one that solver missed."""
+
+    @pytest.mark.parametrize(
+        "build, seconds, digest",
+        [
+            (lambda: marginal_family("grid", MonoidKind.Q, 40, 3, 0), 0.5,
+             "9e6c52f28de86410a42c3681147d8313766f9d81c7f82b42767904e7b412ca4a"),
+            (lambda: marginal_family("grid", MonoidKind.Q, 40, 3, 1), 0.5,
+             "a75a1b58557e83c45be411e297dc8682ef069af50ed5b9674c86351b8b96e20a"),
+            (lambda: marginal_family("grid", MonoidKind.Q, 40, 3, 2), 0.5,
+             "3e147485d2802895c1b0c71a0f4ef57284830b2f3573ea700cefbb79826579a9"),
+            (lambda: marginal_family("grid", MonoidKind.Q, 40, 3, 3), 0.5,
+             "66786af84c107361c644e1b87e25d82dc8366c27b6fe0cdc448c4af8130ecfc0"),
+            (lambda: marginal_family("path", MonoidKind.Q, 100, 4, 0), 1,
+             "3ba36ac4a4e3ba6db47cf97d5063898538dfdb7d226bf87e95fe2c1dc913b8bf"),
+            (lambda: marginal_family("acyclic", MonoidKind.Q, 100, 4, 0), 1,
+             "2234f7b22a4628f545939fe77c4174762275c7f021dba124595fe8371831be90"),
+            (lambda: marginal_family("path", MonoidKind.Q, 200, 5, 0), 5,
+             "ac3b1eb7f9fe4fb8bb8fb7f8d61c4ed3e60cab36984680a6d157f7d7e79d8836"),
+            (lambda: marginal_family("acyclic", MonoidKind.Q, 200, 5, 0), 5,
+             "b87315b412d99607beb43cb745401f9195edc60ecb1dff248fbce55861016405"),
+            (lambda: marginal_family("star", MonoidKind.Q, 400, 6, 0), 3,
+             "37eb37d7d22fb008080bd43ded2c5e51c59a511a2d689348117909a3fdf2bd19"),
+            (lambda: parse_family(four_cycle_document(30)), 0.15,
+             "2c8407fa4aab5bddf1ce42ba77e2ebd943f66744e56897e870bb53f520bea14e"),
+            (lambda: parse_family(four_cycle_document(50)), 2,
+             "29029005dd23965aed5c577cc56c87ea018f67e48c48d35907b37799b17ca48e"),
+        ],
+        ids=[
+            "grid-40-0", "grid-40-1", "grid-40-2", "grid-40-3", "path-100", "acyclic-100",
+            "path-200", "acyclic-200", "star-400", "four-cycle-30", "four-cycle-50",
+        ],
+    )
+    def test_witness_pinned_within_the_limit(self, build, seconds, digest):
+        family = build()
+        witness = within(seconds, check_global_consistency, family)
         assert witness is not None and _projects_onto(witness, family)
         assert hashlib.sha256(serialize_relation(witness).encode()).hexdigest() == digest
