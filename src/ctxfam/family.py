@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .feasibility import _Tableau, find_rational_solution
+from .feasibility import find_rational_solution
 from .monoid import MonoidKind, MonoidValue
 from .relation import Assignment, Key, KRelation, _agreement, _cells, _project, _sums
 
@@ -372,9 +372,9 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
     On an acyclic context set (:meth:`ContextSet.is_acyclic`) every
     locally consistent family has a global relation: for sets Beeri,
     Fagin, Maier and Yannakakis (JACM 1983), for bags Atserias and
-    Kolaitis (PODS 2021).  So for N there the system is feasible, no
-    tableau is built, and the complete search below finds the witness:
-    the join-tree path.
+    Kolaitis (PODS 2021).  So for N there the system is feasible, the
+    solver is not called, and the complete search below finds the
+    witness: the join-tree path.
 
     Elsewhere, the last cell of every context after the first is left
     out of the tableau.  Every join row lies in one cell of each context,
@@ -382,18 +382,17 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
     consistency gives every context the same total: that equation is the
     sum of context 0's minus the context's other cells, and Gauss-Jordan
     elimination would only reduce it to an empty row.  The solver still
-    checks the Q witness against those cells.
+    checks its witness against those cells.
 
     Each cell is an integer row for :mod:`ctxfam.feasibility`: the weights
     over it, each scaled by the denominator of its value, sum to the
-    value's numerator.  For Q the witness is the exact solution of
-    :func:`~ctxfam.feasibility.find_rational_solution` on its one integer
-    tableau: the lexicographically least weights, in join-row order,
-    among those the Gauss-Jordan elimination leaves free.  For N on a
-    cyclic set the same tableau's run must find the system feasible, and
-    only its verdict is read: a complete bounded search over the cell
-    table then finds integer weights, which meet every cell by
-    construction.
+    value's numerator.  Q and N make the same one call,
+    :func:`~ctxfam.feasibility.find_rational_solution`, whose exact
+    solution is the lexicographically least weights, in join-row order,
+    among those the Gauss-Jordan elimination leaves free.  For Q that
+    solution is the witness.  For N it shows the system feasible, and a
+    complete bounded search over the cell table then finds integer
+    weights, which meet every cell by construction.
     """
     join, cells = _support_join(family)
     relations = list(family.maximal_relations())
@@ -416,11 +415,9 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
         implied: List[Tuple[Dict[int, int], int]] = []
         for k, (ts, d) in enumerate(zip(over, demands)):
             (implied if k in left_out else equalities).append((dict.fromkeys(ts, d.denominator), d.numerator))
-        if family.kind is MonoidKind.N:
-            feasible = _Tableau(equalities, len(join)).solve()
-            weights = _integer_weights(demands, cells) if feasible else None
-        else:
-            weights = find_rational_solution(equalities, implied, range(len(join)))
+        weights = find_rational_solution(equalities, implied, range(len(join)))
+        if weights is not None and family.kind is MonoidKind.N:
+            weights = _integer_weights(demands, cells)
     if weights is None:
         return None
     return KRelation(variables, family.kind, {t: w for t, w in zip(join, weights) if w})

@@ -84,12 +84,25 @@ class FD:
 
     @staticmethod
     def unary(x: str, y: str) -> "FD":
-        return FD(frozenset({str(x)}), frozenset({str(y)}))
+        return FD(frozenset({str(x)}), frozenset({str(y)}))._readable()
 
     @staticmethod
     def cd(variables: Iterable[str]) -> "FD":
         vs = frozenset(str(v) for v in variables)
-        return FD(vs, vs)
+        return FD(vs, vs)._readable()
+
+    def _readable(self) -> "FD":
+        """This dependency, or :class:`ValueError` unless its text reads
+        back as itself: each name one token without ``#`` and not ``->``,
+        and no ``cd`` leading the sorted left side.  The constructor skips
+        this check, so the parser, which checks its own tokens, pays
+        nothing for it."""
+        for name in self.variables:
+            if name.split() != [name] or "#" in name or name == "->":
+                raise ValueError(f"variable {name!r} cannot be written in a dependency")
+        if not self.is_cd and min(self.lhs) == "cd":
+            raise ValueError("'cd' may not lead the sorted left side of '->'")
+        return self
 
     @property
     def is_cd(self) -> bool:

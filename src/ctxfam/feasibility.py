@@ -4,19 +4,21 @@ This is the arithmetic core behind weighted global-consistency checking
 and general realisability: given integer rows ``sum c_j y_j = r`` over
 the columns ``y_0, ..., y_{n-1}``, all at least 0, decide feasibility and
 produce a witness.  Feasibility is decided exactly, never numerically.
-Each caller brings its own system to this form (see
-:func:`find_rational_solution`).
+Each caller brings its own system to this form, and
+:func:`find_rational_solution` is the one way in: the global check in
+both weighted kinds and the realisability LP call it.
 
-Everything happens in one fraction-free integer tableau, ``_Tableau``,
-with one column per unknown and one row per equality.  It has three
-parts:
+Everything happens in one fraction-free integer tableau, a list of rows
+and the list of their basic columns, with one column per unknown and one
+row per equality.  It passes three steps:
 
-* build and Gauss-Jordan elimination, which pivots each row on its least
+* :func:`_gauss_jordan` builds the rows and pivots each on its least
   remaining column, so afterwards every row holds one pivot column and
   otherwise only free columns;
-* the lexicographic dual simplex (Lemke 1954; Gomory 1958), which
-  answers feasibility and finds the witness in one run;
-* read-back, the one place a ``Fraction`` is built.
+* :func:`_dual_simplex`, the lexicographic dual simplex (Lemke 1954;
+  Gomory 1958), answers feasibility and finds the witness in one run;
+* :func:`find_rational_solution` reads the values back as ``Fraction``s
+  and checks them against the caller's rows.
 
 The witness is the lexicographic minimum of the free columns in
 ascending order, each at its least value given the earlier ones, and the
@@ -113,92 +115,70 @@ def _entering(rows: List[Row], basis: List[int], order: List[int], pos: List[int
     return max(alive, key=pos.__getitem__)
 
 
-class _Tableau:
-    """The integer tableau of one system, in three parts: the constructor
-    builds the rows and runs Gauss-Jordan elimination, :meth:`solve` runs
-    the lexicographic dual simplex, which answers feasibility and finds
-    the witness, and :meth:`witness` reads the values back.
+def _gauss_jordan(equalities: Iterable[Equality]) -> Optional[Tuple[List[Row], List[int]]]:
+    """The Gauss-Jordan rows of the system, each pivoted on its least
+    remaining column, and their basic columns: ``rows[i]`` holds
+    ``basis[i]`` at a positive coefficient and no other row holds it.
+    None when some equality reduces to ``0 = r`` with ``r`` nonzero."""
+    rows: List[Row] = []
+    basis: List[int] = []
+    for coeffs, rhs in equalities:
+        row = dict(coeffs)
+        if rhs:
+            row[_RHS] = rhs
+        for i, b in enumerate(basis):
+            if b in row:
+                row = _eliminate(row, rows[i], b)
+        columns = [k for k in row if k >= 0]
+        if not columns:
+            if row:  # 0 = rhs with rhs nonzero
+                return None
+            continue
+        p = min(columns)
+        if row[p] < 0:
+            row = {k: -v for k, v in row.items()}
+        for i, other in enumerate(rows):
+            if p in other:
+                rows[i] = _eliminate(other, row, p)
+        rows.append(row)
+        basis.append(p)
+    return rows, basis
 
-    ``rows[i]`` holds ``basis[i]`` at a positive coefficient.  ``free``
-    lists, in ascending order, the columns Gauss-Jordan leaves without a
-    pivot, and ``contradiction`` is set when some equality reduced to
-    ``0 = r`` with ``r`` nonzero.  No :class:`Fraction` is built before
-    :meth:`witness`.
+
+def _dual_simplex(rows: List[Row], basis: List[int], n: int) -> bool:
+    """Whether the system of the Gauss-Jordan ``rows`` over ``n`` columns
+    is feasible; when it is, ``rows`` and ``basis`` end at the witness.
+
+    The run starts from the Gauss-Jordan basis, with the free columns
+    first in the cost order and the basic columns after them.  While some
+    row's right-hand side is negative, the one of least basic column
+    leaves.  If it has no negative coefficient, no point meets it;
+    otherwise :func:`_entering` picks the column that enters, the row is
+    negated, and that column is eliminated from the other rows.
     """
-
-    __slots__ = ("n", "rows", "basis", "free", "contradiction")
-
-    def __init__(self, equalities: Iterable[Equality], n: int):
-        self.n = n
-        self.contradiction = False
-
-        rows: List[Row] = []
-        basis: List[int] = []
-        for coeffs, rhs in equalities:
-            row = dict(coeffs)
-            if rhs:
-                row[_RHS] = rhs
-            for i, b in enumerate(basis):
-                if b in row:
-                    row = _eliminate(row, rows[i], b)
-            columns = [k for k in row if k >= 0]
-            if not columns:
-                if row:  # 0 = rhs with rhs nonzero
-                    self.contradiction = True
-                    break
-                continue
-            p = min(columns)
-            if row[p] < 0:
-                row = {k: -v for k, v in row.items()}
-            for i, other in enumerate(rows):
-                if p in other:
-                    rows[i] = _eliminate(other, row, p)
-            rows.append(row)
-            basis.append(p)
-        self.rows, self.basis = rows, basis
-        self.free = sorted(set(range(n)).difference(basis))
-
-    def solve(self) -> bool:
-        """Whether the system is feasible; when it is, the basis ends at
-        the witness.  The dual simplex runs from the Gauss-Jordan basis,
-        with the free columns first in the cost order and the pivot
-        columns after them.  While some row's right-hand side is negative,
-        the one of least basic column leaves.  If it has no negative
-        coefficient, no point meets it; otherwise :func:`_entering` picks
-        the column that enters, the row is negated, and that column is
-        eliminated from the other rows."""
-        if self.contradiction:
+    pos = [0] * n
+    for p, j in enumerate([*sorted(set(range(n)).difference(basis)), *sorted(basis)]):
+        pos[j] = p
+    order = sorted(range(len(rows)), key=lambda q: pos[basis[q]])
+    while True:
+        r, least = -1, n
+        for i, row in enumerate(rows):
+            if row.get(_RHS, 0) < 0 and basis[i] < least:
+                r, least = i, basis[i]
+        if r < 0:
+            return True
+        weight = {j: -a for j, a in rows[r].items() if a < 0 and j >= 0}
+        if not weight:
             return False
-        rows, basis = self.rows, self.basis
-        pos = [0] * self.n
-        for p, j in enumerate([*self.free, *sorted(basis)]):
-            pos[j] = p
-        order = sorted(range(len(rows)), key=lambda q: pos[basis[q]])
-        while True:
-            r, least = -1, self.n
-            for i, row in enumerate(rows):
-                if row.get(_RHS, 0) < 0 and basis[i] < least:
-                    r, least = i, basis[i]
-            if r < 0:
-                return True
-            weight = {j: -a for j, a in rows[r].items() if a < 0 and j >= 0}
-            if not weight:
-                return False
-            e = _entering(rows, basis, order, pos, weight)
-            g = gcd(*rows[r].values())
-            piv = {k: -v // g for k, v in rows[r].items()}
-            rows[r], basis[r] = piv, e
-            order.remove(r)
-            insort(order, r, key=lambda q: pos[basis[q]])
-            for i, row in enumerate(rows):
-                if i != r and e in row:
-                    rows[i] = _eliminate(row, piv, e)
-
-    def witness(self) -> List[Fraction]:
-        """Every column's value, in column order: a basic column's
-        right-hand side over its coefficient, a nonbasic one 0."""
-        level = {b: Fraction(row.get(_RHS, 0), row[b]) for row, b in zip(self.rows, self.basis)}
-        return [level.get(j, _ZERO) for j in range(self.n)]
+        e = _entering(rows, basis, order, pos, weight)
+        g = gcd(*rows[r].values())
+        piv = {k: -v // g for k, v in rows[r].items()}
+        rows[r], basis[r] = piv, e
+        order.remove(r)
+        insort(order, r, key=lambda q: pos[basis[q]])
+        for i, row in enumerate(rows):
+            if i != r and e in row:
+                rows[i] = _eliminate(row, piv, e)
 
 
 def find_rational_solution(
@@ -218,15 +198,16 @@ def find_rational_solution(
     columns left free by Gauss-Jordan elimination (which pivots each
     equality on its least remaining column): each takes its least feasible
     value given the earlier ones, and the pivot columns follow from them.
-    One integer tableau finds this point (see the module docstring): it is
-    built and eliminated, one lexicographic dual simplex run decides
-    feasibility and ends at the point, and the values are read back as
-    ``Fraction``s, one per column.
+    :func:`_gauss_jordan` and one run of :func:`_dual_simplex` find it
+    (see the module docstring), and each value is read back as its basic
+    row's right-hand side over its coefficient, or 0 for a nonbasic
+    column.
     """
-    tableau = _Tableau(equalities, len(columns))
-    if not tableau.solve():
+    tableau = _gauss_jordan(equalities)
+    if tableau is None or not _dual_simplex(*tableau, len(columns)):
         return None
-    witness = tableau.witness()
+    level = {b: Fraction(row.get(_RHS, 0), row[b]) for row, b in zip(*tableau)}
+    witness = [level.get(j, _ZERO) for j in columns]
     _check_witness([*equalities, *implied], witness)
     return witness
 

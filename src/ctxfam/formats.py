@@ -311,7 +311,8 @@ def _dependency(tokens: List[str], line: int) -> FD:
             raise FormatError(line, "cd needs at least one variable")
         if "->" in tokens:
             raise FormatError(line, "'->' is reserved and names no variable on a cd line")
-        return FD.cd(tokens[1:])
+        variables = frozenset(tokens[1:])
+        return FD(variables, variables)
     if tokens.count("->") != 1:
         raise FormatError(line, "expected exactly one '->'")
     cut = tokens.index("->")

@@ -581,7 +581,7 @@ def realisable_lp(family: ContextualFamily, kind: MonoidKind) -> ContextualFamil
             implied.append(pair.pop())
         equalities.extend(pair)
     columns = range(sum(map(len, relations)))
-    solution = find_rational_solution(equalities, implied, columns) if columns else []  # no row, nothing to solve
+    solution = find_rational_solution(equalities, implied, columns)
     if solution is None:
         raise NotRealisableError("support is not realisable")
     weights = [w + 1 for w in solution]

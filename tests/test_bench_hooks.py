@@ -86,3 +86,43 @@ def test_global_lp_records_the_solver_span(tmp_path, capsys):
     _total, _own, calls = tracer.times()
     assert calls["feasibility.solve"] == 1
     assert tracer.counts["feasibility.unknowns_max"] == len(join) == 5
+
+
+def traced_global(tmp_path, text):
+    """The span calls and counts of a traced ``global`` on ``text``, whose
+    family is globally consistent."""
+    doc = tmp_path / "family.fam"
+    doc.write_text(text)
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["global", str(doc)]) == 0
+    finally:
+        tracer.uninstall()
+    _total, _own, calls = tracer.times()
+    return calls, tracer.counts
+
+
+def test_n_global_on_a_cycle_records_the_solver_span(tmp_path, capsys):
+    """N on a cyclic context set makes the same one solver call as Q, so
+    the traced run sees it; N on an acyclic path makes none."""
+    cycle = (
+        "monoid N\n"
+        "context x y\n9 9 : 2\n9 10 : 1\n10 100 : 1\n100 9 : 1\n"
+        "context y z\n9 9 : 3\n10 10 : 1\n100 100 : 1\n"
+        "context x z\n9 9 : 2\n9 10 : 1\n10 100 : 1\n100 9 : 1\n"
+    )
+    join, _cells = family._support_join(formats.parse_family(cycle))
+    calls, counts = traced_global(tmp_path, cycle)
+    assert calls["feasibility.solve"] == 1
+    assert counts["feasibility.unknowns_max"] == len(join)
+    path = (
+        "monoid N\n"
+        "context x y\n0 0 : 2\n0 1 : 1\n1 1 : 2\n"
+        "context y z\n0 0 : 1\n0 1 : 1\n1 0 : 2\n1 1 : 1\n"
+        "context z w\n0 0 : 2\n0 1 : 1\n1 1 : 2\n"
+    )
+    calls, counts = traced_global(tmp_path, path)
+    assert calls.get("feasibility.solve", 0) == 0
+    assert counts["feasibility.unknowns_max"] == 0
+    assert capsys.readouterr().out.count("globally consistent\n") == 2

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ctxfam import fdlogic, feasibility
+from ctxfam import fdlogic, feasibility, realisability
 from ctxfam.cli import main
 from ctxfam.formats import FormatError, parse_family, parse_fd, parse_relations, serialize_family
 from ctxfam.monoid import MonoidKind, MonoidValue, parse_value
@@ -282,6 +282,11 @@ class TestOpg:
         assert err.startswith("error:")
 
 
+# CI's hash-seed document with no rows: two B contexts, whose LP is the
+# empty system.
+EMPTY = "monoid B\ncontext x y\ncontext y z\n"
+
+
 class TestRealisable:
     def test_uncovered_edge_reported(self, capsys, teaching):
         code, out, _ = run(capsys, "realisable", teaching, "--monoid", "N")
@@ -303,6 +308,26 @@ class TestRealisable:
         path = tmp_path / "five.fam"
         path.write_text(serialize_family(five_context_family))
         assert run(capsys, "realisable", str(path), "--monoid", kind) == (1, "not realisable\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["realisable", "--monoid", "Q"], "realisable\nmonoid Q\ncontext x y\ncontext y z\n"),
+            (["realisable", "--monoid", "N"], "realisable\nmonoid N\ncontext x y\ncontext y z\n"),
+            (["global"], "globally consistent\nmonoid B\ncontext x y z\n"),
+        ],
+        ids=["realisable-Q", "realisable-N", "global"],
+    )
+    def test_empty_family_pinned(self, capsys, tmp_path, monkeypatch, argv, expected):
+        """The LP of a family with no rows goes through the solver as any
+        other, with no row over no column."""
+        path = tmp_path / "empty.fam"
+        path.write_text(EMPTY)
+        calls = []
+        solve = realisability.find_rational_solution
+        monkeypatch.setattr(realisability, "find_rational_solution", lambda *call: calls.append(call) or solve(*call))
+        assert run(capsys, argv[0], str(path), *argv[1:]) == (0, expected, "")
+        assert calls == ([([], [], range(0))] if argv[0] == "realisable" else [])
 
     def test_monoid_flag_required_values(self, capsys, teaching):
         code, _, err = run(capsys, "realisable", teaching, "--monoid", "B")

@@ -16,7 +16,6 @@ from ctxfam.family import (
     check_global_consistency,
     find_violation,
 )
-from ctxfam.feasibility import _Tableau
 from ctxfam.formats import parse_family
 from ctxfam.fdlogic import FD
 from ctxfam.monoid import MonoidKind, MonoidValue
@@ -368,8 +367,8 @@ class TestGlobalConsistency:
 
 class TestSolverRefusals:
     """The grid family passes the cell check, so the global question
-    reaches the solver, which refuses it: the tableau's run in N, ahead
-    of the integer search, and ``find_rational_solution`` in Q."""
+    reaches ``find_rational_solution``, which refuses it in N and Q
+    alike; in N the integer search never runs."""
 
     @pytest.mark.parametrize("kind", ["N", "Q"])
     def test_every_cell_under_a_join_row(self, kind):
@@ -377,27 +376,17 @@ class TestSolverRefusals:
         _, cells = _support_join(family)
         assert set(chain.from_iterable(cells)) == set(range(sum(map(len, family.maximal_relations()))))
 
-    def test_n_refused_by_the_run(self, monkeypatch):
-        refusals = []
-
-        class Recording(_Tableau):
-            def solve(self):
-                refusals.append(super().solve())
-                return refusals[-1]
+    @pytest.mark.parametrize("kind", ["N", "Q"])
+    def test_refused_by_the_solver(self, kind, monkeypatch):
+        answers = []
+        solve = family_module.find_rational_solution
 
         def never(demands, cells):
             raise AssertionError("the integer search ran")
 
-        monkeypatch.setattr(family_module, "_Tableau", Recording)
-        monkeypatch.setattr(family_module, "_integer_weights", never)
-        assert check_global_consistency(parse_family(grid_document("N"))) is None
-        assert refusals == [False]
-
-    def test_q_refused_by_the_solver(self, monkeypatch):
-        answers = []
-        solve = family_module.find_rational_solution
         monkeypatch.setattr(family_module, "find_rational_solution", lambda *call: answers.append(solve(*call)) or answers[-1])
-        assert check_global_consistency(parse_family(grid_document("Q"))) is None
+        monkeypatch.setattr(family_module, "_integer_weights", never)
+        assert check_global_consistency(parse_family(grid_document(kind))) is None
         assert answers == [None]
 
 

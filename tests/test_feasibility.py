@@ -30,7 +30,7 @@ from ctxfam.family import (
     check_global_consistency,
 )
 from ctxfam.fdlogic import FD, random_family_satisfying
-from ctxfam.feasibility import _check_witness, _Tableau, find_rational_solution
+from ctxfam.feasibility import _check_witness, find_rational_solution
 from ctxfam.formats import parse_family, serialize_relation
 from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.relation import Assignment, KRelation
@@ -825,9 +825,7 @@ def small_families(shape):
 def routed(monkeypatch, reference):
     """Route ``module.find_rational_solution`` through a check that the
     witness equals ``reference``'s for the same rows, every column at
-    least 0, and the N path's tableau ``family._Tableau`` through a check
-    that its run answers as ``reference`` does; returns the list of
-    witnesses, ``reference``'s for the N path's feasibility question."""
+    least 0; returns the list of witnesses, in N and Q alike."""
 
     def expected(equalities, columns):
         found = reference(equalities, dict.fromkeys(columns, 0), columns)
@@ -842,20 +840,7 @@ def routed(monkeypatch, reference):
             witnesses.append(witness)
             return witness
 
-        class Checked(_Tableau):
-            def __init__(self, equalities, n):
-                super().__init__(equalities, n)
-                self.expected = expected(equalities, range(n))
-
-            def solve(self):
-                answer = super().solve()
-                assert answer == (self.expected is not None)
-                witnesses.append(self.expected)
-                return answer
-
         monkeypatch.setattr(module, "find_rational_solution", both)
-        if module is family_module:
-            monkeypatch.setattr(module, "_Tableau", Checked)
         return witnesses
 
     return route
@@ -865,7 +850,7 @@ def reference_cells_feasible(family, reference):
     """Whether ``reference`` finds the cell system of ``family`` feasible:
     the reference's equations, one per context row over the reference's
     support join, every weight at least 0.  N on an acyclic context set
-    skips the tableau that would ask this; the tests ask it here."""
+    skips the solver call that would ask this; the tests ask it here."""
     join = reference_support_join(family)
     constraints = reference_marginal_constraints(family, join)
     return constraints is not None and reference(constraints, dict.fromkeys(join, 0), join) is not None
@@ -873,7 +858,7 @@ def reference_cells_feasible(family, reference):
 
 def join_tree_path(family):
     """Whether ``check_global_consistency`` decides ``family`` without a
-    tableau: N on an acyclic context set."""
+    solver call: N on an acyclic context set."""
     return family.kind is MonoidKind.N and family.contexts.is_acyclic()
 
 
@@ -1175,25 +1160,25 @@ class TestLocalImpliesGlobalExactlyOnAcyclicShapes:
 
 
 class TestJoinTreePath:
-    """N on an acyclic context set builds no tableau: the integer search
-    alone finds the witness.  Every cyclic set still runs the tableau
+    """N on an acyclic context set calls no solver: the integer search
+    alone finds the witness.  Every cyclic set still calls the solver
     first."""
 
     @staticmethod
     def tableaux_built(monkeypatch, family):
-        """The witness for ``family`` and the number of tableaux built."""
-        built = []
+        """Check the witness for ``family``; the number of solver calls."""
+        calls = []
+        solve = family_module.find_rational_solution
 
-        class Counted(_Tableau):
-            def __init__(self, equalities, n):
-                built.append(n)
-                super().__init__(equalities, n)
+        def counted(*call):
+            calls.append(call)
+            return solve(*call)
 
         with monkeypatch.context() as patch:
-            patch.setattr(family_module, "_Tableau", Counted)
+            patch.setattr(family_module, "find_rational_solution", counted)
             witness = check_global_consistency(family)
         assert witness is not None and _projects_onto(witness, family)
-        return len(built)
+        return len(calls)
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_a_tableau_only_on_cyclic_shapes(self, shape, monkeypatch):
@@ -1282,42 +1267,44 @@ class TestNWitnessIsTheLexGreatestIntegerPoint:
         assert kept > 400 and refused > 40
 
 
-class TestNReadsOnlyTheVerdict:
-    """N global consistency asks its tableau only whether the system is
-    feasible; the witness is read for Q alone."""
+class TestNSolvesThroughTheOneDoor:
+    """N global consistency on a cyclic context set makes the same one
+    ``find_rational_solution`` call as Q, and its witness is read back
+    and checked against every cell as Q's is; N on an acyclic set makes
+    none."""
 
-    def test_n_reads_no_witness(self, monkeypatch):
+    def test_n_witness_checked(self, monkeypatch):
         calls = []
-        solve, witness, entering = _Tableau.solve, _Tableau.witness, feasibility._entering
+        solve, check, entering = family_module.find_rational_solution, feasibility._check_witness, feasibility._entering
 
-        def counted_solve(tableau):
+        def counted_solve(*call):
             calls.append("solve")
-            return solve(tableau)
+            return solve(*call)
 
-        def counted_witness(tableau):
-            calls.append("witness")
-            return witness(tableau)
+        def counted_check(equalities, witness):
+            calls.append("check")
+            check(equalities, witness)
 
         def counted_entering(*args):
             calls.append("pivot")
             return entering(*args)
 
-        monkeypatch.setattr(_Tableau, "solve", counted_solve)
-        monkeypatch.setattr(_Tableau, "witness", counted_witness)
+        monkeypatch.setattr(family_module, "find_rational_solution", counted_solve)
+        monkeypatch.setattr(feasibility, "_check_witness", counted_check)
         monkeypatch.setattr(feasibility, "_entering", counted_entering)
         seen = {}
         for kind in (MonoidKind.N, MonoidKind.Q):
-            calls.clear()
             for shape in SHAPES:
+                calls.clear()
                 for seed in range(12):
                     check_global_consistency(marginal_family(shape, kind, 2 + seed % 5, 2 + seed % 2, seed))
-            seen[kind] = list(calls)
-        # the run pivots on some N systems, on the cyclic shapes alone, and
-        # every Q system, all feasible, has its witness read
-        assert seen[MonoidKind.N].count("solve") == 2 * 12
-        assert "pivot" in seen[MonoidKind.N] and "witness" not in seen[MonoidKind.N]
-        assert seen[MonoidKind.Q].count("solve") == seen[MonoidKind.Q].count("witness") == 5 * 12
-        assert "pivot" in seen[MonoidKind.Q]
+                seen[kind, shape] = list(calls)
+        for (kind, shape), made in seen.items():
+            cyclic = shape in ("chorded", "grid")
+            # every system is feasible, so every solve's witness is checked
+            assert made.count("solve") == made.count("check") == (12 if cyclic or kind is MonoidKind.Q else 0)
+        assert any("pivot" in seen[MonoidKind.N, shape] for shape in ("chorded", "grid"))
+        assert any("pivot" in seen[MonoidKind.Q, shape] for shape in SHAPES)
 
 
 def lexicographic_costs(rows, basis, pos, weight):
@@ -1363,7 +1350,7 @@ def spy_ratio_tests(patch):
 
 def without_integer_search(monkeypatch):
     """Stub out the N path's integer search, which runs for minutes on
-    the 12-row grid of seed 0; the tableau's run still decides
+    the 12-row grid of seed 0; the solver call still decides
     feasibility."""
     monkeypatch.setattr(family_module, "_integer_weights", lambda demands, cells: None)
 
@@ -1416,8 +1403,8 @@ class TestLexicographicRatioTest:
     # Phase 1 and the stages, by Dantzig's rule with Bland's pivot on
     # degenerate steps, took at most 68, 40, 51 and 18 pivots on the N
     # grids of seeds 0-3, and 174, 75, 101 and 79 on the Q grids.  The N
-    # run now goes on to the lexicographic minimum, though only its
-    # verdict is read.
+    # run, like the Q run, goes on to the lexicographic minimum, which the
+    # solver reads back and checks.
     @pytest.mark.parametrize(
         "kind, seed, most",
         [

@@ -302,6 +302,34 @@ class TestDependencyFormats:
             return
         assert parse_fd(str(fd)) == fd
 
+    NAMES = st.sampled_from(["", " ", "a b", "a#", "->", "cd", "x", "y"])
+
+    @given(NAMES, NAMES, st.lists(NAMES, min_size=1, max_size=4))
+    def test_builders_accept_what_reads_back(self, x, y, variables):
+        """``FD.unary`` and ``FD.cd`` build a dependency exactly when its
+        text reads back as itself; the constructor checks nothing."""
+        for build, plain in (
+            (lambda: FD.unary(x, y), FD(frozenset({x}), frozenset({y}))),
+            (lambda: FD.cd(variables), FD(frozenset(variables), frozenset(variables))),
+        ):
+            try:
+                back = parse_fd(str(plain))
+            except FormatError:
+                back = None
+            if back == plain:
+                assert build() == plain
+            else:
+                with pytest.raises(ValueError, match="cannot be written|may not lead"):
+                    build()
+
+    @pytest.mark.parametrize("x", ["a b", "a#", ""])
+    def test_builders_refuse_unreadable_names(self, x):
+        # "a b -> c" reads back as {a, b} -> c; the others do not parse
+        with pytest.raises(ValueError, match="cannot be written in a dependency"):
+            FD.unary(x, "c")
+        with pytest.raises(ValueError, match="cannot be written in a dependency"):
+            FD.cd([x, "c"])
+
 
 class TestDecompositionOutput:
     def test_empty(self):
