@@ -15,9 +15,8 @@ the subject of the realisability machinery in :mod:`ctxfam.realisability`.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .feasibility import find_rational_solution
@@ -108,25 +107,6 @@ class ContextSet:
             if wanted <= c:
                 return c
         raise ContextError(f"no context contains {sorted(wanted)}")
-
-    def is_acyclic(self) -> bool:
-        """Whether the contexts form an acyclic hypergraph, by the GYO
-        reduction (Graham 1979; Yu and Özsoyoğlu 1979): drop every variable
-        that lies in one context only and every context contained in
-        another, until nothing changes.  The set is acyclic exactly when at
-        most one context is left."""
-        edges = [set(c) for c in self.maximal]
-        while len(edges) > 1:
-            counts = Counter(chain.from_iterable(edges))
-            trimmed = [{v for v in e if counts[v] > 1} for e in edges]
-            kept: List[Set[str]] = []
-            for i, e in enumerate(trimmed):
-                if not any(e <= f for f in chain(kept, trimmed[i + 1 :])):
-                    kept.append(e)
-            if kept == edges:
-                return False
-            edges = kept
-        return True
 
     def __iter__(self) -> Iterator[FrozenSet[str]]:
         return iter(self.maximal)
@@ -302,13 +282,33 @@ def _support_join(family: ContextualFamily) -> Tuple[List[Key], List[List[int]]]
     return [joined[i] for i in order], [rows[i][1] for i in order]
 
 
+def _first_descent(demands: List[int], cells: List[List[int]]) -> Optional[List[int]]:
+    """Natural weights of the rows of a cell table, each row in table
+    order set to the least demand its cells still leave, when they meet
+    every cell's demand; otherwise None.
+
+    This is the first path :func:`_integer_weights` walks: its first
+    weight for each row is the same, and its prune never drops a path
+    that meets every cell, since each later row carries at most the
+    least demand among its cells.  So where this returns weights the
+    search returns the same ones."""
+    remaining = list(demands)
+    weights = []
+    for row in cells:
+        w = min(remaining[k] for k in row)
+        for k in row:
+            remaining[k] -= w
+        weights.append(w)
+    return None if any(remaining) else weights
+
+
 def _integer_weights(demands: List[int], cells: List[List[int]]) -> Optional[List[int]]:
     """Complete search for natural weights of the rows of a cell table,
     one per row, whose sums over every cell meet that cell's demand.
 
     A rational solution does not guarantee an integral one, so this walks
-    the (small) space directly, after the rational feasibility check on a
-    cyclic context set and alone on an acyclic one, depth first on an
+    the (small) space directly, after the first descent has missed a cell
+    and the rational feasibility check has passed, depth first on an
     explicit stack: rows in table order, each weight from the largest
     down, first solution wins.  Each weight is bounded
     by the least demand its row still leaves open, which keeps the search
@@ -369,14 +369,12 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
     the weights of the join rows, at least 0 each, with one equation per
     cell, in cell order: the weights over the cell sum to its value.
 
-    On an acyclic context set (:meth:`ContextSet.is_acyclic`) every
-    locally consistent family has a global relation: for sets Beeri,
-    Fagin, Maier and Yannakakis (JACM 1983), for bags Atserias and
-    Kolaitis (PODS 2021).  So for N there the system is feasible, the
-    solver is not called, and the complete search below finds the
-    witness: the join-tree path.
+    For N the first descent (:func:`_first_descent`) runs first, on every
+    context set: where it meets every cell, its weights are the witness
+    the search below would find, and no solver is called.  Where it
+    misses a cell, N goes on as Q does; nothing rests on acyclicity.
 
-    Elsewhere, the last cell of every context after the first is left
+    For the solver the last cell of every context after the first is left
     out of the tableau.  Every join row lies in one cell of each context,
     so each context's equations sum to the total weight, and local
     consistency gives every context the same total: that equation is the
@@ -406,9 +404,8 @@ def check_global_consistency(family: ContextualFamily) -> Optional[KRelation]:
     variables = family.contexts.variables
     if family.kind is MonoidKind.B:
         return KRelation(variables, MonoidKind.B, dict.fromkeys(join, 1))
-    if family.kind is MonoidKind.N and family.contexts.is_acyclic():
-        weights = _integer_weights(demands, cells)
-    else:
+    weights = _first_descent(demands, cells) if family.kind is MonoidKind.N else None
+    if weights is None:
         ends = list(accumulate(map(len, relations)))
         left_out = {end - 1 for end, rel in zip(ends[1:], relations[1:]) if rel}
         equalities: List[Tuple[Dict[int, int], int]] = []

@@ -577,7 +577,7 @@ def realisable_lp(family: ContextualFamily, kind: MonoidKind) -> ContextualFamil
             cell = {ours[key]: 1 for key in a or ()}
             cell.update((theirs[key], -1) for key in b or ())
             pair.append((cell, -sum(cell.values())))
-        if i:
+        if i and pair:  # a pair of empty relations has no cell
             implied.append(pair.pop())
         equalities.extend(pair)
     columns = range(sum(map(len, relations)))

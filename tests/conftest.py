@@ -6,12 +6,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
-from typing import FrozenSet, Iterable, List, Optional, Sequence
+from itertools import chain, repeat
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set
 
 import pytest
 
-from ctxfam.family import ContextualFamily
+from ctxfam.family import ContextSet, ContextualFamily
 from ctxfam.fdlogic import (
     FD,
     RuleSet,
@@ -137,6 +137,26 @@ def lift_uniform(sub: ContextualFamily, weight: MonoidValue) -> ContextualFamily
     return ContextualFamily(_reweighted(graph.relations, repeat(weight.payload), weight.kind))
 
 
+def is_acyclic(contexts: ContextSet) -> bool:
+    """Whether the contexts form an acyclic hypergraph, by the GYO
+    reduction (Graham 1979; Yu and Özsoyoğlu 1979): drop every variable
+    that lies in one context only and every context contained in
+    another, until nothing changes.  The set is acyclic exactly when at
+    most one context is left."""
+    edges = [set(c) for c in contexts]
+    while len(edges) > 1:
+        counts = Counter(chain.from_iterable(edges))
+        trimmed = [{v for v in e if counts[v] > 1} for e in edges]
+        kept: List[Set[str]] = []
+        for i, e in enumerate(trimmed):
+            if not any(e <= f for f in chain(kept, trimmed[i + 1 :])):
+                kept.append(e)
+        if kept == edges:
+            return False
+        edges = kept
+    return True
+
+
 # A grid of six variables over v0-v2 in seven binary contexts, each row
 # ``ab=w`` the row ``va vb : w``: locally consistent and every context row
 # under some row of the support join, yet with no global witness.
@@ -145,6 +165,15 @@ GRID_CONTEXTS = (
     "g10 g11: 00=4 02=5 10=3 12=3 20=2 21=3; g11 g12: 01=7 02=2 12=3 20=5 21=3; "
     "g00 g10: 01=5 02=2 10=4 11=1 12=3 20=5; g01 g11: 00=5 02=5 10=2 12=3 20=2 21=3; "
     "g02 g12: 00=2 01=4 02=5 11=3 20=3 21=3"
+)
+
+
+# An N 3-cycle whose first descent in the global check misses a cell, so
+# the rational solver and the integer search run, and the search finds a
+# witness: join rows 000, 001, 010 and 100 weigh 0, 2, 2 and 1.
+DESCENT_MISSES = (
+    "monoid N\ncontext x y\n0 0 : 2\n0 1 : 2\n1 0 : 1\ncontext x z\n0 0 : 2\n0 1 : 2\n1 0 : 1\n"
+    "context y z\n0 0 : 1\n0 1 : 2\n1 0 : 2\n"
 )
 
 

@@ -30,9 +30,9 @@ from row_reference import restrict
 from test_feasibility import (
     SHAPES,
     _ref_substitute,
-    join_tree_path,
+    descends,
     marginal_family,
-    reference_cells_feasible,
+    q_twin,
     reference_eliminate_equalities,
     reference_find_rational_solution,
     standard_form,
@@ -341,32 +341,35 @@ class TestImpliedCells:
         assert checked > 40
 
     def test_global_cells(self, monkeypatch):
-        """N on the acyclic shapes hands the solver no rows; the reference
-        finds those families' cell systems feasible."""
-        checked = skipped = 0
+        """An N family whose first descent meets every cell hands the
+        solver no rows; its Q twin hands it the rows the family's own cells
+        give."""
+        checked = twins = 0
         for family in weighted_families():
             calls = captured_global_rows(monkeypatch, family)
-            if join_tree_path(family):
-                assert calls == [] and reference_cells_feasible(family, reference_find_rational_solution)
-                skipped += 1
-                continue
+            if descends(family):
+                assert calls == []
+                calls = captured_global_rows(monkeypatch, q_twin(family))
+                twins += 1
             if not calls:  # a cell with no join row refuses before the tableau
                 continue
             kept, dropped, lower, unknowns = assert_global_rows(calls, family)
             assert_implied(kept, dropped, lower, unknowns)
             checked += bool(dropped)
-        # The parent checked 42 systems; the 15 N families on the acyclic
-        # shapes now take the join-tree path.
-        assert (checked, skipped) == (27, 15)
+        # the parent checked 42 systems too; 20 now come from the twins
+        assert (checked, twins) == (42, 20)
 
     @pytest.mark.parametrize("kind", [MonoidKind.N, MonoidKind.Q], ids=lambda k: k.name)
     @pytest.mark.parametrize("seed", range(4))
     def test_twelve_row_grid_rows(self, seed, kind, monkeypatch):
-        # The integer search runs for minutes on the N grid of seed 0, and
-        # only the rows matter here.
+        """The N grid of seed 1 descends, and its Q twin hands the solver
+        its rows.  The integer search runs for minutes on the N grid of
+        seed 0, and only the rows matter here."""
         monkeypatch.setattr(family_module, "_integer_weights", lambda demands, cells: None)
         family = marginal_family("grid", kind, 12, 3, seed)
-        assert_global_rows(captured_global_rows(monkeypatch, family), family)
+        assert descends(family) == (kind is MonoidKind.N and seed == 1)
+        solved = q_twin(family) if descends(family) else family
+        assert_global_rows(captured_global_rows(monkeypatch, solved), family)
 
 
 class TestDroppedCellsChecked:

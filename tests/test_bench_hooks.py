@@ -9,6 +9,8 @@ from ctxfam.family import ContextualFamily
 from ctxfam.monoid import MonoidValue
 from ctxfam.relation import KRelation
 
+from conftest import DESCENT_MISSES
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 OWNERS = (cli, family, fdlogic, formats, realisability, ContextualFamily, MonoidValue, KRelation)
 
@@ -103,26 +105,29 @@ def traced_global(tmp_path, text):
     return calls, tracer.counts
 
 
-def test_n_global_on_a_cycle_records_the_solver_span(tmp_path, capsys):
-    """N on a cyclic context set makes the same one solver call as Q, so
-    the traced run sees it; N on an acyclic path makes none."""
+def test_n_global_records_the_solver_span_where_the_descent_misses(tmp_path, capsys):
+    """N makes the same one solver call as Q where its first descent
+    misses a cell, so the traced run sees it; where the descent meets
+    every cell, on the digit-token cycle and on an acyclic path, it makes
+    none."""
+    join, _cells = family._support_join(formats.parse_family(DESCENT_MISSES))
+    calls, counts = traced_global(tmp_path, DESCENT_MISSES)
+    assert calls["feasibility.solve"] == 1
+    assert counts["feasibility.unknowns_max"] == len(join) == 4
     cycle = (
         "monoid N\n"
         "context x y\n9 9 : 2\n9 10 : 1\n10 100 : 1\n100 9 : 1\n"
         "context y z\n9 9 : 3\n10 10 : 1\n100 100 : 1\n"
         "context x z\n9 9 : 2\n9 10 : 1\n10 100 : 1\n100 9 : 1\n"
     )
-    join, _cells = family._support_join(formats.parse_family(cycle))
-    calls, counts = traced_global(tmp_path, cycle)
-    assert calls["feasibility.solve"] == 1
-    assert counts["feasibility.unknowns_max"] == len(join)
     path = (
         "monoid N\n"
         "context x y\n0 0 : 2\n0 1 : 1\n1 1 : 2\n"
         "context y z\n0 0 : 1\n0 1 : 1\n1 0 : 2\n1 1 : 1\n"
         "context z w\n0 0 : 2\n0 1 : 1\n1 1 : 2\n"
     )
-    calls, counts = traced_global(tmp_path, path)
-    assert calls.get("feasibility.solve", 0) == 0
-    assert counts["feasibility.unknowns_max"] == 0
-    assert capsys.readouterr().out.count("globally consistent\n") == 2
+    for text in (cycle, path):
+        calls, counts = traced_global(tmp_path, text)
+        assert calls.get("feasibility.solve", 0) == 0
+        assert counts["feasibility.unknowns_max"] == 0
+    assert capsys.readouterr().out.count("globally consistent\n") == 3

@@ -12,7 +12,7 @@ from ctxfam.cli import main
 from ctxfam.formats import FormatError, parse_family, parse_fd, parse_relations, serialize_family
 from ctxfam.monoid import MonoidKind, MonoidValue, parse_value
 
-from conftest import grid_document
+from conftest import DESCENT_MISSES, grid_document
 from test_monoid import LONGEST, TOO_LONG
 
 TEACHING = """\
@@ -99,8 +99,9 @@ class TestCheck:
         assert "arity" in err
 
 
-# CI's hash-seed documents for the join-tree path: a weighted N path of
-# three contexts and a weighted N star of three, with their witnesses.
+# CI's hash-seed documents on acyclic context sets, whose first descent
+# meets every cell: a weighted N path of three contexts and a weighted N
+# star of three, with their witnesses.
 N_PATH = (
     "monoid N\ncontext x y\n0 0 : 2\n0 1 : 1\n1 1 : 2\ncontext y z\n0 0 : 1\n0 1 : 1\n1 0 : 2\n1 1 : 1\n"
     "context z w\n0 0 : 2\n0 1 : 1\n1 1 : 2\n"
@@ -189,10 +190,18 @@ class TestGlobal:
     )
     def test_acyclic_witness_pinned(self, capsys, tmp_path, document, expected):
         """CI's hash-seed documents on acyclic context sets, whose N
-        witnesses the integer search finds with no tableau."""
+        witnesses the first descent finds with no tableau."""
         path = tmp_path / "acyclic.fam"
         path.write_text(document)
         assert run(capsys, "global", str(path)) == (0, "globally consistent\n" + expected, "")
+
+    def test_descent_miss_witness_pinned(self, capsys, tmp_path):
+        """CI's hash-seed document whose first descent misses a cell: the
+        solver and the integer search find its witness."""
+        path = tmp_path / "descent.fam"
+        path.write_text(DESCENT_MISSES)
+        expected = "globally consistent\nmonoid N\ncontext x y z\n0 0 1 : 2\n0 1 0 : 2\n1 0 0 : 1\n"
+        assert run(capsys, "global", str(path)) == (0, expected, "")
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -328,6 +337,14 @@ class TestRealisable:
         monkeypatch.setattr(realisability, "find_rational_solution", lambda *call: calls.append(call) or solve(*call))
         assert run(capsys, argv[0], str(path), *argv[1:]) == (0, expected, "")
         assert calls == ([([], [], range(0))] if argv[0] == "realisable" else [])
+
+    def test_empty_path_of_three_contexts(self, capsys, tmp_path):
+        """Two pairs of empty relations after the first, neither with a
+        cell for the LP to leave out."""
+        path = tmp_path / "empty3.fam"
+        path.write_text("monoid B\ncontext x y\ncontext y z\ncontext z w\n")
+        expected = "realisable\nmonoid Q\ncontext w z\ncontext x y\ncontext y z\n"
+        assert run(capsys, "realisable", str(path), "--monoid", "Q") == (0, expected, "")
 
     def test_monoid_flag_required_values(self, capsys, teaching):
         code, _, err = run(capsys, "realisable", teaching, "--monoid", "B")

@@ -12,6 +12,7 @@ from ctxfam.family import (
     ContextSet,
     ContextualFamily,
     LocalConsistencyError,
+    _first_descent,
     _support_join,
     check_global_consistency,
     find_violation,
@@ -29,6 +30,7 @@ from conftest import (
     TC_ROWS,
     brel,
     grid_document,
+    is_acyclic,
     row,
     wrel,
 )
@@ -142,14 +144,14 @@ def antichains(variables, most):
 
 
 class TestAcyclicity:
-    """``ContextSet.is_acyclic``, the GYO reduction, against the brute-force
+    """``is_acyclic``, the GYO reduction, against the brute-force
     join-forest search above."""
 
     def test_every_small_antichain(self):
         """All 3 426 antichains of up to four contexts over five variables:
         1 231 acyclic and 2 195 not."""
         groups = list(antichains("abcde", 4))
-        verdicts = [ContextSet(g).is_acyclic() for g in groups]
+        verdicts = [is_acyclic(ContextSet(g)) for g in groups]
         assert verdicts == [join_forest_exists(list(g)) for g in groups]
         assert (verdicts.count(True), verdicts.count(False)) == (1231, 2195)
 
@@ -170,7 +172,7 @@ class TestAcyclicity:
     )
     def test_edge_cases(self, contexts, acyclic):
         context_set = ContextSet.from_sets(contexts)
-        assert context_set.is_acyclic() is acyclic
+        assert is_acyclic(context_set) is acyclic
         assert join_forest_exists(list(context_set)) is acyclic
 
 
@@ -366,9 +368,10 @@ class TestGlobalConsistency:
 
 
 class TestSolverRefusals:
-    """The grid family passes the cell check, so the global question
-    reaches ``find_rational_solution``, which refuses it in N and Q
-    alike; in N the integer search never runs."""
+    """The grid family passes the cell check and its first descent misses
+    a cell, so the global question reaches ``find_rational_solution``,
+    which refuses it in N and Q alike; in N the integer search never
+    runs."""
 
     @pytest.mark.parametrize("kind", ["N", "Q"])
     def test_every_cell_under_a_join_row(self, kind):
@@ -386,7 +389,10 @@ class TestSolverRefusals:
 
         monkeypatch.setattr(family_module, "find_rational_solution", lambda *call: answers.append(solve(*call)) or answers[-1])
         monkeypatch.setattr(family_module, "_integer_weights", never)
-        assert check_global_consistency(parse_family(grid_document(kind))) is None
+        family = parse_family(grid_document(kind))
+        _, cells = _support_join(family)
+        assert _first_descent([p for rel in family.maximal_relations() for p in rel._rows.values()], cells) is None
+        assert check_global_consistency(family) is None
         assert answers == [None]
 
 

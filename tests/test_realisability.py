@@ -7,6 +7,7 @@ import tempfile
 from bisect import bisect_right
 from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import chain, combinations, product
 from pathlib import Path
 
 import pytest
@@ -46,7 +47,7 @@ from conftest import (
     wrel,
 )
 from row_reference import restrict
-from test_feasibility import SHAPES, marginal_family
+from test_feasibility import SHAPES, fm_solution, marginal_family
 
 
 def triangle_family(rows_xy, rows_yz, rows_zx):
@@ -510,6 +511,72 @@ class TestGraphTestIsTheLP:
             assert (lp_witness(family, MonoidKind.N) is not None) is covered
             verdicts[covered] += 1
         assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
+
+
+def every_family(contexts):
+    """Every locally consistent B-family over ``contexts``, binary ones
+    over the values 0 and 1: each context takes any subset of its four
+    rows, and the pairwise check keeps the consistent choices."""
+    cells = list(product("01", repeat=2))
+    subsets = list(chain.from_iterable(combinations(cells, n) for n in range(len(cells) + 1)))
+    for rows in product(subsets, repeat=len(contexts)):
+        try:
+            yield ContextualFamily([brel(c, r) for c, r in zip(contexts, rows)])
+        except LocalConsistencyError:
+            pass
+
+
+def reference_realisable(family):
+    """Whether Fourier-Motzkin finds weights of at least 1 on the supported
+    rows meeting every agreement equation: for each pair of contexts and
+    each row of their overlap, the pair's two sums of weights over it."""
+    rows = [(c, r) for c in family.contexts for r, _ in family.relation_at(c).rows()]
+    equalities = []
+    for c, d in combinations(family.contexts, 2):
+        sums = {}
+        for e, sign in ((c, 1), (d, -1)):
+            for r, _ in family.relation_at(e).rows():
+                sums.setdefault(restrict(r, c & d), {})[(e, r)] = Fraction(sign)
+        equalities += [(coeffs, Fraction(0)) for coeffs in sums.values()]
+    return fm_solution(equalities, dict.fromkeys(rows, Fraction(1)), rows) is not None
+
+
+def realisation(family, kind):
+    """``find_realisation``'s witness, or None where it refuses."""
+    try:
+        return find_realisation(family, kind)
+    except NotRealisableError:
+        return None
+
+
+class TestEverySupportOfASmallScope:
+    """Every locally consistent B-family at domain 2 over a small context
+    set: the graph test on the 3-cycle, ``realisable_lp`` and
+    ``find_realisation`` in Q and N, and the Fourier-Motzkin reference
+    reach one verdict, and every witness has the input's support."""
+
+    @staticmethod
+    def verdicts(family):
+        reference = reference_realisable(family)
+        for kind in (MonoidKind.Q, MonoidKind.N):
+            for witness in (lp_witness(family, kind), realisation(family, kind)):
+                assert (witness is not None) is reference
+                assert witness is None or (witness.kind is kind and witness.support() == family)
+        return reference
+
+    def test_three_cycle(self):
+        verdicts = []
+        for family in every_family([("x", "y"), ("y", "z"), ("x", "z")]):
+            verdicts.append(self.verdicts(family))
+            assert (not build_opg(family).uncovered_edges()) is verdicts[-1]
+        # the empty family counts too: no pair of its empty relations has
+        # an agreement cell for realisable_lp to leave out
+        assert (len(verdicts), verdicts.count(True)) == (406, 350)
+
+    def test_path_of_three_contexts(self):
+        """An acyclic context set: every family is realisable."""
+        verdicts = [self.verdicts(family) for family in every_family([("x", "y"), ("y", "z"), ("z", "w")])]
+        assert (len(verdicts), verdicts.count(True)) == (712, 712)
 
 
 class TestDot:
