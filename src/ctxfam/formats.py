@@ -36,10 +36,16 @@ text, each value, ``:`` and weight column is a slice of those tokens,
 and whole columns are tested at once, so no Python object is built per
 row beyond the row's key.  Any other block, and any block that fails a
 column test, is read line by line (:func:`_read_lines`) into the same
-store, or to the error of its first malformed row.  Parsing reports
-errors with line numbers of the whole text; serialisation is canonical
-(sorted contexts, sorted rows) and round-trips, refusing any name or
-value it could not read back (:func:`_refuse_unreadable`).
+store, or to the error of its first malformed row.  Each row is checked
+once, by the reader that reads it: its width, its weight, parsed in the
+declared kind and nonzero, and its values, exact ``str`` tokens of the
+split text.  The relations are then built with ``checked=True``, so
+:class:`~ctxfam.relation.KRelation` tests only their row order, and
+every refusal of a document stays a :class:`FormatError` with the line
+of its row.  Parsing reports errors with line numbers of the whole
+text; serialisation is canonical (sorted contexts, sorted rows) and
+round-trips, refusing any name or value it could not read back
+(:func:`_refuse_unreadable`).
 """
 
 from __future__ import annotations
@@ -126,7 +132,7 @@ def parse_relations(text: str) -> List[KRelation]:
             number, word = next((i + 1, w) for i in range(begin, end)
                                 for w in lines[i].split() if w in _RESERVED_VALUES)
             raise FormatError(number, f"row value {word!r} is a reserved word")
-    return [KRelation(variables, kind, store) for (variables, _, _), store in zip(blocks, stores)]
+    return [KRelation(variables, kind, store, checked=True) for (variables, _, _), store in zip(blocks, stores)]
 
 
 def _read_block(kind: MonoidKind, variables: Tuple[str, ...], rows: List[str],

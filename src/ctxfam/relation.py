@@ -23,8 +23,13 @@ take them in.
 Variables and values are strings, as the family format reads and
 writes them, and rows are in the order of their value tuples.  Any
 other value, an ``int`` or a ``str`` subclass among them, is refused.
-Text the format cannot write, such as a value holding a space, is kept
-here and refused by the writers of :mod:`ctxfam.formats`.
+The constructor checks every row it is given but those of the family
+reader, :func:`ctxfam.formats.parse_relations`, which passes
+``checked=True``: that reader has checked each row where it read it and
+refused a bad one with a positioned ``FormatError``, so only the row
+order is tested here.  Text the format cannot write, such as a value
+holding a space, is kept here and refused by the writers of
+:mod:`ctxfam.formats`.
 """
 
 from __future__ import annotations
@@ -145,16 +150,39 @@ class KRelation:
 
     __slots__ = ("variables", "names", "kind", "_rows")
 
-    def __init__(self, variables: Iterable[str], kind: MonoidKind, rows: Mapping[Key, Payload]):
+    def __init__(self, variables: Iterable[str], kind: MonoidKind, rows: Mapping[Key, Payload], *,
+                 checked: bool = False):
         """Store the rows in the order of their keys, with no sort when they
         come in that order.  Each key is a tuple of one ``str`` per variable,
         in sorted order; any other value, a ``str`` subclass too, is refused
         with a :class:`DomainError` naming its row.  Each payload is nonzero
         of ``kind``: the ``int`` 1 in B, an ``int`` in N, a ``Fraction`` in
-        Q; a zero is rejected, not dropped, so every row is in the support."""
+        Q; a zero is rejected, not dropped, so every row is in the support.
+
+        ``checked`` says that the family reader of :mod:`ctxfam.formats`
+        built ``rows`` and has already refused, with a positioned
+        ``FormatError``, every row these tests would refuse; they are then
+        skipped, and only the row order is tested here.  Every other caller
+        leaves it false."""
         vars_ = frozenset(str(v) for v in variables)
         names = tuple(sorted(vars_))
         keys = list(rows)
+        if not checked:
+            self._check(names, kind, rows, keys)
+        if all(map(lt, keys, islice(keys, 1, None))):
+            store = dict(rows)  # already in row order
+        else:
+            store = dict(sorted(rows.items(), key=itemgetter(0)))
+        self.variables = vars_
+        self.names = names
+        self.kind = kind
+        self._rows = store
+
+    @staticmethod
+    def _check(names: Key, kind: MonoidKind, rows: Mapping[Key, Payload], keys: List[Key]) -> None:
+        """Refuse a key that is not a tuple of one ``str`` per name, or a
+        payload that is not nonzero of ``kind``: whole columns at a time,
+        looking for the offending row only to name it."""
         payloads = list(rows.values())
         if set(map(len, keys)) - {len(names)} or set(map(type, keys)) - {tuple}:
             bad = next(key for key in keys if type(key) is not tuple or len(key) != len(names))
@@ -172,14 +200,6 @@ class KRelation:
                 row = Assignment._sorted(tuple(zip(names, keys[payloads.index(p)])))
                 raise ValueError(f"zero annotation stored for row {row}")
             raise ValueError(f"annotation {p} is not of kind {kind}")
-        if all(map(lt, keys, islice(keys, 1, None))):
-            store = dict(rows)  # already in row order
-        else:
-            store = dict(sorted(rows.items(), key=itemgetter(0)))
-        self.variables = vars_
-        self.names = names
-        self.kind = kind
-        self._rows = store
 
     @classmethod
     def from_assignments(cls, variables: Iterable[str], kind: MonoidKind, rows: Mapping[Assignment, MonoidValue]) -> "KRelation":

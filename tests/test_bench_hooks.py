@@ -6,7 +6,7 @@ from pathlib import Path
 
 from ctxfam import cli, family, fdlogic, formats, realisability
 from ctxfam.family import ContextualFamily
-from ctxfam.monoid import MonoidValue
+from ctxfam.monoid import MonoidKind, MonoidValue
 from ctxfam.relation import KRelation
 
 from conftest import DESCENT_MISSES
@@ -65,6 +65,34 @@ def test_every_relation_built_passes_the_counted_constructor(tmp_path, capsys):
     assert tracer.counts["relation.krelations_built"] == 3
     # Rows stored: three per parsed relation.
     assert tracer.counts["relation.krelations_built.amount"] == 3 * 3
+
+
+def test_relations_from_both_readers_pass_the_counted_constructor(tmp_path, capsys):
+    """The family reader builds every relation through the counted
+    ``KRelation.__init__``, whichever reader read its block: here the
+    first block mixes weighted and unweighted rows, which the column
+    reader declines and the line reader reads, and the other two are
+    read as columns."""
+    text = (
+        "monoid N\n"
+        "context x y\n0 0\n0 1 : 1\n1 1 : 2\n1 0\n"
+        "context y z\n0 0 : 2\n1 0 : 1\n1 1 : 2\n"
+        "context x z\n0 0 : 2\n1 0 : 1\n1 1 : 2\n"
+    )
+    blocks = [block.splitlines() for block in text.split("context ")[1:]]
+    read = [formats._read_block(MonoidKind.N, tuple(head.split()), rows, 1, {}) for head, *rows in blocks]
+    assert read[0] is None and all(read[1:])
+    doc = tmp_path / "family.fam"
+    doc.write_text(text)
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["check", str(doc)]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == "locally consistent\n"
+    assert tracer.counts["relation.krelations_built"] == 3
+    assert tracer.counts["relation.krelations_built.amount"] == sum(len(rows) for _, *rows in blocks) == 10
 
 
 def test_global_lp_records_the_solver_span(tmp_path, capsys):

@@ -23,7 +23,7 @@ from ctxfam.formats import (
 )
 from ctxfam.monoid import MonoidKind, MonoidValue, parse_value
 from ctxfam.realisability import decompose_cycles, realise
-from ctxfam.relation import Assignment
+from ctxfam.relation import Assignment, KRelation
 
 from conftest import CS_EXT_ROWS, ST_ROWS, TC_ROWS, brel, wrel
 from row_reference import significant_lines
@@ -631,9 +631,16 @@ class TestColumnReaderContract:
         assert sum("monoid" in m for m in met) >= 2
 
 
+class Text(str):
+    """A ``str`` subclass for document text.  The reader's tokens are
+    exact ``str`` because ``splitlines`` returns ``str``; ``str.partition``
+    would return a line of this type itself when it holds no ``#``."""
+
+
 class TestAgreesWithPerRowReference:
     @given(documents())
     @with_examples(block_documents())
+    @example(Text("monoid Q  # kind\ncontext y x\nb a : 1/2\na b # no weight\nc\tc : 3\ncontext z\nw\n"))
     def test_parse_relations(self, text):
         try:
             expected = reference_parse(text)
@@ -644,6 +651,12 @@ class TestAgreesWithPerRowReference:
             return
         relations = parse_relations(text)
         assert [(r.variables, r.kind, list(r.rows())) for r in relations] == expected
+        # The reader's relations skip the constructor's per-row tests, and
+        # would pass them: exact tuples of exact str, in row order.
+        for r in relations:
+            assert KRelation(r.variables, r.kind, dict(r._rows)) == r
+            assert all(type(key) is tuple and all(type(value) is str for value in key) for key in r._rows)
+            assert list(r._rows) == sorted(r._rows)
 
     @given(dependency_documents())
     def test_parse_fds(self, text):
